@@ -8,7 +8,7 @@
 //   plurality_run --list-metrics
 //   plurality_run --scenario NAME [--n N] [--k K] [--workload W] [--bias B]
 //                 [--dust D] [--fraction PCT] [--zipf-s S] [--sources C]
-//                 [--time-budget T] [--backend agent|census|batch|leap]
+//                 [--time-budget T] [--backend agent|census|leap]
 //                 [--trials T] [--seed S] [--threads J]
 //                 [--out FILE.json] [--trace FILE.csv] [--trace-cadence C]
 //                 [--metrics FILE.json] [--metrics-prom FILE.prom] [--progress]
@@ -22,12 +22,16 @@
 // Backends: --backend agent (default) simulates every agent individually,
 // O(n) memory; --backend census simulates the state census (one counter per
 // occupied state), O(S) memory — the backend for population sizes far
-// beyond what per-agent storage can hold; --backend batch is the census
-// backend with collision-free run batching — the same Markov chain at a
-// multiple of the throughput for small-S protocols; --backend leap samples
-// each run's pair-type contingency table directly — the fastest backend for
+// beyond what per-agent storage can hold; --backend leap steps the same
+// census a whole collision-free run at a time, sampling each run's
+// pair-type contingency table directly — the fastest backend for
 // small-occupancy protocols, independent of the run length (see
 // docs/ARCHITECTURE.md).
+//
+// Malformed values fail with one line on stderr and exit status 2 (no usage
+// dump): an unknown --backend, a --trace-cadence that is not a finite value
+// > 0, and a count flag (--n, --k, --bias, --dust, --sources) that is not a
+// whole base-10 number fitting 32 bits.
 //
 // Examples:
 //   plurality_run --list
@@ -37,6 +41,7 @@
 //   plurality_run --scenario epidemic/broadcast --n 100000 --trace spread.csv
 #include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -84,11 +89,11 @@ constexpr double progress_interval_seconds = 2.0;
                  "       %s --scenario NAME [--n N] [--k K] [--workload "
                  "bias1|uniform|zipf|dominant|two-heavy]\n"
                  "          [--bias B] [--dust D] [--fraction PCT] [--zipf-s S] [--sources C]\n"
-                 "          [--time-budget T] [--backend agent|census|batch|leap]\n"
+                 "          [--time-budget T] [--backend %s]\n"
                  "          [--trials T] [--seed S] [--threads J]\n"
                  "          [--out FILE.json] [--trace FILE.csv] [--trace-cadence C]\n"
                  "          [--metrics FILE.json] [--metrics-prom FILE.prom] [--progress]\n",
-                 argv0, argv0, argv0);
+                 argv0, argv0, argv0, scenario::backend_list());
     std::exit(exit_code);
 }
 
@@ -98,6 +103,12 @@ options parse(int argc, char** argv) {
         switch (scenario::parse_param_flag(opt.params, argc, argv, i)) {
             case scenario::flag_parse::consumed: continue;
             case scenario::flag_parse::missing_value: usage(argv[0], 2);
+            case scenario::flag_parse::invalid_value:
+                // One line, no usage dump — same contract as the
+                // unknown-backend and --trace-cadence errors below.
+                std::fprintf(stderr, "invalid %s '%s' (expected a whole number from 0 to %u)\n",
+                             argv[i - 1], argv[i], UINT32_MAX);
+                std::exit(2);
             case scenario::flag_parse::not_mine: break;
         }
         const std::string arg = argv[i];

@@ -1,28 +1,29 @@
-// E17 — pair-type leaping backend: O(occupied²) runs that skip participant
-// sampling entirely.
+// E17 — pair-type leaping backend: O(occupied²) runs instead of one
+// Fenwick-sampled interaction at a time.
 //
-// The batch backend (E16) still pays two Θ(√n) costs per collision-free
-// run: the survival-product walk that samples the run length, and the 2L
-// participant draws it compresses afterwards.  The leap backend
-// (sim/leap_census_simulator.h) removes both — the run length comes from a
-// single uniform inverted through the closed-form log-survival curve, and
-// the ordered (initiator-state × responder-state) contingency table is
-// sampled directly by sequential multivariate-hypergeometric conditioning —
-// so per-run cost is O(occupied²), independent of n.  Both backends
-// simulate the same Markov chain (tests/test_leap_backend.cpp pins the
-// agreement); these rows are a pure throughput comparison.
+// The per-step census backend (sim/census_simulator.h) pays two Fenwick
+// descents and a δ call for every interaction.  The leap backend
+// (sim/leap_census_simulator.h) steps whole collision-free runs of Θ(√n)
+// interactions instead: the run length comes from a single uniform inverted
+// through the closed-form log-survival curve, and the ordered
+// (initiator-state × responder-state) contingency table is sampled directly
+// by sequential multivariate-hypergeometric conditioning — so per-run cost
+// is O(occupied²), independent of n.  Both backends simulate the same
+// Markov chain (tests/test_census_backend.cpp pins the agreement); these
+// rows are a pure throughput comparison.
 //
 // Row families:
 //
-//  * LeapThroughput / BatchStepThroughput — the same fixed interaction
-//    budget on each backend, for the two canonical small-S protocols
-//    (epidemic broadcast, three-state majority) at n ∈ {10⁸, 10⁹}.
+//  * LeapThroughput — a fixed interaction budget on the leap backend, for
+//    the two canonical small-S protocols (epidemic broadcast, three-state
+//    majority) at n ∈ {10⁸, 10⁹}.
 //
-//  * LeapSpeedup — both backends inside one row (same protocol, same n,
-//    same budget), reporting the ratio directly as a `speedup` counter so
-//    the recorded BENCH_E17.json carries the comparison without offline
-//    arithmetic.  The acceptance bar for this experiment is leap ≥ 5× batch
-//    on both protocols at n = 10⁹.
+//  * LeapSpeedup — leap and the per-step census backend inside one row
+//    (same protocol, same n, same budget), reporting the ratio directly as
+//    a `speedup` counter so the recorded BENCH_E17.json carries the
+//    comparison without offline arithmetic.  Census is the bar leap must
+//    never fall below; the acceptance bar for this experiment is leap ≥ 5×
+//    census on both protocols at n = 10⁹.
 //
 //  * LeapConvergence — full scenario-layer runs to convergence on the leap
 //    backend at n = 10⁹ (epidemic broadcast and three-state majority): the
@@ -33,6 +34,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -40,178 +42,127 @@
 #include "majority/three_state.h"
 #include "scenario/registry.h"
 #include "scenario/runner.h"
-#include "sim/batch_census_simulator.h"
+#include "sim/census_simulator.h"
 #include "sim/leap_census_simulator.h"
 
 namespace {
 
 using namespace plurality;
 
-using epidemic_entries = std::vector<sim::census_entry<epidemic::epidemic_agent>>;
-using three_entries = std::vector<sim::census_entry<majority::three_state_agent>>;
+struct epidemic_rows {
+    using protocol_t = epidemic::epidemic_protocol;
+    using codec_t = epidemic::epidemic_census_codec;
+    static constexpr const char* label = "epidemic";
+    static std::vector<sim::census_entry<epidemic::epidemic_agent>> census(std::uint64_t n) {
+        return {{{true, 1}, 1}, {{false, 0}, n - 1}};
+    }
+};
 
-epidemic_entries epidemic_census(std::uint64_t n) {
-    return {{{true, 1}, 1}, {{false, 0}, n - 1}};
-}
+struct three_state_rows {
+    using protocol_t = majority::three_state_protocol;
+    using codec_t = majority::three_state_census_codec;
+    static constexpr const char* label = "three-state";
+    static std::vector<sim::census_entry<majority::three_state_agent>> census(std::uint64_t n) {
+        const std::uint64_t bias = n / 4;  // deep w.h.p. regime
+        const std::uint64_t minus = (n - bias) / 2;
+        using enum majority::binary_opinion;
+        return {{{alpha}, n - minus}, {{beta}, minus}};
+    }
+};
 
-three_entries three_state_census(std::uint64_t n) {
-    const std::uint64_t bias = n / 4;  // deep w.h.p. regime
-    const std::uint64_t minus = (n - bias) / 2;
-    using enum majority::binary_opinion;
-    return {{{alpha}, n - minus}, {{beta}, minus}};
-}
+template <class Rows>
+using leap_sim = sim::leap_census_simulator<typename Rows::protocol_t, typename Rows::codec_t>;
 
 // Large enough that the faster backend's wall time is still comfortably
 // measurable (the leap backend clears 40M interactions at n = 10⁹ in about
-// a millisecond), small enough that the batch side stays a sub-second row.
+// a millisecond), small enough that the per-step census side stays a row of
+// a few seconds.
 constexpr std::uint64_t throughput_budget = 40'000'000;
 
-/// Runs `Sim` for the fixed budget and reports interactions/sec plus the
+/// Wall seconds for `sim` to execute the fixed budget.
+template <class Sim>
+double timed_budget(Sim& sim) {
+    const auto started = std::chrono::steady_clock::now();
+    sim.run_for(throughput_budget);
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
+}
+
+/// The fixed budget on the leap backend: interactions/sec plus the
 /// census-shape counters.
-template <class Sim, class Entries>
-void run_throughput(benchmark::State& state, const Entries& entries, std::uint64_t seed_base) {
+template <class Rows>
+void BM_LeapThroughput(benchmark::State& state) {
+    const auto n = static_cast<std::uint64_t>(state.range(0));
+    const auto entries = Rows::census(n);
     std::uint64_t total_interactions = 0;
     double total_seconds = 0.0;
     std::size_t occupied = 0;
     std::uint64_t iteration = 0;
     for (auto _ : state) {
-        Sim sim{{}, entries, seed_base + iteration++};
-        const auto started = std::chrono::steady_clock::now();
-        sim.run_for(throughput_budget);
-        const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - started;
+        leap_sim<Rows> sim{{}, entries, 0xe17000 + n + iteration++};
+        total_seconds += timed_budget(sim);
         total_interactions += sim.interactions();
-        total_seconds += elapsed.count();
         occupied = sim.occupied_states();
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(total_interactions));
+    state.counters["population"] = static_cast<double>(n);
     state.counters["interactions_per_sec"] =
         total_seconds > 0.0 ? static_cast<double>(total_interactions) / total_seconds : 0.0;
     state.counters["occupied_states"] = static_cast<double>(occupied);
+    state.SetLabel(std::string(Rows::label) + "/leap");
 }
 
-template <bool three_state_rows>
-void BM_LeapThroughput(benchmark::State& state) {
-    const auto n = static_cast<std::uint64_t>(state.range(0));
-    state.counters["population"] = static_cast<double>(n);
-    if constexpr (three_state_rows) {
-        using sim_t = sim::leap_census_simulator<majority::three_state_protocol,
-                                                 majority::three_state_census_codec>;
-        run_throughput<sim_t>(state, three_state_census(n), 0xe17000 + n);
-        state.SetLabel("three-state/leap");
-    } else {
-        using sim_t = sim::leap_census_simulator<epidemic::epidemic_protocol,
-                                                 epidemic::epidemic_census_codec>;
-        run_throughput<sim_t>(state, epidemic_census(n), 0xe17000 + n);
-        state.SetLabel("epidemic/leap");
-    }
-}
-
-template <bool three_state_rows>
-void BM_BatchStepThroughput(benchmark::State& state) {
-    const auto n = static_cast<std::uint64_t>(state.range(0));
-    state.counters["population"] = static_cast<double>(n);
-    if constexpr (three_state_rows) {
-        using sim_t = sim::batch_census_simulator<majority::three_state_protocol,
-                                                  majority::three_state_census_codec>;
-        run_throughput<sim_t>(state, three_state_census(n), 0xe17000 + n);
-        state.SetLabel("three-state/batch");
-    } else {
-        using sim_t = sim::batch_census_simulator<epidemic::epidemic_protocol,
-                                                  epidemic::epidemic_census_codec>;
-        run_throughput<sim_t>(state, epidemic_census(n), 0xe17000 + n);
-        state.SetLabel("epidemic/batch");
-    }
-}
-
-BENCHMARK(BM_LeapThroughput<false>)
+BENCHMARK(BM_LeapThroughput<epidemic_rows>)
     ->Name("BM_LeapThroughput/epidemic")
     ->ArgNames({"n"})
     ->Args({100'000'000})
     ->Args({1'000'000'000})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_LeapThroughput<true>)
+BENCHMARK(BM_LeapThroughput<three_state_rows>)
     ->Name("BM_LeapThroughput/three_state")
     ->ArgNames({"n"})
     ->Args({100'000'000})
     ->Args({1'000'000'000})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_BatchStepThroughput<false>)
-    ->Name("BM_BatchStepThroughput/epidemic")
-    ->ArgNames({"n"})
-    ->Args({100'000'000})
-    ->Args({1'000'000'000})
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_BatchStepThroughput<true>)
-    ->Name("BM_BatchStepThroughput/three_state")
-    ->ArgNames({"n"})
-    ->Args({100'000'000})
-    ->Args({1'000'000'000})
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
-/// Both backends inside one row; `speedup` = batch wall / leap wall for the
+/// Both backends inside one row; `speedup` = census wall / leap wall for the
 /// identical interaction budget.  This is the acceptance counter: it must
 /// stay >= 5 on both protocols at n = 10⁹.
-template <bool three_state_rows>
+template <class Rows>
 void BM_LeapSpeedup(benchmark::State& state) {
     const auto n = static_cast<std::uint64_t>(state.range(0));
-    double batch_seconds = 0.0;
+    const auto entries = Rows::census(n);
+    double census_seconds = 0.0;
     double leap_seconds = 0.0;
     std::uint64_t iteration = 0;
     for (auto _ : state) {
         const std::uint64_t seed = 0xe17500 + n + iteration++;
-        const auto timed = [](auto&& sim) {
-            const auto started = std::chrono::steady_clock::now();
-            sim.run_for(throughput_budget);
-            const std::chrono::duration<double> elapsed =
-                std::chrono::steady_clock::now() - started;
-            return elapsed.count();
-        };
-        if constexpr (three_state_rows) {
-            const auto entries = three_state_census(n);
-            batch_seconds += timed(
-                sim::batch_census_simulator<majority::three_state_protocol,
-                                            majority::three_state_census_codec>{{}, entries,
-                                                                                seed});
-            leap_seconds += timed(
-                sim::leap_census_simulator<majority::three_state_protocol,
-                                           majority::three_state_census_codec>{{}, entries,
-                                                                               seed});
-        } else {
-            const auto entries = epidemic_census(n);
-            batch_seconds += timed(
-                sim::batch_census_simulator<epidemic::epidemic_protocol,
-                                            epidemic::epidemic_census_codec>{{}, entries, seed});
-            leap_seconds += timed(
-                sim::leap_census_simulator<epidemic::epidemic_protocol,
-                                           epidemic::epidemic_census_codec>{{}, entries, seed});
-        }
+        sim::census_simulator<typename Rows::protocol_t, typename Rows::codec_t> census{
+            {}, entries, seed};
+        census_seconds += timed_budget(census);
+        leap_sim<Rows> leap{{}, entries, seed};
+        leap_seconds += timed_budget(leap);
     }
+    const auto rate = [&](double seconds) {
+        return seconds > 0.0 ? static_cast<double>(throughput_budget) *
+                                   static_cast<double>(iteration) / seconds
+                             : 0.0;
+    };
     state.counters["population"] = static_cast<double>(n);
-    state.counters["speedup"] = leap_seconds > 0.0 ? batch_seconds / leap_seconds : 0.0;
-    state.counters["batch_interactions_per_sec"] =
-        batch_seconds > 0.0
-            ? static_cast<double>(throughput_budget) * static_cast<double>(iteration) /
-                  batch_seconds
-            : 0.0;
-    state.counters["leap_interactions_per_sec"] =
-        leap_seconds > 0.0
-            ? static_cast<double>(throughput_budget) * static_cast<double>(iteration) /
-                  leap_seconds
-            : 0.0;
-    state.SetLabel(three_state_rows ? "three-state" : "epidemic");
+    state.counters["speedup"] = leap_seconds > 0.0 ? census_seconds / leap_seconds : 0.0;
+    state.counters["census_interactions_per_sec"] = rate(census_seconds);
+    state.counters["leap_interactions_per_sec"] = rate(leap_seconds);
+    state.SetLabel(Rows::label);
 }
 
-BENCHMARK(BM_LeapSpeedup<false>)
+BENCHMARK(BM_LeapSpeedup<epidemic_rows>)
     ->Name("BM_LeapSpeedup/epidemic")
     ->ArgNames({"n"})
     ->Args({1'000'000'000})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_LeapSpeedup<true>)
+BENCHMARK(BM_LeapSpeedup<three_state_rows>)
     ->Name("BM_LeapSpeedup/three_state")
     ->ArgNames({"n"})
     ->Args({1'000'000'000})

@@ -1,8 +1,8 @@
 // E18 — randomized-δ group path: the paper's own tournament protocols on
-// the batch/leap backends at n up to 10⁹.
+// the leap backend at n up to 10⁹.
 //
-// E16/E17 ran the fast backends on protocols with *deterministic* δ, where
-// a collision-free group advances by pure counter moves.  The tournament
+// E17 ran the leap backend on protocols with *deterministic* δ, where a
+// collision-free group advances by pure counter moves.  The tournament
 // protocols (leader election, exact plurality) consult the RNG inside δ —
 // per-pair that costs one or more draws per interaction, m draws for a
 // group of m.  The randomized-δ group path (sim/delta_outcomes.h +
@@ -14,13 +14,13 @@
 // Row families:
 //
 //  * TournamentGroupSpeedup — grouped vs per-pair-fallback (a wrapper that
-//    hides the delta_outcomes trait) inside one row: same protocol, same
-//    backend, same n, same fixed interaction budget.  The `speedup` counter
+//    hides the delta_outcomes trait) inside one row on the leap backend:
+//    same protocol, same n, same fixed interaction budget.  The `speedup` counter
 //    is the acceptance bar: ≥ 5× on both protocols at n = 10⁹.  Budgets are
 //    fixed interaction counts (full tournament convergence at n = 10⁹ is
 //    ~10¹³ interactions — not a benchmark row), so the rows measure the
 //    early small-occupancy regime where group sizes are largest; that is
-//    exactly the regime the fast backends exist for.
+//    exactly the regime the leap backend exists for.
 //
 //  * TournamentLeapBudget — end-to-end scenario-layer runs of the ordered
 //    plurality tournament and leader election on the leap backend at
@@ -32,7 +32,6 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -41,14 +40,13 @@
 #include "leader/leader_election.h"
 #include "scenario/registry.h"
 #include "scenario/runner.h"
-#include "sim/batch_census_simulator.h"
 #include "sim/leap_census_simulator.h"
 
 namespace {
 
 using namespace plurality;
 
-/// A protocol with both fast-backend traits hidden: every group takes the
+/// A protocol with both group-path traits hidden: every group takes the
 /// per-pair fallback, one δ evaluation (and its RNG draws) per interaction.
 template <class P>
 struct per_pair_only {
@@ -101,16 +99,12 @@ constexpr std::uint64_t tournament_budget = 20'000'000;
 /// Grouped vs per-pair fallback inside one row; `speedup` = fallback wall /
 /// grouped wall for the identical interaction budget.  This is the E18
 /// acceptance counter: ≥ 5 on both protocols at n = 10⁹.
-template <class Rows, bool use_leap>
+template <class Rows>
 void BM_TournamentGroupSpeedup(benchmark::State& state) {
     using protocol_t = typename Rows::protocol_t;
     using codec_t = typename Rows::codec_t;
-    using grouped_sim =
-        std::conditional_t<use_leap, sim::leap_census_simulator<protocol_t, codec_t>,
-                           sim::batch_census_simulator<protocol_t, codec_t>>;
-    using fallback_sim = std::conditional_t<
-        use_leap, sim::leap_census_simulator<per_pair_only<protocol_t>, codec_t>,
-        sim::batch_census_simulator<per_pair_only<protocol_t>, codec_t>>;
+    using grouped_sim = sim::leap_census_simulator<protocol_t, codec_t>;
+    using fallback_sim = sim::leap_census_simulator<per_pair_only<protocol_t>, codec_t>;
 
     const auto n = static_cast<std::uint64_t>(state.range(0));
     double grouped_seconds = 0.0;
@@ -144,31 +138,17 @@ void BM_TournamentGroupSpeedup(benchmark::State& state) {
     };
     state.counters["grouped_interactions_per_sec"] = rate(grouped_seconds);
     state.counters["fallback_interactions_per_sec"] = rate(fallback_seconds);
-    state.SetLabel(std::string(Rows::label) + (use_leap ? "/leap" : "/batch"));
+    state.SetLabel(std::string(Rows::label) + "/leap");
 }
 
-BENCHMARK(BM_TournamentGroupSpeedup<leader_rows, false>)
-    ->Name("BM_TournamentGroupSpeedup/leader_batch")
-    ->ArgNames({"n"})
-    ->Args({100'000'000})
-    ->Args({1'000'000'000})
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TournamentGroupSpeedup<leader_rows, true>)
+BENCHMARK(BM_TournamentGroupSpeedup<leader_rows>)
     ->Name("BM_TournamentGroupSpeedup/leader_leap")
     ->ArgNames({"n"})
     ->Args({100'000'000})
     ->Args({1'000'000'000})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TournamentGroupSpeedup<plurality_rows, false>)
-    ->Name("BM_TournamentGroupSpeedup/plurality_batch")
-    ->ArgNames({"n"})
-    ->Args({100'000'000})
-    ->Args({1'000'000'000})
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TournamentGroupSpeedup<plurality_rows, true>)
+BENCHMARK(BM_TournamentGroupSpeedup<plurality_rows>)
     ->Name("BM_TournamentGroupSpeedup/plurality_leap")
     ->ArgNames({"n"})
     ->Args({100'000'000})

@@ -18,6 +18,7 @@
 //   plurality_lab --mode improved --n 4096 --workload dominant --dust 16
 //   plurality_lab --mode ordered --n 1024 --k 8 --trials 20
 //   plurality_lab --mode unordered --n 2048 --k 4 --trace run.csv
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -57,6 +58,10 @@ options parse(int argc, char** argv) {
         switch (scenario::parse_param_flag(opt.params, argc, argv, i)) {
             case scenario::flag_parse::consumed: continue;
             case scenario::flag_parse::missing_value: usage(argv[0]);
+            case scenario::flag_parse::invalid_value:
+                std::fprintf(stderr, "invalid %s '%s' (expected a whole number from 0 to %u)\n",
+                             argv[i - 1], argv[i], UINT32_MAX);
+                std::exit(2);
             case scenario::flag_parse::not_mine: break;
         }
         const std::string arg = argv[i];

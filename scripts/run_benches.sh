@@ -8,8 +8,8 @@
 #
 # Usage:
 #   scripts/run_benches.sh               # record every experiment (slow!)
-#   scripts/run_benches.sh e14 e16       # record a subset
-#   BENCH_FILTER='BM_BatchSpeedup' scripts/run_benches.sh e16   # row filter
+#   scripts/run_benches.sh e14 e17       # record a subset
+#   BENCH_FILTER='BM_LeapSpeedup' scripts/run_benches.sh e17   # row filter
 #
 # Environment:
 #   PLURALITY_BENCH_BUILD_DIR  build tree (default: build-bench)
@@ -26,7 +26,7 @@ cmake -B "$build_dir" -S "$repo_root" \
     -DPLURALITY_NATIVE_ARCH=OFF
 cmake --build "$build_dir" -j "$(nproc)"
 
-# Resolve the requested experiments ("e16") to bench binaries.
+# Resolve the requested experiments ("e17") to bench binaries.
 requested=("$@")
 if [[ ${#requested[@]} -eq 0 ]]; then
     mapfile -t binaries < <(find "$build_dir" -maxdepth 1 -name 'bench_e*' -type f | sort -V)
@@ -43,7 +43,7 @@ else
 fi
 
 for bin in "${binaries[@]}"; do
-    name=$(basename "$bin")                      # bench_e16_batch
+    name=$(basename "$bin")                      # bench_e17_leap
     number=$(sed -E 's/^bench_e([0-9]+)_.*/\1/' <<<"$name")
     out="$repo_root/BENCH_E${number}.json"
     extra=()

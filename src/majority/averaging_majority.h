@@ -47,7 +47,7 @@ struct averaging_majority_protocol {
         loadbalance::average_pair(initiator.load, responder.load);
     }
 
-    /// Batch-backend hook (sim/batch_census_simulator.h): floor/ceil
+    /// Leap-backend hook (sim/group_delta.h): floor/ceil
     /// averaging never consults the RNG, so every ordered state pair is
     /// deterministic.
     [[nodiscard]] bool deterministic_delta(const agent_t&, const agent_t&) const noexcept {

@@ -7,7 +7,7 @@
 //   "family": "plurality",
 //   "params": { ... },               // same block as the main document
 //   "base_seed": 42,
-//   "backend": "agent" | "census" | "batch" | "leap",
+//   "backend": "agent" | "census" | "leap",
 //   "trials": 100,
 //   "deterministic": {               // byte-identical across --threads:
 //     "counters": { ... },           // pure function of (scenario, params,
@@ -15,9 +15,9 @@
 //     "histograms": { ... }
 //   },
 //   "timing": {                      // wall-clock: varies run to run
-//     "phase_seconds": { ... },      // per-phase timers (batch/leap)
+//     "phase_seconds": { ... },      // per-phase timers (leap)
 //     "trial_wall_seconds_total": ...,
-//     "wall_seconds": ...,           // whole-batch wall time
+//     "wall_seconds": ...,           // whole-run wall time
 //     "threads": ...,
 //     "thread_utilization": ...
 //   }

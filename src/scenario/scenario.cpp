@@ -1,6 +1,8 @@
 #include "scenario/scenario.h"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 #include <string_view>
 
@@ -19,12 +21,11 @@ const char* backend_name(backend_kind backend) noexcept {
 std::optional<backend_kind> parse_backend(std::string_view name) noexcept {
     if (name == "agent") return backend_kind::agent;
     if (name == "census") return backend_kind::census;
-    if (name == "batch") return backend_kind::batch;
     if (name == "leap") return backend_kind::leap;
     return std::nullopt;
 }
 
-const char* backend_list() noexcept { return "agent|census|batch|leap"; }
+const char* backend_list() noexcept { return "agent|census|leap"; }
 
 workload::opinion_distribution make_workload(const scenario_params& params, sim::rng& gen) {
     if (params.workload == "bias1")
@@ -40,6 +41,21 @@ workload::opinion_distribution make_workload(const scenario_params& params, sim:
                                 "' (expected bias1|uniform|zipf|dominant|two-heavy)");
 }
 
+namespace {
+
+/// A whole base-10 number fitting `std::uint32_t`: digits only — no sign, no
+/// whitespace, no trailing characters — so that `5000000000` or `-5` cannot
+/// wrap into a plausible population size the way a strtoul cast does.
+std::optional<std::uint32_t> parse_count(const char* text) {
+    std::uint32_t value = 0;
+    const char* end = text + std::strlen(text);
+    const auto [stop, error] = std::from_chars(text, end, value);
+    if (error != std::errc{} || stop != end || stop == text) return std::nullopt;
+    return value;
+}
+
+}  // namespace
+
 flag_parse parse_param_flag(scenario_params& params, int argc, char** argv, int& i) {
     const std::string_view flag = argv[i];
     const auto is_param = flag == "--n" || flag == "--k" || flag == "--workload" ||
@@ -48,22 +64,22 @@ flag_parse parse_param_flag(scenario_params& params, int argc, char** argv, int&
     if (!is_param) return flag_parse::not_mine;
     if (i + 1 >= argc) return flag_parse::missing_value;
     const char* value = argv[++i];
-    if (flag == "--n") {
-        params.n = static_cast<std::uint32_t>(std::strtoul(value, nullptr, 10));
-    } else if (flag == "--k") {
-        params.k = static_cast<std::uint32_t>(std::strtoul(value, nullptr, 10));
+    std::uint32_t* count = flag == "--n"         ? &params.n
+                           : flag == "--k"       ? &params.k
+                           : flag == "--bias"    ? &params.bias
+                           : flag == "--dust"    ? &params.dust
+                           : flag == "--sources" ? &params.sources
+                                                 : nullptr;
+    if (count != nullptr) {
+        const auto parsed = parse_count(value);
+        if (!parsed) return flag_parse::invalid_value;
+        *count = *parsed;
     } else if (flag == "--workload") {
         params.workload = value;
-    } else if (flag == "--bias") {
-        params.bias = static_cast<std::uint32_t>(std::strtoul(value, nullptr, 10));
-    } else if (flag == "--dust") {
-        params.dust = static_cast<std::uint32_t>(std::strtoul(value, nullptr, 10));
     } else if (flag == "--fraction") {
         params.fraction = std::strtod(value, nullptr) / 100.0;
     } else if (flag == "--zipf-s") {
         params.zipf_s = std::strtod(value, nullptr);
-    } else if (flag == "--sources") {
-        params.sources = static_cast<std::uint32_t>(std::strtoul(value, nullptr, 10));
     } else {  // --time-budget
         params.time_budget = std::strtod(value, nullptr);
     }

@@ -21,17 +21,15 @@
 //     memory; the default.
 //   * backend_kind::census — sim::census_simulator, one counter per occupied
 //     state, O(S) memory; the large-n backend (n up to 10⁹).
-//   * backend_kind::batch  — sim::batch_census_simulator, census-space with
-//     collision-free run batching; the large-n *throughput* backend for
-//     small-S protocols.
 //   * backend_kind::leap   — sim::leap_census_simulator, pair-type leaping:
 //     collision-free runs sampled as their ordered state-pair contingency
 //     table, O(occupied²) per run independent of the run length; the fastest
 //     backend for small-occupancy protocols.
 //
-// To serve both, the predicates and metric extractors are *templates* over
-// the simulation type, written against the shared weighted-state read API
-// (sim/population_view.h) instead of a raw agent span.
+// The predicates and metric extractors are *templates* written against the
+// shared weighted-state read API (sim/population_view.h) instead of a raw
+// agent span.  They see two types: the agent simulation, and the
+// sim::census_store both census-space backends inherit.
 //
 // The `scenario_spec` concept captures that shape for a concrete protocol
 // type; `any_scenario` type-erases it so registries, CLIs and tests can hold
@@ -54,8 +52,8 @@
 
 #include "obs/heartbeat.h"
 #include "obs/snapshot.h"
-#include "sim/batch_census_simulator.h"
 #include "sim/census_simulator.h"
+#include "sim/census_store.h"
 #include "sim/convergence.h"
 #include "sim/leap_census_simulator.h"
 #include "sim/population_view.h"
@@ -73,17 +71,22 @@ namespace plurality::scenario {
 enum class backend_kind : std::uint8_t {
     agent,   ///< sim::simulation — per-agent vector, O(n) memory
     census,  ///< sim::census_simulator — state counters, O(S) memory
-    batch,   ///< sim::batch_census_simulator — collision-free run batching
-    leap     ///< sim::leap_census_simulator — pair-type contingency-table leaping
+    /// Retired: no simulator backs it, `parse_backend` rejects the name and
+    /// `any_scenario::run` throws on it.  The enumerator stays only because
+    /// the benchmark program (consensus_bench/consensus_bench.cpp, frozen
+    /// with BENCHMARK.json) still compares against it.
+    batch,
+    leap  ///< sim::leap_census_simulator — pair-type contingency-table leaping
 };
 
-/// CLI/JSON name of a backend ("agent" / "census" / "batch" / "leap").
+/// CLI/JSON name of a backend ("agent" / "census" / "leap"; "batch" for the
+/// retired enumerator).
 [[nodiscard]] const char* backend_name(backend_kind backend) noexcept;
 
 /// Parses a backend name; nullopt on anything unknown.
 [[nodiscard]] std::optional<backend_kind> parse_backend(std::string_view name) noexcept;
 
-/// Every name `parse_backend` accepts, pipe-separated ("agent|census|…") —
+/// Every name `parse_backend` accepts, pipe-separated ("agent|census|leap") —
 /// the single source of truth for CLI error messages and usage strings.
 [[nodiscard]] const char* backend_list() noexcept;
 
@@ -110,15 +113,19 @@ struct scenario_params {
 
 /// Result of offering one argv flag to the shared scenario_params parser.
 enum class flag_parse {
-    not_mine,      ///< not a scenario_params flag; caller should try its own
-    consumed,      ///< flag and its value consumed, `i` advanced
-    missing_value  ///< recognized flag at the end of argv; caller should error
+    not_mine,       ///< not a scenario_params flag; caller should try its own
+    consumed,       ///< flag and its value consumed, `i` advanced
+    missing_value,  ///< recognized flag at the end of argv; caller should error
+    invalid_value   ///< value rejected, params unchanged, `i` advanced to it
 };
 
 /// Parses the scenario_params CLI flag at `argv[i]` (--n, --k, --workload,
 /// --bias, --dust, --fraction, --zipf-s, --sources, --time-budget), shared
 /// by every driver that exposes the parameter surface (plurality_run,
-/// plurality_lab).  `--fraction` is given in percent.
+/// plurality_lab).  `--fraction` is given in percent.  The count flags
+/// (--n, --k, --bias, --dust, --sources) take a whole base-10 number that
+/// fits `std::uint32_t` — digits only, no sign — and anything else is
+/// `invalid_value` rather than a silently wrapped or truncated count.
 [[nodiscard]] flag_parse parse_param_flag(scenario_params& params, int argc, char** argv, int& i);
 
 /// One named measurement extracted from a final (or in-flight) configuration.
@@ -160,28 +167,29 @@ struct run_options {
     std::string progress_label;
 };
 
+/// The census store both census-space backends of scenario `S` inherit.
+template <class S>
+using census_view_t = sim::census_store<typename S::protocol_t::agent_t, typename S::codec_t>;
+
 /// The structured shape a concrete scenario implementation must have.
 /// Methods are non-const so a spec may cache per-run state (typically the
 /// workload instance built inside make_protocol, consulted by correct());
 /// every run operates on a fresh copy of the spec.
 ///
-/// `converged`, `correct` and `metrics` must accept *both* simulation
-/// backends — in practice they are member templates over the simulation
-/// type, written with the sim::view helpers.  `make_population` feeds the
-/// agent backend; `make_census` feeds the census backend and must describe
-/// the same initial configuration as a census (it is what keeps census runs
-/// O(S): no per-agent vector is ever materialized).
+/// `converged`, `correct` and `metrics` must accept both views of a
+/// population — the agent simulation and the census store the census-space
+/// backends share — so in practice they are member templates written with
+/// the sim::view helpers.  `make_population` feeds the agent backend;
+/// `make_census` feeds the census-space backends and must describe the same
+/// initial configuration as a census (it is what keeps census runs O(S): no
+/// per-agent vector is ever materialized).
 template <class S>
 concept scenario_spec =
     sim::protocol<typename S::protocol_t> && std::copy_constructible<S> &&
     sim::census_codec<typename S::codec_t, typename S::protocol_t::agent_t> &&
     requires(S s, const scenario_params& p, sim::rng& gen,
              const sim::simulation<typename S::protocol_t>& asim,
-             const sim::census_simulator<typename S::protocol_t, typename S::codec_t>& csim,
-             const sim::batch_census_simulator<typename S::protocol_t, typename S::codec_t>&
-                 bsim,
-             const sim::leap_census_simulator<typename S::protocol_t, typename S::codec_t>&
-                 lsim) {
+             const census_view_t<S>& csim) {
         { s.make_protocol(p, gen) } -> std::same_as<typename S::protocol_t>;
         {
             s.make_population(p, gen)
@@ -195,18 +203,12 @@ concept scenario_spec =
         { s.converged(csim) } -> std::convertible_to<bool>;
         { s.correct(csim) } -> std::convertible_to<bool>;
         { s.metrics(csim) } -> std::convertible_to<std::vector<metric>>;
-        { s.converged(bsim) } -> std::convertible_to<bool>;
-        { s.correct(bsim) } -> std::convertible_to<bool>;
-        { s.metrics(bsim) } -> std::convertible_to<std::vector<metric>>;
-        { s.converged(lsim) } -> std::convertible_to<bool>;
-        { s.correct(lsim) } -> std::convertible_to<bool>;
-        { s.metrics(lsim) } -> std::convertible_to<std::vector<metric>>;
         { s.time_budget(p) } -> std::convertible_to<double>;
     };
 
 /// Seed streams the scenario driver derives from a trial seed: one for setup
 /// randomness (workload sampling, population shuffling), one for the
-/// interaction schedule.  Both backends use the same setup stream — a trial
+/// interaction schedule.  Every backend uses the same setup stream — a trial
 /// seed fixes one initial configuration regardless of backend — and each
 /// consumes the run stream its own way.
 inline constexpr std::uint64_t scenario_setup_stream = 0x5ce7a0ull;
@@ -228,7 +230,8 @@ public:
     [[nodiscard]] const std::string& description() const noexcept { return description_; }
 
     /// Runs one trial on the chosen backend.  Fully deterministic in
-    /// `(seed, backend)`.
+    /// `(seed, backend)`.  Throws std::invalid_argument on the retired
+    /// `backend_kind::batch`.
     [[nodiscard]] scenario_outcome run(const scenario_params& params, std::uint64_t seed,
                                        backend_kind backend = backend_kind::agent) const {
         return model_->run(params, seed, backend, {});
@@ -272,31 +275,43 @@ private:
                                            const run_options& options) const override {
             if (params.n < 2)
                 throw std::invalid_argument("scenario requires a population of n >= 2");
+            using protocol_t = typename S::protocol_t;
+            using codec_t = typename S::codec_t;
             S spec = spec_;  // fresh per-run state
             sim::rng setup(sim::derive_seed(seed, scenario_setup_stream));
             auto protocol = spec.make_protocol(params, setup);
             const std::uint64_t run_seed = sim::derive_seed(seed, scenario_run_stream);
-            if (backend == backend_kind::census) {
-                sim::census_simulator<typename S::protocol_t, typename S::codec_t> sim{
-                    std::move(protocol), spec.make_census(params, setup), run_seed};
-                return drive(spec, params, sim, options);
+            switch (backend) {
+                case backend_kind::agent: {
+                    sim::simulation<protocol_t> sim{
+                        std::move(protocol), spec.make_population(params, setup), run_seed};
+                    return drive(spec, params, sim, options);
+                }
+                case backend_kind::census: {
+                    sim::census_simulator<protocol_t, codec_t> sim{
+                        std::move(protocol), spec.make_census(params, setup), run_seed};
+                    return drive(spec, params, sim, options);
+                }
+                case backend_kind::leap: {
+                    sim::leap_census_simulator<protocol_t, codec_t> sim{
+                        std::move(protocol), spec.make_census(params, setup), run_seed};
+                    return drive(spec, params, sim, options);
+                }
+                case backend_kind::batch: break;
             }
-            if (backend == backend_kind::batch) {
-                // The batch backend consumes the same census builders — no
-                // n-sized vector is ever materialized on this path either.
-                sim::batch_census_simulator<typename S::protocol_t, typename S::codec_t> sim{
-                    std::move(protocol), spec.make_census(params, setup), run_seed};
-                return drive(spec, params, sim, options);
-            }
-            if (backend == backend_kind::leap) {
-                sim::leap_census_simulator<typename S::protocol_t, typename S::codec_t> sim{
-                    std::move(protocol), spec.make_census(params, setup), run_seed};
-                return drive(spec, params, sim, options);
-            }
-            sim::simulation<typename S::protocol_t> sim{std::move(protocol),
-                                                        spec.make_population(params, setup),
-                                                        run_seed};
-            return drive(spec, params, sim, options);
+            throw std::invalid_argument("no simulator for this backend (batch was removed)");
+        }
+
+        /// What the scenario's predicates and metric extractors see of a
+        /// simulation: the census store a census-space backend inherits, or
+        /// the agent simulation itself — so each is compiled for two types,
+        /// not one per backend.
+        template <class SimT>
+        [[nodiscard]] static const auto& view(const SimT& sim) noexcept {
+            if constexpr (std::derived_from<SimT, census_view_t<S>>)
+                return static_cast<const census_view_t<S>&>(sim);
+            else
+                return sim;
         }
 
         /// The backend-agnostic part of a trial: budget derivation, the
@@ -309,7 +324,7 @@ private:
                                                            : spec.time_budget(params);
             const auto max_interactions =
                 sim::interaction_budget(budget, sim.population_size());
-            const auto done = [&spec](const SimT& s) { return spec.converged(s); };
+            const auto done = [&spec](const SimT& s) { return spec.converged(view(s)); };
 
             // The heartbeat lives outside the trace branch so both plain and
             // traced runs can stream progress; it writes to stderr only and
@@ -336,11 +351,11 @@ private:
                     std::vector<metric> values;
                 };
                 auto cache = std::make_shared<metric_cache>();
-                const auto layout = spec.metrics(sim);
+                const auto layout = spec.metrics(view(sim));
                 for (std::size_t i = 0; i < layout.size(); ++i) {
                     rec.add_series(layout[i].name, [&spec, cache, i](const SimT& s) {
                         if (cache->at != s.interactions()) {
-                            cache->values = spec.metrics(s);
+                            cache->values = spec.metrics(view(s));
                             cache->at = s.interactions();
                         }
                         return cache->values.at(i).value;
@@ -363,8 +378,8 @@ private:
             out.converged = conv.converged;
             out.parallel_time = conv.parallel_time;
             out.interactions = conv.interactions;
-            out.correct = conv.converged && spec.correct(sim);
-            out.metrics = spec.metrics(sim);
+            out.correct = conv.converged && spec.correct(view(sim));
+            out.metrics = spec.metrics(view(sim));
             out.wall_seconds = std::chrono::duration<double>(wall_end - wall_start).count();
             sim.collect_metrics(out.observed);
             return out;

@@ -1,16 +1,13 @@
 // Census-space simulation backend: simulate the *state census* instead of
 // the agents.
 //
-// Population protocols are agent-anonymous — an interaction's outcome
-// depends only on the two participants' states, never on their identities —
-// so the configuration is fully described by the census (how many agents
-// occupy each state).  `census_simulator` exploits that: it keeps one
-// counter per occupied state, samples the interacting *state pair* from the
-// census, applies the protocol's transition function δ to the two sampled
-// states, and moves two units of mass.  Memory is O(S) in the number of
-// reachable states instead of O(n) in the population, which is what makes
-// populations of 10⁸–10⁹ agents simulable on a laptop (bench_e15_census);
-// per-interaction cost is O(log S) via a Fenwick tree over the state counts.
+// `census_simulator` keeps one counter per occupied state (the shared
+// sim::census_store), samples the interacting *state pair* from the census,
+// applies the protocol's transition function δ to the two sampled states,
+// and moves two units of mass.  Memory is O(S) in the number of reachable
+// states instead of O(n) in the population, which is what makes populations
+// of 10⁸–10⁹ agents simulable on a laptop (bench_e15_census); per-interaction
+// cost is O(log S) via a Fenwick tree over the state counts.
 //
 // The backend draws the interacting pair uniformly over ordered pairs of
 // *distinct agents* — the same distribution the agent-based
@@ -19,85 +16,22 @@
 // tests/test_census_backend.cpp), though not trajectory-for-trajectory,
 // because the two backends consume their random streams differently.  A run
 // remains a pure function of the seed per backend.
-//
-// States are identified by a `census_codec`: an injective encoding of the
-// agent state into a hashable key (see census_codec below).  New states
-// discovered by δ are added on the fly, so no global state-space enumeration
-// is ever required — S is whatever the run actually reaches.
 #pragma once
 
-#include <array>
-#include <concepts>
+#include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <stdexcept>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "obs/catalogue.h"
 #include "obs/metrics.h"
 #include "obs/snapshot.h"
+#include "sim/census_store.h"
 #include "sim/rng.h"
 #include "sim/simulation.h"
 
 namespace plurality::sim {
-
-/// An injective encoding of a protocol's agent state into a compact,
-/// hashable key.  Two agents with equal keys MUST behave identically in
-/// every interaction (the census merges them), so `encode` has to cover
-/// every field the transition function reads or writes.  Keys are
-/// `std::uint64_t` for small protocols or `std::array<std::uint64_t, N>`
-/// when one word is not enough (see core::core_census_codec).
-template <class C, class Agent>
-concept census_codec = std::copy_constructible<Agent> && requires(const Agent& a) {
-    typename C::key_t;
-    { C::encode(a) } -> std::same_as<typename C::key_t>;
-};
-
-/// Hash functor for census keys (splitmix64-mixed; the raw keys are often
-/// small dense integers, which std::hash passes through unmixed).
-struct census_key_hash {
-    [[nodiscard]] std::size_t operator()(std::uint64_t key) const noexcept {
-        std::uint64_t state = key;
-        return static_cast<std::size_t>(splitmix64_next(state));
-    }
-    template <std::size_t N>
-    [[nodiscard]] std::size_t operator()(const std::array<std::uint64_t, N>& key) const noexcept {
-        std::uint64_t state = 0x9e3779b97f4a7c15ull;
-        std::uint64_t hash = 0;
-        for (const std::uint64_t word : key) {
-            state ^= word;
-            hash ^= splitmix64_next(state);
-        }
-        return static_cast<std::size_t>(hash);
-    }
-};
-
-/// One census slot of an initial configuration: `count` agents all holding
-/// `state`.  Entries with equal encodings are merged; zero counts are
-/// ignored.
-template <class Agent>
-struct census_entry {
-    Agent state{};
-    std::uint64_t count = 0;
-};
-
-/// Compresses a full agent vector into its census under `Codec`, merging
-/// equal-key agents.  Shared by both census-space backends' agent-vector
-/// convenience constructors; large-n callers should build entries directly.
-template <class Codec, class Agent>
-    requires census_codec<Codec, Agent>
-[[nodiscard]] std::vector<census_entry<Agent>> compress_to_census(
-    const std::vector<Agent>& agents) {
-    std::vector<census_entry<Agent>> entries;
-    std::unordered_map<typename Codec::key_t, std::size_t, census_key_hash> seen;
-    for (const auto& agent : agents) {
-        const auto [it, inserted] = seen.try_emplace(Codec::encode(agent), entries.size());
-        if (inserted) entries.push_back({agent, 0});
-        ++entries[it->second].count;
-    }
-    return entries;
-}
 
 /// Drives one protocol instance over one population, census-space.
 ///
@@ -105,35 +39,27 @@ template <class Codec, class Agent>
 /// `step`/`run_for`/`interactions`/`parallel_time`/`population_size`/
 /// `protocol_state`/`random` match, so `sim::converge` and
 /// `trace::recorder` work unchanged.  Instead of `agents()` (there is no
-/// per-agent storage), configuration inspection goes through
-/// `visit_states(fn)` — shared with `simulation` — and the weighted helpers
-/// of sim/population_view.h.
+/// per-agent storage), configuration inspection goes through the inherited
+/// census_store read API — `visit_states(fn)` is shared with `simulation` —
+/// and the weighted helpers of sim/population_view.h.
 /// `Obs` selects the observability policy (obs/metrics.h): the default
 /// follows the PLURALITY_OBS build option; `obs::disabled` compiles every
 /// instrument out (the overhead bench instantiates both).
 template <protocol P, census_codec<typename P::agent_t> Codec,
           class Obs = obs::default_policy>
-class census_simulator {
+class census_simulator : public census_store<typename P::agent_t, Codec> {
+    using store = census_store<typename P::agent_t, Codec>;
+
 public:
-    using agent_t = typename P::agent_t;
-    using key_t = typename Codec::key_t;
-    using entry_t = census_entry<agent_t>;
+    using typename store::agent_t;
+    using typename store::entry_t;
+    using typename store::key_t;
 
     /// Takes ownership of the protocol instance and the initial census.
     /// Requires a total population of at least two agents.
     census_simulator(P proto, const std::vector<entry_t>& initial, std::uint64_t seed)
-        : protocol_(std::move(proto)), gen_(seed) {
-        for (const auto& entry : initial) population_ += entry.count;
-        if (population_ < 2)
-            throw std::invalid_argument("census_simulator requires a population of n >= 2");
-        grow_tree(64);
-        // The initial census bounds the states seen so far; reserving up
-        // front cuts rehash churn on the discovery path.
-        index_.reserve(initial.size());
-        slots_.reserve(initial.size());
-        for (const auto& entry : initial) {
-            if (entry.count > 0) deposit(entry.state, entry.count);
-        }
+        : store(initial, "census_simulator"), protocol_(std::move(proto)), gen_(seed) {
+        grow_tree(std::max<std::size_t>(64, std::bit_ceil(slots_.size())));
     }
 
     /// Convenience: compresses a full agent vector into its census.  Useful
@@ -174,39 +100,12 @@ public:
     [[nodiscard]] double parallel_time() const noexcept {
         return static_cast<double>(interactions_) / static_cast<double>(population_);
     }
-    [[nodiscard]] std::size_t population_size() const noexcept {
-        return static_cast<std::size_t>(population_);
-    }
-
-    /// Visits every *occupied* state as `(state, count)` in a deterministic
-    /// (state-discovery) order; stops early when `fn` returns false.  The
-    /// shared read API with `simulation::visit_states` — predicates written
-    /// against it run on either backend.
-    template <class Fn>
-    void visit_states(Fn&& fn) const {
-        for (const auto& slot : slots_) {
-            if (slot.count > 0 && !fn(slot.state, slot.count)) return;
-        }
-    }
-
-    /// Number of currently occupied states (the S that memory scales with).
-    /// Maintained incrementally — an O(1) read, not an O(S) scan.
-    [[nodiscard]] std::size_t occupied_states() const noexcept { return occupied_; }
-
-    /// Number of states seen at any point of the run (dormant slots are kept
-    /// so revisited states reuse their slot).
-    [[nodiscard]] std::size_t reachable_states() const noexcept { return slots_.size(); }
-
-    /// Count of agents currently in the given state (0 if never reached).
-    [[nodiscard]] std::uint64_t count_of(const agent_t& state) const {
-        const auto it = index_.find(Codec::encode(state));
-        return it == index_.end() ? 0 : slots_[it->second].count;
-    }
 
     /// Approximate heap footprint of the census bookkeeping — the O(S)
     /// quantity bench_e15_census reports next to n.
     [[nodiscard]] std::size_t memory_bytes() const noexcept {
-        return slots_.capacity() * sizeof(slot) + tree_.capacity() * sizeof(std::uint64_t) +
+        return slots_.capacity() * sizeof(typename store::slot) +
+               tree_.capacity() * sizeof(std::uint64_t) +
                index_.size() * (sizeof(key_t) + sizeof(std::uint32_t) + 2 * sizeof(void*));
     }
 
@@ -243,64 +142,42 @@ public:
             out.add_counter(obs::m_interactions, interactions_);
             out.add_counter(obs::m_rng_words, gen_.words());
             out.add_counter(obs::m_fenwick_descents, metrics_.descents.value());
-            out.add_gauge(obs::m_occupied_hwm, metrics_.occupied_hwm.value());
+            out.add_gauge(obs::m_occupied_hwm, this->occupied_states_hwm());
             out.add_gauge(obs::m_reachable_states, slots_.size());
         }
     }
 
 private:
-    struct slot {
-        agent_t state;
-        key_t key{};  ///< Codec::encode(state), cached for the step fast path
-        std::uint64_t count = 0;
-    };
+    using store::add_to;
+    using store::index_;
+    using store::population_;
+    using store::remove_from;
+    using store::slot_for;
+    using store::slots_;
 
     /// Policy-selected instruments; empty (and free) under obs::disabled.
     struct instrument_set {
         [[no_unique_address]] typename Obs::counter_t descents;
-        [[no_unique_address]] typename Obs::gauge_t occupied_hwm;
     };
-
-    /// Adds `count` agents in `state`, creating its slot on first sight.
-    void deposit(const agent_t& state, std::uint64_t count) {
-        deposit_keyed(state, Codec::encode(state), count);
-    }
-
-    void deposit_keyed(const agent_t& state, const key_t& key, std::uint64_t count) {
-        const auto [it, inserted] =
-            index_.try_emplace(key, static_cast<std::uint32_t>(slots_.size()));
-        if (inserted) {
-            if (slots_.size() == capacity_) grow_tree(capacity_ * 2);
-            slots_.push_back({state, key, 0});
-        }
-        if (slots_[it->second].count == 0 && count > 0) {
-            ++occupied_;
-            metrics_.occupied_hwm.record_max(occupied_);
-        }
-        slots_[it->second].count += count;
-        tree_add(it->second, static_cast<std::int64_t>(count));
-    }
 
     /// Returns one agent in `state` that was just withdrawn from slot
     /// `origin`: when the interaction left the state unchanged the mass goes
-    /// straight back by index, bypassing the hash map.
+    /// straight back by index, bypassing the hash map; a state seen for the
+    /// first time gets a new slot (and, past the capacity, a doubled tree).
     void redeposit(const agent_t& state, std::size_t origin) {
         const key_t key = Codec::encode(state);
-        if (key == slots_[origin].key) {
-            if (slots_[origin].count == 0) {
-                ++occupied_;
-                metrics_.occupied_hwm.record_max(occupied_);
-            }
-            ++slots_[origin].count;
-            tree_add(origin, 1);
-            return;
+        std::size_t index = origin;
+        if (key != slots_[origin].key) {
+            index = slot_for(state, key);
+            if (slots_.size() > capacity_) grow_tree(capacity_ * 2);
         }
-        deposit_keyed(state, key, 1);
+        add_to(index, 1);
+        tree_add(index, 1);
     }
 
     /// Removes one agent from slot `index` (which must be occupied).
     void withdraw(std::size_t index) {
-        if (--slots_[index].count == 0) --occupied_;
+        remove_from(index, 1);
         tree_add(index, -1);
     }
 
@@ -354,12 +231,8 @@ private:
 
     P protocol_;
     rng gen_;
-    std::vector<slot> slots_;  ///< discovery-ordered; dormant slots keep their index
-    std::unordered_map<key_t, std::uint32_t, census_key_hash> index_;  ///< key -> slot
     std::vector<std::uint64_t> tree_;  ///< Fenwick tree over slot counts
-    std::size_t occupied_ = 0;         ///< slots with count > 0
     std::size_t capacity_ = 0;         ///< tree capacity (power of two)
-    std::uint64_t population_ = 0;     ///< invariant: Σ slot counts
     std::uint64_t interactions_ = 0;
     [[no_unique_address]] instrument_set metrics_;
 };

@@ -2,7 +2,7 @@
 // of outcomes with exact probabilities — the protocol-side half of the
 // randomized-δ group path (the backend-side half lives in sim/group_delta.h).
 //
-// The batch/leap census backends apply δ per ordered state-pair *group*: all
+// The leap census backend applies δ per ordered state-pair *group*: all
 // m interactions of a collision-free run that see the same (initiator-state,
 // responder-state) pair.  Within such a group the per-pair random choices
 // are i.i.d. (every interaction sees the identical pre-run states), so if

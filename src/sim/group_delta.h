@@ -1,10 +1,11 @@
-// Group-level δ application machinery shared by the batch and leap census
-// backends (sim/batch_census_simulator.h, sim/leap_census_simulator.h).
+// Group-level δ application machinery of the leap census backend
+// (sim/leap_census_simulator.h).
 //
-// Both backends decompose the scheduler's interaction sequence into
-// collision-free runs and apply δ per ordered state-pair *group* — all m
+// The leap backend decomposes the scheduler's interaction sequence into
+// collision-free runs and applies δ per ordered state-pair *group* — all m
 // interactions of a run that see the same (initiator-state, responder-state)
-// pair.  This header holds everything that stage has in common:
+// pair.  This header holds the parts of that stage that do not depend on how
+// the run was sampled:
 //
 //  * `declares_deterministic_delta` — the protocol trait for RNG-free pairs
 //    (one δ evaluation moves the whole group's mass);
@@ -24,7 +25,7 @@
 #include <utility>
 #include <vector>
 
-#include "sim/census_simulator.h"
+#include "sim/census_store.h"
 #include "sim/delta_outcomes.h"
 #include "sim/random_dist.h"
 #include "sim/rng.h"
@@ -49,9 +50,8 @@ namespace detail {
 /// is small — the overwhelmingly common case; grouped-δ protocols produce a
 /// handful of post-states per run — and switch to a hash index only once a
 /// run exceeds the threshold (per-pair-fallback runs of large-S protocols).
-/// The previous per-run unordered_map rebuilt a heap node per group per run,
-/// which dominated batch setup at small n; the flat path is allocation-free
-/// after warm-up.  Shared by the batch and leap census backends.
+/// A per-run unordered_map would rebuild a heap node per group per run; the
+/// flat path is allocation-free after warm-up.
 template <class Agent, class Key>
 class used_group_set {
 public:
@@ -118,11 +118,6 @@ public:
     }
 
     [[nodiscard]] const std::vector<group>& groups() const noexcept { return groups_; }
-
-    [[nodiscard]] std::size_t memory_bytes() const noexcept {
-        return groups_.capacity() * sizeof(group) +
-               index_.size() * (sizeof(Key) + sizeof(std::uint32_t) + 2 * sizeof(void*));
-    }
 
 private:
     static constexpr std::size_t linear_threshold = 32;
@@ -291,17 +286,6 @@ public:
     /// metrics when observability is compiled in).
     [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
     [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
-
-    /// Approximate heap footprint (metrics-time only; walks the cache).
-    [[nodiscard]] std::size_t memory_bytes() const noexcept {
-        std::size_t bytes =
-            cache_.size() * (sizeof(pair_key) + sizeof(entry) + 2 * sizeof(void*));
-        for (const auto& [key, e] : cache_) {
-            bytes += e.outcomes.capacity() * sizeof(delta_outcome<agent_t>) +
-                     e.weights.capacity() * sizeof(double);
-        }
-        return bytes;
-    }
 
 private:
     struct pair_key {

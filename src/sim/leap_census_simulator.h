@@ -1,69 +1,69 @@
-// Pair-type leaping backend: collision-free runs characterized entirely by
-// their ordered pair-type contingency table — no participant sampling, no
-// per-interaction survival walk, the *exact* same sequential Markov chain.
+// Pair-type leaping backend: many interactions per unit of bookkeeping work,
+// *exactly* the same sequential Markov chain as the per-step census backend.
 //
-// The batch backend (sim/batch_census_simulator.h) already applies δ per
-// ordered state-pair group, but two of its per-run costs still scale with
-// the run length L ≈ √n:
-//
-//   * the run length itself is sampled by walking the birthday survival
-//     product one interaction at a time — O(L) multiplies per run, which at
-//     n = 10⁹ (L ≈ 2·10⁴) is the dominant cost of the entire backend;
-//   * the 2L participants are materialized as a census-space group draw
-//     before being split into initiator/responder halves.
-//
-// For a deterministic-δ protocol neither is necessary: a collision-free run
-// is *fully described* by its ordered (initiator-state × responder-state)
-// contingency table, so the leap backend samples that table directly:
+// The per-step census backend (sim/census_simulator.h) pays two Fenwick
+// descents, a δ call and up to four tree updates for every interaction.
+// Under the uniform pairwise scheduler, long prefixes of the interaction
+// sequence touch pairwise-distinct agents (the birthday problem — the
+// expected prefix is Θ(√n)), and within such a *collision-free run* the
+// interactions commute: a run is fully described by its ordered
+// (initiator-state × responder-state) contingency table.  The leap backend
+// samples that table directly:
 //
 //   1. Run length L: one uniform inverted through the closed-form
-//      log-survival function (dist::sample_collision_free_run_leap) —
-//      O(log L) worst case, O(1) expected, instead of O(L).
+//      log-survival function of the birthday law
+//      (dist::sample_collision_free_run_leap) — O(log L) worst case, O(1)
+//      expected.
 //   2. Initiator-state counts: one multivariate-hypergeometric draw of L
 //      agents over the census (dist::multivariate_hypergeometric).
 //   3. Responder-state counts: one MVH draw of L agents over the remaining
-//      census.  By exchangeability of without-replacement draws, (2)+(3)
-//      have exactly the joint law of the batch backend's
-//      2L-participants-then-split factorization — the participant stage is
-//      skipped, never approximated.
+//      census.
 //   4. The table: a uniform random bijection between the initiator and
 //      responder multisets, sampled row-by-row by sequential MVH
-//      conditioning; δ applies once per nonzero cell (one multinomial split
-//      per cell for pairs with a declared outcome distribution — the
-//      randomized-δ group path of sim/group_delta.h — and per interaction
-//      for undeclared pairs: the same exact fallback as the batch backend,
-//      so every protocol runs correctly).
-//   5. The colliding interaction, when the run ended naturally, is executed
-//      from its exact conditional distribution — same three-case
-//      (both-used / used-fresh / fresh-used) handling as the batch backend.
+//      conditioning.  δ applies once per nonzero cell for pairs the protocol
+//      declares deterministic, by one multinomial split per cell for pairs
+//      with a declared outcome distribution (the randomized-δ group path of
+//      sim/group_delta.h), and per interaction for undeclared pairs — so
+//      every protocol runs correctly.
+//   5. If the run ended in a collision (rather than the caller's budget),
+//      the colliding interaction is executed from its exact conditional
+//      distribution: a uniform ordered pair of distinct agents conditioned
+//      on touching at least one run participant, whose state is its
+//      post-run state (both-used / used-fresh / fresh-used).
 //
-// Per-run cost is O(occupied) fixed work for the margin draws plus
+// Steps 1–5 repeat until the requested interaction count is reached; the
+// final run is truncated so `run_for` executes *exactly* the requested
+// number of interactions and `sim::converge`'s budget accounting stays
+// exact.  Per-run cost is O(occupied) fixed work for the margin draws plus
 // O(nonzero²) for the table — *independent of L* up to the O(σ) ≈ O(n^¼)
-// enumeration inside each mode-centered variate — so at n = 10⁹ with ≤10
-// occupied states a run of ~2·10⁴ interactions costs ~10²–10³ draws' worth
-// of work where the batch backend walks ~2·10⁴ survival terms.
-// bench_e17_leap measures the ratio (acceptance bar: ≥5× batch on epidemic
-// and three-state at n = 10⁹).
+// enumeration inside each mode-centered variate.  bench_e17_leap measures
+// the ratio against the per-step census backend (acceptance bar: ≥5× on
+// epidemic and three-state at n = 10⁹).
 //
-// Exactness: every draw above is an exact conditional of the uniform
-// pairwise scheduler's law, in the same style as the batch backend's MVH
-// machinery — the two backends simulate the same chain and the existing 5σ
-// cross-backend validation carries over (tests/test_leap_backend.cpp).  Runs
-// are pure functions of the seed; trajectories are backend-specific, as
-// always.
+// Exactness: the scheduler's interaction sequence is i.i.d. uniform over
+// ordered pairs of distinct agents.  Decompose it by the position of the
+// first collision: the prefix, conditioned on being collision-free, is a
+// uniform without-replacement draw of 2L distinct agents — and because no
+// agent appears twice, each interaction's inputs are the agents' pre-run
+// states, so the per-pair transitions commute and only the *multiset* of
+// ordered state pairs matters.  Drawing the L initiators, then the L
+// responders, without replacement and pairing them by a uniform bijection
+// has exactly that law (exchangeability of without-replacement draws).  The
+// colliding interaction is sampled from its exact conditional distribution
+// given the set of used agents.  Both census-space backends therefore
+// simulate the same chain; convergence-time distributions agree
+// (tests/test_census_backend.cpp pins this at 5σ against the agent and
+// census backends), while per-seed trajectories are backend-specific.
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "obs/catalogue.h"
 #include "obs/metrics.h"
 #include "obs/snapshot.h"
-#include "sim/batch_census_simulator.h"
-#include "sim/census_simulator.h"
+#include "sim/census_store.h"
 #include "sim/delta_outcomes.h"
 #include "sim/group_delta.h"
 #include "sim/random_dist.h"
@@ -75,8 +75,9 @@ namespace plurality::sim {
 /// Drives one protocol instance over one population, census-space, leaping
 /// whole collision-free runs via their pair-type contingency table.
 /// Satisfies the same `steppable_simulation` / `visit_states` contracts as
-/// the other backends, so `sim::converge`, `trace::recorder` and the
-/// sim::view helpers work unchanged.
+/// the other backends (the read API is the inherited census_store), so
+/// `sim::converge`, `trace::recorder` and the sim::view helpers work
+/// unchanged.
 /// `Obs` selects the observability policy (obs/metrics.h): the default
 /// follows the PLURALITY_OBS build option; `obs::disabled` compiles every
 /// instrument out.  This is the backend the ≤2% overhead gate measures
@@ -84,24 +85,22 @@ namespace plurality::sim {
 /// all timers are run-granular — a handful of clock reads per run.
 template <protocol P, census_codec<typename P::agent_t> Codec,
           class Obs = obs::default_policy>
-class leap_census_simulator {
+class leap_census_simulator : public census_store<typename P::agent_t, Codec> {
+    using store = census_store<typename P::agent_t, Codec>;
+
 public:
-    using agent_t = typename P::agent_t;
-    using key_t = typename Codec::key_t;
-    using entry_t = census_entry<agent_t>;
+    using typename store::agent_t;
+    using typename store::entry_t;
+    using typename store::key_t;
 
     /// Takes ownership of the protocol instance and the initial census.
     /// Requires a total population of at least two agents.
     leap_census_simulator(P proto, const std::vector<entry_t>& initial, std::uint64_t seed)
-        : protocol_(std::move(proto)), gen_(seed) {
-        for (const auto& entry : initial) population_ += entry.count;
-        if (population_ < 2)
-            throw std::invalid_argument("leap_census_simulator requires n >= 2");
-        index_.reserve(initial.size());
-        slots_.reserve(initial.size());
-        for (const auto& entry : initial) {
-            if (entry.count > 0) deposit(entry.state, entry.count);
-        }
+        : store(initial, "leap_census_simulator"), protocol_(std::move(proto)), gen_(seed) {
+        // Every initial slot is occupied, in discovery order.
+        listed_.assign(slots_.size(), 1);
+        for (std::size_t i = 0; i < slots_.size(); ++i)
+            occupied_list_.push_back(static_cast<std::uint32_t>(i));
     }
 
     /// Convenience: compresses a full agent vector into its census (small-n
@@ -121,42 +120,6 @@ public:
     [[nodiscard]] std::uint64_t interactions() const noexcept { return interactions_; }
     [[nodiscard]] double parallel_time() const noexcept {
         return static_cast<double>(interactions_) / static_cast<double>(population_);
-    }
-    [[nodiscard]] std::size_t population_size() const noexcept {
-        return static_cast<std::size_t>(population_);
-    }
-
-    /// Visits every occupied state as `(state, count)` in state-discovery
-    /// order; stops early when `fn` returns false.  The read API shared with
-    /// the other backends.
-    template <class Fn>
-    void visit_states(Fn&& fn) const {
-        for (const auto& slot : slots_) {
-            if (slot.count > 0 && !fn(slot.state, slot.count)) return;
-        }
-    }
-
-    /// Number of currently occupied states.
-    [[nodiscard]] std::size_t occupied_states() const noexcept { return occupied_; }
-
-    /// Number of states seen at any point of the run.
-    [[nodiscard]] std::size_t reachable_states() const noexcept { return slots_.size(); }
-
-    /// Count of agents currently in the given state (0 if never reached).
-    [[nodiscard]] std::uint64_t count_of(const agent_t& state) const {
-        const auto it = index_.find(Codec::encode(state));
-        return it == index_.end() ? 0 : slots_[it->second].count;
-    }
-
-    /// Approximate heap footprint of the census bookkeeping.
-    [[nodiscard]] std::size_t memory_bytes() const noexcept {
-        return slots_.capacity() * sizeof(slot) +
-               (counts_.capacity() + init_.capacity() + resp_.capacity() + pinit_.capacity() +
-                presp_.capacity() + row_.capacity()) *
-                   sizeof(std::uint64_t) +
-               (occupied_list_.capacity() + pslots_.capacity()) * sizeof(std::uint32_t) +
-               used_.memory_bytes() + delta_table_.memory_bytes() +
-               index_.size() * (sizeof(key_t) + sizeof(std::uint32_t) + 2 * sizeof(void*));
     }
 
     [[nodiscard]] P& protocol_state() noexcept { return protocol_; }
@@ -181,7 +144,7 @@ public:
             out.add_counter(obs::m_delta_fallback, metrics_.delta_fallback.value());
             out.add_counter(obs::m_table_hits, delta_table_.hits());
             out.add_counter(obs::m_table_misses, delta_table_.misses());
-            out.add_gauge(obs::m_occupied_hwm, metrics_.occupied_hwm.value());
+            out.add_gauge(obs::m_occupied_hwm, this->occupied_states_hwm());
             out.add_gauge(obs::m_reachable_states, slots_.size());
             out.add_histogram(obs::m_run_length, metrics_.run_length);
             // Timers sample every obs::phase_sample_every-th run; scale the
@@ -195,12 +158,11 @@ public:
     }
 
 private:
-    struct slot {
-        agent_t state;
-        key_t key{};
-        std::uint64_t count = 0;
-        bool listed = false;  ///< currently present in occupied_list_
-    };
+    using store::add_to;
+    using store::population_;
+    using store::remove_from;
+    using store::slot_for;
+    using store::slots_;
 
     /// Policy-selected instruments; empty (and free) under obs::disabled.
     struct instrument_set {
@@ -210,7 +172,6 @@ private:
         [[no_unique_address]] typename Obs::counter_t delta_deterministic;
         [[no_unique_address]] typename Obs::counter_t delta_grouped;
         [[no_unique_address]] typename Obs::counter_t delta_fallback;
-        [[no_unique_address]] typename Obs::gauge_t occupied_hwm;
         [[no_unique_address]] typename Obs::histogram_t run_length;
         [[no_unique_address]] typename Obs::timer_t t_run_length;
         [[no_unique_address]] typename Obs::timer_t t_margins;
@@ -222,17 +183,20 @@ private:
     /// colliding interaction when the run ended naturally.  Returns the
     /// number of interactions executed (>= 1).
     std::uint64_t run_batch(std::uint64_t budget) {
-        // Snapshot the occupied census slots (same lazy in-place compaction
-        // as the batch backend: dormant slots leave the list at the next
-        // snapshot, preserving discovery order, so a run costs O(occupied)
-        // rather than O(reachable)).  Consumes no randomness, so it can run
-        // before the run-length draw and feed the absorbed-census check.
+        // Snapshot the occupied census slots: all draws below are over the
+        // pre-run counts.  `occupied_list_` tracks occupied slots
+        // incrementally (slots going dormant are dropped lazily, in place,
+        // preserving discovery order), so a run costs O(occupied), not
+        // O(reachable) — protocols that keep discovering fresh states (e.g.
+        // the tournament families) would otherwise degrade as dormant slots
+        // pile up.  Consumes no randomness, so it can run before the
+        // run-length draw and feed the absorbed-census check.
         counts_.clear();
         std::size_t keep = 0;
         for (std::size_t r = 0; r < occupied_list_.size(); ++r) {
             const std::uint32_t i = occupied_list_[r];
             if (slots_[i].count == 0) {
-                slots_[i].listed = false;
+                listed_[i] = 0;
                 continue;
             }
             occupied_list_[keep++] = i;
@@ -289,9 +253,7 @@ private:
 
         // Margins first, participants never: the L initiators are an MVH
         // draw over the census, the L responders an MVH draw over what
-        // remains.  (Equivalent to the batch backend's
-        // draw-2L-then-split-halves factorization by exchangeability; one
-        // full-width stage cheaper, and no 2L-sized anything.)
+        // remains.  No 2L-sized anything is materialized.
         init_.assign(occupied_list_.size(), 0);
         dist::multivariate_hypergeometric(gen_, counts_, pairs, init_);
         for (std::size_t j = 0; j < occupied_list_.size(); ++j) counts_[j] -= init_[j];
@@ -308,7 +270,7 @@ private:
         for (std::size_t j = 0; j < occupied_list_.size(); ++j) {
             const std::uint64_t taking = init_[j] + resp_[j];
             if (taking == 0) continue;
-            adjust(occupied_list_[j], -static_cast<std::int64_t>(taking));
+            remove_from(occupied_list_[j], taking);
             pslots_.push_back(occupied_list_[j]);
             pinit_.push_back(init_[j]);
             presp_.push_back(resp_[j]);
@@ -350,14 +312,14 @@ private:
                 bool found = false;
                 for (const std::uint32_t i : occupied_list_) {
                     if (slots_[i].key == g.key) {
-                        adjust(i, static_cast<std::int64_t>(g.count));
+                        add(i, g.count);
                         found = true;
                         break;
                     }
                 }
                 if (found) continue;
             }
-            deposit(g.state, g.count);
+            deposit(g.state, g.key, g.count);
         }
 
         const std::uint64_t t4 = timed ? obs::now_ticks() : 0;
@@ -419,64 +381,52 @@ private:
         used_.add(state, Codec::encode(state), count);
     }
 
-    void used_remove(const agent_t& state) { used_.remove_one(Codec::encode(state)); }
-
     /// Withdraws and returns the state of the *fresh* (non-participant)
     /// agent with zero-based rank `rank` over the current census counts.
+    /// Only occupied-listed slots can hold fresh agents (withdrawn
+    /// participants merely zero some of them out).
     [[nodiscard]] agent_t census_take_at(std::uint64_t rank) {
         std::uint64_t remaining = rank;
         std::uint32_t last = occupied_list_.back();
         for (const std::uint32_t i : occupied_list_) {
             if (slots_[i].count == 0) continue;
             if (remaining < slots_[i].count) {
-                adjust(i, -1);
+                remove_from(i, 1);
                 return slots_[i].state;
             }
             remaining -= slots_[i].count;
             last = i;
         }
-        adjust(last, -1);
+        remove_from(last, 1);
         return slots_[last].state;  // unreachable for rank < census total
     }
 
-    /// Adds `count` agents in `state`, creating its slot on first sight.
-    void deposit(const agent_t& state, std::uint64_t count) {
-        const key_t key = Codec::encode(state);
-        const auto [it, inserted] =
-            index_.try_emplace(key, static_cast<std::uint32_t>(slots_.size()));
-        if (inserted) slots_.push_back({state, key, 0});
-        adjust(it->second, static_cast<std::int64_t>(count));
+    /// Adds `count` agents in `state` (encoded `key`), creating its slot on
+    /// first sight.
+    void deposit(const agent_t& state, const key_t& key, std::uint64_t count) {
+        const std::size_t index = slot_for(state, key);
+        if (index == listed_.size()) listed_.push_back(0);
+        add(index, count);
     }
 
-    /// Applies a signed count delta to a slot, maintaining `occupied_` and
-    /// the occupied-slot list (append on occupancy; dormant slots leave the
-    /// list lazily at the next run snapshot).
-    void adjust(std::size_t index, std::int64_t delta) {
-        auto& entry = slots_[index];
-        const bool was_occupied = entry.count > 0;
-        entry.count = static_cast<std::uint64_t>(static_cast<std::int64_t>(entry.count) + delta);
-        if (entry.count > 0 && !was_occupied) {
-            ++occupied_;
-            metrics_.occupied_hwm.record_max(occupied_);
-            if (!entry.listed) {
-                entry.listed = true;
-                occupied_list_.push_back(static_cast<std::uint32_t>(index));
-            }
+    /// Adds `count` agents to slot `index`, appending it to the occupied
+    /// list when it becomes occupied and is not listed yet (dormant slots
+    /// leave the list lazily at the next run snapshot).
+    void add(std::size_t index, std::uint64_t count) {
+        if (add_to(index, count) && !listed_[index]) {
+            listed_[index] = 1;
+            occupied_list_.push_back(static_cast<std::uint32_t>(index));
         }
-        if (entry.count == 0 && was_occupied) --occupied_;
     }
 
     P protocol_;
     rng gen_;
-    std::vector<slot> slots_;  ///< discovery-ordered; dormant slots keep their index
-    std::unordered_map<key_t, std::uint32_t, census_key_hash> index_;  ///< key -> slot
-    std::size_t occupied_ = 0;      ///< slots with count > 0
-    std::uint64_t population_ = 0;  ///< invariant: Σ slot counts (+ in-flight run)
     std::uint64_t interactions_ = 0;
 
     // Per-run scratch, reused across runs to stay allocation-free on the hot
     // path.
     std::vector<std::uint32_t> occupied_list_;  ///< occupied slots, discovery order
+    std::vector<std::uint8_t> listed_;          ///< per slot: 1 if in occupied_list_
     std::vector<std::uint64_t> counts_;         ///< snapshot of their counts
     std::vector<std::uint64_t> init_;           ///< initiator margin per occupied slot
     std::vector<std::uint64_t> resp_;           ///< responder margin per occupied slot

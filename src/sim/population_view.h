@@ -1,16 +1,16 @@
 // Backend-agnostic configuration inspection.
 //
-// Both simulation backends expose the same read primitive,
+// Every simulation backend exposes the same read primitive,
 //
 //     sim.visit_states(fn)   // fn(const agent_t&, std::uint64_t count) -> bool
 //
 // which visits every occupied state with its multiplicity (the agent-based
-// backend visits each agent with count 1; the census backend visits each
-// occupied census slot).  The helpers below express the predicates and
-// metrics the scenario layer needs — "all agents satisfy p", "how many
-// satisfy p", "do all agents project to one value" — in terms of that
-// primitive, so one templated predicate implementation serves both
-// backends.  All helpers early-exit where the answer allows it.
+// backend visits each agent with count 1; the census-space backends visit
+// each occupied slot of their shared sim::census_store).  The helpers below
+// express the predicates and metrics the scenario layer needs — "all agents
+// satisfy p", "how many satisfy p", "do all agents project to one value" —
+// in terms of that primitive, so one templated predicate implementation
+// serves every backend.  All helpers early-exit where the answer allows it.
 #pragma once
 
 #include <concepts>
@@ -21,8 +21,8 @@
 
 namespace plurality::sim::view {
 
-/// The read API both backends share: weighted state visitation plus a total
-/// population count.
+/// The read API every backend shares: weighted state visitation plus a
+/// total population count.
 template <class Sim>
 concept population_view = requires(const Sim& s) {
     s.visit_states([](const auto&, std::uint64_t) { return true; });

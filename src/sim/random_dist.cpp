@@ -280,29 +280,6 @@ void multinomial(rng& gen, std::span<const double> weights, std::uint64_t draws,
     }
 }
 
-collision_run sample_collision_free_run(rng& gen, std::uint64_t population,
-                                        std::uint64_t cap) noexcept {
-    const double n = static_cast<double>(population);
-    const double inv_pairs = 1.0 / (n * (n - 1.0));
-    const double u = gen.next_unit();
-    collision_run run;
-    if (cap == 0 || population < 2) return run;  // precondition violated; report no progress
-    // The first interaction's two agents are distinct by construction, so
-    // P(L >= 1) = 1 exactly — starting at 1 keeps that free of fp rounding.
-    run.length = 1;
-    double survival = 1.0;
-    while (run.length < cap) {
-        const std::uint64_t used = 2 * run.length;
-        if (used + 2 > population) break;  // < 2 fresh agents left: collision certain
-        const double fresh = n - static_cast<double>(used);
-        survival *= fresh * (fresh - 1.0) * inv_pairs;
-        if (survival <= u) break;  // P(L >= length+1) = survival; inversion on u
-        ++run.length;
-    }
-    run.collided = run.length < cap;
-    return run;
-}
-
 double log_collision_free_survival(std::uint64_t population, std::uint64_t length) noexcept {
     if (length <= 1) return 0.0;
     if (2 * length > population) return -std::numeric_limits<double>::infinity();

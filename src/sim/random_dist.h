@@ -3,10 +3,10 @@
 // The determinism policy (docs/ARCHITECTURE.md) bans std::*_distribution —
 // their algorithms, and hence their output streams, differ across standard
 // libraries — so every non-uniform draw the simulators need is implemented
-// here, once, against `rng`: geometric, binomial, hypergeometric and
-// multivariate-hypergeometric variates plus the birthday-problem
-// collision-free run length the batched census backend
-// (sim/batch_census_simulator.h) steps by.
+// here, once, against `rng`: geometric, binomial, hypergeometric,
+// multivariate-hypergeometric and multinomial variates plus the
+// birthday-problem collision-free run length the leap census backend
+// (sim/leap_census_simulator.h) steps by.
 //
 // All integer-valued samplers use *exact inversion*: one `next_unit()` draw
 // is inverted through the target CDF, enumerating probabilities outward from
@@ -15,8 +15,8 @@
 // loop, and every sampler consumes *at most* one uniform — exactly one for a
 // non-degenerate draw, none when the support is a single point (binomial
 // with p ∈ {0, 1} or n = 0, hypergeometric with lo == hi, zero-draw MVH
-// categories).  The batched census backend relies on that zero-consumption
-// when skipping empty categories, so treat it as part of the contract.
+// categories).  The leap census backend relies on that zero-consumption when
+// skipping empty categories, so treat it as part of the contract.
 #pragma once
 
 #include <cstdint>
@@ -75,15 +75,6 @@ struct collision_run {
     bool collided = false;     ///< interaction length+1 collides (always false at cap)
 };
 
-/// Samples the collision-free run length for a population of n agents,
-/// truncated at `cap`: returns min(L, cap) together with whether the run
-/// really ended in a collision (length < cap) or was cut by the cap.
-/// Survival inversion on one uniform: P(L >= l) = Π_{t<l} (n-2t)(n-2t-1) /
-/// (n(n-1)).  Requires n >= 2 and cap >= 1; the first interaction is always
-/// collision-free, so length >= 1.
-[[nodiscard]] collision_run sample_collision_free_run(rng& gen, std::uint64_t population,
-                                                      std::uint64_t cap) noexcept;
-
 /// ln P(L >= l) for the collision-free run length above, evaluated in closed
 /// form — O(1), no product loop.  Exact up to floating-point rounding:
 /// small populations go through the tabulated log-factorials, large ones
@@ -95,16 +86,17 @@ struct collision_run {
 [[nodiscard]] double log_collision_free_survival(std::uint64_t population,
                                                  std::uint64_t length) noexcept;
 
-/// Same distribution as `sample_collision_free_run`, sampled in O(log cap)
-/// instead of O(L): one uniform is inverted through the closed-form
-/// log-survival function by bracketed search seeded at the Gaussian
-/// approximation L ≈ √(-n·ln u / 2), instead of walking the survival product
-/// one interaction at a time.  This is what makes the pair-type leaping
-/// backend's per-run cost independent of the run length L ≈ √n
-/// (sim/leap_census_simulator.h).  Consumes exactly one uniform, like the
-/// loop sampler; the two samplers invert the same law but are not bitwise
-/// stream-compatible (their rounding differs), which is fine because random
-/// streams are per-backend anyway.
+/// Samples the collision-free run length for a population of n agents,
+/// truncated at `cap`: returns min(L, cap) together with whether the run
+/// really ended in a collision (length < cap) or was cut by the cap.  The
+/// law is P(L >= l) = Π_{t<l} (n-2t)(n-2t-1) / (n(n-1)); one uniform is
+/// inverted through its closed-form log-survival function by bracketed
+/// search seeded at the Gaussian approximation L ≈ √(-n·ln u / 2), in
+/// O(log cap) instead of walking the survival product one interaction at a
+/// time.  This is what makes the pair-type leaping backend's per-run cost
+/// independent of the run length L ≈ √n (sim/leap_census_simulator.h).
+/// Consumes exactly one uniform.  Requires n >= 2 and cap >= 1; the first
+/// interaction is always collision-free, so length >= 1.
 [[nodiscard]] collision_run sample_collision_free_run_leap(rng& gen, std::uint64_t population,
                                                            std::uint64_t cap) noexcept;
 

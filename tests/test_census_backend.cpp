@@ -1,8 +1,9 @@
 // Tests for the census-space simulation backend (sim/census_simulator.h)
 // and its scenario-layer integration: bookkeeping invariants, per-seed
 // determinism, registry-wide convergence on the census backend, and the
-// cross-backend distributional agreement the backend's correctness argument
-// rests on (both backends simulate the same Markov chain).
+// cross-backend distributional agreement the census-space backends'
+// correctness argument rests on (agent, census and leap simulate the same
+// Markov chain).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -21,6 +22,7 @@
 #include "sim/census_simulator.h"
 #include "sim/population_view.h"
 #include "sim/trial_executor.h"
+#include "test_support.h"
 
 namespace {
 
@@ -28,14 +30,10 @@ using namespace plurality;
 using three_sim =
     sim::census_simulator<majority::three_state_protocol, majority::three_state_census_codec>;
 
-constexpr majority::binary_opinion alpha_v = majority::binary_opinion::alpha;
-constexpr majority::binary_opinion beta_v = majority::binary_opinion::beta;
-constexpr majority::binary_opinion undecided_v = majority::binary_opinion::undecided;
-
-std::vector<sim::census_entry<majority::three_state_agent>> three_state_census(
-    std::uint64_t alpha, std::uint64_t beta, std::uint64_t undecided) {
-    return {{{alpha_v}, alpha}, {{beta_v}, beta}, {{undecided_v}, undecided}};
-}
+using test::alpha_v;
+using test::beta_v;
+using test::three_state_census;
+using test::undecided_v;
 
 TEST(CensusSimulator, ConservesPopulationAcrossInteractions) {
     three_sim sim{{}, three_state_census(60, 40, 0), 7};
@@ -146,30 +144,9 @@ TEST(CensusSimulator, MemoryScalesWithStatesNotPopulation) {
 
 // -- scenario-layer integration ----------------------------------------------
 
-scenario::scenario_params census_small_params(const std::string& family) {
-    scenario::scenario_params p;
-    if (family == "plurality") {
-        p.n = 512;
-        p.k = 2;
-    } else if (family == "baselines") {
-        p.n = 257;
-        p.k = 3;
-    } else if (family == "majority") {
-        p.n = 300;
-        p.bias = 10;
-    } else if (family == "epidemic") {
-        p.n = 512;
-    } else if (family == "leader") {
-        p.n = 256;
-    } else {  // loadbalance
-        p.n = 512;
-    }
-    return p;
-}
-
 TEST(CensusBackend, EveryScenarioConvergesAtSmallN) {
     for (const auto& s : scenario::scenario_registry::instance().all()) {
-        const auto params = census_small_params(s.family());
+        const auto params = test::small_params(s.family());
         const auto outcome = s.run(params, 2026, scenario::backend_kind::census);
         EXPECT_TRUE(outcome.converged) << s.name();
         EXPECT_GT(outcome.interactions, 0u) << s.name();
@@ -216,66 +193,15 @@ TEST(CensusBackend, JsonReportIsByteIdenticalAcrossThreadCounts) {
 
 // -- cross-backend distributional agreement -----------------------------------
 //
-// All three backends (agent, per-step census, batched census) sample the
-// interacting pair uniformly over ordered pairs of distinct agents, so for a
-// fixed initial configuration the convergence-time *distribution* is
-// identical; only the per-seed draws differ.  The tests below compare mean
-// convergence times over independent trials pairwise across the backends
-// with a calibrated tolerance: the trial counts and thresholds come from the
-// statistic's own standard error (a ~5-sigma band plus a small absolute
-// slack), NOT from hunting for lucky seeds — re-rolling the RNG streams
-// stays inside the band with overwhelming probability.
-
-struct backend_sample {
-    double mean = 0.0;
-    double stderr_mean = 0.0;
-};
-
-backend_sample sample_mean_time(const scenario::any_scenario& s,
-                                const scenario::scenario_params& params, std::size_t trials,
-                                std::uint64_t base_seed, scenario::backend_kind backend) {
-    const sim::trial_executor executor{1};
-    const auto result = scenario::run_scenario_trials(s, params, trials, base_seed, executor,
-                                                      backend);
-    EXPECT_EQ(result.summary.converged, trials);
-    const auto& stats = result.summary.time_stats;
-    backend_sample out;
-    out.mean = stats.mean;
-    out.stderr_mean = stats.stddev / std::sqrt(static_cast<double>(trials));
-    return out;
-}
-
-void expect_means_agree(const backend_sample& left, const backend_sample& right,
-                        const char* left_name, const char* right_name) {
-    const double difference = std::abs(left.mean - right.mean);
-    const double combined = std::sqrt(left.stderr_mean * left.stderr_mean +
-                                      right.stderr_mean * right.stderr_mean);
-    EXPECT_LE(difference, 5.0 * combined + 0.75)
-        << left_name << " mean " << left.mean << " vs " << right_name << " mean " << right.mean
-        << " (combined stderr " << combined << ")";
-}
-
-/// Pairwise 5σ agreement across all three backends on one scenario.
-void expect_backends_agree(const scenario::any_scenario& s,
-                           const scenario::scenario_params& params, std::size_t trials,
-                           std::uint64_t base_seed) {
-    const auto agent = sample_mean_time(s, params, trials, base_seed,
-                                        scenario::backend_kind::agent);
-    const auto census = sample_mean_time(s, params, trials, base_seed,
-                                         scenario::backend_kind::census);
-    const auto batch = sample_mean_time(s, params, trials, base_seed,
-                                        scenario::backend_kind::batch);
-    expect_means_agree(agent, census, "agent", "census");
-    expect_means_agree(agent, batch, "agent", "batch");
-    expect_means_agree(census, batch, "census", "batch");
-}
+// One calibrated agent/census/leap comparison per scenario (see
+// tests/test_support.h for how the tolerance is derived).
 
 TEST(CensusBackend, EpidemicBroadcastTimesAgreeAcrossBackends) {
     const auto* s = scenario::scenario_registry::instance().find("epidemic/broadcast");
     ASSERT_NE(s, nullptr);
     scenario::scenario_params params;
     params.n = 512;
-    expect_backends_agree(*s, params, 30, 1001);
+    test::expect_backends_agree(*s, params, 30, 1001);
 }
 
 TEST(CensusBackend, ThreeStateMajorityTimesAgreeAcrossBackends) {
@@ -284,7 +210,7 @@ TEST(CensusBackend, ThreeStateMajorityTimesAgreeAcrossBackends) {
     scenario::scenario_params params;
     params.n = 600;
     params.bias = 60;
-    expect_backends_agree(*s, params, 30, 2002);
+    test::expect_backends_agree(*s, params, 30, 2002);
 }
 
 TEST(CensusBackend, LoadBalanceConservesTotalLoad) {

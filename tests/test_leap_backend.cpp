@@ -1,11 +1,9 @@
 // Tests for the pair-type leaping backend (sim/leap_census_simulator.h):
 // exact interaction accounting under truncation, bookkeeping invariants,
 // per-seed determinism, grouped-δ vs per-pair-fallback equivalence,
-// registry-wide convergence, the scenario-layer determinism contract (JSON
-// byte-identity across thread counts), and 5σ distributional agreement with
-// the batch and census backends — the leap backend factors the same run law
-// into contingency-table draws, so convergence-time distributions must be
-// indistinguishable even though no participant vector is ever materialized.
+// registry-wide convergence, and the scenario-layer determinism contract
+// (JSON byte-identity across thread counts).  Distributional agreement with
+// the agent and census backends lives in tests/test_census_backend.cpp.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -22,6 +20,7 @@
 #include "scenario/runner.h"
 #include "sim/leap_census_simulator.h"
 #include "sim/trial_executor.h"
+#include "test_support.h"
 
 namespace {
 
@@ -29,14 +28,10 @@ using namespace plurality;
 using three_leap = sim::leap_census_simulator<majority::three_state_protocol,
                                               majority::three_state_census_codec>;
 
-constexpr majority::binary_opinion alpha_v = majority::binary_opinion::alpha;
-constexpr majority::binary_opinion beta_v = majority::binary_opinion::beta;
-constexpr majority::binary_opinion undecided_v = majority::binary_opinion::undecided;
-
-std::vector<sim::census_entry<majority::three_state_agent>> three_state_census(
-    std::uint64_t alpha, std::uint64_t beta, std::uint64_t undecided) {
-    return {{{alpha_v}, alpha}, {{beta_v}, beta}, {{undecided_v}, undecided}};
-}
+using test::alpha_v;
+using test::beta_v;
+using test::three_state_census;
+using test::undecided_v;
 
 std::uint64_t census_total(const three_leap& sim) {
     std::uint64_t total = 0;
@@ -172,49 +167,19 @@ TEST(LeapCensusSimulator, ChunkedSteppingAgreesDistributionally) {
         }
         return static_cast<double>(sim.count_of({undecided_v}));
     };
-    double sum_a = 0.0, sum_b = 0.0, sq_a = 0.0, sq_b = 0.0;
+    std::vector<double> unchunked, chunked;
     for (std::size_t i = 0; i < trials; ++i) {
-        const double a = undecided_after(25000 + i, false);
-        const double b = undecided_after(29000 + i, true);
-        sum_a += a;
-        sq_a += a * a;
-        sum_b += b;
-        sq_b += b * b;
+        unchunked.push_back(undecided_after(25000 + i, false));
+        chunked.push_back(undecided_after(29000 + i, true));
     }
-    const double mean_a = sum_a / trials;
-    const double mean_b = sum_b / trials;
-    const double var_a = sq_a / trials - mean_a * mean_a;
-    const double var_b = sq_b / trials - mean_b * mean_b;
-    const double band = 5.0 * std::sqrt((var_a + var_b) / trials) + 1.0;
-    EXPECT_NEAR(mean_a, mean_b, band);
+    test::expect_same_mean(unchunked, chunked);
 }
 
 // -- scenario-layer integration ----------------------------------------------
 
-scenario::scenario_params leap_small_params(const std::string& family) {
-    scenario::scenario_params p;
-    if (family == "plurality") {
-        p.n = 512;
-        p.k = 2;
-    } else if (family == "baselines") {
-        p.n = 257;
-        p.k = 3;
-    } else if (family == "majority") {
-        p.n = 300;
-        p.bias = 10;
-    } else if (family == "epidemic") {
-        p.n = 512;
-    } else if (family == "leader") {
-        p.n = 256;
-    } else {  // loadbalance
-        p.n = 512;
-    }
-    return p;
-}
-
 TEST(LeapBackend, EveryScenarioConvergesAtSmallN) {
     for (const auto& s : scenario::scenario_registry::instance().all()) {
-        const auto params = leap_small_params(s.family());
+        const auto params = test::small_params(s.family());
         const auto outcome = s.run(params, 2027, scenario::backend_kind::leap);
         EXPECT_TRUE(outcome.converged) << s.name();
         EXPECT_GT(outcome.interactions, 0u) << s.name();
@@ -269,74 +234,6 @@ TEST(LeapBackend, LoadBalanceConservesTotalLoad) {
     for (const auto& m : outcome.metrics) {
         if (m.name == "total_load") EXPECT_DOUBLE_EQ(m.value, 1024.0);
     }
-}
-
-// -- cross-backend distributional agreement -----------------------------------
-//
-// Same factorized interaction law, different sampling path: for a fixed
-// initial configuration the convergence-time distribution on the leap
-// backend must match the batch and census backends (only per-seed draws
-// differ).  Means over independent trials are compared under a calibrated
-// ~5σ band plus a small absolute slack — not tuned seeds.
-
-struct backend_sample {
-    double mean = 0.0;
-    double stderr_mean = 0.0;
-};
-
-backend_sample sample_mean_time(const scenario::any_scenario& s,
-                                const scenario::scenario_params& params, std::size_t trials,
-                                std::uint64_t base_seed, scenario::backend_kind backend) {
-    const sim::trial_executor executor{1};
-    const auto result = scenario::run_scenario_trials(s, params, trials, base_seed, executor,
-                                                      backend);
-    EXPECT_EQ(result.summary.converged, trials);
-    const auto& stats = result.summary.time_stats;
-    backend_sample out;
-    out.mean = stats.mean;
-    out.stderr_mean = stats.stddev / std::sqrt(static_cast<double>(trials));
-    return out;
-}
-
-void expect_means_agree(const backend_sample& left, const backend_sample& right,
-                        const char* left_name, const char* right_name) {
-    const double difference = std::abs(left.mean - right.mean);
-    const double combined = std::sqrt(left.stderr_mean * left.stderr_mean +
-                                      right.stderr_mean * right.stderr_mean);
-    EXPECT_LE(difference, 5.0 * combined + 0.75)
-        << left_name << " mean " << left.mean << " vs " << right_name << " mean " << right.mean
-        << " (combined stderr " << combined << ")";
-}
-
-/// Pairwise 5σ agreement of leap against the batch and census backends.
-void expect_leap_agrees(const scenario::any_scenario& s,
-                        const scenario::scenario_params& params, std::size_t trials,
-                        std::uint64_t base_seed) {
-    const auto leap = sample_mean_time(s, params, trials, base_seed,
-                                       scenario::backend_kind::leap);
-    const auto batch = sample_mean_time(s, params, trials, base_seed,
-                                        scenario::backend_kind::batch);
-    const auto census = sample_mean_time(s, params, trials, base_seed,
-                                         scenario::backend_kind::census);
-    expect_means_agree(leap, batch, "leap", "batch");
-    expect_means_agree(leap, census, "leap", "census");
-}
-
-TEST(LeapBackend, EpidemicBroadcastTimesAgreeAcrossBackends) {
-    const auto* s = scenario::scenario_registry::instance().find("epidemic/broadcast");
-    ASSERT_NE(s, nullptr);
-    scenario::scenario_params params;
-    params.n = 512;
-    expect_leap_agrees(*s, params, 30, 3003);
-}
-
-TEST(LeapBackend, ThreeStateMajorityTimesAgreeAcrossBackends) {
-    const auto* s = scenario::scenario_registry::instance().find("majority/three-state");
-    ASSERT_NE(s, nullptr);
-    scenario::scenario_params params;
-    params.n = 600;
-    params.bias = 60;
-    expect_leap_agrees(*s, params, 30, 4004);
 }
 
 }  // namespace

@@ -34,15 +34,20 @@ TEST(AveragingMajority, PopulationVerdictRequiresUnanimity) {
     EXPECT_EQ(population_verdict(agents), majority_verdict::plus);
 }
 
+// GoogleTest names a parameter without operator<< by its raw bytes, so the
+// struct carries its padding as zeroed members: uninitialised padding made
+// the test's name change from build to build.
 struct bias_case {
     std::int32_t plus_extra;  ///< plus agents minus minus agents
     majority_verdict expected;
+    std::uint8_t zero_padding[3]{};
 };
 
 class AveragingBiasSweep : public ::testing::TestWithParam<bias_case> {};
 
 TEST_P(AveragingBiasSweep, ExactDecisionWithinLogTime) {
-    const auto [extra, expected] = GetParam();
+    const std::int32_t extra = GetParam().plus_extra;
+    const majority_verdict expected = GetParam().expected;
     const std::uint32_t n = 2048;
     const std::uint32_t base = n / 4;
     const std::uint32_t plus = base + (extra > 0 ? extra : 0);

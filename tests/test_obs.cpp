@@ -158,8 +158,8 @@ std::string count_sections_bytes(const obs::snapshot& snap) {
     return os.str();
 }
 
-scenario::scenario_run_result run_batch(const scenario::any_scenario& s, std::size_t threads,
-                                        scenario::backend_kind backend, std::uint64_t seed) {
+scenario::scenario_run_result run_trials(const scenario::any_scenario& s, std::size_t threads,
+                                         scenario::backend_kind backend, std::uint64_t seed) {
     scenario::scenario_params params;
     params.n = 512;
     params.k = 3;
@@ -177,10 +177,9 @@ TEST(ObsDeterminism, CountMetricsAreByteIdenticalAcrossThreadCounts) {
     for (const char* name : {"epidemic/broadcast", "plurality/ordered"}) {
         const auto* s = scenario::scenario_registry::instance().find(name);
         ASSERT_NE(s, nullptr) << name;
-        for (const auto backend : {backend_kind::agent, backend_kind::census, backend_kind::batch,
-                                   backend_kind::leap}) {
-            const auto serial = run_batch(*s, 1, backend, 11);
-            const auto threaded = run_batch(*s, 4, backend, 11);
+        for (const auto backend : {backend_kind::agent, backend_kind::census, backend_kind::leap}) {
+            const auto serial = run_trials(*s, 1, backend, 11);
+            const auto threaded = run_trials(*s, 4, backend, 11);
             EXPECT_EQ(count_sections_bytes(serial.summary.observed),
                       count_sections_bytes(threaded.summary.observed))
                 << name << " backend " << scenario::backend_name(backend);
@@ -192,14 +191,13 @@ TEST(ObsDeterminism, CountMetricsAreStablePerSeed) {
     using scenario::backend_kind;
     const auto* s = scenario::scenario_registry::instance().find("epidemic/broadcast");
     ASSERT_NE(s, nullptr);
-    for (const auto backend :
-         {backend_kind::agent, backend_kind::census, backend_kind::batch, backend_kind::leap}) {
-        const auto first = run_batch(*s, 1, backend, 23);
-        const auto again = run_batch(*s, 1, backend, 23);
+    for (const auto backend : {backend_kind::agent, backend_kind::census, backend_kind::leap}) {
+        const auto first = run_trials(*s, 1, backend, 23);
+        const auto again = run_trials(*s, 1, backend, 23);
         EXPECT_EQ(count_sections_bytes(first.summary.observed),
                   count_sections_bytes(again.summary.observed))
             << scenario::backend_name(backend);
-        const auto other_seed = run_batch(*s, 1, backend, 24);
+        const auto other_seed = run_trials(*s, 1, backend, 24);
         EXPECT_NE(count_sections_bytes(first.summary.observed),
                   count_sections_bytes(other_seed.summary.observed))
             << scenario::backend_name(backend) << ": seed must matter";
@@ -209,9 +207,9 @@ TEST(ObsDeterminism, CountMetricsAreStablePerSeed) {
 TEST(ObsDeterminism, BackendCountersSatisfyConservation) {
     // Structural invariants tie the counters to the simulation they claim to
     // describe.  Census: every interaction locates initiator and responder —
-    // exactly two Fenwick descents.  Batch: every interaction is applied on
-    // exactly one of the three δ paths or is the run-ending collision.
-    // Leap: ditto plus the absorbed fast path.
+    // exactly two Fenwick descents.  Leap: every interaction is applied on
+    // exactly one of the three δ paths, is the run-ending collision, or was
+    // skipped by the absorbed fast path.
     using scenario::backend_kind;
     const auto* s = scenario::scenario_registry::instance().find("epidemic/broadcast");
     ASSERT_NE(s, nullptr);
@@ -222,24 +220,19 @@ TEST(ObsDeterminism, BackendCountersSatisfyConservation) {
     };
 
     {
-        const auto census = run_batch(*s, 1, backend_kind::census, 31).summary.observed;
+        const auto census = run_trials(*s, 1, backend_kind::census, 31).summary.observed;
         EXPECT_EQ(value(census, obs::m_fenwick_descents),
                   2 * value(census, obs::m_interactions));
     }
     {
-        const auto batch = run_batch(*s, 1, backend_kind::batch, 31).summary.observed;
-        EXPECT_EQ(value(batch, obs::m_delta_deterministic) + value(batch, obs::m_delta_grouped) +
-                      value(batch, obs::m_delta_fallback) + value(batch, obs::m_collisions),
-                  value(batch, obs::m_interactions));
-        // The run-length histogram counts every collision-free run.
-        EXPECT_EQ(batch.find(obs::m_run_length)->count, value(batch, obs::m_runs));
-    }
-    {
-        const auto leap = run_batch(*s, 1, backend_kind::leap, 31).summary.observed;
+        const auto leap = run_trials(*s, 1, backend_kind::leap, 31).summary.observed;
         EXPECT_EQ(value(leap, obs::m_delta_deterministic) + value(leap, obs::m_delta_grouped) +
                       value(leap, obs::m_delta_fallback) + value(leap, obs::m_collisions) +
                       value(leap, obs::m_absorbed_fastpath),
                   value(leap, obs::m_interactions));
+        // The run-length histogram counts every collision-free run.
+        ASSERT_NE(leap.find(obs::m_run_length), nullptr);
+        EXPECT_EQ(leap.find(obs::m_run_length)->count, value(leap, obs::m_runs));
     }
 }
 
@@ -280,14 +273,14 @@ TEST(ObsSidecar, PrometheusExpositionCarriesTypedLabelledSeries) {
     params.n = 512;
     const sim::trial_executor executor{1};
     const auto result = scenario::run_scenario_trials(*s, params, 2, 7, executor,
-                                                      scenario::backend_kind::batch);
+                                                      scenario::backend_kind::leap);
 
     std::ostringstream os;
-    scenario::write_prometheus_report(os, *s, result, scenario::backend_kind::batch);
+    scenario::write_prometheus_report(os, *s, result, scenario::backend_kind::leap);
     const std::string text = os.str();
 
     EXPECT_NE(text.find("# TYPE plurality_interactions_total counter"), std::string::npos);
-    EXPECT_NE(text.find("{scenario=\"epidemic/broadcast\",backend=\"batch\"}"),
+    EXPECT_NE(text.find("{scenario=\"epidemic/broadcast\",backend=\"leap\"}"),
               std::string::npos);
     // Histogram series: cumulative le-buckets with the +Inf terminator.
     EXPECT_NE(text.find("plurality_run_length_log2_bucket"), std::string::npos);

@@ -255,7 +255,7 @@ TEST(RandomDist, HypergeometricWideReflectedParametersMeanAndVariance) {
 }
 
 TEST(RandomDist, HypergeometricCensusScaleMeanAndVariance) {
-    // The batched census backend's regime: a billion-agent urn, tens of
+    // The leap census backend's regime: a billion-agent urn, tens of
     // thousands of draws.
     constexpr std::uint64_t total = 1'000'000'000;
     constexpr std::uint64_t successes = 400'000'000;
@@ -316,49 +316,6 @@ TEST(RandomDist, MultivariateHypergeometricExhaustiveDrawReturnsCounts) {
     std::vector<std::uint64_t> out(counts.size());
     dist::multivariate_hypergeometric(gen, counts, 26, out);
     EXPECT_EQ(out, counts);
-}
-
-TEST(RandomDist, CollisionRunMatchesAnalyticMoments) {
-    // E[L] and E[L²] follow directly from the survival function
-    // S(l) = P(L >= l): E[L] = Σ_{l>=1} S(l), E[L²] = Σ (2l−1)·S(l).
-    constexpr std::uint64_t n = 10000;
-    const double inv_pairs = 1.0 / (static_cast<double>(n) * (n - 1.0));
-    double survival = 1.0;
-    double expected_mean = 0.0;
-    double expected_sq = 0.0;
-    for (std::uint64_t l = 1; survival > 1e-15 && 2 * l <= n; ++l) {
-        const double used = 2.0 * static_cast<double>(l - 1);
-        const double fresh = static_cast<double>(n) - used;
-        survival *= fresh * (fresh - 1.0) * inv_pairs;  // S(l)
-        expected_mean += survival;
-        expected_sq += (2.0 * static_cast<double>(l) - 1.0) * survival;
-    }
-    const double expected_var = expected_sq - expected_mean * expected_mean;
-
-    constexpr std::size_t reps = 4000;
-    rng gen(909);
-    double sum = 0.0;
-    for (std::size_t i = 0; i < reps; ++i) {
-        const auto run = dist::sample_collision_free_run(gen, n, 1u << 30);
-        ASSERT_GE(run.length, 1u);
-        ASSERT_TRUE(run.collided);  // cap is far beyond any feasible run
-        sum += static_cast<double>(run.length);
-    }
-    EXPECT_NEAR(sum / reps, expected_mean, mean_band(expected_var, reps) + 0.5);
-}
-
-TEST(RandomDist, CollisionRunHonorsTheCap) {
-    rng gen(1010);
-    for (int i = 0; i < 200; ++i) {
-        const auto run = dist::sample_collision_free_run(gen, 10000, 5);
-        ASSERT_GE(run.length, 1u);
-        ASSERT_LE(run.length, 5u);
-        EXPECT_EQ(run.collided, run.length < 5);
-    }
-    // cap 1 always returns exactly one collision-free interaction.
-    const auto one = dist::sample_collision_free_run(gen, 100, 1);
-    EXPECT_EQ(one.length, 1u);
-    EXPECT_FALSE(one.collided);
 }
 
 TEST(RandomDist, MultinomialConservesAndMatchesMarginalMoments) {
@@ -469,8 +426,9 @@ TEST(RandomDist, LogCollisionFreeSurvivalMatchesDirectSum) {
 }
 
 TEST(RandomDist, LeapCollisionRunMatchesAnalyticMoments) {
-    // Same analytic-moment bar as the loop sampler: the closed-form inversion
-    // must reproduce E[L] and Var[L] of the exact survival law.
+    // E[L] and E[L²] follow directly from the survival function
+    // S(l) = P(L >= l): E[L] = Σ_{l>=1} S(l), E[L²] = Σ (2l−1)·S(l).  The
+    // closed-form inversion must reproduce them.
     constexpr std::uint64_t n = 10000;
     const double inv_pairs = 1.0 / (static_cast<double>(n) * (n - 1.0));
     double survival = 1.0;
@@ -497,10 +455,10 @@ TEST(RandomDist, LeapCollisionRunMatchesAnalyticMoments) {
     EXPECT_NEAR(sum / reps, expected_mean, mean_band(expected_var, reps) + 0.5);
 }
 
-TEST(RandomDist, LeapCollisionRunChiSquareAgainstLoopSampler) {
-    // Bucketed two-sample check: the O(1) inversion and the O(L) product walk
-    // sample the same law, so leap frequencies must match the exact run-length
-    // pmf p(l) = S(l) − S(l+1) bucket by bucket.
+TEST(RandomDist, LeapCollisionRunChiSquareAgainstExactPmf) {
+    // Bucketed χ² check: the closed-form inversion's frequencies must match
+    // the exact run-length pmf p(l) = S(l) − S(l+1), with S the survival
+    // product walked term by term, bucket by bucket.
     constexpr std::uint64_t n = 2000;
     constexpr std::size_t draws = 20000;
     constexpr std::uint64_t bucket_width = 12;
@@ -535,6 +493,7 @@ TEST(RandomDist, LeapCollisionRunHonorsTheCap) {
         ASSERT_LE(run.length, 5u);
         EXPECT_EQ(run.collided, run.length < 5);
     }
+    // cap 1 always returns exactly one collision-free interaction.
     const auto one = dist::sample_collision_free_run_leap(gen, 100, 1);
     EXPECT_EQ(one.length, 1u);
     EXPECT_FALSE(one.collided);
@@ -543,27 +502,15 @@ TEST(RandomDist, LeapCollisionRunHonorsTheCap) {
 TEST(RandomDist, LeapCollisionRunTinyPopulations) {
     rng gen(1919);
     for (int i = 0; i < 100; ++i) {
-        const auto two = dist::sample_collision_free_run_leap(gen, 2, 10);
-        EXPECT_EQ(two.length, 1u);
-        EXPECT_TRUE(two.collided);
-        const auto three = dist::sample_collision_free_run_leap(gen, 3, 10);
-        EXPECT_EQ(three.length, 1u);
-        EXPECT_TRUE(three.collided);
-    }
-}
-
-TEST(RandomDist, CollisionRunTinyPopulations) {
-    rng gen(1111);
-    for (int i = 0; i < 100; ++i) {
         // n = 2: every interaction reuses both agents, so runs have length 1
         // and always end in a collision when the cap allows more.
-        const auto two = dist::sample_collision_free_run(gen, 2, 10);
+        const auto two = dist::sample_collision_free_run_leap(gen, 2, 10);
         EXPECT_EQ(two.length, 1u);
         EXPECT_TRUE(two.collided);
         // n = 3: two distinct agents are used after one interaction and only
         // one fresh agent remains — a second collision-free pair is
         // impossible.
-        const auto three = dist::sample_collision_free_run(gen, 3, 10);
+        const auto three = dist::sample_collision_free_run_leap(gen, 3, 10);
         EXPECT_EQ(three.length, 1u);
         EXPECT_TRUE(three.collided);
     }

@@ -6,7 +6,7 @@
 // the per-pair δ ground truth for both tournament protocols (leader
 // election and exact plurality), grouped-vs-fallback distributional
 // agreement at the backend level, and 5σ cross-backend agreement of
-// convergence times (agent vs batch vs leap) for the paper's protocols.
+// convergence times (agent vs census vs leap) for the paper's protocols.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -21,13 +21,12 @@
 #include "leader/leader_election.h"
 #include "majority/three_state.h"
 #include "scenario/registry.h"
-#include "scenario/runner.h"
-#include "sim/batch_census_simulator.h"
 #include "sim/delta_outcomes.h"
 #include "sim/group_delta.h"
+#include "sim/leap_census_simulator.h"
 #include "sim/rng.h"
-#include "sim/trial_executor.h"
 #include "workload/opinion_distribution.h"
+#include "test_support.h"
 
 namespace {
 
@@ -347,7 +346,7 @@ TEST(RandomizedDeltaLeader, EnumeratedOutcomesAreBitwiseSupportOfPerPairDelta) {
 }
 
 TEST(RandomizedDeltaPlurality, EnumeratedOutcomesAreBitwiseSupportOfPerPairDelta) {
-    // Harvest reachable states from a short batch run of the ordered
+    // Harvest reachable states from a short leap run of the ordered
     // tournament protocol, then check every ordered pair of the harvested
     // states against the per-pair δ ground truth.
     const auto dist = workload::make_bias_one(512, 2, 32);
@@ -368,7 +367,7 @@ TEST(RandomizedDeltaPlurality, EnumeratedOutcomesAreBitwiseSupportOfPerPairDelta
 
     std::set<core::core_census_codec::key_t> seen;
     std::vector<core::core_agent> states;
-    sim::batch_census_simulator<core::plurality_protocol, core::core_census_codec> harvest{
+    sim::leap_census_simulator<core::plurality_protocol, core::core_census_codec> harvest{
         proto, entries, 11};
     for (int checkpoint = 0; checkpoint < 8 && states.size() < 16; ++checkpoint) {
         harvest.run_for(512 * 6);
@@ -398,7 +397,7 @@ TEST(RandomizedDeltaPlurality, EnumeratedOutcomesAreBitwiseSupportOfPerPairDelta
 
 // -- grouped vs per-pair fallback at the backend level ------------------------
 
-/// Leader election with both fast-backend traits hidden: the batch backend
+/// Leader election with both group-path traits hidden: the leap backend
 /// must take the per-pair fallback for every group.
 struct per_pair_leader {
     using agent_t = leader::leader_agent;
@@ -432,13 +431,13 @@ TEST(RandomizedDeltaBackend, GroupedLeaderMatchesPerPairFallbackDistributionally
             });
         };
         if (grouped) {
-            sim::batch_census_simulator<leader::leader_election_protocol,
-                                        leader::leader_census_codec>
+            sim::leap_census_simulator<leader::leader_election_protocol,
+                                       leader::leader_census_codec>
                 s{leader::leader_election_protocol{psi, rounds}, init, seed};
             s.run_for(horizon);
             tally(s);
         } else {
-            sim::batch_census_simulator<per_pair_leader, leader::leader_census_codec> s{
+            sim::leap_census_simulator<per_pair_leader, leader::leader_census_codec> s{
                 per_pair_leader{leader::leader_election_protocol{psi, rounds}}, init, seed};
             s.run_for(horizon);
             tally(s);
@@ -446,74 +445,31 @@ TEST(RandomizedDeltaBackend, GroupedLeaderMatchesPerPairFallbackDistributionally
         return candidates;
     };
 
-    double sum_g = 0.0, sum_f = 0.0, sq_g = 0.0, sq_f = 0.0;
+    std::vector<double> grouped, per_pair;
     for (std::size_t i = 0; i < trials; ++i) {
-        const double g = candidates_after(71000 + i, true);
-        const double f = candidates_after(76000 + i, false);
-        sum_g += g;
-        sq_g += g * g;
-        sum_f += f;
-        sq_f += f * f;
+        grouped.push_back(candidates_after(71000 + i, true));
+        per_pair.push_back(candidates_after(76000 + i, false));
     }
-    const double mean_g = sum_g / trials;
-    const double mean_f = sum_f / trials;
-    const double var_g = sq_g / trials - mean_g * mean_g;
-    const double var_f = sq_f / trials - mean_f * mean_f;
-    const double band = 5.0 * std::sqrt((var_g + var_f) / trials) + 1.0;
-    EXPECT_NEAR(mean_g, mean_f, band);
+    test::expect_same_mean(grouped, per_pair);
 }
 
 // -- cross-backend 5σ agreement for the paper's protocols ---------------------
 
-struct backend_sample {
-    double mean = 0.0;
-    double stderr_mean = 0.0;
-};
-
-backend_sample sample_mean_time(const scenario::any_scenario& s,
-                                const scenario::scenario_params& params, std::size_t trials,
-                                std::uint64_t base_seed, scenario::backend_kind backend) {
-    const sim::trial_executor executor{1};
-    const auto result =
-        scenario::run_scenario_trials(s, params, trials, base_seed, executor, backend);
-    EXPECT_EQ(result.summary.converged, trials);
-    const auto& stats = result.summary.time_stats;
-    return {stats.mean, stats.stddev / std::sqrt(static_cast<double>(trials))};
-}
-
-void expect_means_agree(const backend_sample& left, const backend_sample& right,
-                        const char* left_name, const char* right_name) {
-    const double difference = std::abs(left.mean - right.mean);
-    const double combined = std::sqrt(left.stderr_mean * left.stderr_mean +
-                                      right.stderr_mean * right.stderr_mean);
-    EXPECT_LE(difference, 5.0 * combined + 0.75)
-        << left_name << " mean " << left.mean << " vs " << right_name << " mean " << right.mean
-        << " (combined stderr " << combined << ")";
-}
-
-TEST(RandomizedDeltaCrossBackend, LeaderElectionTimesAgreeAcrossAgentBatchLeap) {
+TEST(RandomizedDeltaCrossBackend, LeaderElectionTimesAgreeAcrossAgentCensusLeap) {
     const auto* s = scenario::scenario_registry::instance().find("leader/election");
     ASSERT_NE(s, nullptr);
     scenario::scenario_params params;
     params.n = 256;
-    const auto agent = sample_mean_time(*s, params, 30, 6006, scenario::backend_kind::agent);
-    const auto batch = sample_mean_time(*s, params, 30, 6006, scenario::backend_kind::batch);
-    const auto leap = sample_mean_time(*s, params, 30, 6006, scenario::backend_kind::leap);
-    expect_means_agree(batch, agent, "batch", "agent");
-    expect_means_agree(leap, agent, "leap", "agent");
+    test::expect_backends_agree(*s, params, 30, 6006);
 }
 
-TEST(RandomizedDeltaCrossBackend, OrderedPluralityTimesAgreeAcrossAgentBatchLeap) {
+TEST(RandomizedDeltaCrossBackend, OrderedPluralityTimesAgreeAcrossAgentCensusLeap) {
     const auto* s = scenario::scenario_registry::instance().find("plurality/ordered");
     ASSERT_NE(s, nullptr);
     scenario::scenario_params params;
     params.n = 512;
     params.k = 2;
-    const auto agent = sample_mean_time(*s, params, 16, 7007, scenario::backend_kind::agent);
-    const auto batch = sample_mean_time(*s, params, 16, 7007, scenario::backend_kind::batch);
-    const auto leap = sample_mean_time(*s, params, 16, 7007, scenario::backend_kind::leap);
-    expect_means_agree(batch, agent, "batch", "agent");
-    expect_means_agree(leap, agent, "leap", "agent");
+    test::expect_backends_agree(*s, params, 16, 7007);
 }
 
 }  // namespace

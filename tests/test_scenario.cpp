@@ -1,18 +1,22 @@
 // Tests for the unified scenario layer: registry completeness (every
 // registered scenario runs to convergence at small n and reports sane
-// metrics), determinism of the multi-trial runner across thread counts, and
-// registry bookkeeping.
+// metrics), determinism of the multi-trial runner across thread counts,
+// registry bookkeeping, and the shared CLI surface (backend names and the
+// count-flag parser).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "scenario/builtin.h"
 #include "scenario/json_report.h"
 #include "scenario/registry.h"
 #include "scenario/runner.h"
 #include "sim/trial_executor.h"
+#include "test_support.h"
 
 namespace {
 
@@ -20,29 +24,7 @@ using namespace plurality;
 using scenario::scenario_params;
 using scenario::scenario_registry;
 
-/// Small-but-safe parameters per family: sizes where every protocol
-/// converges deterministically fast, with biases comfortably inside each
-/// protocol's w.h.p. regime where convergence (not correctness) needs it.
-scenario_params small_params(const std::string& family) {
-    scenario_params p;
-    if (family == "plurality") {
-        p.n = 512;
-        p.k = 2;
-    } else if (family == "baselines") {
-        p.n = 257;
-        p.k = 3;
-    } else if (family == "majority") {
-        p.n = 300;
-        p.bias = 10;
-    } else if (family == "epidemic") {
-        p.n = 512;
-    } else if (family == "leader") {
-        p.n = 256;
-    } else {  // loadbalance
-        p.n = 512;
-    }
-    return p;
-}
+using test::small_params;
 
 TEST(ScenarioRegistry, CoversEveryProtocolDirectory) {
     const auto& registry = scenario_registry::instance();
@@ -163,10 +145,52 @@ TEST(ScenarioBackends, ParseBackendAcceptsExactlyTheAdvertisedList) {
         ++parsed;
         start = end + 1;
     }
-    EXPECT_EQ(parsed, 4u);
+    EXPECT_EQ(parsed, 3u);
     EXPECT_FALSE(scenario::parse_backend("warp").has_value());
     EXPECT_FALSE(scenario::parse_backend("").has_value());
-    EXPECT_FALSE(scenario::parse_backend("Batch").has_value());
+    EXPECT_FALSE(scenario::parse_backend("batch").has_value());
+}
+
+TEST(ScenarioBackends, RetiredBatchEnumeratorThrowsInsteadOfFallingThrough) {
+    const auto* s = scenario_registry::instance().find("epidemic/broadcast");
+    ASSERT_NE(s, nullptr);
+    EXPECT_THROW((void)s->run(small_params("epidemic"), 1, scenario::backend_kind::batch),
+                 std::invalid_argument);
+}
+
+/// Offers `flag value` to the shared parser, starting from default params.
+std::pair<scenario::flag_parse, scenario_params> parse_flag(const char* flag,
+                                                            const char* value) {
+    scenario_params params;
+    std::string arg0 = flag;
+    std::string arg1 = value;
+    char* argv[] = {arg0.data(), arg1.data()};
+    int i = 0;
+    const auto result = scenario::parse_param_flag(params, 2, argv, i);
+    EXPECT_EQ(i, 1) << flag << " " << value;
+    return {result, params};
+}
+
+TEST(ScenarioParams, CountFlagsAcceptOnlyWholeNumbersFittingUint32) {
+    EXPECT_EQ(parse_flag("--n", "350").first, scenario::flag_parse::consumed);
+    EXPECT_EQ(parse_flag("--n", "350").second.n, 350u);
+    EXPECT_EQ(parse_flag("--n", "4294967295").second.n, 4294967295u);
+    EXPECT_EQ(parse_flag("--n", "0").second.n, 0u);
+    EXPECT_EQ(parse_flag("--k", "007").second.k, 7u);
+    EXPECT_EQ(parse_flag("--bias", "20").second.bias, 20u);
+    EXPECT_EQ(parse_flag("--dust", "8").second.dust, 8u);
+    EXPECT_EQ(parse_flag("--sources", "3").second.sources, 3u);
+    // A strtoul cast would wrap 5000000000 to 705032704 and -5 to
+    // 4294967291, and would read a number off the front of the rest.
+    for (const char* flag : {"--n", "--k", "--bias", "--dust", "--sources"}) {
+        for (const char* value : {"5000000000", "4294967296", "-5", "-0", "+7", " 7", "7 ",
+                                  "12abc", "", "0x10", "1e3"}) {
+            const auto [result, params] = parse_flag(flag, value);
+            EXPECT_EQ(result, scenario::flag_parse::invalid_value) << flag << " '" << value << "'";
+            EXPECT_EQ(params.n, scenario_params{}.n);
+            EXPECT_EQ(params.k, scenario_params{}.k);
+        }
+    }
 }
 
 TEST(ScenarioWorkloads, UnknownNameThrows) {

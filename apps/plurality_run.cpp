@@ -30,8 +30,10 @@
 //
 // Malformed values fail with one line on stderr and exit status 2 (no usage
 // dump): an unknown --backend, a --trace-cadence that is not a finite value
-// > 0, and a count flag (--n, --k, --bias, --dust, --sources) that is not a
-// whole base-10 number fitting 32 bits.
+// > 0, a --fraction outside (0, 100), a --zipf-s or --time-budget that is not
+// a finite value >= 0, and a count flag that is not a whole base-10 number
+// fitting its type (32 bits for --n, --k, --bias, --dust, --sources; 64 bits
+// for --trials, --seed, --threads).
 //
 // Examples:
 //   plurality_run --list
@@ -39,8 +41,6 @@
 //   plurality_run --scenario baselines/usd --n 2049 --k 5 --trials 30 --threads 4
 //   plurality_run --scenario baselines/usd --n 100000000 --k 5 --backend census --trials 3
 //   plurality_run --scenario epidemic/broadcast --n 100000 --trace spread.csv
-#include <cerrno>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -97,6 +97,21 @@ constexpr double progress_interval_seconds = 2.0;
     std::exit(exit_code);
 }
 
+/// Rejects a malformed flag value: one line on stderr, exit status 2, no
+/// usage dump — scripts grep stderr for these lines.
+[[noreturn]] void reject(const char* flag, const char* text, const std::string& expected) {
+    std::fprintf(stderr, "invalid %s '%s' (expected %s)\n", flag, text, expected.c_str());
+    std::exit(2);
+}
+
+/// A --trials, --seed or --threads value: a whole base-10 number up to
+/// 2^64 - 1, the digits-only rule --n follows.
+std::uint64_t count_value(const char* flag, const char* text) {
+    const auto parsed = scenario::parse_whole_number(text);
+    if (!parsed) reject(flag, text, "a whole number from 0 to " + std::to_string(UINT64_MAX));
+    return *parsed;
+}
+
 options parse(int argc, char** argv) {
     options opt;
     for (int i = 1; i < argc; ++i) {
@@ -104,11 +119,7 @@ options parse(int argc, char** argv) {
             case scenario::flag_parse::consumed: continue;
             case scenario::flag_parse::missing_value: usage(argv[0], 2);
             case scenario::flag_parse::invalid_value:
-                // One line, no usage dump — same contract as the
-                // unknown-backend and --trace-cadence errors below.
-                std::fprintf(stderr, "invalid %s '%s' (expected a whole number from 0 to %u)\n",
-                             argv[i - 1], argv[i], UINT32_MAX);
-                std::exit(2);
+                reject(argv[i - 1], argv[i], scenario::param_flag_expectation(argv[i - 1]));
             case scenario::flag_parse::not_mine: break;
         }
         const std::string arg = argv[i];
@@ -134,11 +145,11 @@ options parse(int argc, char** argv) {
             }
             opt.backend = *backend;
         } else if (arg == "--trials") {
-            opt.trials = std::strtoul(value(), nullptr, 10);
+            opt.trials = count_value(arg.c_str(), value());
         } else if (arg == "--seed") {
-            opt.seed = std::strtoull(value(), nullptr, 10);
+            opt.seed = count_value(arg.c_str(), value());
         } else if (arg == "--threads") {
-            opt.threads = std::strtoul(value(), nullptr, 10);
+            opt.threads = count_value(arg.c_str(), value());
         } else if (arg == "--out") {
             opt.out_path = value();
         } else if (arg == "--trace") {
@@ -146,21 +157,12 @@ options parse(int argc, char** argv) {
         } else if (arg == "--trace-cadence") {
             // Strict parse: a silently-accepted garbage cadence (strtod
             // returning 0) would sample every parallel-time unit instead of
-            // what the caller asked for.  One line, no usage dump — same
-            // contract as the unknown-backend error above.
+            // what the caller asked for.
             const char* text = value();
-            char* end = nullptr;
-            errno = 0;
-            const double cadence = std::strtod(text, &end);
-            if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(cadence) ||
-                cadence <= 0.0) {
-                std::fprintf(stderr,
-                             "invalid --trace-cadence '%s' (expected a finite value > 0, in "
-                             "parallel-time units)\n",
-                             text);
-                std::exit(2);
-            }
-            opt.trace_cadence = cadence;
+            const auto cadence = scenario::parse_finite_number(text);
+            if (!cadence || *cadence <= 0.0)
+                reject(arg.c_str(), text, "a finite value > 0, in parallel-time units");
+            opt.trace_cadence = *cadence;
         } else if (arg == "--metrics") {
             opt.metrics_path = value();
         } else if (arg == "--metrics-prom") {

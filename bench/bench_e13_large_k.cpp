@@ -2,6 +2,7 @@
 // Checks correctness at bias 1 for k up to well past n/2 and that the
 // initialization time keeps tracking O(n·(k + log n)).
 #include "bench_common.h"
+#include "sim/convergence.h"
 #include "sim/simulation.h"
 
 namespace {
@@ -47,7 +48,7 @@ void BM_LargeK_InitTime(benchmark::State& state) {
             sim::simulation<core::plurality_protocol> s{std::move(proto), std::move(population),
                                                         sim::derive_seed(0xed600 + k, t)};
             const auto done = [](const auto& sim) { return core::init_finished(sim.agents()); };
-            (void)s.run_until(done, static_cast<std::uint64_t>(cfg.default_time_budget()) * n);
+            (void)sim::converge(s, done, static_cast<std::uint64_t>(cfg.default_time_budget()) * n);
             total += s.parallel_time();
         }
         state.counters["init_pt"] = total / trials;

@@ -11,6 +11,7 @@
 #include "majority/cancel_double.h"
 #include "majority/three_state.h"
 #include "bench/bench_common.h"
+#include "sim/convergence.h"
 #include "sim/trial_executor.h"
 #include "sim/simulation.h"
 
@@ -43,8 +44,8 @@ void BM_ThreeState(benchmark::State& state) {
             auto agents = make_three_state_population(plus, minus, 0);
             sim::simulation<three_state_protocol> s{three_state_protocol{}, std::move(agents),
                                                     seed};
-            (void)s.run_until(
-                [](const auto& sim) { return consensus_reached(sim.agents()); },
+            (void)sim::converge(
+                s, [](const auto& sim) { return consensus_reached(sim.agents()); },
                 4000ull * population);
             sim::trial_outcome out;
             out.success = consensus_value(s.agents()) == binary_opinion::alpha;
@@ -68,7 +69,8 @@ void BM_Averaging(benchmark::State& state) {
             auto agents = make_averaging_population(plus, minus, 0, amp);
             sim::simulation<averaging_majority_protocol> s{averaging_majority_protocol{},
                                                            std::move(agents), seed};
-            (void)s.run_until(
+            (void)sim::converge(
+                s,
                 [](const auto& sim) {
                     return population_verdict(sim.agents()) != majority_verdict::undecided;
                 },
@@ -96,8 +98,9 @@ void BM_CancelDouble(benchmark::State& state) {
             auto agents = make_cancel_double_population(plus, minus, 0);
             sim::simulation<cancel_double_protocol> s{cancel_double_protocol{cap},
                                                       std::move(agents), seed};
-            (void)s.run_until([](const auto& sim) { return decided_sign(sim.agents()) != 0; },
-                              8000ull * population);
+            (void)sim::converge(
+                s, [](const auto& sim) { return decided_sign(sim.agents()) != 0; },
+                8000ull * population);
             sim::trial_outcome out;
             out.success = decided_sign(s.agents()) == 1;
             out.parallel_time = s.parallel_time();

@@ -18,6 +18,7 @@
 //   plurality_lab --mode improved --n 4096 --workload dominant --dust 16
 //   plurality_lab --mode ordered --n 1024 --k 8 --trials 20
 //   plurality_lab --mode unordered --n 2048 --k 4 --trace run.csv
+#include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -50,6 +51,18 @@ struct options {
     std::exit(2);
 }
 
+/// A --trials or --seed value: digits only, like --n — a strtoul cast would
+/// run zero trials for "abc" and wrap "-1" to the largest seed.
+std::uint64_t count_value(const char* flag, const char* text) {
+    const auto count = scenario::parse_whole_number(text);
+    if (!count) {
+        std::fprintf(stderr, "invalid %s '%s' (expected a whole number from 0 to %" PRIu64 ")\n",
+                     flag, text, UINT64_MAX);
+        std::exit(2);
+    }
+    return *count;
+}
+
 options parse(int argc, char** argv) {
     options opt;
     opt.params.n = 1024;
@@ -59,8 +72,8 @@ options parse(int argc, char** argv) {
             case scenario::flag_parse::consumed: continue;
             case scenario::flag_parse::missing_value: usage(argv[0]);
             case scenario::flag_parse::invalid_value:
-                std::fprintf(stderr, "invalid %s '%s' (expected a whole number from 0 to %u)\n",
-                             argv[i - 1], argv[i], UINT32_MAX);
+                std::fprintf(stderr, "invalid %s '%s' (expected %s)\n", argv[i - 1], argv[i],
+                             scenario::param_flag_expectation(argv[i - 1]));
                 std::exit(2);
             case scenario::flag_parse::not_mine: break;
         }
@@ -74,9 +87,9 @@ options parse(int argc, char** argv) {
             if (opt.mode != "ordered" && opt.mode != "unordered" && opt.mode != "improved")
                 usage(argv[0]);
         } else if (arg == "--trials") {
-            opt.trials = std::strtoul(value(), nullptr, 10);
+            opt.trials = count_value(arg.c_str(), value());
         } else if (arg == "--seed") {
-            opt.seed = std::strtoull(value(), nullptr, 10);
+            opt.seed = count_value(arg.c_str(), value());
         } else if (arg == "--trace") {
             opt.trace_path = value();
         } else {

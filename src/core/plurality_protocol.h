@@ -50,15 +50,6 @@ public:
     template <class R>
     void interact_t(agent_t& initiator, agent_t& responder, R& gen) const;
 
-    /// Fast-backend hook (sim/group_delta.h): the tournament machinery
-    /// consults the RNG across its stages (role assignment, election coins,
-    /// clock tie-breaks), and which pairs are RNG-free depends on mode and
-    /// phase; conservatively declare every ordered pair randomized and let
-    /// `delta_outcomes` below classify pairs exactly instead.
-    [[nodiscard]] bool deterministic_delta(const agent_t&, const agent_t&) const noexcept {
-        return false;
-    }
-
     /// Randomized-δ group hook (sim/delta_outcomes.h): every random choice
     /// of δ — the role die, the election coins, the clock tie-break, the
     /// slowed count decrement — draws from a distribution fixed by the

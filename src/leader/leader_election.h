@@ -65,18 +65,14 @@ public:
     template <class R>
     void interact_t(agent_t& initiator, agent_t& responder, R& gen) const noexcept;
 
-    /// Fast-backend hook (sim/group_delta.h): the leaderless clock tick
-    /// consumes randomness on every interaction (and round boundaries flip
-    /// coins), so no ordered state pair is deterministic — but every random
-    /// choice's distribution depends only on the ordered state pair (the
-    /// tie-break coin fires iff the counters are equal, the round coin iff
-    /// the wrapping agent is a candidate), so every pair enumerates.
-    [[nodiscard]] bool deterministic_delta(const agent_t&, const agent_t&) const noexcept {
-        return false;
-    }
-
     /// Randomized-δ group hook (sim/delta_outcomes.h): the pair's exact
-    /// outcome distribution, derived mechanically from interact_t.
+    /// outcome distribution, derived mechanically from interact_t.  The
+    /// leaderless clock tick consumes randomness on every interaction (and
+    /// round boundaries flip coins), so no ordered state pair is
+    /// deterministic — but every random choice's distribution depends only
+    /// on the ordered state pair (the tie-break coin fires iff the counters
+    /// are equal, the round coin iff the wrapping agent is a candidate), so
+    /// every pair enumerates.
     [[nodiscard]] bool delta_outcomes(const agent_t& u, const agent_t& v,
                                       std::vector<sim::delta_outcome<agent_t>>& out) const {
         return sim::enumerate_delta_outcomes(*this, u, v, out);

@@ -1,6 +1,5 @@
 #include "majority/averaging_majority.h"
 
-#include "sim/convergence.h"
 #include "util/math.h"
 
 namespace plurality::majority {
@@ -32,21 +31,6 @@ std::vector<averaging_agent> make_averaging_population(std::uint32_t plus, std::
     agents.insert(agents.end(), minus, {-amplification});
     agents.insert(agents.end(), zeros, {0});
     return agents;
-}
-
-averaging_result run_averaging_majority(std::uint32_t plus, std::uint32_t minus,
-                                        std::uint32_t zeros, std::int64_t amplification,
-                                        std::uint64_t seed, double time_budget) {
-    const std::uint32_t n = plus + minus + zeros;
-    if (amplification == 0) amplification = default_amplification(n);
-    sim::simulation<averaging_majority_protocol> s{
-        averaging_majority_protocol{}, make_averaging_population(plus, minus, zeros, amplification),
-        seed};
-    const auto done = [](const auto& sim) {
-        return population_verdict(sim.agents()) != majority_verdict::undecided;
-    };
-    const auto run = sim::converge(s, done, sim::interaction_budget(time_budget, n));
-    return {run.converged, population_verdict(s.agents()), run.parallel_time, run.interactions};
 }
 
 }  // namespace plurality::majority

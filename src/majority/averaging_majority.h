@@ -86,19 +86,4 @@ struct averaging_census_codec {
                                                                      std::uint32_t zeros,
                                                                      std::int64_t amplification);
 
-/// Outcome of one full averaging-majority run.
-struct averaging_result {
-    bool converged = false;  ///< loads concentrated into a unanimous verdict
-    majority_verdict verdict = majority_verdict::undecided;
-    double parallel_time = 0.0;
-    std::uint64_t interactions = 0;
-};
-
-/// Runs averaging until the population verdict is unanimous or until
-/// `time_budget` parallel time.  `amplification` 0 = auto for the population.
-[[nodiscard]] averaging_result run_averaging_majority(std::uint32_t plus, std::uint32_t minus,
-                                                      std::uint32_t zeros,
-                                                      std::int64_t amplification,
-                                                      std::uint64_t seed, double time_budget);
-
 }  // namespace plurality::majority

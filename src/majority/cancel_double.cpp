@@ -1,6 +1,5 @@
 #include "majority/cancel_double.h"
 
-#include "sim/convergence.h"
 #include "util/math.h"
 
 namespace plurality::majority {
@@ -41,19 +40,6 @@ std::vector<cancel_double_agent> make_cancel_double_population(std::uint32_t plu
     agents.insert(agents.end(), minus, {std::int8_t{-1}, std::uint8_t{0}});
     agents.insert(agents.end(), zeros, {std::int8_t{0}, std::uint8_t{0}});
     return agents;
-}
-
-cancel_double_result run_cancel_double(std::uint32_t plus, std::uint32_t minus,
-                                       std::uint32_t zeros, std::uint8_t level_cap,
-                                       std::uint64_t seed, double time_budget) {
-    const std::uint32_t n = plus + minus + zeros;
-    if (level_cap == 0) level_cap = default_level_cap(n);
-    sim::simulation<cancel_double_protocol> s{cancel_double_protocol{level_cap},
-                                              make_cancel_double_population(plus, minus, zeros),
-                                              seed};
-    const auto done = [](const auto& sim) { return decided_sign(sim.agents()) != 0; };
-    const auto run = sim::converge(s, done, sim::interaction_budget(time_budget, n));
-    return {run.converged, decided_sign(s.agents()), run.parallel_time, run.interactions};
 }
 
 }  // namespace plurality::majority

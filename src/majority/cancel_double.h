@@ -119,18 +119,4 @@ struct cancel_double_census_codec {
                                                                              std::uint32_t minus,
                                                                              std::uint32_t zeros);
 
-/// Outcome of one full cancellation/doubling run.
-struct cancel_double_result {
-    bool converged = false;  ///< one side's tokens are extinct
-    int sign = 0;            ///< surviving sign (0 if still mixed)
-    double parallel_time = 0.0;
-    std::uint64_t interactions = 0;
-};
-
-/// Runs cancellation/doubling until one sign is extinct or until
-/// `time_budget` parallel time.  `level_cap` 0 = auto for the population.
-[[nodiscard]] cancel_double_result run_cancel_double(std::uint32_t plus, std::uint32_t minus,
-                                                     std::uint32_t zeros, std::uint8_t level_cap,
-                                                     std::uint64_t seed, double time_budget);
-
 }  // namespace plurality::majority

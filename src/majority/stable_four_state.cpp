@@ -1,7 +1,5 @@
 #include "majority/stable_four_state.h"
 
-#include "sim/convergence.h"
-
 namespace plurality::majority {
 
 void stable_four_state_protocol::interact(agent_t& initiator, agent_t& responder,
@@ -80,16 +78,6 @@ std::vector<four_state_agent> make_four_state_population(std::uint32_t plus, std
     agents.insert(agents.end(), plus, {four_state::strong_plus});
     agents.insert(agents.end(), minus, {four_state::strong_minus});
     return agents;
-}
-
-four_state_result run_four_state(std::uint32_t plus, std::uint32_t minus, std::uint64_t seed,
-                                 double time_budget) {
-    sim::simulation<stable_four_state_protocol> s{stable_four_state_protocol{},
-                                                  make_four_state_population(plus, minus), seed};
-    const auto done = [](const auto& sim) { return consensus_reached(sim.agents()); };
-    const auto run =
-        sim::converge(s, done, sim::interaction_budget(time_budget, s.population_size()));
-    return {run.converged, consensus_sign(s.agents()), run.parallel_time, run.interactions};
 }
 
 }  // namespace plurality::majority

@@ -68,16 +68,4 @@ struct four_state_census_codec {
 [[nodiscard]] std::vector<four_state_agent> make_four_state_population(std::uint32_t plus,
                                                                        std::uint32_t minus);
 
-/// Outcome of one full four-state run.
-struct four_state_result {
-    bool converged = false;
-    int sign = 0;  ///< consensus sign (0 if no consensus yet)
-    double parallel_time = 0.0;
-    std::uint64_t interactions = 0;
-};
-
-/// Runs the protocol until consensus or until `time_budget` parallel time.
-[[nodiscard]] four_state_result run_four_state(std::uint32_t plus, std::uint32_t minus,
-                                               std::uint64_t seed, double time_budget);
-
 }  // namespace plurality::majority

@@ -2,8 +2,6 @@
 
 #include <vector>
 
-#include "sim/convergence.h"
-
 namespace plurality::majority {
 
 bool consensus_reached(std::span<const three_state_agent> agents) noexcept {
@@ -33,18 +31,6 @@ std::vector<three_state_agent> make_three_state_population(std::uint32_t alpha_c
     agents.insert(agents.end(), beta_count, {binary_opinion::beta});
     agents.insert(agents.end(), undecided, {binary_opinion::undecided});
     return agents;
-}
-
-three_state_result run_three_state(std::uint32_t alpha_count, std::uint32_t beta_count,
-                                   std::uint32_t undecided, std::uint64_t seed,
-                                   double time_budget) {
-    sim::simulation<three_state_protocol> s{
-        three_state_protocol{}, make_three_state_population(alpha_count, beta_count, undecided),
-        seed};
-    const auto done = [](const auto& sim) { return consensus_reached(sim.agents()); };
-    const auto run =
-        sim::converge(s, done, sim::interaction_budget(time_budget, s.population_size()));
-    return {run.converged, consensus_value(s.agents()), run.parallel_time, run.interactions};
 }
 
 }  // namespace plurality::majority

@@ -65,17 +65,4 @@ struct three_state_census_codec {
                                                                          std::uint32_t beta_count,
                                                                          std::uint32_t undecided);
 
-/// Outcome of one full three-state run.
-struct three_state_result {
-    bool converged = false;
-    binary_opinion value = binary_opinion::undecided;
-    double parallel_time = 0.0;
-    std::uint64_t interactions = 0;
-};
-
-/// Runs the protocol until consensus or until `time_budget` parallel time.
-[[nodiscard]] three_state_result run_three_state(std::uint32_t alpha_count,
-                                                 std::uint32_t beta_count, std::uint32_t undecided,
-                                                 std::uint64_t seed, double time_budget);
-
 }  // namespace plurality::majority

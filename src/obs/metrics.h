@@ -1,4 +1,4 @@
-// Observability instruments: the counter/gauge/histogram/timer types the
+// Observability instruments: the counter/histogram/timer types the
 // simulation backends embed, plus the compile-time policy that decides
 // whether they exist at all.
 //
@@ -86,20 +86,6 @@ private:
     std::uint64_t value_ = 0;
 };
 
-/// Last-write or running-max gauge (the backends only use record_max, but
-/// set() keeps the type general for plumbing-level values).
-class gauge {
-public:
-    void set(std::uint64_t value) noexcept { value_ = value; }
-    void record_max(std::uint64_t value) noexcept {
-        value_ = value > value_ ? value : value_;
-    }
-    [[nodiscard]] std::uint64_t value() const noexcept { return value_; }
-
-private:
-    std::uint64_t value_ = 0;
-};
-
 /// log₂-bucketed histogram of uint64 values: value v lands in bucket
 /// bit_width(v), i.e. bucket 0 holds v = 0 and bucket b >= 1 holds
 /// v ∈ [2^(b-1), 2^b).  Also tracks the exact sum, so mean = sum/count is
@@ -136,20 +122,6 @@ private:
     std::uint64_t ticks_ = 0;
 };
 
-/// RAII phase scope: two clock reads per block, charged to the timer.
-class scoped_phase {
-public:
-    explicit scoped_phase(phase_timer& timer) noexcept
-        : timer_(timer), start_(now_ticks()) {}
-    scoped_phase(const scoped_phase&) = delete;
-    scoped_phase& operator=(const scoped_phase&) = delete;
-    ~scoped_phase() { timer_.add_ticks(now_ticks() - start_); }
-
-private:
-    phase_timer& timer_;
-    std::uint64_t start_;
-};
-
 // -- No-op twins (the disabled policy) --------------------------------------
 // Empty types with inline empty methods: with [[no_unique_address]] members
 // they occupy no space and every call site folds to nothing, which is what
@@ -157,12 +129,6 @@ private:
 
 struct noop_counter {
     void add(std::uint64_t = 1) const noexcept {}
-    [[nodiscard]] static constexpr std::uint64_t value() noexcept { return 0; }
-};
-
-struct noop_gauge {
-    void set(std::uint64_t) const noexcept {}
-    void record_max(std::uint64_t) const noexcept {}
     [[nodiscard]] static constexpr std::uint64_t value() noexcept { return 0; }
 };
 
@@ -176,28 +142,20 @@ struct noop_timer {
     [[nodiscard]] static constexpr double seconds() noexcept { return 0.0; }
 };
 
-struct noop_scope {
-    explicit noop_scope(const noop_timer&) noexcept {}
-};
-
 /// Instrumentation on: real instruments, real clock reads.
 struct enabled {
     static constexpr bool active = true;
     using counter_t = counter;
-    using gauge_t = gauge;
     using histogram_t = log2_histogram;
     using timer_t = phase_timer;
-    using scope_t = scoped_phase;
 };
 
 /// Instrumentation off: everything collapses to no-ops.
 struct disabled {
     static constexpr bool active = false;
     using counter_t = noop_counter;
-    using gauge_t = noop_gauge;
     using histogram_t = noop_histogram;
     using timer_t = noop_timer;
-    using scope_t = noop_scope;
 };
 
 /// The build-wide default, selected by the PLURALITY_OBS compile definition

@@ -1,6 +1,8 @@
 #include "scenario/scenario.h"
 
+#include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -41,20 +43,22 @@ workload::opinion_distribution make_workload(const scenario_params& params, sim:
                                 "' (expected bias1|uniform|zipf|dominant|two-heavy)");
 }
 
-namespace {
-
-/// A whole base-10 number fitting `std::uint32_t`: digits only — no sign, no
-/// whitespace, no trailing characters — so that `5000000000` or `-5` cannot
-/// wrap into a plausible population size the way a strtoul cast does.
-std::optional<std::uint32_t> parse_count(const char* text) {
-    std::uint32_t value = 0;
+std::optional<std::uint64_t> parse_whole_number(const char* text, std::uint64_t max) noexcept {
+    std::uint64_t value = 0;
     const char* end = text + std::strlen(text);
     const auto [stop, error] = std::from_chars(text, end, value);
-    if (error != std::errc{} || stop != end || stop == text) return std::nullopt;
+    if (error != std::errc{} || stop != end || stop == text || value > max) return std::nullopt;
     return value;
 }
 
-}  // namespace
+std::optional<double> parse_finite_number(const char* text) noexcept {
+    char* end = nullptr;
+    errno = 0;
+    const double value = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(value))
+        return std::nullopt;
+    return value;
+}
 
 flag_parse parse_param_flag(scenario_params& params, int argc, char** argv, int& i) {
     const std::string_view flag = argv[i];
@@ -71,19 +75,28 @@ flag_parse parse_param_flag(scenario_params& params, int argc, char** argv, int&
                            : flag == "--sources" ? &params.sources
                                                  : nullptr;
     if (count != nullptr) {
-        const auto parsed = parse_count(value);
+        const auto parsed = parse_whole_number(value, std::numeric_limits<std::uint32_t>::max());
         if (!parsed) return flag_parse::invalid_value;
-        *count = *parsed;
+        *count = static_cast<std::uint32_t>(*parsed);
     } else if (flag == "--workload") {
         params.workload = value;
     } else if (flag == "--fraction") {
-        params.fraction = std::strtod(value, nullptr) / 100.0;
-    } else if (flag == "--zipf-s") {
-        params.zipf_s = std::strtod(value, nullptr);
-    } else {  // --time-budget
-        params.time_budget = std::strtod(value, nullptr);
+        const auto percent = parse_finite_number(value);
+        if (!percent || *percent <= 0.0 || *percent >= 100.0) return flag_parse::invalid_value;
+        params.fraction = *percent / 100.0;
+    } else {  // --zipf-s, --time-budget
+        const auto parsed = parse_finite_number(value);
+        if (!parsed || *parsed < 0.0) return flag_parse::invalid_value;
+        (flag == "--zipf-s" ? params.zipf_s : params.time_budget) = *parsed;
     }
     return flag_parse::consumed;
+}
+
+const char* param_flag_expectation(std::string_view flag) noexcept {
+    if (flag == "--fraction") return "a value > 0 and < 100, in percent";
+    if (flag == "--zipf-s") return "a finite value >= 0";
+    if (flag == "--time-budget") return "a finite value >= 0, in parallel-time units";
+    return "a whole number from 0 to 4294967295";
 }
 
 }  // namespace plurality::scenario

@@ -42,6 +42,7 @@
 #include <concepts>
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -122,11 +123,28 @@ enum class flag_parse {
 /// Parses the scenario_params CLI flag at `argv[i]` (--n, --k, --workload,
 /// --bias, --dust, --fraction, --zipf-s, --sources, --time-budget), shared
 /// by every driver that exposes the parameter surface (plurality_run,
-/// plurality_lab).  `--fraction` is given in percent.  The count flags
-/// (--n, --k, --bias, --dust, --sources) take a whole base-10 number that
-/// fits `std::uint32_t` — digits only, no sign — and anything else is
-/// `invalid_value` rather than a silently wrapped or truncated count.
+/// plurality_lab).  The count flags (--n, --k, --bias, --dust, --sources)
+/// take a whole base-10 number that fits `std::uint32_t` — digits only, no
+/// sign.  The real-valued flags take a finite number with nothing after it:
+/// `--fraction` in percent, strictly between 0 and 100; `--zipf-s` and
+/// `--time-budget` at least 0.  Anything else is `invalid_value` rather than
+/// a silently wrapped, truncated or defaulted value.
 [[nodiscard]] flag_parse parse_param_flag(scenario_params& params, int argc, char** argv, int& i);
+
+/// What the scenario_params flag `flag` accepts, for the one-line rejection
+/// of an `invalid_value` ("a whole number from 0 to 4294967295").
+[[nodiscard]] const char* param_flag_expectation(std::string_view flag) noexcept;
+
+/// A whole base-10 number from 0 to `max`: digits only — no sign, no
+/// whitespace, no trailing characters — so that `5000000000` or `-5` cannot
+/// wrap into a plausible count the way a strtoul cast does.  Every count
+/// flag follows this rule.
+[[nodiscard]] std::optional<std::uint64_t> parse_whole_number(
+    const char* text, std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) noexcept;
+
+/// A finite real number (strtod syntax) with nothing after it; nullopt for
+/// garbage, trailing characters, infinities, NaN and out-of-range values.
+[[nodiscard]] std::optional<double> parse_finite_number(const char* text) noexcept;
 
 /// One named measurement extracted from a final (or in-flight) configuration.
 struct metric {

@@ -36,12 +36,12 @@ namespace plurality::sim {
 /// Drives one protocol instance over one population, census-space.
 ///
 /// API-compatible with `sim::simulation` where the two can be compatible:
-/// `step`/`run_for`/`interactions`/`parallel_time`/`population_size`/
-/// `protocol_state`/`random` match, so `sim::converge` and
-/// `trace::recorder` work unchanged.  Instead of `agents()` (there is no
-/// per-agent storage), configuration inspection goes through the inherited
-/// census_store read API — `visit_states(fn)` is shared with `simulation` —
-/// and the weighted helpers of sim/population_view.h.
+/// `step`/`run_for`/`interactions`/`parallel_time`/`population_size` match,
+/// so `sim::converge` and `trace::recorder` work unchanged.  Instead of
+/// `agents()` (there is no per-agent storage), configuration inspection goes
+/// through the inherited census_store read API — `visit_states(fn)` is
+/// shared with `simulation` — and the weighted helpers of
+/// sim/population_view.h.
 /// `Obs` selects the observability policy (obs/metrics.h): the default
 /// follows the PLURALITY_OBS build option; `obs::disabled` compiles every
 /// instrument out (the overhead bench instantiates both).
@@ -109,9 +109,6 @@ public:
                index_.size() * (sizeof(key_t) + sizeof(std::uint32_t) + 2 * sizeof(void*));
     }
 
-    [[nodiscard]] P& protocol_state() noexcept { return protocol_; }
-    [[nodiscard]] const P& protocol_state() const noexcept { return protocol_; }
-
     /// Bench/test hooks for the Fenwick rank→slot descent: `locate_rank` is
     /// the branchless production path `step()` uses, `locate_rank_reference`
     /// the straightforward guarded loop it replaced.  bench_e15_census A/Bs
@@ -131,9 +128,6 @@ public:
         }
         return position;
     }
-
-    /// Exposes the random stream (same contract as simulation::random).
-    [[nodiscard]] rng& random() noexcept { return gen_; }
 
     /// Appends this run's metrics (end-of-trial cold path; see src/obs/).
     /// All values are deterministic per seed.

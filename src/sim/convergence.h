@@ -1,13 +1,11 @@
 // Shared convergence layer: the one run-to-predicate loop every protocol
 // family drives through.
 //
-// Before this header existed, each run helper (core::run_to_consensus,
-// baselines::run_usd, epidemic::measure_broadcast_time,
-// loadbalance::measure_balancing_time, per-bench loops) re-implemented the
-// same pattern: derive an interaction budget from a parallel-time budget,
-// step the simulation in check-sized batches, test a predicate, and package
-// {converged, parallel_time, interactions}.  `converge` owns that pattern;
-// callers contribute only the predicate and, optionally, an observer that is
+// `converge` is the only loop that steps a simulation in check-sized
+// batches until a predicate holds or an interaction budget runs out; run
+// helpers, scenarios, benches and tests all stop through it, so they stop at
+// the same interaction for the same seed, budget and check interval.
+// Callers contribute only the predicate and, optionally, an observer that is
 // invoked at every check point — including once at parallel time 0, before
 // the first interaction, which is what lets trace recorders anchor their
 // first sample at t = 0.

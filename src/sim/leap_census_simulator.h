@@ -122,12 +122,6 @@ public:
         return static_cast<double>(interactions_) / static_cast<double>(population_);
     }
 
-    [[nodiscard]] P& protocol_state() noexcept { return protocol_; }
-    [[nodiscard]] const P& protocol_state() const noexcept { return protocol_; }
-
-    /// Exposes the random stream (same contract as the other backends).
-    [[nodiscard]] rng& random() noexcept { return gen_; }
-
     /// Appends this run's metrics (end-of-trial cold path; see src/obs/).
     /// Counters, gauges and histograms are deterministic per seed; the
     /// phase timers are wall-clock and surface only in the sidecar's timing

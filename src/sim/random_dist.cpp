@@ -51,17 +51,6 @@ double log_factorial(std::uint64_t n) noexcept {
     return (x + 0.5) * std::log(x) - x + half_log_two_pi + stirling_tail(x);
 }
 
-std::uint64_t geometric(rng& gen, double p) noexcept {
-    if (p >= 1.0) return 0;
-    if (p <= 0.0) return std::numeric_limits<std::uint64_t>::max();  // precondition violated
-    const double u = gen.next_unit();
-    // Inversion: L = floor(ln(1-u) / ln(1-p)).  log1p keeps both logs exact
-    // near 0; u in [0,1) keeps the numerator finite.
-    const double value = std::floor(std::log1p(-u) / std::log1p(-p));
-    if (value >= 0x1.0p64) return std::numeric_limits<std::uint64_t>::max();
-    return static_cast<std::uint64_t>(value);
-}
-
 namespace {
 
 /// Shared exact-inversion core for unimodal integer pmfs on [lo, hi]: one

@@ -3,7 +3,7 @@
 // The determinism policy (docs/ARCHITECTURE.md) bans std::*_distribution —
 // their algorithms, and hence their output streams, differ across standard
 // libraries — so every non-uniform draw the simulators need is implemented
-// here, once, against `rng`: geometric, binomial, hypergeometric,
+// here, once, against `rng`: binomial, hypergeometric,
 // multivariate-hypergeometric and multinomial variates plus the
 // birthday-problem collision-free run length the leap census backend
 // (sim/leap_census_simulator.h) steps by.
@@ -28,11 +28,6 @@ namespace plurality::sim::dist {
 
 /// ln(n!), exact to ~1 ulp: tabulated for small n, Stirling series above.
 [[nodiscard]] double log_factorial(std::uint64_t n) noexcept;
-
-/// Geometric variate: the number of failures before the first success in
-/// Bernoulli(p) trials (support {0, 1, ...}).  Requires p in (0, 1]; p >= 1
-/// returns 0.
-[[nodiscard]] std::uint64_t geometric(rng& gen, double p) noexcept;
 
 /// Binomial(n, p) variate: successes in n Bernoulli(p) trials.
 [[nodiscard]] std::uint64_t binomial(rng& gen, std::uint64_t n, double p) noexcept;

@@ -113,8 +113,6 @@ public:
         return pos_ < filled_ ? &buffer_[pos_] : nullptr;
     }
 
-    [[nodiscard]] std::uint32_t population() const noexcept { return n_; }
-
 private:
     void refill(rng& gen) noexcept;  // out-of-line: scheduler.cpp
 
@@ -123,10 +121,5 @@ private:
     std::uint32_t filled_ = 0;
     std::array<interaction_pair, block_size> buffer_{};
 };
-
-/// Expected number of interactions that make up one unit of parallel time.
-[[nodiscard]] constexpr double interactions_per_time_unit(std::uint32_t n) noexcept {
-    return static_cast<double>(n);
-}
 
 }  // namespace plurality::sim

@@ -15,7 +15,6 @@
 #include <concepts>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -71,31 +70,12 @@ public:
         for (std::uint64_t i = 0; i < count; ++i) step();
     }
 
-    /// Executes interactions until `pred(sim)` holds, checking every
-    /// `check_every` interactions (default: once per parallel-time unit), up
-    /// to `max_interactions`.  Returns the interaction count at which the
-    /// predicate first held, or nullopt if the budget ran out.
-    template <std::predicate<const simulation&> Pred>
-    std::optional<std::uint64_t> run_until(Pred pred, std::uint64_t max_interactions,
-                                           std::uint64_t check_every = 0) {
-        if (check_every == 0) check_every = agents_.size();
-        if (pred(*this)) return interactions_;
-        while (interactions_ < max_interactions) {
-            const std::uint64_t batch =
-                std::min<std::uint64_t>(check_every, max_interactions - interactions_);
-            run_for(batch);
-            if (pred(*this)) return interactions_;
-        }
-        return std::nullopt;
-    }
-
     [[nodiscard]] std::uint64_t interactions() const noexcept { return interactions_; }
     [[nodiscard]] double parallel_time() const noexcept {
         return static_cast<double>(interactions_) / static_cast<double>(agents_.size());
     }
 
     [[nodiscard]] std::span<const agent_t> agents() const noexcept { return agents_; }
-    [[nodiscard]] std::span<agent_t> agents_mutable() noexcept { return agents_; }
     [[nodiscard]] std::size_t population_size() const noexcept { return agents_.size(); }
 
     /// Visits every agent as a weight-1 state `(agent, 1)`; stops early when
@@ -109,13 +89,6 @@ public:
             if (!fn(agent, std::uint64_t{1})) return;
         }
     }
-
-    [[nodiscard]] P& protocol_state() noexcept { return protocol_; }
-    [[nodiscard]] const P& protocol_state() const noexcept { return protocol_; }
-
-    /// Exposes the random stream, e.g. for protocols whose setup needs
-    /// additional randomness tied to the same run.
-    [[nodiscard]] rng& random() noexcept { return gen_; }
 
     /// Appends this run's metrics (end-of-trial cold path; see src/obs/).
     /// The agent backend keeps no per-step instruments — its hot loop is the
@@ -135,15 +108,5 @@ private:
     block_scheduler scheduler_;
     std::uint64_t interactions_ = 0;
 };
-
-/// Convenience: fraction of agents satisfying a property.
-template <class Agent, std::predicate<const Agent&> Pred>
-[[nodiscard]] double fraction_of(std::span<const Agent> agents, Pred pred) {
-    if (agents.empty()) return 0.0;
-    std::size_t count = 0;
-    for (const auto& a : agents)
-        if (pred(a)) ++count;
-    return static_cast<double>(count) / static_cast<double>(agents.size());
-}
 
 }  // namespace plurality::sim

@@ -11,17 +11,14 @@ trial_summary aggregate_trials(std::span<const trial_outcome> outcomes) {
     trial_summary summary;
     summary.trials = outcomes.size();
     analysis::accumulator times;
-    analysis::accumulator aux;
     for (const trial_outcome& out : outcomes) {
         if (out.success) {
             ++summary.successes;
             times.add(out.parallel_time);
         }
-        aux.add(out.auxiliary);
         summary.total_interactions += out.interactions;
     }
     summary.time_stats = times.summary();
-    summary.auxiliary_stats = aux.summary();
     return summary;
 }
 

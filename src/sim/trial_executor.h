@@ -39,7 +39,6 @@ namespace plurality::sim {
 struct trial_outcome {
     bool success = false;            ///< did the protocol reach the correct output?
     double parallel_time = 0.0;      ///< parallel time at convergence (or budget)
-    double auxiliary = 0.0;          ///< experiment-specific extra measurement
     std::uint64_t interactions = 0;  ///< interactions executed (throughput accounting)
 };
 
@@ -47,18 +46,16 @@ struct trial_outcome {
 struct trial_summary {
     std::size_t trials = 0;
     std::size_t successes = 0;
-    analysis::summary_stats time_stats;       ///< over successful trials
-    analysis::summary_stats auxiliary_stats;  ///< over all trials
-    std::uint64_t total_interactions = 0;     ///< over all trials
+    analysis::summary_stats time_stats;    ///< over successful trials
+    std::uint64_t total_interactions = 0;  ///< over all trials
 
     [[nodiscard]] double success_rate() const noexcept {
         return trials == 0 ? 0.0 : static_cast<double>(successes) / static_cast<double>(trials);
     }
 };
 
-/// Folds per-trial outcomes (in index order) into a summary.  Exposed so the
-/// sequential wrapper and tests aggregate through the exact same code path
-/// as the parallel executor.
+/// Folds per-trial outcomes (in index order) into a summary; the out-of-line
+/// step of `trial_executor::run`.
 [[nodiscard]] trial_summary aggregate_trials(std::span<const trial_outcome> outcomes);
 
 /// A callable usable as a trial body: maps a seed to its outcome.
@@ -74,7 +71,7 @@ concept trial_fn = requires(T& t, std::uint64_t seed) {
 /// invoke concurrently from multiple threads when `threads() > 1` — pure
 /// functions of the seed (the normal case: `run_to_consensus` and friends)
 /// always are; callables that capture and mutate shared state are not and
-/// belong on the sequential `run_trials` wrapper instead.
+/// belong on a sequential `trial_executor{1}` instead.
 class trial_executor {
 public:
     /// `threads == 0` resolves to the hardware concurrency.  A pool is only

@@ -223,7 +223,9 @@ TEST(CensusBackend, LoadBalanceConservesTotalLoad) {
     // correct() checks total-load conservation; the metric exposes it too.
     EXPECT_TRUE(outcome.correct);
     for (const auto& m : outcome.metrics) {
-        if (m.name == "total_load") EXPECT_DOUBLE_EQ(m.value, 1024.0);
+        if (m.name == "total_load") {
+            EXPECT_DOUBLE_EQ(m.value, 1024.0);
+        }
     }
 }
 

@@ -68,18 +68,4 @@ TEST(Convergence, ObserverFiresAtTimeZeroAndEveryCheck) {
     }
 }
 
-TEST(Convergence, MatchesRunUntilTrajectory) {
-    // The shared loop and simulation::run_until must stop at the same
-    // interaction count for the same seed and check interval.
-    auto a = make_sim(256, 11);
-    auto b = make_sim(256, 11);
-    const auto done_a = [](const sim_t& sim) { return informed_count(sim.agents()) >= 128; };
-    const auto done_b = [](const auto& sim) { return informed_count(sim.agents()) >= 128; };
-    const auto out = plurality::sim::converge(a, done_a, 1u << 20, 64);
-    const auto until = b.run_until(done_b, 1u << 20, 64);
-    ASSERT_TRUE(out.converged);
-    ASSERT_TRUE(until.has_value());
-    EXPECT_EQ(out.interactions, *until);
-}
-
 }  // namespace

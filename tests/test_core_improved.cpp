@@ -6,13 +6,16 @@
 
 #include "core/plurality_protocol.h"
 #include "core/result.h"
-#include "sim/multi_trial.h"
+#include "sim/convergence.h"
 #include "sim/simulation.h"
+#include "sim/trial_executor.h"
 
 namespace {
 
 using namespace plurality::core;
 using namespace plurality::workload;
+using plurality::sim::converge;
+using plurality::sim::trial_executor;
 
 TEST(ImprovedAlgorithm, ConvergesAtBiasOne) {
     const auto cfg = protocol_config::make(algorithm_mode::improved, 1024, 4);
@@ -29,7 +32,7 @@ TEST_P(ImprovedSweep, PluralityWinsAtBiasOne) {
     const auto dist = make_bias_one(n, k);
     const auto cfg = protocol_config::make(algorithm_mode::improved, n, k);
     const auto summary =
-        plurality::sim::run_trials(5, 7000 + n + k, [&](std::uint64_t seed) {
+        trial_executor{1}.run(5, 7000 + n + k, [&](std::uint64_t seed) {
             const auto r = run_to_consensus(cfg, dist, seed);
             plurality::sim::trial_outcome out;
             out.success = r.correct;
@@ -56,8 +59,8 @@ TEST(ImprovedAlgorithm, PruningRemovesInsignificantOpinions) {
 
     const auto pruned = [](const auto& sim) { return init_finished(sim.agents()); };
     const auto finished =
-        s.run_until(pruned, static_cast<std::uint64_t>(cfg.default_time_budget()) * n);
-    ASSERT_TRUE(finished.has_value());
+        converge(s, pruned, static_cast<std::uint64_t>(cfg.default_time_budget()) * n);
+    ASSERT_TRUE(finished.converged);
     s.run_for(20ull * n);  // let the stage broadcast settle everywhere
 
     const auto survivors = surviving_opinions(s.agents());
@@ -77,7 +80,7 @@ TEST(ImprovedAlgorithm, PluralityKeepsAllTokensThroughPruning) {
     plurality::sim::simulation<plurality_protocol> s{std::move(proto), std::move(population), 43};
     const auto pruned = [](const auto& sim) { return init_finished(sim.agents()); };
     ASSERT_TRUE(
-        s.run_until(pruned, static_cast<std::uint64_t>(cfg.default_time_budget()) * n).has_value());
+        converge(s, pruned, static_cast<std::uint64_t>(cfg.default_time_budget()) * n).converged);
     s.run_for(20ull * n);
     EXPECT_EQ(tokens_of_opinion(s.agents(), 1), dist.support_of(1));
 }
@@ -93,7 +96,7 @@ TEST(ImprovedAlgorithm, RoleBalanceAfterPruning) {
     plurality::sim::simulation<plurality_protocol> s{std::move(proto), std::move(population), 47};
     const auto pruned = [](const auto& sim) { return init_finished(sim.agents()); };
     ASSERT_TRUE(
-        s.run_until(pruned, static_cast<std::uint64_t>(cfg.default_time_budget()) * n).has_value());
+        converge(s, pruned, static_cast<std::uint64_t>(cfg.default_time_budget()) * n).converged);
     s.run_for(20ull * n);
     const auto counts = role_counts(s.agents());
     EXPECT_GE(counts[static_cast<std::size_t>(agent_role::clock)], n / 10);
@@ -105,7 +108,7 @@ TEST(ImprovedAlgorithm, DominantPlusDustEndsCorrectly) {
     const std::uint32_t n = 2048;
     const auto dist = make_dominant_plus_dust(n, 0.55, 12);
     const auto cfg = protocol_config::make(algorithm_mode::improved, n, dist.k());
-    const auto summary = plurality::sim::run_trials(4, 90, [&](std::uint64_t seed) {
+    const auto summary = trial_executor{1}.run(4, 90, [&](std::uint64_t seed) {
         const auto r = run_to_consensus(cfg, dist, seed);
         plurality::sim::trial_outcome out;
         out.success = r.correct;
@@ -121,7 +124,7 @@ TEST(ImprovedAlgorithm, TwoHeavyPlusDustBiasOne) {
     const std::uint32_t n = 2048;
     const auto dist = make_two_heavy_plus_dust(n, 1, 8);
     const auto cfg = protocol_config::make(algorithm_mode::improved, n, dist.k());
-    const auto summary = plurality::sim::run_trials(5, 91, [&](std::uint64_t seed) {
+    const auto summary = trial_executor{1}.run(5, 91, [&](std::uint64_t seed) {
         const auto r = run_to_consensus(cfg, dist, seed);
         plurality::sim::trial_outcome out;
         out.success = r.correct;

@@ -8,13 +8,16 @@
 
 #include "core/plurality_protocol.h"
 #include "core/result.h"
-#include "sim/multi_trial.h"
+#include "sim/convergence.h"
 #include "sim/simulation.h"
+#include "sim/trial_executor.h"
 
 namespace {
 
 using namespace plurality::core;
 using namespace plurality::workload;
+using plurality::sim::converge;
+using plurality::sim::trial_executor;
 
 /// Bias-1 distribution with the plurality moved to `position` (1-based).
 opinion_distribution bias_one_at(std::uint32_t n, std::uint32_t k, std::uint32_t position) {
@@ -83,7 +86,7 @@ TEST_P(SimpleSweep, PluralityWinsAtBiasOne) {
     const auto cfg = protocol_config::make(algorithm_mode::ordered, n, k);
 
     const auto summary =
-        plurality::sim::run_trials(6, 1000 + n + 10 * k + position, [&](std::uint64_t seed) {
+        trial_executor{1}.run(6, 1000 + n + 10 * k + position, [&](std::uint64_t seed) {
             const auto r = run_to_consensus(cfg, dist, seed);
             plurality::sim::trial_outcome out;
             out.success = r.correct;
@@ -130,8 +133,8 @@ TEST(SimpleAlgorithm, InitializationSplitsRoles) {
     plurality::sim::simulation<plurality_protocol> s{std::move(proto), std::move(population), 17};
 
     const auto done = [](const auto& sim) { return init_finished(sim.agents()); };
-    const auto finished = s.run_until(done, 2000ull * n);
-    ASSERT_TRUE(finished.has_value());
+    const auto finished = converge(s, done, 2000ull * n);
+    ASSERT_TRUE(finished.converged);
     const auto counts = role_counts(s.agents());
     for (std::size_t role = 0; role < 4; ++role) {
         EXPECT_GE(counts[role], n / 10) << "role " << role;
@@ -146,7 +149,7 @@ TEST(SimpleAlgorithm, InitializationConservesTokens) {
     plurality_protocol proto{cfg};
     auto population = plurality_protocol::make_population(cfg, dist, setup);
     plurality::sim::simulation<plurality_protocol> s{std::move(proto), std::move(population), 19};
-    (void)s.run_until([](const auto& sim) { return init_finished(sim.agents()); }, 2000ull * n);
+    (void)converge(s, [](const auto& sim) { return init_finished(sim.agents()); }, 2000ull * n);
     for (std::uint32_t op = 1; op <= 4; ++op) {
         EXPECT_EQ(tokens_of_opinion(s.agents(), op), dist.support_of(op));
     }
@@ -162,7 +165,7 @@ TEST(SimpleAlgorithm, DefenderBitsdMarkOpinionOne) {
     plurality_protocol proto{cfg};
     auto population = plurality_protocol::make_population(cfg, dist, setup);
     plurality::sim::simulation<plurality_protocol> s{std::move(proto), std::move(population), 23};
-    (void)s.run_until([](const auto& sim) { return init_finished(sim.agents()); }, 2000ull * n);
+    (void)converge(s, [](const auto& sim) { return init_finished(sim.agents()); }, 2000ull * n);
     for (const auto& a : s.agents()) {
         if (a.role == agent_role::collector && a.opinion == 1) {
             EXPECT_TRUE(a.defender);

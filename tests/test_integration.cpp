@@ -9,6 +9,7 @@
 #include "core/census_encoding.h"
 #include "core/plurality_protocol.h"
 #include "core/result.h"
+#include "sim/convergence.h"
 #include "sim/simulation.h"
 #include "sim/trial_executor.h"
 #include "workload/opinion_distribution.h"
@@ -17,6 +18,7 @@ namespace {
 
 using namespace plurality::core;
 using namespace plurality::workload;
+using plurality::sim::converge;
 
 /// Runs one full execution while feeding every agent state into two
 /// censuses; returns {structural distinct, full distinct}.
@@ -129,7 +131,7 @@ TEST(Integration, WinnerBroadcastReachesEveryAgent) {
     plurality::sim::simulation<plurality_protocol> s{std::move(proto), std::move(population), 61};
     const auto done = [](const auto& sim) { return all_winners(sim.agents()); };
     ASSERT_TRUE(
-        s.run_until(done, static_cast<std::uint64_t>(cfg.default_time_budget()) * n).has_value());
+        converge(s, done, static_cast<std::uint64_t>(cfg.default_time_budget()) * n).converged);
     for (const auto& a : s.agents()) {
         EXPECT_TRUE(a.winner);
         EXPECT_EQ(a.role, agent_role::collector);

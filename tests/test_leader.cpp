@@ -5,13 +5,16 @@
 #include <cmath>
 
 #include "leader/leader_election.h"
-#include "sim/multi_trial.h"
+#include "sim/convergence.h"
 #include "sim/simulation.h"
+#include "sim/trial_executor.h"
 
 namespace {
 
 using namespace plurality::leader;
 using plurality::sim::simulation;
+using plurality::sim::converge;
+using plurality::sim::trial_executor;
 
 simulation<leader_election_protocol> make_election(std::uint32_t n, std::uint64_t seed) {
     return {leader_election_protocol{default_psi(n), default_rounds(n)},
@@ -43,17 +46,16 @@ class LeaderSweep : public ::testing::TestWithParam<std::uint32_t> {};
 TEST_P(LeaderSweep, UniqueLeaderWithHighProbability) {
     const std::uint32_t n = GetParam();
     const std::uint16_t rounds = default_rounds(n);
-    const auto summary = plurality::sim::run_trials(20, 40 + n, [&](std::uint64_t seed) {
+    const auto summary = trial_executor{1}.run(20, 40 + n, [&](std::uint64_t seed) {
         auto s = make_election(n, seed);
         const auto done = [rounds](const auto& sim) {
             return election_finished(sim.agents(), rounds);
         };
         const double budget = 200.0 * std::log2(n) * std::log2(n);
-        const auto finished = s.run_until(done, static_cast<std::uint64_t>(budget * n));
+        const auto finished = converge(s, done, static_cast<std::uint64_t>(budget * n));
         plurality::sim::trial_outcome out;
-        out.success = finished.has_value() && leader_count(s.agents()) == 1;
+        out.success = finished.converged && leader_count(s.agents()) == 1;
         out.parallel_time = s.parallel_time();
-        out.auxiliary = static_cast<double>(leader_count(s.agents()));
         return out;
     });
     // w.h.p. contract: allow at most one slip across the 20 trials.

@@ -232,7 +232,9 @@ TEST(LeapBackend, LoadBalanceConservesTotalLoad) {
     ASSERT_TRUE(outcome.converged);
     EXPECT_TRUE(outcome.correct);
     for (const auto& m : outcome.metrics) {
-        if (m.name == "total_load") EXPECT_DOUBLE_EQ(m.value, 1024.0);
+        if (m.name == "total_load") {
+            EXPECT_DOUBLE_EQ(m.value, 1024.0);
+        }
     }
 }
 

@@ -5,13 +5,16 @@
 #include <cmath>
 
 #include "majority/averaging_majority.h"
-#include "sim/multi_trial.h"
+#include "sim/convergence.h"
 #include "sim/simulation.h"
+#include "sim/trial_executor.h"
 
 namespace {
 
 using namespace plurality::majority;
 using plurality::sim::simulation;
+using plurality::sim::converge;
+using plurality::sim::trial_executor;
 
 TEST(AveragingMajority, DefaultAmplificationIsLargeEnough) {
     for (std::uint32_t n : {16u, 100u, 1024u, 100000u}) {
@@ -55,7 +58,7 @@ TEST_P(AveragingBiasSweep, ExactDecisionWithinLogTime) {
     const std::uint32_t zeros = n - plus - minus;
     const std::int64_t amp = default_amplification(n);
 
-    const auto summary = plurality::sim::run_trials(
+    const auto summary = trial_executor{1}.run(
         20, 31 + static_cast<std::uint64_t>(extra + 100), [&](std::uint64_t seed) {
             auto agents = make_averaging_population(plus, minus, zeros, amp);
             simulation<averaging_majority_protocol> s{averaging_majority_protocol{},
@@ -63,10 +66,10 @@ TEST_P(AveragingBiasSweep, ExactDecisionWithinLogTime) {
             const auto done = [](const auto& sim) {
                 return population_verdict(sim.agents()) != majority_verdict::undecided;
             };
-            const auto finished = s.run_until(done, 600ull * n);
+            const auto finished = converge(s, done, 600ull * n);
             plurality::sim::trial_outcome out;
             out.success =
-                finished.has_value() && population_verdict(s.agents()) == expected;
+                finished.converged && population_verdict(s.agents()) == expected;
             out.parallel_time = s.parallel_time();
             return out;
         });
@@ -101,8 +104,8 @@ TEST(AveragingMajority, SingleVoterAmongZeros) {
     const auto done = [](const auto& sim) {
         return population_verdict(sim.agents()) != majority_verdict::undecided;
     };
-    const auto finished = s.run_until(done, 600ull * n);
-    ASSERT_TRUE(finished.has_value());
+    const auto finished = converge(s, done, 600ull * n);
+    ASSERT_TRUE(finished.converged);
     EXPECT_EQ(population_verdict(s.agents()), majority_verdict::plus);
 }
 

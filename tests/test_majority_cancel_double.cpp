@@ -4,13 +4,16 @@
 #include <cmath>
 
 #include "majority/cancel_double.h"
-#include "sim/multi_trial.h"
+#include "sim/convergence.h"
 #include "sim/simulation.h"
+#include "sim/trial_executor.h"
 
 namespace {
 
 using namespace plurality::majority;
 using plurality::sim::simulation;
+using plurality::sim::converge;
+using plurality::sim::trial_executor;
 
 TEST(CancelDouble, CancelRule) {
     cancel_double_protocol proto{10};
@@ -111,7 +114,7 @@ TEST_P(CancelDoubleBiasSweep, DecidesExactMajority) {
     const std::uint32_t minus = base + (extra < 0 ? -extra : 0);
     const std::uint8_t cap = default_level_cap(n);
 
-    const auto summary = plurality::sim::run_trials(
+    const auto summary = trial_executor{1}.run(
         15, 900 + static_cast<std::uint64_t>(extra + 50), [&](std::uint64_t seed) {
             auto agents = make_cancel_double_population(plus, minus, n - plus - minus);
             simulation<cancel_double_protocol> s{cancel_double_protocol{cap}, std::move(agents),
@@ -121,10 +124,10 @@ TEST_P(CancelDoubleBiasSweep, DecidesExactMajority) {
             };
             const double budget = 60.0 * std::log2(n) * std::log2(n);
             const auto finished =
-                s.run_until(done, static_cast<std::uint64_t>(budget * n));
+                converge(s, done, static_cast<std::uint64_t>(budget * n));
             plurality::sim::trial_outcome out;
             const int want = extra > 0 ? 1 : -1;
-            out.success = finished.has_value() && decided_sign(s.agents()) == want;
+            out.success = finished.converged && decided_sign(s.agents()) == want;
             out.parallel_time = s.parallel_time();
             return out;
         });

@@ -2,13 +2,16 @@
 #include <gtest/gtest.h>
 
 #include "majority/stable_four_state.h"
-#include "sim/multi_trial.h"
+#include "sim/convergence.h"
 #include "sim/simulation.h"
+#include "sim/trial_executor.h"
 
 namespace {
 
 using namespace plurality::majority;
 using plurality::sim::simulation;
+using plurality::sim::converge;
+using plurality::sim::trial_executor;
 
 TEST(StableFourState, CancellationRule) {
     stable_four_state_protocol proto;
@@ -56,14 +59,14 @@ TEST(StableFourState, TokenDifferenceIsInvariant) {
 TEST(StableFourState, AlwaysCorrectAtBiasOne) {
     // The defining property: exact majority at bias 1, every single trial.
     const std::uint32_t n = 256;  // deliberately small: expected time is Θ(n·polylog)
-    const auto summary = plurality::sim::run_trials(30, 11, [n](std::uint64_t seed) {
+    const auto summary = trial_executor{1}.run(30, 11, [n](std::uint64_t seed) {
         auto agents = make_four_state_population(n / 2 + 1, n / 2 - 1);
         simulation<stable_four_state_protocol> s{stable_four_state_protocol{}, std::move(agents),
                                                  seed};
         const auto done = [](const auto& sim) { return consensus_reached(sim.agents()); };
-        const auto finished = s.run_until(done, 40000ull * n);
+        const auto finished = converge(s, done, 40000ull * n);
         plurality::sim::trial_outcome out;
-        out.success = finished.has_value() && consensus_sign(s.agents()) == 1;
+        out.success = finished.converged && consensus_sign(s.agents()) == 1;
         out.parallel_time = s.parallel_time();
         return out;
     });
@@ -76,8 +79,8 @@ TEST(StableFourState, MinoritySignNeverWins) {
         auto agents = make_four_state_population(n / 2 + 5, n / 2 - 5);
         simulation<stable_four_state_protocol> s{stable_four_state_protocol{}, std::move(agents),
                                                  seed};
-        (void)s.run_until([](const auto& sim) { return consensus_reached(sim.agents()); },
-                          40000ull * n);
+        (void)converge(s, [](const auto& sim) { return consensus_reached(sim.agents()); },
+                       40000ull * n);
         EXPECT_NE(consensus_sign(s.agents()), -1);
     }
 }

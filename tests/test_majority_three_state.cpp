@@ -4,13 +4,16 @@
 #include <cmath>
 
 #include "majority/three_state.h"
-#include "sim/multi_trial.h"
+#include "sim/convergence.h"
 #include "sim/simulation.h"
+#include "sim/trial_executor.h"
 
 namespace {
 
 using namespace plurality::majority;
 using plurality::sim::simulation;
+using plurality::sim::converge;
+using plurality::sim::trial_executor;
 
 TEST(ThreeState, TransitionRules) {
     three_state_protocol proto;
@@ -43,14 +46,14 @@ TEST(ThreeState, ConsensusHelpers) {
 
 TEST(ThreeState, LargeBiasConvergesCorrectlyAndFast) {
     const std::uint32_t n = 4096;
-    const auto summary = plurality::sim::run_trials(20, 55, [n](std::uint64_t seed) {
+    const auto summary = trial_executor{1}.run(20, 55, [n](std::uint64_t seed) {
         auto agents = make_three_state_population(3 * n / 4, n / 4, 0);
         simulation<three_state_protocol> s{three_state_protocol{}, std::move(agents), seed};
         const auto done = [](const auto& sim) { return consensus_reached(sim.agents()); };
-        const auto finished = s.run_until(done, 400ull * n);
+        const auto finished = converge(s, done, 400ull * n);
         plurality::sim::trial_outcome out;
         out.success =
-            finished.has_value() && consensus_value(s.agents()) == binary_opinion::alpha;
+            finished.converged && consensus_value(s.agents()) == binary_opinion::alpha;
         out.parallel_time = s.parallel_time();
         return out;
     });
@@ -62,11 +65,11 @@ TEST(ThreeState, BiasOneIsACoinFlip) {
     // The headline limitation the paper's protocols overcome: at bias 1 the
     // 3-state dynamics picks the *wrong* opinion about half the time.
     const std::uint32_t n = 1024;
-    const auto summary = plurality::sim::run_trials(60, 77, [n](std::uint64_t seed) {
+    const auto summary = trial_executor{1}.run(60, 77, [n](std::uint64_t seed) {
         auto agents = make_three_state_population(n / 2 + 1, n / 2 - 1, 0);
         simulation<three_state_protocol> s{three_state_protocol{}, std::move(agents), seed};
         const auto done = [](const auto& sim) { return consensus_reached(sim.agents()); };
-        (void)s.run_until(done, 2000ull * n);
+        (void)converge(s, done, 2000ull * n);
         plurality::sim::trial_outcome out;
         out.success = consensus_value(s.agents()) == binary_opinion::alpha;
         return out;

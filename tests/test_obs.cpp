@@ -32,16 +32,6 @@ TEST(ObsInstruments, CounterAccumulates) {
     EXPECT_EQ(c.value(), 42u);
 }
 
-TEST(ObsInstruments, GaugeRecordsMaximum) {
-    obs::gauge g;
-    g.record_max(3);
-    g.record_max(7);
-    g.record_max(5);
-    EXPECT_EQ(g.value(), 7u);
-    g.set(2);
-    EXPECT_EQ(g.value(), 2u);
-}
-
 TEST(ObsInstruments, Log2HistogramBucketsByBitWidth) {
     // Bucket 0 holds the value 0; bucket b >= 1 holds [2^(b-1), 2^b).
     obs::log2_histogram h;
@@ -76,8 +66,6 @@ TEST(ObsInstruments, DisabledPolicyIsInert) {
     // The no-op twins accept the full write API and observably do nothing.
     obs::disabled::counter_t c;
     c.add(5);
-    obs::disabled::gauge_t g;
-    g.record_max(5);
     obs::disabled::histogram_t h;
     h.record(5);
     obs::disabled::timer_t t;
@@ -85,7 +73,6 @@ TEST(ObsInstruments, DisabledPolicyIsInert) {
     // All twins are empty: a [[no_unique_address]] member of any of these
     // costs nothing in an instrumented struct.
     static_assert(std::is_empty_v<obs::disabled::counter_t>);
-    static_assert(std::is_empty_v<obs::disabled::gauge_t>);
     static_assert(std::is_empty_v<obs::disabled::histogram_t>);
     static_assert(std::is_empty_v<obs::disabled::timer_t>);
 }

@@ -12,6 +12,7 @@
 #include "loadbalance/load_balancer.h"
 #include "majority/averaging_majority.h"
 #include "majority/cancel_double.h"
+#include "sim/convergence.h"
 #include "sim/rng.h"
 #include "sim/simulation.h"
 #include "workload/opinion_distribution.h"
@@ -75,8 +76,12 @@ TEST(Properties, LeaderlessTickRandomized) {
             const bool a_moved = a != a0;
             const bool b_moved = b != b0;
             ASSERT_NE(a_moved, b_moved);
-            if (a_moved) ASSERT_EQ(a, (a0 + 1) % psi);
-            if (b_moved) ASSERT_EQ(b, (b0 + 1) % psi);
+            if (a_moved) {
+                ASSERT_EQ(a, (a0 + 1) % psi);
+            }
+            if (b_moved) {
+                ASSERT_EQ(b, (b0 + 1) % psi);
+            }
         }
     }
 }
@@ -171,11 +176,15 @@ TEST_P(AveragingMonotonicity, VerdictMatchesSignOfDifference) {
     const auto done = [](const auto& sim) {
         return majority::population_verdict(sim.agents()) != majority::majority_verdict::undecided;
     };
-    ASSERT_TRUE(s.run_until(done, 2000ull * n).has_value());
+    ASSERT_TRUE(sim::converge(s, done, 2000ull * n).converged);
     const auto verdict = majority::population_verdict(s.agents());
-    if (diff > 0) EXPECT_EQ(verdict, majority::majority_verdict::plus);
-    if (diff < 0) EXPECT_EQ(verdict, majority::majority_verdict::minus);
-    if (diff == 0) EXPECT_EQ(verdict, majority::majority_verdict::tie);
+    if (diff > 0) {
+        EXPECT_EQ(verdict, majority::majority_verdict::plus);
+    } else if (diff < 0) {
+        EXPECT_EQ(verdict, majority::majority_verdict::minus);
+    } else {
+        EXPECT_EQ(verdict, majority::majority_verdict::tie);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Diffs, AveragingMonotonicity,

@@ -50,51 +50,6 @@ TEST(RandomDist, LogFactorialMatchesDirectSummationAcrossTableBoundary) {
     EXPECT_DOUBLE_EQ(dist::log_factorial(1), 0.0);
 }
 
-TEST(RandomDist, GeometricMeanAndVariance) {
-    constexpr double p = 0.25;
-    constexpr std::size_t draws = 20000;
-    rng gen(101);
-    double sum = 0.0;
-    double sum_sq = 0.0;
-    for (std::size_t i = 0; i < draws; ++i) {
-        const double v = static_cast<double>(dist::geometric(gen, p));
-        sum += v;
-        sum_sq += v * v;
-    }
-    const double mean = sum / draws;
-    const double expected_mean = (1.0 - p) / p;           // 3
-    const double expected_var = (1.0 - p) / (p * p);      // 12
-    EXPECT_NEAR(mean, expected_mean, mean_band(expected_var, draws) + 0.05);
-    const double var = sum_sq / draws - mean * mean;
-    EXPECT_NEAR(var, expected_var, 0.20 * expected_var);  // generous: var of var is fat-tailed
-}
-
-TEST(RandomDist, GeometricChiSquareAgainstPmf) {
-    constexpr double p = 0.3;
-    constexpr std::size_t draws = 20000;
-    constexpr std::size_t buckets = 12;  // 0..10 plus the >= 11 tail
-    rng gen(202);
-    std::vector<double> observed(buckets, 0.0);
-    for (std::size_t i = 0; i < draws; ++i) {
-        const std::uint64_t v = dist::geometric(gen, p);
-        observed[v < buckets - 1 ? v : buckets - 1] += 1.0;
-    }
-    std::vector<double> expected(buckets, 0.0);
-    double tail = 1.0;
-    for (std::size_t k = 0; k + 1 < buckets; ++k) {
-        const double pmf = p * std::pow(1.0 - p, static_cast<double>(k));
-        expected[k] = pmf * draws;
-        tail -= pmf;
-    }
-    expected[buckets - 1] = tail * draws;
-    EXPECT_LT(chi_square(observed, expected), chi_square_threshold(buckets - 1));
-}
-
-TEST(RandomDist, GeometricCertainSuccessReturnsZero) {
-    rng gen(7);
-    for (int i = 0; i < 100; ++i) EXPECT_EQ(dist::geometric(gen, 1.0), 0u);
-}
-
 TEST(RandomDist, BinomialSmallChiSquareAgainstPmf) {
     constexpr std::uint64_t n = 12;
     constexpr double p = 0.3;

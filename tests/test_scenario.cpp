@@ -2,10 +2,11 @@
 // registered scenario runs to convergence at small n and reports sane
 // metrics), determinism of the multi-trial runner across thread counts,
 // registry bookkeeping, and the shared CLI surface (backend names and the
-// count-flag parser).
+// numeric flag parsers).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <sstream>
 #include <string>
@@ -191,6 +192,47 @@ TEST(ScenarioParams, CountFlagsAcceptOnlyWholeNumbersFittingUint32) {
             EXPECT_EQ(params.k, scenario_params{}.k);
         }
     }
+}
+
+TEST(ScenarioParams, RealFlagsAcceptOnlyFiniteNumbersInRange) {
+    // Valid values keep the value strtod gives them.
+    EXPECT_EQ(parse_flag("--fraction", "50").first, scenario::flag_parse::consumed);
+    EXPECT_EQ(parse_flag("--fraction", "12.5").second.fraction, 12.5 / 100.0);
+    EXPECT_EQ(parse_flag("--fraction", "99.9").second.fraction, 99.9 / 100.0);
+    EXPECT_EQ(parse_flag("--zipf-s", "1.4").second.zipf_s, 1.4);
+    EXPECT_EQ(parse_flag("--zipf-s", "0").second.zipf_s, 0.0);
+    EXPECT_EQ(parse_flag("--time-budget", "0.005").second.time_budget, 0.005);
+    EXPECT_EQ(parse_flag("--time-budget", "1e3").second.time_budget, 1000.0);
+    EXPECT_EQ(parse_flag("--time-budget", "0").second.time_budget, 0.0);
+    // An unchecked strtod reads "abc" as 0 (the scenario's default budget,
+    // a Zipf exponent of 0) and "5x" as 5.
+    for (const char* flag : {"--fraction", "--zipf-s", "--time-budget"}) {
+        for (const char* value : {"abc", "", "5x", "1.5 ", "inf", "-inf", "nan", "1e999", "-5"}) {
+            const auto [result, params] = parse_flag(flag, value);
+            EXPECT_EQ(result, scenario::flag_parse::invalid_value) << flag << " '" << value << "'";
+            EXPECT_EQ(params.fraction, scenario_params{}.fraction);
+            EXPECT_EQ(params.zipf_s, scenario_params{}.zipf_s);
+            EXPECT_EQ(params.time_budget, scenario_params{}.time_budget);
+        }
+    }
+    // The dominant share is a percentage strictly inside (0, 100).
+    for (const char* value : {"0", "-0", "100", "150"}) {
+        EXPECT_EQ(parse_flag("--fraction", value).first, scenario::flag_parse::invalid_value)
+            << "--fraction '" << value << "'";
+    }
+}
+
+TEST(ScenarioParams, WholeNumbersMustFitTheirRange) {
+    // The rule the drivers apply to --trials, --seed and --threads.
+    EXPECT_EQ(scenario::parse_whole_number("0"), 0u);
+    EXPECT_EQ(scenario::parse_whole_number("18446744073709551615"), UINT64_MAX);
+    for (const char* value : {"18446744073709551616", "-1", "abc", "", "3 ", "+3", "1e3"}) {
+        EXPECT_FALSE(scenario::parse_whole_number(value).has_value()) << value;
+    }
+    EXPECT_EQ(scenario::parse_whole_number("4294967295", UINT32_MAX), UINT32_MAX);
+    EXPECT_FALSE(scenario::parse_whole_number("4294967296", UINT32_MAX).has_value());
+    EXPECT_EQ(std::string(scenario::param_flag_expectation("--n")),
+              "a whole number from 0 to 4294967295");
 }
 
 TEST(ScenarioWorkloads, UnknownNameThrows) {

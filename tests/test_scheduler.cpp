@@ -77,10 +77,6 @@ TEST(Scheduler, OrderedPairsUniform) {
     EXPECT_LT(plurality::analysis::chi_square_uniform(feasible), 95.0);
 }
 
-TEST(Scheduler, InteractionsPerTimeUnit) {
-    EXPECT_DOUBLE_EQ(plurality::sim::interactions_per_time_unit(1000), 1000.0);
-}
-
 TEST(Scheduler, DecodePairIsABijection) {
     // Every rank in [0, n(n-1)) maps to a distinct feasible ordered pair, so
     // one uniform draw over ranks is one uniform draw over pairs.

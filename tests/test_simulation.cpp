@@ -1,18 +1,20 @@
 // Unit tests for the generic simulation driver (sim/simulation.h) and the
-// multi-trial aggregation layer (sim/multi_trial.h).
+// multi-trial aggregation of the sequential trial executor
+// (sim/trial_executor.h).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
-#include "sim/multi_trial.h"
 #include "sim/rng.h"
 #include "sim/simulation.h"
+#include "sim/trial_executor.h"
 
 namespace {
 
 using plurality::sim::rng;
 using plurality::sim::simulation;
+using plurality::sim::trial_executor;
 
 /// Toy protocol: every interaction increments both agents' counters.
 struct counting_protocol {
@@ -55,61 +57,23 @@ TEST(Simulation, DeterministicForFixedSeed) {
     EXPECT_NE(run(7), run(8));
 }
 
-TEST(Simulation, RunUntilStopsAtPredicate) {
-    simulation<counting_protocol> s{counting_protocol{},
-                                    std::vector<counting_protocol::agent_t>(4), 3};
-    const auto result = s.run_until(
-        [](const auto& sim) { return sim.interactions() >= 100; }, 100000, 10);
-    ASSERT_TRUE(result.has_value());
-    EXPECT_GE(*result, 100u);
-    EXPECT_LT(*result, 120u);  // checked every 10 interactions
-}
-
-TEST(Simulation, RunUntilRespectsBudget) {
-    simulation<counting_protocol> s{counting_protocol{},
-                                    std::vector<counting_protocol::agent_t>(4), 3};
-    const auto result = s.run_until([](const auto&) { return false; }, 500, 10);
-    EXPECT_FALSE(result.has_value());
-    EXPECT_EQ(s.interactions(), 500u);
-}
-
-TEST(Simulation, RunUntilImmediatePredicate) {
-    simulation<counting_protocol> s{counting_protocol{},
-                                    std::vector<counting_protocol::agent_t>(4), 3};
-    const auto result = s.run_until([](const auto&) { return true; }, 500);
-    ASSERT_TRUE(result.has_value());
-    EXPECT_EQ(*result, 0u);
-}
-
-TEST(Simulation, FractionOfHelper) {
-    std::vector<counting_protocol::agent_t> agents(10);
-    agents[0].meetings = 5;
-    agents[1].meetings = 5;
-    const double frac = plurality::sim::fraction_of(
-        std::span<const counting_protocol::agent_t>(agents),
-        [](const counting_protocol::agent_t& a) { return a.meetings > 0; });
-    EXPECT_DOUBLE_EQ(frac, 0.2);
-}
-
 TEST(MultiTrial, AggregatesSuccessesAndTimes) {
-    const auto summary = plurality::sim::run_trials(
+    const auto summary = trial_executor{1}.run(
         100, 42, [](std::uint64_t seed) {
             plurality::sim::trial_outcome out;
             out.success = seed % 2 == 0 || true;  // all succeed
             out.parallel_time = 10.0;
-            out.auxiliary = 1.0;
             return out;
         });
     EXPECT_EQ(summary.trials, 100u);
     EXPECT_EQ(summary.successes, 100u);
     EXPECT_DOUBLE_EQ(summary.success_rate(), 1.0);
     EXPECT_DOUBLE_EQ(summary.time_stats.mean, 10.0);
-    EXPECT_DOUBLE_EQ(summary.auxiliary_stats.mean, 1.0);
 }
 
 TEST(MultiTrial, DistinctSeedsPerTrial) {
     std::vector<std::uint64_t> seeds;
-    (void)plurality::sim::run_trials(50, 7, [&seeds](std::uint64_t seed) {
+    (void)trial_executor{1}.run(50, 7, [&seeds](std::uint64_t seed) {
         seeds.push_back(seed);
         return plurality::sim::trial_outcome{};
     });
@@ -118,7 +82,7 @@ TEST(MultiTrial, DistinctSeedsPerTrial) {
 }
 
 TEST(MultiTrial, FailedTrialsExcludedFromTimeStats) {
-    const auto summary = plurality::sim::run_trials(
+    const auto summary = trial_executor{1}.run(
         10, 1, [](std::uint64_t seed) {
             plurality::sim::trial_outcome out;
             out.success = (seed % 2) == 0;

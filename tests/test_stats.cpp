@@ -1,13 +1,11 @@
-// Unit tests for the analysis toolkit: stats, table writer, scaling fits.
+// Unit tests for the analysis toolkit: stats and scaling fits.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 #include <vector>
 
 #include "analysis/scaling_fit.h"
 #include "analysis/stats.h"
-#include "analysis/table.h"
 
 namespace {
 
@@ -83,30 +81,6 @@ TEST(Stats, AccumulatorMatchesBatch) {
     for (double v : {1.0, 2.0, 3.0}) acc.add(v);
     EXPECT_EQ(acc.count(), 3u);
     EXPECT_DOUBLE_EQ(acc.summary().mean, 2.0);
-}
-
-TEST(Table, RendersAlignedMarkdown) {
-    markdown_table table({"n", "time"});
-    table.add_row({"1024", "3.5"});
-    table.add_row({"2048", "4.25"});
-    const std::string out = table.to_string();
-    EXPECT_NE(out.find("| n    | time |"), std::string::npos);
-    EXPECT_NE(out.find("| 1024 | 3.5  |"), std::string::npos);
-    EXPECT_EQ(table.rows(), 2u);
-}
-
-TEST(Table, PadsMissingCells) {
-    markdown_table table({"a", "b", "c"});
-    table.add_row({"1"});
-    const std::string out = table.to_string();
-    EXPECT_NE(out.find("| 1 |"), std::string::npos);
-}
-
-TEST(Table, Formatters) {
-    EXPECT_EQ(fmt_fixed(3.14159, 2), "3.14");
-    EXPECT_EQ(fmt_rate(9, 10), "9/10 (90.0%)");
-    EXPECT_NE(fmt_compact(1e9).find("e"), std::string::npos);
-    EXPECT_EQ(fmt_compact(12.5), "12.500");
 }
 
 TEST(ScalingFit, ExactLine) {

@@ -12,14 +12,12 @@
 
 #include "core/config.h"
 #include "core/result.h"
-#include "sim/multi_trial.h"
 #include "sim/rng.h"
 #include "sim/trial_executor.h"
 #include "workload/opinion_distribution.h"
 
 namespace {
 
-using plurality::sim::run_trials;
 using plurality::sim::trial_executor;
 using plurality::sim::trial_outcome;
 using plurality::sim::trial_summary;
@@ -32,7 +30,6 @@ trial_outcome synthetic_trial(std::uint64_t seed) {
     trial_outcome out;
     out.success = gen.next_below(10) < 7;
     out.parallel_time = 100.0 * gen.next_unit() + 1.0;
-    out.auxiliary = gen.next_unit();
     out.interactions = 1000 + gen.next_below(1000);
     return out;
 }
@@ -49,12 +46,6 @@ void expect_identical(const trial_summary& a, const trial_summary& b) {
     EXPECT_EQ(a.time_stats.min, b.time_stats.min);
     EXPECT_EQ(a.time_stats.max, b.time_stats.max);
     EXPECT_EQ(a.time_stats.median, b.time_stats.median);
-    EXPECT_EQ(a.auxiliary_stats.count, b.auxiliary_stats.count);
-    EXPECT_EQ(a.auxiliary_stats.mean, b.auxiliary_stats.mean);
-    EXPECT_EQ(a.auxiliary_stats.stddev, b.auxiliary_stats.stddev);
-    EXPECT_EQ(a.auxiliary_stats.min, b.auxiliary_stats.min);
-    EXPECT_EQ(a.auxiliary_stats.max, b.auxiliary_stats.max);
-    EXPECT_EQ(a.auxiliary_stats.median, b.auxiliary_stats.median);
 }
 
 TEST(TrialExecutor, ParallelSummaryMatchesSequentialBitForBit) {
@@ -140,11 +131,6 @@ TEST(TrialExecutor, ExecutorIsReusableAcrossRuns) {
     const auto first = executor.run(16, 3, synthetic_trial);
     const auto second = executor.run(16, 3, synthetic_trial);
     expect_identical(first, second);
-}
-
-TEST(MultiTrialWrapper, MatchesExecutorAtAnyThreadCount) {
-    const auto wrapped = run_trials(40, 0xfeed, synthetic_trial);
-    expect_identical(wrapped, trial_executor{8}.run(40, 0xfeed, synthetic_trial));
 }
 
 }  // namespace

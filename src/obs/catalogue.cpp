@@ -16,8 +16,8 @@ constexpr std::array catalogue{
                       "high-water mark of simultaneously occupied states"},
     metric_descriptor{m_reachable_states, "gauge", "census|leap",
                       "states seen at any point of the run (dormant slots included)"},
-    metric_descriptor{m_fenwick_descents, "counter", "census",
-                      "Fenwick-tree rank descents (two per interaction)"},
+    metric_descriptor{m_fenwick_descents, "counter", "census|leap",
+                      "Fenwick-tree rank descents (two per stepped interaction)"},
     metric_descriptor{m_runs, "counter", "leap",
                       "collision-free runs sampled (truncated runs included)"},
     metric_descriptor{m_collisions, "counter", "leap",
@@ -31,7 +31,7 @@ constexpr std::array catalogue{
     metric_descriptor{m_delta_grouped, "counter", "leap",
                       "interactions advanced by the randomized-delta multinomial group path"},
     metric_descriptor{m_delta_fallback, "counter", "leap",
-                      "interactions advanced by the per-pair delta fallback"},
+                      "interactions advanced by one delta call each (table cells + stepped)"},
     metric_descriptor{m_table_hits, "counter", "leap",
                       "outcome-table cache hits (one lookup per group application)"},
     metric_descriptor{m_table_misses, "counter", "leap",

@@ -7,7 +7,10 @@
 // and moves two units of mass.  Memory is O(S) in the number of reachable
 // states instead of O(n) in the population, which is what makes populations
 // of 10⁸–10⁹ agents simulable on a laptop (bench_e15_census); per-interaction
-// cost is O(log S) via a Fenwick tree over the state counts.
+// cost is O(log S) via the store's Fenwick tree over the state counts.  The
+// step itself (`census_store::step_interaction`) is shared with the leap
+// backend, which runs it whenever stepping is cheaper than its contingency
+// table.
 //
 // The backend draws the interacting pair uniformly over ordered pairs of
 // *distinct agents* — the same distribution the agent-based
@@ -18,8 +21,6 @@
 // remains a pure function of the seed per backend.
 #pragma once
 
-#include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -58,9 +59,7 @@ public:
     /// Takes ownership of the protocol instance and the initial census.
     /// Requires a total population of at least two agents.
     census_simulator(P proto, const std::vector<entry_t>& initial, std::uint64_t seed)
-        : store(initial, "census_simulator"), protocol_(std::move(proto)), gen_(seed) {
-        grow_tree(std::max<std::size_t>(64, std::bit_ceil(slots_.size())));
-    }
+        : store(initial, "census_simulator"), protocol_(std::move(proto)), gen_(seed) {}
 
     /// Convenience: compresses a full agent vector into its census.  Useful
     /// in tests that compare the two backends on identical configurations;
@@ -68,26 +67,10 @@ public:
     census_simulator(P proto, const std::vector<agent_t>& agents, std::uint64_t seed)
         : census_simulator(std::move(proto), compress_to_census<Codec>(agents), seed) {}
 
-    /// Executes exactly one interaction: samples an ordered pair of distinct
-    /// agents by state (initiator first, then responder among the remaining
-    /// n-1), applies δ to copies of the two states, and re-deposits the
-    /// resulting states.
-    ///
-    /// Unchanged states (the common case once the dynamics settle — most
-    /// epidemic or converged-tail pairs are no-ops) skip the key->slot hash
-    /// probe: their post-state key matches the slot they were just withdrawn
-    /// from, so the mass goes straight back by index.
+    /// Executes exactly one interaction (census_store::step_interaction).
     void step() {
-        const std::size_t initiator = locate(gen_.next_below(population_));
-        withdraw(initiator);
-        const std::size_t responder = locate(gen_.next_below(population_ - 1));
-        withdraw(responder);
+        this->step_interaction(protocol_, gen_, [](std::size_t) {});
         metrics_.descents.add(2);
-        agent_t u = slots_[initiator].state;
-        agent_t v = slots_[responder].state;
-        protocol_.interact(u, v, gen_);
-        redeposit(u, initiator);
-        redeposit(v, responder);
         ++interactions_;
     }
 
@@ -142,91 +125,20 @@ public:
     }
 
 private:
-    using store::add_to;
+    using store::capacity_;
     using store::index_;
+    using store::locate;
     using store::population_;
-    using store::remove_from;
-    using store::slot_for;
     using store::slots_;
+    using store::tree_;
 
     /// Policy-selected instruments; empty (and free) under obs::disabled.
     struct instrument_set {
         [[no_unique_address]] typename Obs::counter_t descents;
     };
 
-    /// Returns one agent in `state` that was just withdrawn from slot
-    /// `origin`: when the interaction left the state unchanged the mass goes
-    /// straight back by index, bypassing the hash map; a state seen for the
-    /// first time gets a new slot (and, past the capacity, a doubled tree).
-    void redeposit(const agent_t& state, std::size_t origin) {
-        const key_t key = Codec::encode(state);
-        std::size_t index = origin;
-        if (key != slots_[origin].key) {
-            index = slot_for(state, key);
-            if (slots_.size() > capacity_) grow_tree(capacity_ * 2);
-        }
-        add_to(index, 1);
-        tree_add(index, 1);
-    }
-
-    /// Removes one agent from slot `index` (which must be occupied).
-    void withdraw(std::size_t index) {
-        remove_from(index, 1);
-        tree_add(index, -1);
-    }
-
-    // -- Fenwick tree over slot counts (1-based, power-of-two capacity) -----
-
-    void grow_tree(std::size_t capacity) {
-        capacity_ = capacity;
-        tree_.assign(capacity_ + 1, 0);
-        for (std::size_t i = 0; i < slots_.size(); ++i)
-            tree_add(i, static_cast<std::int64_t>(slots_[i].count));
-    }
-
-    void tree_add(std::size_t index, std::int64_t delta) {
-        for (std::size_t i = index + 1; i <= capacity_; i += i & (~i + 1)) {
-            tree_[i] = static_cast<std::uint64_t>(static_cast<std::int64_t>(tree_[i]) + delta);
-        }
-    }
-
-    /// Slot containing the agent with zero-based rank `rank` in cumulative
-    /// count order: the largest prefix p with sum(slots[0..p)) <= rank.
-    ///
-    /// Branchless descent.  `capacity_` is a power of two, so `tree_` is a
-    /// perfect binary heap over [1, capacity_]: the root `tree_[capacity_]`
-    /// holds the whole population, which no valid rank can reach, so the
-    /// walk starts one level down — and from there `position` is always a
-    /// multiple of 2·step, so `position + step <= capacity_` holds without a
-    /// bounds check.  The take/skip decision is data-dependent on a random
-    /// rank (a ~50/50 coin at every level — the worst case for a branch
-    /// predictor), so both updates are written as ternaries for the compiler
-    /// to lower to conditional moves, and the two possible children of the
-    /// next level are prefetched while the current comparison resolves.
-    [[nodiscard]] std::size_t locate(std::uint64_t rank) const noexcept {
-        std::size_t position = 0;
-        std::uint64_t remaining = rank;
-        const std::uint64_t* const tree = tree_.data();
-        for (std::size_t step = capacity_ >> 1; step > 0; step >>= 1) {
-            const std::size_t next = position + step;
-            const std::uint64_t node = tree[next];
-#if defined(__GNUC__) || defined(__clang__)
-            if (step > 1) {
-                __builtin_prefetch(&tree[position + (step >> 1)]);
-                __builtin_prefetch(&tree[next + (step >> 1)]);
-            }
-#endif
-            const bool take = node <= remaining;
-            position = take ? next : position;
-            remaining = take ? remaining - node : remaining;
-        }
-        return position;
-    }
-
     P protocol_;
     rng gen_;
-    std::vector<std::uint64_t> tree_;  ///< Fenwick tree over slot counts
-    std::size_t capacity_ = 0;         ///< tree capacity (power of two)
     std::uint64_t interactions_ = 0;
     [[no_unique_address]] instrument_set metrics_;
 };

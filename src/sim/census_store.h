@@ -7,11 +7,15 @@
 // per-step backend (sim/census_simulator.h) and the pair-type leaping
 // backend (sim/leap_census_simulator.h): one slot per state ever reached, in
 // discovery order, a key→slot index, the occupied count with its high-water
-// mark, the population, and the weighted read API the scenario predicates
-// are written against.  Each backend keeps its own sampling structure on top
-// — the Fenwick tree in census, the occupied list in leap — so the store
-// never needs to know which backend it serves.  Both backends inherit it
-// publicly; a predicate written against the store runs on either.
+// mark, the population, a Fenwick tree over the slot counts, and the
+// weighted read API the scenario predicates are written against.  Every mass
+// move goes through `add_to` / `remove_from`, which keep the tree in sync,
+// so the one-interaction step (`step_interaction`: two Fenwick descents, δ,
+// two re-deposits) exists once and both backends run it — census for every
+// interaction, leap whenever its per-run cost model prefers stepping to the
+// contingency table.  Leap keeps its occupied-slot list on top.  Both
+// backends inherit the store publicly; a predicate written against the store
+// runs on either.
 //
 // States are identified by a `census_codec`: an injective encoding of the
 // agent state into a hashable key (see census_codec below).  New states
@@ -19,7 +23,9 @@
 // is ever required — S is whatever the run actually reaches.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <concepts>
 #include <cstdint>
 #include <stdexcept>
@@ -154,12 +160,17 @@ protected:
     }
 
     /// Index of the slot holding `state` (encoded `key`), appending an empty
-    /// slot on first sight — a backend spots a new slot by its index being
-    /// the previous `slots_.size()`.
+    /// slot on first sight (and, past the tree capacity, doubling the tree)
+    /// — a backend spots a new slot by its index being the previous
+    /// `slots_.size()`.
     std::size_t slot_for(const agent_t& state, const key_t& key) {
         const auto [it, inserted] =
             index_.try_emplace(key, static_cast<std::uint32_t>(slots_.size()));
-        if (inserted) slots_.push_back({state, key, 0});
+        if (inserted) {
+            slots_.push_back({state, key, 0});
+            if (slots_.size() > capacity_)
+                grow_tree(std::max<std::size_t>(64, std::bit_ceil(slots_.size())));
+        }
         return it->second;
     }
 
@@ -169,6 +180,7 @@ protected:
         slot& entry = slots_[index];
         const bool was_empty = entry.count == 0;
         entry.count += count;
+        tree_add(index, static_cast<std::int64_t>(count));
         if (was_empty) {
             ++occupied_;
             if (occupied_ > occupied_hwm_) occupied_hwm_ = occupied_;
@@ -180,7 +192,67 @@ protected:
     void remove_from(std::size_t index, std::uint64_t count) noexcept {
         slot& entry = slots_[index];
         entry.count -= count;
+        tree_add(index, -static_cast<std::int64_t>(count));
         if (entry.count == 0) --occupied_;
+    }
+
+    /// Executes one interaction of the uniform pairwise scheduler: samples
+    /// an ordered pair of distinct agents by state (initiator first, then
+    /// responder among the remaining n-1) with two Fenwick descents, applies
+    /// δ to copies of the two states, and re-deposits the resulting states.
+    /// Consumes two bounded uniforms plus whatever δ draws.
+    /// `on_occupied(index)` sees every slot a re-deposit turns from empty to
+    /// occupied.
+    ///
+    /// Unchanged states (the common case once the dynamics settle — most
+    /// epidemic or converged-tail pairs are no-ops) skip the key->slot hash
+    /// probe: their post-state key matches the slot they were just withdrawn
+    /// from, so the mass goes straight back by index.
+    template <class Protocol, class OnOccupied>
+    void step_interaction(Protocol& protocol, rng& gen, OnOccupied&& on_occupied) {
+        const std::size_t initiator = locate(gen.next_below(population_));
+        remove_from(initiator, 1);
+        const std::size_t responder = locate(gen.next_below(population_ - 1));
+        remove_from(responder, 1);
+        agent_t u = slots_[initiator].state;
+        agent_t v = slots_[responder].state;
+        protocol.interact(u, v, gen);
+        redeposit(u, initiator, on_occupied);
+        redeposit(v, responder, on_occupied);
+    }
+
+    /// Slot containing the agent with zero-based rank `rank` in cumulative
+    /// count order: the largest prefix p with sum(slots[0..p)) <= rank.
+    /// Requires `rank` < Σ slot counts.
+    ///
+    /// Branchless descent.  `capacity_` is a power of two, so `tree_` is a
+    /// perfect binary heap over [1, capacity_]: the root `tree_[capacity_]`
+    /// holds every counted agent, which no valid rank can reach, so the walk
+    /// starts one level down — and from there `position` is always a
+    /// multiple of 2·step, so `position + step <= capacity_` holds without a
+    /// bounds check.  The take/skip decision is data-dependent on a random
+    /// rank (a ~50/50 coin at every level — the worst case for a branch
+    /// predictor), so both updates are written as ternaries for the compiler
+    /// to lower to conditional moves, and the two possible children of the
+    /// next level are prefetched while the current comparison resolves.
+    [[nodiscard]] std::size_t locate(std::uint64_t rank) const noexcept {
+        std::size_t position = 0;
+        std::uint64_t remaining = rank;
+        const std::uint64_t* const tree = tree_.data();
+        for (std::size_t step = capacity_ >> 1; step > 0; step >>= 1) {
+            const std::size_t next = position + step;
+            const std::uint64_t node = tree[next];
+#if defined(__GNUC__) || defined(__clang__)
+            if (step > 1) {
+                __builtin_prefetch(&tree[position + (step >> 1)]);
+                __builtin_prefetch(&tree[next + (step >> 1)]);
+            }
+#endif
+            const bool take = node <= remaining;
+            position = take ? next : position;
+            remaining = take ? remaining - node : remaining;
+        }
+        return position;
     }
 
     std::vector<slot> slots_;  ///< discovery-ordered; dormant slots keep their index
@@ -188,6 +260,33 @@ protected:
     std::size_t occupied_ = 0;       ///< slots with count > 0
     std::size_t occupied_hwm_ = 0;   ///< max of occupied_ so far
     std::uint64_t population_ = 0;   ///< invariant: Σ slot counts (+ agents in flight)
+    std::vector<std::uint64_t> tree_;  ///< Fenwick tree over slot counts (1-based)
+    std::size_t capacity_ = 0;         ///< tree capacity (power of two, >= slots_.size())
+
+private:
+    /// Returns one agent in `state` that was just withdrawn from slot
+    /// `origin`: when the interaction left the state unchanged the mass goes
+    /// straight back by index, bypassing the hash map.
+    template <class OnOccupied>
+    void redeposit(const agent_t& state, std::size_t origin, OnOccupied& on_occupied) {
+        const key_t key = Codec::encode(state);
+        const std::size_t index = key == slots_[origin].key ? origin : slot_for(state, key);
+        if (add_to(index, 1)) on_occupied(index);
+    }
+
+    /// Rebuilds the tree at `capacity` (a power of two) from the slot counts.
+    void grow_tree(std::size_t capacity) {
+        capacity_ = capacity;
+        tree_.assign(capacity_ + 1, 0);
+        for (std::size_t i = 0; i < slots_.size(); ++i)
+            tree_add(i, static_cast<std::int64_t>(slots_[i].count));
+    }
+
+    void tree_add(std::size_t index, std::int64_t delta) noexcept {
+        for (std::size_t i = index + 1; i <= capacity_; i += i & (~i + 1)) {
+            tree_[i] = static_cast<std::uint64_t>(static_cast<std::int64_t>(tree_[i]) + delta);
+        }
+    }
 };
 
 }  // namespace plurality::sim

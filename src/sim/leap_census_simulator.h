@@ -40,6 +40,20 @@
 // the ratio against the per-step census backend (acceptance bar: ≥5× on
 // epidemic and three-state at n = 10⁹).
 //
+// That per-run cost only pays when few states are occupied relative to the
+// mean run length L̄ = √(πn/8).  Before each run a cost model
+// (`leap_cost_model`) compares ~2S + min(S, L̄)·min(S, 2L̄) table variates
+// against ~L̄·2·log₂S Fenwick levels for the S occupied states; when
+// stepping is cheaper, the next ⌈L̄⌉ interactions go one at a time through
+// the census store's shared Fenwick step (census_store::step_interaction,
+// the census backend's step) and the model decides again.  On the paper's
+// ordered tournament at n = 350, k = 4 (~114 occupied states, runs of ~11
+// interactions) the model steps almost everywhere: the table path alone
+// takes ~700 ns and 6.5 RNG words per interaction there, stepping ~180 ns
+// and 2.0 words, level with the census backend on the same chain (4-core
+// Xeon, Release).  On every E17/E18 row (S = 2–35 at n = 10⁸–10⁹) it keeps
+// the table.
+//
 // Exactness: the scheduler's interaction sequence is i.i.d. uniform over
 // ordered pairs of distinct agents.  Decompose it by the position of the
 // first collision: the prefix, conditioned on being collision-free, is a
@@ -54,9 +68,22 @@
 // simulate the same chain; convergence-time distributions agree
 // (tests/test_census_backend.cpp pins this at 5σ against the agent and
 // census backends), while per-seed trajectories are backend-specific.
+//
+// Switching strategies between segments is exact as well.  A stepped
+// segment and a leap run each advance the chain by its exact transition law
+// over the interactions they execute; the run's end (first collision or
+// budget) is a stopping time of the i.i.d. pair sequence, so the next
+// segment starts from a correctly distributed census with fresh i.i.d.
+// pairs ahead.  The choice reads only the current census (its occupied
+// count) and n — never a draw still to come — so it selects which exact
+// kernel to apply next without biasing either.  A run's strategy sequence is
+// therefore a pure function of the seed, like everything else.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <numbers>
 #include <utility>
 #include <vector>
 
@@ -72,8 +99,50 @@
 
 namespace plurality::sim {
 
+/// The leap backend's per-run strategy choice.  Both strategies advance the
+/// same chain; the model only picks the cheaper one for the current census,
+/// from two work estimates in units of one random variate or one Fenwick
+/// level:
+///
+///  * table: ~2S margin variates (two MVH sweeps over the S occupied
+///    states) plus min(S, L̄)·min(S, 2L̄) table variates (at most L̄
+///    nonempty rows, each an MVH over at most 2L̄ responder states);
+///  * stepping: L̄ interactions of two Fenwick descents of ~log₂S levels.
+///
+/// L̄ = √(πn/8) is the mean collision-free run length (the birthday law's
+/// P(L ≥ l) ≈ exp(−2l²/n)), computed once per simulator.  S ≤ 2 always
+/// takes the table, which keeps the absorbed-census fast path and the
+/// two-state rows (epidemic at any n) on it.
+///
+/// Both estimates carry unit weight.  Measured on plurality/ordered at
+/// n = 350, k = 4 (4-core Xeon, Release): ~17 ns per estimated table
+/// variate, ~13 ns per estimated Fenwick level.  Weighting by that ratio
+/// would move the crossover from S = 8 to S = 6 at n = 350 and from
+/// S = 605 to S = 523 at n = 10⁹, far from every measured workload on
+/// either side.
+struct leap_cost_model {
+    explicit leap_cost_model(std::uint64_t population) noexcept
+        : mean_run(std::sqrt(std::numbers::pi * static_cast<double>(population) / 8.0)),
+          segment(static_cast<std::uint64_t>(std::ceil(mean_run))) {}
+
+    /// True when stepping `segment` interactions is estimated to cost less
+    /// than one table run over `occupied` states.
+    [[nodiscard]] bool prefers_stepping(std::size_t occupied) const noexcept {
+        if (occupied <= 2) return false;
+        const auto s = static_cast<double>(occupied);
+        const double table = 2.0 * s + std::min(s, mean_run) * std::min(s, 2.0 * mean_run);
+        const double stepping = mean_run * 2.0 * std::log2(s);
+        return stepping < table;
+    }
+
+    double mean_run;        ///< L̄ = √(πn/8)
+    std::uint64_t segment;  ///< ⌈L̄⌉: interactions stepped per decision
+};
+
 /// Drives one protocol instance over one population, census-space, leaping
-/// whole collision-free runs via their pair-type contingency table.
+/// whole collision-free runs via their pair-type contingency table — or,
+/// wherever `leap_cost_model` finds the table dearer, stepping interactions
+/// one at a time through the census store's shared Fenwick step.
 /// Satisfies the same `steppable_simulation` / `visit_states` contracts as
 /// the other backends (the read API is the inherited census_store), so
 /// `sim::converge`, `trace::recorder` and the sim::view helpers work
@@ -96,7 +165,10 @@ public:
     /// Takes ownership of the protocol instance and the initial census.
     /// Requires a total population of at least two agents.
     leap_census_simulator(P proto, const std::vector<entry_t>& initial, std::uint64_t seed)
-        : store(initial, "leap_census_simulator"), protocol_(std::move(proto)), gen_(seed) {
+        : store(initial, "leap_census_simulator"),
+          protocol_(std::move(proto)),
+          gen_(seed),
+          cost_(population_) {
         // Every initial slot is occupied, in discovery order.
         listed_.assign(slots_.size(), 1);
         for (std::size_t i = 0; i < slots_.size(); ++i)
@@ -108,11 +180,13 @@ public:
     leap_census_simulator(P proto, const std::vector<agent_t>& agents, std::uint64_t seed)
         : leap_census_simulator(std::move(proto), compress_to_census<Codec>(agents), seed) {}
 
-    /// Executes exactly one interaction (a run truncated to length 1).
+    /// Executes exactly one interaction: a stepped one or a leap run
+    /// truncated to length 1, whichever the cost model picks.
     void step() { run_for(1); }
 
-    /// Executes exactly `count` interactions, one collision-free run at a
-    /// time; the last run is truncated to land on `count` precisely.
+    /// Executes exactly `count` interactions, one stepped segment or
+    /// collision-free run at a time; the last one is truncated to land on
+    /// `count` precisely.
     void run_for(std::uint64_t count) {
         while (count > 0) count -= run_batch(count);
     }
@@ -138,6 +212,10 @@ public:
             out.add_counter(obs::m_delta_fallback, metrics_.delta_fallback.value());
             out.add_counter(obs::m_table_hits, delta_table_.hits());
             out.add_counter(obs::m_table_misses, delta_table_.misses());
+            // Only runs that stepped report Fenwick work, so a run that
+            // stayed on the table path writes no Fenwick counter at all.
+            if (metrics_.descents.value() > 0)
+                out.add_counter(obs::m_fenwick_descents, metrics_.descents.value());
             out.add_gauge(obs::m_occupied_hwm, this->occupied_states_hwm());
             out.add_gauge(obs::m_reachable_states, slots_.size());
             out.add_histogram(obs::m_run_length, metrics_.run_length);
@@ -160,6 +238,7 @@ private:
 
     /// Policy-selected instruments; empty (and free) under obs::disabled.
     struct instrument_set {
+        [[no_unique_address]] typename Obs::counter_t descents;
         [[no_unique_address]] typename Obs::counter_t runs;
         [[no_unique_address]] typename Obs::counter_t collisions;
         [[no_unique_address]] typename Obs::counter_t absorbed;
@@ -173,10 +252,16 @@ private:
         [[no_unique_address]] typename Obs::timer_t t_collision;
     };
 
-    /// One leap: a collision-free run truncated at `budget`, plus the
-    /// colliding interaction when the run ended naturally.  Returns the
+    /// Advances the chain by at most `budget` interactions with whichever
+    /// strategy the cost model prefers for the current census: up to
+    /// ⌈L̄⌉ interactions stepped one at a time through the store's Fenwick
+    /// tree, or one leap — a collision-free run truncated at `budget`, plus
+    /// the colliding interaction when the run ended naturally.  Returns the
     /// number of interactions executed (>= 1).
     std::uint64_t run_batch(std::uint64_t budget) {
+        if (cost_.prefers_stepping(this->occupied_states()))
+            return step_segment(std::min(budget, cost_.segment));
+
         // Snapshot the occupied census slots: all draws below are over the
         // pre-run counts.  `occupied_list_` tracks occupied slots
         // incrementally (slots going dormant are dropped lazily, in place,
@@ -313,7 +398,7 @@ private:
                 }
                 if (found) continue;
             }
-            deposit(g.state, g.key, g.count);
+            add(slot_for(g.state, g.key), g.count);
         }
 
         const std::uint64_t t4 = timed ? obs::now_ticks() : 0;
@@ -322,6 +407,17 @@ private:
         const std::uint64_t executed = pairs + (run.collided ? 1 : 0);
         interactions_ += executed;
         return executed;
+    }
+
+    /// Executes `count` interactions one at a time through the store's
+    /// Fenwick step; each counts as one per-pair δ call.
+    std::uint64_t step_segment(std::uint64_t count) {
+        for (std::uint64_t i = 0; i < count; ++i)
+            this->step_interaction(protocol_, gen_, [this](std::size_t index) { list(index); });
+        metrics_.descents.add(2 * count);
+        metrics_.delta_fallback.add(count);
+        interactions_ += count;
+        return count;
     }
 
     /// Applies δ to `count` interactions that all see the ordered state pair
@@ -395,26 +491,25 @@ private:
         return slots_[last].state;  // unreachable for rank < census total
     }
 
-    /// Adds `count` agents in `state` (encoded `key`), creating its slot on
-    /// first sight.
-    void deposit(const agent_t& state, const key_t& key, std::uint64_t count) {
-        const std::size_t index = slot_for(state, key);
-        if (index == listed_.size()) listed_.push_back(0);
-        add(index, count);
+    /// Adds `count` agents to slot `index`, listing it when it becomes
+    /// occupied.
+    void add(std::size_t index, std::uint64_t count) {
+        if (add_to(index, count)) list(index);
     }
 
-    /// Adds `count` agents to slot `index`, appending it to the occupied
-    /// list when it becomes occupied and is not listed yet (dormant slots
-    /// leave the list lazily at the next run snapshot).
-    void add(std::size_t index, std::uint64_t count) {
-        if (add_to(index, count) && !listed_[index]) {
-            listed_[index] = 1;
-            occupied_list_.push_back(static_cast<std::uint32_t>(index));
-        }
+    /// Appends the just-occupied slot `index` to the occupied list unless it
+    /// is still listed (dormant slots leave the list lazily at the next run
+    /// snapshot).
+    void list(std::size_t index) {
+        if (index == listed_.size()) listed_.push_back(0);
+        if (listed_[index]) return;
+        listed_[index] = 1;
+        occupied_list_.push_back(static_cast<std::uint32_t>(index));
     }
 
     P protocol_;
     rng gen_;
+    leap_cost_model cost_;
     std::uint64_t interactions_ = 0;
 
     // Per-run scratch, reused across runs to stay allocation-free on the hot

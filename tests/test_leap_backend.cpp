@@ -15,6 +15,8 @@
 #include <vector>
 
 #include "majority/three_state.h"
+#include "obs/catalogue.h"
+#include "obs/snapshot.h"
 #include "scenario/json_report.h"
 #include "scenario/registry.h"
 #include "scenario/runner.h"
@@ -173,6 +175,37 @@ TEST(LeapCensusSimulator, ChunkedSteppingAgreesDistributionally) {
         chunked.push_back(undecided_after(29000 + i, true));
     }
     test::expect_same_mean(unchunked, chunked);
+}
+
+TEST(LeapCostModel, PicksTheCheaperStrategyAtMeasuredPoints) {
+    // n = 10⁹: the E17 rows occupy two states and the E18 tournament rows
+    // up to ~22, against runs of ~2·10⁴ interactions — the table wins.
+    const sim::leap_cost_model billion{1'000'000'000};
+    EXPECT_FALSE(billion.prefers_stepping(2));
+    EXPECT_FALSE(billion.prefers_stepping(22));
+    // plurality/ordered at n = 350, k = 4: ~100 occupied states against
+    // runs of ~11.7 interactions — stepping wins, in segments of ⌈L̄⌉ = 12.
+    const sim::leap_cost_model small{350};
+    EXPECT_NEAR(small.mean_run, 11.72, 0.01);
+    EXPECT_EQ(small.segment, 12u);
+    EXPECT_TRUE(small.prefers_stepping(100));
+    // One or two occupied states always take the table path, whatever n.
+    EXPECT_FALSE(small.prefers_stepping(1));
+    EXPECT_FALSE(sim::leap_cost_model{2}.prefers_stepping(2));
+}
+
+TEST(LeapCensusSimulator, SingleQuiescentStateTakesTheAbsorbedPath) {
+    three_leap sim{{}, three_state_census(0, 0, 200), 5};
+    sim.run_for(1'000'000);
+    EXPECT_EQ(sim.interactions(), 1'000'000u);
+    EXPECT_EQ(sim.count_of({undecided_v}), 200u);
+#if PLURALITY_OBS
+    obs::snapshot observed;
+    sim.collect_metrics(observed);
+    EXPECT_EQ(test::counter_of(observed, obs::m_absorbed_fastpath), 1'000'000u);
+    EXPECT_EQ(test::counter_of(observed, obs::m_runs), 0u);
+    EXPECT_EQ(test::counter_of(observed, obs::m_fenwick_descents), 0u);
+#endif
 }
 
 // -- scenario-layer integration ----------------------------------------------

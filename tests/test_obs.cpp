@@ -19,6 +19,7 @@
 #include "scenario/runner.h"
 #include "sim/trial_executor.h"
 #include "util/json.h"
+#include "test_support.h"
 
 namespace {
 
@@ -196,30 +197,36 @@ TEST(ObsDeterminism, BackendCountersSatisfyConservation) {
     // describe.  Census: every interaction locates initiator and responder —
     // exactly two Fenwick descents.  Leap: every interaction is applied on
     // exactly one of the three δ paths, is the run-ending collision, or was
-    // skipped by the absorbed fast path.
+    // skipped by the absorbed fast path; an interaction the cost model
+    // stepped takes two descents and one per-pair δ call.  Epidemic stays on
+    // the table; plurality/ordered steps once many states are occupied.
     using scenario::backend_kind;
-    const auto* s = scenario::scenario_registry::instance().find("epidemic/broadcast");
-    ASSERT_NE(s, nullptr);
-
-    const auto value = [](const obs::snapshot& snap, const char* name) {
-        const auto* found = snap.find(name);
-        return found == nullptr ? std::uint64_t{0} : found->value;
-    };
-
-    {
-        const auto census = run_trials(*s, 1, backend_kind::census, 31).summary.observed;
-        EXPECT_EQ(value(census, obs::m_fenwick_descents),
-                  2 * value(census, obs::m_interactions));
-    }
-    {
-        const auto leap = run_trials(*s, 1, backend_kind::leap, 31).summary.observed;
-        EXPECT_EQ(value(leap, obs::m_delta_deterministic) + value(leap, obs::m_delta_grouped) +
-                      value(leap, obs::m_delta_fallback) + value(leap, obs::m_collisions) +
-                      value(leap, obs::m_absorbed_fastpath),
-                  value(leap, obs::m_interactions));
-        // The run-length histogram counts every collision-free run.
-        ASSERT_NE(leap.find(obs::m_run_length), nullptr);
-        EXPECT_EQ(leap.find(obs::m_run_length)->count, value(leap, obs::m_runs));
+    using test::counter_of;
+    for (const char* name : {"epidemic/broadcast", "plurality/ordered"}) {
+        const auto* s = scenario::scenario_registry::instance().find(name);
+        ASSERT_NE(s, nullptr) << name;
+        {
+            const auto census = run_trials(*s, 1, backend_kind::census, 31).summary.observed;
+            EXPECT_EQ(counter_of(census, obs::m_fenwick_descents),
+                      2 * counter_of(census, obs::m_interactions))
+                << name;
+        }
+        {
+            const auto leap = run_trials(*s, 1, backend_kind::leap, 31).summary.observed;
+            EXPECT_EQ(counter_of(leap, obs::m_delta_deterministic) +
+                          counter_of(leap, obs::m_delta_grouped) +
+                          counter_of(leap, obs::m_delta_fallback) +
+                          counter_of(leap, obs::m_collisions) +
+                          counter_of(leap, obs::m_absorbed_fastpath),
+                      counter_of(leap, obs::m_interactions))
+                << name;
+            EXPECT_LE(counter_of(leap, obs::m_fenwick_descents),
+                      2 * counter_of(leap, obs::m_delta_fallback))
+                << name;
+            // The run-length histogram counts every collision-free run.
+            ASSERT_NE(leap.find(obs::m_run_length), nullptr) << name;
+            EXPECT_EQ(leap.find(obs::m_run_length)->count, counter_of(leap, obs::m_runs)) << name;
+        }
     }
 }
 

@@ -20,6 +20,8 @@
 #include "core/plurality_protocol.h"
 #include "leader/leader_election.h"
 #include "majority/three_state.h"
+#include "obs/catalogue.h"
+#include "obs/snapshot.h"
 #include "scenario/registry.h"
 #include "sim/delta_outcomes.h"
 #include "sim/group_delta.h"
@@ -414,7 +416,12 @@ TEST(RandomizedDeltaBackend, GroupedLeaderMatchesPerPairFallbackDistributionally
     // (one multinomial per group vs one draw per pair), so trajectories
     // differ per seed — but the chain distribution must not.  Compare mean
     // surviving-candidate counts after a fixed horizon under a 5σ band.
-    constexpr std::uint32_t n = 300;
+    // At this n leader election occupies at most ~20 states against
+    // collision-free runs of ~63 interactions, so the leap cost model keeps
+    // every run on the contingency table (checked below): the comparison is
+    // grouped table cells against per-pair table cells, not stepping
+    // against stepping.
+    constexpr std::uint32_t n = 10'000;
     const std::uint32_t psi = leader::default_psi(n);
     const std::uint16_t rounds = leader::default_rounds(n);
     constexpr std::uint64_t horizon = static_cast<std::uint64_t>(n) * 40;
@@ -436,6 +443,12 @@ TEST(RandomizedDeltaBackend, GroupedLeaderMatchesPerPairFallbackDistributionally
                 s{leader::leader_election_protocol{psi, rounds}, init, seed};
             s.run_for(horizon);
             tally(s);
+#if PLURALITY_OBS
+            obs::snapshot observed;
+            s.collect_metrics(observed);
+            EXPECT_GT(test::counter_of(observed, obs::m_runs), 0u) << "seed " << seed;
+            EXPECT_EQ(test::counter_of(observed, obs::m_fenwick_descents), 0u) << "seed " << seed;
+#endif
         } else {
             sim::leap_census_simulator<per_pair_leader, leader::leader_census_codec> s{
                 per_pair_leader{leader::leader_election_protocol{psi, rounds}}, init, seed};
@@ -470,6 +483,15 @@ TEST(RandomizedDeltaCrossBackend, OrderedPluralityTimesAgreeAcrossAgentCensusLea
     params.n = 512;
     params.k = 2;
     test::expect_backends_agree(*s, params, 16, 7007);
+#if PLURALITY_OBS
+    // The leap side switches strategy within a trial — contingency-table
+    // runs while few states are occupied, stepping once the tournament
+    // spreads over many — so the agreement above covers the switching.
+    // Replays the first leap trial compared above.
+    const auto leap = s->run(params, sim::derive_seed(7007, 0), scenario::backend_kind::leap);
+    EXPECT_GT(test::counter_of(leap.observed, obs::m_runs), 0u);
+    EXPECT_GT(test::counter_of(leap.observed, obs::m_fenwick_descents), 0u);
+#endif
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "majority/three_state.h"
+#include "obs/snapshot.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
 #include "sim/census_store.h"
@@ -107,6 +108,12 @@ inline void expect_means_agree(const backend_sample& left, const backend_sample&
     EXPECT_LE(difference, 5.0 * combined + 0.75)
         << left_name << " mean " << left.mean << " vs " << right_name << " mean " << right.mean
         << " (combined stderr " << combined << ")";
+}
+
+/// Value of the counter `name` in `snap`; 0 when the backend did not emit it.
+inline std::uint64_t counter_of(const obs::snapshot& snap, const char* name) {
+    const obs::sample* found = snap.find(name);
+    return found == nullptr ? 0 : found->value;
 }
 
 /// Pairwise 5σ agreement of mean convergence times across the agent, census

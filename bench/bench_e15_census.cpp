@@ -102,7 +102,7 @@ BENCHMARK(BM_CensusThroughput)
 
 void BM_CensusLocate(benchmark::State& state) {
     // A/B of the Fenwick rank->slot descent in isolation: the branchless
-    // cmov+prefetch production path vs the guarded-loop reference it
+    // masked production path vs the guarded-loop reference it
     // replaced.  The census tree is small (S slots, not n), so both live in
     // L1 and the delta measures branch-misprediction cost only — report it
     // honestly even when it is small; the row exists so a regression in

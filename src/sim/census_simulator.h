@@ -112,6 +112,10 @@ public:
         return position;
     }
 
+    /// Test hook: the (initiator, responder) slots `step()` interacts for
+    /// the uniforms `first` < n and `second` < n-1 (census_store::pair_at).
+    using store::pair_at;
+
     /// Appends this run's metrics (end-of-trial cold path; see src/obs/).
     /// All values are deterministic per seed.
     void collect_metrics(obs::snapshot& out) const {

@@ -10,12 +10,12 @@
 // mark, the population, a Fenwick tree over the slot counts, and the
 // weighted read API the scenario predicates are written against.  Every mass
 // move goes through `add_to` / `remove_from`, which keep the tree in sync,
-// so the one-interaction step (`step_interaction`: two Fenwick descents, δ,
-// two re-deposits) exists once and both backends run it — census for every
-// interaction, leap whenever its per-run cost model prefers stepping to the
-// contingency table.  Leap keeps its occupied-slot list on top.  Both
-// backends inherit the store publicly; a predicate written against the store
-// runs on either.
+// so the one-interaction step (`step_interaction`: two independent Fenwick
+// descents, δ, and a move for each agent δ changed) exists once and both
+// backends run it — census for every interaction, leap whenever its per-run
+// cost model prefers stepping to the contingency table.  Leap keeps its
+// occupied-slot list on top.  Both backends inherit the store publicly; a
+// predicate written against the store runs on either.
 //
 // States are identified by a `census_codec`: an injective encoding of the
 // agent state into a hashable key (see census_codec below).  New states
@@ -28,9 +28,12 @@
 #include <bit>
 #include <concepts>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/rng.h"
@@ -197,28 +200,47 @@ protected:
     }
 
     /// Executes one interaction of the uniform pairwise scheduler: samples
-    /// an ordered pair of distinct agents by state (initiator first, then
-    /// responder among the remaining n-1) with two Fenwick descents, applies
-    /// δ to copies of the two states, and re-deposits the resulting states.
-    /// Consumes two bounded uniforms plus whatever δ draws.
-    /// `on_occupied(index)` sees every slot a re-deposit turns from empty to
-    /// occupied.
+    /// an ordered pair of distinct agents by state (`pair_at`: initiator
+    /// first, then responder among the other n-1), applies δ to copies of
+    /// the two states, and moves only the agents δ changed.  Consumes two
+    /// bounded uniforms plus whatever δ draws.  `on_occupied(index)` sees
+    /// every slot a deposit turns from empty to occupied.
     ///
-    /// Unchanged states (the common case once the dynamics settle — most
-    /// epidemic or converged-tail pairs are no-ops) skip the key->slot hash
-    /// probe: their post-state key matches the slot they were just withdrawn
-    /// from, so the mass goes straight back by index.
+    /// Most interactions are no-ops once the dynamics settle (epidemic
+    /// pairs, a converged tail, a tournament agent waiting for its phase),
+    /// so an agent whose post-δ state is byte-equal to its slot's state
+    /// stays where it is: no tree update, no encode, no hash probe.  A
+    /// padding-only difference merely costs a redundant move back into the
+    /// same slot.  The changed agents are all withdrawn before any is
+    /// deposited, so the occupied count peaks at its end-of-step value and
+    /// `occupied_hwm_` reads exactly as if both agents had left and
+    /// re-entered the census.
     template <class Protocol, class OnOccupied>
     void step_interaction(Protocol& protocol, rng& gen, OnOccupied&& on_occupied) {
-        const std::size_t initiator = locate(gen.next_below(population_));
-        remove_from(initiator, 1);
-        const std::size_t responder = locate(gen.next_below(population_ - 1));
-        remove_from(responder, 1);
+        static_assert(std::is_trivially_copyable_v<agent_t>,
+                      "step_interaction compares agent states bytewise");
+        const std::uint64_t first = gen.next_below(population_);
+        const std::uint64_t second = gen.next_below(population_ - 1);
+        const auto [initiator, responder] = pair_at(first, second);
         agent_t u = slots_[initiator].state;
         agent_t v = slots_[responder].state;
         protocol.interact(u, v, gen);
-        redeposit(u, initiator, on_occupied);
-        redeposit(v, responder, on_occupied);
+        const bool u_moved = std::memcmp(&u, &slots_[initiator].state, sizeof(agent_t)) != 0;
+        const bool v_moved = std::memcmp(&v, &slots_[responder].state, sizeof(agent_t)) != 0;
+        if (u_moved) remove_from(initiator, 1);
+        if (v_moved) remove_from(responder, 1);
+        if (u_moved) deposit(u, on_occupied);
+        if (v_moved) deposit(v, on_occupied);
+    }
+
+    /// Slots of the ordered agent pair (initiator, responder) that the two
+    /// uniforms `first` < n and `second` < n-1 select: the initiator is the
+    /// agent of rank `first`, the responder the agent of rank `second` among
+    /// the other n-1 — rank `second + (second >= first)` over all n, so both
+    /// descents read the same tree and neither waits for the other.
+    [[nodiscard]] std::pair<std::size_t, std::size_t> pair_at(std::uint64_t first,
+                                                              std::uint64_t second) const noexcept {
+        return {locate(first), locate(second + (second >= first))};
     }
 
     /// Slot containing the agent with zero-based rank `rank` in cumulative
@@ -230,27 +252,19 @@ protected:
     /// holds every counted agent, which no valid rank can reach, so the walk
     /// starts one level down — and from there `position` is always a
     /// multiple of 2·step, so `position + step <= capacity_` holds without a
-    /// bounds check.  The take/skip decision is data-dependent on a random
-    /// rank (a ~50/50 coin at every level — the worst case for a branch
-    /// predictor), so both updates are written as ternaries for the compiler
-    /// to lower to conditional moves, and the two possible children of the
-    /// next level are prefetched while the current comparison resolves.
+    /// bounds check.  The take/skip decision is a ~50/50 coin on a random
+    /// rank at every level, the worst case for a branch predictor, so it is
+    /// applied through an all-ones/all-zeros mask: written as a ternary,
+    /// GCC keeps a data-dependent jump at every level but the last.
     [[nodiscard]] std::size_t locate(std::uint64_t rank) const noexcept {
         std::size_t position = 0;
         std::uint64_t remaining = rank;
         const std::uint64_t* const tree = tree_.data();
         for (std::size_t step = capacity_ >> 1; step > 0; step >>= 1) {
-            const std::size_t next = position + step;
-            const std::uint64_t node = tree[next];
-#if defined(__GNUC__) || defined(__clang__)
-            if (step > 1) {
-                __builtin_prefetch(&tree[position + (step >> 1)]);
-                __builtin_prefetch(&tree[next + (step >> 1)]);
-            }
-#endif
-            const bool take = node <= remaining;
-            position = take ? next : position;
-            remaining = take ? remaining - node : remaining;
+            const std::uint64_t node = tree[position + step];
+            const std::uint64_t take = -static_cast<std::uint64_t>(node <= remaining);
+            position += step & take;
+            remaining -= node & take;
         }
         return position;
     }
@@ -264,13 +278,11 @@ protected:
     std::size_t capacity_ = 0;         ///< tree capacity (power of two, >= slots_.size())
 
 private:
-    /// Returns one agent in `state` that was just withdrawn from slot
-    /// `origin`: when the interaction left the state unchanged the mass goes
-    /// straight back by index, bypassing the hash map.
+    /// Adds one agent in `state` to its slot, creating the slot on first
+    /// sight.
     template <class OnOccupied>
-    void redeposit(const agent_t& state, std::size_t origin, OnOccupied& on_occupied) {
-        const key_t key = Codec::encode(state);
-        const std::size_t index = key == slots_[origin].key ? origin : slot_for(state, key);
+    void deposit(const agent_t& state, OnOccupied& on_occupied) {
+        const std::size_t index = slot_for(state, Codec::encode(state));
         if (add_to(index, 1)) on_occupied(index);
     }
 

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/usd_plurality.h"
 #include "census/state_census.h"
 #include "majority/three_state.h"
 #include "scenario/json_report.h"
@@ -56,13 +57,46 @@ TEST(CensusSimulator, ConservesPopulationAcrossInteractions) {
 }
 
 TEST(CensusSimulator, BranchlessLocateMatchesReferenceDescentOnEveryRank) {
-    // The branchless cmov+prefetch Fenwick descent and the guarded-loop
+    // The branchless (masked) Fenwick descent and the guarded-loop
     // reference must pick the same slot for every rank — exhaustively, so a
     // boundary slip at a node edge cannot hide.
     three_sim sim{{}, three_state_census(60, 40, 23), 11};
     sim.run_for(500);  // move mass around so slot counts are irregular
     for (std::uint64_t rank = 0; rank < sim.population_size(); ++rank) {
         ASSERT_EQ(sim.locate_rank(rank), sim.locate_rank_reference(rank)) << "rank=" << rank;
+    }
+}
+
+TEST(CensusSimulator, PairAtHitsEveryOrderedSlotPairByTheExactPairLaw) {
+    // step() turns its two uniforms (first < n, second < n-1) into an
+    // ordered pair of distinct agents.  Enumerated over both ranges, every
+    // ordered slot pair (i, j) must come out exactly c_i·(c_j − [i = j])
+    // times: the responder is any agent except the initiator itself, which
+    // single-agent slots make visible (their diagonal cell must be empty).
+    using usd_sim =
+        sim::census_simulator<baselines::usd_plurality_protocol, baselines::usd_census_codec>;
+    const std::vector<std::uint64_t> counts = {1, 4, 1, 7, 2, 1, 3};
+    std::vector<sim::census_entry<baselines::usd_agent>> entries;
+    for (std::uint32_t opinion = 0; opinion < counts.size(); ++opinion)
+        entries.push_back({{opinion}, counts[opinion]});
+    const usd_sim sim{{}, entries, 1};  // slot i holds opinion i
+    const std::uint64_t n = sim.population_size();
+
+    std::vector<std::vector<std::uint64_t>> hits(counts.size(),
+                                                 std::vector<std::uint64_t>(counts.size(), 0));
+    for (std::uint64_t first = 0; first < n; ++first) {
+        for (std::uint64_t second = 0; second + 1 < n; ++second) {
+            const auto [initiator, responder] = sim.pair_at(first, second);
+            ASSERT_LT(initiator, counts.size());
+            ASSERT_LT(responder, counts.size());
+            ++hits[initiator][responder];
+        }
+    }
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+        for (std::size_t j = 0; j < counts.size(); ++j) {
+            EXPECT_EQ(hits[i][j], counts[i] * (counts[j] - (i == j ? 1 : 0)))
+                << "pair (" << i << ", " << j << ")";
+        }
     }
 }
 

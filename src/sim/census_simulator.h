@@ -4,13 +4,15 @@
 // `census_simulator` keeps one counter per occupied state (the shared
 // sim::census_store), samples the interacting *state pair* from the census,
 // applies the protocol's transition function δ to the two sampled states,
-// and moves two units of mass.  Memory is O(S) in the number of reachable
-// states instead of O(n) in the population, which is what makes populations
-// of 10⁸–10⁹ agents simulable on a laptop (bench_e15_census); per-interaction
-// cost is O(log S) via the store's Fenwick tree over the state counts.  The
-// step itself (`census_store::step_interaction`) is shared with the leap
-// backend, which runs it whenever stepping is cheaper than its contingency
-// table.
+// and moves the agents δ changed (a unit of mass each).  Memory is O(S) in
+// the number of reachable states instead of O(n) in the population, which
+// is what makes populations of 10⁸–10⁹ agents simulable on a laptop
+// (bench_e15_census).  Per-interaction cost is two O(log S) Fenwick descents
+// plus δ, S = occupied states (the store's tree spans the most states ever
+// occupied at once, not every state reached), and an agent δ leaves
+// unchanged costs no tree update at all.  The step itself
+// (`census_store::step_interaction`) is shared with the leap backend, which
+// runs it whenever stepping is cheaper than its contingency table.
 //
 // The backend draws the interacting pair uniformly over ordered pairs of
 // *distinct agents* — the same distribution the agent-based
@@ -89,13 +91,15 @@ public:
     [[nodiscard]] std::size_t memory_bytes() const noexcept {
         return slots_.capacity() * sizeof(typename store::slot) +
                tree_.capacity() * sizeof(std::uint64_t) +
+               (slot_at_.capacity() + free_positions_.capacity()) * sizeof(std::uint32_t) +
                index_.size() * (sizeof(key_t) + sizeof(std::uint32_t) + 2 * sizeof(void*));
     }
 
     /// Bench/test hooks for the Fenwick rank→slot descent: `locate_rank` is
     /// the branchless production path `step()` uses, `locate_rank_reference`
-    /// the straightforward guarded loop it replaced.  bench_e15_census A/Bs
-    /// them; tests assert they agree on every rank.  `rank < population`.
+    /// the straightforward guarded loop it replaced; both map the tree
+    /// position they reach back to its slot.  bench_e15_census A/Bs them;
+    /// tests assert they agree on every rank.  `rank < population`.
     [[nodiscard]] std::size_t locate_rank(std::uint64_t rank) const noexcept {
         return locate(rank);
     }
@@ -109,7 +113,7 @@ public:
                 remaining -= tree_[next];
             }
         }
-        return position;
+        return slot_at_[position];
     }
 
     /// Test hook: the (initiator, responder) slots `step()` interacts for
@@ -130,9 +134,11 @@ public:
 
 private:
     using store::capacity_;
+    using store::free_positions_;
     using store::index_;
     using store::locate;
     using store::population_;
+    using store::slot_at_;
     using store::slots_;
     using store::tree_;
 

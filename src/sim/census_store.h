@@ -7,15 +7,17 @@
 // per-step backend (sim/census_simulator.h) and the pair-type leaping
 // backend (sim/leap_census_simulator.h): one slot per state ever reached, in
 // discovery order, a key→slot index, the occupied count with its high-water
-// mark, the population, a Fenwick tree over the slot counts, and the
-// weighted read API the scenario predicates are written against.  Every mass
-// move goes through `add_to` / `remove_from`, which keep the tree in sync,
-// so the one-interaction step (`step_interaction`: two independent Fenwick
-// descents, δ, and a move for each agent δ changed) exists once and both
-// backends run it — census for every interaction, leap whenever its per-run
-// cost model prefers stepping to the contingency table.  Leap keeps its
-// occupied-slot list on top.  Both backends inherit the store publicly; a
-// predicate written against the store runs on either.
+// mark, the population, a Fenwick tree over the occupied slots' counts, and
+// the weighted read API the scenario predicates are written against.  The
+// tree is indexed by positions that slots hold only while occupied, so it
+// spans the most states ever occupied at once rather than every state ever
+// reached.  Every mass move goes through `add_to` / `remove_from`, which
+// keep the tree in sync, so the one-interaction step (`step_interaction`:
+// two independent Fenwick descents, δ, and a move for each agent δ changed)
+// exists once and both backends run it — census for every interaction, leap
+// whenever its per-run cost model prefers stepping to the contingency
+// table.  Leap keeps its occupied-slot list on top.  Both backends inherit
+// the store publicly; a predicate written against the store runs on either.
 //
 // States are identified by a `census_codec`: an injective encoding of the
 // agent state into a hashable key (see census_codec below).  New states
@@ -23,7 +25,6 @@
 // is ever required — S is whatever the run actually reaches.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <bit>
 #include <concepts>
@@ -143,6 +144,7 @@ protected:
         agent_t state;
         key_t key{};  ///< Codec::encode(state), cached for key compares
         std::uint64_t count = 0;
+        std::uint32_t position = 0;  ///< tree position while occupied
     };
 
     /// Deposits the initial census, one slot per distinct key in entry
@@ -163,40 +165,40 @@ protected:
     }
 
     /// Index of the slot holding `state` (encoded `key`), appending an empty
-    /// slot on first sight (and, past the tree capacity, doubling the tree)
-    /// — a backend spots a new slot by its index being the previous
-    /// `slots_.size()`.
+    /// slot on first sight — a backend spots a new slot by its index being
+    /// the previous `slots_.size()`.
     std::size_t slot_for(const agent_t& state, const key_t& key) {
         const auto [it, inserted] =
             index_.try_emplace(key, static_cast<std::uint32_t>(slots_.size()));
-        if (inserted) {
-            slots_.push_back({state, key, 0});
-            if (slots_.size() > capacity_)
-                grow_tree(std::max<std::size_t>(64, std::bit_ceil(slots_.size())));
-        }
+        if (inserted) slots_.push_back({state, key, 0});
         return it->second;
     }
 
     /// Adds `count` > 0 agents to slot `index`; true when the slot was empty
-    /// before (it just became occupied).
-    bool add_to(std::size_t index, std::uint64_t count) noexcept {
+    /// before (it just became occupied and took a tree position).
+    bool add_to(std::size_t index, std::uint64_t count) {
         slot& entry = slots_[index];
         const bool was_empty = entry.count == 0;
-        entry.count += count;
-        tree_add(index, static_cast<std::int64_t>(count));
         if (was_empty) {
+            entry.position = take_position(index);
             ++occupied_;
             if (occupied_ > occupied_hwm_) occupied_hwm_ = occupied_;
         }
+        entry.count += count;
+        tree_add(entry.position, static_cast<std::int64_t>(count));
         return was_empty;
     }
 
-    /// Removes `count` > 0 agents from slot `index` (at most its count).
+    /// Removes `count` > 0 agents from slot `index` (at most its count); a
+    /// slot that empties gives its tree position back.
     void remove_from(std::size_t index, std::uint64_t count) noexcept {
         slot& entry = slots_[index];
         entry.count -= count;
-        tree_add(index, -static_cast<std::int64_t>(count));
-        if (entry.count == 0) --occupied_;
+        tree_add(entry.position, -static_cast<std::int64_t>(count));
+        if (entry.count == 0) {
+            --occupied_;
+            free_positions_.push_back(entry.position);  // capacity reserved by grow_tree
+        }
     }
 
     /// Executes one interaction of the uniform pairwise scheduler: samples
@@ -212,9 +214,11 @@ protected:
     /// stays where it is: no tree update, no encode, no hash probe.  A
     /// padding-only difference merely costs a redundant move back into the
     /// same slot.  The changed agents are all withdrawn before any is
-    /// deposited, so the occupied count peaks at its end-of-step value and
-    /// `occupied_hwm_` reads exactly as if both agents had left and
-    /// re-entered the census.
+    /// deposited: the high-water mark only rises on a deposit, and once the
+    /// withdrawals are done each deposit moves the occupied count toward its
+    /// end-of-step value, so `occupied_hwm_` ends exactly where it would had
+    /// both agents left and re-entered the census (depositing one agent
+    /// before withdrawing the other could overshoot by one).
     template <class Protocol, class OnOccupied>
     void step_interaction(Protocol& protocol, rng& gen, OnOccupied&& on_occupied) {
         static_assert(std::is_trivially_copyable_v<agent_t>,
@@ -244,8 +248,9 @@ protected:
     }
 
     /// Slot containing the agent with zero-based rank `rank` in cumulative
-    /// count order: the largest prefix p with sum(slots[0..p)) <= rank.
-    /// Requires `rank` < Σ slot counts.
+    /// count order over tree positions: the slot at the largest position p
+    /// with sum(counts at positions [0, p)) <= rank.  Requires `rank` < Σ
+    /// slot counts.
     ///
     /// Branchless descent.  `capacity_` is a power of two, so `tree_` is a
     /// perfect binary heap over [1, capacity_]: the root `tree_[capacity_]`
@@ -266,7 +271,7 @@ protected:
             position += step & take;
             remaining -= node & take;
         }
-        return position;
+        return slot_at_[position];
     }
 
     std::vector<slot> slots_;  ///< discovery-ordered; dormant slots keep their index
@@ -274,8 +279,16 @@ protected:
     std::size_t occupied_ = 0;       ///< slots with count > 0
     std::size_t occupied_hwm_ = 0;   ///< max of occupied_ so far
     std::uint64_t population_ = 0;   ///< invariant: Σ slot counts (+ agents in flight)
-    std::vector<std::uint64_t> tree_;  ///< Fenwick tree over slot counts (1-based)
-    std::size_t capacity_ = 0;         ///< tree capacity (power of two, >= slots_.size())
+    /// Fenwick tree (1-based) over the counts at tree *positions*, not
+    /// slots: a slot takes a free position when it becomes occupied and
+    /// gives it back when it empties, so the tree spans the most states ever
+    /// occupied at once — not every state ever reached, which for the
+    /// tournament protocols is an order of magnitude more — and a descent
+    /// walks log₂ of that many levels.
+    std::vector<std::uint64_t> tree_;
+    std::size_t capacity_ = 0;  ///< bit_ceil(positions ever in use)
+    std::vector<std::uint32_t> slot_at_;  ///< position -> slot (stale while the position is free)
+    std::vector<std::uint32_t> free_positions_;  ///< positions of emptied slots, reused LIFO
 
 private:
     /// Adds one agent in `state` to its slot, creating the slot on first
@@ -286,16 +299,38 @@ private:
         if (add_to(index, 1)) on_occupied(index);
     }
 
-    /// Rebuilds the tree at `capacity` (a power of two) from the slot counts.
+    /// A tree position for slot `index`, which is becoming occupied: the
+    /// most recently freed one, else a fresh one (doubling the tree when the
+    /// fresh position is past its capacity).
+    std::uint32_t take_position(std::size_t index) {
+        std::uint32_t position = 0;
+        if (!free_positions_.empty()) {
+            position = free_positions_.back();
+            free_positions_.pop_back();
+            slot_at_[position] = static_cast<std::uint32_t>(index);
+        } else {
+            position = static_cast<std::uint32_t>(slot_at_.size());
+            if (position == capacity_) grow_tree(std::bit_ceil(capacity_ + 1));
+            slot_at_.push_back(static_cast<std::uint32_t>(index));
+        }
+        return position;
+    }
+
+    /// Rebuilds the tree at `capacity` (a power of two) from the occupied
+    /// slots' counts, and sizes both position arrays to match, so neither
+    /// reallocates until the next rebuild.
     void grow_tree(std::size_t capacity) {
         capacity_ = capacity;
         tree_.assign(capacity_ + 1, 0);
-        for (std::size_t i = 0; i < slots_.size(); ++i)
-            tree_add(i, static_cast<std::int64_t>(slots_[i].count));
+        slot_at_.reserve(capacity_);
+        free_positions_.reserve(capacity_);
+        for (const slot& entry : slots_) {
+            if (entry.count > 0) tree_add(entry.position, static_cast<std::int64_t>(entry.count));
+        }
     }
 
-    void tree_add(std::size_t index, std::int64_t delta) noexcept {
-        for (std::size_t i = index + 1; i <= capacity_; i += i & (~i + 1)) {
+    void tree_add(std::size_t position, std::int64_t delta) noexcept {
+        for (std::size_t i = position + 1; i <= capacity_; i += i & (~i + 1)) {
             tree_[i] = static_cast<std::uint64_t>(static_cast<std::int64_t>(tree_[i]) + delta);
         }
     }

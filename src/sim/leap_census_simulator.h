@@ -2,7 +2,8 @@
 // *exactly* the same sequential Markov chain as the per-step census backend.
 //
 // The per-step census backend (sim/census_simulator.h) pays two Fenwick
-// descents, a δ call and up to four tree updates for every interaction.
+// descents and a δ call for every interaction, plus two tree updates for
+// each agent δ changed.
 // Under the uniform pairwise scheduler, long prefixes of the interaction
 // sequence touch pairwise-distinct agents (the birthday problem — the
 // expected prefix is Θ(√n)), and within such a *collision-free run* the
@@ -47,12 +48,12 @@
 // stepping is cheaper, the next ⌈L̄⌉ interactions go one at a time through
 // the census store's shared Fenwick step (census_store::step_interaction,
 // the census backend's step) and the model decides again.  On the paper's
-// ordered tournament at n = 350, k = 4 (~114 occupied states, runs of ~11
-// interactions) the model steps almost everywhere: the table path alone
-// takes ~700 ns and 6.5 RNG words per interaction there, stepping ~180 ns
-// and 2.0 words, level with the census backend on the same chain (4-core
-// Xeon, Release).  On every E17/E18 row (S = 2–35 at n = 10⁸–10⁹) it keeps
-// the table.
+// ordered tournament at n = 350, k = 4 (up to ~114 occupied states, runs of
+// ~11 interactions) the model steps almost everywhere: the table path alone
+// takes ~575 ns and 6.5 RNG words per interaction there, stepping ~80–90
+// ns and 2.0 words, level with the census backend on the same chain
+// (4-core Xeon, Release).  On every E17/E18 row (S = 2–35 at
+// n = 10⁸–10⁹) it keeps the table.
 //
 // Exactness: the scheduler's interaction sequence is i.i.d. uniform over
 // ordered pairs of distinct agents.  Decompose it by the position of the
@@ -115,11 +116,15 @@ namespace plurality::sim {
 /// two-state rows (epidemic at any n) on it.
 ///
 /// Both estimates carry unit weight.  Measured on plurality/ordered at
-/// n = 350, k = 4 (4-core Xeon, Release): ~17 ns per estimated table
-/// variate, ~13 ns per estimated Fenwick level.  Weighting by that ratio
-/// would move the crossover from S = 8 to S = 6 at n = 350 and from
-/// S = 605 to S = 523 at n = 10⁹, far from every measured workload on
-/// either side.
+/// n = 350, k = 4 (4-core Xeon, Release), with each estimate averaged over
+/// a run's decisions (~347 table variates per run, ~10.3 Fenwick levels per
+/// interaction): the table path alone costs ~20 ns per estimated variate
+/// (7.1 µs per run), stepping ~8 ns per estimated level (~82 ns per
+/// interaction).  With unit weights the model steps from S = 8 at n = 350
+/// and from S = 605 at n = 10⁹; weighting by the measured 2.5 : 1 would
+/// move that to S = 3 and S = 363.  No measured workload sits in between:
+/// the tournament at n = 350 takes ~1 table run per trial, and every
+/// E17/E18 row (S ≤ 35 at n = 10⁸–10⁹) stays on the table either way.
 struct leap_cost_model {
     explicit leap_cost_model(std::uint64_t population) noexcept
         : mean_run(std::sqrt(std::numbers::pi * static_cast<double>(population) / 8.0)),
@@ -185,10 +190,18 @@ public:
     void step() { run_for(1); }
 
     /// Executes exactly `count` interactions, one stepped segment or
-    /// collision-free run at a time; the last one is truncated to land on
-    /// `count` precisely.
+    /// collision-free run at a time, whichever the cost model prefers for
+    /// the current census; the last one is truncated to land on `count`
+    /// precisely.  The choice is made here rather than inside `leap_run` so
+    /// the stepping loop is compiled apart from the table path's large
+    /// body: inlined there, GCC 12 leaves the scheduler's two bounded
+    /// uniforms as out-of-line calls.
     void run_for(std::uint64_t count) {
-        while (count > 0) count -= run_batch(count);
+        while (count > 0) {
+            count -= cost_.prefers_stepping(this->occupied_states())
+                         ? step_segment(std::min(count, cost_.segment))
+                         : leap_run(count);
+        }
     }
 
     [[nodiscard]] std::uint64_t interactions() const noexcept { return interactions_; }
@@ -252,16 +265,10 @@ private:
         [[no_unique_address]] typename Obs::timer_t t_collision;
     };
 
-    /// Advances the chain by at most `budget` interactions with whichever
-    /// strategy the cost model prefers for the current census: up to
-    /// ⌈L̄⌉ interactions stepped one at a time through the store's Fenwick
-    /// tree, or one leap — a collision-free run truncated at `budget`, plus
-    /// the colliding interaction when the run ended naturally.  Returns the
-    /// number of interactions executed (>= 1).
-    std::uint64_t run_batch(std::uint64_t budget) {
-        if (cost_.prefers_stepping(this->occupied_states()))
-            return step_segment(std::min(budget, cost_.segment));
-
+    /// Advances the chain by one leap: a collision-free run truncated at
+    /// `budget`, plus the colliding interaction when the run ended
+    /// naturally.  Returns the number of interactions executed (>= 1).
+    std::uint64_t leap_run(std::uint64_t budget) {
         // Snapshot the occupied census slots: all draws below are over the
         // pre-run counts.  `occupied_list_` tracks occupied slots
         // incrementally (slots going dormant are dropped lazily, in place,

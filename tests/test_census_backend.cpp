@@ -9,6 +9,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -16,6 +17,7 @@
 
 #include "baselines/usd_plurality.h"
 #include "census/state_census.h"
+#include "majority/averaging_majority.h"
 #include "majority/three_state.h"
 #include "scenario/json_report.h"
 #include "scenario/registry.h"
@@ -65,6 +67,45 @@ TEST(CensusSimulator, BranchlessLocateMatchesReferenceDescentOnEveryRank) {
     for (std::uint64_t rank = 0; rank < sim.population_size(); ++rank) {
         ASSERT_EQ(sim.locate_rank(rank), sim.locate_rank_reference(rank)) << "rank=" << rank;
     }
+}
+
+TEST(CensusSimulator, LocateReturnsEachSlotAsOneBlockAfterPositionsAreRecycled) {
+    // The tree is indexed by positions that slots take when they become
+    // occupied and give back when they empty.  Three-state never empties a
+    // slot, so there positions equal slots; averaging keeps abandoning load
+    // values, so here later slots reuse earlier slots' positions.  Every
+    // occupied slot must still come back for exactly `count` ranks, in one
+    // contiguous block, on both descents.
+    using averaging_sim = sim::census_simulator<majority::averaging_majority_protocol,
+                                                majority::averaging_census_codec>;
+    averaging_sim sim{{},
+                      majority::make_averaging_population(155, 145, 0,
+                                                          majority::default_amplification(300)),
+                      13};
+    sim.run_for(3000);
+    ASSERT_GT(sim.reachable_states(), sim.occupied_states());
+
+    struct block {
+        std::uint64_t first = 0;
+        std::uint64_t hits = 0;
+    };
+    std::map<std::size_t, block> blocks;  // slot -> its ranks, in slot order
+    for (std::uint64_t rank = 0; rank < sim.population_size(); ++rank) {
+        const std::size_t slot = sim.locate_rank(rank);
+        ASSERT_EQ(slot, sim.locate_rank_reference(rank)) << "rank=" << rank;
+        auto [it, inserted] = blocks.try_emplace(slot, block{rank, 0});
+        ASSERT_EQ(it->second.first + it->second.hits, rank) << "slot " << slot << " split";
+        ++it->second.hits;
+    }
+    // visit_states walks the occupied slots in slot order, so the i-th
+    // visited count belongs to the i-th smallest slot index located above.
+    ASSERT_EQ(blocks.size(), sim.occupied_states());
+    auto it = blocks.begin();
+    sim.visit_states([&it](const majority::averaging_agent&, std::uint64_t count) {
+        EXPECT_EQ(it->second.hits, count) << "slot " << it->first;
+        ++it;
+        return true;
+    });
 }
 
 TEST(CensusSimulator, PairAtHitsEveryOrderedSlotPairByTheExactPairLaw) {

@@ -13,8 +13,8 @@
 //    n ∈ {10⁶, 10⁷, 10⁸, 10⁹}.  Per-interaction cost is O(log S), so the
 //    rows should be flat in n; the counters record `occupied_states` and
 //    `census_bytes` to pin the O(S)-memory claim — the n = 10⁹ row is the
-//    acceptance demonstration (a billion-agent population in a few hundred
-//    bytes of census).
+//    acceptance demonstration (a billion-agent population in about two
+//    kilobytes of census).
 //
 //  * CensusConvergence — full scenario-layer runs (epidemic broadcast and
 //    three-state majority) to convergence on the census backend at
@@ -103,14 +103,16 @@ BENCHMARK(BM_CensusThroughput)
 void BM_CensusLocate(benchmark::State& state) {
     // A/B of the Fenwick rank->slot descent in isolation: the branchless
     // masked production path vs the guarded-loop reference it
-    // replaced.  The census tree is small (S slots, not n), so both live in
-    // L1 and the delta measures branch-misprediction cost only — report it
-    // honestly even when it is small; the row exists so a regression in
-    // either path is visible.
+    // replaced.  USD declares no activity classes, so its one class tree
+    // holds the whole census.  The tree is small (S slots, not n), so both
+    // live in L1 and the delta measures branch-misprediction cost only —
+    // report it honestly even when it is small; the row exists so a
+    // regression in either path is visible.
     const bool branchless = state.range(0) != 0;
     usd_census_sim sim{{}, usd_census(1'000'000, opinion_count), 0xe15700};
     sim.run_for(200'000);  // spread mass across decided/undecided slots
-    const std::uint64_t population = sim.population_size();
+    constexpr std::uint32_t only_class = 0;
+    const std::uint64_t population = sim.class_count(only_class);
 
     plurality::sim::rng ranks{0xe15701};
     std::uint64_t lookups = 0;
@@ -119,10 +121,10 @@ void BM_CensusLocate(benchmark::State& state) {
         constexpr std::uint64_t batch = 1024;
         if (branchless) {
             for (std::uint64_t i = 0; i < batch; ++i)
-                sink += sim.locate_rank(ranks.next_below(population));
+                sink += sim.locate_rank(only_class, ranks.next_below(population));
         } else {
             for (std::uint64_t i = 0; i < batch; ++i)
-                sink += sim.locate_rank_reference(ranks.next_below(population));
+                sink += sim.locate_rank_reference(only_class, ranks.next_below(population));
         }
         lookups += batch;
     }

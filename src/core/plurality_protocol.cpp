@@ -553,6 +553,99 @@ void plurality_protocol::tournament_interact(agent_t& u, agent_t& v) const {
 }
 
 // ---------------------------------------------------------------------------
+// Activity classes (the census-space backends' skip hook)
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// Class layout: the wildcard class, the winners, then one class per
+// (phase, kind) of the tournaments stage.
+constexpr std::uint32_t wildcard_class = 0;
+constexpr std::uint32_t winner_class = 1;
+constexpr std::uint32_t first_tournament_class = 2;
+
+// A tournament-stage agent's kind: its role (agent_role's values), with the
+// trackers that carry the crown bit apart.
+constexpr std::uint32_t kind_collector = static_cast<std::uint32_t>(agent_role::collector);
+constexpr std::uint32_t kind_clock = static_cast<std::uint32_t>(agent_role::clock);
+constexpr std::uint32_t kind_tracker = static_cast<std::uint32_t>(agent_role::tracker);
+constexpr std::uint32_t kind_player = static_cast<std::uint32_t>(agent_role::player);
+constexpr std::uint32_t kind_crowned = 4;
+constexpr std::uint32_t kinds = 5;
+
+}  // namespace
+
+std::uint32_t plurality_protocol::activity_classes() const noexcept {
+    return first_tournament_class + kinds * cfg_.phase_modulus();
+}
+
+std::uint32_t plurality_protocol::activity_class(const agent_t& agent) const noexcept {
+    if (!agent.ever_initiated) return wildcard_class;
+    if (agent.winner) return winner_class;
+    if (agent.stage != lifecycle_stage::tournaments) return wildcard_class;
+    std::uint32_t kind = static_cast<std::uint32_t>(agent.role);
+    if (agent.role == agent_role::tracker) {
+        const bool crowned = cfg_.mode == algorithm_mode::ordered ? agent.tcnt == cfg_.k + 1
+                                                                  : agent.finished;
+        if (crowned) kind = kind_crowned;
+    }
+    return first_tournament_class + agent.phase * kinds + kind;
+}
+
+bool plurality_protocol::may_act(std::uint32_t initiator_class,
+                                 std::uint32_t responder_class) const noexcept {
+    // Outside the tournaments stage, or before a first initiation, anything
+    // may happen.  Winners convert every non-winner and leave each other be.
+    if (initiator_class == wildcard_class || responder_class == wildcard_class) return true;
+    if (initiator_class == winner_class || responder_class == winner_class)
+        return initiator_class != responder_class;
+
+    const std::uint32_t u_phase = (initiator_class - first_tournament_class) / kinds;
+    const std::uint32_t u_kind = (initiator_class - first_tournament_class) % kinds;
+    const std::uint32_t v_phase = (responder_class - first_tournament_class) / kinds;
+    const std::uint32_t v_kind = (responder_class - first_tournament_class) % kinds;
+    const bool u_clock = u_kind == kind_clock;
+    const bool v_clock = v_kind == kind_clock;
+    const bool u_collector = u_kind == kind_collector;
+    const bool v_collector = v_kind == kind_collector;
+    const bool u_player = u_kind == kind_player;
+    const bool v_player = v_kind == kind_player;
+    const bool u_crowned = u_kind == kind_crowned;
+    const bool v_crowned = v_kind == kind_crowned;
+    const bool u_tracker = u_kind == kind_tracker || u_crowned;
+    const bool v_tracker = v_kind == kind_tracker || v_crowned;
+
+    // Two clocks always tick (leaderless_tick moves one counter).
+    if (u_clock && v_clock) return true;
+    // Phase broadcast: the circularly-behind agent catches up unless it is
+    // a clock; otherwise skewed phases do no joint work.
+    if (u_phase != v_phase) {
+        return clocks::circular_behind(u_phase, v_phase, cfg_.phase_modulus()) ? !u_clock
+                                                                               : !v_clock;
+    }
+
+    // Same phase: the working-phase rules of tournament_interact.
+    const auto p = static_cast<std::uint8_t>(u_phase);
+    if (is_select_phase(p)) {
+        if ((u_tracker && (v_collector || v_tracker)) || (v_tracker && (u_collector || u_tracker)))
+            return true;
+    } else if (p == cfg_.setup_phase()) {
+        if (u_collector || v_collector) return true;
+    } else if (p == cfg_.cancel_phase()) {
+        if (u_collector && v_collector) return true;
+    } else if (p == cfg_.lineup_phase() || p == cfg_.conclude_phase()) {
+        if (u_collector && v_player) return true;
+    } else if (p == cfg_.match_phase()) {
+        if (u_player && v_player) return true;
+    }
+    // Aftermath, in every phase: a crowned tracker crowns defender
+    // collectors (either order), and unordered trackers spread `finished`.
+    if ((u_crowned && v_collector) || (v_crowned && u_collector)) return true;
+    return cfg_.mode != algorithm_mode::ordered && u_tracker && v_tracker &&
+           u_crowned != v_crowned;
+}
+
+// ---------------------------------------------------------------------------
 // Top-level transition function
 // ---------------------------------------------------------------------------
 

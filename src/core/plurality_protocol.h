@@ -62,6 +62,22 @@ public:
         return sim::enumerate_delta_outcomes(*this, u, v, out);
     }
 
+    /// Activity-class hook (sim/census_store.h): the census-space backends
+    /// skip, without calling δ, every interaction whose class pair
+    /// `may_act` declares inactive.  Class 0 holds every agent outside the
+    /// tournaments stage and every agent that never initiated (its first
+    /// initiation always sets `ever_initiated`); class 1 holds the winners
+    /// (they convert everyone but each other).  In the tournaments stage a
+    /// class is (phase, kind): the role, with trackers split by the crown
+    /// bit the aftermath rules read — tcnt == k + 1 in ordered mode,
+    /// `finished` in the unordered modes.  `may_act` follows δ rule by rule
+    /// (plurality_protocol.cpp); tests/test_activity_classes.cpp checks it
+    /// against δ's exact outcome lists in all three modes.
+    [[nodiscard]] std::uint32_t activity_classes() const noexcept;
+    [[nodiscard]] std::uint32_t activity_class(const agent_t& agent) const noexcept;
+    [[nodiscard]] bool may_act(std::uint32_t initiator_class,
+                               std::uint32_t responder_class) const noexcept;
+
     [[nodiscard]] const protocol_config& config() const noexcept { return cfg_; }
 
     /// Builds the initial configuration: every agent is a collector holding

@@ -17,13 +17,14 @@ constexpr std::array catalogue{
     metric_descriptor{m_reachable_states, "gauge", "census|leap",
                       "states seen at any point of the run (dormant slots included)"},
     metric_descriptor{m_fenwick_descents, "counter", "census|leap",
-                      "Fenwick-tree rank descents (two per stepped interaction)"},
+                      "Fenwick-tree rank descents (two per executed interaction)"},
     metric_descriptor{m_runs, "counter", "leap",
                       "collision-free runs sampled (truncated runs included)"},
     metric_descriptor{m_collisions, "counter", "leap",
                       "runs that ended in a colliding interaction (not the budget)"},
-    metric_descriptor{m_absorbed_fastpath, "counter", "leap",
-                      "interactions skipped through the absorbed-census O(1) fast path"},
+    metric_descriptor{m_absorbed_fastpath, "counter", "census|leap",
+                      "interactions advanced as the identity without a delta call (absorbed "
+                      "census, or a class pair declared inactive)"},
     metric_descriptor{m_run_length, "histogram", "leap",
                       "collision-free run length in pairs, log2-bucketed; mean = sum/count"},
     metric_descriptor{m_delta_deterministic, "counter", "leap",

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 
 namespace plurality::scenario {
@@ -28,6 +29,14 @@ std::optional<backend_kind> parse_backend(std::string_view name) noexcept {
 }
 
 const char* backend_list() noexcept { return "agent|census|leap"; }
+
+std::runtime_error agent_population_too_large(std::uint64_t n, std::size_t agent_bytes) {
+    return std::runtime_error("agent backend: a population of n = " + std::to_string(n) +
+                              " needs " + std::to_string(n * agent_bytes) + " bytes (n x " +
+                              std::to_string(agent_bytes) +
+                              "-byte agent states), more than this process can allocate; "
+                              "use --backend census or --backend leap");
+}
 
 workload::opinion_distribution make_workload(const scenario_params& params, sim::rng& gen) {
     if (params.workload == "bias1")

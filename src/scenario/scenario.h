@@ -44,6 +44,7 @@
 #include <iosfwd>
 #include <limits>
 #include <memory>
+#include <new>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -111,6 +112,12 @@ struct scenario_params {
 /// workload name.
 [[nodiscard]] workload::opinion_distribution make_workload(const scenario_params& params,
                                                            sim::rng& gen);
+
+/// The one-line error an agent-backend trial raises when its population does
+/// not fit in memory: it names n, the bytes the agent states need
+/// (n × `agent_bytes`) and the backends whose memory is O(S) instead.
+[[nodiscard]] std::runtime_error agent_population_too_large(std::uint64_t n,
+                                                            std::size_t agent_bytes);
 
 /// Result of offering one argv flag to the shared scenario_params parser.
 enum class flag_parse {
@@ -187,7 +194,7 @@ struct run_options {
 
 /// The census store both census-space backends of scenario `S` inherit.
 template <class S>
-using census_view_t = sim::census_store<typename S::protocol_t::agent_t, typename S::codec_t>;
+using census_view_t = sim::census_store<typename S::protocol_t, typename S::codec_t>;
 
 /// The structured shape a concrete scenario implementation must have.
 /// Methods are non-const so a spec may cache per-run state (typically the
@@ -301,8 +308,15 @@ private:
             const std::uint64_t run_seed = sim::derive_seed(seed, scenario_run_stream);
             switch (backend) {
                 case backend_kind::agent: {
-                    sim::simulation<protocol_t> sim{
-                        std::move(protocol), spec.make_population(params, setup), run_seed};
+                    std::vector<typename protocol_t::agent_t> agents;
+                    try {
+                        agents = spec.make_population(params, setup);
+                    } catch (const std::bad_alloc&) {
+                        throw agent_population_too_large(params.n,
+                                                         sizeof(typename protocol_t::agent_t));
+                    }
+                    sim::simulation<protocol_t> sim{std::move(protocol), std::move(agents),
+                                                    run_seed};
                     return drive(spec, params, sim, options);
                 }
                 case backend_kind::census: {

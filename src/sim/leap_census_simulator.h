@@ -2,8 +2,8 @@
 // *exactly* the same sequential Markov chain as the per-step census backend.
 //
 // The per-step census backend (sim/census_simulator.h) pays two Fenwick
-// descents and a δ call for every interaction, plus two tree updates for
-// each agent δ changed.
+// descents and a δ call for every interaction it does not skip, plus two
+// tree updates for each agent δ changed.
 // Under the uniform pairwise scheduler, long prefixes of the interaction
 // sequence touch pairwise-distinct agents (the birthday problem — the
 // expected prefix is Θ(√n)), and within such a *collision-free run* the
@@ -44,15 +44,17 @@
 // That per-run cost only pays when few states are occupied relative to the
 // mean run length L̄ = √(πn/8).  Before each run a cost model
 // (`leap_cost_model`) compares ~2S + min(S, L̄)·min(S, 2L̄) table variates
-// against ~L̄·2·log₂S Fenwick levels for the S occupied states; when
-// stepping is cheaper, the next ⌈L̄⌉ interactions go one at a time through
-// the census store's shared Fenwick step (census_store::step_interaction,
-// the census backend's step) and the model decides again.  On the paper's
-// ordered tournament at n = 350, k = 4 (up to ~114 occupied states, runs of
-// ~11 interactions) the model steps almost everywhere: the table path alone
-// takes ~575 ns and 6.5 RNG words per interaction there, stepping ~80–90
-// ns and 2.0 words, level with the census backend on the same chain
-// (4-core Xeon, Release).  On every E17/E18 row (S = 2–35 at
+// against ~L̄·p·2·log₂S Fenwick levels for the S occupied states, p being
+// the share of interactions the protocol's activity classes let act
+// (census_store::executed_share); when stepping is cheaper, the next
+// ⌈L̄ / p⌉ interactions go through the census store's interaction loop
+// (census_store::advance, the census backend's loop: skipped in bulk where
+// nothing may act, one at a time elsewhere) and the model decides again.
+// On the paper's ordered tournament at n = 350, k = 4 (up to ~114 occupied
+// states, runs of ~11 interactions, p ≈ 0.14) the model steps almost
+// everywhere: the table path alone takes ~260 ns per interaction there,
+// stepping ~7–9 ns and 0.4 RNG words, level with the census backend on the
+// same chain (4-core AMD EPYC, Release).  On every E17/E18 row (S = 2–35 at
 // n = 10⁸–10⁹) it keeps the table.
 //
 // Exactness: the scheduler's interaction sequence is i.i.d. uniform over
@@ -102,52 +104,71 @@ namespace plurality::sim {
 
 /// The leap backend's per-run strategy choice.  Both strategies advance the
 /// same chain; the model only picks the cheaper one for the current census,
-/// from two work estimates in units of one random variate or one Fenwick
-/// level:
+/// from two work estimates for L̄ interactions, in units of one random
+/// variate or one Fenwick level:
 ///
 ///  * table: ~2S margin variates (two MVH sweeps over the S occupied
 ///    states) plus min(S, L̄)·min(S, 2L̄) table variates (at most L̄
 ///    nonempty rows, each an MVH over at most 2L̄ responder states);
-///  * stepping: L̄ interactions of two Fenwick descents of ~log₂S levels.
+///  * stepping: the p·L̄ of them the store's loop executes — p =
+///    W / n(n−1), the executed share, 1 without activity classes — each of
+///    two Fenwick descents of ~log₂S levels; the skipped ones cost next to
+///    nothing.
 ///
 /// L̄ = √(πn/8) is the mean collision-free run length (the birthday law's
-/// P(L ≥ l) ≈ exp(−2l²/n)), computed once per simulator.  S ≤ 2 always
-/// takes the table, which keeps the absorbed-census fast path and the
-/// two-state rows (epidemic at any n) on it.
+/// P(L ≥ l) ≈ exp(−2l²/n)), computed once per simulator.  p is a function
+/// of the current census, like S, so the choice still reads no draw to
+/// come.  S ≤ 2 always takes the table, which keeps the absorbed-census
+/// fast path and the two-state rows (epidemic at any n) on it.
 ///
 /// Both estimates carry unit weight.  Measured on plurality/ordered at
-/// n = 350, k = 4 (4-core Xeon, Release), with each estimate averaged over
-/// a run's decisions (~347 table variates per run, ~10.3 Fenwick levels per
-/// interaction): the table path alone costs ~20 ns per estimated variate
-/// (7.1 µs per run), stepping ~8 ns per estimated level (~82 ns per
-/// interaction).  With unit weights the model steps from S = 8 at n = 350
-/// and from S = 605 at n = 10⁹; weighting by the measured 2.5 : 1 would
-/// move that to S = 3 and S = 363.  No measured workload sits in between:
-/// the tournament at n = 350 takes ~1 table run per trial, and every
-/// E17/E18 row (S ≤ 35 at n = 10⁸–10⁹) stays on the table either way.
+/// n = 350, k = 4 (4-core AMD EPYC, Release), with each estimate averaged
+/// over the decisions that took it: the table path alone (stepping disabled
+/// in a throwaway build; ~350 table variates per run) costs ~9 ns per
+/// estimated variate (3.2 µs per run, ~260 ns per interaction), stepping
+/// (p ≈ 0.14, ~1.5 estimated levels per interaction) ~5.8 ns per estimated
+/// level (~9 ns per interaction).  With unit weights the model steps from
+/// S = 8 at n = 350 and S = 605 at n = 10⁹ when every interaction executes,
+/// and from S = 3 and S = 206 at p = 0.14; weighting by the measured
+/// 1.6 : 1 would move those to S = 5, 468, 3 and 159.  No measured workload
+/// sits in between: the tournament at n = 350 takes ~1 table run per trial,
+/// and every E17/E18 row (S ≤ 35 at n = 10⁸–10⁹, p = 1 in the early regime
+/// they measure) stays on the table either way.
 struct leap_cost_model {
     explicit leap_cost_model(std::uint64_t population) noexcept
-        : mean_run(std::sqrt(std::numbers::pi * static_cast<double>(population) / 8.0)),
-          segment(static_cast<std::uint64_t>(std::ceil(mean_run))) {}
+        : mean_run(std::sqrt(std::numbers::pi * static_cast<double>(population) / 8.0)) {}
 
-    /// True when stepping `segment` interactions is estimated to cost less
-    /// than one table run over `occupied` states.
-    [[nodiscard]] bool prefers_stepping(std::size_t occupied) const noexcept {
+    /// True when stepping is estimated to cost less than one table run over
+    /// `occupied` states, per interaction, when a share `executed_share` of
+    /// the stepped interactions calls δ (the rest are skipped identities,
+    /// census_store::advance).
+    [[nodiscard]] bool prefers_stepping(std::size_t occupied,
+                                        double executed_share) const noexcept {
         if (occupied <= 2) return false;
         const auto s = static_cast<double>(occupied);
         const double table = 2.0 * s + std::min(s, mean_run) * std::min(s, 2.0 * mean_run);
-        const double stepping = mean_run * 2.0 * std::log2(s);
+        const double stepping = mean_run * executed_share * 2.0 * std::log2(s);
         return stepping < table;
     }
 
-    double mean_run;        ///< L̄ = √(πn/8)
-    std::uint64_t segment;  ///< ⌈L̄⌉: interactions stepped per decision
+    /// Interactions one stepped segment covers before the model decides
+    /// again: ⌈L̄ / executed_share⌉, so that ~L̄ of them call δ whatever the
+    /// share, capped at `budget` (the whole budget when nothing may act).
+    /// The skipped identities cost next to nothing, but each segment end
+    /// cuts a skip short and asks the model again.
+    [[nodiscard]] std::uint64_t segment(double executed_share,
+                                        std::uint64_t budget) const noexcept {
+        const double span = std::ceil(mean_run / executed_share);
+        return span >= static_cast<double>(budget) ? budget : static_cast<std::uint64_t>(span);
+    }
+
+    double mean_run;  ///< L̄ = √(πn/8)
 };
 
 /// Drives one protocol instance over one population, census-space, leaping
 /// whole collision-free runs via their pair-type contingency table — or,
-/// wherever `leap_cost_model` finds the table dearer, stepping interactions
-/// one at a time through the census store's shared Fenwick step.
+/// wherever `leap_cost_model` finds the table dearer, stepping through the
+/// census store's shared interaction loop.
 /// Satisfies the same `steppable_simulation` / `visit_states` contracts as
 /// the other backends (the read API is the inherited census_store), so
 /// `sim::converge`, `trace::recorder` and the sim::view helpers work
@@ -159,8 +180,8 @@ struct leap_cost_model {
 /// all timers are run-granular — a handful of clock reads per run.
 template <protocol P, census_codec<typename P::agent_t> Codec,
           class Obs = obs::default_policy>
-class leap_census_simulator : public census_store<typename P::agent_t, Codec> {
-    using store = census_store<typename P::agent_t, Codec>;
+class leap_census_simulator : public census_store<P, Codec> {
+    using store = census_store<P, Codec>;
 
 public:
     using typename store::agent_t;
@@ -168,10 +189,9 @@ public:
     using typename store::key_t;
 
     /// Takes ownership of the protocol instance and the initial census.
-    /// Requires a total population of at least two agents.
+    /// Requires a total population of 2 <= n <= 2^32 − 1.
     leap_census_simulator(P proto, const std::vector<entry_t>& initial, std::uint64_t seed)
-        : store(initial, "leap_census_simulator"),
-          protocol_(std::move(proto)),
+        : store(std::move(proto), initial, "leap_census_simulator"),
           gen_(seed),
           cost_(population_) {
         // Every initial slot is occupied, in discovery order.
@@ -198,8 +218,9 @@ public:
     /// uniforms as out-of-line calls.
     void run_for(std::uint64_t count) {
         while (count > 0) {
-            count -= cost_.prefers_stepping(this->occupied_states())
-                         ? step_segment(std::min(count, cost_.segment))
+            const double share = this->executed_share();
+            count -= cost_.prefers_stepping(this->occupied_states(), share)
+                         ? step_segment(cost_.segment(share, count))
                          : leap_run(count);
         }
     }
@@ -245,6 +266,7 @@ public:
 private:
     using store::add_to;
     using store::population_;
+    using store::protocol_;
     using store::remove_from;
     using store::slot_for;
     using store::slots_;
@@ -416,13 +438,15 @@ private:
         return executed;
     }
 
-    /// Executes `count` interactions one at a time through the store's
-    /// Fenwick step; each counts as one per-pair δ call.
+    /// Executes `count` interactions through the store's interaction loop
+    /// (census_store::advance): each executed one counts as one per-pair δ
+    /// call, each skipped identity as absorbed.
     std::uint64_t step_segment(std::uint64_t count) {
-        for (std::uint64_t i = 0; i < count; ++i)
-            this->step_interaction(protocol_, gen_, [this](std::size_t index) { list(index); });
-        metrics_.descents.add(2 * count);
-        metrics_.delta_fallback.add(count);
+        const std::uint64_t executed =
+            this->advance(count, gen_, [this](std::size_t index) { list(index); });
+        metrics_.descents.add(2 * executed);
+        metrics_.delta_fallback.add(executed);
+        metrics_.absorbed.add(count - executed);
         interactions_ += count;
         return count;
     }
@@ -514,7 +538,6 @@ private:
         occupied_list_.push_back(static_cast<std::uint32_t>(index));
     }
 
-    P protocol_;
     rng gen_;
     leap_cost_model cost_;
     std::uint64_t interactions_ = 0;

@@ -42,35 +42,57 @@ struct interaction_pair {
     return {initiator, responder};
 }
 
+/// One cell of a `rows` × `columns` grid.
+struct grid_cell {
+    std::uint64_t row;
+    std::uint64_t column;
+};
+
+/// Samples a uniformly random cell of a `rows` × `columns` grid with a
+/// single bounded draw: the cell of rank `gen.next_below(rows·columns)` in
+/// row-major order — bit-for-bit, rejection behaviour included — but split
+/// in the chained-multiply form, which replaces the 64-bit divide/modulo of
+/// the decode with two widening multiplies.  Writing w·rows =
+/// row·2^64 + frac, one has
+/// w·rows·columns = (row·columns + hi(frac·columns))·2^64 + lo(frac·columns),
+/// so hi(w·rows) is exactly rank / columns, hi(frac·columns) is exactly
+/// rank mod columns, and lo(frac·columns) is exactly the low word Lemire's
+/// rejection tests against.  Requires 0 < rows·columns < 2^64.  Shared by
+/// the agent scheduler (`sample_pair`) and the census store's executed-pair
+/// draw (sim/census_store.h).
+[[nodiscard]] inline grid_cell sample_grid_cell(rng& gen, std::uint64_t rows,
+                                                std::uint64_t columns) noexcept {
+    const std::uint64_t cells = rows * columns;
+    for (;;) {
+        const std::uint64_t word = gen.next();
+        const __uint128_t scaled = static_cast<__uint128_t>(word) * rows;
+        const auto row = static_cast<std::uint64_t>(scaled >> 64);
+        const auto frac = static_cast<std::uint64_t>(scaled);
+        const __uint128_t split = static_cast<__uint128_t>(frac) * columns;
+        const auto column = static_cast<std::uint64_t>(split >> 64);
+        const auto low = static_cast<std::uint64_t>(split);
+        if (low < cells) [[unlikely]] {
+            const std::uint64_t threshold = -cells % cells;
+            if (low < threshold) continue;  // matches next_below's rejection
+        }
+        return {row, column};
+    }
+}
+
 /// Samples a uniformly random ordered pair of *distinct* agents out of `n`
 /// with a single bounded draw.  Requires n >= 2.
 ///
-/// This is `decode_pair(gen.next_below(n·(n−1)), n)` — bit-for-bit, rejection
-/// behaviour included — but computed in the chained-multiply form, which
-/// replaces the 64-bit divide/modulo of the decode with two widening
-/// multiplies.  Writing w·n = initiator·2^64 + frac, one has
-/// w·n·(n−1) = (initiator·(n−1) + hi(frac·(n−1)))·2^64 + lo(frac·(n−1)),
-/// so hi(w·n) is exactly rank / (n−1), hi(frac·(n−1)) is exactly
-/// rank mod (n−1), and lo(frac·(n−1)) is exactly the low word Lemire's
-/// rejection tests against.
+/// This is `decode_pair(gen.next_below(n·(n−1)), n)` — bit-for-bit,
+/// rejection behaviour included: the initiator is the row and the responder
+/// slot the column of a uniform cell of the n × (n−1) grid
+/// (`sample_grid_cell`), and the responder is the slot-th agent other than
+/// the initiator.
 [[nodiscard]] inline interaction_pair sample_pair(rng& gen, std::uint32_t n) noexcept {
-    const std::uint64_t feasible = static_cast<std::uint64_t>(n) * (n - 1);
-    for (;;) {
-        const std::uint64_t word = gen.next();
-        const __uint128_t scaled = static_cast<__uint128_t>(word) * n;
-        const auto initiator = static_cast<std::uint64_t>(scaled >> 64);
-        const auto frac = static_cast<std::uint64_t>(scaled);
-        const __uint128_t split = static_cast<__uint128_t>(frac) * (n - 1);
-        const auto slot = static_cast<std::uint64_t>(split >> 64);
-        const auto low = static_cast<std::uint64_t>(split);
-        if (low < feasible) [[unlikely]] {
-            const std::uint64_t threshold = -feasible % feasible;
-            if (low < threshold) continue;  // matches next_below's rejection
-        }
-        auto responder = static_cast<std::uint32_t>(slot);
-        responder += responder >= initiator ? 1u : 0u;
-        return {static_cast<std::uint32_t>(initiator), responder};
-    }
+    const grid_cell cell = sample_grid_cell(gen, n, n - 1);
+    const auto initiator = static_cast<std::uint32_t>(cell.row);
+    auto responder = static_cast<std::uint32_t>(cell.column);
+    responder += responder >= initiator ? 1u : 0u;
+    return {initiator, responder};
 }
 
 /// Prefetches an agent's cache line for an upcoming read-write interaction.

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "baselines/usd_plurality.h"
 #include "census/state_census.h"
 #include "majority/averaging_majority.h"
 #include "majority/three_state.h"
@@ -58,87 +57,215 @@ TEST(CensusSimulator, ConservesPopulationAcrossInteractions) {
     EXPECT_LE(sim.reachable_states(), 3u);
 }
 
-TEST(CensusSimulator, BranchlessLocateMatchesReferenceDescentOnEveryRank) {
-    // The branchless (masked) Fenwick descent and the guarded-loop
-    // reference must pick the same slot for every rank — exhaustively, so a
-    // boundary slip at a node edge cannot hide.
-    three_sim sim{{}, three_state_census(60, 40, 23), 11};
-    sim.run_for(500);  // move mass around so slot counts are irregular
-    for (std::uint64_t rank = 0; rank < sim.population_size(); ++rank) {
-        ASSERT_EQ(sim.locate_rank(rank), sim.locate_rank_reference(rank)) << "rank=" << rank;
+/// Floor/ceil averaging with activity classes by load sign (negative, zero,
+/// positive).  Two zero loads average to zero loads, so the zero class may
+/// not act with itself; every other class pair may.  The classes give the
+/// locate tests several trees whose slots keep emptying and refilling.
+struct sign_classed_averaging {
+    using agent_t = majority::averaging_agent;
+    majority::averaging_majority_protocol inner;
+    void interact(agent_t& u, agent_t& v, sim::rng& gen) const { inner.interact(u, v, gen); }
+    [[nodiscard]] std::uint32_t activity_classes() const noexcept { return 3; }
+    [[nodiscard]] std::uint32_t activity_class(const agent_t& a) const noexcept {
+        return a.load < 0 ? 0 : a.load == 0 ? 1 : 2;
     }
+    [[nodiscard]] bool may_act(std::uint32_t c, std::uint32_t d) const noexcept {
+        return c != 1 || d != 1;
+    }
+};
+using sign_classed_sim =
+    sim::census_simulator<sign_classed_averaging, majority::averaging_census_codec>;
+
+sign_classed_sim make_sign_classed_sim(std::uint64_t seed) {
+    return sign_classed_sim{{},
+                            majority::make_averaging_population(
+                                155, 120, 25, majority::default_amplification(300)),
+                            seed};
+}
+
+TEST(CensusSimulator, BranchlessLocateMatchesReferenceDescentOnEveryRank) {
+    // In every class tree, the branchless (masked) Fenwick descent and the
+    // guarded-loop reference must pick the same slot for every rank —
+    // exhaustively, so a boundary slip at a node edge cannot hide.
+    auto sim = make_sign_classed_sim(11);
+    sim.run_for(3000);  // move mass around so slot counts are irregular
+    std::uint64_t ranks = 0;
+    for (std::uint32_t cls = 0; cls < 3; ++cls) {
+        for (std::uint64_t rank = 0; rank < sim.class_count(cls); ++rank) {
+            ASSERT_EQ(sim.locate_rank(cls, rank), sim.locate_rank_reference(cls, rank))
+                << "class " << cls << " rank " << rank;
+        }
+        ranks += sim.class_count(cls);
+    }
+    EXPECT_EQ(ranks, sim.population_size());
 }
 
 TEST(CensusSimulator, LocateReturnsEachSlotAsOneBlockAfterPositionsAreRecycled) {
-    // The tree is indexed by positions that slots take when they become
-    // occupied and give back when they empty.  Three-state never empties a
-    // slot, so there positions equal slots; averaging keeps abandoning load
-    // values, so here later slots reuse earlier slots' positions.  Every
-    // occupied slot must still come back for exactly `count` ranks, in one
-    // contiguous block, on both descents.
-    using averaging_sim = sim::census_simulator<majority::averaging_majority_protocol,
-                                                majority::averaging_census_codec>;
-    averaging_sim sim{{},
-                      majority::make_averaging_population(155, 145, 0,
-                                                          majority::default_amplification(300)),
-                      13};
+    // Each class tree is indexed by positions that slots take when they
+    // become occupied and give back when they empty.  Averaging keeps
+    // abandoning load values, so later slots reuse earlier slots' positions.
+    // In every class, each occupied slot of that class must still come back
+    // for exactly `count` ranks, in one contiguous block, on both descents,
+    // and no slot may turn up in two classes.
+    const sign_classed_averaging classes{};
+    auto sim = make_sign_classed_sim(13);
     sim.run_for(3000);
     ASSERT_GT(sim.reachable_states(), sim.occupied_states());
 
     struct block {
+        std::uint32_t cls = 0;
         std::uint64_t first = 0;
         std::uint64_t hits = 0;
     };
-    std::map<std::size_t, block> blocks;  // slot -> its ranks, in slot order
-    for (std::uint64_t rank = 0; rank < sim.population_size(); ++rank) {
-        const std::size_t slot = sim.locate_rank(rank);
-        ASSERT_EQ(slot, sim.locate_rank_reference(rank)) << "rank=" << rank;
-        auto [it, inserted] = blocks.try_emplace(slot, block{rank, 0});
-        ASSERT_EQ(it->second.first + it->second.hits, rank) << "slot " << slot << " split";
-        ++it->second.hits;
+    std::map<std::size_t, block> blocks;  // slot -> its class and ranks, in slot order
+    for (std::uint32_t cls = 0; cls < 3; ++cls) {
+        for (std::uint64_t rank = 0; rank < sim.class_count(cls); ++rank) {
+            const std::size_t slot = sim.locate_rank(cls, rank);
+            ASSERT_EQ(slot, sim.locate_rank_reference(cls, rank)) << "rank=" << rank;
+            auto [it, inserted] = blocks.try_emplace(slot, block{cls, rank, 0});
+            ASSERT_EQ(it->second.cls, cls) << "slot " << slot << " in two classes";
+            ASSERT_EQ(it->second.first + it->second.hits, rank) << "slot " << slot << " split";
+            ++it->second.hits;
+        }
     }
     // visit_states walks the occupied slots in slot order, so the i-th
     // visited count belongs to the i-th smallest slot index located above.
     ASSERT_EQ(blocks.size(), sim.occupied_states());
     auto it = blocks.begin();
-    sim.visit_states([&it](const majority::averaging_agent&, std::uint64_t count) {
+    sim.visit_states([&](const majority::averaging_agent& state, std::uint64_t count) {
         EXPECT_EQ(it->second.hits, count) << "slot " << it->first;
+        EXPECT_EQ(it->second.cls, classes.activity_class(state)) << "slot " << it->first;
         ++it;
         return true;
     });
 }
 
-TEST(CensusSimulator, PairAtHitsEveryOrderedSlotPairByTheExactPairLaw) {
-    // step() turns its two uniforms (first < n, second < n-1) into an
-    // ordered pair of distinct agents.  Enumerated over both ranges, every
-    // ordered slot pair (i, j) must come out exactly c_i·(c_j − [i = j])
-    // times: the responder is any agent except the initiator itself, which
-    // single-agent slots make visible (their diagonal cell must be empty).
-    using usd_sim =
-        sim::census_simulator<baselines::usd_plurality_protocol, baselines::usd_census_codec>;
-    const std::vector<std::uint64_t> counts = {1, 4, 1, 7, 2, 1, 3};
-    std::vector<sim::census_entry<baselines::usd_agent>> entries;
-    for (std::uint32_t opinion = 0; opinion < counts.size(); ++opinion)
-        entries.push_back({{opinion}, counts[opinion]});
-    const usd_sim sim{{}, entries, 1};  // slot i holds opinion i
-    const std::uint64_t n = sim.population_size();
+/// An identity δ over labelled agents, classed by label mod 3, with class 1
+/// unable to act with itself.  Counts its δ calls through `calls`.
+struct labelled_identity {
+    struct agent_t {
+        std::uint32_t label = 0;
+    };
+    struct codec {
+        using key_t = std::uint64_t;
+        static key_t encode(const agent_t& a) noexcept { return a.label; }
+    };
+    std::uint64_t* calls = nullptr;
+    void interact(agent_t&, agent_t&, sim::rng&) const {
+        if (calls != nullptr) ++*calls;
+    }
+    [[nodiscard]] std::uint32_t activity_classes() const noexcept { return 3; }
+    [[nodiscard]] std::uint32_t activity_class(const agent_t& a) const noexcept {
+        return a.label % 3;
+    }
+    [[nodiscard]] bool may_act(std::uint32_t c, std::uint32_t d) const noexcept {
+        return c != 1 || d != 1;
+    }
+};
+using labelled_sim = sim::census_simulator<labelled_identity, labelled_identity::codec>;
+
+std::vector<sim::census_entry<labelled_identity::agent_t>> labelled_census(
+    const std::vector<std::uint64_t>& counts) {
+    std::vector<sim::census_entry<labelled_identity::agent_t>> entries;
+    for (std::uint32_t label = 0; label < counts.size(); ++label)
+        entries.push_back({{label}, counts[label]});
+    return entries;
+}
+
+TEST(CensusSimulator, ExecutedPairDrawHitsEveryMayActSlotPairByTheExactPairLaw) {
+    // The executed-pair draw picks the initiator's class with weight
+    // N_c·R_c, then splits one bounded uniform over N_c·R_c into the
+    // initiator's rank and the responder's place along the class's row.
+    // Enumerated over every value (executed_pair_at(rank) for every
+    // rank < W), each ordered slot pair (i, j) whose class pair may act
+    // must come out exactly c_i·(c_j − [i = j]) times — the responder is any
+    // agent except the initiator itself, which single-agent slots make
+    // visible — and no other pair at all.  Three classes with irregular
+    // counts; class 1 may not act with itself.
+    const std::vector<std::uint64_t> counts = {1, 4, 1, 7, 2, 1, 3, 5, 2};
+    const labelled_identity classes{};
+    const labelled_sim sim{{}, labelled_census(counts), 1};  // slot i holds label i
+
+    std::uint64_t expected_weight = 0;
+    std::vector<std::vector<std::uint64_t>> want(counts.size(),
+                                                 std::vector<std::uint64_t>(counts.size(), 0));
+    for (std::uint32_t i = 0; i < counts.size(); ++i) {
+        for (std::uint32_t j = 0; j < counts.size(); ++j) {
+            if (!classes.may_act(i % 3, j % 3)) continue;
+            want[i][j] = counts[i] * (counts[j] - (i == j ? 1 : 0));
+            expected_weight += want[i][j];
+        }
+    }
+    ASSERT_EQ(sim.may_act_weight(), expected_weight);
+    ASSERT_LT(sim.may_act_weight(), sim.population_size() * (sim.population_size() - 1));
 
     std::vector<std::vector<std::uint64_t>> hits(counts.size(),
                                                  std::vector<std::uint64_t>(counts.size(), 0));
-    for (std::uint64_t first = 0; first < n; ++first) {
-        for (std::uint64_t second = 0; second + 1 < n; ++second) {
-            const auto [initiator, responder] = sim.pair_at(first, second);
-            ASSERT_LT(initiator, counts.size());
-            ASSERT_LT(responder, counts.size());
-            ++hits[initiator][responder];
-        }
+    for (std::uint64_t rank = 0; rank < sim.may_act_weight(); ++rank) {
+        const auto [initiator, responder] = sim.executed_pair_at(rank);
+        ASSERT_LT(initiator, counts.size());
+        ASSERT_LT(responder, counts.size());
+        ++hits[initiator][responder];
     }
     for (std::size_t i = 0; i < counts.size(); ++i) {
         for (std::size_t j = 0; j < counts.size(); ++j) {
-            EXPECT_EQ(hits[i][j], counts[i] * (counts[j] - (i == j ? 1 : 0)))
-                << "pair (" << i << ", " << j << ")";
+            EXPECT_EQ(hits[i][j], want[i][j]) << "pair (" << i << ", " << j << ")";
         }
     }
+}
+
+TEST(CensusSimulator, SkippedInteractionsFollowTheBinomialLaw) {
+    // δ is the identity, so W stays fixed and every window of m interactions
+    // executes Binomial(m, W / n(n−1)) of them (the geometric skips are
+    // memoryless across run_for calls).  Mean and variance over the windows
+    // must match at 5σ, and every window must advance interactions() by
+    // exactly m.
+    std::uint64_t calls = 0;
+    labelled_sim sim{labelled_identity{&calls}, labelled_census({3, 9, 2, 1, 6, 4}), 2024};
+    const auto n = static_cast<double>(sim.population_size());
+    const double p = static_cast<double>(sim.may_act_weight()) / (n * (n - 1));
+    ASSERT_GT(p, 0.2);
+    ASSERT_LT(p, 0.8);
+
+    constexpr std::uint64_t m = 500;
+    constexpr int windows = 4000;
+    double sum = 0.0;
+    double sum_sq = 0.0;
+    for (int w = 0; w < windows; ++w) {
+        const std::uint64_t before = sim.interactions();
+        const std::uint64_t calls_before = calls;
+        sim.run_for(m);
+        ASSERT_EQ(sim.interactions() - before, m);
+        const auto executed = static_cast<double>(calls - calls_before);
+        sum += executed;
+        sum_sq += executed * executed;
+    }
+    const double q = 1.0 - p;
+    const double mean = static_cast<double>(m) * p;
+    const double variance = static_cast<double>(m) * p * q;
+    const double sample_mean = sum / windows;
+    const double sample_variance = (sum_sq - windows * sample_mean * sample_mean) / (windows - 1);
+    EXPECT_NEAR(sample_mean, mean, 5.0 * std::sqrt(variance / windows));
+    // Var(s²) ≈ (μ₄ − σ⁴·(w − 3)/(w − 1)) / w, with the binomial's fourth
+    // central moment μ₄ = mpq·(1 + 3(m − 2)pq).
+    const double mu4 = variance * (1.0 + 3.0 * (static_cast<double>(m) - 2.0) * p * q);
+    const double var_of_variance =
+        (mu4 - variance * variance * (windows - 3.0) / (windows - 1.0)) / windows;
+    EXPECT_NEAR(sample_variance, variance, 5.0 * std::sqrt(var_of_variance));
+}
+
+TEST(CensusSimulator, NothingMayActFinishesAnyBudgetAtOnce) {
+    // Every agent in class 1, which may not act with itself: W = 0, so no
+    // interaction can ever change anything and run_for(10¹²) must return at
+    // once, without a single δ call, yet count every interaction.
+    std::uint64_t calls = 0;
+    labelled_sim sim{labelled_identity{&calls}, labelled_census({0, 5, 0, 0, 7}), 3};
+    ASSERT_EQ(sim.may_act_weight(), 0u);
+    sim.run_for(1'000'000'000'000ull);
+    EXPECT_EQ(sim.interactions(), 1'000'000'000'000ull);
+    EXPECT_EQ(calls, 0u);
+    EXPECT_EQ(sim.count_of({1}), 5u);
+    EXPECT_EQ(sim.count_of({4}), 7u);
 }
 
 TEST(CensusSimulator, MatchesIndependentCountedCensusReplay) {
@@ -205,6 +332,13 @@ TEST(CensusSimulator, OccupiedStatesCounterMatchesVisitScan) {
 TEST(CensusSimulator, RejectsPopulationsBelowTwo) {
     EXPECT_THROW((three_sim{{}, three_state_census(1, 0, 0), 1}), std::invalid_argument);
     EXPECT_THROW((three_sim{{}, three_state_census(0, 0, 0), 1}), std::invalid_argument);
+}
+
+TEST(CensusSimulator, RejectsPopulationsBeyondThirtyTwoBits) {
+    // The may-act weight counts ordered agent pairs, n(n−1), in 64 bits.
+    EXPECT_NO_THROW((three_sim{{}, three_state_census(0xffffffffull - 1, 1, 0), 1}));
+    EXPECT_THROW((three_sim{{}, three_state_census(0xffffffffull, 1, 0), 1}),
+                 std::invalid_argument);
 }
 
 TEST(CensusSimulator, MemoryScalesWithStatesNotPopulation) {

@@ -181,17 +181,28 @@ TEST(LeapCostModel, PicksTheCheaperStrategyAtMeasuredPoints) {
     // n = 10⁹: the E17 rows occupy two states and the E18 tournament rows
     // up to ~22, against runs of ~2·10⁴ interactions — the table wins.
     const sim::leap_cost_model billion{1'000'000'000};
-    EXPECT_FALSE(billion.prefers_stepping(2));
-    EXPECT_FALSE(billion.prefers_stepping(22));
+    EXPECT_FALSE(billion.prefers_stepping(2, 1.0));
+    EXPECT_FALSE(billion.prefers_stepping(22, 1.0));
     // plurality/ordered at n = 350, k = 4: ~100 occupied states against
-    // runs of ~11.7 interactions — stepping wins, in segments of ⌈L̄⌉ = 12.
+    // runs of ~11.7 interactions — stepping wins, in segments of ⌈L̄⌉ = 12
+    // interactions when all of them execute, and of ⌈L̄ / 0.14⌉ = 84 when
+    // the tournament's classes let ~14% of them act.  A segment never
+    // passes the budget; with nothing able to act it takes all of it.
     const sim::leap_cost_model small{350};
     EXPECT_NEAR(small.mean_run, 11.72, 0.01);
-    EXPECT_EQ(small.segment, 12u);
-    EXPECT_TRUE(small.prefers_stepping(100));
+    EXPECT_EQ(small.segment(1.0, 1000), 12u);
+    EXPECT_EQ(small.segment(0.14, 1000), 84u);
+    EXPECT_EQ(small.segment(1.0, 5), 5u);
+    EXPECT_EQ(small.segment(0.0, 1000), 1000u);
+    EXPECT_TRUE(small.prefers_stepping(100, 1.0));
+    // The executed share flips the choice: at S = 5 a table run (~35
+    // variates) beats stepping every interaction (~54 Fenwick levels), but
+    // not stepping the ~14% of them the tournament's classes let act.
+    EXPECT_FALSE(small.prefers_stepping(5, 1.0));
+    EXPECT_TRUE(small.prefers_stepping(5, 0.14));
     // One or two occupied states always take the table path, whatever n.
-    EXPECT_FALSE(small.prefers_stepping(1));
-    EXPECT_FALSE(sim::leap_cost_model{2}.prefers_stepping(2));
+    EXPECT_FALSE(small.prefers_stepping(1, 0.14));
+    EXPECT_FALSE(sim::leap_cost_model{2}.prefers_stepping(2, 1.0));
 }
 
 TEST(LeapCensusSimulator, SingleQuiescentStateTakesTheAbsorbedPath) {

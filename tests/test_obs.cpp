@@ -194,22 +194,34 @@ TEST(ObsDeterminism, CountMetricsAreStablePerSeed) {
 
 TEST(ObsDeterminism, BackendCountersSatisfyConservation) {
     // Structural invariants tie the counters to the simulation they claim to
-    // describe.  Census: every interaction locates initiator and responder —
-    // exactly two Fenwick descents.  Leap: every interaction is applied on
-    // exactly one of the three δ paths, is the run-ending collision, or was
-    // skipped by the absorbed fast path; an interaction the cost model
-    // stepped takes two descents and one per-pair δ call.  Epidemic stays on
-    // the table; plurality/ordered steps once many states are occupied.
+    // describe.  Census: every interaction is either executed — its
+    // initiator and responder located by exactly two Fenwick descents — or
+    // skipped as the identity of a class pair the protocol declares inactive
+    // (absorbed).  Epidemic declares no classes, so it skips nothing; the
+    // tournament skips most of its interactions.  Leap: every interaction is
+    // applied on exactly one of the three δ paths, is the run-ending
+    // collision, or was absorbed (the absorbed-census fast path, or a
+    // skipped identity in a stepped segment); an executed stepped
+    // interaction takes two descents and one per-pair δ call.  Epidemic
+    // stays on the table; plurality/ordered steps once many states are
+    // occupied.
     using scenario::backend_kind;
     using test::counter_of;
     for (const char* name : {"epidemic/broadcast", "plurality/ordered"}) {
         const auto* s = scenario::scenario_registry::instance().find(name);
         ASSERT_NE(s, nullptr) << name;
+        const bool declares_classes = std::string(name) == "plurality/ordered";
         {
             const auto census = run_trials(*s, 1, backend_kind::census, 31).summary.observed;
+            const std::uint64_t absorbed = counter_of(census, obs::m_absorbed_fastpath);
             EXPECT_EQ(counter_of(census, obs::m_fenwick_descents),
-                      2 * counter_of(census, obs::m_interactions))
+                      2 * (counter_of(census, obs::m_interactions) - absorbed))
                 << name;
+            if (declares_classes) {
+                EXPECT_GT(absorbed, 0u) << name;
+            } else {
+                EXPECT_EQ(absorbed, 0u) << name;
+            }
         }
         {
             const auto leap = run_trials(*s, 1, backend_kind::leap, 31).summary.observed;

@@ -135,6 +135,27 @@ TEST(Scheduler, ChainedMultiplyMatchesSingleDrawDecode) {
     }
 }
 
+TEST(Scheduler, GridCellMatchesSingleDrawDecodeOnAnyShape) {
+    // The census store splits one bounded uniform over N_c·R_c with
+    // sample_grid_cell, on grids sample_pair never forms (rows far from
+    // columns + 1).  Draw for draw it must equal the row-major decode of
+    // next_below(rows·columns), words consumed included.
+    const std::pair<std::uint64_t, std::uint64_t> shapes[] = {
+        {1, 1}, {1, 9}, {9, 1}, {3, 250}, {250, 3}, {12345, 678}, {0xffffffffull, 0xfffffffeull}};
+    for (const auto& [rows, columns] : shapes) {
+        rng chained(rows ^ (columns << 7));
+        rng reference(rows ^ (columns << 7));
+        for (int i = 0; i < 5000; ++i) {
+            const plurality::sim::grid_cell got =
+                plurality::sim::sample_grid_cell(chained, rows, columns);
+            const std::uint64_t rank = reference.next_below(rows * columns);
+            ASSERT_EQ(got.row, rank / columns) << rows << "x" << columns << " draw " << i;
+            ASSERT_EQ(got.column, rank % columns) << rows << "x" << columns << " draw " << i;
+        }
+        EXPECT_EQ(chained.next(), reference.next()) << rows << "x" << columns;
+    }
+}
+
 TEST(Scheduler, NoOverflowNearUint32Max) {
     // n(n-1) for the largest supported population exceeds 2^63; the 64-bit
     // product must not wrap and pairs must stay in range and distinct.

@@ -48,8 +48,7 @@ using namespace plurality;
 
 constexpr std::uint32_t opinion_count = 8;
 
-using usd_census_sim =
-    sim::census_simulator<baselines::usd_plurality_protocol, baselines::usd_census_codec>;
+using usd_census_sim = sim::census_simulator<baselines::usd_plurality_protocol>;
 
 /// Initial USD census for a bias-one workload: k slots, no undecided.
 std::vector<sim::census_entry<baselines::usd_agent>> usd_census(std::uint32_t n,

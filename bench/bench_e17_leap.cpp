@@ -51,7 +51,6 @@ using namespace plurality;
 
 struct epidemic_rows {
     using protocol_t = epidemic::epidemic_protocol;
-    using codec_t = epidemic::epidemic_census_codec;
     static constexpr const char* label = "epidemic";
     static std::vector<sim::census_entry<epidemic::epidemic_agent>> census(std::uint64_t n) {
         return {{{true, 1}, 1}, {{false, 0}, n - 1}};
@@ -60,7 +59,6 @@ struct epidemic_rows {
 
 struct three_state_rows {
     using protocol_t = majority::three_state_protocol;
-    using codec_t = majority::three_state_census_codec;
     static constexpr const char* label = "three-state";
     static std::vector<sim::census_entry<majority::three_state_agent>> census(std::uint64_t n) {
         const std::uint64_t bias = n / 4;  // deep w.h.p. regime
@@ -71,7 +69,7 @@ struct three_state_rows {
 };
 
 template <class Rows>
-using leap_sim = sim::leap_census_simulator<typename Rows::protocol_t, typename Rows::codec_t>;
+using leap_sim = sim::leap_census_simulator<typename Rows::protocol_t>;
 
 // Large enough that the faster backend's wall time is still comfortably
 // measurable (the leap backend clears 40M interactions at n = 10⁹ in about
@@ -138,8 +136,7 @@ void BM_LeapSpeedup(benchmark::State& state) {
     std::uint64_t iteration = 0;
     for (auto _ : state) {
         const std::uint64_t seed = 0xe17500 + n + iteration++;
-        sim::census_simulator<typename Rows::protocol_t, typename Rows::codec_t> census{
-            {}, entries, seed};
+        sim::census_simulator<typename Rows::protocol_t> census{{}, entries, seed};
         census_seconds += timed_budget(census);
         leap_sim<Rows> leap{{}, entries, seed};
         leap_seconds += timed_budget(leap);

@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "core/census_encoding.h"
 #include "core/plurality_protocol.h"
 #include "leader/leader_election.h"
 #include "scenario/registry.h"
@@ -57,7 +56,6 @@ struct per_pair_only {
 
 struct leader_rows {
     using protocol_t = leader::leader_election_protocol;
-    using codec_t = leader::leader_census_codec;
     static constexpr const char* label = "leader";
     static protocol_t make_protocol(std::uint64_t n) {
         const auto n32 = static_cast<std::uint32_t>(n);
@@ -70,7 +68,6 @@ struct leader_rows {
 
 struct plurality_rows {
     using protocol_t = core::plurality_protocol;
-    using codec_t = core::core_census_codec;
     static constexpr const char* label = "plurality";
     static protocol_t make_protocol(std::uint64_t n) {
         return protocol_t{core::protocol_config::make(core::algorithm_mode::ordered,
@@ -102,9 +99,8 @@ constexpr std::uint64_t tournament_budget = 20'000'000;
 template <class Rows>
 void BM_TournamentGroupSpeedup(benchmark::State& state) {
     using protocol_t = typename Rows::protocol_t;
-    using codec_t = typename Rows::codec_t;
-    using grouped_sim = sim::leap_census_simulator<protocol_t, codec_t>;
-    using fallback_sim = sim::leap_census_simulator<per_pair_only<protocol_t>, codec_t>;
+    using grouped_sim = sim::leap_census_simulator<protocol_t>;
+    using fallback_sim = sim::leap_census_simulator<per_pair_only<protocol_t>>;
 
     const auto n = static_cast<std::uint64_t>(state.range(0));
     double grouped_seconds = 0.0;

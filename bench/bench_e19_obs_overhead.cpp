@@ -95,11 +95,9 @@ void BM_ObsOverhead(benchmark::State& state) {
         ++iteration;
         if constexpr (three_state_rows) {
             using enabled_sim =
-                sim::leap_census_simulator<majority::three_state_protocol,
-                                           majority::three_state_census_codec, obs::enabled>;
+                sim::leap_census_simulator<majority::three_state_protocol, void, obs::enabled>;
             using disabled_sim =
-                sim::leap_census_simulator<majority::three_state_protocol,
-                                           majority::three_state_census_codec, obs::disabled>;
+                sim::leap_census_simulator<majority::three_state_protocol, void, obs::disabled>;
             const auto entries = three_state_census(n);
             double e = 0.0;
             double d = 0.0;
@@ -115,11 +113,9 @@ void BM_ObsOverhead(benchmark::State& state) {
             iteration_ratios.push_back(d / e);
         } else {
             using enabled_sim =
-                sim::leap_census_simulator<epidemic::epidemic_protocol,
-                                           epidemic::epidemic_census_codec, obs::enabled>;
+                sim::leap_census_simulator<epidemic::epidemic_protocol, void, obs::enabled>;
             using disabled_sim =
-                sim::leap_census_simulator<epidemic::epidemic_protocol,
-                                           epidemic::epidemic_census_codec, obs::disabled>;
+                sim::leap_census_simulator<epidemic::epidemic_protocol, void, obs::disabled>;
             const auto entries = epidemic_census(n);
             double e = 0.0;
             double d = 0.0;

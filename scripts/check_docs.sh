@@ -10,8 +10,15 @@
 #  3. Link check: every relative markdown link in README.md and docs/*.md
 #     must point at a file that exists (anchors and external URLs are not
 #     checked).
+#  4. Worked example: every ```cpp block of docs/ADDING_A_SCENARIO.md whose
+#     first line is `// src/<path>` is written to <path> in a scratch tree,
+#     and the guide's registration file src/scenario/builtin_rps.cpp is
+#     compiled against the repository's src/ (-fsyntax-only, warnings as
+#     errors).  The compile instantiates registry.add, so the guide's spec
+#     is checked against the scenario_spec concept.  The compiler is $CXX
+#     (default c++).
 #
-# Usage: scripts/check_docs.sh /path/to/plurality_run
+# Usage: [CXX=g++] scripts/check_docs.sh /path/to/plurality_run
 set -euo pipefail
 
 repo_root=$(cd -- "$(dirname -- "${BASH_SOURCE[0]}")/.." && pwd)
@@ -67,8 +74,29 @@ for doc in "$repo_root/README.md" "$repo_root"/docs/*.md; do
                  | grep -oE '\[[^][]+\]\([^()]+\)' | sed -E 's/.*\(([^()]+)\)$/\1/')
 done
 
+# -- 4. the scenario guide's worked example compiles -------------------------
+example_root=$(mktemp -d)
+trap 'rm -rf -- "$example_root"' EXIT
+awk -v root="$example_root" '
+    /^```/ { if (block) { block = 0; file = "" } else if ($0 == "```cpp") { block = first = 1 }; next }
+    block && first && /^\/\/ src\/[^ ]+$/ {
+        file = root "/" substr($0, 4)
+        system("mkdir -p \"$(dirname \"" file "\")\"")
+    }
+    block { first = 0; if (file != "") print > file }
+' "$repo_root/docs/ADDING_A_SCENARIO.md"
+example="$example_root/src/scenario/builtin_rps.cpp"
+if [[ ! -f "$example" ]]; then
+    echo "check_docs: docs/ADDING_A_SCENARIO.md has no '// src/scenario/builtin_rps.cpp' block" >&2
+    failures=1
+elif ! "${CXX:-c++}" -std=c++20 -fsyntax-only -Wall -Wextra -Werror \
+        -I "$example_root/src" -I "$repo_root/src" "$example"; then
+    echo "check_docs: the worked example of docs/ADDING_A_SCENARIO.md does not compile" >&2
+    failures=1
+fi
+
 if [[ "$failures" -ne 0 ]]; then
     echo "check_docs: FAILED" >&2
     exit 1
 fi
-echo "check_docs: OK (scenario table, metric catalogue and markdown links are in sync)"
+echo "check_docs: OK (scenario table, metric catalogue, markdown links and worked example are in sync)"

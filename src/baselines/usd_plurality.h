@@ -44,12 +44,6 @@ struct usd_plurality_protocol {
     }
 };
 
-/// Census codec (sim/census_simulator.h): the opinion is the whole state.
-struct usd_census_codec {
-    using key_t = std::uint64_t;
-    [[nodiscard]] static key_t encode(const usd_agent& agent) noexcept { return agent.opinion; }
-};
-
 /// True when all agents hold the same decided opinion.
 [[nodiscard]] bool consensus_reached(std::span<const usd_agent> agents) noexcept;
 

@@ -108,48 +108,4 @@ std::uint64_t canonical_code(const core_agent& agent, const protocol_config& cfg
     return packer.code();
 }
 
-std::array<std::uint64_t, 6> full_state_key(const core_agent& agent) noexcept {
-    std::array<std::uint64_t, 6> key{};
-    key[0] = static_cast<std::uint64_t>(agent.maj_load);
-    key[1] = (static_cast<std::uint64_t>(agent.opinion) << 32) | agent.count;
-    key[2] = (static_cast<std::uint64_t>(agent.tcnt) << 32) | agent.cand_opinion;
-    key[3] = (static_cast<std::uint64_t>(agent.ann_opinion) << 32) | agent.leader_cycle;
-    key[4] = (static_cast<std::uint64_t>(agent.junta_p) << 32) |
-             (static_cast<std::uint64_t>(agent.le_rounds) << 16) |
-             static_cast<std::uint16_t>(agent.prune_phase);
-    // Every remaining (sub-byte) field, packed with explicit widths; the
-    // widths sum to 63 bits, so the word cannot overflow and the packing is
-    // injective by construction.
-    std::uint64_t bits = 0;
-    const auto push = [&bits](std::uint64_t value, unsigned width) {
-        bits = (bits << width) | value;
-    };
-    push(static_cast<std::uint64_t>(agent.role), 2);
-    push(static_cast<std::uint64_t>(agent.stage), 2);
-    push(agent.phase, 8);
-    push(agent.once_flags, 8);
-    push(agent.ever_initiated ? 1 : 0, 1);
-    push(agent.winner ? 1 : 0, 1);
-    push(agent.tokens, 8);
-    push(agent.defender ? 1 : 0, 1);
-    push(agent.challenger ? 1 : 0, 1);
-    push(agent.participated ? 1 : 0, 1);
-    push(static_cast<std::uint8_t>(agent.load), 8);
-    push(agent.candidate ? 1 : 0, 1);
-    push(agent.coin ? 1 : 0, 1);
-    push(agent.saw_one ? 1 : 0, 1);
-    push(agent.is_leader ? 1 : 0, 1);
-    push(agent.finished ? 1 : 0, 1);
-    push(static_cast<std::uint64_t>(agent.ann_kind), 2);
-    push(agent.visited_select ? 1 : 0, 1);
-    push(static_cast<std::uint64_t>(agent.po), 2);
-    push(agent.junta_level, 8);
-    push(agent.junta_active ? 1 : 0, 1);
-    push(agent.junta_member ? 1 : 0, 1);
-    push(agent.counting ? 1 : 0, 1);
-    push(agent.met_same_opinion ? 1 : 0, 1);
-    key[5] = bits;
-    return key;
-}
-
 }  // namespace plurality::core

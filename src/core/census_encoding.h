@@ -19,7 +19,6 @@
 // majority substitution).
 #pragma once
 
-#include <array>
 #include <cstdint>
 
 #include "core/agent.h"
@@ -33,26 +32,7 @@ enum class census_mode : std::uint8_t { full, structural };
 [[nodiscard]] std::uint64_t canonical_code(const core_agent& agent, const protocol_config& cfg,
                                            census_mode mode);
 
-/// Injective encoding of the *entire* core_agent into 384 bits — the census
-/// backend's state key (sim/census_simulator.h).
-///
-/// This is deliberately different from `canonical_code`: the canonical code
-/// is the role-sliced *measurement* view (two agents whose differences live
-/// outside their current role's variable slice share a code, which is the
-/// accounting Theorem 1's state bound wants), whereas the census key must
-/// separate any two agents the transition function could ever treat
-/// differently — so it covers every field, including the simulation-side
-/// bookkeeping bits the paper models as "constantly many bits".  Merging
-/// states that interact differently would silently corrupt the dynamics.
-[[nodiscard]] std::array<std::uint64_t, 6> full_state_key(const core_agent& agent) noexcept;
-
-/// Census codec for the tournament protocols (the δ-adapter the census
-/// backend samples through).
-struct core_census_codec {
-    using key_t = std::array<std::uint64_t, 6>;
-    [[nodiscard]] static key_t encode(const core_agent& agent) noexcept {
-        return full_state_key(agent);
-    }
-};
+/// Retired census codec; only the frozen benchmark (consensus_bench/) names it.
+struct core_census_codec {};
 
 }  // namespace plurality::core

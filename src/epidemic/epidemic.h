@@ -16,9 +16,10 @@
 namespace plurality::epidemic {
 
 /// Agent state: informed or not, plus an optional payload value so tests can
-/// check that the *content* spreads, not just a bit.
+/// check that the *content* spreads, not just a bit.  The flag takes a whole
+/// word so that the struct has no padding bytes (sim::census_agent).
 struct epidemic_agent {
-    bool informed = false;
+    std::uint32_t informed = 0;  ///< 0 or 1
     std::uint32_t payload = 0;
 };
 
@@ -28,7 +29,7 @@ struct epidemic_protocol {
 
     void interact(agent_t& initiator, agent_t& responder, sim::rng&) const noexcept {
         if (initiator.informed && !responder.informed) {
-            responder.informed = true;
+            responder.informed = 1;
             responder.payload = initiator.payload;
         }
     }
@@ -38,14 +39,6 @@ struct epidemic_protocol {
     /// interactions share one evaluation.
     [[nodiscard]] bool deterministic_delta(const agent_t&, const agent_t&) const noexcept {
         return true;
-    }
-};
-
-/// Census codec (sim/census_simulator.h): informed bit plus payload.
-struct epidemic_census_codec {
-    using key_t = std::uint64_t;
-    [[nodiscard]] static key_t encode(const epidemic_agent& agent) noexcept {
-        return (static_cast<key_t>(agent.informed ? 1 : 0) << 32) | agent.payload;
     }
 };
 

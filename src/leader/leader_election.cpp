@@ -6,7 +6,7 @@ namespace plurality::leader {
 
 template <class R>
 void leader_election_protocol::advance_round(agent_t& agent, R& gen) const noexcept {
-    agent.round_tag = static_cast<std::uint8_t>((agent.round_tag + 1) % round_tag_modulus);
+    agent.round_tag = static_cast<std::uint16_t>((agent.round_tag + 1) % round_tag_modulus);
     if (agent.rounds_done < total_rounds_) ++agent.rounds_done;
 
     // Entering a new round: first settle last round's retirement, then flip

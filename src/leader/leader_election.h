@@ -32,10 +32,11 @@
 
 namespace plurality::leader {
 
+/// Field order and widths leave no padding bytes (sim::census_agent).
 struct leader_agent {
-    std::uint32_t count = 0;      ///< leaderless clock counter
-    std::uint8_t round_tag = 0;   ///< round id modulo a small constant
+    std::uint32_t count = 0;       ///< leaderless clock counter
     std::uint16_t rounds_done = 0;
+    std::uint16_t round_tag = 0;   ///< round id modulo a small constant
     bool candidate = true;
     bool coin = false;
     bool saw_one = false;
@@ -49,7 +50,7 @@ public:
     /// Round tags only need to distinguish neighbouring rounds (clock skew
     /// is <= 1 round w.h.p.), so a small modulus suffices — this is how the
     /// protocol avoids storing a Θ(log n)-valued round id in every agent.
-    static constexpr std::uint8_t round_tag_modulus = 16;
+    static constexpr std::uint16_t round_tag_modulus = 16;
 
     leader_election_protocol(std::uint32_t psi, std::uint16_t total_rounds)
         : psi_(psi), total_rounds_(total_rounds) {}
@@ -87,22 +88,6 @@ private:
 
     std::uint32_t psi_;
     std::uint16_t total_rounds_;
-};
-
-/// Census codec (sim/census_simulator.h): every field of leader_agent,
-/// packed with explicit widths (32 + 16 + 8 + 4 flag bits = 60 bits).
-struct leader_census_codec {
-    using key_t = std::uint64_t;
-    [[nodiscard]] static key_t encode(const leader_agent& agent) noexcept {
-        key_t key = agent.count;
-        key = (key << 16) | agent.rounds_done;
-        key = (key << 8) | agent.round_tag;
-        key = (key << 1) | (agent.candidate ? 1 : 0);
-        key = (key << 1) | (agent.coin ? 1 : 0);
-        key = (key << 1) | (agent.saw_one ? 1 : 0);
-        key = (key << 1) | (agent.leader ? 1 : 0);
-        return key;
-    }
 };
 
 /// Default parameters for a population of size n.

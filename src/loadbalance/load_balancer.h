@@ -49,15 +49,6 @@ struct load_balance_protocol {
     }
 };
 
-/// Census codec (sim/census_simulator.h): the signed load is the whole
-/// state.
-struct loadbalance_census_codec {
-    using key_t = std::uint64_t;
-    [[nodiscard]] static key_t encode(const load_agent& agent) noexcept {
-        return static_cast<key_t>(agent.load);
-    }
-};
-
 /// Sum of all loads (invariant under the protocol).
 [[nodiscard]] std::int64_t total_load(std::span<const load_agent> agents) noexcept;
 

@@ -55,17 +55,6 @@ struct averaging_majority_protocol {
     }
 };
 
-/// Census codec (sim/census_simulator.h): the signed load is the whole
-/// state (S here really is Θ(A) — the census backend's memory is O(S), so
-/// averaging runs census-space are bounded by load concentration, which
-/// keeps the occupied set small after the first O(log n) time).
-struct averaging_census_codec {
-    using key_t = std::uint64_t;
-    [[nodiscard]] static key_t encode(const averaging_agent& agent) noexcept {
-        return static_cast<key_t>(agent.load);
-    }
-};
-
 /// The amplification used for a population bound of `n` participants:
 /// 8 · 2^⌈log2 n⌉ >= 8n.
 [[nodiscard]] std::int64_t default_amplification(std::uint32_t n) noexcept;

@@ -92,14 +92,6 @@ private:
     std::uint8_t level_cap_;
 };
 
-/// Census codec (sim/census_simulator.h): sign (offset to 0..2) and level.
-struct cancel_double_census_codec {
-    using key_t = std::uint64_t;
-    [[nodiscard]] static key_t encode(const cancel_double_agent& agent) noexcept {
-        return (static_cast<key_t>(agent.sign + 1) << 8) | agent.level;
-    }
-};
-
 /// Recommended level cap for n participants: ⌈log2 n⌉ + 2.
 [[nodiscard]] std::uint8_t default_level_cap(std::uint32_t n) noexcept;
 

@@ -42,14 +42,6 @@ struct stable_four_state_protocol {
     }
 };
 
-/// Census codec (sim/census_simulator.h): four states, one key each.
-struct four_state_census_codec {
-    using key_t = std::uint64_t;
-    [[nodiscard]] static key_t encode(const four_state_agent& agent) noexcept {
-        return static_cast<key_t>(agent.state);
-    }
-};
-
 /// +1 / -1 / 0: the sign an agent currently outputs.
 [[nodiscard]] int output_sign(const four_state_agent& agent) noexcept;
 

@@ -45,14 +45,6 @@ struct three_state_protocol {
     }
 };
 
-/// Census codec (sim/census_simulator.h): three states, one key each.
-struct three_state_census_codec {
-    using key_t = std::uint64_t;
-    [[nodiscard]] static key_t encode(const three_state_agent& agent) noexcept {
-        return static_cast<key_t>(agent.opinion);
-    }
-};
-
 /// True when every agent holds the same decided opinion.
 [[nodiscard]] bool consensus_reached(std::span<const three_state_agent> agents) noexcept;
 

@@ -18,7 +18,6 @@ struct usd_spec {
     workload::opinion_distribution dist{};
 
     using protocol_t = baselines::usd_plurality_protocol;
-    using codec_t = baselines::usd_census_codec;
     using agent_t = baselines::usd_agent;
 
     protocol_t make_protocol(const scenario_params& p, sim::rng& gen) {

@@ -3,7 +3,8 @@
 // so the broadcast runs on both the agent and the census backend — its
 // census has at most three occupied states, which makes it the canonical
 // n = 10⁹ demonstration scenario.
-#include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "epidemic/epidemic.h"
 #include "scenario/builtin.h"
@@ -17,19 +18,27 @@ namespace {
 
 struct epidemic_spec {
     using protocol_t = epidemic::epidemic_protocol;
-    using codec_t = epidemic::epidemic_census_codec;
     using agent_t = epidemic::epidemic_agent;
+
+    /// Informed agents at t = 0; outside [1, n] the run fails, unclamped.
+    static std::uint32_t sources(const scenario_params& p) {
+        if (p.sources < 1 || p.sources > p.n)
+            throw std::invalid_argument("invalid --sources " + std::to_string(p.sources) +
+                                        " for --n " + std::to_string(p.n) +
+                                        " (expected 1 to n informed agents)");
+        return p.sources;
+    }
 
     protocol_t make_protocol(const scenario_params&, sim::rng&) { return {}; }
     std::vector<agent_t> make_population(const scenario_params& p, sim::rng&) {
         std::vector<agent_t> agents(p.n);
-        const std::uint32_t sources = std::clamp<std::uint32_t>(p.sources, 1, p.n);
-        for (std::uint32_t i = 0; i < sources; ++i) agents[i] = {true, 1};
+        const std::uint32_t informed = sources(p);
+        for (std::uint32_t i = 0; i < informed; ++i) agents[i] = {true, 1};
         return agents;
     }
     std::vector<sim::census_entry<agent_t>> make_census(const scenario_params& p, sim::rng&) {
-        const std::uint32_t sources = std::clamp<std::uint32_t>(p.sources, 1, p.n);
-        return {{{true, 1}, sources}, {{false, 0}, p.n - sources}};
+        const std::uint32_t informed = sources(p);
+        return {{{true, 1}, informed}, {{false, 0}, p.n - informed}};
     }
     template <class Sim>
     bool converged(const Sim& s) const {

@@ -19,7 +19,6 @@ struct leader_spec {
     std::uint16_t rounds = 0;
 
     using protocol_t = leader::leader_election_protocol;
-    using codec_t = leader::leader_census_codec;
     using agent_t = leader::leader_agent;
 
     protocol_t make_protocol(const scenario_params& p, sim::rng&) {

@@ -15,7 +15,6 @@ namespace {
 
 struct loadbalance_spec {
     using protocol_t = loadbalance::load_balance_protocol;
-    using codec_t = loadbalance::loadbalance_census_codec;
     using agent_t = loadbalance::load_agent;
 
     protocol_t make_protocol(const scenario_params&, sim::rng&) { return {}; }

@@ -8,7 +8,8 @@
 // Predicates and metrics are member templates over the simulation type and
 // use the weighted-state helpers of sim/population_view.h, so every
 // scenario here runs on both the agent and the census backend.
-#include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "majority/averaging_majority.h"
 #include "majority/cancel_double.h"
@@ -29,17 +30,21 @@ struct majority_split {
     std::uint32_t blank = 0;
 };
 
+/// Throws std::invalid_argument when the gap exceeds the population: a
+/// clamped gap would silently run from a unanimous start.
 majority_split split_population(const scenario_params& p) {
+    if (p.bias > p.n)
+        throw std::invalid_argument("invalid --bias " + std::to_string(p.bias) + " for --n " +
+                                    std::to_string(p.n) + " (expected a gap from 0 to n)");
     majority_split s;
-    s.minus = (p.n - std::min(p.bias, p.n)) / 2;
-    s.plus = s.minus + std::min(p.bias, p.n);
+    s.minus = (p.n - p.bias) / 2;
+    s.plus = s.minus + p.bias;
     s.blank = p.n - s.plus - s.minus;
     return s;
 }
 
 struct three_state_spec {
     using protocol_t = majority::three_state_protocol;
-    using codec_t = majority::three_state_census_codec;
     using agent_t = majority::three_state_agent;
 
     protocol_t make_protocol(const scenario_params&, sim::rng&) { return {}; }
@@ -79,7 +84,6 @@ struct three_state_spec {
 
 struct four_state_spec {
     using protocol_t = majority::stable_four_state_protocol;
-    using codec_t = majority::four_state_census_codec;
     using agent_t = majority::four_state_agent;
 
     protocol_t make_protocol(const scenario_params&, sim::rng&) { return {}; }
@@ -126,7 +130,6 @@ struct four_state_spec {
 
 struct averaging_spec {
     using protocol_t = majority::averaging_majority_protocol;
-    using codec_t = majority::averaging_census_codec;
     using agent_t = majority::averaging_agent;
 
     protocol_t make_protocol(const scenario_params&, sim::rng&) { return {}; }
@@ -164,7 +167,6 @@ struct averaging_spec {
 
 struct cancel_double_spec {
     using protocol_t = majority::cancel_double_protocol;
-    using codec_t = majority::cancel_double_census_codec;
     using agent_t = majority::cancel_double_agent;
 
     protocol_t make_protocol(const scenario_params& p, sim::rng&) {

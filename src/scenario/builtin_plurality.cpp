@@ -3,11 +3,9 @@
 //
 // Predicates and metrics are member templates over the simulation type
 // (sim/population_view.h helpers), so the tournament protocols run on both
-// the agent and the census backend; the census state key is the full-state
-// encoding of core/census_encoding.h.
+// the agent and the census backend.
 #include <set>
 
-#include "core/census_encoding.h"
 #include "core/plurality_protocol.h"
 #include "core/result.h"
 #include "scenario/builtin.h"
@@ -24,7 +22,6 @@ struct plurality_spec {
     workload::opinion_distribution dist{};
 
     using protocol_t = core::plurality_protocol;
-    using codec_t = core::core_census_codec;
     using agent_t = core::core_agent;
 
     core::plurality_protocol make_protocol(const scenario_params& p, sim::rng& gen) {

@@ -8,7 +8,6 @@
 //   * a protocol factory            (make_protocol),
 //   * an initial-population builder (make_population — agent backend),
 //   * an initial-census builder     (make_census — census backend),
-//   * a census codec                (codec_t, the injective state encoding),
 //   * a convergence predicate       (converged),
 //   * a correctness predicate       (correct),
 //   * a parallel-time budget        (time_budget),
@@ -194,7 +193,7 @@ struct run_options {
 
 /// The census store both census-space backends of scenario `S` inherit.
 template <class S>
-using census_view_t = sim::census_store<typename S::protocol_t, typename S::codec_t>;
+using census_view_t = sim::census_store<typename S::protocol_t>;
 
 /// The structured shape a concrete scenario implementation must have.
 /// Methods are non-const so a spec may cache per-run state (typically the
@@ -207,11 +206,12 @@ using census_view_t = sim::census_store<typename S::protocol_t, typename S::code
 /// the sim::view helpers.  `make_population` feeds the agent backend;
 /// `make_census` feeds the census-space backends and must describe the same
 /// initial configuration as a census (it is what keeps census runs O(S): no
-/// per-agent vector is ever materialized).
+/// per-agent vector is ever materialized).  The agent type must be a
+/// `sim::census_agent` — padding-free, since a census state is its bytes.
 template <class S>
 concept scenario_spec =
     sim::protocol<typename S::protocol_t> && std::copy_constructible<S> &&
-    sim::census_codec<typename S::codec_t, typename S::protocol_t::agent_t> &&
+    sim::census_agent<typename S::protocol_t::agent_t> &&
     requires(S s, const scenario_params& p, sim::rng& gen,
              const sim::simulation<typename S::protocol_t>& asim,
              const census_view_t<S>& csim) {
@@ -301,7 +301,6 @@ private:
             if (params.n < 2)
                 throw std::invalid_argument("scenario requires a population of n >= 2");
             using protocol_t = typename S::protocol_t;
-            using codec_t = typename S::codec_t;
             S spec = spec_;  // fresh per-run state
             sim::rng setup(sim::derive_seed(seed, scenario_setup_stream));
             auto protocol = spec.make_protocol(params, setup);
@@ -320,12 +319,12 @@ private:
                     return drive(spec, params, sim, options);
                 }
                 case backend_kind::census: {
-                    sim::census_simulator<protocol_t, codec_t> sim{
+                    sim::census_simulator<protocol_t> sim{
                         std::move(protocol), spec.make_census(params, setup), run_seed};
                     return drive(spec, params, sim, options);
                 }
                 case backend_kind::leap: {
-                    sim::leap_census_simulator<protocol_t, codec_t> sim{
+                    sim::leap_census_simulator<protocol_t> sim{
                         std::move(protocol), spec.make_census(params, setup), run_seed};
                     return drive(spec, params, sim, options);
                 }

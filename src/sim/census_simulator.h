@@ -1,10 +1,11 @@
 // Census-space simulation backend: simulate the *state census* instead of
 // the agents.
 //
-// `census_simulator` keeps one counter per occupied state (the shared
-// sim::census_store), samples the interacting *state pair* from the census,
-// applies the protocol's transition function δ to the two sampled states,
-// and moves the agents δ changed (a unit of mass each).  Memory is O(S) in
+// `census_simulator` keeps one counter per occupied state — a state being
+// the agent's bytes (sim::census_agent) — in the shared sim::census_store,
+// samples the interacting *state pair* from the census, applies the
+// protocol's transition function δ to the two sampled states, and moves the
+// agents δ changed (a unit of mass each).  Memory is O(S) in
 // the number of reachable states instead of O(n) in the population, which
 // is what makes populations of 10⁸–10⁹ agents simulable on a laptop
 // (bench_e15_census).  Every interaction goes through the store's loop
@@ -49,16 +50,15 @@ namespace plurality::sim {
 /// sim/population_view.h.
 /// `Obs` selects the observability policy (obs/metrics.h): the default
 /// follows the PLURALITY_OBS build option; `obs::disabled` compiles every
-/// instrument out (the overhead bench instantiates both).
-template <protocol P, census_codec<typename P::agent_t> Codec,
-          class Obs = obs::default_policy>
-class census_simulator : public census_store<P, Codec> {
-    using store = census_store<P, Codec>;
+/// instrument out (the overhead bench instantiates both).  `Retired` is
+/// ignored: only the frozen benchmark (consensus_bench/) still passes one.
+template <protocol P, class Retired = void, class Obs = obs::default_policy>
+class census_simulator : public census_store<P> {
+    using store = census_store<P>;
 
 public:
     using typename store::agent_t;
     using typename store::entry_t;
-    using typename store::key_t;
 
     /// Takes ownership of the protocol instance and the initial census.
     /// Requires a total population of 2 <= n <= 2^32 − 1.
@@ -69,7 +69,7 @@ public:
     /// in tests that compare the two backends on identical configurations;
     /// large-n callers should build census entries directly.
     census_simulator(P proto, const std::vector<agent_t>& agents, std::uint64_t seed)
-        : census_simulator(std::move(proto), compress_to_census<Codec>(agents), seed) {}
+        : census_simulator(std::move(proto), compress_to_census(agents), seed) {}
 
     /// Executes exactly one interaction.
     void step() { run_for(1); }
@@ -95,8 +95,7 @@ public:
                             successor_.capacity() * sizeof(std::uint32_t) +
                             classes_.capacity() * sizeof(typename store::class_tree) +
                             live_.capacity() * sizeof(std::uint32_t) +
-                            index_.size() * (sizeof(key_t) + sizeof(std::uint32_t) +
-                                             2 * sizeof(void*));
+                            index_.size() * (sizeof(std::uint32_t) + 2 * sizeof(void*));
         for (const auto& tree : classes_) {
             bytes += tree.tree.capacity() * sizeof(std::uint64_t) +
                      (tree.slot_at.capacity() + tree.free_positions.capacity()) *

@@ -7,7 +7,7 @@
 // per-step backend (sim/census_simulator.h) and the pair-type leaping
 // backend (sim/leap_census_simulator.h), together with the protocol
 // instance: one slot per state ever reached, in discovery order, a
-// key→slot index, the occupied count with its high-water mark, the
+// state→slot index, the occupied count with its high-water mark, the
 // population, the weighted read API the scenario predicates are written
 // against, and the sampling structure of the interaction loop.
 //
@@ -29,14 +29,15 @@
 // backends inherit the store publicly; a predicate written against the
 // store runs on either.
 //
-// States are identified by a `census_codec`: an injective encoding of the
-// agent state into a hashable key (see census_codec below).  New states
-// discovered by δ are added on the fly, so no global state-space enumeration
-// is ever required — S is whatever the run actually reaches.
+// A state is identified by its bytes: the agent type must be a
+// `census_agent` (trivially copyable, no padding), and two agents are the
+// same census state exactly when their object representations are equal
+// (`same_state`, hashed by `state_hash`).  New states discovered by δ are
+// added on the fly, so no global state-space enumeration is ever required —
+// S is whatever the run actually reaches.
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cmath>
 #include <concepts>
@@ -46,7 +47,7 @@
 #include <string>
 #include <tuple>
 #include <type_traits>
-#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -56,59 +57,112 @@
 
 namespace plurality::sim {
 
-/// An injective encoding of a protocol's agent state into a compact,
-/// hashable key.  Two agents with equal keys MUST behave identically in
-/// every interaction (the census merges them), so `encode` has to cover
-/// every field the transition function reads or writes.  Keys are
-/// `std::uint64_t` for small protocols or `std::array<std::uint64_t, N>`
-/// when one word is not enough (see core::core_census_codec).
-template <class C, class Agent>
-concept census_codec = std::copy_constructible<Agent> && requires(const Agent& a) {
-    typename C::key_t;
-    { C::encode(a) } -> std::same_as<typename C::key_t>;
-};
+/// An agent type the census can identify by its bytes: trivially copyable
+/// and free of padding, so equal object representations mean equal fields
+/// and nothing else.  Every census-space comparison of states — slot
+/// lookup, "did δ move this agent", grouping a run's post-states, keying δ's
+/// outcome table — is `same_state`, so a field can never be left out of the
+/// state's identity.  A struct with padding fails here: widen or reorder
+/// its fields until none is left (docs/ADDING_A_SCENARIO.md, step 2).
+template <class Agent>
+concept census_agent =
+    std::is_trivially_copyable_v<Agent> && std::has_unique_object_representations_v<Agent>;
 
-/// Hash functor for census keys (splitmix64-mixed; the raw keys are often
-/// small dense integers, which std::hash passes through unmixed).
-struct census_key_hash {
-    [[nodiscard]] std::size_t operator()(std::uint64_t key) const noexcept {
-        std::uint64_t state = key;
-        return static_cast<std::size_t>(splitmix64_next(state));
+/// True when `a` and `b` are the same census state: byte-equal.
+template <census_agent Agent>
+[[nodiscard]] bool same_state(const Agent& a, const Agent& b) noexcept {
+    return std::memcmp(&a, &b, sizeof(Agent)) == 0;
+}
+
+/// Hash of a census state's bytes, taken as 64-bit words (the last one
+/// zero-extended when the size is not a multiple of 8), each folded in
+/// through splitmix64.
+template <census_agent Agent>
+[[nodiscard]] std::size_t state_hash(const Agent& state) noexcept {
+    const auto* const bytes = reinterpret_cast<const unsigned char*>(&state);
+    std::uint64_t mix = 0x9e3779b97f4a7c15ull;
+    std::uint64_t hash = 0;
+    for (std::size_t offset = 0; offset < sizeof(Agent); offset += 8) {
+        std::uint64_t word = 0;
+        std::memcpy(&word, bytes + offset, std::min<std::size_t>(8, sizeof(Agent) - offset));
+        mix ^= word;
+        hash ^= splitmix64_next(mix);
     }
-    template <std::size_t N>
-    [[nodiscard]] std::size_t operator()(const std::array<std::uint64_t, N>& key) const noexcept {
-        std::uint64_t state = 0x9e3779b97f4a7c15ull;
-        std::uint64_t hash = 0;
-        for (const std::uint64_t word : key) {
-            state ^= word;
-            hash ^= splitmix64_next(state);
+    return static_cast<std::size_t>(hash);
+}
+
+/// Positions into a vector of records that each hold a `state`, looked up by
+/// state: the hash and the equality read the records in place (C++20
+/// heterogeneous lookup), so the index holds 4-byte positions rather than
+/// copies of the states.  It points at the vector, so it can be neither
+/// copied nor moved, and its owner neither.
+template <class Record>
+class state_index {
+    using state_t = decltype(Record::state);
+
+    /// Hash and equality over positions and states alike.
+    struct by_state {
+        using is_transparent = void;
+        const std::vector<Record>* records;
+
+        const state_t& at(std::uint32_t position) const { return (*records)[position].state; }
+        const state_t& at(const state_t& state) const { return state; }
+        std::size_t operator()(const auto& x) const noexcept { return state_hash(at(x)); }
+        bool operator()(const auto& x, const auto& y) const noexcept {
+            return same_state(at(x), at(y));
         }
-        return static_cast<std::size_t>(hash);
+    };
+
+public:
+    static constexpr std::uint32_t absent = 0xffffffffu;
+
+    explicit state_index(const std::vector<Record>& records)
+        : index_(0, by_state{&records}, by_state{&records}) {}
+    state_index(const state_index&) = delete;
+    state_index& operator=(const state_index&) = delete;
+
+    /// Position of the record holding `state`, or `absent`.
+    [[nodiscard]] std::uint32_t find(const state_t& state) const {
+        const auto it = index_.find(state);
+        return it == index_.end() ? absent : *it;
     }
+
+    /// Indexes the record at `position`, already in the vector, whose state
+    /// is not indexed yet.
+    void insert(std::size_t position) { index_.insert(static_cast<std::uint32_t>(position)); }
+
+    void reserve(std::size_t count) { index_.reserve(count); }
+    void clear() noexcept { index_.clear(); }
+    [[nodiscard]] std::size_t size() const noexcept { return index_.size(); }
+
+private:
+    std::unordered_set<std::uint32_t, by_state, by_state> index_;
 };
 
 /// One census slot of an initial configuration: `count` agents all holding
-/// `state`.  Entries with equal encodings are merged; zero counts are
-/// ignored.
+/// `state`.  Entries with equal states are merged; zero counts are ignored.
 template <class Agent>
 struct census_entry {
     Agent state{};
     std::uint64_t count = 0;
 };
 
-/// Compresses a full agent vector into its census under `Codec`, merging
-/// equal-key agents.  Shared by both census-space backends' agent-vector
+/// Compresses a full agent vector into its census, merging equal states in
+/// first-seen order.  Shared by both census-space backends' agent-vector
 /// convenience constructors; large-n callers should build entries directly.
-template <class Codec, class Agent>
-    requires census_codec<Codec, Agent>
+template <census_agent Agent>
 [[nodiscard]] std::vector<census_entry<Agent>> compress_to_census(
     const std::vector<Agent>& agents) {
     std::vector<census_entry<Agent>> entries;
-    std::unordered_map<typename Codec::key_t, std::size_t, census_key_hash> seen;
+    state_index<census_entry<Agent>> seen(entries);
     for (const auto& agent : agents) {
-        const auto [it, inserted] = seen.try_emplace(Codec::encode(agent), entries.size());
-        if (inserted) entries.push_back({agent, 0});
-        ++entries[it->second].count;
+        std::uint32_t at = seen.find(agent);
+        if (at == seen.absent) {
+            at = static_cast<std::uint32_t>(entries.size());
+            entries.push_back({agent, 0});
+            seen.insert(at);
+        }
+        ++entries[at].count;
     }
     return entries;
 }
@@ -139,11 +193,11 @@ concept declares_activity_classes =
 /// The census of one population, together with the protocol instance that
 /// moves it.  The read API is public; moving mass is reserved to the
 /// backends that inherit the store.
-template <protocol P, census_codec<typename P::agent_t> Codec>
+template <protocol P>
+    requires census_agent<typename P::agent_t>
 class census_store {
 public:
     using agent_t = typename P::agent_t;
-    using key_t = typename Codec::key_t;
     using entry_t = census_entry<agent_t>;
 
     /// Visits every *occupied* state as `(state, count)` in a deterministic
@@ -174,8 +228,8 @@ public:
 
     /// Count of agents currently in the given state (0 if never reached).
     [[nodiscard]] std::uint64_t count_of(const agent_t& state) const {
-        const auto it = index_.find(Codec::encode(state));
-        return it == index_.end() ? 0 : slots_[it->second].count;
+        const std::uint32_t at = index_.find(state);
+        return at == index_.absent ? 0 : slots_[at].count;
     }
 
     /// W / n(n−1): the share of ordered agent pairs that fall in may-act
@@ -188,7 +242,6 @@ public:
 protected:
     struct slot {
         agent_t state;
-        key_t key{};  ///< Codec::encode(state), cached for key compares
         std::uint64_t count = 0;
         std::uint32_t cls = 0;       ///< activity class of `state` (0 without the hook)
         std::uint32_t position = 0;  ///< position in its class's tree while occupied
@@ -213,7 +266,7 @@ protected:
     };
 
     /// Takes the protocol instance and deposits the initial census, one slot
-    /// per distinct key in entry order.  Requires a total population of
+    /// per distinct state in entry order.  Requires a total population of
     /// 2 <= n < 2^32 (n(n−1) must fit in 64 bits); `backend` names the
     /// caller in the error.
     census_store(P proto, const std::vector<entry_t>& initial, const char* backend)
@@ -232,22 +285,21 @@ protected:
         index_.reserve(initial.size());
         slots_.reserve(initial.size());
         for (const auto& entry : initial) {
-            if (entry.count > 0) add_to(slot_for(entry.state, Codec::encode(entry.state)), entry.count);
+            if (entry.count > 0) add_to(slot_for(entry.state), entry.count);
         }
     }
 
-    /// Index of the slot holding `state` (encoded `key`), appending an empty
-    /// slot on first sight — a backend spots a new slot by its index being
-    /// the previous `slots_.size()`.  A new slot's activity class is fixed
-    /// here, once: it is a function of the state.
-    std::size_t slot_for(const agent_t& state, const key_t& key) {
-        const auto [it, inserted] =
-            index_.try_emplace(key, static_cast<std::uint32_t>(slots_.size()));
-        if (inserted) {
-            slots_.push_back({state, key, 0, class_of(state)});
-            successor_.push_back(no_successor);
-        }
-        return it->second;
+    /// Index of the slot holding `state`, appending an empty slot on first
+    /// sight — a backend spots a new slot by its index being the previous
+    /// `slots_.size()`.  A new slot's activity class is fixed here, once: it
+    /// is a function of the state.
+    std::size_t slot_for(const agent_t& state) {
+        const std::uint32_t at = index_.find(state);
+        if (at != index_.absent) return at;
+        slots_.push_back({state, 0, class_of(state)});
+        successor_.push_back(no_successor);
+        index_.insert(slots_.size() - 1);
+        return slots_.size() - 1;
     }
 
     /// Adds `count` > 0 agents to slot `index`; true when the slot was empty
@@ -368,7 +420,7 @@ protected:
     P protocol_;
     std::vector<slot> slots_;  ///< discovery-ordered; dormant slots keep their index
     std::vector<std::uint32_t> successor_;  ///< per slot: where its last changed agent went
-    std::unordered_map<key_t, std::uint32_t, census_key_hash> index_;  ///< key -> slot
+    state_index<slot> index_{slots_};  ///< state -> slot; pins the store (no copy, no move)
     std::size_t occupied_ = 0;       ///< slots with count > 0
     std::size_t occupied_hwm_ = 0;   ///< max of occupied_ so far
     std::uint64_t population_ = 0;   ///< invariant: Σ slot counts (+ agents in flight)
@@ -394,19 +446,16 @@ private:
     ///
     /// Many executed interactions still change nothing (a tournament agent
     /// waiting for its partner's role, a converged tail), so an agent whose
-    /// post-δ state is byte-equal to its slot's state stays where it is: no
-    /// tree update, no encode, no hash probe.  A padding-only difference
-    /// merely costs a redundant move back into the same slot.  The changed
-    /// agents are all withdrawn before any is deposited: the high-water mark
-    /// only rises on a deposit, and once the withdrawals are done each
-    /// deposit moves the occupied count toward its end-of-step value, so
-    /// `occupied_hwm_` ends exactly where it would had both agents left and
-    /// re-entered the census (depositing one agent before withdrawing the
-    /// other could overshoot by one).
+    /// post-δ state is the same as its slot's state stays where it is: no
+    /// tree update, no hash probe.  The changed agents are all withdrawn
+    /// before any is deposited: the high-water mark only rises on a deposit,
+    /// and once the withdrawals are done each deposit moves the occupied
+    /// count toward its end-of-step value, so `occupied_hwm_` ends exactly
+    /// where it would had both agents left and re-entered the census
+    /// (depositing one agent before withdrawing the other could overshoot by
+    /// one).
     template <class OnOccupied>
     void execute(rng& gen, OnOccupied& on_occupied) {
-        static_assert(std::is_trivially_copyable_v<agent_t>,
-                      "execute compares agent states bytewise");
         std::size_t initiator = 0;
         std::size_t responder = 0;
         if (sole_ != no_class) {
@@ -426,8 +475,8 @@ private:
         agent_t u = slots_[initiator].state;
         agent_t v = slots_[responder].state;
         protocol_.interact(u, v, gen);
-        const bool u_moved = std::memcmp(&u, &slots_[initiator].state, sizeof(agent_t)) != 0;
-        const bool v_moved = std::memcmp(&v, &slots_[responder].state, sizeof(agent_t)) != 0;
+        const bool u_moved = !same_state(u, slots_[initiator].state);
+        const bool v_moved = !same_state(v, slots_[responder].state);
         if (u_moved) withdraw_mass(initiator, 1);
         if (v_moved) withdraw_mass(responder, 1);
         if (u_moved) deposit(initiator, u, on_occupied);
@@ -438,16 +487,14 @@ private:
     /// creating the slot on first sight; the class counts move only when
     /// the agent changed class.  Agents leaving one slot mostly land in the
     /// same next one (a clock's count steps up, a player adopts a side), so
-    /// a bytewise compare with the state of the slot the last agent from
-    /// `origin` went to stands in for the encode and hash probe — ~90% of
-    /// the time on the tournament — and picks the very slot the probe
-    /// would.
+    /// a compare with the state of the slot the last agent from `origin`
+    /// went to stands in for the hash probe — ~90% of the time on the
+    /// tournament — and picks the very slot the probe would.
     template <class OnOccupied>
     void deposit(std::size_t origin, const agent_t& state, OnOccupied& on_occupied) {
         std::size_t index = successor_[origin];
-        if (index == no_successor ||
-            std::memcmp(&slots_[index].state, &state, sizeof(agent_t)) != 0) {
-            index = slot_for(state, Codec::encode(state));
+        if (index == no_successor || !same_state(slots_[index].state, state)) {
+            index = slot_for(state);
             successor_[origin] = static_cast<std::uint32_t>(index);
         }
         if (deposit_mass(index, 1)) on_occupied(index);

@@ -170,7 +170,7 @@ inline constexpr std::size_t max_enumeration_runs = 4096;
 
 /// Expands the choice tree of δ(u, v) depth-first.  Returns true and fills
 /// `out` with one entry per root-to-leaf path (duplicates of equal final
-/// states are possible and fine — callers merge by census key), or returns
+/// states are possible and fine — callers merge equal states), or returns
 /// false (with `out` cleared) when the pair resists a finite choice tree.
 template <delta_enumerable P>
 [[nodiscard]] bool enumerate_delta_outcomes(const P& proto, const typename P::agent_t& u,

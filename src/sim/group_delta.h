@@ -13,10 +13,12 @@
 //    per-pair outcome distributions (sim/delta_outcomes.h) plus the grouped
 //    sampler that splits a group of m across the outcomes with one
 //    multinomial draw (dist::multinomial) instead of m per-pair RNG calls;
-//  * `detail::used_group_set` — post-run participant groups keyed by census
-//    key;
+//  * `detail::used_group_set` — post-run participant groups, one per state;
 //  * `detail::execute_colliding_interaction` — the exact three-case
 //    (both-used / used-fresh / fresh-used) interaction that ends a run.
+//
+// States are compared as the census compares them: by their bytes
+// (sim::same_state and sim::state_hash, sim/census_store.h).
 #pragma once
 
 #include <concepts>
@@ -45,20 +47,19 @@ concept declares_deterministic_delta =
 
 namespace detail {
 
-/// Post-run participant groups keyed by census key: a flat accumulator whose
-/// scratch persists across runs.  Lookups linear-scan the group list while it
-/// is small — the overwhelmingly common case; grouped-δ protocols produce a
-/// handful of post-states per run — and switch to a hash index only once a
-/// run exceeds the threshold (per-pair-fallback runs of large-S protocols).
-/// A per-run unordered_map would rebuild a heap node per group per run; the
-/// flat path is allocation-free after warm-up.
-template <class Agent, class Key>
+/// Post-run participant groups, one per distinct state: a flat accumulator
+/// whose scratch persists across runs.  Lookups linear-scan the group list
+/// while it is small — the overwhelmingly common case; grouped-δ protocols
+/// produce a handful of post-states per run — and switch to a hash index
+/// only once a run exceeds the threshold (per-pair-fallback runs of
+/// large-S protocols).  A per-run unordered_map would rebuild a heap node
+/// per group per run; the flat path is allocation-free after warm-up.
+template <census_agent Agent>
 class used_group_set {
 public:
     /// One group of run participants sharing a post-interaction state.
     struct group {
         Agent state;
-        Key key{};
         std::uint64_t count = 0;
     };
 
@@ -70,41 +71,23 @@ public:
         }
     }
 
-    /// Adds `count` agents whose post-run state is `state` (encoded `key`).
-    void add(const Agent& state, const Key& key, std::uint64_t count) {
-        if (!indexed_) {
-            for (auto& g : groups_) {
-                if (g.key == key) {
-                    g.count += count;
-                    return;
-                }
-            }
-            groups_.push_back({state, key, count});
-            if (groups_.size() > linear_threshold) build_index();
+    /// Adds `count` agents whose post-run state is `state`.
+    void add(const Agent& state, std::uint64_t count) {
+        const std::size_t at = find(state);
+        if (at < groups_.size()) {
+            groups_[at].count += count;
             return;
         }
-        const auto [it, inserted] =
-            index_.try_emplace(key, static_cast<std::uint32_t>(groups_.size()));
-        if (inserted) {
-            groups_.push_back({state, key, count});
-        } else {
-            groups_[it->second].count += count;
+        groups_.push_back({state, count});
+        if (indexed_) {
+            index_.insert(groups_.size() - 1);
+        } else if (groups_.size() > linear_threshold) {
+            build_index();
         }
     }
 
-    /// Removes one agent from the (present) group with this key.
-    void remove_one(const Key& key) {
-        if (!indexed_) {
-            for (auto& g : groups_) {
-                if (g.key == key) {
-                    --g.count;
-                    return;
-                }
-            }
-            return;  // unreachable for keys previously added
-        }
-        --groups_[index_.find(key)->second].count;
-    }
+    /// Removes one agent from the (present) group holding `state`.
+    void remove_one(const Agent& state) { --groups_[find(state)].count; }
 
     /// State of the participant with zero-based rank `rank` over the groups
     /// (each unit of count is one agent).
@@ -122,16 +105,25 @@ public:
 private:
     static constexpr std::size_t linear_threshold = 32;
 
+    /// Index of the group holding `state`, or groups_.size() if none does.
+    [[nodiscard]] std::size_t find(const Agent& state) const {
+        if (indexed_) {
+            const std::uint32_t at = index_.find(state);
+            return at == index_.absent ? groups_.size() : at;
+        }
+        std::size_t at = 0;
+        while (at < groups_.size() && !same_state(groups_[at].state, state)) ++at;
+        return at;
+    }
+
     void build_index() {
         index_.reserve(groups_.size());
-        for (std::size_t i = 0; i < groups_.size(); ++i) {
-            index_.try_emplace(groups_[i].key, static_cast<std::uint32_t>(i));
-        }
+        for (std::size_t i = 0; i < groups_.size(); ++i) index_.insert(i);
         indexed_ = true;
     }
 
     std::vector<group> groups_;
-    std::unordered_map<Key, std::uint32_t, census_key_hash> index_;
+    state_index<group> index_{groups_};
     bool indexed_ = false;
 };
 
@@ -146,9 +138,9 @@ private:
 /// (non-participant) agent with the given zero-based census rank;
 /// `interact(u, v)` must apply δ to the withdrawn pair.  Both post-states
 /// are re-added to `used` so the caller's re-deposit loop covers them.
-template <class Codec, class Agent, class Key, class TakeFresh, class Interact>
+template <class Agent, class TakeFresh, class Interact>
 void execute_colliding_interaction(rng& gen, std::uint64_t population, std::uint64_t m2,
-                                   used_group_set<Agent, Key>& used, TakeFresh&& take_fresh,
+                                   used_group_set<Agent>& used, TakeFresh&& take_fresh,
                                    Interact&& interact) {
     const std::uint64_t fresh = population - m2;
     const std::uint64_t both_used = m2 * (m2 - 1);
@@ -161,22 +153,22 @@ void execute_colliding_interaction(rng& gen, std::uint64_t population, std::uint
         if (j >= i) ++j;  // distinct-ordered-pair decode
         u = used.state_at(i);
         v = used.state_at(j);
-        used.remove_one(Codec::encode(u));
-        used.remove_one(Codec::encode(v));
+        used.remove_one(u);
+        used.remove_one(v);
     } else if (r < both_used + m2 * fresh) {
         const std::uint64_t q = r - both_used;
         u = used.state_at(q / fresh);
-        used.remove_one(Codec::encode(u));
+        used.remove_one(u);
         v = take_fresh(q % fresh);
     } else {
         const std::uint64_t q = r - both_used - m2 * fresh;
         u = take_fresh(q % fresh);
         v = used.state_at(q / fresh);
-        used.remove_one(Codec::encode(v));
+        used.remove_one(v);
     }
     interact(u, v);
-    used.add(u, Codec::encode(u), 1);
-    used.add(v, Codec::encode(v), 1);
+    used.add(u, 1);
+    used.add(v, 1);
 }
 
 /// Memoized per-pair outcome distributions plus the grouped sampler — the
@@ -184,18 +176,18 @@ void execute_colliding_interaction(rng& gen, std::uint64_t population, std::uint
 ///
 /// Enumerating a pair's outcomes costs a handful of δ evaluations
 /// (sim/delta_outcomes.h walks the pair's choice tree), so distributions are
-/// cached keyed by the pair's census keys: a protocol's hot pairs are
+/// cached keyed by the pair's two states: a protocol's hot pairs are
 /// enumerated once per simulation, not once per run.  Outcomes that collapse
-/// to the same (initiator-key, responder-key) are merged at insertion, so
-/// the stored weight vectors are as short as possible for the multinomial.
-template <class P, class Codec>
+/// to the same pair of states are merged at insertion, so the stored weight
+/// vectors are as short as possible for the multinomial.
+template <class P>
+    requires census_agent<typename P::agent_t>
 class delta_outcome_table {
 public:
     using agent_t = typename P::agent_t;
-    using key_t = typename Codec::key_t;
 
     struct entry {
-        std::vector<delta_outcome<agent_t>> outcomes;  ///< merged by census key
+        std::vector<delta_outcome<agent_t>> outcomes;  ///< merged by state pair
         std::vector<double> weights;                   ///< their probabilities
         bool groupable = false;  ///< false: pair needs the per-pair fallback
     };
@@ -210,7 +202,7 @@ public:
     /// inserting it on first sight.  The reference is valid until the next
     /// `lookup` call.
     [[nodiscard]] const entry& lookup(const P& proto, const agent_t& u, const agent_t& v) {
-        const pair_key key{Codec::encode(u), Codec::encode(v)};
+        const pair_key key{u, v};
         if (const auto it = cache_.find(key); it != cache_.end()) {
             ++hits_;
             return it->second;
@@ -220,20 +212,15 @@ public:
         entry e;
         if (proto.delta_outcomes(u, v, scratch_)) {
             e.groupable = true;
-            merge_keys_.clear();
             for (const auto& outcome : scratch_) {
-                const pair_key out_key{Codec::encode(outcome.initiator),
-                                       Codec::encode(outcome.responder)};
-                bool merged = false;
-                for (std::size_t i = 0; i < merge_keys_.size(); ++i) {
-                    if (merge_keys_[i] == out_key) {
-                        e.weights[i] += outcome.probability;
-                        merged = true;
-                        break;
-                    }
-                }
-                if (!merged) {
-                    merge_keys_.push_back(out_key);
+                std::size_t i = 0;
+                while (i < e.outcomes.size() &&
+                       !(same_state(e.outcomes[i].initiator, outcome.initiator) &&
+                         same_state(e.outcomes[i].responder, outcome.responder)))
+                    ++i;
+                if (i < e.outcomes.size()) {
+                    e.weights[i] += outcome.probability;
+                } else {
                     e.outcomes.push_back(outcome);
                     e.weights.push_back(outcome.probability);
                 }
@@ -288,24 +275,26 @@ public:
     [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
 
 private:
+    /// The ordered state pair, itself a census_agent: two padding-free
+    /// states of one type leave no gap between them.
     struct pair_key {
-        key_t initiator;
-        key_t responder;
-        [[nodiscard]] bool operator==(const pair_key&) const = default;
+        agent_t initiator;
+        agent_t responder;
     };
 
-    struct pair_key_hash {
+    struct pair_key_ops {
         [[nodiscard]] std::size_t operator()(const pair_key& key) const noexcept {
-            const census_key_hash hash;
-            return hash(key.initiator) * 0x9e3779b97f4a7c15ull + hash(key.responder);
+            return state_hash(key);
+        }
+        [[nodiscard]] bool operator()(const pair_key& a, const pair_key& b) const noexcept {
+            return same_state(a, b);
         }
     };
 
-    std::unordered_map<pair_key, entry, pair_key_hash> cache_;
+    std::unordered_map<pair_key, entry, pair_key_ops, pair_key_ops> cache_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::vector<delta_outcome<agent_t>> scratch_;  ///< raw enumeration output
-    std::vector<pair_key> merge_keys_;             ///< post-state keys during merge
     std::vector<std::uint64_t> split_;             ///< multinomial output
 };
 

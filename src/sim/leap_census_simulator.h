@@ -178,15 +178,15 @@ struct leap_cost_model {
 /// instrument out.  This is the backend the ≤2% overhead gate measures
 /// (bench_e19_obs_overhead): a leap run at n = 10⁹ is ~10 µs of work, so
 /// all timers are run-granular — a handful of clock reads per run.
-template <protocol P, census_codec<typename P::agent_t> Codec,
-          class Obs = obs::default_policy>
-class leap_census_simulator : public census_store<P, Codec> {
-    using store = census_store<P, Codec>;
+/// `Retired` is ignored: only the frozen benchmark (consensus_bench/) still
+/// passes one.
+template <protocol P, class Retired = void, class Obs = obs::default_policy>
+class leap_census_simulator : public census_store<P> {
+    using store = census_store<P>;
 
 public:
     using typename store::agent_t;
     using typename store::entry_t;
-    using typename store::key_t;
 
     /// Takes ownership of the protocol instance and the initial census.
     /// Requires a total population of 2 <= n <= 2^32 − 1.
@@ -203,7 +203,7 @@ public:
     /// Convenience: compresses a full agent vector into its census (small-n
     /// tests comparing backends on identical configurations).
     leap_census_simulator(P proto, const std::vector<agent_t>& agents, std::uint64_t seed)
-        : leap_census_simulator(std::move(proto), compress_to_census<Codec>(agents), seed) {}
+        : leap_census_simulator(std::move(proto), compress_to_census(agents), seed) {}
 
     /// Executes exactly one interaction: a stepped one or a leap run
     /// truncated to length 1, whichever the cost model picks.
@@ -326,15 +326,15 @@ private:
                     agent_t u = only.state;
                     agent_t v = only.state;
                     protocol_.interact(u, v, gen_);
-                    quiescent = Codec::encode(u) == only.key && Codec::encode(v) == only.key;
+                    quiescent = same_state(u, only.state) && same_state(v, only.state);
                 }
             }
             if constexpr (declares_delta_outcomes<P>) {
                 if (!quiescent) {
                     const auto& entry = delta_table_.lookup(protocol_, only.state, only.state);
                     quiescent = entry.groupable && entry.outcomes.size() == 1 &&
-                                Codec::encode(entry.outcomes[0].initiator) == only.key &&
-                                Codec::encode(entry.outcomes[0].responder) == only.key;
+                                same_state(entry.outcomes[0].initiator, only.state) &&
+                                same_state(entry.outcomes[0].responder, only.state);
                 }
             }
             if (quiescent) {
@@ -412,14 +412,14 @@ private:
         }
 
         // Re-deposit every participant's post-state.  Post-states are almost
-        // always already-listed slots, so try a short key-compare scan of the
+        // always already-listed slots, so try a short compare scan of the
         // occupied list before paying the hash lookup.
         for (const auto& g : used_.groups()) {
             if (g.count == 0) continue;
             if (occupied_list_.size() <= 16) {
                 bool found = false;
                 for (const std::uint32_t i : occupied_list_) {
-                    if (slots_[i].key == g.key) {
+                    if (same_state(slots_[i].state, g.state)) {
                         add(i, g.count);
                         found = true;
                         break;
@@ -427,7 +427,7 @@ private:
                 }
                 if (found) continue;
             }
-            add(slot_for(g.state, g.key), g.count);
+            add(slot_for(g.state), g.count);
         }
 
         const std::uint64_t t4 = timed ? obs::now_ticks() : 0;
@@ -461,8 +461,8 @@ private:
                 agent_t u = u_state;
                 agent_t v = v_state;
                 protocol_.interact(u, v, gen_);
-                used_add(u, count);
-                used_add(v, count);
+                used_.add(u, count);
+                used_.add(v, count);
                 metrics_.delta_deterministic.add(count);
                 return;
             }
@@ -472,7 +472,7 @@ private:
             if (entry.groupable) {
                 delta_table_.apply_group(
                     entry, gen_, count,
-                    [this](const agent_t& state, std::uint64_t c) { used_add(state, c); });
+                    [this](const agent_t& state, std::uint64_t c) { used_.add(state, c); });
                 metrics_.delta_grouped.add(count);
                 return;
             }
@@ -481,8 +481,8 @@ private:
             agent_t u = u_state;
             agent_t v = v_state;
             protocol_.interact(u, v, gen_);
-            used_add(u, 1);
-            used_add(v, 1);
+            used_.add(u, 1);
+            used_.add(v, 1);
         }
         metrics_.delta_fallback.add(count);
     }
@@ -492,14 +492,10 @@ private:
     /// conditioned on touching at least one of the `m2` run participants
     /// (whose current states live in `used_`).
     void execute_collision(std::uint64_t m2) {
-        detail::execute_colliding_interaction<Codec>(
+        detail::execute_colliding_interaction(
             gen_, population_, m2, used_,
             [this](std::uint64_t rank) { return census_take_at(rank); },
             [this](agent_t& u, agent_t& v) { protocol_.interact(u, v, gen_); });
-    }
-
-    void used_add(const agent_t& state, std::uint64_t count) {
-        used_.add(state, Codec::encode(state), count);
     }
 
     /// Withdraws and returns the state of the *fresh* (non-participant)
@@ -553,8 +549,8 @@ private:
     std::vector<std::uint64_t> pinit_;          ///< initiator margin, compacted
     std::vector<std::uint64_t> presp_;          ///< unpaired responders, compacted
     std::vector<std::uint64_t> row_;            ///< one contingency-table row
-    detail::used_group_set<agent_t, key_t> used_;  ///< post-run states of participants
-    detail::delta_outcome_table<P, Codec> delta_table_;  ///< randomized-δ group path cache
+    detail::used_group_set<agent_t> used_;        ///< post-run states of participants
+    detail::delta_outcome_table<P> delta_table_;  ///< randomized-δ group path cache
     [[no_unique_address]] instrument_set metrics_;
 };
 

@@ -20,13 +20,11 @@
 
 #include <array>
 #include <cstdint>
-#include <cstring>
 #include <ostream>
 #include <set>
-#include <utility>
+#include <string>
 #include <vector>
 
-#include "core/census_encoding.h"
 #include "core/plurality_protocol.h"
 #include "sim/census_simulator.h"
 #include "sim/convergence.h"
@@ -34,6 +32,7 @@
 #include "sim/rng.h"
 #include "sim/scheduler.h"
 #include "workload/opinion_distribution.h"
+#include "test_support.h"
 
 namespace plurality::core {
 
@@ -56,10 +55,6 @@ constexpr std::uint32_t population = 128;
 constexpr std::uint32_t opinions = 3;
 constexpr std::uint64_t seeds[] = {1, 2, 3};
 
-bool same_bytes(const core_agent& a, const core_agent& b) {
-    return std::memcmp(&a, &b, sizeof(core_agent)) == 0;
-}
-
 bool declared_inactive(const core::plurality_protocol& protocol, const core_agent& u,
                        const core_agent& v) {
     return !protocol.may_act(protocol.activity_class(u), protocol.activity_class(v));
@@ -81,13 +76,12 @@ bool all_winners(const std::vector<core_agent>& agents) {
 /// co-occupied states against δ's exact outcome list.  Returns the number
 /// of distinct pairs checked.
 std::uint64_t check_census_run(algorithm_mode mode, std::uint64_t seed) {
-    using census_sim = sim::census_simulator<core::plurality_protocol, core::core_census_codec>;
-    using key_t = core::core_census_codec::key_t;
+    using census_sim = sim::census_simulator<core::plurality_protocol>;
     const auto cfg = core::protocol_config::make(mode, population, opinions);
     const core::plurality_protocol protocol{cfg};
     census_sim sim{protocol, initial_agents(cfg, seed), seed};
 
-    std::set<std::pair<key_t, key_t>> checked;
+    std::set<std::string> checked;  // test::state_bytes of both states
     std::vector<sim::delta_outcome<core_agent>> outcomes;
     std::vector<core_agent> states;
     bool sound = true;
@@ -102,14 +96,12 @@ std::uint64_t check_census_run(algorithm_mode mode, std::uint64_t seed) {
         for (const core_agent& u : states) {
             for (const core_agent& v : states) {
                 if (!declared_inactive(protocol, u, v)) continue;
-                const auto keys = std::make_pair(core::core_census_codec::encode(u),
-                                                 core::core_census_codec::encode(v));
-                if (!checked.insert(keys).second) continue;
+                if (!checked.insert(test::state_bytes(u) + test::state_bytes(v)).second) continue;
                 const bool listed = protocol.delta_outcomes(u, v, outcomes);
                 const bool identity = listed && outcomes.size() == 1 &&
                                       outcomes[0].probability == 1.0 &&
-                                      same_bytes(outcomes[0].initiator, u) &&
-                                      same_bytes(outcomes[0].responder, v);
+                                      sim::same_state(outcomes[0].initiator, u) &&
+                                      sim::same_state(outcomes[0].responder, v);
                 EXPECT_TRUE(identity)
                     << ::testing::PrintToString(mode) << " seed " << seed << ": classes ("
                     << protocol.activity_class(u) << ", " << protocol.activity_class(v)
@@ -146,7 +138,7 @@ std::uint64_t check_agent_run(algorithm_mode mode, std::uint64_t seed) {
         protocol.interact(u, v, gen);
         if (skip) {
             ++inactive;
-            if (!same_bytes(u, u_before) || !same_bytes(v, v_before)) {
+            if (!sim::same_state(u, u_before) || !sim::same_state(v, v_before)) {
                 ADD_FAILURE() << ::testing::PrintToString(mode) << " seed " << seed
                               << ": declared-inactive classes ("
                               << protocol.activity_class(u_before) << ", "

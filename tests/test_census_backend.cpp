@@ -15,8 +15,15 @@
 #include <string>
 #include <vector>
 
+#include "baselines/usd_plurality.h"
 #include "census/state_census.h"
+#include "core/agent.h"
+#include "epidemic/epidemic.h"
+#include "leader/leader_election.h"
+#include "loadbalance/load_balancer.h"
 #include "majority/averaging_majority.h"
+#include "majority/cancel_double.h"
+#include "majority/stable_four_state.h"
 #include "majority/three_state.h"
 #include "scenario/json_report.h"
 #include "scenario/registry.h"
@@ -29,8 +36,7 @@
 namespace {
 
 using namespace plurality;
-using three_sim =
-    sim::census_simulator<majority::three_state_protocol, majority::three_state_census_codec>;
+using three_sim = sim::census_simulator<majority::three_state_protocol>;
 
 using test::alpha_v;
 using test::beta_v;
@@ -73,8 +79,7 @@ struct sign_classed_averaging {
         return c != 1 || d != 1;
     }
 };
-using sign_classed_sim =
-    sim::census_simulator<sign_classed_averaging, majority::averaging_census_codec>;
+using sign_classed_sim = sim::census_simulator<sign_classed_averaging>;
 
 sign_classed_sim make_sign_classed_sim(std::uint64_t seed) {
     return sign_classed_sim{{},
@@ -146,10 +151,6 @@ struct labelled_identity {
     struct agent_t {
         std::uint32_t label = 0;
     };
-    struct codec {
-        using key_t = std::uint64_t;
-        static key_t encode(const agent_t& a) noexcept { return a.label; }
-    };
     std::uint64_t* calls = nullptr;
     void interact(agent_t&, agent_t&, sim::rng&) const {
         if (calls != nullptr) ++*calls;
@@ -162,7 +163,7 @@ struct labelled_identity {
         return c != 1 || d != 1;
     }
 };
-using labelled_sim = sim::census_simulator<labelled_identity, labelled_identity::codec>;
+using labelled_sim = sim::census_simulator<labelled_identity>;
 
 std::vector<sim::census_entry<labelled_identity::agent_t>> labelled_census(
     const std::vector<std::uint64_t>& counts) {
@@ -277,14 +278,13 @@ TEST(CensusSimulator, MatchesIndependentCountedCensusReplay) {
 
     census::counted_census replay;
     sim.visit_states([&replay](const majority::three_state_agent& a, std::uint64_t count) {
-        replay.increment(majority::three_state_census_codec::encode(a), count);
+        replay.increment(static_cast<std::uint64_t>(a.opinion), count);
         return true;
     });
     EXPECT_EQ(replay.total(), 60u);
     for (const auto opinion : {alpha_v, beta_v, undecided_v}) {
         const majority::three_state_agent probe{opinion};
-        EXPECT_EQ(replay.count_of(majority::three_state_census_codec::encode(probe)),
-                  sim.count_of(probe));
+        EXPECT_EQ(replay.count_of(static_cast<std::uint64_t>(opinion)), sim.count_of(probe));
     }
 }
 
@@ -349,6 +349,101 @@ TEST(CensusSimulator, MemoryScalesWithStatesNotPopulation) {
     small.run_for(100);
     large.run_for(100);
     EXPECT_EQ(small.memory_bytes(), large.memory_bytes());
+}
+
+// -- state identity: a census state is its bytes -----------------------------
+
+/// A padded agent (three bytes after the flag) is not a census state type:
+/// two equal agents could differ in their padding.
+struct padded_agent {
+    bool flag = false;
+    std::uint32_t value = 0;
+};
+static_assert(!sim::census_agent<padded_agent>);
+
+// Every builtin scenario's agent type is.
+static_assert(sim::census_agent<core::core_agent>);
+static_assert(sim::census_agent<leader::leader_agent>);
+static_assert(sim::census_agent<epidemic::epidemic_agent>);
+static_assert(sim::census_agent<majority::three_state_agent>);
+static_assert(sim::census_agent<majority::four_state_agent>);
+static_assert(sim::census_agent<majority::averaging_agent>);
+static_assert(sim::census_agent<majority::cancel_double_agent>);
+static_assert(sim::census_agent<baselines::usd_agent>);
+static_assert(sim::census_agent<loadbalance::load_agent>);
+
+/// δ = identity, for any agent type: the census only has to keep states
+/// apart.
+template <class Agent>
+struct frozen {
+    using agent_t = Agent;
+    void interact(agent_t&, agent_t&, sim::rng&) const noexcept {}
+};
+
+/// Builds a census over `states`, the i-th held by i + 1 agents, and checks
+/// that every state got a slot of its own.
+template <class Agent>
+void expect_states_kept_apart(const std::vector<Agent>& states) {
+    std::vector<sim::census_entry<Agent>> entries;
+    for (std::size_t i = 0; i < states.size(); ++i) entries.push_back({states[i], i + 1});
+    const sim::census_simulator<frozen<Agent>> census{{}, entries, 1};
+    EXPECT_EQ(census.reachable_states(), entries.size());
+    for (std::size_t i = 0; i < entries.size(); ++i)
+        EXPECT_EQ(census.count_of(entries[i].state), entries[i].count) << "state " << i;
+}
+
+/// `base` followed by one copy of it per mutation.
+template <class Agent, class... Mutate>
+std::vector<Agent> variants_of(const Agent& base, Mutate... mutate) {
+    const auto variant = [&base](auto change) {
+        Agent changed = base;
+        change(changed);
+        return changed;
+    };
+    return {base, variant(mutate)...};
+}
+
+TEST(CensusStore, KeepsEveryFieldOfTheTournamentAgentApart) {
+    using core::core_agent;
+    const auto states = variants_of(
+        core_agent{}, [](core_agent& a) { a.maj_load = -1; },
+        [](core_agent& a) { a.opinion = 3; }, [](core_agent& a) { a.count = 17; },
+        [](core_agent& a) { a.tcnt = 1; }, [](core_agent& a) { a.cand_opinion = 2; },
+        [](core_agent& a) { a.ann_opinion = 2; }, [](core_agent& a) { a.leader_cycle = 1; },
+        [](core_agent& a) { a.junta_p = 5; }, [](core_agent& a) { a.le_rounds = 4; },
+        [](core_agent& a) { a.prune_phase = -4; },
+        [](core_agent& a) { a.role = core::agent_role::player; },
+        [](core_agent& a) { a.stage = core::lifecycle_stage::tournaments; },
+        [](core_agent& a) { a.phase = 9; },
+        [](core_agent& a) { a.once_flags = core::once_saw_defender_win; },
+        [](core_agent& a) { a.ever_initiated = true; }, [](core_agent& a) { a.winner = true; },
+        [](core_agent& a) { a.tokens = 2; }, [](core_agent& a) { a.defender = true; },
+        [](core_agent& a) { a.challenger = true; },
+        [](core_agent& a) { a.participated = true; }, [](core_agent& a) { a.load = -3; },
+        [](core_agent& a) { a.candidate = true; }, [](core_agent& a) { a.coin = true; },
+        [](core_agent& a) { a.saw_one = true; }, [](core_agent& a) { a.is_leader = true; },
+        [](core_agent& a) { a.finished = true; },
+        [](core_agent& a) { a.ann_kind = core::announcement_kind::challenger; },
+        [](core_agent& a) { a.visited_select = true; },
+        [](core_agent& a) { a.po = core::player_side::defender_side; },
+        [](core_agent& a) { a.junta_level = 1; },
+        [](core_agent& a) { a.junta_active = false; },
+        [](core_agent& a) { a.junta_member = true; }, [](core_agent& a) { a.counting = true; },
+        [](core_agent& a) { a.met_same_opinion = true; });
+    ASSERT_EQ(states.size(), 35u);  // the base and one variant per field
+    expect_states_kept_apart(states);
+}
+
+TEST(CensusStore, KeepsLeaderFlagInTheLastPartialWordApart) {
+    // leader_agent is 12 bytes, so `leader` sits in the word state_hash
+    // reads partially.
+    expect_states_kept_apart(
+        variants_of(leader::leader_agent{}, [](leader::leader_agent& a) { a.leader = true; }));
+}
+
+TEST(CensusStore, KeepsOneByteStatesApart) {
+    expect_states_kept_apart(std::vector<majority::three_state_agent>{
+        {alpha_v}, {beta_v}, {undecided_v}});
 }
 
 // -- scenario-layer integration ----------------------------------------------

@@ -27,8 +27,7 @@
 namespace {
 
 using namespace plurality;
-using three_leap = sim::leap_census_simulator<majority::three_state_protocol,
-                                              majority::three_state_census_codec>;
+using three_leap = sim::leap_census_simulator<majority::three_state_protocol>;
 
 using test::alpha_v;
 using test::beta_v;
@@ -136,8 +135,7 @@ static_assert(!sim::declares_deterministic_delta<fallback_three_state>);
 static_assert(sim::declares_deterministic_delta<majority::three_state_protocol>);
 
 TEST(LeapCensusSimulator, GroupedDeltaMatchesPerPairFallbackBitwise) {
-    using fallback_leap =
-        sim::leap_census_simulator<fallback_three_state, majority::three_state_census_codec>;
+    using fallback_leap = sim::leap_census_simulator<fallback_three_state>;
     for (const std::uint64_t seed : {1ull, 9ull, 77ull}) {
         three_leap grouped{{}, three_state_census(500, 450, 50), seed};
         fallback_leap per_pair{{}, three_state_census(500, 450, 50), seed};

@@ -13,10 +13,10 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "core/census_encoding.h"
 #include "core/plurality_protocol.h"
 #include "leader/leader_election.h"
 #include "majority/three_state.h"
@@ -38,11 +38,6 @@ using namespace plurality;
 
 struct toy_agent {
     std::uint32_t x = 0;
-};
-
-struct toy_codec {
-    using key_t = std::uint64_t;
-    [[nodiscard]] static key_t encode(const toy_agent& a) noexcept { return a.x; }
 };
 
 /// Equal pair: fair coin picks which side increments.  Unequal pair: a
@@ -191,7 +186,7 @@ static_assert(!sim::declares_delta_outcomes<majority::three_state_protocol>);
 // -- outcome table: memoized lookup + multinomial group application -----------
 
 TEST(DeltaOutcomeTable, AppliesGroupsByMultinomialSplitWithinFiveSigma) {
-    sim::detail::delta_outcome_table<toy_protocol, toy_codec> table;
+    sim::detail::delta_outcome_table<toy_protocol> table;
     const toy_protocol proto;
     const auto& entry = table.lookup(proto, toy_agent{0}, toy_agent{1});
     ASSERT_TRUE(entry.groupable);
@@ -230,7 +225,7 @@ TEST(DeltaOutcomeTable, AppliesGroupsByMultinomialSplitWithinFiveSigma) {
 }
 
 TEST(DeltaOutcomeTable, SingleOutcomeGroupsConsumeNoRandomness) {
-    sim::detail::delta_outcome_table<forced_choice_protocol, toy_codec> table;
+    sim::detail::delta_outcome_table<forced_choice_protocol> table;
     const auto& entry = table.lookup({}, toy_agent{0}, toy_agent{5});
     ASSERT_TRUE(entry.groupable);
     ASSERT_EQ(entry.outcomes.size(), 1u);
@@ -248,8 +243,8 @@ TEST(DeltaOutcomeTable, SingleOutcomeGroupsConsumeNoRandomness) {
 // -- bitwise outcome support vs per-pair δ ground truth -----------------------
 //
 // The satellite's "grouped-δ ≡ per-pair-fallback" check, stated bitwise on
-// states: every result the per-pair δ can produce must be codec-key-equal to
-// an enumerated outcome (and frequencies must match within 5σ), so a group's
+// states: every result the per-pair δ can produce must be byte-equal to an
+// enumerated outcome (and frequencies must match within 5σ), so a group's
 // multinomial split ranges over exactly the states the fallback would have
 // deposited.
 
@@ -259,12 +254,11 @@ struct pair_check_tally {
     std::size_t multi_outcome = 0;  ///< pairs with genuine randomness
 };
 
-template <class P, class Codec>
+template <class P>
 void check_pair_support(const P& proto, const typename P::agent_t& u,
                         const typename P::agent_t& v, std::uint64_t seed, std::size_t reps,
                         pair_check_tally& tally) {
-    using key_t = typename Codec::key_t;
-    using key_pair = std::pair<key_t, key_t>;
+    using key_pair = std::string;  // test::state_bytes of both states
     std::vector<sim::delta_outcome<typename P::agent_t>> outcomes;
     if (!proto.delta_outcomes(u, v, outcomes)) {
         ++tally.skipped;
@@ -274,7 +268,7 @@ void check_pair_support(const P& proto, const typename P::agent_t& u,
     std::map<key_pair, double> prob;
     double total = 0.0;
     for (const auto& o : outcomes) {
-        prob[{Codec::encode(o.initiator), Codec::encode(o.responder)}] += o.probability;
+        prob[test::state_bytes(o.initiator) + test::state_bytes(o.responder)] += o.probability;
         total += o.probability;
     }
     ASSERT_NEAR(total, 1.0, 1e-12);
@@ -286,7 +280,7 @@ void check_pair_support(const P& proto, const typename P::agent_t& u,
         auto ru = u;
         auto rv = v;
         proto.interact(ru, rv, gen);
-        ++observed[{Codec::encode(ru), Codec::encode(rv)}];
+        ++observed[test::state_bytes(ru) + test::state_bytes(rv)];
     }
     for (const auto& [key, count] : observed) {
         ASSERT_TRUE(prob.contains(key))
@@ -336,8 +330,7 @@ TEST(RandomizedDeltaLeader, EnumeratedOutcomesAreBitwiseSupportOfPerPairDelta) {
     pair_check_tally tally;
     std::uint64_t seed = 5150;
     for (const auto& [u, v] : pairs) {
-        check_pair_support<leader::leader_election_protocol, leader::leader_census_codec>(
-            proto, u, v, seed++, 4000, tally);
+        check_pair_support(proto, u, v, seed++, 4000, tally);
     }
     // Every leader pair enumerates (the protocol's choices are a tie-break
     // coin and a round coin, both state-determined), and the tie/wrap pairs
@@ -367,14 +360,13 @@ TEST(RandomizedDeltaPlurality, EnumeratedOutcomesAreBitwiseSupportOfPerPairDelta
         entries.push_back({a, support});
     }
 
-    std::set<core::core_census_codec::key_t> seen;
+    std::set<std::string> seen;
     std::vector<core::core_agent> states;
-    sim::leap_census_simulator<core::plurality_protocol, core::core_census_codec> harvest{
-        proto, entries, 11};
+    sim::leap_census_simulator<core::plurality_protocol> harvest{proto, entries, 11};
     for (int checkpoint = 0; checkpoint < 8 && states.size() < 16; ++checkpoint) {
         harvest.run_for(512 * 6);
         harvest.visit_states([&](const core::core_agent& s, std::uint64_t) {
-            if (states.size() < 16 && seen.insert(core::core_census_codec::encode(s)).second) {
+            if (states.size() < 16 && seen.insert(test::state_bytes(s)).second) {
                 states.push_back(s);
             }
             return true;
@@ -386,8 +378,7 @@ TEST(RandomizedDeltaPlurality, EnumeratedOutcomesAreBitwiseSupportOfPerPairDelta
     std::uint64_t seed = 62000;
     for (const auto& u : states) {
         for (const auto& v : states) {
-            check_pair_support<core::plurality_protocol, core::core_census_codec>(
-                proto, u, v, seed++, 2500, tally);
+            check_pair_support(proto, u, v, seed++, 2500, tally);
         }
     }
     // The vast majority of reachable pairs must enumerate (rare deep
@@ -438,9 +429,8 @@ TEST(RandomizedDeltaBackend, GroupedLeaderMatchesPerPairFallbackDistributionally
             });
         };
         if (grouped) {
-            sim::leap_census_simulator<leader::leader_election_protocol,
-                                       leader::leader_census_codec>
-                s{leader::leader_election_protocol{psi, rounds}, init, seed};
+            sim::leap_census_simulator<leader::leader_election_protocol> s{
+                leader::leader_election_protocol{psi, rounds}, init, seed};
             s.run_for(horizon);
             tally(s);
 #if PLURALITY_OBS
@@ -450,7 +440,7 @@ TEST(RandomizedDeltaBackend, GroupedLeaderMatchesPerPairFallbackDistributionally
             EXPECT_EQ(test::counter_of(observed, obs::m_fenwick_descents), 0u) << "seed " << seed;
 #endif
         } else {
-            sim::leap_census_simulator<per_pair_leader, leader::leader_census_codec> s{
+            sim::leap_census_simulator<per_pair_leader> s{
                 per_pair_leader{leader::leader_election_protocol{psi, rounds}}, init, seed};
             s.run_for(horizon);
             tally(s);

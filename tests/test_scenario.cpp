@@ -235,6 +235,58 @@ TEST(ScenarioParams, WholeNumbersMustFitTheirRange) {
               "a whole number from 0 to 4294967295");
 }
 
+constexpr scenario::backend_kind every_backend[] = {
+    scenario::backend_kind::agent, scenario::backend_kind::census, scenario::backend_kind::leap};
+
+/// The std::invalid_argument one trial of `s` raises on `backend`; empty
+/// when the trial runs.
+std::string rejection(const scenario::any_scenario& s, const scenario_params& p,
+                      scenario::backend_kind backend) {
+    try {
+        (void)s.run(p, 1, backend);
+    } catch (const std::invalid_argument& error) {
+        return error.what();
+    }
+    return "";
+}
+
+TEST(ScenarioParams, MajorityBiasBeyondNFailsInsteadOfClamping) {
+    // A gap clamped to n would silently run from a unanimous start.
+    std::size_t families = 0;
+    for (const auto& s : scenario::scenario_registry::instance().all()) {
+        if (s.family() != "majority") continue;
+        ++families;
+        auto p = small_params("majority");
+        for (const auto backend : every_backend) {
+            p.bias = p.n + 1;
+            EXPECT_EQ(rejection(s, p, backend),
+                      "invalid --bias 301 for --n 300 (expected a gap from 0 to n)")
+                << s.name() << " on " << scenario::backend_name(backend);
+            p.bias = p.n;  // unanimous, but asked for: valid
+            EXPECT_EQ(rejection(s, p, backend), "") << s.name();
+        }
+    }
+    EXPECT_EQ(families, 4u);
+}
+
+TEST(ScenarioParams, EpidemicSourcesOutsideOneToNFail) {
+    const auto* s = scenario::scenario_registry::instance().find("epidemic/broadcast");
+    ASSERT_NE(s, nullptr);
+    auto p = small_params("epidemic");
+    const auto expected = [](const char* sources) {
+        return "invalid --sources " + std::string(sources) +
+               " for --n 512 (expected 1 to n informed agents)";
+    };
+    for (const auto backend : every_backend) {
+        p.sources = 0;  // could never converge
+        EXPECT_EQ(rejection(*s, p, backend), expected("0")) << scenario::backend_name(backend);
+        p.sources = p.n + 1;
+        EXPECT_EQ(rejection(*s, p, backend), expected("513")) << scenario::backend_name(backend);
+        p.sources = p.n;
+        EXPECT_EQ(rejection(*s, p, backend), "") << scenario::backend_name(backend);
+    }
+}
+
 TEST(ScenarioWorkloads, UnknownNameThrows) {
     scenario_params p;
     p.workload = "banana";

@@ -113,28 +113,4 @@ TEST(StatePacker, RoundTripsCensusEncodingSharedFields) {
     EXPECT_EQ(unpacker.remainder(), 0u);
 }
 
-TEST(FullStateKey, SeparatesEveryFieldCanonicalCodeWould) {
-    // The census backend's key must be injective on the full agent state;
-    // flipping any single field must change the key.
-    core::core_agent base;
-    const auto base_key = core::full_state_key(base);
-
-    std::vector<core::core_agent> variants(12, base);
-    variants[0].maj_load = 1;
-    variants[1].opinion = 3;
-    variants[2].count = 17;
-    variants[3].tcnt = 1;
-    variants[4].role = core::agent_role::player;
-    variants[5].stage = core::lifecycle_stage::tournaments;
-    variants[6].phase = 9;
-    variants[7].winner = true;
-    variants[8].tokens = 2;
-    variants[9].load = -3;
-    variants[10].junta_level = 1;
-    variants[11].prune_phase = -4;
-    for (const auto& variant : variants) {
-        EXPECT_NE(core::full_state_key(variant), base_key);
-    }
-}
-
 }  // namespace

@@ -38,6 +38,13 @@ inline std::vector<sim::census_entry<majority::three_state_agent>> three_state_c
     return {{{alpha_v}, alpha}, {{beta_v}, beta}, {{undecided_v}, undecided}};
 }
 
+/// The bytes of a census state — its identity (sim::same_state) — as an
+/// ordered map key; concatenate two for an ordered state pair.
+template <sim::census_agent Agent>
+std::string state_bytes(const Agent& state) {
+    return std::string(reinterpret_cast<const char*>(&state), sizeof(Agent));
+}
+
 /// The means of two equally sized samples of a statistic agree within a 5σ
 /// band (plus one unit of absolute slack) on their difference.
 inline void expect_same_mean(const std::vector<double>& a, const std::vector<double>& b) {

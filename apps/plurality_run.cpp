@@ -32,8 +32,10 @@
 // dump): an unknown --backend, a --trace-cadence that is not a finite value
 // > 0, a --fraction outside (0, 100), a --zipf-s or --time-budget that is not
 // a finite value >= 0, and a count flag that is not a whole base-10 number
-// fitting its type (32 bits for --n, --k, --bias, --dust, --sources; 64 bits
-// for --trials, --seed, --threads).
+// in its range (0 to 2^32 - 1 for --n, --k, --bias, --dust, --sources; 0 to
+// 2^64 - 1 for --seed, 1 to 2^64 - 1 for --trials, 0 to 1024 for --threads,
+// where 0 means the hardware concurrency).  The run starts at most one
+// worker thread per trial.
 //
 // Examples:
 //   plurality_run --list
@@ -41,6 +43,7 @@
 //   plurality_run --scenario baselines/usd --n 2049 --k 5 --trials 30 --threads 4
 //   plurality_run --scenario baselines/usd --n 100000000 --k 5 --backend census --trials 3
 //   plurality_run --scenario epidemic/broadcast --n 100000 --trace spread.csv
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -56,6 +59,7 @@
 #include "scenario/metrics_report.h"
 #include "scenario/registry.h"
 #include "scenario/runner.h"
+#include "sim/thread_pool.h"
 #include "sim/trial_executor.h"
 
 namespace {
@@ -82,6 +86,9 @@ struct options {
 /// Seconds between --progress heartbeat lines.
 constexpr double progress_interval_seconds = 2.0;
 
+/// Largest --threads value accepted.
+constexpr std::uint64_t max_threads = 1024;
+
 [[noreturn]] void usage(const char* argv0, int exit_code) {
     std::fprintf(stderr,
                  "usage: %s --list\n"
@@ -104,11 +111,14 @@ constexpr double progress_interval_seconds = 2.0;
     std::exit(2);
 }
 
-/// A --trials, --seed or --threads value: a whole base-10 number up to
-/// 2^64 - 1, the digits-only rule --n follows.
-std::uint64_t count_value(const char* flag, const char* text) {
-    const auto parsed = scenario::parse_whole_number(text);
-    if (!parsed) reject(flag, text, "a whole number from 0 to " + std::to_string(UINT64_MAX));
+/// A --trials, --seed or --threads value: a whole base-10 number from `min`
+/// to `max`, the digits-only rule --n follows.
+std::uint64_t count_value(const char* flag, const char* text, std::uint64_t min = 0,
+                          std::uint64_t max = UINT64_MAX) {
+    const auto parsed = scenario::parse_whole_number(text, max);
+    if (!parsed || *parsed < min)
+        reject(flag, text,
+               "a whole number from " + std::to_string(min) + " to " + std::to_string(max));
     return *parsed;
 }
 
@@ -145,11 +155,11 @@ options parse(int argc, char** argv) {
             }
             opt.backend = *backend;
         } else if (arg == "--trials") {
-            opt.trials = count_value(arg.c_str(), value());
+            opt.trials = count_value(arg.c_str(), value(), 1);
         } else if (arg == "--seed") {
             opt.seed = count_value(arg.c_str(), value());
         } else if (arg == "--threads") {
-            opt.threads = count_value(arg.c_str(), value());
+            opt.threads = count_value(arg.c_str(), value(), 0, max_threads);
         } else if (arg == "--out") {
             opt.out_path = value();
         } else if (arg == "--trace") {
@@ -221,7 +231,9 @@ int main(int argc, char** argv) {
     }
 
     try {
-        const sim::trial_executor executor{opt.threads};
+        const std::size_t threads =
+            opt.threads == 0 ? sim::thread_pool::default_thread_count() : opt.threads;
+        const sim::trial_executor executor{std::min(threads, opt.trials)};
         scenario::run_options run_opts;
         if (opt.progress) {
             run_opts.progress_interval = progress_interval_seconds;

@@ -13,14 +13,15 @@
 //
 // Row families:
 //
-//  * TournamentGroupSpeedup — grouped vs per-pair-fallback (a wrapper that
-//    hides the delta_outcomes trait) inside one row on the leap backend:
-//    same protocol, same n, same fixed interaction budget.  The `speedup` counter
-//    is the acceptance bar: ≥ 5× on both protocols at n = 10⁹.  Budgets are
-//    fixed interaction counts (full tournament convergence at n = 10⁹ is
-//    ~10¹³ interactions — not a benchmark row), so the rows measure the
-//    early small-occupancy regime where group sizes are largest; that is
-//    exactly the regime the leap backend exists for.
+//  * TournamentGroupSpeedup — grouped vs per-pair-fallback (a wrapper whose
+//    `interact` takes only a `sim::rng&`, which hides the group path) inside
+//    one row on the leap backend: same protocol, same n, same fixed
+//    interaction budget.  The `speedup` counter is the acceptance bar: ≥ 5×
+//    on both protocols at n = 10⁹.  Budgets are fixed interaction counts
+//    (full tournament convergence at n = 10⁹ is ~10¹³ interactions — not a
+//    benchmark row), so the rows measure the early small-occupancy regime
+//    where group sizes are largest; that is exactly the regime the leap
+//    backend exists for.
 //
 //  * TournamentLeapBudget — end-to-end scenario-layer runs of the ordered
 //    plurality tournament and leader election on the leap backend at
@@ -45,7 +46,8 @@ namespace {
 
 using namespace plurality;
 
-/// A protocol with both group-path traits hidden: every group takes the
+/// A protocol with the group path hidden — its `interact` takes only a
+/// `sim::rng&`, so it is not sim::delta_enumerable: every group takes the
 /// per-pair fallback, one δ evaluation (and its RNG draws) per interaction.
 template <class P>
 struct per_pair_only {

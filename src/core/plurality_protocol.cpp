@@ -650,7 +650,7 @@ bool plurality_protocol::may_act(std::uint32_t initiator_class,
 // ---------------------------------------------------------------------------
 
 template <class R>
-void plurality_protocol::interact_t(agent_t& u, agent_t& v, R& gen) const {
+void plurality_protocol::interact(agent_t& u, agent_t& v, R& gen) const {
     // Algorithm 3, lines 1-2: opinion-1 agents mark themselves defenders on
     // their first interaction as initiator (ordered algorithm only).
     if (!u.ever_initiated) {
@@ -735,8 +735,8 @@ void plurality_protocol::interact_t(agent_t& u, agent_t& v, R& gen) const {
 
 // The two generators δ ever runs against: the real stream and the
 // enumerating replay (sim/delta_outcomes.h).
-template void plurality_protocol::interact_t<sim::rng>(agent_t&, agent_t&, sim::rng&) const;
-template void plurality_protocol::interact_t<sim::delta_replay>(agent_t&, agent_t&,
-                                                                sim::delta_replay&) const;
+template void plurality_protocol::interact<sim::rng>(agent_t&, agent_t&, sim::rng&) const;
+template void plurality_protocol::interact<sim::delta_replay>(agent_t&, agent_t&,
+                                                              sim::delta_replay&) const;
 
 }  // namespace plurality::core

@@ -38,29 +38,18 @@ public:
     explicit plurality_protocol(protocol_config cfg);
 
     /// The population-protocol transition function δ(u, v); u is the
-    /// initiator, v the responder (paper §2).
-    void interact(agent_t& initiator, agent_t& responder, sim::rng& gen) const {
-        interact_t(initiator, responder, gen);
-    }
-
-    /// The transition function, templated over the generator so the
-    /// randomized-δ enumerator (sim/delta_outcomes.h) can replay it against
-    /// scripted choices.  Explicitly instantiated for `sim::rng` and
-    /// `sim::delta_replay` in plurality_protocol.cpp.
+    /// initiator, v the responder (paper §2).  Templated over the generator
+    /// and explicitly instantiated for `sim::rng` and `sim::delta_replay`
+    /// in plurality_protocol.cpp, so the randomized-δ enumerator
+    /// (sim/delta_outcomes.h) can replay it against scripted choices: every
+    /// random choice of δ — the role die, the election coins, the clock
+    /// tie-break, the slowed count decrement — draws from a distribution
+    /// fixed by the ordered state pair, so almost every reachable pair
+    /// enumerates to a small exact outcome list; the few that exceed the
+    /// enumeration caps (e.g. an agent stepping through many phases at
+    /// once) keep the exact per-pair fallback.
     template <class R>
-    void interact_t(agent_t& initiator, agent_t& responder, R& gen) const;
-
-    /// Randomized-δ group hook (sim/delta_outcomes.h): every random choice
-    /// of δ — the role die, the election coins, the clock tie-break, the
-    /// slowed count decrement — draws from a distribution fixed by the
-    /// ordered state pair, so almost every reachable pair enumerates to a
-    /// small exact outcome list; the few that exceed the enumeration caps
-    /// (e.g. an agent stepping through many phases at once) return false and
-    /// keep the exact per-pair fallback.
-    [[nodiscard]] bool delta_outcomes(const agent_t& u, const agent_t& v,
-                                      std::vector<sim::delta_outcome<agent_t>>& out) const {
-        return sim::enumerate_delta_outcomes(*this, u, v, out);
-    }
+    void interact(agent_t& initiator, agent_t& responder, R& gen) const;
 
     /// Activity-class hook (sim/census_store.h): the census-space backends
     /// skip, without calling δ, every interaction whose class pair
@@ -89,7 +78,7 @@ public:
 private:
     // -- stage / phase bookkeeping -----------------------------------------
     // Every helper that consults the generator is templated over it, so the
-    // whole call graph can run against sim::delta_replay (see interact_t).
+    // whole call graph can run against sim::delta_replay (see interact).
     template <class R>
     void enter_stage(agent_t& agent, lifecycle_stage target, R& gen) const;
     void set_phase(agent_t& agent, std::uint8_t phase) const;

@@ -19,8 +19,8 @@ void leader_election_protocol::advance_round(agent_t& agent, R& gen) const noexc
 }
 
 template <class R>
-void leader_election_protocol::interact_t(agent_t& initiator, agent_t& responder,
-                                          R& gen) const noexcept {
+void leader_election_protocol::interact(agent_t& initiator, agent_t& responder,
+                                        R& gen) const noexcept {
     // 1. Clock: one of the two counters ticks; a wrap starts a new round.
     //    Rounds advance *only* through an agent's own counter wrap: the
     //    leaderless tick rule already keeps the counters (and hence the
@@ -54,9 +54,9 @@ void leader_election_protocol::interact_t(agent_t& initiator, agent_t& responder
 
 // The two generators δ ever runs against: the real stream and the
 // enumerating replay (sim/delta_outcomes.h).
-template void leader_election_protocol::interact_t<sim::rng>(agent_t&, agent_t&,
-                                                             sim::rng&) const noexcept;
-template void leader_election_protocol::interact_t<sim::delta_replay>(
+template void leader_election_protocol::interact<sim::rng>(agent_t&, agent_t&,
+                                                           sim::rng&) const noexcept;
+template void leader_election_protocol::interact<sim::delta_replay>(
     agent_t&, agent_t&, sim::delta_replay&) const noexcept;
 
 std::uint32_t default_psi(std::uint32_t n) noexcept {

@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "clocks/leaderless_clock.h"
 #include "sim/delta_outcomes.h"
@@ -55,29 +54,18 @@ public:
     leader_election_protocol(std::uint32_t psi, std::uint16_t total_rounds)
         : psi_(psi), total_rounds_(total_rounds) {}
 
-    void interact(agent_t& initiator, agent_t& responder, sim::rng& gen) const noexcept {
-        interact_t(initiator, responder, gen);
-    }
-
-    /// The transition function, templated over the generator so the
-    /// randomized-δ enumerator (sim/delta_outcomes.h) can replay it against
-    /// scripted choices.  Explicitly instantiated for `sim::rng` and
-    /// `sim::delta_replay` in leader_election.cpp.
-    template <class R>
-    void interact_t(agent_t& initiator, agent_t& responder, R& gen) const noexcept;
-
-    /// Randomized-δ group hook (sim/delta_outcomes.h): the pair's exact
-    /// outcome distribution, derived mechanically from interact_t.  The
+    /// The transition function, templated over the generator and
+    /// explicitly instantiated for `sim::rng` and `sim::delta_replay` in
+    /// leader_election.cpp, so the randomized-δ enumerator
+    /// (sim/delta_outcomes.h) can replay it against scripted choices.  The
     /// leaderless clock tick consumes randomness on every interaction (and
     /// round boundaries flip coins), so no ordered state pair is
     /// deterministic — but every random choice's distribution depends only
     /// on the ordered state pair (the tie-break coin fires iff the counters
     /// are equal, the round coin iff the wrapping agent is a candidate), so
     /// every pair enumerates.
-    [[nodiscard]] bool delta_outcomes(const agent_t& u, const agent_t& v,
-                                      std::vector<sim::delta_outcome<agent_t>>& out) const {
-        return sim::enumerate_delta_outcomes(*this, u, v, out);
-    }
+    template <class R>
+    void interact(agent_t& initiator, agent_t& responder, R& gen) const noexcept;
 
     [[nodiscard]] std::uint16_t total_rounds() const noexcept { return total_rounds_; }
     [[nodiscard]] std::uint32_t psi() const noexcept { return psi_; }

@@ -28,7 +28,7 @@
 // The predicates and metric extractors are *templates* written against the
 // shared weighted-state read API (sim/population_view.h) instead of a raw
 // agent span.  They see two types: the agent simulation, and the
-// sim::census_store both census-space backends inherit.
+// sim::census_simulator that the leap backend derives from.
 //
 // The `scenario_spec` concept captures that shape for a concrete protocol
 // type; `any_scenario` type-erases it so registries, CLIs and tests can hold
@@ -191,9 +191,10 @@ struct run_options {
     std::string progress_label;
 };
 
-/// The census store both census-space backends of scenario `S` inherit.
+/// What the census-space backends of scenario `S` show its predicates: the
+/// census simulator, which the leap simulator derives from.
 template <class S>
-using census_view_t = sim::census_store<typename S::protocol_t>;
+using census_view_t = sim::census_simulator<typename S::protocol_t>;
 
 /// The structured shape a concrete scenario implementation must have.
 /// Methods are non-const so a spec may cache per-run state (typically the
@@ -201,9 +202,9 @@ using census_view_t = sim::census_store<typename S::protocol_t>;
 /// every run operates on a fresh copy of the spec.
 ///
 /// `converged`, `correct` and `metrics` must accept both views of a
-/// population — the agent simulation and the census store the census-space
-/// backends share — so in practice they are member templates written with
-/// the sim::view helpers.  `make_population` feeds the agent backend;
+/// population — the agent simulation and the census simulator the leap
+/// backend derives from — so in practice they are member templates written
+/// with the sim::view helpers.  `make_population` feeds the agent backend;
 /// `make_census` feeds the census-space backends and must describe the same
 /// initial configuration as a census (it is what keeps census runs O(S): no
 /// per-agent vector is ever materialized).  The agent type must be a
@@ -334,7 +335,7 @@ private:
         }
 
         /// What the scenario's predicates and metric extractors see of a
-        /// simulation: the census store a census-space backend inherits, or
+        /// simulation: the census simulator (a leap simulator is one), or
         /// the agent simulation itself — so each is compiled for two types,
         /// not one per backend.
         template <class SimT>

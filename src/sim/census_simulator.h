@@ -1,21 +1,36 @@
 // Census-space simulation backend: simulate the *state census* instead of
 // the agents.
 //
-// `census_simulator` keeps one counter per occupied state — a state being
-// the agent's bytes (sim::census_agent) — in the shared sim::census_store,
-// samples the interacting *state pair* from the census, applies the
-// protocol's transition function δ to the two sampled states, and moves the
-// agents δ changed (a unit of mass each).  Memory is O(S) in
+// `census_simulator` keeps one slot per state ever reached — a state being
+// the agent's bytes (sim::census_agent, sim/census_store.h) — with the number
+// of agents in it, a state→slot index, and one dense list of the occupied
+// slots, which `visit_states` walks and `occupied_states` counts.  It samples
+// the interacting *state pair* from the census, applies the protocol's
+// transition function δ to the two sampled states, and moves the agents δ
+// changed (a unit of mass each).  States δ discovers get slots on the fly,
+// so no global state-space enumeration is ever needed.  Memory is O(S) in
 // the number of reachable states instead of O(n) in the population, which
 // is what makes populations of 10⁸–10⁹ agents simulable on a laptop
-// (bench_e15_census).  Every interaction goes through the store's loop
-// (`census_store::advance`, shared with the leap backend's stepped
-// segments): interactions in class pairs the protocol declares inactive are
-// skipped in bulk by one geometric draw, and each executed one costs one
-// bounded uniform over the may-act pairs (plus one to pick the initiator's
-// class when several are live), two O(log S_c) Fenwick descents in the
-// class trees, and δ; an agent δ leaves unchanged costs no tree update at
-// all.
+// (bench_e15_census).
+//
+// The sampling structure is partitioned by *activity class*
+// (sim::declares_activity_classes): every slot belongs to the class of its
+// state, each class keeps its own Fenwick tree over its occupied slots'
+// counts, indexed by positions a slot holds only while occupied, and the
+// simulator keeps the class counts N_c and the may-act weight
+// W = Σ N_c·(N_d − [c = d]) over the class pairs the protocol declares
+// may-act.  Every mass move goes through `add_to` / `remove_from`, which keep
+// the occupied list, the trees, the counts and W in sync.  The interaction
+// loop (`advance`) skips the interactions that fall in inactive class pairs
+// with one geometric draw and executes only the others (see "Activity
+// classes" in docs/ARCHITECTURE.md for the exactness argument): each executed
+// one costs one bounded uniform over the may-act pairs (plus one to pick the
+// initiator's class when several are live), two O(log S_c) Fenwick descents
+// and δ, and an agent δ leaves unchanged costs no tree update at all.  A
+// protocol without the hook is one class in which every pair may act, so
+// nothing is ever skipped.  The leap backend (sim/leap_census_simulator.h)
+// derives from this class and runs the same loop wherever its cost model
+// prefers stepping to the contingency table.
 //
 // The backend draws the interacting pair uniformly over ordered pairs of
 // *distinct agents* — the same distribution the agent-based
@@ -26,7 +41,11 @@
 // remains a pure function of the seed per backend.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <stdexcept>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -35,6 +54,7 @@
 #include "obs/snapshot.h"
 #include "sim/census_store.h"
 #include "sim/rng.h"
+#include "sim/scheduler.h"
 #include "sim/simulation.h"
 
 namespace plurality::sim {
@@ -42,31 +62,47 @@ namespace plurality::sim {
 /// Drives one protocol instance over one population, census-space.
 ///
 /// API-compatible with `sim::simulation` where the two can be compatible:
-/// `step`/`run_for`/`interactions`/`parallel_time`/`population_size` match,
-/// so `sim::converge` and `trace::recorder` work unchanged.  Instead of
-/// `agents()` (there is no per-agent storage), configuration inspection goes
-/// through the inherited census_store read API — `visit_states(fn)` is
-/// shared with `simulation` — and the weighted helpers of
-/// sim/population_view.h.
+/// `step`/`run_for`/`interactions`/`parallel_time`/`population_size`/
+/// `visit_states` match, so `sim::converge`, `trace::recorder` and the
+/// weighted helpers of sim/population_view.h work unchanged; there is no
+/// `agents()` (no per-agent storage), and `count_of` and the occupancy
+/// counts stand in for it.
 /// `Obs` selects the observability policy (obs/metrics.h): the default
 /// follows the PLURALITY_OBS build option; `obs::disabled` compiles every
 /// instrument out (the overhead bench instantiates both).  `Retired` is
 /// ignored: only the frozen benchmark (consensus_bench/) still passes one.
 template <protocol P, class Retired = void, class Obs = obs::default_policy>
-class census_simulator : public census_store<P> {
-    using store = census_store<P>;
-
+    requires census_agent<typename P::agent_t>
+class census_simulator {
 public:
-    using typename store::agent_t;
-    using typename store::entry_t;
+    using agent_t = typename P::agent_t;
+    using entry_t = census_entry<agent_t>;
 
-    /// Takes ownership of the protocol instance and the initial census.
-    /// Requires a total population of 2 <= n <= 2^32 − 1.
+    /// Takes ownership of the protocol instance and deposits the initial
+    /// census, one slot per distinct state in entry order.  Requires a total
+    /// population of 2 <= n <= 2^32 − 1 (n(n−1) must fit in 64 bits).
     census_simulator(P proto, const std::vector<entry_t>& initial, std::uint64_t seed)
-        : store(std::move(proto), initial, "census_simulator"), gen_(seed) {}
+        : protocol_(std::move(proto)), gen_(seed) {
+        for (const auto& entry : initial) population_ += entry.count;
+        if (population_ < 2 || population_ > 0xffffffffull)
+            throw std::invalid_argument(
+                "census-space simulation requires a population of 2 <= n <= 4294967295");
+        pairs_ = population_ * (population_ - 1);
+        std::uint32_t classes = 1;
+        if constexpr (declares_activity_classes<P>) classes = protocol_.activity_classes();
+        classes_.resize(classes);
+        acts_.assign(std::size_t{classes} * classes, unknown_pair);
+        // The initial census bounds the states seen so far; reserving up
+        // front cuts rehash churn on the discovery path.
+        index_.reserve(initial.size());
+        slots_.reserve(initial.size());
+        for (const auto& entry : initial) {
+            if (entry.count > 0) add_to(slot_for(entry.state), entry.count);
+        }
+    }
 
     /// Convenience: compresses a full agent vector into its census.  Useful
-    /// in tests that compare the two backends on identical configurations;
+    /// in tests that compare the backends on identical configurations;
     /// large-n callers should build census entries directly.
     census_simulator(P proto, const std::vector<agent_t>& agents, std::uint64_t seed)
         : census_simulator(std::move(proto), compress_to_census(agents), seed) {}
@@ -74,27 +110,64 @@ public:
     /// Executes exactly one interaction.
     void step() { run_for(1); }
 
-    /// Executes exactly `count` interactions (census_store::advance); the
-    /// ones it skipped as identities count as absorbed.
-    void run_for(std::uint64_t count) {
-        const std::uint64_t executed = this->advance(count, gen_, [](std::size_t) {});
-        metrics_.descents.add(2 * executed);
-        metrics_.absorbed.add(count - executed);
-        interactions_ += count;
-    }
+    /// Executes exactly `count` interactions (`advance`).
+    void run_for(std::uint64_t count) { advance(count); }
 
     [[nodiscard]] std::uint64_t interactions() const noexcept { return interactions_; }
     [[nodiscard]] double parallel_time() const noexcept {
         return static_cast<double>(interactions_) / static_cast<double>(population_);
     }
 
+    /// Visits every *occupied* state as `(state, count)`, in the order of
+    /// the occupied list; stops early when `fn` returns false.  The order is
+    /// a pure function of the seed, but it is not discovery order: a slot
+    /// that fills is appended to the list, and a slot that empties leaves it
+    /// by taking the last slot into its place.  The read API shared with
+    /// `simulation::visit_states` — predicates written against it
+    /// (sim/population_view.h) run on every backend.
+    template <class Fn>
+    void visit_states(Fn&& fn) const {
+        for (const std::uint32_t index : occupied_) {
+            const slot& entry = slots_[index];
+            if (!fn(entry.state, entry.count)) return;
+        }
+    }
+
+    [[nodiscard]] std::size_t population_size() const noexcept {
+        return static_cast<std::size_t>(population_);
+    }
+
+    /// Number of currently occupied states (the S that memory scales with):
+    /// the length of the occupied list, an O(1) read.
+    [[nodiscard]] std::size_t occupied_states() const noexcept { return occupied_.size(); }
+
+    /// Largest number of simultaneously occupied states so far.
+    [[nodiscard]] std::size_t occupied_states_hwm() const noexcept { return occupied_hwm_; }
+
+    /// Number of states seen at any point of the run (dormant slots are kept
+    /// so revisited states reuse their slot).
+    [[nodiscard]] std::size_t reachable_states() const noexcept { return slots_.size(); }
+
+    /// Count of agents currently in the given state (0 if never reached).
+    [[nodiscard]] std::uint64_t count_of(const agent_t& state) const {
+        const std::uint32_t at = index_.find(state);
+        return at == index_.absent ? 0 : slots_[at].count;
+    }
+
+    /// W / n(n−1): the share of ordered agent pairs that fall in may-act
+    /// class pairs, i.e. the probability that the next interaction calls δ.
+    /// Always 1 for a protocol without activity classes.
+    [[nodiscard]] double executed_share() const noexcept {
+        return static_cast<double>(weight_) / static_cast<double>(pairs_);
+    }
+
     /// Approximate heap footprint of the census bookkeeping — the O(S)
     /// quantity bench_e15_census reports next to n.
     [[nodiscard]] std::size_t memory_bytes() const noexcept {
-        std::size_t bytes = slots_.capacity() * sizeof(typename store::slot) +
-                            successor_.capacity() * sizeof(std::uint32_t) +
-                            classes_.capacity() * sizeof(typename store::class_tree) +
-                            live_.capacity() * sizeof(std::uint32_t) +
+        std::size_t bytes = slots_.capacity() * sizeof(slot) +
+                            (successor_.capacity() + occupied_.capacity() + live_.capacity()) *
+                                sizeof(std::uint32_t) +
+                            classes_.capacity() * sizeof(class_tree) +
                             index_.size() * (sizeof(std::uint32_t) + 2 * sizeof(void*));
         for (const auto& tree : classes_) {
             bytes += tree.tree.capacity() * sizeof(std::uint64_t) +
@@ -128,23 +201,27 @@ public:
         return tree.slot_at[position];
     }
 
-    /// Test hooks: the number of agents in activity class `cls` (N_c), the
-    /// may-act weight W, and the (initiator, responder) slots that the
+    /// Test hooks: the state slot `index` < reachable_states() holds, the
+    /// number of agents in activity class `cls` (N_c), the may-act weight
+    /// W, and the (initiator, responder) slots that the
     /// executed-pair draw selects for `rank` < W — the initiator class and
-    /// the rank's offset in its block (census_store::initiator_class_at),
-    /// then the offset as the cell (offset / R_c, offset mod R_c) that the
-    /// chained multiply splits a bounded uniform over N_c·R_c into
-    /// (census_store::pair_in_class).  Enumerating every rank enumerates
-    /// every value of the draw once.
+    /// the rank's offset in its block (`initiator_class_at`), then the
+    /// offset as the cell (offset / R_c, offset mod R_c) that the chained
+    /// multiply splits a bounded uniform over N_c·R_c into
+    /// (`pair_in_class`).  Enumerating every rank enumerates every value of
+    /// the draw once.
+    [[nodiscard]] const agent_t& slot_state(std::size_t index) const noexcept {
+        return slots_[index].state;
+    }
     [[nodiscard]] std::uint64_t class_count(std::uint32_t cls) const noexcept {
         return classes_[cls].count;
     }
     [[nodiscard]] std::uint64_t may_act_weight() const noexcept { return weight_; }
     [[nodiscard]] std::pair<std::size_t, std::size_t> executed_pair_at(
         std::uint64_t rank) const noexcept {
-        const auto [cls, offset] = this->initiator_class_at(rank);
+        const auto [cls, offset] = initiator_class_at(rank);
         const std::uint64_t row = classes_[cls].row;
-        return this->pair_in_class(cls, offset / row, offset % row);
+        return pair_in_class(cls, offset / row, offset % row);
     }
 
     /// Appends this run's metrics (end-of-trial cold path; see src/obs/).
@@ -155,30 +232,405 @@ public:
             out.add_counter(obs::m_rng_words, gen_.words());
             out.add_counter(obs::m_fenwick_descents, metrics_.descents.value());
             out.add_counter(obs::m_absorbed_fastpath, metrics_.absorbed.value());
-            out.add_gauge(obs::m_occupied_hwm, this->occupied_states_hwm());
+            out.add_gauge(obs::m_occupied_hwm, occupied_hwm_);
             out.add_gauge(obs::m_reachable_states, slots_.size());
         }
     }
 
-private:
-    using store::classes_;
-    using store::index_;
-    using store::live_;
-    using store::locate;
-    using store::population_;
-    using store::slots_;
-    using store::successor_;
-    using store::weight_;
+protected:
+    struct slot {
+        agent_t state;
+        std::uint64_t count = 0;
+        std::uint32_t cls = 0;         ///< activity class of `state` (0 without the hook)
+        std::uint32_t position = 0;    ///< position in its class's tree while occupied
+        std::uint32_t list_index = 0;  ///< index in `occupied_` while occupied
+    };
 
     /// Policy-selected instruments; empty (and free) under obs::disabled.
     struct instrument_set {
-        [[no_unique_address]] typename Obs::counter_t descents;
-        [[no_unique_address]] typename Obs::counter_t absorbed;
+        [[no_unique_address]] typename Obs::counter_t descents;  ///< 2 per executed interaction
+        [[no_unique_address]] typename Obs::counter_t absorbed;  ///< skipped as identities
     };
 
+    /// Index of the slot holding `state`, appending an empty slot on first
+    /// sight.  A new slot's activity class is fixed here, once: it is a
+    /// function of the state.
+    std::size_t slot_for(const agent_t& state) {
+        const std::uint32_t at = index_.find(state);
+        if (at != index_.absent) return at;
+        slots_.push_back({state, 0, class_of(state)});
+        successor_.push_back(no_successor);
+        index_.insert(slots_.size() - 1);
+        return slots_.size() - 1;
+    }
+
+    /// Adds `count` > 0 agents to slot `index`.
+    void add_to(std::size_t index, std::uint64_t count) {
+        deposit_mass(index, count);
+        shift_class(slots_[index].cls, static_cast<std::int64_t>(count));
+    }
+
+    /// Removes `count` > 0 agents from slot `index` (at most its count); a
+    /// slot that empties leaves the occupied list and gives its tree
+    /// position back.
+    void remove_from(std::size_t index, std::uint64_t count) {
+        withdraw_mass(index, count);
+        shift_class(slots_[index].cls, -static_cast<std::int64_t>(count));
+    }
+
+    /// Advances the chain by exactly `count` interactions of the uniform
+    /// pairwise scheduler, counts them, and returns how many of them called
+    /// δ; the others count as absorbed.
+    ///
+    /// An interaction falls in a may-act class pair with probability
+    /// p = W / n(n−1); every other interaction is the identity.  So rather
+    /// than sampling each one, the loop draws the number of identities
+    /// before the next executed interaction — Geometric(p), by inversion:
+    /// ⌊ln U / ln(1 − p)⌋ for one uniform U on the 53-bit grid of (0, 1],
+    /// where ln is exact to an ulp (1 − U is never formed, so nothing is
+    /// rounded away near U = 1) — skips them, and executes one pair drawn
+    /// uniformly over the may-act pairs (`execute`).  Nothing changes during
+    /// a skip, so W holds for all of it.  A skip that would pass the budget
+    /// stops at it, which the geometric law's memorylessness makes exact:
+    /// the next call starts a fresh skip with the same law.  The skip is
+    /// compared with the budget while still a double, so a tiny p cannot
+    /// overflow the integer conversion, and with W = 0 nothing can ever act
+    /// again and the rest of the budget passes in O(1).  When every pair may
+    /// act (W = n(n−1); always, for a protocol without the hook) no skip is
+    /// drawn.
+    std::uint64_t advance(std::uint64_t count) {
+        std::uint64_t left = count;
+        std::uint64_t executed = 0;
+        while (left > 0 && weight_ > 0) {
+            if (weight_ < pairs_) {
+                const double unit = static_cast<double>((gen_.next() >> 11) + 1) * 0x1.0p-53;
+                const double skip = std::log(unit) * skip_scale();
+                if (skip >= static_cast<double>(left)) break;
+                left -= static_cast<std::uint64_t>(skip);
+            }
+            execute();
+            --left;
+            ++executed;
+        }
+        metrics_.descents.add(2 * executed);
+        metrics_.absorbed.add(count - executed);
+        interactions_ += count;
+        return executed;
+    }
+
+    P protocol_;
     rng gen_;
     std::uint64_t interactions_ = 0;
+    std::uint64_t population_ = 0;  ///< invariant: Σ slot counts (+ agents in flight)
+    std::vector<slot> slots_;       ///< discovery-ordered; dormant slots keep their index
+    /// The occupied slots, each at its `list_index`: appended when a slot
+    /// fills, swap-removed when it empties.
+    std::vector<std::uint32_t> occupied_;
     [[no_unique_address]] instrument_set metrics_;
+
+private:
+    /// One activity class: its agent count, its row weight and a Fenwick
+    /// tree (1-based) over the counts at tree *positions*, not slots — a
+    /// slot takes a free position of its class's tree when it becomes
+    /// occupied and gives it back when it empties, so each tree spans the
+    /// most states of its class ever occupied at once, not every state ever
+    /// reached (for the tournament protocols an order of magnitude more),
+    /// and a descent walks log₂ of that many levels.
+    struct class_tree {
+        std::vector<std::uint64_t> tree;
+        std::size_t capacity = 0;                 ///< power of two (0 before first use)
+        std::vector<std::uint32_t> slot_at;       ///< position -> slot (stale while free)
+        std::vector<std::uint32_t> free_positions;  ///< emptied positions, reused LIFO
+        std::uint64_t count = 0;  ///< N_c: agents in the class
+        /// R_c = Σ N_d − [c = d] over the live classes d with may_act(c, d):
+        /// the responders an initiator of this class may act with.
+        std::uint64_t row = 0;
+    };
+
+    static constexpr std::int8_t unknown_pair = -1;
+    static constexpr std::uint32_t no_class = 0xffffffffu;
+    static constexpr std::uint32_t no_successor = 0xffffffffu;
+    static constexpr std::size_t reserved_positions = 64;
+
+    /// Executes one interaction drawn uniformly over the ordered agent pairs
+    /// in may-act class pairs: the initiator's class c with weight N_c·R_c
+    /// (no draw while one class is live), then one bounded uniform over
+    /// N_c·R_c, split by the scheduler's chained multiply
+    /// (sim::sample_grid_cell) into the initiator's rank in c and the
+    /// responder's index along c's row (`pair_in_class`).  δ runs on copies
+    /// of the two states, and only the agents it changed move.
+    ///
+    /// Many executed interactions still change nothing (a tournament agent
+    /// waiting for its partner's role, a converged tail), so an agent whose
+    /// post-δ state is the same as its slot's state stays where it is: no
+    /// tree update, no hash probe.  The changed agents are all withdrawn
+    /// before any is deposited: the high-water mark only rises on a deposit,
+    /// and once the withdrawals are done each deposit moves the occupied
+    /// count toward its end-of-step value, so `occupied_hwm_` ends exactly
+    /// where it would had both agents left and re-entered the census
+    /// (depositing one agent before withdrawing the other could overshoot by
+    /// one).
+    void execute() {
+        std::size_t initiator = 0;
+        std::size_t responder = 0;
+        if (sole_ != no_class) {
+            // One live class, holding all n agents, that may act with itself
+            // (W > 0): the scheduler's own draw over n(n−1), and
+            // pair_in_class's walk is a single step, taken inline.  Always
+            // the case without activity classes.
+            const grid_cell cell = sample_grid_cell(gen_, population_, population_ - 1);
+            const class_tree& only = classes_[sole_];
+            initiator = locate(only, cell.row);
+            responder = locate(only, cell.column + (cell.column >= cell.row ? 1 : 0));
+        } else {
+            const std::uint32_t c = initiator_class_at(gen_.next_below(weight_)).first;
+            const grid_cell cell = sample_grid_cell(gen_, classes_[c].count, classes_[c].row);
+            std::tie(initiator, responder) = pair_in_class(c, cell.row, cell.column);
+        }
+        agent_t u = slots_[initiator].state;
+        agent_t v = slots_[responder].state;
+        protocol_.interact(u, v, gen_);
+        const bool u_moved = !same_state(u, slots_[initiator].state);
+        const bool v_moved = !same_state(v, slots_[responder].state);
+        if (u_moved) withdraw_mass(initiator, 1);
+        if (v_moved) withdraw_mass(responder, 1);
+        if (u_moved) deposit(initiator, u);
+        if (v_moved) deposit(responder, v);
+    }
+
+    /// Adds one agent that left slot `origin` in `state` to its slot,
+    /// creating the slot on first sight; the class counts move only when
+    /// the agent changed class.  Agents leaving one slot mostly land in the
+    /// same next one (a clock's count steps up, a player adopts a side), so
+    /// a compare with the state of the slot the last agent from `origin`
+    /// went to stands in for the hash probe — ~90% of the time on the
+    /// tournament — and picks the very slot the probe would.
+    void deposit(std::size_t origin, const agent_t& state) {
+        std::size_t index = successor_[origin];
+        if (index == no_successor || !same_state(slots_[index].state, state)) {
+            index = slot_for(state);
+            successor_[origin] = static_cast<std::uint32_t>(index);
+        }
+        deposit_mass(index, 1);
+        const std::uint32_t from = slots_[origin].cls;
+        const std::uint32_t to = slots_[index].cls;
+        if (from != to) {
+            shift_class(from, -1);
+            shift_class(to, 1);
+        }
+    }
+
+    /// The initiator class that `rank` < W selects — the live classes in
+    /// order, each a block of N_c·R_c ranks — and the rank's offset in that
+    /// block.
+    [[nodiscard]] std::pair<std::uint32_t, std::uint64_t> initiator_class_at(
+        std::uint64_t rank) const noexcept {
+        for (const std::uint32_t c : live_) {
+            const std::uint64_t block = classes_[c].count * classes_[c].row;
+            if (rank < block) return {c, rank};
+            rank -= block;
+        }
+        return {live_.back(), rank};  // unreachable for rank < W
+    }
+
+    /// Slots of the executed pair whose initiator is the agent of rank `i` <
+    /// N_c in class `c` and whose responder is agent `t` < R_c along c's
+    /// row: the live classes d with may_act(c, d), in order, each
+    /// contributing its N_d agents — less the initiator itself when d = c,
+    /// whose rank is stepped over as in sim::sample_pair.  Both descents
+    /// read their trees independently.
+    [[nodiscard]] std::pair<std::size_t, std::size_t> pair_in_class(
+        std::uint32_t c, std::uint64_t i, std::uint64_t t) const noexcept {
+        std::uint32_t d = c;
+        const std::int8_t* row = acts_.data() + std::size_t{c} * classes_.size();
+        for (const std::uint32_t e : live_) {
+            if (row[e] != 1) continue;  // live pairs are always memoized
+            const std::uint64_t width = classes_[e].count - (e == c ? 1 : 0);
+            if (t < width) {
+                d = e;
+                break;
+            }
+            t -= width;
+        }
+        if (d == c) t += t >= i ? 1 : 0;
+        return {locate(classes_[c], i), locate(classes_[d], t)};
+    }
+
+    /// Slot containing the agent with zero-based rank `rank` in class
+    /// `tree`'s cumulative count order over tree positions: the slot at the
+    /// largest position p with sum(counts at positions [0, p)) <= rank.
+    /// Requires `rank` < N_c.
+    ///
+    /// Branchless descent.  The capacity is a power of two, so the tree is a
+    /// perfect binary heap over [1, capacity]: the root holds every counted
+    /// agent, which no valid rank can reach, so the walk starts one level
+    /// down — and from there `position` is always a multiple of 2·step, so
+    /// `position + step <= capacity` holds without a bounds check.  The
+    /// take/skip decision is a ~50/50 coin on a random rank at every level,
+    /// the worst case for a branch predictor, so it is applied through an
+    /// all-ones/all-zeros mask: written as a ternary, GCC keeps a
+    /// data-dependent jump at every level but the last.
+    [[nodiscard]] std::size_t locate(const class_tree& tree, std::uint64_t rank) const noexcept {
+        std::size_t position = 0;
+        std::uint64_t remaining = rank;
+        const std::uint64_t* const nodes = tree.tree.data();
+        for (std::size_t step = tree.capacity >> 1; step > 0; step >>= 1) {
+            const std::uint64_t node = nodes[position + step];
+            const std::uint64_t take = -static_cast<std::uint64_t>(node <= remaining);
+            position += step & take;
+            remaining -= node & take;
+        }
+        return tree.slot_at[position];
+    }
+
+    [[nodiscard]] std::uint32_t class_of(const agent_t& state) const {
+        if constexpr (declares_activity_classes<P>) {
+            const std::uint32_t c = protocol_.activity_class(state);
+            if (c >= classes_.size())
+                throw std::logic_error("activity_class returned a class >= activity_classes()");
+            return c;
+        } else {
+            return 0;
+        }
+    }
+
+    /// may_act(c, d), memoized lazily per class pair: only pairs of classes
+    /// that are live together are ever asked, so a run pays for the few it
+    /// meets rather than for all C² up front.
+    bool acts(std::uint32_t c, std::uint32_t d) {
+        std::int8_t& known = acts_[std::size_t{c} * classes_.size() + d];
+        if (known == unknown_pair) {
+            bool may = true;
+            if constexpr (declares_activity_classes<P>) may = protocol_.may_act(c, d);
+            known = may ? 1 : 0;
+        }
+        return known == 1;
+    }
+
+    /// Moves class c's count by `delta` and keeps the live list (and
+    /// `sole_`), every live class's row and W current — O(live classes),
+    /// paid only when an agent changes class or leap moves mass.  A class
+    /// turning live computes its row in full; a class going empty
+    /// leaves the live list and gets a fresh row when it returns.
+    void shift_class(std::uint32_t c, std::int64_t delta) {
+        class_tree& moved = classes_[c];
+        const bool was_live = moved.count > 0;
+        moved.count += static_cast<std::uint64_t>(delta);
+        if (!was_live) {
+            live_.push_back(c);
+            std::uint64_t row = 0;
+            for (const std::uint32_t d : live_) {
+                if (acts(c, d)) row += classes_[d].count - (d == c ? 1 : 0);
+            }
+            moved.row = row;
+        } else if (moved.count == 0) {
+            live_.erase(std::find(live_.begin(), live_.end(), c));
+        }
+        sole_ = live_.size() == 1 ? live_[0] : no_class;
+        std::uint64_t weight = 0;
+        for (const std::uint32_t e : live_) {
+            class_tree& other = classes_[e];
+            if ((e != c || was_live) && acts(e, c)) other.row += static_cast<std::uint64_t>(delta);
+            weight += other.count * other.row;
+        }
+        weight_ = weight;
+    }
+
+    /// 1 / ln(1 − p) for the current W, recomputed only when W moved since
+    /// the last skip.
+    [[nodiscard]] double skip_scale() noexcept {
+        if (scaled_weight_ != weight_) {
+            scaled_weight_ = weight_;
+            skip_scale_ = 1.0 / std::log1p(-executed_share());
+        }
+        return skip_scale_;
+    }
+
+    /// Slot-level half of `add_to`: count, tree and occupied list, no class
+    /// bookkeeping.
+    void deposit_mass(std::size_t index, std::uint64_t count) {
+        slot& entry = slots_[index];
+        class_tree& tree = classes_[entry.cls];
+        if (entry.count == 0) {
+            entry.position = take_position(tree, index);
+            entry.list_index = static_cast<std::uint32_t>(occupied_.size());
+            occupied_.push_back(static_cast<std::uint32_t>(index));
+            occupied_hwm_ = std::max(occupied_hwm_, occupied_.size());
+        }
+        entry.count += count;
+        tree_add(tree, entry.position, static_cast<std::int64_t>(count));
+    }
+
+    /// Slot-level half of `remove_from`.  A slot that empties hands its
+    /// place in the occupied list to the list's last slot.
+    void withdraw_mass(std::size_t index, std::uint64_t count) noexcept {
+        slot& entry = slots_[index];
+        class_tree& tree = classes_[entry.cls];
+        entry.count -= count;
+        tree_add(tree, entry.position, -static_cast<std::int64_t>(count));
+        if (entry.count == 0) {
+            const std::uint32_t last = occupied_.back();
+            occupied_[entry.list_index] = last;
+            slots_[last].list_index = entry.list_index;
+            occupied_.pop_back();
+            tree.free_positions.push_back(entry.position);  // capacity reserved by grow_tree
+        }
+    }
+
+    /// A position in `tree` for slot `index`, which is becoming occupied:
+    /// the most recently freed one, else a fresh one (doubling the tree when
+    /// the fresh position is past its capacity).
+    static std::uint32_t take_position(class_tree& tree, std::size_t index) {
+        std::uint32_t position = 0;
+        if (!tree.free_positions.empty()) {
+            position = tree.free_positions.back();
+            tree.free_positions.pop_back();
+            tree.slot_at[position] = static_cast<std::uint32_t>(index);
+        } else {
+            position = static_cast<std::uint32_t>(tree.slot_at.size());
+            if (position == tree.capacity) grow_tree(tree);
+            tree.slot_at.push_back(static_cast<std::uint32_t>(index));
+        }
+        return position;
+    }
+
+    /// Doubles `tree`'s capacity and sizes both position arrays to match,
+    /// so neither reallocates until the next doubling.  No node needs
+    /// recomputing: a node up to the old capacity K keeps its range, the new
+    /// nodes in (K, 2K) cover only fresh, empty positions, and node 2K
+    /// covers everything, as node K did.  The arrays reserve at least
+    /// `reserved_positions` on first use, so a small class never reallocates
+    /// while its descents stay log₂(capacity) deep: the tournament's dozens
+    /// of classes would otherwise leave the heap strewn with tiny freed
+    /// arrays (~10% more peak RSS on plurality/ordered at n = 350).
+    static void grow_tree(class_tree& tree) {
+        const std::size_t old = tree.capacity;
+        tree.capacity = old == 0 ? 1 : 2 * old;
+        const std::size_t reserved = std::max(tree.capacity, reserved_positions);
+        tree.tree.reserve(reserved + 1);
+        tree.tree.resize(tree.capacity + 1, 0);
+        if (old > 0) tree.tree[tree.capacity] = tree.tree[old];
+        tree.slot_at.reserve(reserved);
+        tree.free_positions.reserve(reserved);
+    }
+
+    static void tree_add(class_tree& tree, std::size_t position, std::int64_t delta) noexcept {
+        for (std::size_t i = position + 1; i <= tree.capacity; i += i & (~i + 1)) {
+            tree.tree[i] += static_cast<std::uint64_t>(delta);  // two's complement wraps exactly
+        }
+    }
+
+    std::vector<std::uint32_t> successor_;  ///< per slot: where its last changed agent went
+    state_index<slot> index_{slots_};  ///< state -> slot; pins the simulator (no copy, no move)
+    std::size_t occupied_hwm_ = 0;     ///< max of occupied_.size() so far
+    std::uint64_t pairs_ = 0;          ///< n(n−1): ordered pairs of distinct agents
+    std::vector<class_tree> classes_;  ///< one per activity class
+    std::vector<std::uint32_t> live_;  ///< classes with N_c > 0, in the order they turned live
+    std::uint64_t weight_ = 0;         ///< W = Σ over live c of N_c·R_c
+    std::uint32_t sole_ = no_class;    ///< the only live class, if just one
+    std::vector<std::int8_t> acts_;    ///< C×C may_act memo: 1, 0 or unknown_pair
+    std::uint64_t scaled_weight_ = 0;  ///< the W skip_scale_ was computed for
+    double skip_scale_ = 0.0;
 };
 
 }  // namespace plurality::sim

@@ -11,19 +11,16 @@
 // multinomial split of m across the o outcomes instead of m per-pair RNG
 // calls — the exact same Markov chain, m−1 δ evaluations cheaper.
 //
-// A protocol opts in by
-//  1. templating its transition function over the generator type:
-//         template <class R> void interact_t(agent_t&, agent_t&, R&) const;
-//     (the `sim::protocol`-concept entry point `interact` stays as a thin
-//     `sim::rng` delegation), and
-//  2. exposing the per-pair trait hook
-//         bool delta_outcomes(const agent_t& u, const agent_t& v,
-//                             std::vector<delta_outcome<agent_t>>& out) const;
-//     — typically just delegating to `enumerate_delta_outcomes(*this, …)`.
+// A protocol opts in by templating its transition function over the
+// generator type,
 //
+//     template <class R> void interact(agent_t&, agent_t&, R&) const;
+//
+// defined in the header or explicitly instantiated for `sim::rng` and
+// `sim::delta_replay` (`delta_enumerable`); there is no other hook.
 // `enumerate_delta_outcomes` discovers the outcome list mechanically rather
 // than asking protocol authors to hand-maintain probability tables: it runs
-// `interact_t` against a *scripted* generator (`delta_replay`) that answers
+// `interact` against a *scripted* generator (`delta_replay`) that answers
 // the δ's random choices from a prefix script and records the first
 // unscripted choice point, then walks the resulting choice tree depth-first.
 // Each root-to-leaf path is one outcome whose probability is the product of
@@ -34,11 +31,10 @@
 // (`next_below` with a state-determined bound) and Bernoulli trials with a
 // state-determined p.  Pairs that consult non-enumerable entropy (raw
 // 64-bit words, `next_unit`) or exceed the arity/depth/outcome caps make
-// enumeration return false, and the backends keep their exact per-pair
+// enumeration return false, and the leap backend keeps its exact per-pair
 // fallback for those pairs.
 #pragma once
 
-#include <concepts>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -143,22 +139,15 @@ private:
     bool non_enumerable_ = false;
 };
 
-/// A protocol whose transition function is templated over the generator
-/// type, so it can run against `delta_replay`.
+/// A protocol whose transition function accepts a `delta_replay` as its
+/// generator — a template over the generator type — so its outcome lists
+/// can be enumerated.  The leap backend takes the randomized-δ group path
+/// (sim/group_delta.h) for exactly these protocols; one whose `interact`
+/// takes only a `sim::rng&` keeps the exact per-pair fallback.
 template <class P>
 concept delta_enumerable =
     requires(const P p, typename P::agent_t& u, typename P::agent_t& v, delta_replay& replay) {
-        p.interact_t(u, v, replay);
-    };
-
-/// The backend-facing trait (sim/group_delta.h): per ordered state pair,
-/// either fill `out` with the pair's exact outcome distribution and return
-/// true, or return false to request the exact per-pair fallback.
-template <class P>
-concept declares_delta_outcomes =
-    requires(const P p, const typename P::agent_t& u, const typename P::agent_t& v,
-             std::vector<delta_outcome<typename P::agent_t>>& out) {
-        { p.delta_outcomes(u, v, out) } -> std::convertible_to<bool>;
+        p.interact(u, v, replay);
     };
 
 /// Outcome-list size cap: a pair whose choice tree has more leaves falls
@@ -190,7 +179,7 @@ template <delta_enumerable P>
         typename P::agent_t ru = u;
         typename P::agent_t rv = v;
         delta_replay replay{script};
-        proto.interact_t(ru, rv, replay);
+        proto.interact(ru, rv, replay);
         if (replay.non_enumerable()) {
             out.clear();
             return false;

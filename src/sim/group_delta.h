@@ -9,10 +9,12 @@
 //
 //  * `declares_deterministic_delta` — the protocol trait for RNG-free pairs
 //    (one δ evaluation moves the whole group's mass);
-//  * `detail::delta_outcome_table` — the randomized-δ group path: memoized
-//    per-pair outcome distributions (sim/delta_outcomes.h) plus the grouped
-//    sampler that splits a group of m across the outcomes with one
-//    multinomial draw (dist::multinomial) instead of m per-pair RNG calls;
+//  * `detail::delta_outcome_table` — the randomized-δ group path for
+//    `delta_enumerable` protocols: per-pair outcome distributions
+//    enumerated from `interact` itself (sim/delta_outcomes.h) and memoized,
+//    plus the grouped sampler that splits a group of m across the outcomes
+//    with one multinomial draw (dist::multinomial) instead of m per-pair RNG
+//    calls;
 //  * `detail::used_group_set` — post-run participant groups, one per state;
 //  * `detail::execute_colliding_interaction` — the exact three-case
 //    (both-used / used-fresh / fresh-used) interaction that ends a run.
@@ -36,9 +38,9 @@ namespace plurality::sim {
 
 /// A protocol may declare, per ordered state pair, that δ is RNG-free and a
 /// pure function of the two states — the hook that unlocks grouped δ
-/// application.  Protocols without the hook (and without `delta_outcomes`,
-/// sim/delta_outcomes.h) are treated as fully randomized (correct, just
-/// slower).
+/// application.  Protocols with neither this hook nor a `delta_enumerable`
+/// `interact` (sim/delta_outcomes.h) are treated as fully randomized
+/// (correct, just slower).
 template <class P>
 concept declares_deterministic_delta =
     requires(const P p, const typename P::agent_t& u, const typename P::agent_t& v) {
@@ -172,7 +174,9 @@ void execute_colliding_interaction(rng& gen, std::uint64_t population, std::uint
 }
 
 /// Memoized per-pair outcome distributions plus the grouped sampler — the
-/// backend side of the randomized-δ group path.
+/// backend side of the randomized-δ group path.  Only `lookup` needs a
+/// `delta_enumerable` protocol, so the leap backend holds a table for every
+/// protocol and calls it for those alone.
 ///
 /// Enumerating a pair's outcomes costs a handful of δ evaluations
 /// (sim/delta_outcomes.h walks the pair's choice tree), so distributions are
@@ -210,7 +214,7 @@ public:
         ++misses_;
         if (cache_.size() >= max_entries) cache_.clear();
         entry e;
-        if (proto.delta_outcomes(u, v, scratch_)) {
+        if (enumerate_delta_outcomes(proto, u, v, scratch_)) {
             e.groupable = true;
             for (const auto& outcome : scratch_) {
                 std::size_t i = 0;

@@ -23,9 +23,10 @@
 //      responder multisets, sampled row-by-row by sequential MVH
 //      conditioning.  δ applies once per nonzero cell for pairs the protocol
 //      declares deterministic, by one multinomial split per cell for pairs
-//      with a declared outcome distribution (the randomized-δ group path of
-//      sim/group_delta.h), and per interaction for undeclared pairs — so
-//      every protocol runs correctly.
+//      whose outcome distribution enumerates (protocols whose `interact` is
+//      a template over the generator: the randomized-δ group path of
+//      sim/group_delta.h), and per interaction otherwise — so every
+//      protocol runs correctly.
 //   5. If the run ended in a collision (rather than the caller's budget),
 //      the colliding interaction is executed from its exact conditional
 //      distribution: a uniform ordered pair of distinct agents conditioned
@@ -46,10 +47,11 @@
 // (`leap_cost_model`) compares ~2S + min(S, L̄)·min(S, 2L̄) table variates
 // against ~L̄·p·2·log₂S Fenwick levels for the S occupied states, p being
 // the share of interactions the protocol's activity classes let act
-// (census_store::executed_share); when stepping is cheaper, the next
-// ⌈L̄ / p⌉ interactions go through the census store's interaction loop
-// (census_store::advance, the census backend's loop: skipped in bulk where
-// nothing may act, one at a time elsewhere) and the model decides again.
+// (census_simulator::executed_share); when stepping is cheaper, the next
+// ⌈L̄ / p⌉ interactions go through the census backend's interaction loop
+// (census_simulator::advance: skipped in bulk where nothing may act, one at
+// a time elsewhere), which the leap backend inherits, and the model decides
+// again.
 // On the paper's ordered tournament at n = 350, k = 4 (up to ~114 occupied
 // states, runs of ~11 interactions, p ≈ 0.14) the model steps almost
 // everywhere: the table path alone takes ~260 ns per interaction there,
@@ -93,6 +95,7 @@
 #include "obs/catalogue.h"
 #include "obs/metrics.h"
 #include "obs/snapshot.h"
+#include "sim/census_simulator.h"
 #include "sim/census_store.h"
 #include "sim/delta_outcomes.h"
 #include "sim/group_delta.h"
@@ -110,7 +113,7 @@ namespace plurality::sim {
 ///  * table: ~2S margin variates (two MVH sweeps over the S occupied
 ///    states) plus min(S, L̄)·min(S, 2L̄) table variates (at most L̄
 ///    nonempty rows, each an MVH over at most 2L̄ responder states);
-///  * stepping: the p·L̄ of them the store's loop executes — p =
+///  * stepping: the p·L̄ of them the census loop executes — p =
 ///    W / n(n−1), the executed share, 1 without activity classes — each of
 ///    two Fenwick descents of ~log₂S levels; the skipped ones cost next to
 ///    nothing.
@@ -141,7 +144,7 @@ struct leap_cost_model {
     /// True when stepping is estimated to cost less than one table run over
     /// `occupied` states, per interaction, when a share `executed_share` of
     /// the stepped interactions calls δ (the rest are skipped identities,
-    /// census_store::advance).
+    /// census_simulator::advance).
     [[nodiscard]] bool prefers_stepping(std::size_t occupied,
                                         double executed_share) const noexcept {
         if (occupied <= 2) return false;
@@ -168,11 +171,12 @@ struct leap_cost_model {
 /// Drives one protocol instance over one population, census-space, leaping
 /// whole collision-free runs via their pair-type contingency table — or,
 /// wherever `leap_cost_model` finds the table dearer, stepping through the
-/// census store's shared interaction loop.
-/// Satisfies the same `steppable_simulation` / `visit_states` contracts as
-/// the other backends (the read API is the inherited census_store), so
-/// `sim::converge`, `trace::recorder` and the sim::view helpers work
-/// unchanged.
+/// census backend's interaction loop.  It *is* a census_simulator (same
+/// census, generator, interaction count and read API, so `sim::converge`,
+/// `trace::recorder` and the sim::view helpers work unchanged) whose
+/// `run_for` and `step` hide the base's: scenario code reaches a leap
+/// simulator through its own type, and a predicate gets only a const
+/// census_simulator&, which cannot step.
 /// `Obs` selects the observability policy (obs/metrics.h): the default
 /// follows the PLURALITY_OBS build option; `obs::disabled` compiles every
 /// instrument out.  This is the backend the ≤2% overhead gate measures
@@ -181,29 +185,12 @@ struct leap_cost_model {
 /// `Retired` is ignored: only the frozen benchmark (consensus_bench/) still
 /// passes one.
 template <protocol P, class Retired = void, class Obs = obs::default_policy>
-class leap_census_simulator : public census_store<P> {
-    using store = census_store<P>;
+class leap_census_simulator : public census_simulator<P, void, Obs> {
+    using census = census_simulator<P, void, Obs>;
 
 public:
-    using typename store::agent_t;
-    using typename store::entry_t;
-
-    /// Takes ownership of the protocol instance and the initial census.
-    /// Requires a total population of 2 <= n <= 2^32 − 1.
-    leap_census_simulator(P proto, const std::vector<entry_t>& initial, std::uint64_t seed)
-        : store(std::move(proto), initial, "leap_census_simulator"),
-          gen_(seed),
-          cost_(population_) {
-        // Every initial slot is occupied, in discovery order.
-        listed_.assign(slots_.size(), 1);
-        for (std::size_t i = 0; i < slots_.size(); ++i)
-            occupied_list_.push_back(static_cast<std::uint32_t>(i));
-    }
-
-    /// Convenience: compresses a full agent vector into its census (small-n
-    /// tests comparing backends on identical configurations).
-    leap_census_simulator(P proto, const std::vector<agent_t>& agents, std::uint64_t seed)
-        : leap_census_simulator(std::move(proto), compress_to_census(agents), seed) {}
+    using typename census::agent_t;
+    using census::census;
 
     /// Executes exactly one interaction: a stepped one or a leap run
     /// truncated to length 1, whichever the cost model picks.
@@ -219,15 +206,10 @@ public:
     void run_for(std::uint64_t count) {
         while (count > 0) {
             const double share = this->executed_share();
-            count -= cost_.prefers_stepping(this->occupied_states(), share)
+            count -= cost_.prefers_stepping(this->occupied_.size(), share)
                          ? step_segment(cost_.segment(share, count))
                          : leap_run(count);
         }
-    }
-
-    [[nodiscard]] std::uint64_t interactions() const noexcept { return interactions_; }
-    [[nodiscard]] double parallel_time() const noexcept {
-        return static_cast<double>(interactions_) / static_cast<double>(population_);
     }
 
     /// Appends this run's metrics (end-of-trial cold path; see src/obs/).
@@ -236,47 +218,42 @@ public:
     /// section.
     void collect_metrics(obs::snapshot& out) const {
         if constexpr (Obs::active) {
-            out.add_counter(obs::m_interactions, interactions_);
-            out.add_counter(obs::m_rng_words, gen_.words());
-            out.add_counter(obs::m_runs, metrics_.runs.value());
-            out.add_counter(obs::m_collisions, metrics_.collisions.value());
-            out.add_counter(obs::m_absorbed_fastpath, metrics_.absorbed.value());
-            out.add_counter(obs::m_delta_deterministic, metrics_.delta_deterministic.value());
-            out.add_counter(obs::m_delta_grouped, metrics_.delta_grouped.value());
-            out.add_counter(obs::m_delta_fallback, metrics_.delta_fallback.value());
+            out.add_counter(obs::m_interactions, this->interactions_);
+            out.add_counter(obs::m_rng_words, this->gen_.words());
+            out.add_counter(obs::m_runs, leap_metrics_.runs.value());
+            out.add_counter(obs::m_collisions, leap_metrics_.collisions.value());
+            out.add_counter(obs::m_absorbed_fastpath, this->metrics_.absorbed.value());
+            out.add_counter(obs::m_delta_deterministic,
+                            leap_metrics_.delta_deterministic.value());
+            out.add_counter(obs::m_delta_grouped, leap_metrics_.delta_grouped.value());
+            out.add_counter(obs::m_delta_fallback, leap_metrics_.delta_fallback.value());
             out.add_counter(obs::m_table_hits, delta_table_.hits());
             out.add_counter(obs::m_table_misses, delta_table_.misses());
             // Only runs that stepped report Fenwick work, so a run that
             // stayed on the table path writes no Fenwick counter at all.
-            if (metrics_.descents.value() > 0)
-                out.add_counter(obs::m_fenwick_descents, metrics_.descents.value());
+            if (this->metrics_.descents.value() > 0)
+                out.add_counter(obs::m_fenwick_descents, this->metrics_.descents.value());
             out.add_gauge(obs::m_occupied_hwm, this->occupied_states_hwm());
-            out.add_gauge(obs::m_reachable_states, slots_.size());
-            out.add_histogram(obs::m_run_length, metrics_.run_length);
+            out.add_gauge(obs::m_reachable_states, this->slots_.size());
+            out.add_histogram(obs::m_run_length, leap_metrics_.run_length);
             // Timers sample every obs::phase_sample_every-th run; scale the
             // accumulated seconds back up to estimate the full phase time.
             constexpr auto scale = static_cast<double>(obs::phase_sample_every);
-            out.add_timer(obs::m_phase_run_length, metrics_.t_run_length.seconds() * scale);
-            out.add_timer(obs::m_phase_margins, metrics_.t_margins.seconds() * scale);
-            out.add_timer(obs::m_phase_table, metrics_.t_table.seconds() * scale);
-            out.add_timer(obs::m_phase_collision, metrics_.t_collision.seconds() * scale);
+            out.add_timer(obs::m_phase_run_length,
+                          leap_metrics_.t_run_length.seconds() * scale);
+            out.add_timer(obs::m_phase_margins, leap_metrics_.t_margins.seconds() * scale);
+            out.add_timer(obs::m_phase_table, leap_metrics_.t_table.seconds() * scale);
+            out.add_timer(obs::m_phase_collision, leap_metrics_.t_collision.seconds() * scale);
         }
     }
 
 private:
-    using store::add_to;
-    using store::population_;
-    using store::protocol_;
-    using store::remove_from;
-    using store::slot_for;
-    using store::slots_;
-
-    /// Policy-selected instruments; empty (and free) under obs::disabled.
-    struct instrument_set {
-        [[no_unique_address]] typename Obs::counter_t descents;
+    /// Policy-selected instruments beyond the census backend's (Fenwick
+    /// descents and absorbed interactions, which leap counts too); empty
+    /// (and free) under obs::disabled.
+    struct leap_instrument_set {
         [[no_unique_address]] typename Obs::counter_t runs;
         [[no_unique_address]] typename Obs::counter_t collisions;
-        [[no_unique_address]] typename Obs::counter_t absorbed;
         [[no_unique_address]] typename Obs::counter_t delta_deterministic;
         [[no_unique_address]] typename Obs::counter_t delta_grouped;
         [[no_unique_address]] typename Obs::counter_t delta_fallback;
@@ -291,58 +268,47 @@ private:
     /// `budget`, plus the colliding interaction when the run ended
     /// naturally.  Returns the number of interactions executed (>= 1).
     std::uint64_t leap_run(std::uint64_t budget) {
-        // Snapshot the occupied census slots: all draws below are over the
-        // pre-run counts.  `occupied_list_` tracks occupied slots
-        // incrementally (slots going dormant are dropped lazily, in place,
-        // preserving discovery order), so a run costs O(occupied), not
-        // O(reachable) — protocols that keep discovering fresh states (e.g.
-        // the tournament families) would otherwise degrade as dormant slots
-        // pile up.  Consumes no randomness, so it can run before the
-        // run-length draw and feed the absorbed-census check.
-        counts_.clear();
-        std::size_t keep = 0;
-        for (std::size_t r = 0; r < occupied_list_.size(); ++r) {
-            const std::uint32_t i = occupied_list_[r];
-            if (slots_[i].count == 0) {
-                listed_[i] = 0;
-                continue;
-            }
-            occupied_list_[keep++] = i;
-            counts_.push_back(slots_[i].count);
-        }
-        occupied_list_.resize(keep);
-
         // Absorbed-census fast path: with a single occupied state and a
-        // quiescent δ(s, s) = (s, s) — declared deterministic, or a declared
-        // outcome distribution whose only outcome is the identity — every
-        // future interaction is a no-op: execute the whole budget in O(1).
-        // The skipped draws can never matter: no later interaction can read
-        // them into the census.
-        if (occupied_list_.size() == 1) {
-            const auto& only = slots_[occupied_list_[0]];
+        // quiescent δ(s, s) = (s, s) — declared deterministic, or an
+        // enumerated outcome distribution whose only outcome is the
+        // identity — every future interaction is a no-op: execute the whole
+        // budget in O(1).  The skipped draws can never matter: no later
+        // interaction can read them into the census.
+        if (this->occupied_.size() == 1) {
+            const auto& only = this->slots_[this->occupied_[0]];
             bool quiescent = false;
             if constexpr (declares_deterministic_delta<P>) {
-                if (protocol_.deterministic_delta(only.state, only.state)) {
+                if (this->protocol_.deterministic_delta(only.state, only.state)) {
                     agent_t u = only.state;
                     agent_t v = only.state;
-                    protocol_.interact(u, v, gen_);
+                    this->protocol_.interact(u, v, this->gen_);
                     quiescent = same_state(u, only.state) && same_state(v, only.state);
                 }
             }
-            if constexpr (declares_delta_outcomes<P>) {
+            if constexpr (delta_enumerable<P>) {
                 if (!quiescent) {
-                    const auto& entry = delta_table_.lookup(protocol_, only.state, only.state);
+                    const auto& entry =
+                        delta_table_.lookup(this->protocol_, only.state, only.state);
                     quiescent = entry.groupable && entry.outcomes.size() == 1 &&
                                 same_state(entry.outcomes[0].initiator, only.state) &&
                                 same_state(entry.outcomes[0].responder, only.state);
                 }
             }
             if (quiescent) {
-                interactions_ += budget;
-                metrics_.absorbed.add(budget);
+                this->interactions_ += budget;
+                this->metrics_.absorbed.add(budget);
                 return budget;
             }
         }
+
+        // Snapshot the occupied slots and their counts: all draws below are
+        // over the pre-run census, and withdrawing the participants reorders
+        // the occupied list.  O(occupied), not O(reachable): protocols that
+        // keep discovering fresh states (e.g. the tournament families) would
+        // otherwise degrade as dormant slots pile up.
+        run_slots_.assign(this->occupied_.begin(), this->occupied_.end());
+        counts_.clear();
+        for (const std::uint32_t i : run_slots_) counts_.push_back(this->slots_[i].count);
 
         // Phase boundaries are one clock read each, at *run* granularity, on
         // every phase_sample_every-th run only (~17 ns per read adds up over
@@ -350,23 +316,24 @@ private:
         // Under obs::disabled `timed` is constant false and everything folds
         // away.
         const bool timed =
-            Obs::active && metrics_.runs.value() % obs::phase_sample_every == 0;
+            Obs::active && leap_metrics_.runs.value() % obs::phase_sample_every == 0;
         const std::uint64_t t0 = timed ? obs::now_ticks() : 0;
-        const auto run = dist::sample_collision_free_run_leap(gen_, population_, budget);
+        const auto run =
+            dist::sample_collision_free_run_leap(this->gen_, this->population_, budget);
         const std::uint64_t pairs = run.length;
-        metrics_.runs.add(1);
-        metrics_.run_length.record(pairs);
+        leap_metrics_.runs.add(1);
+        leap_metrics_.run_length.record(pairs);
         const std::uint64_t t1 = timed ? obs::now_ticks() : 0;
-        if (timed) metrics_.t_run_length.add_ticks(t1 - t0);
+        if (timed) leap_metrics_.t_run_length.add_ticks(t1 - t0);
 
         // Margins first, participants never: the L initiators are an MVH
         // draw over the census, the L responders an MVH draw over what
         // remains.  No 2L-sized anything is materialized.
-        init_.assign(occupied_list_.size(), 0);
-        dist::multivariate_hypergeometric(gen_, counts_, pairs, init_);
-        for (std::size_t j = 0; j < occupied_list_.size(); ++j) counts_[j] -= init_[j];
-        resp_.assign(occupied_list_.size(), 0);
-        dist::multivariate_hypergeometric(gen_, counts_, pairs, resp_);
+        init_.assign(run_slots_.size(), 0);
+        dist::multivariate_hypergeometric(this->gen_, counts_, pairs, init_);
+        for (std::size_t j = 0; j < run_slots_.size(); ++j) counts_[j] -= init_[j];
+        resp_.assign(run_slots_.size(), 0);
+        dist::multivariate_hypergeometric(this->gen_, counts_, pairs, resp_);
 
         // Withdraw all participants and compact to the states that take part
         // (at most 2L of them): every stage below is quadratic-ish in the
@@ -375,17 +342,17 @@ private:
         pslots_.clear();
         pinit_.clear();
         presp_.clear();
-        for (std::size_t j = 0; j < occupied_list_.size(); ++j) {
+        for (std::size_t j = 0; j < run_slots_.size(); ++j) {
             const std::uint64_t taking = init_[j] + resp_[j];
             if (taking == 0) continue;
-            remove_from(occupied_list_[j], taking);
-            pslots_.push_back(occupied_list_[j]);
+            this->remove_from(run_slots_[j], taking);
+            pslots_.push_back(run_slots_[j]);
             pinit_.push_back(init_[j]);
             presp_.push_back(resp_[j]);
         }
 
         const std::uint64_t t2 = timed ? obs::now_ticks() : 0;
-        if (timed) metrics_.t_margins.add_ticks(t2 - t1);
+        if (timed) leap_metrics_.t_margins.add_ticks(t2 - t1);
 
         // The pair-type table: pair the margins by a uniform random
         // bijection, sampled as sequentially-conditioned rows — one MVH of
@@ -395,96 +362,89 @@ private:
         for (std::size_t j = 0; j < pslots_.size(); ++j) {
             if (pinit_[j] == 0) continue;
             row_.assign(pslots_.size(), 0);
-            dist::multivariate_hypergeometric(gen_, presp_, pinit_[j], row_);
+            dist::multivariate_hypergeometric(this->gen_, presp_, pinit_[j], row_);
             for (std::size_t t = 0; t < pslots_.size(); ++t) {
                 if (row_[t] == 0) continue;
                 presp_[t] -= row_[t];
-                apply_group(slots_[pslots_[j]].state, slots_[pslots_[t]].state, row_[t]);
+                apply_group(this->slots_[pslots_[j]].state, this->slots_[pslots_[t]].state,
+                            row_[t]);
             }
         }
 
         const std::uint64_t t3 = timed ? obs::now_ticks() : 0;
-        if (timed) metrics_.t_table.add_ticks(t3 - t2);
+        if (timed) leap_metrics_.t_table.add_ticks(t3 - t2);
 
         if (run.collided) {
-            metrics_.collisions.add(1);
+            leap_metrics_.collisions.add(1);
             execute_collision(2 * pairs);
         }
 
         // Re-deposit every participant's post-state.  Post-states are almost
-        // always already-listed slots, so try a short compare scan of the
-        // occupied list before paying the hash lookup.
+        // always occupied slots already, so while few are occupied try a
+        // short compare scan of the occupied list before paying the hash
+        // lookup.
+        const auto& occupied = this->occupied_;
         for (const auto& g : used_.groups()) {
             if (g.count == 0) continue;
-            if (occupied_list_.size() <= 16) {
-                bool found = false;
-                for (const std::uint32_t i : occupied_list_) {
-                    if (same_state(slots_[i].state, g.state)) {
-                        add(i, g.count);
-                        found = true;
-                        break;
-                    }
-                }
-                if (found) continue;
+            auto listed = occupied.end();
+            if (occupied.size() <= 16) {
+                listed = std::find_if(occupied.begin(), occupied.end(), [&](std::uint32_t i) {
+                    return same_state(this->slots_[i].state, g.state);
+                });
             }
-            add(slot_for(g.state), g.count);
+            this->add_to(listed != occupied.end() ? *listed : this->slot_for(g.state), g.count);
         }
 
         const std::uint64_t t4 = timed ? obs::now_ticks() : 0;
-        if (timed) metrics_.t_collision.add_ticks(t4 - t3);
+        if (timed) leap_metrics_.t_collision.add_ticks(t4 - t3);
 
         const std::uint64_t executed = pairs + (run.collided ? 1 : 0);
-        interactions_ += executed;
+        this->interactions_ += executed;
         return executed;
     }
 
-    /// Executes `count` interactions through the store's interaction loop
-    /// (census_store::advance): each executed one counts as one per-pair δ
-    /// call, each skipped identity as absorbed.
+    /// Executes `count` interactions through the census backend's
+    /// interaction loop (census_simulator::advance): each executed one
+    /// counts as one per-pair δ call.
     std::uint64_t step_segment(std::uint64_t count) {
-        const std::uint64_t executed =
-            this->advance(count, gen_, [this](std::size_t index) { list(index); });
-        metrics_.descents.add(2 * executed);
-        metrics_.delta_fallback.add(executed);
-        metrics_.absorbed.add(count - executed);
-        interactions_ += count;
+        leap_metrics_.delta_fallback.add(this->advance(count));
         return count;
     }
 
     /// Applies δ to `count` interactions that all see the ordered state pair
     /// (u, v): once for a declared-deterministic pair, via one multinomial
-    /// split for a pair with a declared outcome distribution, per
+    /// split for a pair whose outcome distribution enumerates, per
     /// interaction otherwise (the exact fallback for randomized δ).
     void apply_group(const agent_t& u_state, const agent_t& v_state, std::uint64_t count) {
         if constexpr (declares_deterministic_delta<P>) {
-            if (protocol_.deterministic_delta(u_state, v_state)) {
+            if (this->protocol_.deterministic_delta(u_state, v_state)) {
                 agent_t u = u_state;
                 agent_t v = v_state;
-                protocol_.interact(u, v, gen_);
+                this->protocol_.interact(u, v, this->gen_);
                 used_.add(u, count);
                 used_.add(v, count);
-                metrics_.delta_deterministic.add(count);
+                leap_metrics_.delta_deterministic.add(count);
                 return;
             }
         }
-        if constexpr (declares_delta_outcomes<P>) {
-            const auto& entry = delta_table_.lookup(protocol_, u_state, v_state);
+        if constexpr (delta_enumerable<P>) {
+            const auto& entry = delta_table_.lookup(this->protocol_, u_state, v_state);
             if (entry.groupable) {
                 delta_table_.apply_group(
-                    entry, gen_, count,
+                    entry, this->gen_, count,
                     [this](const agent_t& state, std::uint64_t c) { used_.add(state, c); });
-                metrics_.delta_grouped.add(count);
+                leap_metrics_.delta_grouped.add(count);
                 return;
             }
         }
         for (std::uint64_t c = 0; c < count; ++c) {
             agent_t u = u_state;
             agent_t v = v_state;
-            protocol_.interact(u, v, gen_);
+            this->protocol_.interact(u, v, this->gen_);
             used_.add(u, 1);
             used_.add(v, 1);
         }
-        metrics_.delta_fallback.add(count);
+        leap_metrics_.delta_fallback.add(count);
     }
 
     /// Executes the interaction that ended the run (shared three-case
@@ -493,65 +453,45 @@ private:
     /// (whose current states live in `used_`).
     void execute_collision(std::uint64_t m2) {
         detail::execute_colliding_interaction(
-            gen_, population_, m2, used_,
+            this->gen_, this->population_, m2, used_,
             [this](std::uint64_t rank) { return census_take_at(rank); },
-            [this](agent_t& u, agent_t& v) { protocol_.interact(u, v, gen_); });
+            [this](agent_t& u, agent_t& v) { this->protocol_.interact(u, v, this->gen_); });
     }
 
     /// Withdraws and returns the state of the *fresh* (non-participant)
-    /// agent with zero-based rank `rank` over the current census counts.
-    /// Only occupied-listed slots can hold fresh agents (withdrawn
-    /// participants merely zero some of them out).
+    /// agent with zero-based rank `rank` over the current census counts, in
+    /// occupied-list order (the participants are all withdrawn, so every
+    /// agent still in the census is fresh).
     [[nodiscard]] agent_t census_take_at(std::uint64_t rank) {
         std::uint64_t remaining = rank;
-        std::uint32_t last = occupied_list_.back();
-        for (const std::uint32_t i : occupied_list_) {
-            if (slots_[i].count == 0) continue;
-            if (remaining < slots_[i].count) {
-                remove_from(i, 1);
-                return slots_[i].state;
+        std::uint32_t pick = this->occupied_.back();  // unreachable for rank < census total
+        for (const std::uint32_t i : this->occupied_) {
+            if (remaining < this->slots_[i].count) {
+                pick = i;
+                break;
             }
-            remaining -= slots_[i].count;
-            last = i;
+            remaining -= this->slots_[i].count;
         }
-        remove_from(last, 1);
-        return slots_[last].state;  // unreachable for rank < census total
+        const agent_t state = this->slots_[pick].state;
+        this->remove_from(pick, 1);
+        return state;
     }
 
-    /// Adds `count` agents to slot `index`, listing it when it becomes
-    /// occupied.
-    void add(std::size_t index, std::uint64_t count) {
-        if (add_to(index, count)) list(index);
-    }
-
-    /// Appends the just-occupied slot `index` to the occupied list unless it
-    /// is still listed (dormant slots leave the list lazily at the next run
-    /// snapshot).
-    void list(std::size_t index) {
-        if (index == listed_.size()) listed_.push_back(0);
-        if (listed_[index]) return;
-        listed_[index] = 1;
-        occupied_list_.push_back(static_cast<std::uint32_t>(index));
-    }
-
-    rng gen_;
-    leap_cost_model cost_;
-    std::uint64_t interactions_ = 0;
+    leap_cost_model cost_{this->population_};
 
     // Per-run scratch, reused across runs to stay allocation-free on the hot
     // path.
-    std::vector<std::uint32_t> occupied_list_;  ///< occupied slots, discovery order
-    std::vector<std::uint8_t> listed_;          ///< per slot: 1 if in occupied_list_
-    std::vector<std::uint64_t> counts_;         ///< snapshot of their counts
-    std::vector<std::uint64_t> init_;           ///< initiator margin per occupied slot
-    std::vector<std::uint64_t> resp_;           ///< responder margin per occupied slot
-    std::vector<std::uint32_t> pslots_;         ///< slots taking part (compact)
-    std::vector<std::uint64_t> pinit_;          ///< initiator margin, compacted
-    std::vector<std::uint64_t> presp_;          ///< unpaired responders, compacted
-    std::vector<std::uint64_t> row_;            ///< one contingency-table row
+    std::vector<std::uint32_t> run_slots_;  ///< the occupied slots at the run's start
+    std::vector<std::uint64_t> counts_;     ///< their counts then
+    std::vector<std::uint64_t> init_;       ///< initiator margin per run slot
+    std::vector<std::uint64_t> resp_;       ///< responder margin per run slot
+    std::vector<std::uint32_t> pslots_;     ///< slots taking part (compact)
+    std::vector<std::uint64_t> pinit_;      ///< initiator margin, compacted
+    std::vector<std::uint64_t> presp_;      ///< unpaired responders, compacted
+    std::vector<std::uint64_t> row_;        ///< one contingency-table row
     detail::used_group_set<agent_t> used_;        ///< post-run states of participants
     detail::delta_outcome_table<P> delta_table_;  ///< randomized-δ group path cache
-    [[no_unique_address]] instrument_set metrics_;
+    [[no_unique_address]] leap_instrument_set leap_metrics_;
 };
 
 }  // namespace plurality::sim

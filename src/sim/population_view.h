@@ -6,7 +6,9 @@
 //
 // which visits every occupied state with its multiplicity (the agent-based
 // backend visits each agent with count 1; the census-space backends visit
-// each occupied slot of their shared sim::census_store).  The helpers below
+// each slot of sim::census_simulator's occupied list, in the list's order,
+// which is a pure function of the seed but not the order the states were
+// discovered in).  No helper depends on the visit order.  The helpers below
 // express the predicates and metrics the scenario layer needs — "all agents
 // satisfy p", "how many satisfy p", "do all agents project to one value" —
 // in terms of that primitive, so one templated predicate implementation

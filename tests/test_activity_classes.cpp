@@ -97,7 +97,7 @@ std::uint64_t check_census_run(algorithm_mode mode, std::uint64_t seed) {
             for (const core_agent& v : states) {
                 if (!declared_inactive(protocol, u, v)) continue;
                 if (!checked.insert(test::state_bytes(u) + test::state_bytes(v)).second) continue;
-                const bool listed = protocol.delta_outcomes(u, v, outcomes);
+                const bool listed = sim::enumerate_delta_outcomes(protocol, u, v, outcomes);
                 const bool identity = listed && outcomes.size() == 1 &&
                                       outcomes[0].probability == 1.0 &&
                                       sim::same_state(outcomes[0].initiator, u) &&

@@ -18,6 +18,7 @@
 #include "baselines/usd_plurality.h"
 #include "census/state_census.h"
 #include "core/agent.h"
+#include "core/plurality_protocol.h"
 #include "epidemic/epidemic.h"
 #include "leader/leader_election.h"
 #include "loadbalance/load_balancer.h"
@@ -122,7 +123,7 @@ TEST(CensusSimulator, LocateReturnsEachSlotAsOneBlockAfterPositionsAreRecycled) 
         std::uint64_t first = 0;
         std::uint64_t hits = 0;
     };
-    std::map<std::size_t, block> blocks;  // slot -> its class and ranks, in slot order
+    std::map<std::size_t, block> blocks;  // slot -> its class and ranks
     for (std::uint32_t cls = 0; cls < 3; ++cls) {
         for (std::uint64_t rank = 0; rank < sim.class_count(cls); ++rank) {
             const std::size_t slot = sim.locate_rank(cls, rank);
@@ -133,16 +134,15 @@ TEST(CensusSimulator, LocateReturnsEachSlotAsOneBlockAfterPositionsAreRecycled) 
             ++it->second.hits;
         }
     }
-    // visit_states walks the occupied slots in slot order, so the i-th
-    // visited count belongs to the i-th smallest slot index located above.
+    // The located slots are the occupied slots, one block each: every
+    // slot's state is in the class it was located in and holds as many
+    // agents as its block has ranks.
     ASSERT_EQ(blocks.size(), sim.occupied_states());
-    auto it = blocks.begin();
-    sim.visit_states([&](const majority::averaging_agent& state, std::uint64_t count) {
-        EXPECT_EQ(it->second.hits, count) << "slot " << it->first;
-        EXPECT_EQ(it->second.cls, classes.activity_class(state)) << "slot " << it->first;
-        ++it;
-        return true;
-    });
+    for (const auto& [slot, b] : blocks) {
+        const majority::averaging_agent& state = sim.slot_state(slot);
+        EXPECT_EQ(classes.activity_class(state), b.cls) << "slot " << slot;
+        EXPECT_EQ(sim.count_of(state), b.hits) << "slot " << slot;
+    }
 }
 
 /// An identity δ over labelled agents, classed by label mod 3, with class 1
@@ -314,19 +314,24 @@ TEST(CensusSimulator, AgentVectorConstructorCompressesToCensus) {
     EXPECT_EQ(sim.occupied_states(), 3u);
 }
 
-TEST(CensusSimulator, OccupiedStatesCounterMatchesVisitScan) {
-    // occupied_states() is maintained incrementally (no O(S) scan); it must
-    // track the number of visited states exactly as slots drain and refill.
-    three_sim sim{{}, three_state_census(500, 450, 0), 19};
+TEST(CensusSimulator, OccupiedStatesMatchesVisitScan) {
+    // The occupied list gains a slot when it fills and swap-removes it when
+    // it empties; after every batch it must hold exactly the occupied
+    // states.  Three-state drains and refills its undecided slot; the
+    // tournament empties and refills many slots (more states are reached
+    // than are ever occupied at once).
+    three_sim three{{}, three_state_census(500, 450, 50), 19};
     for (int batch = 0; batch < 10; ++batch) {
-        sim.run_for(200);
-        std::size_t scanned = 0;
-        sim.visit_states([&scanned](const majority::three_state_agent&, std::uint64_t) {
-            ++scanned;
-            return true;
-        });
-        ASSERT_EQ(sim.occupied_states(), scanned);
+        three.run_for(200);
+        test::expect_occupied_states_consistent(three);
     }
+    const auto start = test::ordered_tournament(350, 4, 19);
+    sim::census_simulator<core::plurality_protocol> tournament{start.protocol, start.agents, 19};
+    for (int batch = 0; batch < 60; ++batch) {
+        tournament.run_for(350 * 50);
+        test::expect_occupied_states_consistent(tournament);
+    }
+    EXPECT_GT(tournament.reachable_states(), tournament.occupied_states_hwm());
 }
 
 TEST(CensusSimulator, RejectsPopulationsBelowTwo) {

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/plurality_protocol.h"
 #include "majority/three_state.h"
 #include "obs/catalogue.h"
 #include "obs/snapshot.h"
@@ -79,16 +80,30 @@ TEST(LeapCensusSimulator, StepExecutesOneInteraction) {
 }
 
 TEST(LeapCensusSimulator, OccupiedStatesMatchesVisitScan) {
-    three_leap sim{{}, three_state_census(500, 450, 0), 21};
+    // A table run withdraws its participants (swap-removing every slot it
+    // empties from the occupied list) and redeposits them; a stepped
+    // segment moves agents one at a time.  After every batch the list must
+    // hold exactly the occupied states.  On the tournament at n = 350 leap
+    // takes both strategies, and slots empty and refill.
+    three_leap three{{}, three_state_census(500, 450, 50), 21};
     for (int batch = 0; batch < 10; ++batch) {
-        sim.run_for(200);
-        std::size_t scanned = 0;
-        sim.visit_states([&scanned](const majority::three_state_agent&, std::uint64_t) {
-            ++scanned;
-            return true;
-        });
-        ASSERT_EQ(sim.occupied_states(), scanned);
+        three.run_for(200);
+        test::expect_occupied_states_consistent(three);
     }
+    const auto start = test::ordered_tournament(350, 4, 21);
+    sim::leap_census_simulator<core::plurality_protocol> tournament{start.protocol,
+                                                                    start.agents, 21};
+    for (int batch = 0; batch < 60; ++batch) {
+        tournament.run_for(350 * 50);
+        test::expect_occupied_states_consistent(tournament);
+    }
+    EXPECT_GT(tournament.reachable_states(), tournament.occupied_states_hwm());
+#if PLURALITY_OBS
+    obs::snapshot observed;
+    tournament.collect_metrics(observed);
+    EXPECT_GT(test::counter_of(observed, obs::m_runs), 0u);
+    EXPECT_GT(test::counter_of(observed, obs::m_fenwick_descents), 0u);
+#endif
 }
 
 TEST(LeapCensusSimulator, DeterministicPerSeedAndSensitiveToSeed) {

@@ -48,6 +48,9 @@ TEST(RandomDist, LogFactorialMatchesDirectSummationAcrossTableBoundary) {
     }
     EXPECT_DOUBLE_EQ(dist::log_factorial(0), 0.0);
     EXPECT_DOUBLE_EQ(dist::log_factorial(1), 0.0);
+    // The largest population the census-space backends accept.
+    const double at_max = std::lgamma(4294967296.0);
+    EXPECT_NEAR(dist::log_factorial(4294967295ull), at_max, 1e-12 * at_max);
 }
 
 TEST(RandomDist, BinomialSmallChiSquareAgainstPmf) {
@@ -352,9 +355,10 @@ TEST(RandomDist, MultinomialDegenerateDrawsConsumeNoRandomness) {
 
 TEST(RandomDist, LogCollisionFreeSurvivalMatchesDirectSum) {
     // Reference: log S(l) = Σ_{t<l} [log1p(−2t/n) + log1p(−(2t+1)/n)], summed
-    // in order — exact to ~1e-12 relative at these lengths.  Covers the
-    // table-exact branch (n < 4096) and the closed-form Stirling branch.
-    const std::uint64_t populations[] = {100, 4096, 1'000'000, 1'000'000'000};
+    // in order — exact to ~1e-11 relative at these lengths.  Covers the
+    // table-exact branch (n < 4096) and the closed-form Stirling branch, up
+    // to the largest population the census-space backends accept.
+    const std::uint64_t populations[] = {100, 4096, 1'000'000, 1'000'000'000, 4'294'967'295};
     for (const std::uint64_t n : populations) {
         const double nd = static_cast<double>(n);
         // Walk out to ~6 "sigma" of the run-length law (L ~ √(πn/8)).
@@ -382,32 +386,34 @@ TEST(RandomDist, LogCollisionFreeSurvivalMatchesDirectSum) {
 
 TEST(RandomDist, LeapCollisionRunMatchesAnalyticMoments) {
     // E[L] and E[L²] follow directly from the survival function
-    // S(l) = P(L >= l): E[L] = Σ_{l>=1} S(l), E[L²] = Σ (2l−1)·S(l).  The
-    // closed-form inversion must reproduce them.
-    constexpr std::uint64_t n = 10000;
-    const double inv_pairs = 1.0 / (static_cast<double>(n) * (n - 1.0));
-    double survival = 1.0;
-    double expected_mean = 0.0;
-    double expected_sq = 0.0;
-    for (std::uint64_t l = 1; survival > 1e-15 && 2 * l <= n; ++l) {
-        const double used = 2.0 * static_cast<double>(l - 1);
-        const double fresh = static_cast<double>(n) - used;
-        survival *= fresh * (fresh - 1.0) * inv_pairs;  // S(l)
-        expected_mean += survival;
-        expected_sq += (2.0 * static_cast<double>(l) - 1.0) * survival;
-    }
-    const double expected_var = expected_sq - expected_mean * expected_mean;
+    // S(l) = P(L >= l): E[L] = Σ_{l>=1} S(l), E[L²] = Σ (2l−1)·S(l), summed
+    // term by term (~3·10⁵ terms at the largest population the census-space
+    // backends accept).  The closed-form inversion must reproduce them.
+    for (const std::uint64_t n : {10'000ull, 4'294'967'295ull}) {
+        const double inv_pairs = 1.0 / (static_cast<double>(n) * (static_cast<double>(n) - 1.0));
+        double survival = 1.0;
+        double expected_mean = 0.0;
+        double expected_sq = 0.0;
+        for (std::uint64_t l = 1; survival > 1e-15 && 2 * l <= n; ++l) {
+            const double used = 2.0 * static_cast<double>(l - 1);
+            const double fresh = static_cast<double>(n) - used;
+            survival *= fresh * (fresh - 1.0) * inv_pairs;  // S(l)
+            expected_mean += survival;
+            expected_sq += (2.0 * static_cast<double>(l) - 1.0) * survival;
+        }
+        const double expected_var = expected_sq - expected_mean * expected_mean;
 
-    constexpr std::size_t reps = 4000;
-    rng gen(1616);
-    double sum = 0.0;
-    for (std::size_t i = 0; i < reps; ++i) {
-        const auto run = dist::sample_collision_free_run_leap(gen, n, 1u << 30);
-        ASSERT_GE(run.length, 1u);
-        ASSERT_TRUE(run.collided);  // cap is far beyond any feasible run
-        sum += static_cast<double>(run.length);
+        constexpr std::size_t reps = 4000;
+        rng gen(1616);
+        double sum = 0.0;
+        for (std::size_t i = 0; i < reps; ++i) {
+            const auto run = dist::sample_collision_free_run_leap(gen, n, 1u << 30);
+            ASSERT_GE(run.length, 1u);
+            ASSERT_TRUE(run.collided);  // cap is far beyond any feasible run
+            sum += static_cast<double>(run.length);
+        }
+        EXPECT_NEAR(sum / reps, expected_mean, mean_band(expected_var, reps) + 0.5) << "n=" << n;
     }
-    EXPECT_NEAR(sum / reps, expected_mean, mean_band(expected_var, reps) + 0.5);
 }
 
 TEST(RandomDist, LeapCollisionRunChiSquareAgainstExactPmf) {

@@ -48,7 +48,7 @@ struct toy_protocol {
     using agent_t = toy_agent;
 
     template <class R>
-    void interact_t(agent_t& u, agent_t& v, R& gen) const {
+    void interact(agent_t& u, agent_t& v, R& gen) const {
         if (u.x == v.x) {
             if (gen.next_bool()) {
                 u.x += 1;
@@ -64,12 +64,6 @@ struct toy_protocol {
         }
         if (u.x == v.x && gen.next_bernoulli(0.25)) u.x += 10;
     }
-    void interact(agent_t& u, agent_t& v, sim::rng& gen) const { interact_t(u, v, gen); }
-
-    [[nodiscard]] bool delta_outcomes(const agent_t& u, const agent_t& v,
-                                      std::vector<sim::delta_outcome<agent_t>>& out) const {
-        return sim::enumerate_delta_outcomes(*this, u, v, out);
-    }
 };
 
 using toy_key_pair = std::pair<std::uint64_t, std::uint64_t>;
@@ -77,7 +71,7 @@ using toy_key_pair = std::pair<std::uint64_t, std::uint64_t>;
 std::map<toy_key_pair, double> merged_outcomes(const toy_protocol& proto, toy_agent u,
                                                toy_agent v) {
     std::vector<sim::delta_outcome<toy_agent>> out;
-    EXPECT_TRUE(proto.delta_outcomes(u, v, out));
+    EXPECT_TRUE(sim::enumerate_delta_outcomes(proto, u, v, out));
     std::map<toy_key_pair, double> merged;
     for (const auto& o : out) merged[{o.initiator.x, o.responder.x}] += o.probability;
     return merged;
@@ -110,7 +104,7 @@ TEST(DeltaEnumerator, UnequalPairEnumeratesTheFullClosedFormDistribution) {
 struct unit_draw_protocol {
     using agent_t = toy_agent;
     template <class R>
-    void interact_t(agent_t& u, agent_t&, R& gen) const {
+    void interact(agent_t& u, agent_t&, R& gen) const {
         if (gen.next_unit() < 0.5) u.x += 1;
     }
 };
@@ -118,7 +112,7 @@ struct unit_draw_protocol {
 struct wide_uniform_protocol {
     using agent_t = toy_agent;
     template <class R>
-    void interact_t(agent_t& u, agent_t&, R& gen) const {
+    void interact(agent_t& u, agent_t&, R& gen) const {
         u.x = static_cast<std::uint32_t>(gen.next_below(100));
     }
 };
@@ -126,7 +120,7 @@ struct wide_uniform_protocol {
 struct deep_coin_protocol {
     using agent_t = toy_agent;
     template <class R>
-    void interact_t(agent_t& u, agent_t&, R& gen) const {
+    void interact(agent_t& u, agent_t&, R& gen) const {
         for (int i = 0; i < 20; ++i) {  // exceeds max_script_length
             if (gen.next_bool()) u.x += 1;
         }
@@ -150,15 +144,11 @@ TEST(DeltaEnumerator, RefusesContinuousWideAndDeepChoiceTrees) {
 struct forced_choice_protocol {
     using agent_t = toy_agent;
     template <class R>
-    void interact_t(agent_t& u, agent_t&, R& gen) const {
+    void interact(agent_t& u, agent_t&, R& gen) const {
         // Degenerate requests must be forced without becoming choice points.
         if (gen.next_bernoulli(0.0)) u.x += 100;
         if (gen.next_bernoulli(1.0)) u.x += 1;
         u.x += static_cast<std::uint32_t>(gen.next_below(1));
-    }
-    [[nodiscard]] bool delta_outcomes(const agent_t& u, const agent_t& v,
-                                      std::vector<sim::delta_outcome<agent_t>>& out) const {
-        return sim::enumerate_delta_outcomes(*this, u, v, out);
     }
 };
 
@@ -175,13 +165,10 @@ TEST(DeltaEnumerator, ForcedChoicesYieldOneCertainOutcome) {
 // -- trait adoption -----------------------------------------------------------
 
 static_assert(sim::delta_enumerable<leader::leader_election_protocol>);
-static_assert(sim::declares_delta_outcomes<leader::leader_election_protocol>);
 static_assert(sim::delta_enumerable<core::plurality_protocol>);
-static_assert(sim::declares_delta_outcomes<core::plurality_protocol>);
 // Deterministic protocols keep the cheaper deterministic_delta trait and
 // never enter the outcome-table path.
 static_assert(!sim::delta_enumerable<majority::three_state_protocol>);
-static_assert(!sim::declares_delta_outcomes<majority::three_state_protocol>);
 
 // -- outcome table: memoized lookup + multinomial group application -----------
 
@@ -260,7 +247,7 @@ void check_pair_support(const P& proto, const typename P::agent_t& u,
                         pair_check_tally& tally) {
     using key_pair = std::string;  // test::state_bytes of both states
     std::vector<sim::delta_outcome<typename P::agent_t>> outcomes;
-    if (!proto.delta_outcomes(u, v, outcomes)) {
+    if (!sim::enumerate_delta_outcomes(proto, u, v, outcomes)) {
         ++tally.skipped;
         return;
     }
@@ -390,8 +377,9 @@ TEST(RandomizedDeltaPlurality, EnumeratedOutcomesAreBitwiseSupportOfPerPairDelta
 
 // -- grouped vs per-pair fallback at the backend level ------------------------
 
-/// Leader election with both group-path traits hidden: the leap backend
-/// must take the per-pair fallback for every group.
+/// Leader election with the group path hidden — its `interact` takes only a
+/// `sim::rng&`, so it is not delta_enumerable: the leap backend must take
+/// the per-pair fallback for every group.
 struct per_pair_leader {
     using agent_t = leader::leader_agent;
     leader::leader_election_protocol inner;
@@ -399,7 +387,7 @@ struct per_pair_leader {
         inner.interact(u, v, gen);
     }
 };
-static_assert(!sim::declares_delta_outcomes<per_pair_leader>);
+static_assert(!sim::delta_enumerable<per_pair_leader>);
 static_assert(!sim::declares_deterministic_delta<per_pair_leader>);
 
 TEST(RandomizedDeltaBackend, GroupedLeaderMatchesPerPairFallbackDistributionally) {

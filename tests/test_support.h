@@ -1,6 +1,7 @@
-// Helpers shared by the test suites: the three-state census fixture the
-// census-space backend tests step, the per-family small parameter table,
-// and the calibrated distributional-agreement checks.
+// Helpers shared by the test suites: the three-state census and tournament
+// fixtures the census-space backend tests step, the occupied-list invariant
+// check, the per-family small parameter table, and the calibrated
+// distributional-agreement checks.
 //
 // All backends sample the interacting pair uniformly over ordered pairs of
 // distinct agents, so for a fixed initial configuration the
@@ -16,15 +17,18 @@
 
 #include <cmath>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "core/plurality_protocol.h"
 #include "majority/three_state.h"
 #include "obs/snapshot.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
 #include "sim/census_store.h"
 #include "sim/trial_executor.h"
+#include "workload/opinion_distribution.h"
 
 namespace plurality::test {
 
@@ -38,11 +42,46 @@ inline std::vector<sim::census_entry<majority::three_state_agent>> three_state_c
     return {{{alpha_v}, alpha}, {{beta_v}, beta}, {{undecided_v}, undecided}};
 }
 
+/// The benchmark's tournament workload — plurality/ordered with bias 1 —
+/// at population n with k opinions: its protocol and initial agents.
+struct tournament_start {
+    core::plurality_protocol protocol;
+    std::vector<core::core_agent> agents;
+};
+inline tournament_start ordered_tournament(std::uint32_t n, std::uint32_t k,
+                                           std::uint64_t seed) {
+    const auto cfg = core::protocol_config::make(core::algorithm_mode::ordered, n, k);
+    sim::rng setup(seed);
+    return {core::plurality_protocol{cfg},
+            core::plurality_protocol::make_population(cfg, workload::make_bias_one(n, k), setup)};
+}
+
 /// The bytes of a census state — its identity (sim::same_state) — as an
 /// ordered map key; concatenate two for an ordered state pair.
 template <sim::census_agent Agent>
 std::string state_bytes(const Agent& state) {
     return std::string(reinterpret_cast<const char*>(&state), sizeof(Agent));
+}
+
+/// Checks a census-space simulator's occupied list against its counts:
+/// `visit_states` sees each occupied state exactly once, with a positive
+/// count that `count_of` agrees with; the counts sum to n; and the number
+/// of states visited is `occupied_states()`, which is at most its
+/// high-water mark.
+template <class Sim>
+void expect_occupied_states_consistent(const Sim& sim) {
+    std::set<std::string> seen;
+    std::uint64_t total = 0;
+    sim.visit_states([&](const auto& state, std::uint64_t count) {
+        EXPECT_TRUE(seen.insert(state_bytes(state)).second) << "a state was visited twice";
+        EXPECT_GT(count, 0u);
+        EXPECT_EQ(count, sim.count_of(state));
+        total += count;
+        return true;
+    });
+    EXPECT_EQ(total, sim.population_size());
+    EXPECT_EQ(seen.size(), sim.occupied_states());
+    EXPECT_LE(sim.occupied_states(), sim.occupied_states_hwm());
 }
 
 /// The means of two equally sized samples of a statistic agree within a 5σ

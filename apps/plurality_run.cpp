@@ -43,7 +43,6 @@
 //   plurality_run --scenario baselines/usd --n 2049 --k 5 --trials 30 --threads 4
 //   plurality_run --scenario baselines/usd --n 100000000 --k 5 --backend census --trials 3
 //   plurality_run --scenario epidemic/broadcast --n 100000 --trace spread.csv
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -59,7 +58,6 @@
 #include "scenario/metrics_report.h"
 #include "scenario/registry.h"
 #include "scenario/runner.h"
-#include "sim/thread_pool.h"
 #include "sim/trial_executor.h"
 
 namespace {
@@ -231,9 +229,7 @@ int main(int argc, char** argv) {
     }
 
     try {
-        const std::size_t threads =
-            opt.threads == 0 ? sim::thread_pool::default_thread_count() : opt.threads;
-        const sim::trial_executor executor{std::min(threads, opt.trials)};
+        const sim::trial_executor executor{opt.threads};
         scenario::run_options run_opts;
         if (opt.progress) {
             run_opts.progress_interval = progress_interval_seconds;

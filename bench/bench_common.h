@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string_view>
 
 #include "core/plurality_protocol.h"
@@ -96,55 +97,47 @@ namespace plurality::bench {
     return false;
 }
 
+/// Value of the integer environment knob `name`: nullopt when it is unset,
+/// its value when it is a whole base-10 number from `min` to `max`.  Any
+/// other value prints one line naming the knob, its value and the accepted
+/// range, and exits with status 2 — a typo must not silently re-scope a
+/// sweep.
+inline std::optional<long> env_knob(const char* name, long min, long max) {
+    const char* env = std::getenv(name);
+    if (env == nullptr) return std::nullopt;
+    char* end = nullptr;
+    errno = 0;
+    const long value = std::strtol(env, &end, 10);
+    if (errno == 0 && end != env && *end == '\0' && value >= min && value <= max) return value;
+    std::fprintf(stderr, "invalid %s '%s' (expected a whole number from %ld to %ld)\n", name, env,
+                 min, max);
+    std::exit(2);
+}
+
 /// Process-wide trial executor for benchmark batches.
 ///
 /// Thread count resolution: `$PLURALITY_BENCH_THREADS` if set (`0` means
-/// "hardware concurrency"), otherwise 1.  The default is sequential on
-/// purpose — recorded experiment timings must not depend on how loaded the
+/// "hardware concurrency"; more than 256 workers is certainly a typo, not
+/// a machine), otherwise 1.  The default is sequential on purpose —
+/// recorded experiment timings must not depend on how loaded the
 /// benchmarking machine happens to be — while the env var lets a sweep like
 /// E14's end-to-end rows fan out without rebuilding.  Trial summaries are
 /// bitwise identical at every thread count, so correctness counters never
 /// depend on this setting.
 inline const sim::trial_executor& shared_executor() {
-    static const sim::trial_executor executor{[]() -> std::size_t {
-        if (const char* env = std::getenv("PLURALITY_BENCH_THREADS")) {
-            // More workers than this is certainly a typo, not a machine;
-            // letting it through would try to spawn that many real threads.
-            constexpr long max_threads = 256;
-            char* end = nullptr;
-            errno = 0;
-            const long parsed = std::strtol(env, &end, 10);
-            if (errno == 0 && end != env && *end == '\0' && parsed >= 0 &&
-                parsed <= max_threads) {
-                return static_cast<std::size_t>(parsed);  // 0 => hardware concurrency
-            }
-            // Unparseable, negative, or absurd: keep the sequential default
-            // rather than silently fanning out (or crashing in the pool).
-        }
-        return 1;
-    }()};
+    static const sim::trial_executor executor{
+        static_cast<std::size_t>(env_knob("PLURALITY_BENCH_THREADS", 0, 256).value_or(1))};
     return executor;
 }
 
 /// Trial-count resolution for repeated-run batches: the experiment's
-/// hard-coded count by default, `$PLURALITY_BENCH_TRIALS` when set (mirrors
-/// `PLURALITY_BENCH_THREADS`).  Raising it tightens the success-rate
-/// estimates of recorded tables without a rebuild; the env var wins over
-/// every per-experiment constant.
+/// hard-coded count by default, `$PLURALITY_BENCH_TRIALS` (1 to 10⁶; beyond
+/// that is a typo, not a sweep) when set.  Raising it tightens the
+/// success-rate estimates of recorded tables without a rebuild; the env var
+/// wins over every per-experiment constant.
 inline std::size_t bench_trials(std::size_t fallback) {
-    static const long parsed = []() -> long {
-        if (const char* env = std::getenv("PLURALITY_BENCH_TRIALS")) {
-            constexpr long max_trials = 1'000'000;  // beyond this is a typo, not a sweep
-            char* end = nullptr;
-            errno = 0;
-            const long value = std::strtol(env, &end, 10);
-            if (errno == 0 && end != env && *end == '\0' && value > 0 && value <= max_trials) {
-                return value;
-            }
-        }
-        return 0;  // unset or unparseable: keep per-experiment defaults
-    }();
-    return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
+    static const std::optional<long> trials = env_knob("PLURALITY_BENCH_TRIALS", 1, 1'000'000);
+    return trials ? static_cast<std::size_t>(*trials) : fallback;
 }
 
 /// Aggregate of repeated protocol executions on one instance.
@@ -204,14 +197,18 @@ inline void report(benchmark::State& state, const repeated_runs& runs) {
 }  // namespace plurality::bench
 
 /// Drop-in replacement for BENCHMARK_MAIN() used by every experiment
-/// binary: identical, except that recording invocations pass through
-/// `guard_json_recording` (debug-build refusal + build-type context tag).
+/// binary: identical, except that both environment knobs are checked before
+/// any benchmark runs (a bad value exits 2) and recording invocations pass
+/// through `guard_json_recording` (debug-build refusal + build-type context
+/// tag).
 #define PLURALITY_BENCH_MAIN()                                                 \
     int main(int argc, char** argv) {                                          \
         const bool plurality_bench_recording =                                 \
             ::plurality::bench::recording_requested(argc, argv);               \
         benchmark::Initialize(&argc, argv);                                    \
         if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;      \
+        (void)::plurality::bench::shared_executor();                           \
+        (void)::plurality::bench::bench_trials(1);                             \
         if (!::plurality::bench::guard_json_recording(plurality_bench_recording)) \
             return 1;                                                          \
         benchmark::RunSpecifiedBenchmarks();                                   \

@@ -44,7 +44,7 @@ struct scenario_run_result {
     std::vector<scenario_outcome> outcomes;
     scenario_run_summary summary;
     double wall_seconds = 0.0;        ///< wall-clock duration of the whole batch
-    std::size_t threads = 1;          ///< worker threads the executor fanned out over
+    std::size_t threads = 1;          ///< worker threads the batch ran on: min(executor, trials)
     /// Aggregate-trial-seconds / (wall_seconds × threads): 1.0 = perfectly
     /// parallel, → 0 when workers idle.  0 when the batch was too fast to
     /// time.
@@ -65,6 +65,10 @@ struct scenario_run_result {
 /// `options` carries recording hooks only (progress heartbeat interval and
 /// label); it never alters outcomes.  Tracing is a single-run affair —
 /// `options.trace_csv` is ignored here (use any_scenario::run_traced).
+///
+/// The per-trial outcome slots are allocated before any trial runs; when
+/// they do not fit in memory the call throws a one-line std::runtime_error
+/// naming `--trials`, the count and the bytes the slots need.
 [[nodiscard]] scenario_run_result run_scenario_trials(
     const any_scenario& s, const scenario_params& params, std::size_t trials,
     std::uint64_t base_seed, const sim::trial_executor& executor,

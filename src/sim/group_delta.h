@@ -15,9 +15,7 @@
 //    plus the grouped sampler that splits a group of m across the outcomes
 //    with one multinomial draw (dist::multinomial) instead of m per-pair RNG
 //    calls;
-//  * `detail::used_group_set` — post-run participant groups, one per state;
-//  * `detail::execute_colliding_interaction` — the exact three-case
-//    (both-used / used-fresh / fresh-used) interaction that ends a run.
+//  * `detail::used_group_set` — post-run participant groups, one per state.
 //
 // States are compared as the census compares them: by their bytes
 // (sim::same_state and sim::state_hash, sim/census_store.h).
@@ -128,50 +126,6 @@ private:
     state_index<group> index_{groups_};
     bool indexed_ = false;
 };
-
-/// Executes the interaction that ends a collision-free run: a uniform
-/// ordered pair of distinct agents conditioned on touching at least one of
-/// the `m2` run participants (whose post-run states live in `used`).  The
-/// three cases — both agents participated, initiator participated + fresh
-/// responder, fresh initiator + participating responder — are decoded from
-/// one bounded uniform over the conditional pair space.
-///
-/// `take_fresh(rank)` must withdraw and return the state of the fresh
-/// (non-participant) agent with the given zero-based census rank;
-/// `interact(u, v)` must apply δ to the withdrawn pair.  Both post-states
-/// are re-added to `used` so the caller's re-deposit loop covers them.
-template <class Agent, class TakeFresh, class Interact>
-void execute_colliding_interaction(rng& gen, std::uint64_t population, std::uint64_t m2,
-                                   used_group_set<Agent>& used, TakeFresh&& take_fresh,
-                                   Interact&& interact) {
-    const std::uint64_t fresh = population - m2;
-    const std::uint64_t both_used = m2 * (m2 - 1);
-    const std::uint64_t r = gen.next_below(both_used + 2 * m2 * fresh);
-    Agent u;
-    Agent v;
-    if (r < both_used) {
-        const std::uint64_t i = r / (m2 - 1);
-        std::uint64_t j = r % (m2 - 1);
-        if (j >= i) ++j;  // distinct-ordered-pair decode
-        u = used.state_at(i);
-        v = used.state_at(j);
-        used.remove_one(u);
-        used.remove_one(v);
-    } else if (r < both_used + m2 * fresh) {
-        const std::uint64_t q = r - both_used;
-        u = used.state_at(q / fresh);
-        used.remove_one(u);
-        v = take_fresh(q % fresh);
-    } else {
-        const std::uint64_t q = r - both_used - m2 * fresh;
-        u = take_fresh(q % fresh);
-        v = used.state_at(q / fresh);
-        used.remove_one(v);
-    }
-    interact(u, v);
-    used.add(u, 1);
-    used.add(v, 1);
-}
 
 /// Memoized per-pair outcome distributions plus the grouped sampler — the
 /// backend side of the randomized-δ group path.  Only `lookup` needs a

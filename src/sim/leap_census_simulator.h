@@ -447,15 +447,42 @@ private:
         leap_metrics_.delta_fallback.add(count);
     }
 
-    /// Executes the interaction that ended the run (shared three-case
-    /// decode, sim/group_delta.h): a uniform ordered pair of distinct agents
-    /// conditioned on touching at least one of the `m2` run participants
-    /// (whose current states live in `used_`).
+    /// Executes the interaction that ended the run: a uniform ordered pair of
+    /// distinct agents conditioned on touching at least one of the `m2` run
+    /// participants (whose post-run states live in `used_`).  The three
+    /// cases — both agents participated, initiator participated + fresh
+    /// responder, fresh initiator + participating responder — are decoded
+    /// from one bounded uniform over the conditional pair space.  Both
+    /// post-states go back into `used_`, so the caller's re-deposit loop
+    /// covers them.
     void execute_collision(std::uint64_t m2) {
-        detail::execute_colliding_interaction(
-            this->gen_, this->population_, m2, used_,
-            [this](std::uint64_t rank) { return census_take_at(rank); },
-            [this](agent_t& u, agent_t& v) { this->protocol_.interact(u, v, this->gen_); });
+        const std::uint64_t fresh = this->population_ - m2;
+        const std::uint64_t both_used = m2 * (m2 - 1);
+        const std::uint64_t r = this->gen_.next_below(both_used + 2 * m2 * fresh);
+        agent_t u;
+        agent_t v;
+        if (r < both_used) {
+            const std::uint64_t i = r / (m2 - 1);
+            std::uint64_t j = r % (m2 - 1);
+            if (j >= i) ++j;  // distinct-ordered-pair decode
+            u = used_.state_at(i);
+            v = used_.state_at(j);
+            used_.remove_one(u);
+            used_.remove_one(v);
+        } else if (r < both_used + m2 * fresh) {
+            const std::uint64_t q = r - both_used;
+            u = used_.state_at(q / fresh);
+            used_.remove_one(u);
+            v = census_take_at(q % fresh);
+        } else {
+            const std::uint64_t q = r - both_used - m2 * fresh;
+            u = census_take_at(q % fresh);
+            v = used_.state_at(q / fresh);
+            used_.remove_one(v);
+        }
+        this->protocol_.interact(u, v, this->gen_);
+        used_.add(u, 1);
+        used_.add(v, 1);
     }
 
     /// Withdraws and returns the state of the *fresh* (non-participant)

@@ -4,7 +4,11 @@
 // proves little, so every experiment runs hundreds of independent trials.
 // Trials are embarrassingly parallel — trial i's randomness is the stream
 // `derive_seed(base_seed, i)` regardless of which thread executes it — and
-// the `trial_executor` fans them out across a worker pool.
+// the `trial_executor` fans each batch out over worker threads it starts for
+// that batch and joins before returning.  Every batch is whole protocol
+// runs (E14's threads:4 rows: 8 trials of 2·10⁶ interactions each), so
+// starting the workers per batch does not show in the throughput, and no
+// thread outlives the call that needed it.
 //
 // Determinism contract: for a fixed `(trials, base_seed, trial)` the summary
 // is bitwise identical at every thread count.  Two ingredients make this
@@ -13,9 +17,9 @@
 // aggregated sequentially in index order after all workers finish.
 //
 // Two entry points share that contract: `run` (trial_outcome batches, the
-// benchmark path) and the generic `map` (any default-constructible result
-// type — the primitive the scenario runner fans trials out through, on
-// either simulation backend).
+// benchmark path) and the generic `map` (any result type, written into
+// slots the caller allocated — the primitive the scenario runner fans
+// trials out through, on every simulation backend).
 #pragma once
 
 #include <algorithm>
@@ -23,15 +27,14 @@
 #include <concepts>
 #include <cstdint>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <span>
-#include <type_traits>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/stats.h"
 #include "sim/rng.h"
-#include "sim/thread_pool.h"
 
 namespace plurality::sim {
 
@@ -64,7 +67,8 @@ concept trial_fn = requires(T& t, std::uint64_t seed) {
     { t(seed) } -> std::convertible_to<trial_outcome>;
 };
 
-/// Runs batches of independent trials, optionally across a thread pool.
+/// Runs batches of independent trials, on the calling thread or on at most
+/// `threads()` workers (never more than one per trial).
 ///
 /// Thread safety: `run` may be called repeatedly from one thread; the
 /// executor is not itself thread-safe.  The trial callable must be safe to
@@ -74,83 +78,76 @@ concept trial_fn = requires(T& t, std::uint64_t seed) {
 /// belong on a sequential `trial_executor{1}` instead.
 class trial_executor {
 public:
-    /// `threads == 0` resolves to the hardware concurrency.  A pool is only
-    /// spun up for `threads > 1`.
-    explicit trial_executor(std::size_t threads = 0);
+    /// `threads == 0` resolves to the hardware concurrency (at least 1).
+    explicit trial_executor(std::size_t threads = 0)
+        : threads_(threads != 0 ? threads : std::max(1u, std::thread::hardware_concurrency())) {}
 
     [[nodiscard]] std::size_t threads() const noexcept { return threads_; }
 
     template <trial_fn Trial>
     [[nodiscard]] trial_summary run(std::size_t trials, std::uint64_t base_seed,
                                     Trial&& trial) const {
-        const auto outcomes = map(trials, base_seed, [&trial](std::uint64_t seed) -> trial_outcome {
-            return trial(seed);
-        });
+        std::vector<trial_outcome> outcomes(trials);
+        map(std::span{outcomes}, base_seed, trial);
         return aggregate_trials(outcomes);
     }
 
-    /// Generic seed-indexed fan-out: evaluates `fn(derive_seed(base_seed, i))`
-    /// for i in [0, count) and returns the results in index order.  The same
-    /// determinism contract as `run` holds — slot i's value never depends on
-    /// the thread count.  The result type must be default-constructible;
-    /// `fn` must be safe to invoke concurrently when `threads() > 1`.
-    template <class Fn>
+    /// Generic seed-indexed fan-out: assigns `fn(derive_seed(base_seed, i))`
+    /// to `results[i]` for every slot.  The same determinism contract as
+    /// `run` holds — slot i's value never depends on the thread count.  The
+    /// caller allocates the slots, so an allocation failure surfaces before
+    /// any worker starts.  `fn` must be safe to invoke concurrently when
+    /// `threads() > 1`.
+    ///
+    /// Workers claim indices from a shared counter (dynamic load balancing
+    /// — trial durations vary a lot near the success/timeout boundary).  The
+    /// first exception a trial throws, or a failure to start a worker, stops
+    /// the rest from claiming more and is rethrown once all have joined.
+    template <class Result, class Fn>
         requires std::invocable<Fn&, std::uint64_t>
-    [[nodiscard]] auto map(std::size_t count, std::uint64_t base_seed, Fn&& fn) const
-        -> std::vector<std::decay_t<std::invoke_result_t<Fn&, std::uint64_t>>> {
-        std::vector<std::decay_t<std::invoke_result_t<Fn&, std::uint64_t>>> results(count);
-        if (threads_ <= 1 || count <= 1) {
-            for (std::size_t i = 0; i < count; ++i) results[i] = fn(derive_seed(base_seed, i));
-        } else {
-            run_on_pool(results, base_seed, fn);
+    void map(std::span<Result> results, std::uint64_t base_seed, Fn&& fn) const {
+        const std::size_t workers = std::min(threads_, results.size());
+        if (workers <= 1) {
+            for (std::size_t i = 0; i < results.size(); ++i) {
+                results[i] = fn(derive_seed(base_seed, i));
+            }
+            return;
         }
-        return results;
-    }
-
-private:
-    /// Parallel fan-out: workers claim trial indices from a shared counter
-    /// (dynamic load balancing — trial durations vary a lot near the
-    /// success/timeout boundary) and write into their outcome slot.  The
-    /// first exception thrown by any trial is rethrown on the caller.
-    template <class Result, class Trial>
-    void run_on_pool(std::vector<Result>& outcomes, std::uint64_t base_seed, Trial& trial) const {
         std::atomic<std::size_t> next_index{0};
         std::atomic<bool> failed{false};
-        std::exception_ptr first_error;
         std::mutex error_mutex;
-
-        const std::size_t jobs = std::min(threads_, outcomes.size());
-        try {
-            for (std::size_t j = 0; j < jobs; ++j) {
-                pool_->submit([&] {
-                    for (;;) {
-                        const std::size_t i = next_index.fetch_add(1, std::memory_order_relaxed);
-                        if (i >= outcomes.size() || failed.load(std::memory_order_relaxed)) return;
-                        try {
-                            outcomes[i] = trial(derive_seed(base_seed, i));
-                        } catch (...) {
-                            const std::lock_guard lock(error_mutex);
-                            if (!first_error) first_error = std::current_exception();
-                            failed.store(true, std::memory_order_relaxed);
-                            return;
-                        }
-                    }
-                });
-            }
-        } catch (...) {
-            // submit itself failed (allocation): already-enqueued jobs still
-            // reference this frame's locals, so stop them and drain the pool
-            // before the exception unwinds the frame.
+        std::exception_ptr first_error;  // guarded by error_mutex until the join
+        const auto fail = [&](std::exception_ptr error) {
+            const std::lock_guard lock(error_mutex);
+            if (!first_error) first_error = std::move(error);
             failed.store(true, std::memory_order_relaxed);
-            pool_->wait_idle();
-            throw;
-        }
-        pool_->wait_idle();
+        };
+        const auto work = [&] {
+            for (;;) {
+                const std::size_t i = next_index.fetch_add(1, std::memory_order_relaxed);
+                if (i >= results.size() || failed.load(std::memory_order_relaxed)) return;
+                try {
+                    results[i] = fn(derive_seed(base_seed, i));
+                } catch (...) {
+                    fail(std::current_exception());
+                    return;
+                }
+            }
+        };
+        {
+            std::vector<std::jthread> started;
+            started.reserve(workers);
+            try {
+                for (std::size_t w = 0; w < workers; ++w) started.emplace_back(work);
+            } catch (...) {
+                fail(std::current_exception());
+            }
+        }  // joins every started worker
         if (first_error) std::rethrow_exception(first_error);
     }
 
+private:
     std::size_t threads_;
-    std::unique_ptr<thread_pool> pool_;  ///< null when threads_ <= 1
 };
 
 }  // namespace plurality::sim

@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <set>
+#include <span>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/config.h"
@@ -124,6 +128,34 @@ TEST(TrialExecutor, PropagatesTrialExceptions) {
     };
     EXPECT_THROW((void)trial_executor{4}.run(32, 21, boom), std::runtime_error);
     EXPECT_THROW((void)trial_executor{1}.run(32, 21, boom), std::runtime_error);
+}
+
+/// The thread each trial of a `trials`-slot batch ran on, by slot.  Each
+/// trial holds its thread for a millisecond, so every worker a batch starts
+/// gets to claim trials.
+std::vector<std::thread::id> trial_threads(const trial_executor& executor, std::size_t trials) {
+    std::vector<std::thread::id> ids(trials);
+    executor.map(std::span{ids}, 17, [](std::uint64_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        return std::this_thread::get_id();
+    });
+    return ids;
+}
+
+std::size_t distinct(const std::vector<std::thread::id>& ids) {
+    return std::set<std::thread::id>(ids.begin(), ids.end()).size();
+}
+
+TEST(TrialExecutor, StartsAtMostOneWorkerPerTrial) {
+    EXPECT_LE(distinct(trial_threads(trial_executor{8}, 3)), 3u);
+    EXPECT_LE(distinct(trial_threads(trial_executor{2}, 64)), 2u);
+    // A batch of one runs on the calling thread, and a batch of none runs
+    // nothing at all.
+    EXPECT_EQ(trial_threads(trial_executor{8}, 1), std::vector{std::this_thread::get_id()});
+    std::vector<int> none;
+    int calls = 0;
+    trial_executor{8}.map(std::span{none}, 17, [&calls](std::uint64_t) { return ++calls; });
+    EXPECT_EQ(calls, 0);
 }
 
 TEST(TrialExecutor, ExecutorIsReusableAcrossRuns) {

@@ -53,12 +53,7 @@ using usd_census_sim = sim::census_simulator<baselines::usd_plurality_protocol>;
 /// Initial USD census for a bias-one workload: k slots, no undecided.
 std::vector<sim::census_entry<baselines::usd_agent>> usd_census(std::uint32_t n,
                                                                 std::uint32_t k) {
-    const auto dist = workload::make_bias_one(n, k);
-    std::vector<sim::census_entry<baselines::usd_agent>> entries;
-    for (std::uint32_t opinion = 1; opinion <= k; ++opinion) {
-        entries.push_back({{opinion}, dist.support_of(opinion)});
-    }
-    return entries;
+    return baselines::initial_census(workload::make_bias_one(n, k));
 }
 
 void BM_CensusThroughput(benchmark::State& state) {

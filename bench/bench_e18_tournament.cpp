@@ -3,13 +3,16 @@
 //
 // E17 ran the leap backend on protocols with *deterministic* δ, where a
 // collision-free group advances by pure counter moves.  The tournament
-// protocols (leader election, exact plurality) consult the RNG inside δ —
-// per-pair that costs one or more draws per interaction, m draws for a
-// group of m.  The randomized-δ group path (sim/delta_outcomes.h +
-// sim/group_delta.h) enumerates each ordered state pair's exact outcome
-// distribution once and advances the whole group with ONE multinomial
-// split — the identical Markov chain (per-pair choices are i.i.d. within a
-// group), m − 1 δ evaluations cheaper.
+// protocols (leader election, exact plurality) consult the RNG inside δ on
+// many pairs — per-pair that costs one or more draws per interaction, m
+// draws for a group of m.  The leap backend replays each ordered state pair
+// against an empty script first (sim::choice_free_delta): a pair that makes
+// no random choice moves its group with that one evaluation, as E17's
+// protocols do.  For the others, the randomized-δ group path
+// (sim/delta_outcomes.h + sim/group_delta.h) enumerates the pair's exact
+// outcome distribution once and advances the whole group with ONE
+// multinomial split — the identical Markov chain (per-pair choices are
+// i.i.d. within a group), m − 1 δ evaluations cheaper.
 //
 // Row families:
 //
@@ -41,12 +44,13 @@
 #include "scenario/registry.h"
 #include "scenario/runner.h"
 #include "sim/leap_census_simulator.h"
+#include "workload/opinion_distribution.h"
 
 namespace {
 
 using namespace plurality;
 
-/// A protocol with the group path hidden — its `interact` takes only a
+/// A protocol with grouped δ hidden — its `interact` takes only a
 /// `sim::rng&`, so it is not sim::delta_enumerable: every group takes the
 /// per-pair fallback, one δ evaluation (and its RNG draws) per interaction.
 template <class P>
@@ -76,17 +80,12 @@ struct plurality_rows {
                                                       static_cast<std::uint32_t>(n), 2)};
     }
     static std::vector<sim::census_entry<core::core_agent>> make_census(std::uint64_t n) {
-        // The bias-one image of builtin_plurality's initial census: every
-        // agent a collector with one token, opinion 1 slightly ahead.
-        core::core_agent a;
-        a.opinion = 1;
-        a.tokens = 1;
-        a.role = core::agent_role::collector;
-        a.stage = core::lifecycle_stage::init;
-        core::core_agent b = a;
-        b.opinion = 2;
-        const std::uint64_t majority_support = n / 2 + n / 100;
-        return {{a, majority_support}, {b, n - majority_support}};
+        // The tournament's initial census with opinion 1 ahead by 2% of n.
+        const auto n32 = static_cast<std::uint32_t>(n);
+        const std::uint32_t majority_support = n32 / 2 + n32 / 100;
+        return core::plurality_protocol::initial_census(
+            make_protocol(n).config(),
+            workload::opinion_distribution{{majority_support, n32 - majority_support}});
     }
 };
 

@@ -17,18 +17,20 @@ std::uint32_t consensus_opinion(std::span<const usd_agent> agents) noexcept {
     return first;
 }
 
-std::vector<usd_agent> make_usd_population(const workload::opinion_distribution& dist,
-                                           sim::rng& gen) {
-    const auto opinions = dist.agent_opinions(gen);
-    std::vector<usd_agent> agents(opinions.size());
-    for (std::size_t i = 0; i < agents.size(); ++i) agents[i].opinion = opinions[i];
-    return agents;
+std::vector<sim::census_entry<usd_agent>> initial_census(
+    const workload::opinion_distribution& dist) {
+    std::vector<sim::census_entry<usd_agent>> entries;
+    for (std::uint32_t opinion = 1; opinion <= dist.k(); ++opinion) {
+        const std::uint32_t support = dist.support_of(opinion);
+        if (support > 0) entries.push_back({{opinion}, support});
+    }
+    return entries;
 }
 
 usd_result run_usd(const workload::opinion_distribution& dist, std::uint64_t seed,
                    double time_budget) {
     sim::rng setup_gen(sim::derive_seed(seed, 0x05d0ull));
-    auto population = make_usd_population(dist, setup_gen);
+    auto population = sim::expand_census(initial_census(dist), setup_gen);
     sim::simulation<usd_plurality_protocol> simulation{
         usd_plurality_protocol{}, std::move(population), sim::derive_seed(seed, 0x05d1ull)};
 

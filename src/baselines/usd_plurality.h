@@ -16,7 +16,7 @@
 #include <span>
 #include <vector>
 
-#include "sim/rng.h"
+#include "sim/census_store.h"
 #include "workload/opinion_distribution.h"
 
 namespace plurality::baselines {
@@ -28,19 +28,14 @@ struct usd_agent {
 struct usd_plurality_protocol {
     using agent_t = usd_agent;
 
-    void interact(agent_t& initiator, agent_t& responder, sim::rng&) const noexcept {
+    template <class R>
+    void interact(agent_t& initiator, agent_t& responder, R&) const noexcept {
         if (initiator.opinion == 0) return;
         if (responder.opinion == 0) {
             responder.opinion = initiator.opinion;
         } else if (responder.opinion != initiator.opinion) {
             responder.opinion = 0;
         }
-    }
-
-    /// Leap-backend hook (sim/group_delta.h): δ never consults
-    /// the RNG, so every ordered state pair is deterministic.
-    [[nodiscard]] bool deterministic_delta(const agent_t&, const agent_t&) const noexcept {
-        return true;
     }
 };
 
@@ -50,9 +45,10 @@ struct usd_plurality_protocol {
 /// The consensus opinion (0 if none yet).
 [[nodiscard]] std::uint32_t consensus_opinion(std::span<const usd_agent> agents) noexcept;
 
-/// Builds the initial population from an opinion distribution (shuffled).
-[[nodiscard]] std::vector<usd_agent> make_usd_population(
-    const workload::opinion_distribution& dist, sim::rng& gen);
+/// The initial configuration as a census: one entry per supported opinion,
+/// in opinion order.
+[[nodiscard]] std::vector<sim::census_entry<usd_agent>> initial_census(
+    const workload::opinion_distribution& dist);
 
 /// Outcome of one USD run.
 struct usd_result {

@@ -30,21 +30,28 @@ plurality_protocol::plurality_protocol(protocol_config cfg) : cfg_(cfg) {}
 // Population construction
 // ---------------------------------------------------------------------------
 
-std::vector<core_agent> plurality_protocol::make_population(
-    const protocol_config& cfg, const workload::opinion_distribution& dist, sim::rng& gen) {
-    const std::vector<std::uint32_t> opinions = dist.agent_opinions(gen);
-    std::vector<core_agent> agents(opinions.size());
-    for (std::size_t i = 0; i < agents.size(); ++i) {
-        core_agent& a = agents[i];
-        a.opinion = opinions[i];
+std::vector<sim::census_entry<core_agent>> plurality_protocol::initial_census(
+    const protocol_config& cfg, const workload::opinion_distribution& dist) {
+    std::vector<sim::census_entry<core_agent>> entries;
+    for (std::uint32_t opinion = 1; opinion <= dist.k(); ++opinion) {
+        const std::uint32_t support = dist.support_of(opinion);
+        if (support == 0) continue;
+        core_agent a;
+        a.opinion = opinion;
         a.tokens = 1;
         a.role = agent_role::collector;
         a.stage = lifecycle_stage::init;
         if (cfg.mode == algorithm_mode::improved) {
             a.prune_phase = -static_cast<std::int16_t>(cfg.prune_hours);
         }
+        entries.push_back({a, support});
     }
-    return agents;
+    return entries;
+}
+
+std::vector<core_agent> plurality_protocol::make_population(
+    const protocol_config& cfg, const workload::opinion_distribution& dist, sim::rng& gen) {
+    return sim::expand_census(initial_census(cfg, dist), gen);
 }
 
 // ---------------------------------------------------------------------------

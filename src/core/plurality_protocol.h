@@ -25,6 +25,7 @@
 
 #include "core/agent.h"
 #include "core/config.h"
+#include "sim/census_store.h"
 #include "sim/delta_outcomes.h"
 #include "sim/rng.h"
 #include "workload/opinion_distribution.h"
@@ -69,9 +70,14 @@ public:
 
     [[nodiscard]] const protocol_config& config() const noexcept { return cfg_; }
 
-    /// Builds the initial configuration: every agent is a collector holding
-    /// one token of its opinion; agent order is shuffled so identity never
-    /// encodes the opinion.
+    /// The initial configuration as a census: every agent is a collector
+    /// holding one token of its opinion, so there is one entry per
+    /// supported opinion, in opinion order.
+    [[nodiscard]] static std::vector<sim::census_entry<core_agent>> initial_census(
+        const protocol_config& cfg, const workload::opinion_distribution& dist);
+
+    /// The same configuration as agents, shuffled so identity never encodes
+    /// the opinion: `sim::expand_census(initial_census(cfg, dist), gen)`.
     [[nodiscard]] static std::vector<core_agent> make_population(
         const protocol_config& cfg, const workload::opinion_distribution& dist, sim::rng& gen);
 

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <span>
 
-#include "sim/rng.h"
 #include "sim/simulation.h"
 
 namespace plurality::epidemic {
@@ -27,18 +26,12 @@ struct epidemic_agent {
 struct epidemic_protocol {
     using agent_t = epidemic_agent;
 
-    void interact(agent_t& initiator, agent_t& responder, sim::rng&) const noexcept {
+    template <class R>
+    void interact(agent_t& initiator, agent_t& responder, R&) const noexcept {
         if (initiator.informed && !responder.informed) {
             responder.informed = 1;
             responder.payload = initiator.payload;
         }
-    }
-
-    /// Leap-backend hook (sim/group_delta.h): δ never consults
-    /// the RNG, so every ordered state pair is deterministic and grouped
-    /// interactions share one evaluation.
-    [[nodiscard]] bool deterministic_delta(const agent_t&, const agent_t&) const noexcept {
-        return true;
     }
 };
 

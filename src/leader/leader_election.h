@@ -57,13 +57,12 @@ public:
     /// The transition function, templated over the generator and
     /// explicitly instantiated for `sim::rng` and `sim::delta_replay` in
     /// leader_election.cpp, so the randomized-δ enumerator
-    /// (sim/delta_outcomes.h) can replay it against scripted choices.  The
-    /// leaderless clock tick consumes randomness on every interaction (and
-    /// round boundaries flip coins), so no ordered state pair is
-    /// deterministic — but every random choice's distribution depends only
-    /// on the ordered state pair (the tie-break coin fires iff the counters
-    /// are equal, the round coin iff the wrapping agent is a candidate), so
-    /// every pair enumerates.
+    /// (sim/delta_outcomes.h) can replay it against scripted choices.  Every
+    /// random choice's distribution depends only on the ordered state pair
+    /// (the clock's tie-break coin fires iff the counters are equal, the
+    /// round coin iff the wrapping agent is a candidate), so every pair
+    /// enumerates, and a pair that meets neither condition makes no choice
+    /// at all.
     template <class R>
     void interact(agent_t& initiator, agent_t& responder, R& gen) const noexcept;
 

@@ -11,8 +11,6 @@
 #include <cstdint>
 #include <span>
 
-#include "sim/rng.h"
-
 namespace plurality::loadbalance {
 
 /// Floor division that rounds toward negative infinity (C++ `/` truncates
@@ -37,15 +35,9 @@ struct load_agent {
 
 struct load_balance_protocol {
     using agent_t = load_agent;
-    void interact(agent_t& initiator, agent_t& responder, sim::rng&) const noexcept {
+    template <class R>
+    void interact(agent_t& initiator, agent_t& responder, R&) const noexcept {
         average_pair(initiator.load, responder.load);
-    }
-
-    /// Leap-backend hook (sim/group_delta.h): floor/ceil
-    /// averaging never consults the RNG, so every ordered state pair is
-    /// deterministic.
-    [[nodiscard]] bool deterministic_delta(const agent_t&, const agent_t&) const noexcept {
-        return true;
     }
 };
 

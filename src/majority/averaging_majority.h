@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "loadbalance/load_balancer.h"
-#include "sim/rng.h"
 
 namespace plurality::majority {
 
@@ -43,15 +42,9 @@ struct averaging_agent {
 struct averaging_majority_protocol {
     using agent_t = averaging_agent;
 
-    void interact(agent_t& initiator, agent_t& responder, sim::rng&) const noexcept {
+    template <class R>
+    void interact(agent_t& initiator, agent_t& responder, R&) const noexcept {
         loadbalance::average_pair(initiator.load, responder.load);
-    }
-
-    /// Leap-backend hook (sim/group_delta.h): floor/ceil
-    /// averaging never consults the RNG, so every ordered state pair is
-    /// deterministic.
-    [[nodiscard]] bool deterministic_delta(const agent_t&, const agent_t&) const noexcept {
-        return true;
     }
 };
 

@@ -29,8 +29,6 @@
 #include <span>
 #include <vector>
 
-#include "sim/rng.h"
-
 namespace plurality::majority {
 
 struct cancel_double_agent {
@@ -44,7 +42,8 @@ public:
 
     explicit cancel_double_protocol(std::uint8_t level_cap) : level_cap_(level_cap) {}
 
-    void interact(agent_t& initiator, agent_t& responder, sim::rng&) const noexcept {
+    template <class R>
+    void interact(agent_t& initiator, agent_t& responder, R&) const noexcept {
         if (initiator.sign != 0 && responder.sign != 0) {
             if (initiator.sign == -responder.sign) {
                 if (initiator.level == responder.level) {
@@ -77,13 +76,6 @@ public:
             responder.level = next;
             initiator.level = next;
         }
-    }
-
-    /// Leap-backend hook (sim/group_delta.h): every rule is a
-    /// pure function of the two states (the RNG is never consulted), so
-    /// every ordered state pair is deterministic.
-    [[nodiscard]] bool deterministic_delta(const agent_t&, const agent_t&) const noexcept {
-        return true;
     }
 
     [[nodiscard]] std::uint8_t level_cap() const noexcept { return level_cap_; }

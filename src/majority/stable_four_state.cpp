@@ -1,9 +1,13 @@
 #include "majority/stable_four_state.h"
 
+#include "sim/delta_outcomes.h"
+#include "sim/rng.h"
+
 namespace plurality::majority {
 
+template <class R>
 void stable_four_state_protocol::interact(agent_t& initiator, agent_t& responder,
-                                          sim::rng&) const noexcept {
+                                          R&) const noexcept {
     using enum four_state;
     const four_state a = initiator.state;
     const four_state b = responder.state;
@@ -37,6 +41,13 @@ void stable_four_state_protocol::interact(agent_t& initiator, agent_t& responder
         return;
     }
 }
+
+// The two generators δ ever runs against: the real stream and the
+// enumerating replay (sim/delta_outcomes.h).
+template void stable_four_state_protocol::interact<sim::rng>(agent_t&, agent_t&,
+                                                             sim::rng&) const noexcept;
+template void stable_four_state_protocol::interact<sim::delta_replay>(
+    agent_t&, agent_t&, sim::delta_replay&) const noexcept;
 
 int output_sign(const four_state_agent& agent) noexcept {
     using enum four_state;

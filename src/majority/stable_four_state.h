@@ -20,8 +20,6 @@
 #include <span>
 #include <vector>
 
-#include "sim/rng.h"
-
 namespace plurality::majority {
 
 enum class four_state : std::uint8_t { strong_plus, strong_minus, weak_plus, weak_minus };
@@ -33,13 +31,10 @@ struct four_state_agent {
 struct stable_four_state_protocol {
     using agent_t = four_state_agent;
 
-    void interact(agent_t& initiator, agent_t& responder, sim::rng&) const noexcept;
-
-    /// Leap-backend hook (sim/group_delta.h): δ never consults
-    /// the RNG, so every ordered state pair is deterministic.
-    [[nodiscard]] bool deterministic_delta(const agent_t&, const agent_t&) const noexcept {
-        return true;
-    }
+    /// δ, templated over the generator and explicitly instantiated for
+    /// `sim::rng` and `sim::delta_replay` in stable_four_state.cpp.
+    template <class R>
+    void interact(agent_t& initiator, agent_t& responder, R&) const noexcept;
 };
 
 /// +1 / -1 / 0: the sign an agent currently outputs.

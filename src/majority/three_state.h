@@ -15,8 +15,6 @@
 #include <span>
 #include <vector>
 
-#include "sim/rng.h"
-
 namespace plurality::majority {
 
 enum class binary_opinion : std::uint8_t { undecided = 0, alpha = 1, beta = 2 };
@@ -28,7 +26,8 @@ struct three_state_agent {
 struct three_state_protocol {
     using agent_t = three_state_agent;
 
-    void interact(agent_t& initiator, agent_t& responder, sim::rng&) const noexcept {
+    template <class R>
+    void interact(agent_t& initiator, agent_t& responder, R&) const noexcept {
         using enum binary_opinion;
         if (initiator.opinion == undecided) return;
         if (responder.opinion == undecided) {
@@ -36,12 +35,6 @@ struct three_state_protocol {
         } else if (responder.opinion != initiator.opinion) {
             responder.opinion = undecided;
         }
-    }
-
-    /// Leap-backend hook (sim/group_delta.h): δ never consults
-    /// the RNG, so every ordered state pair is deterministic.
-    [[nodiscard]] bool deterministic_delta(const agent_t&, const agent_t&) const noexcept {
-        return true;
     }
 };
 

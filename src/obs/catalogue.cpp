@@ -28,7 +28,7 @@ constexpr std::array catalogue{
     metric_descriptor{m_run_length, "histogram", "leap",
                       "collision-free run length in pairs, log2-bucketed; mean = sum/count"},
     metric_descriptor{m_delta_deterministic, "counter", "leap",
-                      "interactions advanced by one deterministic-delta evaluation per group"},
+                      "interactions advanced by one delta evaluation per choice-free group"},
     metric_descriptor{m_delta_grouped, "counter", "leap",
                       "interactions advanced by the randomized-delta multinomial group path"},
     metric_descriptor{m_delta_fallback, "counter", "leap",

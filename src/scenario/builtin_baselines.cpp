@@ -24,16 +24,8 @@ struct usd_spec {
         dist = make_workload(p, gen);
         return {};
     }
-    std::vector<agent_t> make_population(const scenario_params&, sim::rng& gen) {
-        return baselines::make_usd_population(dist, gen);
-    }
     std::vector<sim::census_entry<agent_t>> make_census(const scenario_params&, sim::rng&) {
-        std::vector<sim::census_entry<agent_t>> entries;
-        for (std::uint32_t opinion = 1; opinion <= dist.k(); ++opinion) {
-            const std::uint32_t support = dist.support_of(opinion);
-            if (support > 0) entries.push_back({{opinion}, support});
-        }
-        return entries;
+        return baselines::initial_census(dist);
     }
     /// The decided opinion all agents share, or 0 while mixed/undecided.
     template <class Sim>

@@ -30,12 +30,6 @@ struct epidemic_spec {
     }
 
     protocol_t make_protocol(const scenario_params&, sim::rng&) { return {}; }
-    std::vector<agent_t> make_population(const scenario_params& p, sim::rng&) {
-        std::vector<agent_t> agents(p.n);
-        const std::uint32_t informed = sources(p);
-        for (std::uint32_t i = 0; i < informed; ++i) agents[i] = {true, 1};
-        return agents;
-    }
     std::vector<sim::census_entry<agent_t>> make_census(const scenario_params& p, sim::rng&) {
         const std::uint32_t informed = sources(p);
         return {{{true, 1}, informed}, {{false, 0}, p.n - informed}};

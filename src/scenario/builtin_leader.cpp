@@ -25,9 +25,6 @@ struct leader_spec {
         rounds = leader::default_rounds(p.n);
         return protocol_t{leader::default_psi(p.n), rounds};
     }
-    std::vector<agent_t> make_population(const scenario_params& p, sim::rng&) {
-        return std::vector<agent_t>(p.n);
-    }
     std::vector<sim::census_entry<agent_t>> make_census(const scenario_params& p, sim::rng&) {
         return {{agent_t{}, p.n}};
     }

@@ -18,11 +18,6 @@ struct loadbalance_spec {
     using agent_t = loadbalance::load_agent;
 
     protocol_t make_protocol(const scenario_params&, sim::rng&) { return {}; }
-    std::vector<agent_t> make_population(const scenario_params& p, sim::rng&) {
-        std::vector<agent_t> agents(p.n);
-        agents.front().load = static_cast<std::int64_t>(p.n);  // the hot spot
-        return agents;
-    }
     std::vector<sim::census_entry<agent_t>> make_census(const scenario_params& p, sim::rng&) {
         return {{{static_cast<std::int64_t>(p.n)}, 1}, {{0}, p.n - 1u}};
     }

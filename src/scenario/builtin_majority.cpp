@@ -48,10 +48,6 @@ struct three_state_spec {
     using agent_t = majority::three_state_agent;
 
     protocol_t make_protocol(const scenario_params&, sim::rng&) { return {}; }
-    std::vector<agent_t> make_population(const scenario_params& p, sim::rng&) {
-        const auto s = split_population(p);
-        return majority::make_three_state_population(s.plus, s.minus, s.blank);
-    }
     std::vector<sim::census_entry<agent_t>> make_census(const scenario_params& p, sim::rng&) {
         using enum majority::binary_opinion;
         const auto s = split_population(p);
@@ -87,10 +83,6 @@ struct four_state_spec {
     using agent_t = majority::four_state_agent;
 
     protocol_t make_protocol(const scenario_params&, sim::rng&) { return {}; }
-    std::vector<agent_t> make_population(const scenario_params& p, sim::rng&) {
-        const auto s = split_population(p);
-        return majority::make_four_state_population(s.plus + s.blank, s.minus);
-    }
     std::vector<sim::census_entry<agent_t>> make_census(const scenario_params& p, sim::rng&) {
         using enum majority::four_state;
         const auto s = split_population(p);
@@ -133,11 +125,6 @@ struct averaging_spec {
     using agent_t = majority::averaging_agent;
 
     protocol_t make_protocol(const scenario_params&, sim::rng&) { return {}; }
-    std::vector<agent_t> make_population(const scenario_params& p, sim::rng&) {
-        const auto s = split_population(p);
-        return majority::make_averaging_population(s.plus, s.minus, s.blank,
-                                                   majority::default_amplification(p.n));
-    }
     std::vector<sim::census_entry<agent_t>> make_census(const scenario_params& p, sim::rng&) {
         const auto s = split_population(p);
         const std::int64_t amplification = majority::default_amplification(p.n);
@@ -171,10 +158,6 @@ struct cancel_double_spec {
 
     protocol_t make_protocol(const scenario_params& p, sim::rng&) {
         return majority::cancel_double_protocol{majority::default_level_cap(p.n)};
-    }
-    std::vector<agent_t> make_population(const scenario_params& p, sim::rng&) {
-        const auto s = split_population(p);
-        return majority::make_cancel_double_population(s.plus, s.minus, s.blank);
     }
     std::vector<sim::census_entry<agent_t>> make_census(const scenario_params& p, sim::rng&) {
         const auto s = split_population(p);

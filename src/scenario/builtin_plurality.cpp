@@ -32,29 +32,8 @@ struct plurality_spec {
         cfg = core::protocol_config::make(mode, dist.n(), dist.k());
         return core::plurality_protocol{cfg};
     }
-    std::vector<agent_t> make_population(const scenario_params&, sim::rng& gen) {
-        return core::plurality_protocol::make_population(cfg, dist, gen);
-    }
     std::vector<sim::census_entry<agent_t>> make_census(const scenario_params&, sim::rng&) {
-        // Census image of make_population: every agent starts as a collector
-        // holding one token of its opinion, so the initial census has one
-        // slot per supported opinion.  (make_population additionally
-        // shuffles agent order; in census space there is no order.)
-        std::vector<sim::census_entry<agent_t>> entries;
-        for (std::uint32_t opinion = 1; opinion <= dist.k(); ++opinion) {
-            const std::uint32_t support = dist.support_of(opinion);
-            if (support == 0) continue;
-            agent_t a;
-            a.opinion = opinion;
-            a.tokens = 1;
-            a.role = core::agent_role::collector;
-            a.stage = core::lifecycle_stage::init;
-            if (cfg.mode == core::algorithm_mode::improved) {
-                a.prune_phase = -static_cast<std::int16_t>(cfg.prune_hours);
-            }
-            entries.push_back({a, support});
-        }
-        return entries;
+        return core::plurality_protocol::initial_census(cfg, dist);
     }
     template <class Sim>
     bool converged(const Sim& s) const {

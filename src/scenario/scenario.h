@@ -6,8 +6,8 @@
 // multi-trial runner (scenario/runner.h):
 //
 //   * a protocol factory            (make_protocol),
-//   * an initial-population builder (make_population — agent backend),
-//   * an initial-census builder     (make_census — census backend),
+//   * an initial-census builder     (make_census — every backend; the agent
+//     backend lays it out as shuffled agents with sim::expand_census),
 //   * a convergence predicate       (converged),
 //   * a correctness predicate       (correct),
 //   * a parallel-time budget        (time_budget),
@@ -129,7 +129,7 @@ enum class flag_parse {
 /// Parses the scenario_params CLI flag at `argv[i]` (--n, --k, --workload,
 /// --bias, --dust, --fraction, --zipf-s, --sources, --time-budget), shared
 /// by every driver that exposes the parameter surface (plurality_run,
-/// plurality_lab).  The count flags (--n, --k, --bias, --dust, --sources)
+/// consensus_bench).  The count flags (--n, --k, --bias, --dust, --sources)
 /// take a whole base-10 number that fits `std::uint32_t` — digits only, no
 /// sign.  The real-valued flags take a finite number with nothing after it:
 /// `--fraction` in percent, strictly between 0 and 100; `--zipf-s` and
@@ -204,11 +204,13 @@ using census_view_t = sim::census_simulator<typename S::protocol_t>;
 /// `converged`, `correct` and `metrics` must accept both views of a
 /// population — the agent simulation and the census simulator the leap
 /// backend derives from — so in practice they are member templates written
-/// with the sim::view helpers.  `make_population` feeds the agent backend;
-/// `make_census` feeds the census-space backends and must describe the same
-/// initial configuration as a census (it is what keeps census runs O(S): no
-/// per-agent vector is ever materialized).  The agent type must be a
-/// `sim::census_agent` — padding-free, since a census state is its bytes.
+/// with the sim::view helpers.  `make_census` is the one initial
+/// configuration a spec writes: the census-space backends deposit it as it
+/// is (which keeps their runs O(S): no per-agent vector is ever
+/// materialized), and the agent backend expands it into shuffled agents
+/// (sim::expand_census), so every backend starts from the same
+/// configuration.  The agent type must be a `sim::census_agent` —
+/// padding-free, since a census state is its bytes.
 template <class S>
 concept scenario_spec =
     sim::protocol<typename S::protocol_t> && std::copy_constructible<S> &&
@@ -217,9 +219,6 @@ concept scenario_spec =
              const sim::simulation<typename S::protocol_t>& asim,
              const census_view_t<S>& csim) {
         { s.make_protocol(p, gen) } -> std::same_as<typename S::protocol_t>;
-        {
-            s.make_population(p, gen)
-        } -> std::same_as<std::vector<typename S::protocol_t::agent_t>>;
         {
             s.make_census(p, gen)
         } -> std::same_as<std::vector<sim::census_entry<typename S::protocol_t::agent_t>>>;
@@ -233,7 +232,7 @@ concept scenario_spec =
     };
 
 /// Seed streams the scenario driver derives from a trial seed: one for setup
-/// randomness (workload sampling, population shuffling), one for the
+/// randomness (workload sampling, the agent backend's shuffle), one for the
 /// interaction schedule.  Every backend uses the same setup stream — a trial
 /// seed fixes one initial configuration regardless of backend — and each
 /// consumes the run stream its own way.
@@ -310,7 +309,7 @@ private:
                 case backend_kind::agent: {
                     std::vector<typename protocol_t::agent_t> agents;
                     try {
-                        agents = spec.make_population(params, setup);
+                        agents = sim::expand_census(spec.make_census(params, setup), setup);
                     } catch (const std::bad_alloc&) {
                         throw agent_population_too_large(params.n,
                                                          sizeof(typename protocol_t::agent_t));

@@ -12,7 +12,8 @@
 // same census state exactly when their object representations are equal
 // (`same_state`, hashed by `state_hash`; `state_index` finds a state among
 // records by them).  An initial configuration is a list of `census_entry`
-// (`compress_to_census` builds one from an agent vector), and a protocol
+// (`compress_to_census` builds one from an agent vector, `expand_census`
+// lays one out as shuffled agents for the agent backend), and a protocol
 // may partition its states into activity classes
 // (`declares_activity_classes`), which the interaction loop uses to skip the
 // pairs that cannot change anything.
@@ -24,6 +25,7 @@
 #include <cstring>
 #include <type_traits>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "sim/rng.h"
@@ -138,6 +140,30 @@ template <census_agent Agent>
         ++entries[at].count;
     }
     return entries;
+}
+
+/// Expands a census into one agent per unit of count: the entries' states
+/// laid out in entry order, then shuffled by one Fisher–Yates pass over
+/// 4-byte entry indices (n − 1 bounded uniforms from `gen`, zero-count
+/// entries adding no agents), so an agent's position never encodes its
+/// state.  This is how the agent backend builds the initial configuration
+/// the census-space backends deposit directly.
+template <census_agent Agent>
+[[nodiscard]] std::vector<Agent> expand_census(const std::vector<census_entry<Agent>>& entries,
+                                               rng& gen) {
+    std::uint64_t total = 0;
+    for (const auto& entry : entries) total += entry.count;
+    // The agents first: an allocation that fails does so before any work.
+    std::vector<Agent> agents;
+    agents.reserve(total);
+    std::vector<std::uint32_t> order;
+    order.reserve(total);
+    for (std::uint32_t i = 0; i < entries.size(); ++i)
+        order.insert(order.end(), entries[i].count, i);
+    for (std::size_t i = order.size(); i > 1; --i)
+        std::swap(order[i - 1], order[gen.next_below(i)]);
+    for (const std::uint32_t i : order) agents.push_back(entries[i].state);
+    return agents;
 }
 
 /// Optional protocol hook: activity classes.  A protocol that declares

@@ -17,7 +17,10 @@
 //     template <class R> void interact(agent_t&, agent_t&, R&) const;
 //
 // defined in the header or explicitly instantiated for `sim::rng` and
-// `sim::delta_replay` (`delta_enumerable`); there is no other hook.
+// `sim::delta_replay` (`delta_enumerable`); there is no other hook.  A pair
+// whose δ asks for no random choice at all (`choice_free_delta`: one replay
+// against an empty script) has a single outcome, so the backend advances its
+// group with that one evaluation and never enumerates it.
 // `enumerate_delta_outcomes` discovers the outcome list mechanically rather
 // than asking protocol authors to hand-maintain probability tables: it runs
 // `interact` against a *scripted* generator (`delta_replay`) that answers
@@ -141,14 +144,29 @@ private:
 
 /// A protocol whose transition function accepts a `delta_replay` as its
 /// generator — a template over the generator type — so its outcome lists
-/// can be enumerated.  The leap backend takes the randomized-δ group path
-/// (sim/group_delta.h) for exactly these protocols; one whose `interact`
-/// takes only a `sim::rng&` keeps the exact per-pair fallback.
+/// can be enumerated.  The leap backend groups δ (one evaluation per
+/// choice-free pair, the randomized-δ group path of sim/group_delta.h for
+/// the others) for exactly these protocols; one whose `interact` takes only
+/// a `sim::rng&` keeps the exact per-pair fallback.
 template <class P>
 concept delta_enumerable =
     requires(const P p, typename P::agent_t& u, typename P::agent_t& v, delta_replay& replay) {
         p.interact(u, v, replay);
     };
+
+/// Evaluates δ(u, v) in place against an empty script: true when the pair
+/// asks for no random choice (forced requests aside), so that δ maps it to
+/// the states left in `u` and `v` with probability 1 — the root of the
+/// choice tree `enumerate_delta_outcomes` walks, and its only leaf.  False
+/// when δ reaches a choice point or non-enumerable entropy; `u` and `v` are
+/// then unspecified.
+template <delta_enumerable P>
+[[nodiscard]] bool choice_free_delta(const P& proto, typename P::agent_t& u,
+                                     typename P::agent_t& v) {
+    delta_replay replay{{}};
+    proto.interact(u, v, replay);
+    return !replay.overflowed() && !replay.non_enumerable();
+}
 
 /// Outcome-list size cap: a pair whose choice tree has more leaves falls
 /// back to per-pair δ (such pairs are rare corners — e.g. an agent stepping

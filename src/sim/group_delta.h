@@ -7,21 +7,20 @@
 // pair.  This header holds the parts of that stage that do not depend on how
 // the run was sampled:
 //
-//  * `declares_deterministic_delta` — the protocol trait for RNG-free pairs
-//    (one δ evaluation moves the whole group's mass);
 //  * `detail::delta_outcome_table` — the randomized-δ group path for
 //    `delta_enumerable` protocols: per-pair outcome distributions
 //    enumerated from `interact` itself (sim/delta_outcomes.h) and memoized,
 //    plus the grouped sampler that splits a group of m across the outcomes
 //    with one multinomial draw (dist::multinomial) instead of m per-pair RNG
-//    calls;
+//    calls.  The leap backend consults it only for pairs that ask for a
+//    random choice: a choice-free pair (`choice_free_delta`) moves its whole
+//    group with one δ evaluation;
 //  * `detail::used_group_set` — post-run participant groups, one per state.
 //
 // States are compared as the census compares them: by their bytes
 // (sim::same_state and sim::state_hash, sim/census_store.h).
 #pragma once
 
-#include <concepts>
 #include <cstdint>
 #include <unordered_map>
 #include <utility>
@@ -33,17 +32,6 @@
 #include "sim/rng.h"
 
 namespace plurality::sim {
-
-/// A protocol may declare, per ordered state pair, that δ is RNG-free and a
-/// pure function of the two states — the hook that unlocks grouped δ
-/// application.  Protocols with neither this hook nor a `delta_enumerable`
-/// `interact` (sim/delta_outcomes.h) are treated as fully randomized
-/// (correct, just slower).
-template <class P>
-concept declares_deterministic_delta =
-    requires(const P p, const typename P::agent_t& u, const typename P::agent_t& v) {
-        { p.deterministic_delta(u, v) } -> std::convertible_to<bool>;
-    };
 
 namespace detail {
 

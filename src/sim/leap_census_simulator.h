@@ -21,12 +21,14 @@
 //      census.
 //   4. The table: a uniform random bijection between the initiator and
 //      responder multisets, sampled row-by-row by sequential MVH
-//      conditioning.  δ applies once per nonzero cell for pairs the protocol
-//      declares deterministic, by one multinomial split per cell for pairs
-//      whose outcome distribution enumerates (protocols whose `interact` is
-//      a template over the generator: the randomized-δ group path of
-//      sim/group_delta.h), and per interaction otherwise — so every
-//      protocol runs correctly.
+//      conditioning.  For a protocol whose `interact` is a template over the
+//      generator (sim::delta_enumerable), each nonzero cell first replays δ
+//      against an empty script (sim::choice_free_delta): a pair that asks
+//      for no random choice applies that one evaluation to the whole cell,
+//      any other pair takes one multinomial split over its enumerated
+//      outcomes (the randomized-δ group path of sim/group_delta.h).  δ
+//      applies per interaction otherwise — so every protocol runs
+//      correctly.
 //   5. If the run ended in a collision (rather than the caller's budget),
 //      the colliding interaction is executed from its exact conditional
 //      distribution: a uniform ordered pair of distinct agents conditioned
@@ -269,24 +271,20 @@ private:
     /// naturally.  Returns the number of interactions executed (>= 1).
     std::uint64_t leap_run(std::uint64_t budget) {
         // Absorbed-census fast path: with a single occupied state and a
-        // quiescent δ(s, s) = (s, s) — declared deterministic, or an
-        // enumerated outcome distribution whose only outcome is the
-        // identity — every future interaction is a no-op: execute the whole
-        // budget in O(1).  The skipped draws can never matter: no later
-        // interaction can read them into the census.
+        // quiescent δ(s, s) = (s, s) — a choice-free evaluation that leaves
+        // both agents as they were, or an enumerated outcome distribution
+        // whose only outcome is the identity — every future interaction is
+        // a no-op: execute the whole budget in O(1).  The skipped draws can
+        // never matter: no later interaction can read them into the census.
         if (this->occupied_.size() == 1) {
             const auto& only = this->slots_[this->occupied_[0]];
             bool quiescent = false;
-            if constexpr (declares_deterministic_delta<P>) {
-                if (this->protocol_.deterministic_delta(only.state, only.state)) {
-                    agent_t u = only.state;
-                    agent_t v = only.state;
-                    this->protocol_.interact(u, v, this->gen_);
-                    quiescent = same_state(u, only.state) && same_state(v, only.state);
-                }
-            }
             if constexpr (delta_enumerable<P>) {
-                if (!quiescent) {
+                agent_t u = only.state;
+                agent_t v = only.state;
+                if (choice_free_delta(this->protocol_, u, v)) {
+                    quiescent = same_state(u, only.state) && same_state(v, only.state);
+                } else {
                     const auto& entry =
                         delta_table_.lookup(this->protocol_, only.state, only.state);
                     quiescent = entry.groupable && entry.outcomes.size() == 1 &&
@@ -412,22 +410,19 @@ private:
     }
 
     /// Applies δ to `count` interactions that all see the ordered state pair
-    /// (u, v): once for a declared-deterministic pair, via one multinomial
-    /// split for a pair whose outcome distribution enumerates, per
-    /// interaction otherwise (the exact fallback for randomized δ).
+    /// (u, v): once for a pair that asks for no random choice, via one
+    /// multinomial split for a pair whose outcome distribution enumerates,
+    /// per interaction otherwise (the exact fallback for randomized δ).
     void apply_group(const agent_t& u_state, const agent_t& v_state, std::uint64_t count) {
-        if constexpr (declares_deterministic_delta<P>) {
-            if (this->protocol_.deterministic_delta(u_state, v_state)) {
-                agent_t u = u_state;
-                agent_t v = v_state;
-                this->protocol_.interact(u, v, this->gen_);
+        if constexpr (delta_enumerable<P>) {
+            agent_t u = u_state;
+            agent_t v = v_state;
+            if (choice_free_delta(this->protocol_, u, v)) {
                 used_.add(u, count);
                 used_.add(v, count);
                 leap_metrics_.delta_deterministic.add(count);
                 return;
             }
-        }
-        if constexpr (delta_enumerable<P>) {
             const auto& entry = delta_table_.lookup(this->protocol_, u_state, v_state);
             if (entry.groupable) {
                 delta_table_.apply_group(

@@ -73,19 +73,6 @@ bool opinion_distribution::plurality_unique() const {
     return std::count(support_.begin(), support_.end(), best) == 1;
 }
 
-std::vector<std::uint32_t> opinion_distribution::agent_opinions(sim::rng& gen) const {
-    std::vector<std::uint32_t> opinions;
-    opinions.reserve(total_);
-    for (std::size_t i = 0; i < support_.size(); ++i)
-        opinions.insert(opinions.end(), support_[i], static_cast<std::uint32_t>(i) + 1);
-    // Fisher-Yates with our deterministic generator.
-    for (std::size_t i = opinions.size(); i > 1; --i) {
-        const std::size_t j = gen.next_below(i);
-        std::swap(opinions[i - 1], opinions[j]);
-    }
-    return opinions;
-}
-
 opinion_distribution make_bias_one(std::uint32_t n, std::uint32_t k, std::uint32_t bias) {
     if (k == 0 || n < k) throw std::invalid_argument("make_bias_one: need n >= k >= 1");
     if (k == 1) return opinion_distribution{{n}};

@@ -47,10 +47,6 @@ public:
     /// True if the maximum support is attained by exactly one opinion.
     [[nodiscard]] bool plurality_unique() const;
 
-    /// Expands to one opinion value per agent, shuffled with `gen` (agent
-    /// identity must not encode the opinion).
-    [[nodiscard]] std::vector<std::uint32_t> agent_opinions(sim::rng& gen) const;
-
 private:
     std::vector<std::uint32_t> support_;
     std::uint32_t total_ = 0;

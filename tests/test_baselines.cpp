@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "baselines/usd_plurality.h"
+#include "sim/census_store.h"
 #include "sim/simulation.h"
 #include "sim/trial_executor.h"
 #include "workload/opinion_distribution.h"
@@ -85,7 +86,7 @@ TEST(UsdPlurality, ManyOpinionsStillConverge) {
 TEST(UsdPlurality, PopulationConstructionMatchesDistribution) {
     plurality::sim::rng gen(4);
     const auto dist = make_bias_one(500, 5);
-    const auto agents = make_usd_population(dist, gen);
+    const auto agents = plurality::sim::expand_census(initial_census(dist), gen);
     std::vector<std::uint32_t> counts(6, 0);
     for (const auto& a : agents) ++counts.at(a.opinion);
     for (std::uint32_t i = 1; i <= 5; ++i) EXPECT_EQ(counts[i], dist.support_of(i));

@@ -6,6 +6,7 @@
 // Markov chain).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/usd_plurality.h"
@@ -30,7 +32,9 @@
 #include "scenario/registry.h"
 #include "scenario/runner.h"
 #include "sim/census_simulator.h"
+#include "sim/census_store.h"
 #include "sim/population_view.h"
+#include "sim/rng.h"
 #include "sim/trial_executor.h"
 #include "test_support.h"
 
@@ -449,6 +453,74 @@ TEST(CensusStore, KeepsLeaderFlagInTheLastPartialWordApart) {
 TEST(CensusStore, KeepsOneByteStatesApart) {
     expect_states_kept_apart(std::vector<majority::three_state_agent>{
         {alpha_v}, {beta_v}, {undecided_v}});
+}
+
+TEST(CensusStore, ExpandCensusKeepsEveryCountAndAddsNoAgentForAZeroCount) {
+    sim::rng gen(5);
+    const auto agents = sim::expand_census(three_state_census(40, 0, 7), gen);
+    ASSERT_EQ(agents.size(), 47u);
+    const auto count = [&agents](majority::binary_opinion opinion) {
+        return std::count_if(agents.begin(), agents.end(),
+                             [opinion](const auto& a) { return a.opinion == opinion; });
+    };
+    EXPECT_EQ(count(alpha_v), 40);
+    EXPECT_EQ(count(beta_v), 0);
+    EXPECT_EQ(count(undecided_v), 7);
+    // The shuffle moved the undecided agents away from the back, where the
+    // in-order layout put them.
+    EXPECT_LT(std::count_if(agents.end() - 7, agents.end(),
+                            [](const auto& a) { return a.opinion == undecided_v; }),
+              7);
+}
+
+TEST(CensusStore, ExpandCensusDrawsExactlyNMinusOneBoundedUniforms) {
+    // Fisher–Yates over n agents: next_below(n), next_below(n − 1), …,
+    // next_below(2), and nothing else — the generator ends where a copy
+    // that made exactly those draws ends.
+    sim::rng gen(11);
+    sim::rng reference(11);
+    const auto agents = sim::expand_census(three_state_census(30, 20, 10), gen);
+    ASSERT_EQ(agents.size(), 60u);
+    for (std::uint64_t bound = 60; bound > 1; --bound) (void)reference.next_below(bound);
+    EXPECT_EQ(gen.words(), reference.words());
+    EXPECT_EQ(gen.next(), reference.next());
+}
+
+TEST(CensusStore, ExpandCensusReproducesTheShuffledOpinionLayoutOfTheTournament) {
+    // Before the census became the one initial configuration, the
+    // tournament's agents were built by laying out one opinion value per
+    // agent in opinion order, shuffling those values with one Fisher–Yates
+    // pass, and making each agent a collector of its value.  Expanding the
+    // census must give the same bytes for the same seed, so no per-seed
+    // agent trajectory moved.
+    const auto dist = workload::make_two_heavy_plus_dust(2000, 20, 8);
+    for (const auto mode : {core::algorithm_mode::ordered, core::algorithm_mode::improved}) {
+        const auto cfg = core::protocol_config::make(mode, dist.n(), dist.k());
+        for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+            sim::rng gen(seed);
+            const auto agents = core::plurality_protocol::make_population(cfg, dist, gen);
+
+            sim::rng reference(seed);
+            std::vector<std::uint32_t> opinions;
+            for (std::uint32_t opinion = 1; opinion <= dist.k(); ++opinion)
+                opinions.insert(opinions.end(), dist.support_of(opinion), opinion);
+            for (std::size_t i = opinions.size(); i > 1; --i)
+                std::swap(opinions[i - 1], opinions[reference.next_below(i)]);
+            ASSERT_EQ(agents.size(), opinions.size());
+            for (std::size_t i = 0; i < agents.size(); ++i) {
+                core::core_agent expected;
+                expected.opinion = opinions[i];
+                expected.tokens = 1;
+                expected.role = core::agent_role::collector;
+                expected.stage = core::lifecycle_stage::init;
+                if (mode == core::algorithm_mode::improved)
+                    expected.prune_phase = -static_cast<std::int16_t>(cfg.prune_hours);
+                ASSERT_TRUE(sim::same_state(agents[i], expected))
+                    << "seed " << seed << " agent " << i;
+            }
+            EXPECT_EQ(gen.next(), reference.next());
+        }
+    }
 }
 
 // -- scenario-layer integration ----------------------------------------------

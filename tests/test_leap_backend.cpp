@@ -1,6 +1,7 @@
 // Tests for the pair-type leaping backend (sim/leap_census_simulator.h):
 // exact interaction accounting under truncation, bookkeeping invariants,
-// per-seed determinism, grouped-δ vs per-pair-fallback equivalence,
+// per-seed determinism, grouped-δ vs per-pair-fallback equivalence (with
+// choice-free pairs found by replaying δ),
 // registry-wide convergence, and the scenario-layer determinism contract
 // (JSON byte-identity across thread counts).  Distributional agreement with
 // the agent and census backends lives in tests/test_census_backend.cpp.
@@ -21,6 +22,8 @@
 #include "scenario/json_report.h"
 #include "scenario/registry.h"
 #include "scenario/runner.h"
+#include "sim/convergence.h"
+#include "sim/delta_outcomes.h"
 #include "sim/leap_census_simulator.h"
 #include "sim/trial_executor.h"
 #include "test_support.h"
@@ -133,12 +136,14 @@ TEST(LeapCensusSimulator, RejectsPopulationsBelowTwo) {
     EXPECT_THROW((three_leap{{}, three_state_census(0, 0, 0), 1}), std::invalid_argument);
 }
 
-// A three-state clone *without* the deterministic_delta declaration: the
-// leap backend must take the per-pair fallback for every contingency-table
-// cell.  Because three-state δ never consumes the RNG, the fallback consumes
-// the exact same stream as the grouped path — so the two must produce
-// bitwise-identical trajectories, which pins the grouped cell application
-// against the per-pair ground truth.
+// A three-state clone whose `interact` takes only a `sim::rng&`, so it is
+// not delta_enumerable: the leap backend must take the per-pair fallback for
+// every contingency-table cell, where three-state itself finds every pair
+// choice-free and applies one δ evaluation per cell.  Because three-state δ
+// never consumes the RNG, the fallback consumes the exact same stream as the
+// grouped path — so the two must produce bitwise-identical trajectories,
+// which pins the grouped cell application against the per-pair ground
+// truth.
 struct fallback_three_state {
     using agent_t = majority::three_state_agent;
     majority::three_state_protocol inner;
@@ -146,8 +151,8 @@ struct fallback_three_state {
         inner.interact(u, v, gen);
     }
 };
-static_assert(!sim::declares_deterministic_delta<fallback_three_state>);
-static_assert(sim::declares_deterministic_delta<majority::three_state_protocol>);
+static_assert(!sim::delta_enumerable<fallback_three_state>);
+static_assert(sim::delta_enumerable<majority::three_state_protocol>);
 
 TEST(LeapCensusSimulator, GroupedDeltaMatchesPerPairFallbackBitwise) {
     using fallback_leap = sim::leap_census_simulator<fallback_three_state>;
@@ -163,6 +168,93 @@ TEST(LeapCensusSimulator, GroupedDeltaMatchesPerPairFallbackBitwise) {
             }
         }
     }
+}
+
+// A toy whose δ flips a coin on one ordered pair only: an informed
+// initiator informs an uninformed responder with probability 1/2, an
+// uninformed initiator pulls the rumor from an informed responder for
+// certain, and equal states do nothing.  Leap must find the three
+// choice-free pairs by replaying δ and move their groups with one
+// evaluation, and send only the coin pair (1, 0) through the outcome table.
+struct coin_push_agent {
+    std::uint32_t informed = 0;
+};
+
+struct coin_push_protocol {
+    using agent_t = coin_push_agent;
+    template <class R>
+    void interact(agent_t& u, agent_t& v, R& gen) const noexcept {
+        if (u.informed == v.informed) return;
+        if (u.informed == 0) {
+            u.informed = 1;
+        } else if (gen.next_bool()) {
+            v.informed = 1;
+        }
+    }
+};
+
+/// The same δ behind a `sim::rng&`-only `interact`: every cell takes the
+/// per-pair fallback, one δ call and one coin per interaction.
+struct coin_push_per_pair {
+    using agent_t = coin_push_agent;
+    coin_push_protocol inner;
+    void interact(agent_t& u, agent_t& v, sim::rng& gen) const noexcept {
+        inner.interact(u, v, gen);
+    }
+};
+static_assert(sim::delta_enumerable<coin_push_protocol>);
+static_assert(!sim::delta_enumerable<coin_push_per_pair>);
+
+std::vector<sim::census_entry<coin_push_agent>> coin_push_census(std::uint64_t informed,
+                                                                 std::uint64_t uninformed) {
+    return {{{1}, informed}, {{0}, uninformed}};
+}
+
+TEST(LeapCensusSimulator, ChoiceFreePairsSkipTheOutcomeTable) {
+    sim::leap_census_simulator<coin_push_protocol> sim{{}, coin_push_census(10, 1'000'000), 3};
+    sim.run_for(2'000'000);
+    EXPECT_EQ(sim.count_of({1}) + sim.count_of({0}), 1'000'010u);
+    EXPECT_GT(sim.count_of({1}), 10u);
+#if PLURALITY_OBS
+    obs::snapshot observed;
+    sim.collect_metrics(observed);
+    const auto counter = [&observed](const char* name) {
+        return test::counter_of(observed, name);
+    };
+    EXPECT_GT(counter(obs::m_delta_deterministic), 0u);
+    EXPECT_GT(counter(obs::m_delta_grouped), 0u);
+    EXPECT_EQ(counter(obs::m_delta_fallback), 0u);
+    // Only the coin pair was ever enumerated, and every later cell of it
+    // found the cached entry.
+    EXPECT_EQ(counter(obs::m_table_misses), 1u);
+    EXPECT_GT(counter(obs::m_table_hits), 0u);
+    EXPECT_EQ(counter(obs::m_delta_deterministic) + counter(obs::m_delta_grouped) +
+                  counter(obs::m_delta_fallback) + counter(obs::m_collisions) +
+                  counter(obs::m_absorbed_fastpath),
+              counter(obs::m_interactions));
+#endif
+}
+
+/// Parallel time until all 3000 agents are informed, starting from one, on
+/// leap with protocol `P` (checked every 300 interactions).
+template <class P>
+double coin_push_broadcast_time(std::uint64_t seed) {
+    sim::leap_census_simulator<P> sim{{}, coin_push_census(1, 2999), seed};
+    const auto all_informed = [](const auto& s) { return s.count_of({0}) == 0; };
+    return sim::converge(sim, all_informed, 1'000'000'000, 300).parallel_time;
+}
+
+TEST(LeapCensusSimulator, MixedCoinAndChoiceFreePairsAgreeWithPerPairFallback) {
+    // Grouped δ (choice-free cells in one evaluation, coin cells by one
+    // multinomial split) against per-pair δ on the same census, under the
+    // calibrated 5σ band.
+    constexpr std::size_t trials = 200;
+    std::vector<double> grouped, per_pair;
+    for (std::size_t i = 0; i < trials; ++i) {
+        grouped.push_back(coin_push_broadcast_time<coin_push_protocol>(41000 + i));
+        per_pair.push_back(coin_push_broadcast_time<coin_push_per_pair>(47000 + i));
+    }
+    test::expect_same_mean(grouped, per_pair);
 }
 
 TEST(LeapCensusSimulator, ChunkedSteppingAgreesDistributionally) {

@@ -1,7 +1,8 @@
 // Tests for the randomized-δ group path (sim/delta_outcomes.h +
 // sim/group_delta.h): exactness of the choice-tree enumerator on a toy
 // protocol with a closed-form outcome distribution, refusal on
-// non-enumerable entropy, the multinomial group application of the outcome
+// non-enumerable entropy, the choice-free replay that lets leap skip the
+// outcome table, the multinomial group application of the outcome
 // table, bitwise outcome-support agreement between the enumerated lists and
 // the per-pair δ ground truth for both tournament protocols (leader
 // election and exact plurality), grouped-vs-fallback distributional
@@ -17,8 +18,14 @@
 #include <utility>
 #include <vector>
 
+#include "baselines/usd_plurality.h"
 #include "core/plurality_protocol.h"
+#include "epidemic/epidemic.h"
 #include "leader/leader_election.h"
+#include "loadbalance/load_balancer.h"
+#include "majority/averaging_majority.h"
+#include "majority/cancel_double.h"
+#include "majority/stable_four_state.h"
 #include "majority/three_state.h"
 #include "obs/catalogue.h"
 #include "obs/snapshot.h"
@@ -164,11 +171,43 @@ TEST(DeltaEnumerator, ForcedChoicesYieldOneCertainOutcome) {
 
 // -- trait adoption -----------------------------------------------------------
 
-static_assert(sim::delta_enumerable<leader::leader_election_protocol>);
+// Templating `interact` is the only δ hook, and every builtin protocol has
+// it: the leap backend replays each pair to find the choice-free ones, and
+// enumerates the rest.
 static_assert(sim::delta_enumerable<core::plurality_protocol>);
-// Deterministic protocols keep the cheaper deterministic_delta trait and
-// never enter the outcome-table path.
-static_assert(!sim::delta_enumerable<majority::three_state_protocol>);
+static_assert(sim::delta_enumerable<leader::leader_election_protocol>);
+static_assert(sim::delta_enumerable<baselines::usd_plurality_protocol>);
+static_assert(sim::delta_enumerable<epidemic::epidemic_protocol>);
+static_assert(sim::delta_enumerable<loadbalance::load_balance_protocol>);
+static_assert(sim::delta_enumerable<majority::three_state_protocol>);
+static_assert(sim::delta_enumerable<majority::stable_four_state_protocol>);
+static_assert(sim::delta_enumerable<majority::averaging_majority_protocol>);
+static_assert(sim::delta_enumerable<majority::cancel_double_protocol>);
+
+TEST(DeltaEnumerator, ChoiceFreeReplayFindsExactlyThePairsWithoutAChoice) {
+    // Every toy pair asks for a choice, and a unit draw is no enumerable
+    // choice either; forced requests are no choice at all.
+    for (const auto& [x, y] : {std::pair{0u, 0u}, std::pair{0u, 1u}}) {
+        toy_agent u{x};
+        toy_agent v{y};
+        EXPECT_FALSE(sim::choice_free_delta(toy_protocol{}, u, v)) << x << ", " << y;
+    }
+    toy_agent uu{0};
+    toy_agent uv{1};
+    EXPECT_FALSE(sim::choice_free_delta(unit_draw_protocol{}, uu, uv));
+    toy_agent fu{0};
+    toy_agent fv{5};
+    ASSERT_TRUE(sim::choice_free_delta(forced_choice_protocol{}, fu, fv));
+    EXPECT_EQ(fu.x, 1u);
+    EXPECT_EQ(fv.x, 5u);
+    // A deterministic protocol: every pair is choice-free, and the replay
+    // leaves δ's outcome in place.
+    majority::three_state_agent a{majority::binary_opinion::alpha};
+    majority::three_state_agent b{majority::binary_opinion::beta};
+    ASSERT_TRUE(sim::choice_free_delta(majority::three_state_protocol{}, a, b));
+    EXPECT_EQ(a.opinion, majority::binary_opinion::alpha);
+    EXPECT_EQ(b.opinion, majority::binary_opinion::undecided);
+}
 
 // -- outcome table: memoized lookup + multinomial group application -----------
 
@@ -335,21 +374,10 @@ TEST(RandomizedDeltaPlurality, EnumeratedOutcomesAreBitwiseSupportOfPerPairDelta
     const auto cfg = core::protocol_config::make(core::algorithm_mode::ordered, 512, 2);
     const core::plurality_protocol proto{cfg};
 
-    std::vector<sim::census_entry<core::core_agent>> entries;
-    for (std::uint32_t opinion = 1; opinion <= dist.k(); ++opinion) {
-        const std::uint32_t support = dist.support_of(opinion);
-        if (support == 0) continue;
-        core::core_agent a;
-        a.opinion = opinion;
-        a.tokens = 1;
-        a.role = core::agent_role::collector;
-        a.stage = core::lifecycle_stage::init;
-        entries.push_back({a, support});
-    }
-
     std::set<std::string> seen;
     std::vector<core::core_agent> states;
-    sim::leap_census_simulator<core::plurality_protocol> harvest{proto, entries, 11};
+    sim::leap_census_simulator<core::plurality_protocol> harvest{
+        proto, core::plurality_protocol::initial_census(cfg, dist), 11};
     for (int checkpoint = 0; checkpoint < 8 && states.size() < 16; ++checkpoint) {
         harvest.run_for(512 * 6);
         harvest.visit_states([&](const core::core_agent& s, std::uint64_t) {
@@ -388,7 +416,6 @@ struct per_pair_leader {
     }
 };
 static_assert(!sim::delta_enumerable<per_pair_leader>);
-static_assert(!sim::declares_deterministic_delta<per_pair_leader>);
 
 TEST(RandomizedDeltaBackend, GroupedLeaderMatchesPerPairFallbackDistributionally) {
     // The grouped path consumes the stream differently from the fallback

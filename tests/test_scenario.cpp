@@ -159,6 +159,35 @@ TEST(ScenarioBackends, RetiredBatchEnumeratorThrowsInsteadOfFallingThrough) {
                  std::invalid_argument);
 }
 
+TEST(ScenarioBackends, EveryScenarioStartsFromOneConfigurationOnEveryBackend) {
+    // A time budget of half an interaction executes none, so each outcome
+    // reads the initial configuration: the census the spec writes, which
+    // the agent backend expands into agents and the census-space backends
+    // deposit as it is.  Its metrics, convergence and correctness must not
+    // depend on the backend — a metric that counts occupied states where it
+    // means agents (a counting predicate written as a forall) differs here.
+    using scenario::backend_kind;
+    for (const auto& s : scenario_registry::instance().all()) {
+        auto params = small_params(s.family());
+        params.time_budget = 0.5 / params.n;
+        const auto agent = s.run(params, 3, backend_kind::agent);
+        EXPECT_EQ(agent.interactions, 0u) << s.name();
+        for (const auto backend : {backend_kind::census, backend_kind::leap}) {
+            const auto other = s.run(params, 3, backend);
+            const std::string label = s.name() + " on " + scenario::backend_name(backend);
+            EXPECT_EQ(other.interactions, 0u) << label;
+            EXPECT_EQ(other.converged, agent.converged) << label;
+            EXPECT_EQ(other.correct, agent.correct) << label;
+            ASSERT_EQ(other.metrics.size(), agent.metrics.size()) << label;
+            for (std::size_t i = 0; i < agent.metrics.size(); ++i) {
+                EXPECT_EQ(other.metrics[i].name, agent.metrics[i].name) << label;
+                EXPECT_EQ(other.metrics[i].value, agent.metrics[i].value)
+                    << label << ": " << agent.metrics[i].name;
+            }
+        }
+    }
+}
+
 /// Offers `flag value` to the shared parser, starting from default params.
 std::pair<scenario::flag_parse, scenario_params> parse_flag(const char* flag,
                                                             const char* value) {

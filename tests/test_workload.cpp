@@ -3,12 +3,15 @@
 
 #include <numeric>
 
+#include "sim/census_store.h"
 #include "sim/rng.h"
 #include "workload/opinion_distribution.h"
 
 namespace {
 
 using namespace plurality::workload;
+using plurality::sim::census_entry;
+using plurality::sim::expand_census;
 using plurality::sim::rng;
 
 TEST(Workload, BiasOneBasics) {
@@ -104,10 +107,19 @@ TEST(Workload, TwoHeavyPlusDust) {
     EXPECT_GT(dist.support_of(2), dist.support_of(3) * 10);
 }
 
+/// The distribution as a census whose states are the opinion values
+/// themselves, one entry per opinion.
+std::vector<census_entry<std::uint32_t>> opinion_census(const opinion_distribution& dist) {
+    std::vector<census_entry<std::uint32_t>> entries;
+    for (std::uint32_t opinion = 1; opinion <= dist.k(); ++opinion)
+        entries.push_back({opinion, dist.support_of(opinion)});
+    return entries;
+}
+
 TEST(Workload, AgentOpinionsMatchSupports) {
     rng gen(3);
     const auto dist = make_bias_one(500, 5);
-    const auto opinions = dist.agent_opinions(gen);
+    const auto opinions = expand_census(opinion_census(dist), gen);
     ASSERT_EQ(opinions.size(), 500u);
     std::vector<std::uint32_t> counts(6, 0);
     for (auto o : opinions) {
@@ -121,7 +133,7 @@ TEST(Workload, AgentOpinionsMatchSupports) {
 TEST(Workload, AgentOpinionsShuffled) {
     rng gen(4);
     const auto dist = make_bias_one(1000, 2);
-    const auto opinions = dist.agent_opinions(gen);
+    const auto opinions = expand_census(opinion_census(dist), gen);
     // The first half should not be (almost) all opinion 1, as it would be in
     // the unshuffled expansion.
     std::size_t ones_in_front = 0;

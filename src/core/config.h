@@ -61,7 +61,7 @@ struct protocol_config {
     /// Number of phases per tournament cycle: 10 for the ordered algorithm
     /// (5 working phases + separators, §3.3), 12 when a selection phase is
     /// prepended (Appendix B / §4).
-    [[nodiscard]] std::uint32_t phase_modulus() const noexcept {
+    [[nodiscard]] constexpr std::uint32_t phase_modulus() const noexcept {
         return mode == algorithm_mode::ordered ? 10 : 12;
     }
 

@@ -22,9 +22,60 @@ namespace {
     return player_side::undecided;
 }
 
+/// The rule-table bit of an (initiator role, responder role) pair.
+constexpr std::uint16_t role_pair(agent_role initiator, agent_role responder) noexcept {
+    return static_cast<std::uint16_t>(
+        1u << (4 * static_cast<unsigned>(initiator) + static_cast<unsigned>(responder)));
+}
+
+/// Both orders of a role pair.
+constexpr std::uint16_t either_order(agent_role a, agent_role b) noexcept {
+    return static_cast<std::uint16_t>(role_pair(a, b) | role_pair(b, a));
+}
+
 }  // namespace
 
-plurality_protocol::plurality_protocol(protocol_config cfg) : cfg_(cfg) {}
+plurality_protocol::plurality_protocol(protocol_config cfg) : cfg_(cfg) {
+    static_assert(std::max({protocol_config{.mode = algorithm_mode::ordered}.phase_modulus(),
+                            protocol_config{.mode = algorithm_mode::unordered}.phase_modulus(),
+                            protocol_config{.mode = algorithm_mode::improved}.phase_modulus()}) ==
+                      max_phases,
+                  "the rule table has one column per phase of the longest cycle");
+    using enum agent_role;
+    // Tournaments, every phase: the leaderless tick, and the aftermath — a
+    // crowned tracker crowns defender collectors (either order) and, in the
+    // unordered modes, trackers spread `finished`.
+    role_pairs every_phase = role_pair(clock, clock) | either_order(tracker, collector);
+    if (cfg_.mode != algorithm_mode::ordered) every_phase |= role_pair(tracker, tracker);
+    // Setup re-initializes a collector's load whoever it meets.
+    role_pairs with_collector = 0;
+    for (const agent_role other : {collector, clock, tracker, player})
+        with_collector |= either_order(collector, other);
+
+    rules_[static_cast<std::size_t>(lifecycle_stage::init)].fill(0xffff);
+    for (std::uint32_t phase = 0; phase < cfg_.phase_modulus(); ++phase) {
+        // The working phases of tournament_interact.
+        const auto p = static_cast<std::uint8_t>(phase);
+        role_pairs working = 0;
+        if (is_select_phase(p)) {
+            working = either_order(tracker, collector) | role_pair(tracker, tracker);
+        } else if (p == cfg_.setup_phase()) {
+            working = with_collector;
+        } else if (p == cfg_.cancel_phase()) {
+            working = role_pair(collector, collector);
+        } else if (p == cfg_.lineup_phase() || p == cfg_.conclude_phase()) {
+            working = role_pair(collector, player);
+        } else if (p == cfg_.match_phase()) {
+            working = role_pair(player, player);
+        }
+        working_rules_[phase] = working;
+        // Election: the leaderless tick and electing_interact.
+        rules_[static_cast<std::size_t>(lifecycle_stage::electing)][phase] =
+            role_pair(clock, clock) | role_pair(tracker, tracker);
+        rules_[static_cast<std::size_t>(lifecycle_stage::tournaments)][phase] =
+            working | every_phase;
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Population construction
@@ -152,10 +203,6 @@ void plurality_protocol::enter_stage(agent_t& agent, lifecycle_stage target, R& 
 
 void plurality_protocol::advance_phase(agent_t& agent) const {
     agent.phase = static_cast<std::uint8_t>((agent.phase + 1) % cfg_.phase_modulus());
-}
-
-void plurality_protocol::set_phase(agent_t& agent, std::uint8_t phase) const {
-    agent.phase = phase;
 }
 
 /// Fires the actions an agent performs when it *enters* its current phase
@@ -576,7 +623,6 @@ constexpr std::uint32_t first_tournament_class = 2;
 constexpr std::uint32_t kind_collector = static_cast<std::uint32_t>(agent_role::collector);
 constexpr std::uint32_t kind_clock = static_cast<std::uint32_t>(agent_role::clock);
 constexpr std::uint32_t kind_tracker = static_cast<std::uint32_t>(agent_role::tracker);
-constexpr std::uint32_t kind_player = static_cast<std::uint32_t>(agent_role::player);
 constexpr std::uint32_t kind_crowned = 4;
 constexpr std::uint32_t kinds = 5;
 
@@ -615,8 +661,6 @@ bool plurality_protocol::may_act(std::uint32_t initiator_class,
     const bool v_clock = v_kind == kind_clock;
     const bool u_collector = u_kind == kind_collector;
     const bool v_collector = v_kind == kind_collector;
-    const bool u_player = u_kind == kind_player;
-    const bool v_player = v_kind == kind_player;
     const bool u_crowned = u_kind == kind_crowned;
     const bool v_crowned = v_kind == kind_crowned;
     const bool u_tracker = u_kind == kind_tracker || u_crowned;
@@ -631,20 +675,12 @@ bool plurality_protocol::may_act(std::uint32_t initiator_class,
                                                                                : !v_clock;
     }
 
-    // Same phase: the working-phase rules of tournament_interact.
-    const auto p = static_cast<std::uint8_t>(u_phase);
-    if (is_select_phase(p)) {
-        if ((u_tracker && (v_collector || v_tracker)) || (v_tracker && (u_collector || u_tracker)))
-            return true;
-    } else if (p == cfg_.setup_phase()) {
-        if (u_collector || v_collector) return true;
-    } else if (p == cfg_.cancel_phase()) {
-        if (u_collector && v_collector) return true;
-    } else if (p == cfg_.lineup_phase() || p == cfg_.conclude_phase()) {
-        if (u_collector && v_player) return true;
-    } else if (p == cfg_.match_phase()) {
-        if (u_player && v_player) return true;
-    }
+    // Same phase: the working-phase rules of tournament_interact, read off
+    // the rule table's working row.
+    const auto role_of = [](std::uint32_t kind) {
+        return kind == kind_crowned ? agent_role::tracker : static_cast<agent_role>(kind);
+    };
+    if (working_rules_[u_phase] & role_pair(role_of(u_kind), role_of(v_kind))) return true;
     // Aftermath, in every phase: a crowned tracker crowns defender
     // collectors (either order), and unordered trackers spread `finished`.
     if ((u_crowned && v_collector) || (v_crowned && u_collector)) return true;
@@ -658,6 +694,14 @@ bool plurality_protocol::may_act(std::uint32_t initiator_class,
 
 template <class R>
 void plurality_protocol::interact(agent_t& u, agent_t& v, R& gen) const {
+    // Rule table: two initiated non-winners in one stage and phase whose
+    // role pair no rule of that (stage, phase) touches stay as they are —
+    // the stage and phase broadcasts have nothing to carry and every rule
+    // below is guarded by the roles.  The init row holds every pair.
+    if (u.ever_initiated && !u.winner && !v.winner && u.stage == v.stage && u.phase == v.phase &&
+        !(rules_[static_cast<std::size_t>(u.stage)][u.phase] & role_pair(u.role, v.role)))
+        return;
+
     // Algorithm 3, lines 1-2: opinion-1 agents mark themselves defenders on
     // their first interaction as initiator (ordered algorithm only).
     if (!u.ever_initiated) {

@@ -19,6 +19,7 @@
 // winner is flooded to everyone (§3.4).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -49,6 +50,14 @@ public:
     /// enumerates to a small exact outcome list; the few that exceed the
     /// enumeration caps (e.g. an agent stepping through many phases at
     /// once) keep the exact per-pair fallback.
+    ///
+    /// δ runs on every interaction the agent backend schedules, and opens
+    /// with one rule-table test: an initiated initiator and a responder,
+    /// neither a winner, in the same post-init stage and phase, whose role
+    /// pair no rule of that (stage, phase) touches, are left as they are
+    /// without reading anything else.  Every other pair runs the full
+    /// transition, so the early return draws nothing and moves no
+    /// trajectory.
     template <class R>
     void interact(agent_t& initiator, agent_t& responder, R& gen) const;
 
@@ -61,8 +70,11 @@ public:
     /// class is (phase, kind): the role, with trackers split by the crown
     /// bit the aftermath rules read — tcnt == k + 1 in ordered mode,
     /// `finished` in the unordered modes.  `may_act` follows δ rule by rule
-    /// (plurality_protocol.cpp); tests/test_activity_classes.cpp checks it
-    /// against δ's exact outcome lists in all three modes.
+    /// (plurality_protocol.cpp); its same-phase rule is the rule table's
+    /// working row (crowned trackers count as trackers), so which role
+    /// pairs each working phase touches is written once, for δ and for the
+    /// classes.  tests/test_activity_classes.cpp checks it against δ's
+    /// exact outcome lists in all three modes.
     [[nodiscard]] std::uint32_t activity_classes() const noexcept;
     [[nodiscard]] std::uint32_t activity_class(const agent_t& agent) const noexcept;
     [[nodiscard]] bool may_act(std::uint32_t initiator_class,
@@ -87,7 +99,6 @@ private:
     // whole call graph can run against sim::delta_replay (see interact).
     template <class R>
     void enter_stage(agent_t& agent, lifecycle_stage target, R& gen) const;
-    void set_phase(agent_t& agent, std::uint8_t phase) const;
     void advance_phase(agent_t& agent) const;
     template <class R>
     void sync_stage_and_phase(agent_t& u, agent_t& v, R& gen) const;
@@ -113,7 +124,23 @@ private:
     void assign_random_role(agent_t& agent, R& gen) const;
     [[nodiscard]] bool is_select_phase(std::uint8_t phase) const noexcept;
 
+    /// A set of (initiator role, responder role) pairs: bit
+    /// 4·initiator role + responder role.
+    using role_pairs = std::uint16_t;
+    /// One rule-table column per phase of the longest tournament cycle.
+    static constexpr std::uint32_t max_phases = 12;
+
     protocol_config cfg_;
+    /// The rule table, built once by the constructor: per (stage, phase),
+    /// the role pairs some rule of δ can change when both agents sit in
+    /// that stage and phase.  Init holds every pair (its rules read
+    /// opinions and tokens, not roles); electing holds clock×clock and
+    /// tracker×tracker; tournaments hold the working row plus clock×clock
+    /// and the aftermath pairs.
+    std::array<std::array<role_pairs, max_phases>, 3> rules_{};  // [stage][phase]
+    /// The tournaments stage's working-phase rules alone
+    /// (`tournament_interact`'s phase switch), which `may_act` reads.
+    std::array<role_pairs, max_phases> working_rules_{};
 };
 
 }  // namespace plurality::core

@@ -16,21 +16,34 @@
 // The census check covers the states a skipping run reaches, the agent
 // check those an unskipped run reaches.  A protocol that adds the hook
 // should copy both.
+//
+// `may_act`'s same-phase rule and δ's early return read one rule table, so
+// a role pair the table drops would escape both checks above.  A third
+// suite pins whole agent-backend trajectories instead: each mode's runs
+// must converge at the interaction count, to the winner, after the number
+// of generator words and in the final configuration recorded with δ
+// running its full transition on every pair.  The configuration matters:
+// in ordered mode a dropped line-up pair leaves the first three unchanged.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
 #include <ostream>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/plurality_protocol.h"
+#include "obs/catalogue.h"
+#include "obs/snapshot.h"
 #include "sim/census_simulator.h"
+#include "sim/census_store.h"
 #include "sim/convergence.h"
 #include "sim/delta_outcomes.h"
 #include "sim/rng.h"
 #include "sim/scheduler.h"
+#include "sim/simulation.h"
 #include "workload/opinion_distribution.h"
 #include "test_support.h"
 
@@ -66,7 +79,7 @@ std::vector<core_agent> initial_agents(const core::protocol_config& cfg, std::ui
         cfg, workload::make_bias_one(cfg.n, cfg.k), setup);
 }
 
-bool all_winners(const std::vector<core_agent>& agents) {
+bool all_winners(std::span<const core_agent> agents) {
     for (const auto& a : agents)
         if (!a.winner) return false;
     return true;
@@ -193,6 +206,73 @@ TEST_P(ActivityClasses, EveryStateHasAClassInRange) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, ActivityClasses,
+                         ::testing::Values(algorithm_mode::ordered, algorithm_mode::unordered,
+                                           algorithm_mode::improved),
+                         ::testing::PrintToStringParamName());
+
+/// Where one agent-backend run of n = 256, k = 3, bias 1 converges.
+struct pinned_run {
+    std::uint64_t seed;
+    std::uint64_t interactions;
+    std::uint32_t winner;
+    std::uint64_t rng_words;
+    std::uint64_t configuration;  ///< configuration_digest at convergence
+};
+
+/// An order-independent digest of a configuration: the sum of its agents'
+/// state hashes.
+std::uint64_t configuration_digest(std::span<const core_agent> agents) {
+    std::uint64_t digest = 0;
+    for (const core_agent& a : agents) digest += sim::state_hash(a);
+    return digest;
+}
+
+std::vector<pinned_run> pinned_runs(algorithm_mode mode) {
+    switch (mode) {
+        case algorithm_mode::ordered:
+            return {{1, 710'656, 1, 725'702, 0x24042900e87f4a44},
+                    {2, 647'936, 1, 664'895, 0x9a531698e55b3ac3},
+                    {3, 672'512, 1, 688'463, 0x30d39bd9c7dfa8c5}};
+        case algorithm_mode::unordered:
+            return {{1, 2'556'160, 1, 2'611'297, 0x058954d1ff9ce98f},
+                    {2, 2'321'152, 1, 2'382'050, 0xd5dad07337a39d8f},
+                    {3, 2'436'096, 1, 2'494'389, 0x38fc91efa31e9316}};
+        case algorithm_mode::improved:
+            return {{1, 2'682'624, 1, 2'735'754, 0x76509617b38565d8},
+                    {2, 2'868'992, 1, 2'918'399, 0x90796a66032a2c9c},
+                    {3, 2'345'216, 1, 2'405'173, 0x35b16abf9cadb3ba}};
+    }
+    return {};
+}
+
+class DeltaTrajectories : public ::testing::TestWithParam<algorithm_mode> {};
+
+TEST_P(DeltaTrajectories, AgentRunsConvergeWhereRecorded) {
+    constexpr std::uint32_t pinned_population = 256;
+    const auto cfg = core::protocol_config::make(GetParam(), pinned_population, opinions);
+    for (const pinned_run& pinned : pinned_runs(GetParam())) {
+        using agent_sim = sim::simulation<core::plurality_protocol>;
+        agent_sim sim{core::plurality_protocol{cfg}, initial_agents(cfg, pinned.seed), pinned.seed};
+        const auto outcome = sim::converge(
+            sim, [](const agent_sim& s) { return all_winners(s.agents()); },
+            sim::interaction_budget(cfg.default_time_budget(), pinned_population),
+            pinned_population);
+        SCOPED_TRACE(::testing::Message() << "seed " << pinned.seed);
+        ASSERT_TRUE(outcome.converged);
+        EXPECT_EQ(outcome.interactions, pinned.interactions);
+        EXPECT_EQ(sim.agents().front().opinion, pinned.winner);
+        EXPECT_EQ(configuration_digest(sim.agents()), pinned.configuration);
+#if PLURALITY_OBS
+        obs::snapshot metrics;
+        sim.collect_metrics(metrics);
+        const obs::sample* words = metrics.find(obs::m_rng_words);
+        ASSERT_NE(words, nullptr);
+        EXPECT_EQ(words->value, pinned.rng_words);
+#endif
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModes, DeltaTrajectories,
                          ::testing::Values(algorithm_mode::ordered, algorithm_mode::unordered,
                                            algorithm_mode::improved),
                          ::testing::PrintToStringParamName());

@@ -22,15 +22,39 @@ namespace {
     return player_side::undecided;
 }
 
-/// The rule-table bit of an (initiator role, responder role) pair.
-constexpr std::uint16_t role_pair(agent_role initiator, agent_role responder) noexcept {
-    return static_cast<std::uint16_t>(
-        1u << (4 * static_cast<unsigned>(initiator) + static_cast<unsigned>(responder)));
+// An agent's kind is its role (agent_role's values), or the tracker's + 2
+// for a crowned tracker (kind_of).
+constexpr std::uint32_t kind_clock = static_cast<std::uint32_t>(agent_role::clock);
+constexpr std::uint32_t kinds = 5;
+
+// Sets of kinds, bit `kind`: every rule but the aftermath's reads a crowned
+// tracker as a tracker.
+constexpr std::uint32_t collectors = 1u << static_cast<std::uint32_t>(agent_role::collector);
+constexpr std::uint32_t clock_kinds = 1u << kind_clock;
+constexpr std::uint32_t uncrowned = 1u << static_cast<std::uint32_t>(agent_role::tracker);
+constexpr std::uint32_t crowned = uncrowned << 2;
+constexpr std::uint32_t trackers = uncrowned | crowned;
+constexpr std::uint32_t players = 1u << static_cast<std::uint32_t>(agent_role::player);
+constexpr std::uint32_t every_kind = (1u << kinds) - 1;
+
+// Activity classes: the wildcard class, the winners, then one class per
+// (stage, phase, kind) of the electing and tournaments stages.
+constexpr std::uint32_t wildcard_class = 0;
+constexpr std::uint32_t winner_class = 1;
+constexpr std::uint32_t first_staged_class = 2;
+
+/// The rule-table bits of every (initiator kind, responder kind) pair with
+/// the initiator in one set and the responder in the other.
+constexpr std::uint32_t pairs_of(std::uint32_t initiators, std::uint32_t responders) noexcept {
+    std::uint32_t bits = 0;
+    for (std::uint32_t kind = 0; kind < kinds; ++kind)
+        if (initiators >> kind & 1u) bits |= responders << (kinds * kind);
+    return bits;
 }
 
-/// Both orders of a role pair.
-constexpr std::uint16_t either_order(agent_role a, agent_role b) noexcept {
-    return static_cast<std::uint16_t>(role_pair(a, b) | role_pair(b, a));
+/// Both orders.
+constexpr std::uint32_t either_order(std::uint32_t a, std::uint32_t b) noexcept {
+    return pairs_of(a, b) | pairs_of(b, a);
 }
 
 }  // namespace
@@ -41,40 +65,43 @@ plurality_protocol::plurality_protocol(protocol_config cfg) : cfg_(cfg) {
                             protocol_config{.mode = algorithm_mode::improved}.phase_modulus()}) ==
                       max_phases,
                   "the rule table has one column per phase of the longest cycle");
-    using enum agent_role;
     // Tournaments, every phase: the leaderless tick, and the aftermath — a
     // crowned tracker crowns defender collectors (either order) and, in the
-    // unordered modes, trackers spread `finished`.
-    role_pairs every_phase = role_pair(clock, clock) | either_order(tracker, collector);
-    if (cfg_.mode != algorithm_mode::ordered) every_phase |= role_pair(tracker, tracker);
-    // Setup re-initializes a collector's load whoever it meets.
-    role_pairs with_collector = 0;
-    for (const agent_role other : {collector, clock, tracker, player})
-        with_collector |= either_order(collector, other);
+    // unordered modes, spreads `finished` to the trackers it meets.
+    std::uint32_t every_phase =
+        pairs_of(clock_kinds, clock_kinds) | either_order(crowned, collectors);
+    if (cfg_.mode != algorithm_mode::ordered) every_phase |= either_order(crowned, uncrowned);
 
-    rules_[static_cast<std::size_t>(lifecycle_stage::init)].fill(0xffff);
+    rules_[static_cast<std::size_t>(lifecycle_stage::init)].fill(pairs_of(every_kind, every_kind));
     for (std::uint32_t phase = 0; phase < cfg_.phase_modulus(); ++phase) {
         // The working phases of tournament_interact.
         const auto p = static_cast<std::uint8_t>(phase);
-        role_pairs working = 0;
+        std::uint32_t working = 0;
         if (is_select_phase(p)) {
-            working = either_order(tracker, collector) | role_pair(tracker, tracker);
+            working = either_order(trackers, collectors) | pairs_of(trackers, trackers);
         } else if (p == cfg_.setup_phase()) {
-            working = with_collector;
+            working = either_order(collectors, every_kind);  // a collector's load resets
         } else if (p == cfg_.cancel_phase()) {
-            working = role_pair(collector, collector);
+            working = pairs_of(collectors, collectors);
         } else if (p == cfg_.lineup_phase() || p == cfg_.conclude_phase()) {
-            working = role_pair(collector, player);
+            working = pairs_of(collectors, players);
         } else if (p == cfg_.match_phase()) {
-            working = role_pair(player, player);
+            working = pairs_of(players, players);
         }
-        working_rules_[phase] = working;
         // Election: the leaderless tick and electing_interact.
         rules_[static_cast<std::size_t>(lifecycle_stage::electing)][phase] =
-            role_pair(clock, clock) | role_pair(tracker, tracker);
+            pairs_of(clock_kinds, clock_kinds) | pairs_of(trackers, trackers);
         rules_[static_cast<std::size_t>(lifecycle_stage::tournaments)][phase] =
             working | every_phase;
     }
+}
+
+std::uint32_t plurality_protocol::kind_of(const agent_t& agent) const noexcept {
+    // Branch-free: δ's early return reads two kinds per interaction.
+    const bool crown = cfg_.mode == algorithm_mode::ordered ? agent.tcnt == cfg_.k + 1
+                                                            : agent.finished;
+    return static_cast<std::uint32_t>(agent.role) +
+           2 * static_cast<std::uint32_t>((agent.role == agent_role::tracker) & crown);
 }
 
 // ---------------------------------------------------------------------------
@@ -610,82 +637,46 @@ void plurality_protocol::tournament_interact(agent_t& u, agent_t& v) const {
 // Activity classes (the census-space backends' skip hook)
 // ---------------------------------------------------------------------------
 
-namespace {
-
-// Class layout: the wildcard class, the winners, then one class per
-// (phase, kind) of the tournaments stage.
-constexpr std::uint32_t wildcard_class = 0;
-constexpr std::uint32_t winner_class = 1;
-constexpr std::uint32_t first_tournament_class = 2;
-
-// A tournament-stage agent's kind: its role (agent_role's values), with the
-// trackers that carry the crown bit apart.
-constexpr std::uint32_t kind_collector = static_cast<std::uint32_t>(agent_role::collector);
-constexpr std::uint32_t kind_clock = static_cast<std::uint32_t>(agent_role::clock);
-constexpr std::uint32_t kind_tracker = static_cast<std::uint32_t>(agent_role::tracker);
-constexpr std::uint32_t kind_crowned = 4;
-constexpr std::uint32_t kinds = 5;
-
-}  // namespace
-
 std::uint32_t plurality_protocol::activity_classes() const noexcept {
-    return first_tournament_class + kinds * cfg_.phase_modulus();
+    return first_staged_class + 2 * kinds * cfg_.phase_modulus();
 }
 
 std::uint32_t plurality_protocol::activity_class(const agent_t& agent) const noexcept {
     if (!agent.ever_initiated) return wildcard_class;
     if (agent.winner) return winner_class;
-    if (agent.stage != lifecycle_stage::tournaments) return wildcard_class;
-    std::uint32_t kind = static_cast<std::uint32_t>(agent.role);
-    if (agent.role == agent_role::tracker) {
-        const bool crowned = cfg_.mode == algorithm_mode::ordered ? agent.tcnt == cfg_.k + 1
-                                                                  : agent.finished;
-        if (crowned) kind = kind_crowned;
-    }
-    return first_tournament_class + agent.phase * kinds + kind;
+    if (agent.stage == lifecycle_stage::init) return wildcard_class;
+    const std::uint32_t stage = static_cast<std::uint32_t>(agent.stage) - 1;
+    return first_staged_class + (stage * cfg_.phase_modulus() + agent.phase) * kinds +
+           kind_of(agent);
 }
 
 bool plurality_protocol::may_act(std::uint32_t initiator_class,
                                  std::uint32_t responder_class) const noexcept {
-    // Outside the tournaments stage, or before a first initiation, anything
-    // may happen.  Winners convert every non-winner and leave each other be.
+    // In the init stage, or before a first initiation, anything may happen.
+    // Winners convert every non-winner and leave each other be.
     if (initiator_class == wildcard_class || responder_class == wildcard_class) return true;
     if (initiator_class == winner_class || responder_class == winner_class)
         return initiator_class != responder_class;
 
-    const std::uint32_t u_phase = (initiator_class - first_tournament_class) / kinds;
-    const std::uint32_t u_kind = (initiator_class - first_tournament_class) % kinds;
-    const std::uint32_t v_phase = (responder_class - first_tournament_class) / kinds;
-    const std::uint32_t v_kind = (responder_class - first_tournament_class) % kinds;
-    const bool u_clock = u_kind == kind_clock;
-    const bool v_clock = v_kind == kind_clock;
-    const bool u_collector = u_kind == kind_collector;
-    const bool v_collector = v_kind == kind_collector;
-    const bool u_crowned = u_kind == kind_crowned;
-    const bool v_crowned = v_kind == kind_crowned;
-    const bool u_tracker = u_kind == kind_tracker || u_crowned;
-    const bool v_tracker = v_kind == kind_tracker || v_crowned;
-
-    // Two clocks always tick (leaderless_tick moves one counter).
-    if (u_clock && v_clock) return true;
-    // Phase broadcast: the circularly-behind agent catches up unless it is
-    // a clock; otherwise skewed phases do no joint work.
-    if (u_phase != v_phase) {
-        return clocks::circular_behind(u_phase, v_phase, cfg_.phase_modulus()) ? !u_clock
-                                                                               : !v_clock;
+    // Decode (stage, phase, kind); `at` counts (stage − 1)·modulus + phase.
+    const std::uint32_t modulus = cfg_.phase_modulus();
+    const std::uint32_t u_at = (initiator_class - first_staged_class) / kinds;
+    const std::uint32_t u_kind = (initiator_class - first_staged_class) % kinds;
+    const std::uint32_t v_at = (responder_class - first_staged_class) / kinds;
+    const std::uint32_t v_kind = (responder_class - first_staged_class) % kinds;
+    // Across stages the stage broadcast, or a clock tick, may act.
+    if (u_at / modulus != v_at / modulus) return true;
+    if (u_at != v_at) {
+        // Two clocks always tick (leaderless_tick moves one counter).
+        // Otherwise the circularly-behind agent catches up unless it is a
+        // clock, and skewed phases do no joint work.
+        if (u_kind == kind_clock && v_kind == kind_clock) return true;
+        return clocks::circular_behind(u_at % modulus, v_at % modulus, modulus)
+                   ? u_kind != kind_clock
+                   : v_kind != kind_clock;
     }
-
-    // Same phase: the working-phase rules of tournament_interact, read off
-    // the rule table's working row.
-    const auto role_of = [](std::uint32_t kind) {
-        return kind == kind_crowned ? agent_role::tracker : static_cast<agent_role>(kind);
-    };
-    if (working_rules_[u_phase] & role_pair(role_of(u_kind), role_of(v_kind))) return true;
-    // Aftermath, in every phase: a crowned tracker crowns defender
-    // collectors (either order), and unordered trackers spread `finished`.
-    if ((u_crowned && v_collector) || (v_crowned && u_collector)) return true;
-    return cfg_.mode != algorithm_mode::ordered && u_tracker && v_tracker &&
-           u_crowned != v_crowned;
+    // One stage and phase: the rule-table row δ's early return reads.
+    return rules_[1 + u_at / modulus][u_at % modulus] >> (kinds * u_kind + v_kind) & 1u;
 }
 
 // ---------------------------------------------------------------------------
@@ -695,12 +686,13 @@ bool plurality_protocol::may_act(std::uint32_t initiator_class,
 template <class R>
 void plurality_protocol::interact(agent_t& u, agent_t& v, R& gen) const {
     // Rule table: two initiated non-winners in one stage and phase whose
-    // role pair no rule of that (stage, phase) touches stay as they are —
+    // kind pair no rule of that (stage, phase) touches stay as they are —
     // the stage and phase broadcasts have nothing to carry and every rule
-    // below is guarded by the roles.  The init row holds every pair.
-    if (u.ever_initiated && !u.winner && !v.winner && u.stage == v.stage && u.phase == v.phase &&
-        !(rules_[static_cast<std::size_t>(u.stage)][u.phase] & role_pair(u.role, v.role)))
-        return;
+    // below is guarded by the kinds.  The init row holds every pair.
+    if (u.ever_initiated && !u.winner && !v.winner && u.stage == v.stage && u.phase == v.phase) {
+        const std::uint32_t row = rules_[static_cast<std::size_t>(u.stage)][u.phase];
+        if (!(row >> (kinds * kind_of(u) + kind_of(v)) & 1u)) return;
+    }
 
     // Algorithm 3, lines 1-2: opinion-1 agents mark themselves defenders on
     // their first interaction as initiator (ordered algorithm only).

@@ -53,7 +53,7 @@ public:
     ///
     /// δ runs on every interaction the agent backend schedules, and opens
     /// with one rule-table test: an initiated initiator and a responder,
-    /// neither a winner, in the same post-init stage and phase, whose role
+    /// neither a winner, in the same post-init stage and phase, whose kind
     /// pair no rule of that (stage, phase) touches, are left as they are
     /// without reading anything else.  Every other pair runs the full
     /// transition, so the early return draws nothing and moves no
@@ -63,18 +63,18 @@ public:
 
     /// Activity-class hook (sim/census_store.h): the census-space backends
     /// skip, without calling δ, every interaction whose class pair
-    /// `may_act` declares inactive.  Class 0 holds every agent outside the
-    /// tournaments stage and every agent that never initiated (its first
-    /// initiation always sets `ever_initiated`); class 1 holds the winners
-    /// (they convert everyone but each other).  In the tournaments stage a
-    /// class is (phase, kind): the role, with trackers split by the crown
-    /// bit the aftermath rules read — tcnt == k + 1 in ordered mode,
-    /// `finished` in the unordered modes.  `may_act` follows δ rule by rule
-    /// (plurality_protocol.cpp); its same-phase rule is the rule table's
-    /// working row (crowned trackers count as trackers), so which role
-    /// pairs each working phase touches is written once, for δ and for the
-    /// classes.  tests/test_activity_classes.cpp checks it against δ's
-    /// exact outcome lists in all three modes.
+    /// `may_act` declares inactive.  Class 0 holds every agent that never
+    /// initiated (its first initiation always sets `ever_initiated`) and
+    /// every non-winner in the init stage; class 1 holds the initiated
+    /// winners (they convert everyone but each other).  Every other agent's
+    /// class is (stage, phase, kind), electing and tournaments alike.
+    /// `may_act` answers a pair in one stage and phase from the rule table
+    /// δ's early return reads, so which pairs can act is written once; what
+    /// the table cannot say — pairs across stages, two clocks, the phase
+    /// catch-up — it states beside it.  tests/test_activity_classes.cpp
+    /// checks the declaration against δ's exact outcome lists in all three
+    /// modes and pins whole agent trajectories, which guard the table
+    /// itself.
     [[nodiscard]] std::uint32_t activity_classes() const noexcept;
     [[nodiscard]] std::uint32_t activity_class(const agent_t& agent) const noexcept;
     [[nodiscard]] bool may_act(std::uint32_t initiator_class,
@@ -124,23 +124,23 @@ private:
     void assign_random_role(agent_t& agent, R& gen) const;
     [[nodiscard]] bool is_select_phase(std::uint8_t phase) const noexcept;
 
-    /// A set of (initiator role, responder role) pairs: bit
-    /// 4·initiator role + responder role.
-    using role_pairs = std::uint16_t;
+    /// An agent's kind: its role, with the trackers that carry the crown
+    /// bit the aftermath reads (tcnt == k + 1 in ordered mode, `finished`
+    /// otherwise) apart as a fifth kind.
+    [[nodiscard]] std::uint32_t kind_of(const agent_t& agent) const noexcept;
+
     /// One rule-table column per phase of the longest tournament cycle.
     static constexpr std::uint32_t max_phases = 12;
 
     protocol_config cfg_;
     /// The rule table, built once by the constructor: per (stage, phase),
-    /// the role pairs some rule of δ can change when both agents sit in
-    /// that stage and phase.  Init holds every pair (its rules read
-    /// opinions and tokens, not roles); electing holds clock×clock and
-    /// tracker×tracker; tournaments hold the working row plus clock×clock
-    /// and the aftermath pairs.
-    std::array<std::array<role_pairs, max_phases>, 3> rules_{};  // [stage][phase]
-    /// The tournaments stage's working-phase rules alone
-    /// (`tournament_interact`'s phase switch), which `may_act` reads.
-    std::array<role_pairs, max_phases> working_rules_{};
+    /// the (initiator kind, responder kind) pairs some rule of δ can change
+    /// when both agents sit in that stage and phase, bit 5·initiator kind +
+    /// responder kind.  Init holds every pair (its rules read opinions and
+    /// tokens, not roles); electing holds clock×clock and tracker×tracker;
+    /// tournaments hold the working row (a crowned tracker counts as a
+    /// tracker), clock×clock and the aftermath pairs.
+    std::array<std::array<std::uint32_t, max_phases>, 3> rules_{};  // [stage][phase]
 };
 
 }  // namespace plurality::core

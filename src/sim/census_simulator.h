@@ -168,6 +168,7 @@ public:
                             (successor_.capacity() + occupied_.capacity() + live_.capacity()) *
                                 sizeof(std::uint32_t) +
                             classes_.capacity() * sizeof(class_tree) +
+                            acts_.capacity() * sizeof(std::int8_t) +
                             index_.size() * (sizeof(std::uint32_t) + 2 * sizeof(void*));
         for (const auto& tree : classes_) {
             bytes += tree.tree.capacity() * sizeof(std::uint64_t) +

@@ -17,13 +17,16 @@
 // check those an unskipped run reaches.  A protocol that adds the hook
 // should copy both.
 //
-// `may_act`'s same-phase rule and δ's early return read one rule table, so
-// a role pair the table drops would escape both checks above.  A third
-// suite pins whole agent-backend trajectories instead: each mode's runs
-// must converge at the interaction count, to the winner, after the number
-// of generator words and in the final configuration recorded with δ
-// running its full transition on every pair.  The configuration matters:
-// in ordered mode a dropped line-up pair leaves the first three unchanged.
+// `may_act` answers every pair in one stage and phase from the rule table
+// δ's early return reads, so on those pairs the enumeration replays the
+// same early return and both checks above are circular: a kind pair the
+// table drops escapes them.  They still check independently what `may_act`
+// states beside the table (pairs across stages and phases).  A third suite
+// pins whole agent-backend trajectories instead: each mode's runs must
+// converge at the interaction count, to the winner, after the number of
+// generator words and in the final configuration recorded with δ running
+// its full transition on every pair.  The configuration matters: in
+// ordered mode a dropped line-up pair leaves the first three unchanged.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -85,16 +88,22 @@ bool all_winners(std::span<const core_agent> agents) {
     return true;
 }
 
+/// Distinct declared-inactive pairs a census check enumerated.
+struct checked_pairs {
+    std::uint64_t all = 0;
+    std::uint64_t electing = 0;  ///< both agents in the electing stage
+};
+
 /// Runs one census trial and checks every declared-inactive ordered pair of
-/// co-occupied states against δ's exact outcome list.  Returns the number
-/// of distinct pairs checked.
-std::uint64_t check_census_run(algorithm_mode mode, std::uint64_t seed) {
+/// co-occupied states against δ's exact outcome list.
+checked_pairs check_census_run(algorithm_mode mode, std::uint64_t seed) {
     using census_sim = sim::census_simulator<core::plurality_protocol>;
     const auto cfg = core::protocol_config::make(mode, population, opinions);
     const core::plurality_protocol protocol{cfg};
     census_sim sim{protocol, initial_agents(cfg, seed), seed};
 
     std::set<std::string> checked;  // test::state_bytes of both states
+    std::uint64_t electing = 0;
     std::vector<sim::delta_outcome<core_agent>> outcomes;
     std::vector<core_agent> states;
     bool sound = true;
@@ -110,6 +119,9 @@ std::uint64_t check_census_run(algorithm_mode mode, std::uint64_t seed) {
             for (const core_agent& v : states) {
                 if (!declared_inactive(protocol, u, v)) continue;
                 if (!checked.insert(test::state_bytes(u) + test::state_bytes(v)).second) continue;
+                if (u.stage == core::lifecycle_stage::electing &&
+                    v.stage == core::lifecycle_stage::electing)
+                    ++electing;
                 const bool listed = sim::enumerate_delta_outcomes(protocol, u, v, outcomes);
                 const bool identity = listed && outcomes.size() == 1 &&
                                       outcomes[0].probability == 1.0 &&
@@ -127,7 +139,7 @@ std::uint64_t check_census_run(algorithm_mode mode, std::uint64_t seed) {
     };
     sim::converge(sim, check, sim::interaction_budget(cfg.default_time_budget(), population),
                   8 * population);
-    return checked.size();
+    return {checked.size(), electing};
 }
 
 /// Runs one agent-based trial, evaluating δ on every interaction, and checks
@@ -168,11 +180,19 @@ std::uint64_t check_agent_run(algorithm_mode mode, std::uint64_t seed) {
 class ActivityClasses : public ::testing::TestWithParam<algorithm_mode> {};
 
 TEST_P(ActivityClasses, InactivePairsOfCensusStatesEnumerateToTheIdentity) {
-    std::uint64_t checked = 0;
-    for (const std::uint64_t seed : seeds) checked += check_census_run(GetParam(), seed);
-    // Most class pairs of the tournaments stage are inactive: the check
-    // must have had plenty to look at.
-    EXPECT_GT(checked, 1000u);
+    checked_pairs checked;
+    for (const std::uint64_t seed : seeds) {
+        const checked_pairs run = check_census_run(GetParam(), seed);
+        checked.all += run.all;
+        checked.electing += run.electing;
+    }
+    // Most class pairs past init are inactive: the check must have had
+    // plenty to look at, the election's classes included (ordered mode
+    // elects no leader).
+    EXPECT_GT(checked.all, 1000u);
+    if (GetParam() != algorithm_mode::ordered) {
+        EXPECT_GT(checked.electing, 0u);
+    }
 }
 
 TEST_P(ActivityClasses, AgentLoopNeverSeesAnInactivePairChangeAnAgent) {
@@ -182,27 +202,65 @@ TEST_P(ActivityClasses, AgentLoopNeverSeesAnInactivePairChangeAnAgent) {
 }
 
 TEST_P(ActivityClasses, EveryStateHasAClassInRange) {
+    using core::agent_role;
+    using core::lifecycle_stage;
     const auto cfg = core::protocol_config::make(GetParam(), population, opinions);
     const core::plurality_protocol protocol{cfg};
-    // Two classes outside the tournaments stage, five kinds per phase in it.
-    EXPECT_EQ(protocol.activity_classes(), 2 + 5 * cfg.phase_modulus());
+    // Two classes before the election, five kinds per (stage, phase) of the
+    // electing and tournaments stages.
+    const std::uint32_t classes = protocol.activity_classes();
+    EXPECT_EQ(classes, 2 + 2 * 5 * cfg.phase_modulus());
     core_agent a;
     EXPECT_EQ(protocol.activity_class(a), 0u);  // never initiated
     a.ever_initiated = true;
+    EXPECT_EQ(protocol.activity_class(a), 0u);  // init stage
     a.winner = true;
     EXPECT_EQ(protocol.activity_class(a), 1u);
     EXPECT_FALSE(protocol.may_act(1, 1));
     a.winner = false;
-    a.stage = core::lifecycle_stage::tournaments;
-    for (std::uint32_t phase = 0; phase < cfg.phase_modulus(); ++phase) {
-        a.phase = static_cast<std::uint8_t>(phase);
-        for (const auto role : {core::agent_role::collector, core::agent_role::clock,
-                                core::agent_role::tracker, core::agent_role::player}) {
-            a.role = role;
-            EXPECT_LT(protocol.activity_class(a), protocol.activity_classes());
-            EXPECT_GE(protocol.activity_class(a), 2u);
+
+    // Every (stage, phase, kind) has a class of its own in [2, C); a
+    // tracker is crowned by tcnt = k + 1 in ordered mode and by `finished`
+    // in the others, so the crowned one sets both.
+    const auto of_kind = [&](core_agent agent, agent_role role, bool crowned) {
+        agent.role = role;
+        agent.tcnt = crowned ? cfg.k + 1 : 1;
+        agent.finished = crowned;
+        return agent;
+    };
+    std::set<std::uint32_t> seen;
+    for (const auto stage : {lifecycle_stage::electing, lifecycle_stage::tournaments}) {
+        a.stage = stage;
+        for (std::uint32_t phase = 0; phase < cfg.phase_modulus(); ++phase) {
+            a.phase = static_cast<std::uint8_t>(phase);
+            for (const auto role : {agent_role::collector, agent_role::clock, agent_role::tracker,
+                                    agent_role::player}) {
+                for (const bool crowned : {false, true}) {
+                    if (crowned && role != agent_role::tracker) continue;
+                    const std::uint32_t c = protocol.activity_class(of_kind(a, role, crowned));
+                    EXPECT_GE(c, 2u);
+                    EXPECT_LT(c, classes);
+                    EXPECT_TRUE(seen.insert(c).second) << "class " << c << " taken twice";
+                }
+            }
         }
     }
+
+    // The electing row: in one phase only the tick and electing_interact
+    // act; an electing agent and a tournaments agent may always act.
+    a.stage = lifecycle_stage::electing;
+    a.phase = 3;
+    const auto cls = [&](agent_role role) {
+        return protocol.activity_class(of_kind(a, role, false));
+    };
+    EXPECT_FALSE(protocol.may_act(cls(agent_role::collector), cls(agent_role::player)));
+    EXPECT_FALSE(protocol.may_act(cls(agent_role::player), cls(agent_role::player)));
+    EXPECT_TRUE(protocol.may_act(cls(agent_role::tracker), cls(agent_role::tracker)));
+    EXPECT_TRUE(protocol.may_act(cls(agent_role::clock), cls(agent_role::clock)));
+    core_agent later = of_kind(a, agent_role::player, false);
+    later.stage = lifecycle_stage::tournaments;
+    EXPECT_TRUE(protocol.may_act(cls(agent_role::player), protocol.activity_class(later)));
+    EXPECT_TRUE(protocol.may_act(protocol.activity_class(later), cls(agent_role::player)));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, ActivityClasses,

@@ -36,6 +36,7 @@
 #include "sim/population_view.h"
 #include "sim/rng.h"
 #include "sim/trial_executor.h"
+#include "workload/opinion_distribution.h"
 #include "test_support.h"
 
 namespace {
@@ -358,6 +359,19 @@ TEST(CensusSimulator, MemoryScalesWithStatesNotPopulation) {
     small.run_for(100);
     large.run_for(100);
     EXPECT_EQ(small.memory_bytes(), large.memory_bytes());
+}
+
+TEST(CensusSimulator, MemoryCountsTheMayActMemo) {
+    // The may-act memo keeps one byte per ordered class pair: for the
+    // tournament's (stage, phase, kind) classes that is more than the class
+    // trees hold before the run fills them.
+    const auto cfg = core::protocol_config::make(core::algorithm_mode::unordered, 350, 4);
+    const core::plurality_protocol protocol{cfg};
+    const sim::census_simulator<core::plurality_protocol> tournament{
+        protocol, core::plurality_protocol::initial_census(cfg, workload::make_bias_one(350, 4)),
+        19};
+    const std::size_t classes = protocol.activity_classes();
+    EXPECT_GE(tournament.memory_bytes(), classes * classes);
 }
 
 // -- state identity: a census state is its bytes -----------------------------

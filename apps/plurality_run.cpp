@@ -22,11 +22,11 @@
 // Backends: --backend agent (default) simulates every agent individually,
 // O(n) memory; --backend census simulates the state census (one counter per
 // occupied state), O(S) memory — the backend for population sizes far
-// beyond what per-agent storage can hold; --backend leap steps the same
-// census a whole collision-free run at a time, sampling each run's
-// pair-type contingency table directly — the fastest backend for
-// small-occupancy protocols, independent of the run length (see
-// docs/ARCHITECTURE.md).
+// beyond what per-agent storage can hold.  It samples whole collision-free
+// runs as their pair-type contingency table where few states are occupied,
+// and steps one executed interaction at a time elsewhere (see
+// docs/ARCHITECTURE.md).  --backend leap is the census backend's old name:
+// the same simulator, reported under that name.
 //
 // Malformed values fail with one line on stderr and exit status 2 (no usage
 // dump): an unknown --backend, a --trace-cadence that is not a finite value

@@ -58,9 +58,11 @@ std::vector<sim::census_entry<baselines::usd_agent>> usd_census(std::uint32_t n,
 
 void BM_CensusThroughput(benchmark::State& state) {
     const auto n = static_cast<std::uint32_t>(state.range(0));
-    // A fixed interaction budget regardless of n: the census backend's cost
-    // per interaction is O(log S), so rows across the n sweep should be
-    // flat — any growth is a regression in the sampling structure.
+    // A fixed interaction budget regardless of n, stepped one interaction at
+    // a time (`advance`, not the table runs `run_for` would pick for USD's
+    // few states): the cost per interaction is O(log S), so rows across the
+    // n sweep should be flat — any growth is a regression in the sampling
+    // structure.
     constexpr std::uint64_t budget = 4'000'000;
 
     std::uint64_t total_interactions = 0;
@@ -71,7 +73,7 @@ void BM_CensusThroughput(benchmark::State& state) {
     for (auto _ : state) {
         usd_census_sim sim{{}, usd_census(n, opinion_count), 0xe15000 + n + iteration++};
         const auto started = std::chrono::steady_clock::now();
-        sim.run_for(budget);
+        sim.advance(budget);
         const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - started;
         total_interactions += sim.interactions();
         total_seconds += elapsed.count();

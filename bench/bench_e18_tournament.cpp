@@ -1,11 +1,11 @@
 // E18 — randomized-δ group path: the paper's own tournament protocols on
-// the leap backend at n up to 10⁹.
+// the census simulator's table path at n up to 10⁹.
 //
-// E17 ran the leap backend on protocols with *deterministic* δ, where a
+// E17 ran the table path on protocols with *deterministic* δ, where a
 // collision-free group advances by pure counter moves.  The tournament
 // protocols (leader election, exact plurality) consult the RNG inside δ on
 // many pairs — per-pair that costs one or more draws per interaction, m
-// draws for a group of m.  The leap backend replays each ordered state pair
+// draws for a group of m.  The table path replays each ordered state pair
 // against an empty script first (sim::choice_free_delta): a pair that makes
 // no random choice moves its group with that one evaluation, as E17's
 // protocols do.  For the others, the randomized-δ group path
@@ -18,16 +18,16 @@
 //
 //  * TournamentGroupSpeedup — grouped vs per-pair-fallback (a wrapper whose
 //    `interact` takes only a `sim::rng&`, which hides the group path) inside
-//    one row on the leap backend: same protocol, same n, same fixed
+//    one row on the census simulator: same protocol, same n, same fixed
 //    interaction budget.  The `speedup` counter is the acceptance bar: ≥ 5×
 //    on both protocols at n = 10⁹.  Budgets are fixed interaction counts
 //    (full tournament convergence at n = 10⁹ is ~10¹³ interactions — not a
 //    benchmark row), so the rows measure the early small-occupancy regime
-//    where group sizes are largest; that is exactly the regime the leap
-//    backend exists for.
+//    where group sizes are largest; that is exactly the regime the table
+//    path exists for.
 //
 //  * TournamentLeapBudget — end-to-end scenario-layer runs of the ordered
-//    plurality tournament and leader election on the leap backend at
+//    plurality tournament and leader election on the census backend at
 //    n = 10⁹ under a parallel-time budget, with wall_seconds and
 //    interactions/sec counters: the "paper protocols actually run at a
 //    billion agents" demonstration.
@@ -43,7 +43,7 @@
 #include "leader/leader_election.h"
 #include "scenario/registry.h"
 #include "scenario/runner.h"
-#include "sim/leap_census_simulator.h"
+#include "sim/census_simulator.h"
 #include "workload/opinion_distribution.h"
 
 namespace {
@@ -100,8 +100,8 @@ constexpr std::uint64_t tournament_budget = 20'000'000;
 template <class Rows>
 void BM_TournamentGroupSpeedup(benchmark::State& state) {
     using protocol_t = typename Rows::protocol_t;
-    using grouped_sim = sim::leap_census_simulator<protocol_t>;
-    using fallback_sim = sim::leap_census_simulator<per_pair_only<protocol_t>>;
+    using grouped_sim = sim::census_simulator<protocol_t>;
+    using fallback_sim = sim::census_simulator<per_pair_only<protocol_t>>;
 
     const auto n = static_cast<std::uint64_t>(state.range(0));
     double grouped_seconds = 0.0;
@@ -135,7 +135,7 @@ void BM_TournamentGroupSpeedup(benchmark::State& state) {
     };
     state.counters["grouped_interactions_per_sec"] = rate(grouped_seconds);
     state.counters["fallback_interactions_per_sec"] = rate(fallback_seconds);
-    state.SetLabel(std::string(Rows::label) + "/leap");
+    state.SetLabel(std::string(Rows::label) + "/census");
 }
 
 BENCHMARK(BM_TournamentGroupSpeedup<leader_rows>)
@@ -153,7 +153,7 @@ BENCHMARK(BM_TournamentGroupSpeedup<plurality_rows>)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-/// End-to-end scenario-layer slice of a tournament protocol on the leap
+/// End-to-end scenario-layer slice of a tournament protocol on the census
 /// backend at n = 10⁹: a fixed parallel-time budget (full convergence is
 /// Θ(log² n) parallel time ≈ 10¹³ interactions — out of reach for any
 /// single-node simulator), reporting wall clock and throughput.
@@ -177,7 +177,7 @@ void BM_TournamentLeapBudget(benchmark::State& state) {
         const auto started = std::chrono::steady_clock::now();
         const auto result =
             scenario::run_scenario_trials(*s, params, 1, 0xe18900 + iteration++,
-                                          bench::shared_executor(), scenario::backend_kind::leap);
+                                          bench::shared_executor(), scenario::backend_kind::census);
         const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - started;
         total_interactions += result.summary.total_interactions;
         total_seconds += elapsed.count();
@@ -188,7 +188,7 @@ void BM_TournamentLeapBudget(benchmark::State& state) {
         total_seconds > 0.0 ? static_cast<double>(total_interactions) / total_seconds : 0.0;
     state.counters["wall_seconds"] =
         iteration > 0 ? total_seconds / static_cast<double>(iteration) : 0.0;
-    state.SetLabel(leader_row ? "leader/election@leap" : "plurality/ordered@leap");
+    state.SetLabel(leader_row ? "leader/election@census" : "plurality/ordered@census");
 }
 BENCHMARK(BM_TournamentLeapBudget)
     ->ArgNames({"scenario"})

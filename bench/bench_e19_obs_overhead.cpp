@@ -1,11 +1,11 @@
-// E19 — observability overhead: the instrumented leap hot loop vs the same
-// loop with instrumentation compiled out, in one binary.
+// E19 — observability overhead: the instrumented census simulator vs the
+// same simulator with instrumentation compiled out, in one binary.
 //
 // The obs layer (src/obs/) is designed to be cheap enough to leave on: all
 // counters are single adds on cold or already-memory-bound paths, and phase
 // timers are *run*-granular (a handful of rdtsc reads per collision-free
 // run, never per interaction).  This experiment pins that claim with a
-// number.  Both arms instantiate the same leap simulator template — one
+// number.  Both arms instantiate the same census simulator template — one
 // with obs::enabled, one with obs::disabled (the [[no_unique_address]]
 // no-op policy) — so a single Release binary carries an honest A/B: same
 // compiler, same flags, same link, only the policy differs.
@@ -39,7 +39,7 @@
 #include "epidemic/epidemic.h"
 #include "majority/three_state.h"
 #include "obs/metrics.h"
-#include "sim/leap_census_simulator.h"
+#include "sim/census_simulator.h"
 
 namespace {
 
@@ -60,7 +60,7 @@ three_entries three_state_census(std::uint64_t n) {
 }
 
 // Sized so each arm's wall time is well clear of timer noise (>= 0.5 s per
-// side at n = 10⁹ on the reference machine): the leap hot loop spends its
+// side at n = 10⁹ on the reference machine): the table runs spend their
 // cost in the pre-absorption regime, so the budget spans full epidemic
 // convergence (~30 parallel time at n = 10⁹) rather than stopping inside
 // it.
@@ -98,9 +98,9 @@ void BM_ObsOverhead(benchmark::State& state) {
         ++iteration;
         if constexpr (three_state_rows) {
             using enabled_sim =
-                sim::leap_census_simulator<majority::three_state_protocol, void, obs::enabled>;
+                sim::census_simulator<majority::three_state_protocol, void, obs::enabled>;
             using disabled_sim =
-                sim::leap_census_simulator<majority::three_state_protocol, void, obs::disabled>;
+                sim::census_simulator<majority::three_state_protocol, void, obs::disabled>;
             const auto entries = three_state_census(n);
             double e = 0.0;
             double d = 0.0;
@@ -116,9 +116,9 @@ void BM_ObsOverhead(benchmark::State& state) {
             iteration_ratios.push_back(d / e);
         } else {
             using enabled_sim =
-                sim::leap_census_simulator<epidemic::epidemic_protocol, void, obs::enabled>;
+                sim::census_simulator<epidemic::epidemic_protocol, void, obs::enabled>;
             using disabled_sim =
-                sim::leap_census_simulator<epidemic::epidemic_protocol, void, obs::disabled>;
+                sim::census_simulator<epidemic::epidemic_protocol, void, obs::disabled>;
             const auto entries = epidemic_census(n);
             double e = 0.0;
             double d = 0.0;

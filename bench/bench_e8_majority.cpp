@@ -11,6 +11,7 @@
 #include "majority/cancel_double.h"
 #include "majority/three_state.h"
 #include "bench/bench_common.h"
+#include "sim/census_store.h"
 #include "sim/convergence.h"
 #include "sim/trial_executor.h"
 #include "sim/simulation.h"
@@ -21,6 +22,15 @@ using namespace plurality;
 using namespace plurality::majority;
 
 constexpr std::uint32_t population = 4096;
+
+/// `census` laid out as shuffled agents for a trial seeded with `seed`, the
+/// shuffle on a stream of its own.
+template <class Agent>
+std::vector<Agent> agents_of(const std::vector<sim::census_entry<Agent>>& census,
+                             std::uint64_t seed) {
+    sim::rng setup(sim::derive_seed(seed, 0xe8));
+    return sim::expand_census(census, setup);
+}
 
 std::uint32_t bias_from_code(std::int64_t code) {
     // 1 => bias 1; 2 => sqrt(n·log n); 3 => n/4.
@@ -41,7 +51,7 @@ void BM_ThreeState(benchmark::State& state) {
     const std::uint32_t plus = population - minus;
     for (auto _ : state) {
         const auto summary = bench::shared_executor().run(20, 0xe8100 + bias, [&](std::uint64_t seed) {
-            auto agents = make_three_state_population(plus, minus, 0);
+            auto agents = agents_of(three_state_census(plus, minus, 0), seed);
             sim::simulation<three_state_protocol> s{three_state_protocol{}, std::move(agents),
                                                     seed};
             (void)sim::converge(
@@ -66,7 +76,7 @@ void BM_Averaging(benchmark::State& state) {
     const std::int64_t amp = default_amplification(population);
     for (auto _ : state) {
         const auto summary = bench::shared_executor().run(20, 0xe8200 + bias, [&](std::uint64_t seed) {
-            auto agents = make_averaging_population(plus, minus, 0, amp);
+            auto agents = agents_of(averaging_census(plus, minus, 0, amp), seed);
             sim::simulation<averaging_majority_protocol> s{averaging_majority_protocol{},
                                                            std::move(agents), seed};
             (void)sim::converge(
@@ -95,7 +105,7 @@ void BM_CancelDouble(benchmark::State& state) {
     const std::uint8_t cap = default_level_cap(population);
     for (auto _ : state) {
         const auto summary = bench::shared_executor().run(20, 0xe8300 + bias, [&](std::uint64_t seed) {
-            auto agents = make_cancel_double_population(plus, minus, 0);
+            auto agents = agents_of(cancel_double_census(plus, minus, 0), seed);
             sim::simulation<cancel_double_protocol> s{cancel_double_protocol{cap},
                                                       std::move(agents), seed};
             (void)sim::converge(

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Prints docs/ARCHITECTURE.md's "Choosing a backend" table as markdown: one
-# row per plurality/{ordered,unordered,improved} x {agent, census, leap} run
+# row per plurality/{ordered,unordered,improved} x {agent, census} run
 # at --k 4 --seed 1 --trials 1 (the bias-1 workload), with the trial's wall
 # seconds from the --metrics sidecar, its parallel time, and the skipped
 # share absorbed_fast_path_interactions_total / interactions_total (a dash
@@ -21,7 +21,7 @@ trap 'rm -f "$doc" "$sidecar"' EXIT
 echo "| mode | backend | trial wall s | parallel time | skipped share |"
 echo "| --- | --- | --- | --- | --- |"
 for mode in ordered unordered improved; do
-    for backend in agent census leap; do
+    for backend in agent census; do
         "$run_binary" --scenario "plurality/$mode" --n "$n" --k 4 --seed 1 --trials 1 \
             --backend "$backend" --out "$doc" --metrics "$sidecar" >/dev/null 2>&1
         python3 - "$doc" "$sidecar" "$mode" "$backend" <<'EOF'

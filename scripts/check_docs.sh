@@ -5,8 +5,9 @@
 #     appear in docs/EXPERIMENTS.md's scenario table, so registering a
 #     scenario without documenting it fails the build.
 #  2. Metric coverage: every metric `plurality_run --list-metrics` reports
-#     must appear in docs/OBSERVABILITY.md's catalogue table, so
-#     registering a metric without documenting it fails the build too.
+#     must appear in docs/OBSERVABILITY.md's catalogue table with the same
+#     kind and backends, so registering a metric without documenting it, or
+#     moving it to another backend without saying so, fails the build too.
 #  3. Link check: every relative markdown link in README.md and docs/*.md
 #     must point at a file that exists (anchors and external URLs are not
 #     checked).
@@ -46,10 +47,11 @@ if [[ ! -f "$observability_doc" ]]; then
     echo "check_docs: missing $observability_doc" >&2
     exit 1
 fi
-while read -r metric _; do
+while read -r metric kind backends _; do
     [[ -z "$metric" ]] && continue
-    if ! grep -qF "\`$metric\`" "$observability_doc"; then
-        echo "check_docs: metric '$metric' is registered but missing from docs/OBSERVABILITY.md" >&2
+    row="| \`$metric\` | $kind | ${backends//|/, } |"
+    if ! grep -qF -- "$row" "$observability_doc"; then
+        echo "check_docs: docs/OBSERVABILITY.md has no catalogue row '$row' for registered metric '$metric'" >&2
         failures=1
     fi
 done < <("$run_binary" --list-metrics)

@@ -2,12 +2,12 @@
 # Writes the deterministic output of a fixed set of runs into one directory,
 # so two builds (or two thread counts) can be compared with `diff -r`.
 #
-# Every scenario `plurality_run --list` reports runs on the agent, census and
-# leap backends at the sizes of tests/test_support.h's `small_params`
+# Every scenario `plurality_run --list` reports runs on the agent and census
+# backends at the sizes of tests/test_support.h's `small_params`
 # (plurality --n 512 --k 2, baselines --n 257 --k 3, majority --n 300
 # --bias 10, leader --n 256, the rest --n 512) with --trials 3 --seed 7,
 # plus the benchmark's workload plurality/ordered --n 350 --k 4 --trials 10
-# --seed 1 on census and leap.  For each run the directory keeps the --out
+# --seed 1 on census.  For each run the directory keeps the --out
 # document (NAME.json) and the `deterministic` object of the --metrics
 # sidecar (NAME.metrics.json); the sidecar's wall-clock `timing` object is
 # dropped.  Extra flags (e.g. --threads 4) are passed to every run.
@@ -52,17 +52,15 @@ while read -r scenario family _; do
         leader) size=(--n 256) ;;
         *) size=(--n 512) ;;
     esac
-    for backend in agent census leap; do
+    for backend in agent census; do
         run "${scenario//\//_}.$backend" --scenario "$scenario" "${size[@]}" \
             --backend "$backend" --trials 3 --seed 7
         runs=$((runs + 1))
     done
 done < <("$run_binary" --list)
 
-for backend in census leap; do
-    run "plurality_ordered_n350_k4.$backend" --scenario plurality/ordered --n 350 --k 4 \
-        --backend "$backend" --trials 10 --seed 1
-    runs=$((runs + 1))
-done
+run plurality_ordered_n350_k4.census --scenario plurality/ordered --n 350 --k 4 \
+    --backend census --trials 10 --seed 1
+runs=$((runs + 1))
 
 echo "deterministic_docs: $runs runs written to $out_dir"

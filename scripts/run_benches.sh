@@ -67,8 +67,9 @@ for bin in "${binaries[@]}"; do
         echo "run_benches:          (our binaries are Release; see plurality_build_type)" >&2
     fi
     # E19 acceptance gate: the observability layer must cost <= 2% of the
-    # leap hot loop (docs/OBSERVABILITY.md documents the methodology).  A
-    # recorded BENCH_E19.json that fails the bar must not be checked in.
+    # census simulator's table runs (docs/OBSERVABILITY.md documents the
+    # methodology).  A recorded BENCH_E19.json that fails the bar must not
+    # be checked in.
     if [[ "$number" == "19" ]]; then
         python3 - "$out" <<'PYEOF'
 import json, sys

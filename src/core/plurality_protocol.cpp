@@ -38,7 +38,8 @@ constexpr std::uint32_t players = 1u << static_cast<std::uint32_t>(agent_role::p
 constexpr std::uint32_t every_kind = (1u << kinds) - 1;
 
 // Activity classes: the wildcard class, the winners, then one class per
-// (stage, phase, kind) of the electing and tournaments stages.
+// (stage, phase, kind) of the tournaments stage and, after them, of the
+// electing stage, which ordered mode never enters and so does not declare.
 constexpr std::uint32_t wildcard_class = 0;
 constexpr std::uint32_t winner_class = 1;
 constexpr std::uint32_t first_staged_class = 2;
@@ -634,18 +635,19 @@ void plurality_protocol::tournament_interact(agent_t& u, agent_t& v) const {
 }
 
 // ---------------------------------------------------------------------------
-// Activity classes (the census-space backends' skip hook)
+// Activity classes (the census backend's skip hook)
 // ---------------------------------------------------------------------------
 
 std::uint32_t plurality_protocol::activity_classes() const noexcept {
-    return first_staged_class + 2 * kinds * cfg_.phase_modulus();
+    const std::uint32_t stages = cfg_.mode == algorithm_mode::ordered ? 1 : 2;
+    return first_staged_class + stages * kinds * cfg_.phase_modulus();
 }
 
 std::uint32_t plurality_protocol::activity_class(const agent_t& agent) const noexcept {
     if (!agent.ever_initiated) return wildcard_class;
     if (agent.winner) return winner_class;
     if (agent.stage == lifecycle_stage::init) return wildcard_class;
-    const std::uint32_t stage = static_cast<std::uint32_t>(agent.stage) - 1;
+    const std::uint32_t stage = agent.stage == lifecycle_stage::tournaments ? 0 : 1;
     return first_staged_class + (stage * cfg_.phase_modulus() + agent.phase) * kinds +
            kind_of(agent);
 }
@@ -658,7 +660,8 @@ bool plurality_protocol::may_act(std::uint32_t initiator_class,
     if (initiator_class == winner_class || responder_class == winner_class)
         return initiator_class != responder_class;
 
-    // Decode (stage, phase, kind); `at` counts (stage − 1)·modulus + phase.
+    // Decode (stage, phase, kind); `at` counts stage·modulus + phase, stage 0
+    // being the tournaments and stage 1 the election.
     const std::uint32_t modulus = cfg_.phase_modulus();
     const std::uint32_t u_at = (initiator_class - first_staged_class) / kinds;
     const std::uint32_t u_kind = (initiator_class - first_staged_class) % kinds;
@@ -676,7 +679,10 @@ bool plurality_protocol::may_act(std::uint32_t initiator_class,
                    : v_kind != kind_clock;
     }
     // One stage and phase: the rule-table row δ's early return reads.
-    return rules_[1 + u_at / modulus][u_at % modulus] >> (kinds * u_kind + v_kind) & 1u;
+    const lifecycle_stage stage =
+        u_at < modulus ? lifecycle_stage::tournaments : lifecycle_stage::electing;
+    return rules_[static_cast<std::size_t>(stage)][u_at % modulus] >> (kinds * u_kind + v_kind) &
+           1u;
 }
 
 // ---------------------------------------------------------------------------

@@ -61,13 +61,15 @@ public:
     template <class R>
     void interact(agent_t& initiator, agent_t& responder, R& gen) const;
 
-    /// Activity-class hook (sim/census_store.h): the census-space backends
-    /// skip, without calling δ, every interaction whose class pair
+    /// Activity-class hook (sim/census_store.h): the census backend
+    /// skips, without calling δ, every interaction whose class pair
     /// `may_act` declares inactive.  Class 0 holds every agent that never
     /// initiated (its first initiation always sets `ever_initiated`) and
     /// every non-winner in the init stage; class 1 holds the initiated
     /// winners (they convert everyone but each other).  Every other agent's
-    /// class is (stage, phase, kind), electing and tournaments alike.
+    /// class is (stage, phase, kind): the tournaments stage's classes come
+    /// first, then the electing stage's, which ordered mode — it elects no
+    /// leader — does not declare (52 classes there, 122 in the others).
     /// `may_act` answers a pair in one stage and phase from the rule table
     /// δ's early return reads, so which pairs can act is written once; what
     /// the table cannot say — pairs across stages, two clocks, the phase

@@ -22,15 +22,11 @@ majority_verdict population_verdict(std::span<const averaging_agent> agents, std
     return first;
 }
 
-std::vector<averaging_agent> make_averaging_population(std::uint32_t plus, std::uint32_t minus,
-                                                       std::uint32_t zeros,
-                                                       std::int64_t amplification) {
-    std::vector<averaging_agent> agents;
-    agents.reserve(plus + minus + zeros);
-    agents.insert(agents.end(), plus, {amplification});
-    agents.insert(agents.end(), minus, {-amplification});
-    agents.insert(agents.end(), zeros, {0});
-    return agents;
+std::vector<sim::census_entry<averaging_agent>> averaging_census(std::uint64_t plus,
+                                                                 std::uint64_t minus,
+                                                                 std::uint64_t zeros,
+                                                                 std::int64_t amplification) {
+    return {{{amplification}, plus}, {{-amplification}, minus}, {{0}, zeros}};
 }
 
 }  // namespace plurality::majority

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "loadbalance/load_balancer.h"
+#include "sim/census_store.h"
 
 namespace plurality::majority {
 
@@ -61,11 +62,9 @@ struct averaging_majority_protocol {
 [[nodiscard]] majority_verdict population_verdict(std::span<const averaging_agent> agents,
                                                   std::int64_t thr = 3) noexcept;
 
-/// Builds a population of `plus` agents at +amplification, `minus` at
+/// The initial census: `plus` agents at +amplification, `minus` at
 /// -amplification and `zeros` at 0.
-[[nodiscard]] std::vector<averaging_agent> make_averaging_population(std::uint32_t plus,
-                                                                     std::uint32_t minus,
-                                                                     std::uint32_t zeros,
-                                                                     std::int64_t amplification);
+[[nodiscard]] std::vector<sim::census_entry<averaging_agent>> averaging_census(
+    std::uint64_t plus, std::uint64_t minus, std::uint64_t zeros, std::int64_t amplification);
 
 }  // namespace plurality::majority

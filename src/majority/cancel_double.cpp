@@ -31,15 +31,12 @@ int decided_sign(std::span<const cancel_double_agent> agents) noexcept {
     return seen;
 }
 
-std::vector<cancel_double_agent> make_cancel_double_population(std::uint32_t plus,
-                                                               std::uint32_t minus,
-                                                               std::uint32_t zeros) {
-    std::vector<cancel_double_agent> agents;
-    agents.reserve(plus + minus + zeros);
-    agents.insert(agents.end(), plus, {std::int8_t{1}, std::uint8_t{0}});
-    agents.insert(agents.end(), minus, {std::int8_t{-1}, std::uint8_t{0}});
-    agents.insert(agents.end(), zeros, {std::int8_t{0}, std::uint8_t{0}});
-    return agents;
+std::vector<sim::census_entry<cancel_double_agent>> cancel_double_census(std::uint64_t plus,
+                                                                         std::uint64_t minus,
+                                                                         std::uint64_t blank) {
+    return {{{std::int8_t{1}, std::uint8_t{0}}, plus},
+            {{std::int8_t{-1}, std::uint8_t{0}}, minus},
+            {{std::int8_t{0}, std::uint8_t{0}}, blank}};
 }
 
 }  // namespace plurality::majority

@@ -29,6 +29,8 @@
 #include <span>
 #include <vector>
 
+#include "sim/census_store.h"
+
 namespace plurality::majority {
 
 struct cancel_double_agent {
@@ -97,10 +99,9 @@ private:
 /// signed agent is left.
 [[nodiscard]] int decided_sign(std::span<const cancel_double_agent> agents) noexcept;
 
-/// Builds `plus` positive tokens, `minus` negative tokens and `zeros` blank
-/// agents, all at level 0.
-[[nodiscard]] std::vector<cancel_double_agent> make_cancel_double_population(std::uint32_t plus,
-                                                                             std::uint32_t minus,
-                                                                             std::uint32_t zeros);
+/// The initial census: `plus` positive tokens, `minus` negative tokens and
+/// `blank` unsigned agents, all at level 0.
+[[nodiscard]] std::vector<sim::census_entry<cancel_double_agent>> cancel_double_census(
+    std::uint64_t plus, std::uint64_t minus, std::uint64_t blank);
 
 }  // namespace plurality::majority

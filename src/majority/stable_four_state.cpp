@@ -83,12 +83,10 @@ std::int64_t strong_token_difference(std::span<const four_state_agent> agents) n
     return diff;
 }
 
-std::vector<four_state_agent> make_four_state_population(std::uint32_t plus, std::uint32_t minus) {
-    std::vector<four_state_agent> agents;
-    agents.reserve(plus + minus);
-    agents.insert(agents.end(), plus, {four_state::strong_plus});
-    agents.insert(agents.end(), minus, {four_state::strong_minus});
-    return agents;
+std::vector<sim::census_entry<four_state_agent>> four_state_census(std::uint64_t plus,
+                                                                   std::uint64_t minus,
+                                                                   std::uint64_t blank) {
+    return {{{four_state::strong_plus}, plus + blank}, {{four_state::strong_minus}, minus}};
 }
 
 }  // namespace plurality::majority

@@ -20,6 +20,8 @@
 #include <span>
 #include <vector>
 
+#include "sim/census_store.h"
+
 namespace plurality::majority {
 
 enum class four_state : std::uint8_t { strong_plus, strong_minus, weak_plus, weak_minus };
@@ -51,8 +53,11 @@ struct stable_four_state_protocol {
 [[nodiscard]] std::int64_t strong_token_difference(
     std::span<const four_state_agent> agents) noexcept;
 
-/// Builds `plus` strong-plus agents and `minus` strong-minus agents.
-[[nodiscard]] std::vector<four_state_agent> make_four_state_population(std::uint32_t plus,
-                                                                       std::uint32_t minus);
+/// The initial census of `plus` supporters, `minus` opponents and `blank`
+/// agents without an opinion.  The protocol has no blank state, so the
+/// blank agents join the plus side: plus + blank strong-plus agents and
+/// minus strong-minus agents.
+[[nodiscard]] std::vector<sim::census_entry<four_state_agent>> four_state_census(
+    std::uint64_t plus, std::uint64_t minus, std::uint64_t blank);
 
 }  // namespace plurality::majority

@@ -22,15 +22,12 @@ binary_opinion consensus_value(std::span<const three_state_agent> agents) noexce
     return seen;
 }
 
-std::vector<three_state_agent> make_three_state_population(std::uint32_t alpha_count,
-                                                           std::uint32_t beta_count,
-                                                           std::uint32_t undecided) {
-    std::vector<three_state_agent> agents;
-    agents.reserve(alpha_count + beta_count + undecided);
-    agents.insert(agents.end(), alpha_count, {binary_opinion::alpha});
-    agents.insert(agents.end(), beta_count, {binary_opinion::beta});
-    agents.insert(agents.end(), undecided, {binary_opinion::undecided});
-    return agents;
+std::vector<sim::census_entry<three_state_agent>> three_state_census(std::uint64_t alpha,
+                                                                     std::uint64_t beta,
+                                                                     std::uint64_t undecided) {
+    return {{{binary_opinion::alpha}, alpha},
+            {{binary_opinion::beta}, beta},
+            {{binary_opinion::undecided}, undecided}};
 }
 
 }  // namespace plurality::majority

@@ -15,6 +15,8 @@
 #include <span>
 #include <vector>
 
+#include "sim/census_store.h"
+
 namespace plurality::majority {
 
 enum class binary_opinion : std::uint8_t { undecided = 0, alpha = 1, beta = 2 };
@@ -45,9 +47,9 @@ struct three_state_protocol {
 /// all-undecided configuration).
 [[nodiscard]] binary_opinion consensus_value(std::span<const three_state_agent> agents) noexcept;
 
-/// Builds an initial configuration with the given support counts.
-[[nodiscard]] std::vector<three_state_agent> make_three_state_population(std::uint32_t alpha_count,
-                                                                         std::uint32_t beta_count,
-                                                                         std::uint32_t undecided);
+/// The initial census with the given support counts: `alpha`, `beta` and
+/// `undecided` agents.
+[[nodiscard]] std::vector<sim::census_entry<three_state_agent>> three_state_census(
+    std::uint64_t alpha, std::uint64_t beta, std::uint64_t undecided);
 
 }  // namespace plurality::majority

@@ -5,10 +5,11 @@
 // Design constraints, in order:
 //
 //  1. The hot loops must not pay for instrumentation they don't use.  The
-//     leap backend executes a full collision-free run (~10⁴ interactions at
-//     n = 10⁹) in ~10 µs; a per-interaction timestamp would swamp it.  All
-//     phase timers therefore wrap *run-granular* blocks, and the whole layer
-//     is selected by a template policy: `obs::enabled` embeds real
+//     census simulator's table path executes a full collision-free run
+//     (~10⁴ interactions at n = 10⁹) in ~10 µs; a per-interaction
+//     timestamp would swamp it.  All phase timers therefore wrap
+//     *run-granular* blocks, and the whole layer is selected by a template
+//     policy: `obs::enabled` embeds real
 //     instruments, `obs::disabled` embeds empty no-op twins that the
 //     optimizer deletes ([[no_unique_address]] members, inline empty
 //     methods).  bench_e19_obs_overhead instantiates both policies in one

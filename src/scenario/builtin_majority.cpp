@@ -2,8 +2,8 @@
 // (src/majority).  All share the same initial-configuration convention:
 // `bias` decides the support gap, minus = (n - bias) / 2 agents start on the
 // minority side, plus = minus + bias on the majority side, and any parity
-// leftover becomes an undecided/blank agent (added to the majority side for
-// the 4-state protocol, which has no blank state).
+// leftover is one blank agent; each protocol's census builder says where
+// its blank agents start.
 //
 // Predicates and metrics are member templates over the simulation type and
 // use the weighted-state helpers of sim/population_view.h, so every
@@ -49,9 +49,8 @@ struct three_state_spec {
 
     protocol_t make_protocol(const scenario_params&, sim::rng&) { return {}; }
     std::vector<sim::census_entry<agent_t>> make_census(const scenario_params& p, sim::rng&) {
-        using enum majority::binary_opinion;
         const auto s = split_population(p);
-        return {{{alpha}, s.plus}, {{beta}, s.minus}, {{undecided}, s.blank}};
+        return majority::three_state_census(s.plus, s.minus, s.blank);
     }
     /// The common decided opinion, or `undecided` while mixed/undecided.
     template <class Sim>
@@ -84,9 +83,8 @@ struct four_state_spec {
 
     protocol_t make_protocol(const scenario_params&, sim::rng&) { return {}; }
     std::vector<sim::census_entry<agent_t>> make_census(const scenario_params& p, sim::rng&) {
-        using enum majority::four_state;
         const auto s = split_population(p);
-        return {{{strong_plus}, s.plus + s.blank}, {{strong_minus}, s.minus}};
+        return majority::four_state_census(s.plus, s.minus, s.blank);
     }
     /// The sign all agents output, or 0 while they disagree.
     template <class Sim>
@@ -127,8 +125,8 @@ struct averaging_spec {
     protocol_t make_protocol(const scenario_params&, sim::rng&) { return {}; }
     std::vector<sim::census_entry<agent_t>> make_census(const scenario_params& p, sim::rng&) {
         const auto s = split_population(p);
-        const std::int64_t amplification = majority::default_amplification(p.n);
-        return {{{amplification}, s.plus}, {{-amplification}, s.minus}, {{0}, s.blank}};
+        return majority::averaging_census(s.plus, s.minus, s.blank,
+                                          majority::default_amplification(p.n));
     }
     /// plus/minus/tie when all agents agree on that verdict, else undecided.
     template <class Sim>
@@ -161,7 +159,7 @@ struct cancel_double_spec {
     }
     std::vector<sim::census_entry<agent_t>> make_census(const scenario_params& p, sim::rng&) {
         const auto s = split_population(p);
-        return {{{+1, 0}, s.plus}, {{-1, 0}, s.minus}, {{0, 0}, s.blank}};
+        return majority::cancel_double_census(s.plus, s.minus, s.blank);
     }
     /// The surviving sign once the opposing tokens are extinct (0 while both
     /// signs coexist or no signed agent is left).

@@ -15,7 +15,7 @@
 //     "histograms": { ... }
 //   },
 //   "timing": {                      // wall-clock: varies run to run
-//     "phase_seconds": { ... },      // per-phase timers (leap)
+//     "phase_seconds": { ... },      // per-phase timers (census)
 //     "trial_wall_seconds_total": ...,
 //     "wall_seconds": ...,           // whole-run wall time
 //     "threads": ...,

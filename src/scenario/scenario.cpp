@@ -35,7 +35,7 @@ std::runtime_error agent_population_too_large(std::uint64_t n, std::size_t agent
                               " needs " + std::to_string(n * agent_bytes) + " bytes (n x " +
                               std::to_string(agent_bytes) +
                               "-byte agent states), more than this process can allocate; "
-                              "use --backend census or --backend leap");
+                              "use --backend census");
 }
 
 workload::opinion_distribution make_workload(const scenario_params& params, sim::rng& gen) {

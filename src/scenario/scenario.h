@@ -19,16 +19,17 @@
 //   * backend_kind::agent  — sim::simulation, one struct per agent, O(n)
 //     memory; the default.
 //   * backend_kind::census — sim::census_simulator, one counter per occupied
-//     state, O(S) memory; the large-n backend (n up to 10⁹).
-//   * backend_kind::leap   — sim::leap_census_simulator, pair-type leaping:
-//     collision-free runs sampled as their ordered state-pair contingency
-//     table, O(occupied²) per run independent of the run length; the fastest
-//     backend for small-occupancy protocols.
+//     state, O(S) memory; the large-n backend (n up to 10⁹), which samples
+//     whole collision-free runs as their state-pair contingency table or
+//     steps one executed interaction at a time, whichever its cost model
+//     finds cheaper for the current census.
+//   * backend_kind::leap   — the same simulator under its old name, kept
+//     until the frozen benchmark stops naming it.
 //
 // The predicates and metric extractors are *templates* written against the
 // shared weighted-state read API (sim/population_view.h) instead of a raw
-// agent span.  They see two types: the agent simulation, and the
-// sim::census_simulator that the leap backend derives from.
+// agent span.  They see two types: the agent simulation and the census
+// simulator.
 //
 // The `scenario_spec` concept captures that shape for a concrete protocol
 // type; `any_scenario` type-erases it so registries, CLIs and tests can hold
@@ -56,7 +57,6 @@
 #include "sim/census_simulator.h"
 #include "sim/census_store.h"
 #include "sim/convergence.h"
-#include "sim/leap_census_simulator.h"
 #include "sim/population_view.h"
 #include "sim/rng.h"
 #include "sim/simulation.h"
@@ -77,7 +77,10 @@ enum class backend_kind : std::uint8_t {
     /// the benchmark program (consensus_bench/consensus_bench.cpp, frozen
     /// with BENCHMARK.json) still compares against it.
     batch,
-    leap  ///< sim::leap_census_simulator — pair-type contingency-table leaping
+    /// The census backend's old name: it builds the same sim::census_simulator
+    /// and differs only in the name reports carry.  It stays until the
+    /// frozen benchmark, which runs a workload under each name, changes.
+    leap
 };
 
 /// CLI/JSON name of a backend ("agent" / "census" / "leap"; "batch" for the
@@ -191,22 +194,16 @@ struct run_options {
     std::string progress_label;
 };
 
-/// What the census-space backends of scenario `S` show its predicates: the
-/// census simulator, which the leap simulator derives from.
-template <class S>
-using census_view_t = sim::census_simulator<typename S::protocol_t>;
-
 /// The structured shape a concrete scenario implementation must have.
 /// Methods are non-const so a spec may cache per-run state (typically the
 /// workload instance built inside make_protocol, consulted by correct());
 /// every run operates on a fresh copy of the spec.
 ///
-/// `converged`, `correct` and `metrics` must accept both views of a
-/// population — the agent simulation and the census simulator the leap
-/// backend derives from — so in practice they are member templates written
-/// with the sim::view helpers.  `make_census` is the one initial
-/// configuration a spec writes: the census-space backends deposit it as it
-/// is (which keeps their runs O(S): no per-agent vector is ever
+/// `converged`, `correct` and `metrics` must accept both simulator types —
+/// the agent simulation and the census simulator — so in practice they are
+/// member templates written with the sim::view helpers.  `make_census` is
+/// the one initial configuration a spec writes: the census backend deposits
+/// it as it is (which keeps its runs O(S): no per-agent vector is ever
 /// materialized), and the agent backend expands it into shuffled agents
 /// (sim::expand_census), so every backend starts from the same
 /// configuration.  The agent type must be a `sim::census_agent` —
@@ -217,7 +214,7 @@ concept scenario_spec =
     sim::census_agent<typename S::protocol_t::agent_t> &&
     requires(S s, const scenario_params& p, sim::rng& gen,
              const sim::simulation<typename S::protocol_t>& asim,
-             const census_view_t<S>& csim) {
+             const sim::census_simulator<typename S::protocol_t>& csim) {
         { s.make_protocol(p, gen) } -> std::same_as<typename S::protocol_t>;
         {
             s.make_census(p, gen)
@@ -318,31 +315,15 @@ private:
                                                     run_seed};
                     return drive(spec, params, sim, options);
                 }
-                case backend_kind::census: {
-                    sim::census_simulator<protocol_t> sim{
-                        std::move(protocol), spec.make_census(params, setup), run_seed};
-                    return drive(spec, params, sim, options);
-                }
+                case backend_kind::census:
                 case backend_kind::leap: {
-                    sim::leap_census_simulator<protocol_t> sim{
+                    sim::census_simulator<protocol_t> sim{
                         std::move(protocol), spec.make_census(params, setup), run_seed};
                     return drive(spec, params, sim, options);
                 }
                 case backend_kind::batch: break;
             }
             throw std::invalid_argument("no simulator for this backend (batch was removed)");
-        }
-
-        /// What the scenario's predicates and metric extractors see of a
-        /// simulation: the census simulator (a leap simulator is one), or
-        /// the agent simulation itself — so each is compiled for two types,
-        /// not one per backend.
-        template <class SimT>
-        [[nodiscard]] static const auto& view(const SimT& sim) noexcept {
-            if constexpr (std::derived_from<SimT, census_view_t<S>>)
-                return static_cast<const census_view_t<S>&>(sim);
-            else
-                return sim;
         }
 
         /// The backend-agnostic part of a trial: budget derivation, the
@@ -355,7 +336,7 @@ private:
                                                            : spec.time_budget(params);
             const auto max_interactions =
                 sim::interaction_budget(budget, sim.population_size());
-            const auto done = [&spec](const SimT& s) { return spec.converged(view(s)); };
+            const auto done = [&spec](const SimT& s) { return spec.converged(s); };
 
             // The heartbeat lives outside the trace branch so both plain and
             // traced runs can stream progress; it writes to stderr only and
@@ -382,11 +363,11 @@ private:
                     std::vector<metric> values;
                 };
                 auto cache = std::make_shared<metric_cache>();
-                const auto layout = spec.metrics(view(sim));
+                const auto layout = spec.metrics(sim);
                 for (std::size_t i = 0; i < layout.size(); ++i) {
                     rec.add_series(layout[i].name, [&spec, cache, i](const SimT& s) {
                         if (cache->at != s.interactions()) {
-                            cache->values = spec.metrics(view(s));
+                            cache->values = spec.metrics(s);
                             cache->at = s.interactions();
                         }
                         return cache->values.at(i).value;
@@ -409,8 +390,8 @@ private:
             out.converged = conv.converged;
             out.parallel_time = conv.parallel_time;
             out.interactions = conv.interactions;
-            out.correct = conv.converged && spec.correct(view(sim));
-            out.metrics = spec.metrics(view(sim));
+            out.correct = conv.converged && spec.correct(sim);
+            out.metrics = spec.metrics(sim);
             out.wall_seconds = std::chrono::duration<double>(wall_end - wall_start).count();
             sim.collect_metrics(out.observed);
             return out;

@@ -1,11 +1,11 @@
-// The census format of the census-space backends.
+// The census format of the census backend.
 //
 // Population protocols are agent-anonymous — an interaction's outcome
 // depends only on the two participants' states, never on their identities —
 // so a configuration is fully described by its census: how many agents
 // occupy each state.  This header defines what a census state is and how one
 // is written down; sim::census_simulator (sim/census_simulator.h) keeps the
-// census, and the leap backend (sim/leap_census_simulator.h) derives from it.
+// census.
 //
 // A state is identified by its bytes: the agent type must be a
 // `census_agent` (trivially copyable, no padding), and two agents are the
@@ -123,7 +123,7 @@ struct census_entry {
 };
 
 /// Compresses a full agent vector into its census, merging equal states in
-/// first-seen order.  Shared by both census-space backends' agent-vector
+/// first-seen order.  Shared by the census backend's agent-vector
 /// convenience constructors; large-n callers should build entries directly.
 template <census_agent Agent>
 [[nodiscard]] std::vector<census_entry<Agent>> compress_to_census(
@@ -147,7 +147,7 @@ template <census_agent Agent>
 /// 4-byte entry indices (n − 1 bounded uniforms from `gen`, zero-count
 /// entries adding no agents), so an agent's position never encodes its
 /// state.  This is how the agent backend builds the initial configuration
-/// the census-space backends deposit directly.
+/// the census backend deposits directly.
 template <census_agent Agent>
 [[nodiscard]] std::vector<Agent> expand_census(const std::vector<census_entry<Agent>>& entries,
                                                rng& gen) {
@@ -176,7 +176,7 @@ template <census_agent Agent>
 /// whose interactions may change anything.  Soundness obligation:
 /// `may_act(c, d)` may be false only if δ(u, v) leaves both agents unchanged
 /// with probability 1 for *every* initiator u in class c and every responder
-/// v in class d.  The census-space backends skip the interactions of such
+/// v in class d.  The census backend skips the interactions of such
 /// pairs without calling δ (census_simulator::advance); a false "false" would
 /// silently freeze dynamics, which is why tests/test_activity_classes.cpp
 /// checks the tournament's declaration against δ itself.  A protocol without

@@ -2,9 +2,9 @@
 // of outcomes with exact probabilities — the protocol-side half of the
 // randomized-δ group path (the backend-side half lives in sim/group_delta.h).
 //
-// The leap census backend applies δ per ordered state-pair *group*: all
-// m interactions of a collision-free run that see the same (initiator-state,
-// responder-state) pair.  Within such a group the per-pair random choices
+// The census simulator's table path applies δ per ordered state-pair
+// *group*: all m interactions of a collision-free run that see the same
+// (initiator-state, responder-state) pair.  Within such a group the per-pair random choices
 // are i.i.d. (every interaction sees the identical pre-run states), so if
 // the pair's outcome distribution is a known finite list
 // (u′₁, v′₁, p₁), …, (u′ₒ, v′ₒ, pₒ), the whole group advances with ONE
@@ -34,7 +34,7 @@
 // (`next_below` with a state-determined bound) and Bernoulli trials with a
 // state-determined p.  Pairs that consult non-enumerable entropy (raw
 // 64-bit words, `next_unit`) or exceed the arity/depth/outcome caps make
-// enumeration return false, and the leap backend keeps its exact per-pair
+// enumeration return false, and the table path keeps its exact per-pair
 // fallback for those pairs.
 #pragma once
 
@@ -144,7 +144,7 @@ private:
 
 /// A protocol whose transition function accepts a `delta_replay` as its
 /// generator — a template over the generator type — so its outcome lists
-/// can be enumerated.  The leap backend groups δ (one evaluation per
+/// can be enumerated.  The table path groups δ (one evaluation per
 /// choice-free pair, the randomized-δ group path of sim/group_delta.h for
 /// the others) for exactly these protocols; one whose `interact` takes only
 /// a `sim::rng&` keeps the exact per-pair fallback.

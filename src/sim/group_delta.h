@@ -1,7 +1,7 @@
-// Group-level δ application machinery of the leap census backend
-// (sim/leap_census_simulator.h).
+// Group-level δ application machinery of the census simulator's table path
+// (sim/census_simulator.h).
 //
-// The leap backend decomposes the scheduler's interaction sequence into
+// The table path decomposes the scheduler's interaction sequence into
 // collision-free runs and applies δ per ordered state-pair *group* — all m
 // interactions of a run that see the same (initiator-state, responder-state)
 // pair.  This header holds the parts of that stage that do not depend on how
@@ -12,7 +12,7 @@
 //    enumerated from `interact` itself (sim/delta_outcomes.h) and memoized,
 //    plus the grouped sampler that splits a group of m across the outcomes
 //    with one multinomial draw (dist::multinomial) instead of m per-pair RNG
-//    calls.  The leap backend consults it only for pairs that ask for a
+//    calls.  The table path consults it only for pairs that ask for a
 //    random choice: a choice-free pair (`choice_free_delta`) moves its whole
 //    group with one δ evaluation;
 //  * `detail::used_group_set` — post-run participant groups, one per state.
@@ -117,8 +117,8 @@ private:
 
 /// Memoized per-pair outcome distributions plus the grouped sampler — the
 /// backend side of the randomized-δ group path.  Only `lookup` needs a
-/// `delta_enumerable` protocol, so the leap backend holds a table for every
-/// protocol and calls it for those alone.
+/// `delta_enumerable` protocol, so the census simulator holds a table for
+/// every protocol and calls it for those alone.
 ///
 /// Enumerating a pair's outcomes costs a handful of δ evaluations
 /// (sim/delta_outcomes.h walks the pair's choice tree), so distributions are

@@ -5,7 +5,7 @@
 //     sim.visit_states(fn)   // fn(const agent_t&, std::uint64_t count) -> bool
 //
 // which visits every occupied state with its multiplicity (the agent-based
-// backend visits each agent with count 1; the census-space backends visit
+// backend visits each agent with count 1; the census backend visits
 // each slot of sim::census_simulator's occupied list, in the list's order,
 // which is a pure function of the seed but not the order the states were
 // discovered in).  No helper depends on the visit order.  The helpers below

@@ -187,7 +187,7 @@ std::uint64_t hypergeometric(rng& gen, std::uint64_t total, std::uint64_t succes
     const double mode_d = std::floor((nd + 1.0) * (big_k + 1.0) / (big_n + 2.0));
     const auto mode = std::clamp(static_cast<std::uint64_t>(std::max(mode_d, 0.0)), lo, hi);
     // pmf at the mode.  When the mode sits on a support boundary — the
-    // leap backend's dominant regime, where one state holds nearly the whole
+    // table path's dominant regime, where one state holds nearly the whole
     // population — the C(K, k) or C(N−K, L−k) factor degenerates and the
     // general nine-log-factorial form collapses to four terms; that setup is
     // most of the cost of a narrow draw, so the boundary cases are special-

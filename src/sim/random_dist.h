@@ -5,8 +5,8 @@
 // libraries — so every non-uniform draw the simulators need is implemented
 // here, once, against `rng`: binomial, hypergeometric,
 // multivariate-hypergeometric and multinomial variates plus the
-// birthday-problem collision-free run length the leap census backend
-// (sim/leap_census_simulator.h) steps by.
+// birthday-problem collision-free run length the census simulator's table
+// path (sim/census_simulator.h) steps by.
 //
 // All integer-valued samplers use *exact inversion*: one `next_unit()` draw
 // is inverted through the target CDF, enumerating probabilities outward from
@@ -15,8 +15,9 @@
 // loop, and every sampler consumes *at most* one uniform — exactly one for a
 // non-degenerate draw, none when the support is a single point (binomial
 // with p ∈ {0, 1} or n = 0, hypergeometric with lo == hi, zero-draw MVH
-// categories).  The leap census backend relies on that zero-consumption when
-// skipping empty categories, so treat it as part of the contract.
+// categories).  The census simulator's table path relies on that
+// zero-consumption when skipping empty categories, so treat it as part of
+// the contract.
 #pragma once
 
 #include <cstdint>
@@ -88,8 +89,8 @@ struct collision_run {
 /// inverted through its closed-form log-survival function by bracketed
 /// search seeded at the Gaussian approximation L ≈ √(-n·ln u / 2), in
 /// O(log cap) instead of walking the survival product one interaction at a
-/// time.  This is what makes the pair-type leaping backend's per-run cost
-/// independent of the run length L ≈ √n (sim/leap_census_simulator.h).
+/// time.  This is what makes a table run's cost independent of the run
+/// length L ≈ √n (sim/census_simulator.h).
 /// Consumes exactly one uniform.  Requires n >= 2 and cap >= 1; the first
 /// interaction is always collision-free, so length >= 1.
 [[nodiscard]] collision_run sample_collision_free_run_leap(rng& gen, std::uint64_t population,

@@ -1,6 +1,6 @@
 // Soundness of the tournament protocols' activity-class declaration
 // (core::plurality_protocol::activity_class / may_act, the optional hook of
-// sim/census_store.h).  The census-space backends skip every interaction
+// sim/census_store.h).  The census backend skips every interaction
 // whose class pair is declared inactive without calling δ, so a declaration
 // that is wrong anywhere silently freezes part of the dynamics.  Two checks,
 // in all three modes:
@@ -207,9 +207,11 @@ TEST_P(ActivityClasses, EveryStateHasAClassInRange) {
     const auto cfg = core::protocol_config::make(GetParam(), population, opinions);
     const core::plurality_protocol protocol{cfg};
     // Two classes before the election, five kinds per (stage, phase) of the
-    // electing and tournaments stages.
+    // tournaments stage and, outside ordered mode, of the electing stage.
+    const bool ordered = GetParam() == algorithm_mode::ordered;
     const std::uint32_t classes = protocol.activity_classes();
-    EXPECT_EQ(classes, 2 + 2 * 5 * cfg.phase_modulus());
+    EXPECT_EQ(classes, 2 + (ordered ? 1 : 2) * 5 * cfg.phase_modulus());
+    EXPECT_EQ(classes, ordered ? 52u : 122u);
     core_agent a;
     EXPECT_EQ(protocol.activity_class(a), 0u);  // never initiated
     a.ever_initiated = true;
@@ -230,6 +232,7 @@ TEST_P(ActivityClasses, EveryStateHasAClassInRange) {
     };
     std::set<std::uint32_t> seen;
     for (const auto stage : {lifecycle_stage::electing, lifecycle_stage::tournaments}) {
+        if (ordered && stage == lifecycle_stage::electing) continue;
         a.stage = stage;
         for (std::uint32_t phase = 0; phase < cfg.phase_modulus(); ++phase) {
             a.phase = static_cast<std::uint8_t>(phase);
@@ -245,6 +248,10 @@ TEST_P(ActivityClasses, EveryStateHasAClassInRange) {
             }
         }
     }
+
+    // Every class in [2, C) belongs to one (stage, phase, kind).
+    EXPECT_EQ(seen.size(), classes - 2);
+    if (ordered) return;
 
     // The electing row: in one phase only the tick and electing_interact
     // act; an electing agent and a tournaments agent may always act.

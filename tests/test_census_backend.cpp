@@ -1,8 +1,9 @@
 // Tests for the census-space simulation backend (sim/census_simulator.h)
-// and its scenario-layer integration: bookkeeping invariants, per-seed
-// determinism, registry-wide convergence on the census backend, and the
-// cross-backend distributional agreement the census-space backends'
-// correctness argument rests on (agent, census and leap simulate the same
+// and its scenario-layer integration: bookkeeping invariants and per-seed
+// determinism of the stepping loop (`advance`; tests/test_leap_backend.cpp
+// covers `run_for` and its table runs), registry-wide convergence on the
+// census backend, and the distributional agreement its correctness argument
+// rests on (the agent backend, `run_for` and `advance` simulate the same
 // Markov chain).
 #include <gtest/gtest.h>
 
@@ -46,7 +47,7 @@ using three_sim = sim::census_simulator<majority::three_state_protocol>;
 
 using test::alpha_v;
 using test::beta_v;
-using test::three_state_census;
+using majority::three_state_census;
 using test::undecided_v;
 
 TEST(CensusSimulator, ConservesPopulationAcrossInteractions) {
@@ -54,7 +55,7 @@ TEST(CensusSimulator, ConservesPopulationAcrossInteractions) {
     ASSERT_EQ(sim.population_size(), 100u);
 
     for (int batch = 0; batch < 20; ++batch) {
-        sim.run_for(50);
+        sim.advance(50);
         std::uint64_t total = 0;
         sim.visit_states([&total](const majority::three_state_agent&, std::uint64_t count) {
             total += count;
@@ -88,10 +89,8 @@ struct sign_classed_averaging {
 using sign_classed_sim = sim::census_simulator<sign_classed_averaging>;
 
 sign_classed_sim make_sign_classed_sim(std::uint64_t seed) {
-    return sign_classed_sim{{},
-                            majority::make_averaging_population(
-                                155, 120, 25, majority::default_amplification(300)),
-                            seed};
+    return sign_classed_sim{
+        {}, majority::averaging_census(155, 120, 25, majority::default_amplification(300)), seed};
 }
 
 TEST(CensusSimulator, BranchlessLocateMatchesReferenceDescentOnEveryRank) {
@@ -221,9 +220,9 @@ TEST(CensusSimulator, ExecutedPairDrawHitsEveryMayActSlotPairByTheExactPairLaw) 
 }
 
 TEST(CensusSimulator, SkippedInteractionsFollowTheBinomialLaw) {
-    // δ is the identity, so W stays fixed and every window of m interactions
-    // executes Binomial(m, W / n(n−1)) of them (the geometric skips are
-    // memoryless across run_for calls).  Mean and variance over the windows
+    // δ is the identity, so W stays fixed and every window of m stepped
+    // interactions executes Binomial(m, W / n(n−1)) of them (the geometric
+    // skips are memoryless across advance calls).  Mean and variance over the windows
     // must match at 5σ, and every window must advance interactions() by
     // exactly m.
     std::uint64_t calls = 0;
@@ -240,7 +239,7 @@ TEST(CensusSimulator, SkippedInteractionsFollowTheBinomialLaw) {
     for (int w = 0; w < windows; ++w) {
         const std::uint64_t before = sim.interactions();
         const std::uint64_t calls_before = calls;
-        sim.run_for(m);
+        sim.advance(m);
         ASSERT_EQ(sim.interactions() - before, m);
         const auto executed = static_cast<double>(calls - calls_before);
         sum += executed;
@@ -298,7 +297,7 @@ TEST(CensusSimulator, DeterministicPerSeedAndSensitiveToSeed) {
     // seed sensitivity is visible in the counts.
     const auto midrun_counts = [](std::uint64_t seed) {
         three_sim sim{{}, three_state_census(500, 450, 50), seed};
-        sim.run_for(400);
+        sim.advance(400);
         return std::array<std::uint64_t, 3>{
             sim.count_of({alpha_v}), sim.count_of({beta_v}), sim.count_of({undecided_v})};
     };
@@ -321,19 +320,19 @@ TEST(CensusSimulator, AgentVectorConstructorCompressesToCensus) {
 
 TEST(CensusSimulator, OccupiedStatesMatchesVisitScan) {
     // The occupied list gains a slot when it fills and swap-removes it when
-    // it empties; after every batch it must hold exactly the occupied
-    // states.  Three-state drains and refills its undecided slot; the
-    // tournament empties and refills many slots (more states are reached
-    // than are ever occupied at once).
+    // it empties; after every batch of stepped interactions it must hold
+    // exactly the occupied states.  Three-state drains and refills its
+    // undecided slot; the tournament empties and refills many slots (more
+    // states are reached than are ever occupied at once).
     three_sim three{{}, three_state_census(500, 450, 50), 19};
     for (int batch = 0; batch < 10; ++batch) {
-        three.run_for(200);
+        three.advance(200);
         test::expect_occupied_states_consistent(three);
     }
     const auto start = test::ordered_tournament(350, 4, 19);
     sim::census_simulator<core::plurality_protocol> tournament{start.protocol, start.agents, 19};
     for (int batch = 0; batch < 60; ++batch) {
-        tournament.run_for(350 * 50);
+        tournament.advance(350 * 50);
         test::expect_occupied_states_consistent(tournament);
     }
     EXPECT_GT(tournament.reachable_states(), tournament.occupied_states_hwm());
@@ -588,15 +587,23 @@ TEST(CensusBackend, JsonReportIsByteIdenticalAcrossThreadCounts) {
 
 // -- cross-backend distributional agreement -----------------------------------
 //
-// One calibrated agent/census/leap comparison per scenario (see
-// tests/test_support.h for how the tolerance is derived).
+// One calibrated agent / run_for / advance comparison per scenario (see
+// tests/test_support.h for how the tolerance is derived).  The stepped side
+// restates the scenario's census and convergence predicate.
 
 TEST(CensusBackend, EpidemicBroadcastTimesAgreeAcrossBackends) {
     const auto* s = scenario::scenario_registry::instance().find("epidemic/broadcast");
     ASSERT_NE(s, nullptr);
     scenario::scenario_params params;
     params.n = 512;
-    test::expect_backends_agree(*s, params, 30, 1001);
+    const std::vector<sim::census_entry<epidemic::epidemic_agent>> census{{{true, 1}, 1},
+                                                                          {{false, 0}, 511}};
+    const auto informed = [](const auto& sim) {
+        return sim::view::all_of(sim, [](const epidemic::epidemic_agent& a) { return a.informed; });
+    };
+    const auto stepped =
+        test::stepped_mean_time(epidemic::epidemic_protocol{}, census, informed, 640.0, 30, 1001);
+    test::expect_backends_agree(*s, params, 30, 1001, stepped);
 }
 
 TEST(CensusBackend, ThreeStateMajorityTimesAgreeAcrossBackends) {
@@ -605,7 +612,15 @@ TEST(CensusBackend, ThreeStateMajorityTimesAgreeAcrossBackends) {
     scenario::scenario_params params;
     params.n = 600;
     params.bias = 60;
-    test::expect_backends_agree(*s, params, 30, 2002);
+    const auto decided = [](const auto& sim) {
+        const auto value = sim::view::unanimous(
+            sim, [](const majority::three_state_agent& a) { return a.opinion; });
+        return value.value_or(undecided_v) != undecided_v;
+    };
+    const auto stepped = test::stepped_mean_time(majority::three_state_protocol{},
+                                                 three_state_census(330, 270, 0), decided, 600.0,
+                                                 30, 2002);
+    test::expect_backends_agree(*s, params, 30, 2002, stepped);
 }
 
 TEST(CensusBackend, LoadBalanceConservesTotalLoad) {

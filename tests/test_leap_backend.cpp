@@ -1,17 +1,19 @@
-// Tests for the pair-type leaping backend (sim/leap_census_simulator.h):
-// exact interaction accounting under truncation, bookkeeping invariants,
-// per-seed determinism, grouped-δ vs per-pair-fallback equivalence (with
-// choice-free pairs found by replaying δ),
-// registry-wide convergence, and the scenario-layer determinism contract
-// (JSON byte-identity across thread counts).  Distributional agreement with
-// the agent and census backends lives in tests/test_census_backend.cpp.
+// Tests for the census simulator's `run_for`, which takes table runs
+// (collision-free runs sampled as their pair-type contingency table) or
+// steps, as its cost model picks (sim/census_simulator.h): exact interaction
+// accounting under truncation, bookkeeping invariants, per-seed determinism,
+// grouped-δ vs per-pair-fallback equivalence (with choice-free pairs found
+// by replaying δ), the cost model itself, and the scenario layer under the
+// backend's old name `leap` (registry-wide convergence, JSON byte-identity
+// across thread counts).  Distributional agreement with the agent backend
+// and with stepping alone lives in tests/test_census_backend.cpp and
+// tests/test_randomized_delta.cpp.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -22,23 +24,23 @@
 #include "scenario/json_report.h"
 #include "scenario/registry.h"
 #include "scenario/runner.h"
+#include "sim/census_simulator.h"
 #include "sim/convergence.h"
 #include "sim/delta_outcomes.h"
-#include "sim/leap_census_simulator.h"
 #include "sim/trial_executor.h"
 #include "test_support.h"
 
 namespace {
 
 using namespace plurality;
-using three_leap = sim::leap_census_simulator<majority::three_state_protocol>;
+using three_sim = sim::census_simulator<majority::three_state_protocol>;
 
 using test::alpha_v;
 using test::beta_v;
-using test::three_state_census;
+using majority::three_state_census;
 using test::undecided_v;
 
-std::uint64_t census_total(const three_leap& sim) {
+std::uint64_t census_total(const three_sim& sim) {
     std::uint64_t total = 0;
     sim.visit_states([&total](const majority::three_state_agent&, std::uint64_t count) {
         total += count;
@@ -48,7 +50,7 @@ std::uint64_t census_total(const three_leap& sim) {
 }
 
 TEST(LeapCensusSimulator, ConservesPopulationAcrossBatches) {
-    three_leap sim{{}, three_state_census(60, 40, 0), 7};
+    three_sim sim{{}, three_state_census(60, 40, 0), 7};
     ASSERT_EQ(sim.population_size(), 100u);
     for (int batch = 0; batch < 20; ++batch) {
         sim.run_for(50);
@@ -62,8 +64,8 @@ TEST(LeapCensusSimulator, ConservesPopulationAcrossBatches) {
 
 TEST(LeapCensusSimulator, RunForExecutesExactInteractionCounts) {
     // The convergence layer's budget accounting relies on run_for truncating
-    // the final leap run to land on the requested count exactly.
-    three_leap sim{{}, three_state_census(500, 450, 50), 13};
+    // the final table run to land on the requested count exactly.
+    three_sim sim{{}, three_state_census(500, 450, 50), 13};
     std::uint64_t expected = 0;
     for (const std::uint64_t chunk : {1ull, 7ull, 999ull, 2ull, 4096ull, 1ull}) {
         sim.run_for(chunk);
@@ -74,7 +76,7 @@ TEST(LeapCensusSimulator, RunForExecutesExactInteractionCounts) {
 }
 
 TEST(LeapCensusSimulator, StepExecutesOneInteraction) {
-    three_leap sim{{}, three_state_census(30, 20, 10), 3};
+    three_sim sim{{}, three_state_census(30, 20, 10), 3};
     for (int i = 1; i <= 25; ++i) {
         sim.step();
         EXPECT_EQ(sim.interactions(), static_cast<std::uint64_t>(i));
@@ -84,18 +86,17 @@ TEST(LeapCensusSimulator, StepExecutesOneInteraction) {
 
 TEST(LeapCensusSimulator, OccupiedStatesMatchesVisitScan) {
     // A table run withdraws its participants (swap-removing every slot it
-    // empties from the occupied list) and redeposits them; a stepped
-    // segment moves agents one at a time.  After every batch the list must
-    // hold exactly the occupied states.  On the tournament at n = 350 leap
-    // takes both strategies, and slots empty and refill.
-    three_leap three{{}, three_state_census(500, 450, 50), 21};
+    // empties from the occupied list) and redeposits them; stepping moves
+    // agents one at a time.  After every batch the list must hold exactly
+    // the occupied states.  On the tournament at n = 350 `run_for` takes
+    // both strategies, and slots empty and refill.
+    three_sim three{{}, three_state_census(500, 450, 50), 21};
     for (int batch = 0; batch < 10; ++batch) {
         three.run_for(200);
         test::expect_occupied_states_consistent(three);
     }
     const auto start = test::ordered_tournament(350, 4, 21);
-    sim::leap_census_simulator<core::plurality_protocol> tournament{start.protocol,
-                                                                    start.agents, 21};
+    sim::census_simulator<core::plurality_protocol> tournament{start.protocol, start.agents, 21};
     for (int batch = 0; batch < 60; ++batch) {
         tournament.run_for(350 * 50);
         test::expect_occupied_states_consistent(tournament);
@@ -111,7 +112,7 @@ TEST(LeapCensusSimulator, OccupiedStatesMatchesVisitScan) {
 
 TEST(LeapCensusSimulator, DeterministicPerSeedAndSensitiveToSeed) {
     const auto midrun_counts = [](std::uint64_t seed) {
-        three_leap sim{{}, three_state_census(500, 450, 50), seed};
+        three_sim sim{{}, three_state_census(500, 450, 50), seed};
         sim.run_for(400);
         return std::array<std::uint64_t, 3>{
             sim.count_of({alpha_v}), sim.count_of({beta_v}), sim.count_of({undecided_v})};
@@ -120,24 +121,8 @@ TEST(LeapCensusSimulator, DeterministicPerSeedAndSensitiveToSeed) {
     EXPECT_NE(midrun_counts(42), midrun_counts(43));
 }
 
-TEST(LeapCensusSimulator, AgentVectorConstructorCompressesToCensus) {
-    const std::vector<majority::three_state_agent> agents = {
-        {alpha_v}, {beta_v}, {alpha_v}, {undecided_v}, {alpha_v}};
-    three_leap sim{{}, agents, 3};
-    EXPECT_EQ(sim.population_size(), 5u);
-    EXPECT_EQ(sim.count_of({alpha_v}), 3u);
-    EXPECT_EQ(sim.count_of({beta_v}), 1u);
-    EXPECT_EQ(sim.count_of({undecided_v}), 1u);
-    EXPECT_EQ(sim.occupied_states(), 3u);
-}
-
-TEST(LeapCensusSimulator, RejectsPopulationsBelowTwo) {
-    EXPECT_THROW((three_leap{{}, three_state_census(1, 0, 0), 1}), std::invalid_argument);
-    EXPECT_THROW((three_leap{{}, three_state_census(0, 0, 0), 1}), std::invalid_argument);
-}
-
 // A three-state clone whose `interact` takes only a `sim::rng&`, so it is
-// not delta_enumerable: the leap backend must take the per-pair fallback for
+// not delta_enumerable: the table path must take the per-pair fallback for
 // every contingency-table cell, where three-state itself finds every pair
 // choice-free and applies one δ evaluation per cell.  Because three-state δ
 // never consumes the RNG, the fallback consumes the exact same stream as the
@@ -155,10 +140,10 @@ static_assert(!sim::delta_enumerable<fallback_three_state>);
 static_assert(sim::delta_enumerable<majority::three_state_protocol>);
 
 TEST(LeapCensusSimulator, GroupedDeltaMatchesPerPairFallbackBitwise) {
-    using fallback_leap = sim::leap_census_simulator<fallback_three_state>;
+    using fallback_sim = sim::census_simulator<fallback_three_state>;
     for (const std::uint64_t seed : {1ull, 9ull, 77ull}) {
-        three_leap grouped{{}, three_state_census(500, 450, 50), seed};
-        fallback_leap per_pair{{}, three_state_census(500, 450, 50), seed};
+        three_sim grouped{{}, three_state_census(500, 450, 50), seed};
+        fallback_sim per_pair{{}, three_state_census(500, 450, 50), seed};
         for (int batch = 0; batch < 10; ++batch) {
             grouped.run_for(300);
             per_pair.run_for(300);
@@ -173,7 +158,7 @@ TEST(LeapCensusSimulator, GroupedDeltaMatchesPerPairFallbackBitwise) {
 // A toy whose δ flips a coin on one ordered pair only: an informed
 // initiator informs an uninformed responder with probability 1/2, an
 // uninformed initiator pulls the rumor from an informed responder for
-// certain, and equal states do nothing.  Leap must find the three
+// certain, and equal states do nothing.  The table path must find the three
 // choice-free pairs by replaying δ and move their groups with one
 // evaluation, and send only the coin pair (1, 0) through the outcome table.
 struct coin_push_agent {
@@ -211,7 +196,7 @@ std::vector<sim::census_entry<coin_push_agent>> coin_push_census(std::uint64_t i
 }
 
 TEST(LeapCensusSimulator, ChoiceFreePairsSkipTheOutcomeTable) {
-    sim::leap_census_simulator<coin_push_protocol> sim{{}, coin_push_census(10, 1'000'000), 3};
+    sim::census_simulator<coin_push_protocol> sim{{}, coin_push_census(10, 1'000'000), 3};
     sim.run_for(2'000'000);
     EXPECT_EQ(sim.count_of({1}) + sim.count_of({0}), 1'000'010u);
     EXPECT_GT(sim.count_of({1}), 10u);
@@ -235,11 +220,11 @@ TEST(LeapCensusSimulator, ChoiceFreePairsSkipTheOutcomeTable) {
 #endif
 }
 
-/// Parallel time until all 3000 agents are informed, starting from one, on
-/// leap with protocol `P` (checked every 300 interactions).
+/// Parallel time until all 3000 agents are informed, starting from one,
+/// through `run_for` with protocol `P` (checked every 300 interactions).
 template <class P>
 double coin_push_broadcast_time(std::uint64_t seed) {
-    sim::leap_census_simulator<P> sim{{}, coin_push_census(1, 2999), seed};
+    sim::census_simulator<P> sim{{}, coin_push_census(1, 2999), seed};
     const auto all_informed = [](const auto& s) { return s.count_of({0}) == 0; };
     return sim::converge(sim, all_informed, 1'000'000'000, 300).parallel_time;
 }
@@ -266,7 +251,7 @@ TEST(LeapCensusSimulator, ChunkedSteppingAgreesDistributionally) {
     constexpr std::size_t trials = 60;
     constexpr std::uint64_t horizon = 600;
     const auto undecided_after = [](std::uint64_t seed, bool chunked) {
-        three_leap sim{{}, three_state_census(600, 500, 0), seed};
+        three_sim sim{{}, three_state_census(600, 500, 0), seed};
         if (chunked) {
             for (std::uint64_t done = 0; done < horizon; done += 40) sim.run_for(40);
         } else {
@@ -289,29 +274,25 @@ TEST(LeapCostModel, PicksTheCheaperStrategyAtMeasuredPoints) {
     EXPECT_FALSE(billion.prefers_stepping(2, 1.0));
     EXPECT_FALSE(billion.prefers_stepping(22, 1.0));
     // plurality/ordered at n = 350, k = 4: ~100 occupied states against
-    // runs of ~11.7 interactions — stepping wins, in segments of ⌈L̄⌉ = 12
-    // interactions when all of them execute, and of ⌈L̄ / 0.14⌉ = 84 when
-    // the tournament's classes let ~14% of them act.  A segment never
-    // passes the budget; with nothing able to act it takes all of it.
+    // runs of ~11.7 interactions — stepping wins.
     const sim::leap_cost_model small{350};
     EXPECT_NEAR(small.mean_run, 11.72, 0.01);
-    EXPECT_EQ(small.segment(1.0, 1000), 12u);
-    EXPECT_EQ(small.segment(0.14, 1000), 84u);
-    EXPECT_EQ(small.segment(1.0, 5), 5u);
-    EXPECT_EQ(small.segment(0.0, 1000), 1000u);
     EXPECT_TRUE(small.prefers_stepping(100, 1.0));
     // The executed share flips the choice: at S = 5 a table run (~35
     // variates) beats stepping every interaction (~54 Fenwick levels), but
     // not stepping the ~14% of them the tournament's classes let act.
     EXPECT_FALSE(small.prefers_stepping(5, 1.0));
     EXPECT_TRUE(small.prefers_stepping(5, 0.14));
-    // One or two occupied states always take the table path, whatever n.
+    // One or two occupied states take the table path, whatever n, while
+    // some pair may act; when none may, stepping passes any budget at once.
     EXPECT_FALSE(small.prefers_stepping(1, 0.14));
     EXPECT_FALSE(sim::leap_cost_model{2}.prefers_stepping(2, 1.0));
+    EXPECT_TRUE(small.prefers_stepping(2, 0.0));
+    EXPECT_TRUE(billion.prefers_stepping(1, 0.0));
 }
 
 TEST(LeapCensusSimulator, SingleQuiescentStateTakesTheAbsorbedPath) {
-    three_leap sim{{}, three_state_census(0, 0, 200), 5};
+    three_sim sim{{}, three_state_census(0, 0, 200), 5};
     sim.run_for(1'000'000);
     EXPECT_EQ(sim.interactions(), 1'000'000u);
     EXPECT_EQ(sim.count_of({undecided_v}), 200u);

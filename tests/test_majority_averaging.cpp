@@ -8,6 +8,7 @@
 #include "sim/convergence.h"
 #include "sim/simulation.h"
 #include "sim/trial_executor.h"
+#include "test_support.h"
 
 namespace {
 
@@ -15,6 +16,7 @@ using namespace plurality::majority;
 using plurality::sim::simulation;
 using plurality::sim::converge;
 using plurality::sim::trial_executor;
+using plurality::test::expanded;
 
 TEST(AveragingMajority, DefaultAmplificationIsLargeEnough) {
     for (std::uint32_t n : {16u, 100u, 1024u, 100000u}) {
@@ -60,7 +62,7 @@ TEST_P(AveragingBiasSweep, ExactDecisionWithinLogTime) {
 
     const auto summary = trial_executor{1}.run(
         20, 31 + static_cast<std::uint64_t>(extra + 100), [&](std::uint64_t seed) {
-            auto agents = make_averaging_population(plus, minus, zeros, amp);
+            auto agents = expanded(averaging_census(plus, minus, zeros, amp), seed);
             simulation<averaging_majority_protocol> s{averaging_majority_protocol{},
                                                       std::move(agents), seed};
             const auto done = [](const auto& sim) {
@@ -87,7 +89,7 @@ INSTANTIATE_TEST_SUITE_P(Biases, AveragingBiasSweep,
 
 TEST(AveragingMajority, SumInvariant) {
     const std::int64_t amp = default_amplification(512);
-    auto agents = make_averaging_population(100, 99, 313, amp);
+    auto agents = expanded(averaging_census(100, 99, 313, amp), 3);
     simulation<averaging_majority_protocol> s{averaging_majority_protocol{}, std::move(agents), 3};
     s.run_for(100000);
     std::int64_t sum = 0;
@@ -99,7 +101,7 @@ TEST(AveragingMajority, SingleVoterAmongZeros) {
     // The bias-1 tournament case: exactly one recruited player.
     const std::uint32_t n = 1024;
     const std::int64_t amp = default_amplification(n);
-    auto agents = make_averaging_population(1, 0, n - 1, amp);
+    auto agents = expanded(averaging_census(1, 0, n - 1, amp), 9);
     simulation<averaging_majority_protocol> s{averaging_majority_protocol{}, std::move(agents), 9};
     const auto done = [](const auto& sim) {
         return population_verdict(sim.agents()) != majority_verdict::undecided;

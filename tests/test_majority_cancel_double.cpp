@@ -7,6 +7,7 @@
 #include "sim/convergence.h"
 #include "sim/simulation.h"
 #include "sim/trial_executor.h"
+#include "test_support.h"
 
 namespace {
 
@@ -14,6 +15,7 @@ using namespace plurality::majority;
 using plurality::sim::simulation;
 using plurality::sim::converge;
 using plurality::sim::trial_executor;
+using plurality::test::expanded;
 
 TEST(CancelDouble, CancelRule) {
     cancel_double_protocol proto{10};
@@ -96,7 +98,7 @@ TEST(CancelDouble, NoSplitAtLevelCap) {
 TEST(CancelDouble, ScaledTokenSumInvariant) {
     const std::uint32_t n = 1024;
     const std::uint8_t cap = default_level_cap(n);
-    auto agents = make_cancel_double_population(n / 2 + 1, n / 2 - 1, 0);
+    auto agents = expanded(cancel_double_census(n / 2 + 1, n / 2 - 1, 0), 5);
     const std::int64_t before = scaled_token_sum(agents, cap);
     simulation<cancel_double_protocol> s{cancel_double_protocol{cap}, std::move(agents), 5};
     s.run_for(200ull * n);
@@ -116,7 +118,7 @@ TEST_P(CancelDoubleBiasSweep, DecidesExactMajority) {
 
     const auto summary = trial_executor{1}.run(
         15, 900 + static_cast<std::uint64_t>(extra + 50), [&](std::uint64_t seed) {
-            auto agents = make_cancel_double_population(plus, minus, n - plus - minus);
+            auto agents = expanded(cancel_double_census(plus, minus, n - plus - minus), seed);
             simulation<cancel_double_protocol> s{cancel_double_protocol{cap}, std::move(agents),
                                                  seed};
             const auto done = [](const auto& sim) {

@@ -5,6 +5,7 @@
 #include "sim/convergence.h"
 #include "sim/simulation.h"
 #include "sim/trial_executor.h"
+#include "test_support.h"
 
 namespace {
 
@@ -12,6 +13,7 @@ using namespace plurality::majority;
 using plurality::sim::simulation;
 using plurality::sim::converge;
 using plurality::sim::trial_executor;
+using plurality::test::expanded;
 
 TEST(StableFourState, CancellationRule) {
     stable_four_state_protocol proto;
@@ -49,7 +51,7 @@ TEST(StableFourState, WeakWeakIsNoOp) {
 }
 
 TEST(StableFourState, TokenDifferenceIsInvariant) {
-    auto agents = make_four_state_population(60, 40);
+    auto agents = expanded(four_state_census(60, 40, 0), 4);
     simulation<stable_four_state_protocol> s{stable_four_state_protocol{}, std::move(agents), 4};
     EXPECT_EQ(strong_token_difference(s.agents()), 20);
     s.run_for(50000);
@@ -60,7 +62,7 @@ TEST(StableFourState, AlwaysCorrectAtBiasOne) {
     // The defining property: exact majority at bias 1, every single trial.
     const std::uint32_t n = 256;  // deliberately small: expected time is Θ(n·polylog)
     const auto summary = trial_executor{1}.run(30, 11, [n](std::uint64_t seed) {
-        auto agents = make_four_state_population(n / 2 + 1, n / 2 - 1);
+        auto agents = expanded(four_state_census(n / 2 + 1, n / 2 - 1, 0), seed);
         simulation<stable_four_state_protocol> s{stable_four_state_protocol{}, std::move(agents),
                                                  seed};
         const auto done = [](const auto& sim) { return consensus_reached(sim.agents()); };
@@ -76,7 +78,7 @@ TEST(StableFourState, AlwaysCorrectAtBiasOne) {
 TEST(StableFourState, MinoritySignNeverWins) {
     const std::uint32_t n = 200;
     for (std::uint64_t seed = 0; seed < 10; ++seed) {
-        auto agents = make_four_state_population(n / 2 + 5, n / 2 - 5);
+        auto agents = expanded(four_state_census(n / 2 + 5, n / 2 - 5, 0), seed);
         simulation<stable_four_state_protocol> s{stable_four_state_protocol{}, std::move(agents),
                                                  seed};
         (void)converge(s, [](const auto& sim) { return consensus_reached(sim.agents()); },

@@ -7,6 +7,7 @@
 #include "sim/convergence.h"
 #include "sim/simulation.h"
 #include "sim/trial_executor.h"
+#include "test_support.h"
 
 namespace {
 
@@ -14,6 +15,7 @@ using namespace plurality::majority;
 using plurality::sim::simulation;
 using plurality::sim::converge;
 using plurality::sim::trial_executor;
+using plurality::test::expanded;
 
 TEST(ThreeState, TransitionRules) {
     three_state_protocol proto;
@@ -37,7 +39,7 @@ TEST(ThreeState, TransitionRules) {
 }
 
 TEST(ThreeState, ConsensusHelpers) {
-    auto agents = make_three_state_population(3, 0, 0);
+    auto agents = expanded(three_state_census(3, 0, 0), 1);
     EXPECT_TRUE(consensus_reached(agents));
     EXPECT_EQ(consensus_value(agents), binary_opinion::alpha);
     agents.push_back({binary_opinion::undecided});
@@ -47,7 +49,7 @@ TEST(ThreeState, ConsensusHelpers) {
 TEST(ThreeState, LargeBiasConvergesCorrectlyAndFast) {
     const std::uint32_t n = 4096;
     const auto summary = trial_executor{1}.run(20, 55, [n](std::uint64_t seed) {
-        auto agents = make_three_state_population(3 * n / 4, n / 4, 0);
+        auto agents = expanded(three_state_census(3 * n / 4, n / 4, 0), seed);
         simulation<three_state_protocol> s{three_state_protocol{}, std::move(agents), seed};
         const auto done = [](const auto& sim) { return consensus_reached(sim.agents()); };
         const auto finished = converge(s, done, 400ull * n);
@@ -66,7 +68,7 @@ TEST(ThreeState, BiasOneIsACoinFlip) {
     // 3-state dynamics picks the *wrong* opinion about half the time.
     const std::uint32_t n = 1024;
     const auto summary = trial_executor{1}.run(60, 77, [n](std::uint64_t seed) {
-        auto agents = make_three_state_population(n / 2 + 1, n / 2 - 1, 0);
+        auto agents = expanded(three_state_census(n / 2 + 1, n / 2 - 1, 0), seed);
         simulation<three_state_protocol> s{three_state_protocol{}, std::move(agents), seed};
         const auto done = [](const auto& sim) { return consensus_reached(sim.agents()); };
         (void)converge(s, done, 2000ull * n);
@@ -82,7 +84,7 @@ TEST(ThreeState, BiasOneIsACoinFlip) {
 
 TEST(ThreeState, ConsensusIsStableOnceReached) {
     const std::uint32_t n = 512;
-    auto agents = make_three_state_population(n, 0, 0);
+    auto agents = expanded(three_state_census(n, 0, 0), 5);
     simulation<three_state_protocol> s{three_state_protocol{}, std::move(agents), 5};
     s.run_for(100ull * n);
     EXPECT_EQ(consensus_value(s.agents()), binary_opinion::alpha);

@@ -165,7 +165,7 @@ TEST(ObsDeterminism, CountMetricsAreByteIdenticalAcrossThreadCounts) {
     for (const char* name : {"epidemic/broadcast", "plurality/ordered"}) {
         const auto* s = scenario::scenario_registry::instance().find(name);
         ASSERT_NE(s, nullptr) << name;
-        for (const auto backend : {backend_kind::agent, backend_kind::census, backend_kind::leap}) {
+        for (const auto backend : {backend_kind::agent, backend_kind::census}) {
             const auto serial = run_trials(*s, 1, backend, 11);
             const auto threaded = run_trials(*s, 4, backend, 11);
             EXPECT_EQ(count_sections_bytes(serial.summary.observed),
@@ -179,7 +179,7 @@ TEST(ObsDeterminism, CountMetricsAreStablePerSeed) {
     using scenario::backend_kind;
     const auto* s = scenario::scenario_registry::instance().find("epidemic/broadcast");
     ASSERT_NE(s, nullptr);
-    for (const auto backend : {backend_kind::agent, backend_kind::census, backend_kind::leap}) {
+    for (const auto backend : {backend_kind::agent, backend_kind::census}) {
         const auto first = run_trials(*s, 1, backend, 23);
         const auto again = run_trials(*s, 1, backend, 23);
         EXPECT_EQ(count_sections_bytes(first.summary.observed),
@@ -194,52 +194,54 @@ TEST(ObsDeterminism, CountMetricsAreStablePerSeed) {
 
 TEST(ObsDeterminism, BackendCountersSatisfyConservation) {
     // Structural invariants tie the counters to the simulation they claim to
-    // describe.  Census: every interaction is either executed — its
-    // initiator and responder located by exactly two Fenwick descents — or
-    // skipped as the identity of a class pair the protocol declares inactive
-    // (absorbed).  Epidemic declares no classes, so it skips nothing; the
-    // tournament skips most of its interactions, the leader election's
-    // included.  Leap: every interaction is applied on exactly one of the
-    // three δ paths, is the run-ending collision, or was absorbed (the
-    // absorbed-census fast path, or a skipped identity in a stepped
-    // segment); an executed stepped interaction takes two descents and one
-    // per-pair δ call.  Epidemic stays on the table; the tournament steps
-    // once many states are occupied.
+    // describe.  Census: every interaction is applied on exactly one of the
+    // three δ paths of a table run, is a run-ending collision, or was
+    // absorbed (the absorbed-census fast path, or a skipped identity while
+    // stepping); a stepped interaction that calls δ takes two Fenwick
+    // descents and counts as one per-pair δ call.  Epidemic stays on the
+    // table; the tournament steps once many states are occupied and skips
+    // most of its interactions, the leader election's included.
     using scenario::backend_kind;
     using test::counter_of;
     for (const char* name : {"epidemic/broadcast", "plurality/ordered", "plurality/improved"}) {
         const auto* s = scenario::scenario_registry::instance().find(name);
         ASSERT_NE(s, nullptr) << name;
-        const bool declares_classes = std::string(name) != "epidemic/broadcast";
-        {
-            const auto census = run_trials(*s, 1, backend_kind::census, 31).summary.observed;
-            const std::uint64_t absorbed = counter_of(census, obs::m_absorbed_fastpath);
-            EXPECT_EQ(counter_of(census, obs::m_fenwick_descents),
-                      2 * (counter_of(census, obs::m_interactions) - absorbed))
-                << name;
-            if (declares_classes) {
-                EXPECT_GT(2 * absorbed, counter_of(census, obs::m_interactions)) << name;
-            } else {
-                EXPECT_EQ(absorbed, 0u) << name;
-            }
+        const auto census = run_trials(*s, 1, backend_kind::census, 31).summary.observed;
+        const std::uint64_t interactions = counter_of(census, obs::m_interactions);
+        const std::uint64_t absorbed = counter_of(census, obs::m_absorbed_fastpath);
+        EXPECT_EQ(counter_of(census, obs::m_delta_deterministic) +
+                      counter_of(census, obs::m_delta_grouped) +
+                      counter_of(census, obs::m_delta_fallback) +
+                      counter_of(census, obs::m_collisions) + absorbed,
+                  interactions)
+            << name;
+        EXPECT_LE(counter_of(census, obs::m_fenwick_descents),
+                  2 * counter_of(census, obs::m_delta_fallback))
+            << name;
+        if (std::string(name) == "epidemic/broadcast") {
+            EXPECT_EQ(counter_of(census, obs::m_fenwick_descents), 0u) << name;
+        } else {
+            EXPECT_GT(2 * absorbed, interactions) << name;
         }
-        {
-            const auto leap = run_trials(*s, 1, backend_kind::leap, 31).summary.observed;
-            EXPECT_EQ(counter_of(leap, obs::m_delta_deterministic) +
-                          counter_of(leap, obs::m_delta_grouped) +
-                          counter_of(leap, obs::m_delta_fallback) +
-                          counter_of(leap, obs::m_collisions) +
-                          counter_of(leap, obs::m_absorbed_fastpath),
-                      counter_of(leap, obs::m_interactions))
-                << name;
-            EXPECT_LE(counter_of(leap, obs::m_fenwick_descents),
-                      2 * counter_of(leap, obs::m_delta_fallback))
-                << name;
-            // The run-length histogram counts every collision-free run.
-            ASSERT_NE(leap.find(obs::m_run_length), nullptr) << name;
-            EXPECT_EQ(leap.find(obs::m_run_length)->count, counter_of(leap, obs::m_runs)) << name;
-        }
+        // The run-length histogram counts every collision-free run.
+        ASSERT_NE(census.find(obs::m_run_length), nullptr) << name;
+        EXPECT_EQ(census.find(obs::m_run_length)->count, counter_of(census, obs::m_runs)) << name;
     }
+    // Stepping alone: every interaction is executed — its initiator and
+    // responder located by exactly two Fenwick descents, one per-pair δ
+    // call — or skipped as the identity of a class pair the tournament
+    // declares inactive (absorbed).
+    const auto start = test::ordered_tournament(350, 4, 31);
+    sim::census_simulator<core::plurality_protocol> stepped{start.protocol, start.agents, 31};
+    stepped.advance(350 * 1000);
+    obs::snapshot observed;
+    stepped.collect_metrics(observed);
+    const std::uint64_t absorbed = counter_of(observed, obs::m_absorbed_fastpath);
+    const std::uint64_t executed = counter_of(observed, obs::m_interactions) - absorbed;
+    EXPECT_GT(absorbed, 0u);
+    EXPECT_EQ(counter_of(observed, obs::m_fenwick_descents), 2 * executed);
+    EXPECT_EQ(counter_of(observed, obs::m_delta_fallback), executed);
+    EXPECT_EQ(counter_of(observed, obs::m_runs), 0u);
 }
 
 TEST(ObsSidecar, MetricsReportSeparatesDeterministicFromTiming) {

@@ -16,6 +16,7 @@
 #include "sim/rng.h"
 #include "sim/simulation.h"
 #include "workload/opinion_distribution.h"
+#include "test_support.h"
 
 namespace {
 
@@ -169,10 +170,11 @@ TEST_P(AveragingMonotonicity, VerdictMatchesSignOfDifference) {
     const std::uint32_t plus = base + (diff > 0 ? diff : 0);
     const std::uint32_t minus = base + (diff < 0 ? -diff : 0);
     const std::int64_t amp = majority::default_amplification(n);
-    auto agents = majority::make_averaging_population(plus, minus, n - plus - minus, amp);
+    const auto seed = static_cast<std::uint64_t>(diff + 1000);
+    auto agents =
+        test::expanded(majority::averaging_census(plus, minus, n - plus - minus, amp), seed);
     sim::simulation<majority::averaging_majority_protocol> s{
-        majority::averaging_majority_protocol{}, std::move(agents),
-        static_cast<std::uint64_t>(diff + 1000)};
+        majority::averaging_majority_protocol{}, std::move(agents), seed};
     const auto done = [](const auto& sim) {
         return majority::population_verdict(sim.agents()) != majority::majority_verdict::undecided;
     };

@@ -48,7 +48,7 @@ TEST(RandomDist, LogFactorialMatchesDirectSummationAcrossTableBoundary) {
     }
     EXPECT_DOUBLE_EQ(dist::log_factorial(0), 0.0);
     EXPECT_DOUBLE_EQ(dist::log_factorial(1), 0.0);
-    // The largest population the census-space backends accept.
+    // The largest population the census backend accepts.
     const double at_max = std::lgamma(4294967296.0);
     EXPECT_NEAR(dist::log_factorial(4294967295ull), at_max, 1e-12 * at_max);
 }
@@ -357,7 +357,7 @@ TEST(RandomDist, LogCollisionFreeSurvivalMatchesDirectSum) {
     // Reference: log S(l) = Σ_{t<l} [log1p(−2t/n) + log1p(−(2t+1)/n)], summed
     // in order — exact to ~1e-11 relative at these lengths.  Covers the
     // table-exact branch (n < 4096) and the closed-form Stirling branch, up
-    // to the largest population the census-space backends accept.
+    // to the largest population the census backend accepts.
     const std::uint64_t populations[] = {100, 4096, 1'000'000, 1'000'000'000, 4'294'967'295};
     for (const std::uint64_t n : populations) {
         const double nd = static_cast<double>(n);

@@ -30,9 +30,10 @@
 #include "obs/catalogue.h"
 #include "obs/snapshot.h"
 #include "scenario/registry.h"
+#include "sim/census_simulator.h"
 #include "sim/delta_outcomes.h"
 #include "sim/group_delta.h"
-#include "sim/leap_census_simulator.h"
+#include "sim/population_view.h"
 #include "sim/rng.h"
 #include "workload/opinion_distribution.h"
 #include "test_support.h"
@@ -367,7 +368,7 @@ TEST(RandomizedDeltaLeader, EnumeratedOutcomesAreBitwiseSupportOfPerPairDelta) {
 }
 
 TEST(RandomizedDeltaPlurality, EnumeratedOutcomesAreBitwiseSupportOfPerPairDelta) {
-    // Harvest reachable states from a short leap run of the ordered
+    // Harvest reachable states from a short census run of the ordered
     // tournament protocol, then check every ordered pair of the harvested
     // states against the per-pair δ ground truth.
     const auto dist = workload::make_bias_one(512, 2, 32);
@@ -376,7 +377,7 @@ TEST(RandomizedDeltaPlurality, EnumeratedOutcomesAreBitwiseSupportOfPerPairDelta
 
     std::set<std::string> seen;
     std::vector<core::core_agent> states;
-    sim::leap_census_simulator<core::plurality_protocol> harvest{
+    sim::census_simulator<core::plurality_protocol> harvest{
         proto, core::plurality_protocol::initial_census(cfg, dist), 11};
     for (int checkpoint = 0; checkpoint < 8 && states.size() < 16; ++checkpoint) {
         harvest.run_for(512 * 6);
@@ -406,8 +407,8 @@ TEST(RandomizedDeltaPlurality, EnumeratedOutcomesAreBitwiseSupportOfPerPairDelta
 // -- grouped vs per-pair fallback at the backend level ------------------------
 
 /// Leader election with the group path hidden — its `interact` takes only a
-/// `sim::rng&`, so it is not delta_enumerable: the leap backend must take
-/// the per-pair fallback for every group.
+/// `sim::rng&`, so it is not delta_enumerable: the table path must take the
+/// per-pair fallback for every group.
 struct per_pair_leader {
     using agent_t = leader::leader_agent;
     leader::leader_election_protocol inner;
@@ -423,7 +424,7 @@ TEST(RandomizedDeltaBackend, GroupedLeaderMatchesPerPairFallbackDistributionally
     // differ per seed — but the chain distribution must not.  Compare mean
     // surviving-candidate counts after a fixed horizon under a 5σ band.
     // At this n leader election occupies at most ~20 states against
-    // collision-free runs of ~63 interactions, so the leap cost model keeps
+    // collision-free runs of ~63 interactions, so the cost model keeps
     // every run on the contingency table (checked below): the comparison is
     // grouped table cells against per-pair table cells, not stepping
     // against stepping.
@@ -444,7 +445,7 @@ TEST(RandomizedDeltaBackend, GroupedLeaderMatchesPerPairFallbackDistributionally
             });
         };
         if (grouped) {
-            sim::leap_census_simulator<leader::leader_election_protocol> s{
+            sim::census_simulator<leader::leader_election_protocol> s{
                 leader::leader_election_protocol{psi, rounds}, init, seed};
             s.run_for(horizon);
             tally(s);
@@ -455,7 +456,7 @@ TEST(RandomizedDeltaBackend, GroupedLeaderMatchesPerPairFallbackDistributionally
             EXPECT_EQ(test::counter_of(observed, obs::m_fenwick_descents), 0u) << "seed " << seed;
 #endif
         } else {
-            sim::leap_census_simulator<per_pair_leader> s{
+            sim::census_simulator<per_pair_leader> s{
                 per_pair_leader{leader::leader_election_protocol{psi, rounds}}, init, seed};
             s.run_for(horizon);
             tally(s);
@@ -473,12 +474,25 @@ TEST(RandomizedDeltaBackend, GroupedLeaderMatchesPerPairFallbackDistributionally
 
 // -- cross-backend 5σ agreement for the paper's protocols ---------------------
 
+// Agent backend, `run_for` (the census backend) and `advance` (stepping
+// alone); the stepped side restates each scenario's census, budget and
+// convergence predicate.
+
 TEST(RandomizedDeltaCrossBackend, LeaderElectionTimesAgreeAcrossAgentCensusLeap) {
     const auto* s = scenario::scenario_registry::instance().find("leader/election");
     ASSERT_NE(s, nullptr);
     scenario::scenario_params params;
     params.n = 256;
-    test::expect_backends_agree(*s, params, 30, 6006);
+    const std::uint16_t rounds = leader::default_rounds(params.n);
+    const auto elected = [rounds](const auto& sim) {
+        return sim::view::all_of(
+            sim, [rounds](const leader::leader_agent& a) { return a.rounds_done >= rounds; });
+    };
+    const double log_n = std::log2(static_cast<double>(params.n));
+    const auto stepped = test::stepped_mean_time(
+        leader::leader_election_protocol{leader::default_psi(params.n), rounds},
+        {{leader::leader_agent{}, params.n}}, elected, 200.0 * log_n * log_n, 30, 6006);
+    test::expect_backends_agree(*s, params, 30, 6006, stepped);
 }
 
 TEST(RandomizedDeltaCrossBackend, OrderedPluralityTimesAgreeAcrossAgentCensusLeap) {
@@ -487,15 +501,24 @@ TEST(RandomizedDeltaCrossBackend, OrderedPluralityTimesAgreeAcrossAgentCensusLea
     scenario::scenario_params params;
     params.n = 512;
     params.k = 2;
-    test::expect_backends_agree(*s, params, 16, 7007);
+    const auto cfg = core::protocol_config::make(core::algorithm_mode::ordered, 512, 2);
+    const auto won = [](const auto& sim) {
+        return sim::view::all_of(sim, [](const core::core_agent& a) { return a.winner; });
+    };
+    const auto stepped = test::stepped_mean_time(
+        core::plurality_protocol{cfg},
+        core::plurality_protocol::initial_census(cfg, workload::make_bias_one(512, 2)), won,
+        cfg.default_time_budget(), 16, 7007);
+    test::expect_backends_agree(*s, params, 16, 7007, stepped);
 #if PLURALITY_OBS
-    // The leap side switches strategy within a trial — contingency-table
-    // runs while few states are occupied, stepping once the tournament
-    // spreads over many — so the agreement above covers the switching.
-    // Replays the first leap trial compared above.
-    const auto leap = s->run(params, sim::derive_seed(7007, 0), scenario::backend_kind::leap);
-    EXPECT_GT(test::counter_of(leap.observed, obs::m_runs), 0u);
-    EXPECT_GT(test::counter_of(leap.observed, obs::m_fenwick_descents), 0u);
+    // `run_for` switches strategy within a trial — contingency-table runs
+    // while few states are occupied, stepping once the tournament spreads
+    // over many — so the agreement above covers the switching.  Replays
+    // the first census trial compared above.
+    const auto census =
+        s->run(params, sim::derive_seed(7007, 0), scenario::backend_kind::census);
+    EXPECT_GT(test::counter_of(census.observed, obs::m_runs), 0u);
+    EXPECT_GT(test::counter_of(census.observed, obs::m_fenwick_descents), 0u);
 #endif
 }
 

@@ -162,8 +162,8 @@ TEST(ScenarioBackends, RetiredBatchEnumeratorThrowsInsteadOfFallingThrough) {
 TEST(ScenarioBackends, EveryScenarioStartsFromOneConfigurationOnEveryBackend) {
     // A time budget of half an interaction executes none, so each outcome
     // reads the initial configuration: the census the spec writes, which
-    // the agent backend expands into agents and the census-space backends
-    // deposit as it is.  Its metrics, convergence and correctness must not
+    // the agent backend expands into agents and the census backend
+    // deposits as it is.  Its metrics, convergence and correctness must not
     // depend on the backend — a metric that counts occupied states where it
     // means agents (a counting predicate written as a forall) differs here.
     using scenario::backend_kind;

@@ -1,32 +1,36 @@
-// Helpers shared by the test suites: the three-state census and tournament
-// fixtures the census-space backend tests step, the occupied-list invariant
-// check, the per-family small parameter table, and the calibrated
+// Helpers shared by the test suites: agents laid out from a census, the
+// tournament fixture the census simulator tests step, the occupied-list
+// invariant check, the per-family small parameter table, and the calibrated
 // distributional-agreement checks.
 //
-// All backends sample the interacting pair uniformly over ordered pairs of
-// distinct agents, so for a fixed initial configuration the
-// convergence-time *distribution* is identical; only the per-seed draws
-// differ.  `expect_means_agree` compares mean convergence times over
-// independent trials with a tolerance taken from the statistic's own
-// standard error (a ~5σ band plus a small absolute slack), NOT from hunting
-// for lucky seeds — re-rolling the RNG streams stays inside the band with
-// overwhelming probability.
+// Both backends, and both of the census simulator's strategies, sample the
+// interacting pair uniformly over ordered pairs of distinct agents, so for a
+// fixed initial configuration the convergence-time *distribution* is
+// identical; only the per-seed draws differ.  `expect_means_agree` compares
+// mean convergence times over independent trials with a tolerance taken
+// from the statistic's own standard error (a ~5σ band plus a small absolute
+// slack), NOT from hunting for lucky seeds — re-rolling the RNG streams
+// stays inside the band with overwhelming probability.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "analysis/stats.h"
 #include "core/plurality_protocol.h"
 #include "majority/three_state.h"
 #include "obs/snapshot.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
+#include "sim/census_simulator.h"
 #include "sim/census_store.h"
+#include "sim/convergence.h"
 #include "sim/trial_executor.h"
 #include "workload/opinion_distribution.h"
 
@@ -36,10 +40,14 @@ inline constexpr majority::binary_opinion alpha_v = majority::binary_opinion::al
 inline constexpr majority::binary_opinion beta_v = majority::binary_opinion::beta;
 inline constexpr majority::binary_opinion undecided_v = majority::binary_opinion::undecided;
 
-/// Initial three-state census: `alpha`, `beta` and `undecided` agents.
-inline std::vector<sim::census_entry<majority::three_state_agent>> three_state_census(
-    std::uint64_t alpha, std::uint64_t beta, std::uint64_t undecided) {
-    return {{{alpha_v}, alpha}, {{beta_v}, beta}, {{undecided_v}, undecided}};
+/// `census` laid out as shuffled agents (sim::expand_census) for an agent
+/// simulation seeded with `seed`.  The shuffle draws from the setup stream
+/// the scenario layer derives from a trial seed, apart from the run's.
+template <sim::census_agent Agent>
+std::vector<Agent> expanded(const std::vector<sim::census_entry<Agent>>& census,
+                            std::uint64_t seed) {
+    sim::rng setup(sim::derive_seed(seed, scenario::scenario_setup_stream));
+    return sim::expand_census(census, setup);
 }
 
 /// The benchmark's tournament workload — plurality/ordered with bias 1 —
@@ -162,18 +170,45 @@ inline std::uint64_t counter_of(const obs::snapshot& snap, const char* name) {
     return found == nullptr ? 0 : found->value;
 }
 
-/// Pairwise 5σ agreement of mean convergence times across the agent, census
-/// and leap backends on one scenario.
+/// Mean parallel time until `done` holds over `trials` runs of the census
+/// simulator's stepping loop alone (`advance`), each from `census` on its
+/// own seed, checked every n interactions as sim::converge checks `run_for`
+/// and cut at `time_budget` parallel time.  `done` is the scenario's
+/// convergence predicate.
+template <class P, class Done>
+backend_sample stepped_mean_time(const P& protocol,
+                                 const std::vector<sim::census_entry<typename P::agent_t>>& census,
+                                 Done done, double time_budget, std::size_t trials,
+                                 std::uint64_t base_seed) {
+    constexpr std::uint64_t stepped_stream = 0x57e9ull;
+    std::vector<double> times;
+    for (std::size_t i = 0; i < trials; ++i) {
+        sim::census_simulator<P> stepped{
+            protocol, census, sim::derive_seed(sim::derive_seed(base_seed, i), stepped_stream)};
+        const std::uint64_t n = stepped.population_size();
+        const std::uint64_t budget = sim::interaction_budget(time_budget, n);
+        while (!done(stepped) && stepped.interactions() < budget)
+            stepped.advance(std::min(n, budget - stepped.interactions()));
+        EXPECT_TRUE(done(stepped)) << "stepped trial " << i;
+        times.push_back(stepped.parallel_time());
+    }
+    const auto stats = analysis::summarize(times);
+    return {stats.mean, stats.stddev / std::sqrt(static_cast<double>(trials))};
+}
+
+/// Pairwise 5σ agreement of mean convergence times on one scenario between
+/// the agent backend, the census backend (`run_for`: table runs or
+/// stepping, as its cost model picks) and `stepped`, the census
+/// simulator's stepping loop alone (stepped_mean_time).
 inline void expect_backends_agree(const scenario::any_scenario& s,
                                   const scenario::scenario_params& params, std::size_t trials,
-                                  std::uint64_t base_seed) {
+                                  std::uint64_t base_seed, const backend_sample& stepped) {
     using scenario::backend_kind;
     const auto agent = sample_mean_time(s, params, trials, base_seed, backend_kind::agent);
     const auto census = sample_mean_time(s, params, trials, base_seed, backend_kind::census);
-    const auto leap = sample_mean_time(s, params, trials, base_seed, backend_kind::leap);
-    expect_means_agree(agent, census, "agent", "census");
-    expect_means_agree(agent, leap, "agent", "leap");
-    expect_means_agree(census, leap, "census", "leap");
+    expect_means_agree(agent, census, "agent", "run_for");
+    expect_means_agree(agent, stepped, "agent", "advance");
+    expect_means_agree(census, stepped, "run_for", "advance");
 }
 
 }  // namespace plurality::test

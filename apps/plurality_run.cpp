@@ -246,8 +246,10 @@ int main(int argc, char** argv) {
                 std::fprintf(stderr, "cannot open trace file '%s'\n", opt.trace_path.c_str());
                 return 1;
             }
-            (void)s->run_traced(opt.params, sim::derive_seed(opt.seed, 0), opt.trace_cadence,
-                                trace, opt.backend);
+            scenario::run_options traced;
+            traced.trace_cadence = opt.trace_cadence;
+            traced.trace_csv = &trace;
+            (void)s->run(opt.params, sim::derive_seed(opt.seed, 0), opt.backend, traced);
         }
 
         std::ostringstream doc;

@@ -47,7 +47,7 @@ void BM_LargeK_InitTime(benchmark::State& state) {
             auto population = core::plurality_protocol::make_population(cfg, dist, setup);
             sim::simulation<core::plurality_protocol> s{std::move(proto), std::move(population),
                                                         sim::derive_seed(0xed600 + k, t)};
-            const auto done = [](const auto& sim) { return core::init_finished(sim.agents()); };
+            const auto done = [](const auto& sim) { return core::init_finished(sim); };
             (void)sim::converge(s, done, static_cast<std::uint64_t>(cfg.default_time_budget()) * n);
             total += s.parallel_time();
         }

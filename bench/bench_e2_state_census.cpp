@@ -35,14 +35,14 @@ census_result census_run(const core::protocol_config& cfg,
     census::state_census structural;
     census::state_census full;
     const auto budget = static_cast<std::uint64_t>(cfg.default_time_budget()) * cfg.n;
-    while (!core::all_winners(s.agents()) && s.interactions() < budget) {
+    while (!core::all_winners(s) && s.interactions() < budget) {
         s.run_for(cfg.n / 4);  // dense sampling: 4 observations per time unit
         for (const auto& a : s.agents()) {
             structural.observe(core::canonical_code(a, cfg, core::census_mode::structural));
             full.observe(core::canonical_code(a, cfg, core::census_mode::full));
         }
     }
-    return {structural.distinct(), full.distinct(), core::all_winners(s.agents())};
+    return {structural.distinct(), full.distinct(), core::all_winners(s)};
 }
 
 void BM_Census_K(benchmark::State& state) {

@@ -26,12 +26,12 @@ init_measurement measure_init(std::uint32_t n, std::uint32_t k, std::uint64_t se
     auto population = core::plurality_protocol::make_population(cfg, dist, setup);
     sim::simulation<core::plurality_protocol> s{std::move(proto), std::move(population),
                                                 sim::derive_seed(seed, 2)};
-    const auto done = [](const auto& sim) { return core::init_finished(sim.agents()); };
+    const auto done = [](const auto& sim) { return core::init_finished(sim); };
     (void)sim::converge(s, done, static_cast<std::uint64_t>(cfg.default_time_budget()) * n);
 
     init_measurement m;
     m.parallel_time = s.parallel_time();
-    const auto counts = core::role_counts(s.agents());
+    const auto counts = core::role_counts(s);
     m.min_role_fraction =
         static_cast<double>(*std::min_element(counts.begin(), counts.end())) / n;
     std::size_t opinion1 = 0;

@@ -28,18 +28,18 @@ pruning_measurement measure(const workload::opinion_distribution& dist, std::uin
     auto population = core::plurality_protocol::make_population(cfg, dist, setup);
     sim::simulation<core::plurality_protocol> s{std::move(proto), std::move(population),
                                                 sim::derive_seed(seed, 2)};
-    const auto pruned = [](const auto& sim) { return core::init_finished(sim.agents()); };
+    const auto pruned = [](const auto& sim) { return core::init_finished(sim); };
     (void)sim::converge(s, pruned, static_cast<std::uint64_t>(cfg.default_time_budget()) * n);
     const double prune_pt = s.parallel_time();
     s.run_for(20ull * n);  // let the broadcast settle
 
     pruning_measurement m;
     m.prune_pt = prune_pt;
-    m.survivors = static_cast<double>(core::surviving_opinions(s.agents()).size());
+    m.survivors = static_cast<double>(core::surviving_opinions(s).size());
     m.plurality_tokens_kept =
-        static_cast<double>(core::tokens_of_opinion(s.agents(), dist.plurality_opinion())) /
+        static_cast<double>(core::tokens_of_opinion(s, dist.plurality_opinion())) /
         dist.x_max();
-    const auto counts = core::role_counts(s.agents());
+    const auto counts = core::role_counts(s);
     const auto min_role =
         std::min({counts[1], counts[2], counts[3]});  // clock, tracker, player
     m.min_nonc_role_fraction = static_cast<double>(min_role) / n;

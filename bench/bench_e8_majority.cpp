@@ -55,10 +55,10 @@ void BM_ThreeState(benchmark::State& state) {
             sim::simulation<three_state_protocol> s{three_state_protocol{}, std::move(agents),
                                                     seed};
             (void)sim::converge(
-                s, [](const auto& sim) { return consensus_reached(sim.agents()); },
+                s, [](const auto& sim) { return consensus_reached(sim); },
                 4000ull * population);
             sim::trial_outcome out;
-            out.success = consensus_value(s.agents()) == binary_opinion::alpha;
+            out.success = consensus_value(s) == binary_opinion::alpha;
             out.parallel_time = s.parallel_time();
             return out;
         });
@@ -82,11 +82,11 @@ void BM_Averaging(benchmark::State& state) {
             (void)sim::converge(
                 s,
                 [](const auto& sim) {
-                    return population_verdict(sim.agents()) != majority_verdict::undecided;
+                    return population_verdict(sim) != majority_verdict::undecided;
                 },
                 2000ull * population);
             sim::trial_outcome out;
-            out.success = population_verdict(s.agents()) == majority_verdict::plus;
+            out.success = population_verdict(s) == majority_verdict::plus;
             out.parallel_time = s.parallel_time();
             return out;
         });
@@ -109,10 +109,10 @@ void BM_CancelDouble(benchmark::State& state) {
             sim::simulation<cancel_double_protocol> s{cancel_double_protocol{cap},
                                                       std::move(agents), seed};
             (void)sim::converge(
-                s, [](const auto& sim) { return decided_sign(sim.agents()) != 0; },
+                s, [](const auto& sim) { return decided_sign(sim) != 0; },
                 8000ull * population);
             sim::trial_outcome out;
-            out.success = decided_sign(s.agents()) == 1;
+            out.success = decided_sign(s) == 1;
             out.parallel_time = s.parallel_time();
             return out;
         });

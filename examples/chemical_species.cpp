@@ -46,16 +46,16 @@ int main(int argc, char** argv) {
         std::size_t in_init = 0;
         for (const auto& a : sim.agents())
             if (a.stage == lifecycle_stage::init) ++in_init;
-        const auto roles = role_counts(sim.agents());
-        const auto species = surviving_opinions(sim.agents());
+        const auto roles = role_counts(sim);
+        const auto species = surviving_opinions(sim);
         std::printf("%10.0f %8zu %8zu %8zu %8zu %8zu %10zu\n", sim.parallel_time(), in_init,
                     roles[0], roles[1], roles[2], roles[3], species.size());
     };
     (void)sim::converge(
-        s, [](const auto& sim) { return all_winners(sim.agents()); },
+        s, [](const auto& sim) { return all_winners(sim); },
         sim::interaction_budget(cfg.default_time_budget(), dist.n()), dist.n() / 2, report_roles);
 
-    const std::uint32_t winner = consensus_opinion(s.agents());
+    const std::uint32_t winner = consensus_opinion(s);
     std::printf("\nconsensus: species %u after %.0f parallel time -> %s\n", winner,
                 s.parallel_time(), winner == dist.plurality_opinion() ? "CORRECT" : "WRONG");
     std::printf("note how the trace species vanish at the pruning broadcast long before\n"

@@ -8,9 +8,12 @@
 # --bias 10, leader --n 256, the rest --n 512) with --trials 3 --seed 7,
 # plus the benchmark's workload plurality/ordered --n 350 --k 4 --trials 10
 # --seed 1 on census.  For each run the directory keeps the --out
-# document (NAME.json) and the `deterministic` object of the --metrics
-# sidecar (NAME.metrics.json); the sidecar's wall-clock `timing` object is
-# dropped.  Extra flags (e.g. --threads 4) are passed to every run.
+# document (NAME.json), the `deterministic` object of the --metrics
+# sidecar (NAME.metrics.json; the sidecar's wall-clock `timing` object is
+# dropped) and the --trace CSV (NAME.trace.csv: trial 0's metric series on
+# the default cadence), so a diff covers the readouts in the middle of a run
+# as well as the final ones.  Extra flags (e.g. --threads 4) are passed to
+# every run.
 #
 # Usage: scripts/deterministic_docs.sh PLURALITY_RUN OUT_DIR [flags...]
 #   e.g. scripts/deterministic_docs.sh ./build/plurality_run docs-t1 --threads 1
@@ -30,7 +33,8 @@ trap 'rm -f "$sidecar"' EXIT
 run() {
     local name=$1
     shift
-    "$run_binary" "$@" "${extra[@]}" --out "$out_dir/$name.json" --metrics "$sidecar" >/dev/null
+    "$run_binary" "$@" "${extra[@]}" --out "$out_dir/$name.json" --metrics "$sidecar" \
+        --trace "$out_dir/$name.trace.csv" >/dev/null
     python3 - "$sidecar" "$out_dir/$name.metrics.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:

@@ -4,19 +4,6 @@
 
 namespace plurality::baselines {
 
-bool consensus_reached(std::span<const usd_agent> agents) noexcept {
-    return consensus_opinion(agents) != 0;
-}
-
-std::uint32_t consensus_opinion(std::span<const usd_agent> agents) noexcept {
-    if (agents.empty()) return 0;
-    const std::uint32_t first = agents.front().opinion;
-    if (first == 0) return 0;
-    for (const auto& a : agents)
-        if (a.opinion != first) return 0;
-    return first;
-}
-
 std::vector<sim::census_entry<usd_agent>> initial_census(
     const workload::opinion_distribution& dist) {
     std::vector<sim::census_entry<usd_agent>> entries;
@@ -34,13 +21,13 @@ usd_result run_usd(const workload::opinion_distribution& dist, std::uint64_t see
     sim::simulation<usd_plurality_protocol> simulation{
         usd_plurality_protocol{}, std::move(population), sim::derive_seed(seed, 0x05d1ull)};
 
-    const auto done = [](const auto& s) { return consensus_reached(s.agents()); };
+    const auto done = [](const auto& s) { return consensus_reached(s); };
     const auto run =
         sim::converge(simulation, done, sim::interaction_budget(time_budget, dist.n()));
 
     usd_result result;
     result.converged = run.converged;
-    result.winner_opinion = consensus_opinion(simulation.agents());
+    result.winner_opinion = consensus_opinion(simulation);
     result.correct = result.converged && result.winner_opinion == dist.plurality_opinion();
     result.parallel_time = run.parallel_time;
     return result;

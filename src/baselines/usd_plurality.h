@@ -13,10 +13,10 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "sim/census_store.h"
+#include "sim/population_view.h"
 #include "workload/opinion_distribution.h"
 
 namespace plurality::baselines {
@@ -39,11 +39,23 @@ struct usd_plurality_protocol {
     }
 };
 
-/// True when all agents hold the same decided opinion.
-[[nodiscard]] bool consensus_reached(std::span<const usd_agent> agents) noexcept;
+/// The decided opinion all agents share (0 while mixed or undecided).
+template <sim::view::population_of<usd_agent> Pop>
+[[nodiscard]] std::uint32_t consensus_opinion(const Pop& pop) {
+    return sim::view::unanimous(pop, [](const usd_agent& a) { return a.opinion; }).value_or(0u);
+}
 
-/// The consensus opinion (0 if none yet).
-[[nodiscard]] std::uint32_t consensus_opinion(std::span<const usd_agent> agents) noexcept;
+/// True when all agents hold the same decided opinion.
+template <sim::view::population_of<usd_agent> Pop>
+[[nodiscard]] bool consensus_reached(const Pop& pop) {
+    return consensus_opinion(pop) != 0;
+}
+
+/// Share of undecided agents.
+template <sim::view::population_of<usd_agent> Pop>
+[[nodiscard]] double undecided_fraction(const Pop& pop) {
+    return sim::view::fraction(pop, [](const usd_agent& a) { return a.opinion == 0; });
+}
 
 /// The initial configuration as a census: one entry per supported opinion,
 /// in opinion order.

@@ -1,7 +1,5 @@
 #include "core/result.h"
 
-#include <algorithm>
-
 #include "core/plurality_protocol.h"
 #include "sim/convergence.h"
 
@@ -17,7 +15,7 @@ consensus_result run_to_consensus(const protocol_config& cfg,
                                                    sim::derive_seed(seed, 0x10ull)};
 
     if (time_budget <= 0.0) time_budget = cfg.default_time_budget();
-    const auto done = [](const auto& s) { return all_winners(s.agents()); };
+    const auto done = [](const auto& s) { return all_winners(s); };
     const auto run = sim::converge(simulation, done, sim::interaction_budget(time_budget, cfg.n),
                                    4ull * cfg.n);
 
@@ -25,63 +23,9 @@ consensus_result run_to_consensus(const protocol_config& cfg,
     result.parallel_time = run.parallel_time;
     result.interactions = run.interactions;
     result.converged = run.converged;
-    result.winner_opinion = consensus_opinion(simulation.agents());
+    result.winner_opinion = consensus_opinion(simulation);
     result.correct = result.converged && result.winner_opinion == dist.plurality_opinion();
     return result;
-}
-
-std::array<std::size_t, 4> role_counts(std::span<const core_agent> agents) noexcept {
-    std::array<std::size_t, 4> counts{};
-    for (const auto& a : agents) ++counts[static_cast<std::size_t>(a.role)];
-    return counts;
-}
-
-std::uint64_t tokens_of_opinion(std::span<const core_agent> agents,
-                                std::uint32_t opinion) noexcept {
-    std::uint64_t total = 0;
-    for (const auto& a : agents) {
-        if (a.role == agent_role::collector && a.opinion == opinion) total += a.tokens;
-    }
-    return total;
-}
-
-std::vector<std::uint32_t> surviving_opinions(std::span<const core_agent> agents) {
-    std::vector<std::uint32_t> opinions;
-    for (const auto& a : agents) {
-        if (a.role == agent_role::collector && a.tokens > 0 && a.opinion != 0) {
-            opinions.push_back(a.opinion);
-        }
-    }
-    std::sort(opinions.begin(), opinions.end());
-    opinions.erase(std::unique(opinions.begin(), opinions.end()), opinions.end());
-    return opinions;
-}
-
-bool init_finished(std::span<const core_agent> agents) noexcept {
-    return std::none_of(agents.begin(), agents.end(), [](const core_agent& a) {
-        return a.stage == lifecycle_stage::init;
-    });
-}
-
-bool all_winners(std::span<const core_agent> agents) noexcept {
-    return std::all_of(agents.begin(), agents.end(),
-                       [](const core_agent& a) { return a.winner; });
-}
-
-std::uint32_t consensus_opinion(std::span<const core_agent> agents) noexcept {
-    if (agents.empty()) return 0;
-    const std::uint32_t first = agents.front().opinion;
-    for (const auto& a : agents) {
-        if (!a.winner || a.opinion != first) return 0;
-    }
-    return first;
-}
-
-std::size_t leader_count(std::span<const core_agent> agents) noexcept {
-    std::size_t count = 0;
-    for (const auto& a : agents)
-        if (a.is_leader) ++count;
-    return count;
 }
 
 }  // namespace plurality::core

@@ -8,9 +8,8 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 
-#include "sim/simulation.h"
+#include "sim/population_view.h"
 
 namespace plurality::epidemic {
 
@@ -36,7 +35,29 @@ struct epidemic_protocol {
 };
 
 /// Number of informed agents.
-[[nodiscard]] std::size_t informed_count(std::span<const epidemic_agent> agents) noexcept;
+template <sim::view::population_of<epidemic_agent> Pop>
+[[nodiscard]] std::size_t informed_count(const Pop& pop) {
+    return sim::view::count_if(pop, [](const epidemic_agent& a) { return a.informed != 0; });
+}
+
+/// Share of informed agents.
+template <sim::view::population_of<epidemic_agent> Pop>
+[[nodiscard]] double informed_fraction(const Pop& pop) {
+    return sim::view::fraction(pop, [](const epidemic_agent& a) { return a.informed != 0; });
+}
+
+/// True once every agent is informed: the broadcast is over.
+template <sim::view::population_of<epidemic_agent> Pop>
+[[nodiscard]] bool all_informed(const Pop& pop) {
+    return sim::view::all_of(pop, [](const epidemic_agent& a) { return a.informed != 0; });
+}
+
+/// True when every agent carries `payload`: the content spread with the bit.
+template <sim::view::population_of<epidemic_agent> Pop>
+[[nodiscard]] bool all_carry_payload(const Pop& pop, std::uint32_t payload) {
+    return sim::view::all_of(pop,
+                             [payload](const epidemic_agent& a) { return a.payload == payload; });
+}
 
 /// Runs a broadcast from `sources` informed agents out of `n` and returns the
 /// parallel time until everyone is informed.

@@ -67,24 +67,4 @@ std::uint16_t default_rounds(std::uint32_t n) noexcept {
     return static_cast<std::uint16_t>(2 * util::ceil_log2(n < 2 ? 2 : n) + 8);
 }
 
-std::size_t candidate_count(std::span<const leader_agent> agents) noexcept {
-    std::size_t count = 0;
-    for (const auto& a : agents)
-        if (a.candidate) ++count;
-    return count;
-}
-
-std::size_t leader_count(std::span<const leader_agent> agents) noexcept {
-    std::size_t count = 0;
-    for (const auto& a : agents)
-        if (a.leader) ++count;
-    return count;
-}
-
-bool election_finished(std::span<const leader_agent> agents, std::uint16_t total_rounds) noexcept {
-    for (const auto& a : agents)
-        if (a.rounds_done < total_rounds) return false;
-    return true;
-}
-
 }  // namespace plurality::leader

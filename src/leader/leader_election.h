@@ -23,10 +23,10 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 #include "clocks/leaderless_clock.h"
 #include "sim/delta_outcomes.h"
+#include "sim/population_view.h"
 #include "sim/rng.h"
 
 namespace plurality::leader {
@@ -81,12 +81,25 @@ private:
 [[nodiscard]] std::uint32_t default_psi(std::uint32_t n) noexcept;
 [[nodiscard]] std::uint16_t default_rounds(std::uint32_t n) noexcept;
 
-[[nodiscard]] std::size_t candidate_count(std::span<const leader_agent> agents) noexcept;
-[[nodiscard]] std::size_t leader_count(std::span<const leader_agent> agents) noexcept;
+/// Agents still in the running.
+template <sim::view::population_of<leader_agent> Pop>
+[[nodiscard]] std::size_t candidate_count(const Pop& pop) {
+    return sim::view::count_if(pop, [](const leader_agent& a) { return a.candidate; });
+}
+
+/// Agents that declared themselves leader: the election is correct when
+/// exactly one did (a weighted count, not a forall).
+template <sim::view::population_of<leader_agent> Pop>
+[[nodiscard]] std::size_t leader_count(const Pop& pop) {
+    return sim::view::count_if(pop, [](const leader_agent& a) { return a.leader; });
+}
 
 /// True once every agent has finished `total_rounds` rounds (the election is
 /// over; leaders, if any, have declared).
-[[nodiscard]] bool election_finished(std::span<const leader_agent> agents,
-                                     std::uint16_t total_rounds) noexcept;
+template <sim::view::population_of<leader_agent> Pop>
+[[nodiscard]] bool election_finished(const Pop& pop, std::uint16_t total_rounds) {
+    return sim::view::all_of(
+        pop, [total_rounds](const leader_agent& a) { return a.rounds_done >= total_rounds; });
+}
 
 }  // namespace plurality::leader

@@ -1,29 +1,11 @@
 #include "loadbalance/load_balancer.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
 #include "sim/convergence.h"
 
 namespace plurality::loadbalance {
-
-std::int64_t total_load(std::span<const load_agent> agents) noexcept {
-    std::int64_t sum = 0;
-    for (const auto& a : agents) sum += a.load;
-    return sum;
-}
-
-std::int64_t discrepancy(std::span<const load_agent> agents) noexcept {
-    if (agents.empty()) return 0;
-    std::int64_t lo = agents.front().load;
-    std::int64_t hi = lo;
-    for (const auto& a : agents) {
-        lo = std::min(lo, a.load);
-        hi = std::max(hi, a.load);
-    }
-    return hi - lo;
-}
 
 double measure_balancing_time(std::span<const std::int64_t> initial_loads,
                               std::int64_t target_discrepancy, double budget,
@@ -37,7 +19,7 @@ double measure_balancing_time(std::span<const std::int64_t> initial_loads,
     sim::simulation<load_balance_protocol> simulation{load_balance_protocol{}, std::move(agents),
                                                       seed};
     const auto balanced = [target_discrepancy](const auto& s) {
-        return discrepancy(s.agents()) <= target_discrepancy;
+        return discrepancy(s) <= target_discrepancy;
     };
     const auto run =
         sim::converge(simulation, balanced, sim::interaction_budget(budget, n), n / 4 + 1);

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <span>
 
+#include "sim/population_view.h"
+
 namespace plurality::loadbalance {
 
 /// Floor division that rounds toward negative infinity (C++ `/` truncates
@@ -42,10 +44,17 @@ struct load_balance_protocol {
 };
 
 /// Sum of all loads (invariant under the protocol).
-[[nodiscard]] std::int64_t total_load(std::span<const load_agent> agents) noexcept;
+template <sim::view::population_of<load_agent> Pop>
+[[nodiscard]] std::int64_t total_load(const Pop& pop) {
+    return sim::view::weighted_sum(pop, [](const load_agent& a) { return a.load; });
+}
 
-/// max(load) - min(load).
-[[nodiscard]] std::int64_t discrepancy(std::span<const load_agent> agents) noexcept;
+/// max(load) - min(load); 0 on an empty population.
+template <sim::view::population_of<load_agent> Pop>
+[[nodiscard]] std::int64_t discrepancy(const Pop& pop) {
+    const auto range = sim::view::extrema(pop, [](const load_agent& a) { return a.load; });
+    return range.has_value() ? range->second - range->first : 0;
+}
 
 /// Runs the protocol on the given initial loads and returns the parallel
 /// time until the discrepancy first drops to `target_discrepancy` (or the

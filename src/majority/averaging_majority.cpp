@@ -14,14 +14,6 @@ majority_verdict agent_verdict(const averaging_agent& agent, std::int64_t thr) n
     return majority_verdict::tie;
 }
 
-majority_verdict population_verdict(std::span<const averaging_agent> agents, std::int64_t thr) noexcept {
-    if (agents.empty()) return majority_verdict::undecided;
-    const majority_verdict first = agent_verdict(agents.front(), thr);
-    for (const auto& a : agents)
-        if (agent_verdict(a, thr) != first) return majority_verdict::undecided;
-    return first;
-}
-
 std::vector<sim::census_entry<averaging_agent>> averaging_census(std::uint64_t plus,
                                                                  std::uint64_t minus,
                                                                  std::uint64_t zeros,

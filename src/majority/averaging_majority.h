@@ -26,11 +26,11 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "loadbalance/load_balancer.h"
 #include "sim/census_store.h"
+#include "sim/population_view.h"
 
 namespace plurality::majority {
 
@@ -59,8 +59,11 @@ struct averaging_majority_protocol {
 
 /// Population verdict: `plus`/`minus`/`tie` if all agents agree on that
 /// verdict, `undecided` otherwise (loads not yet concentrated).
-[[nodiscard]] majority_verdict population_verdict(std::span<const averaging_agent> agents,
-                                                  std::int64_t thr = 3) noexcept;
+template <sim::view::population_of<averaging_agent> Pop>
+[[nodiscard]] majority_verdict population_verdict(const Pop& pop, std::int64_t thr = 3) {
+    const auto verdict = [thr](const averaging_agent& a) { return agent_verdict(a, thr); };
+    return sim::view::unanimous(pop, verdict).value_or(majority_verdict::undecided);
+}
 
 /// The initial census: `plus` agents at +amplification, `minus` at
 /// -amplification and `zeros` at 0.

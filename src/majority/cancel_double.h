@@ -26,10 +26,10 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "sim/census_store.h"
+#include "sim/population_view.h"
 
 namespace plurality::majority {
 
@@ -91,13 +91,32 @@ private:
 
 /// The invariant Σ sign·2^(level_cap − level), i.e. the bias scaled by
 /// 2^level_cap (kept in integers to stay exact).
-[[nodiscard]] std::int64_t scaled_token_sum(std::span<const cancel_double_agent> agents,
-                                            std::uint8_t level_cap) noexcept;
+template <sim::view::population_of<cancel_double_agent> Pop>
+[[nodiscard]] std::int64_t scaled_token_sum(const Pop& pop, std::uint8_t level_cap) {
+    return sim::view::weighted_sum(pop, [level_cap](const cancel_double_agent& a) {
+        return a.sign == 0 ? std::int64_t{0}
+                           : static_cast<std::int64_t>(a.sign) << (level_cap - a.level);
+    });
+}
 
 /// +1 / -1 when every signed agent carries that sign (the protocol's output
 /// once opposing tokens are extinct); 0 while both signs coexist or no
 /// signed agent is left.
-[[nodiscard]] int decided_sign(std::span<const cancel_double_agent> agents) noexcept;
+template <sim::view::population_of<cancel_double_agent> Pop>
+[[nodiscard]] int decided_sign(const Pop& pop) {
+    const bool plus =
+        sim::view::any_of(pop, [](const cancel_double_agent& a) { return a.sign > 0; });
+    const bool minus =
+        sim::view::any_of(pop, [](const cancel_double_agent& a) { return a.sign < 0; });
+    if (plus == minus) return 0;
+    return plus ? 1 : -1;
+}
+
+/// Share of agents carrying a token (nonzero sign).
+template <sim::view::population_of<cancel_double_agent> Pop>
+[[nodiscard]] double signed_fraction(const Pop& pop) {
+    return sim::view::fraction(pop, [](const cancel_double_agent& a) { return a.sign != 0; });
+}
 
 /// The initial census: `plus` positive tokens, `minus` negative tokens and
 /// `blank` unsigned agents, all at level 0.

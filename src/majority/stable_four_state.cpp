@@ -62,27 +62,6 @@ int output_sign(const four_state_agent& agent) noexcept {
     return 0;
 }
 
-bool consensus_reached(std::span<const four_state_agent> agents) noexcept {
-    return consensus_sign(agents) != 0;
-}
-
-int consensus_sign(std::span<const four_state_agent> agents) noexcept {
-    if (agents.empty()) return 0;
-    const int first = output_sign(agents.front());
-    for (const auto& a : agents)
-        if (output_sign(a) != first) return 0;
-    return first;
-}
-
-std::int64_t strong_token_difference(std::span<const four_state_agent> agents) noexcept {
-    std::int64_t diff = 0;
-    for (const auto& a : agents) {
-        if (a.state == four_state::strong_plus) ++diff;
-        if (a.state == four_state::strong_minus) --diff;
-    }
-    return diff;
-}
-
 std::vector<sim::census_entry<four_state_agent>> four_state_census(std::uint64_t plus,
                                                                    std::uint64_t minus,
                                                                    std::uint64_t blank) {

@@ -17,10 +17,10 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "sim/census_store.h"
+#include "sim/population_view.h"
 
 namespace plurality::majority {
 
@@ -42,16 +42,29 @@ struct stable_four_state_protocol {
 /// +1 / -1 / 0: the sign an agent currently outputs.
 [[nodiscard]] int output_sign(const four_state_agent& agent) noexcept;
 
-/// True when all agents output the same nonzero sign.
-[[nodiscard]] bool consensus_reached(std::span<const four_state_agent> agents) noexcept;
+/// The sign all agents output (0 while they disagree).
+template <sim::view::population_of<four_state_agent> Pop>
+[[nodiscard]] int consensus_sign(const Pop& pop) {
+    return sim::view::unanimous(pop, [](const four_state_agent& a) { return output_sign(a); })
+        .value_or(0);
+}
 
-/// The sign all agents agree on (0 if no consensus).
-[[nodiscard]] int consensus_sign(std::span<const four_state_agent> agents) noexcept;
+/// True when all agents output the same nonzero sign.
+template <sim::view::population_of<four_state_agent> Pop>
+[[nodiscard]] bool consensus_reached(const Pop& pop) {
+    return consensus_sign(pop) != 0;
+}
 
 /// Invariant check: #strong_plus - #strong_minus (equals the initial bias at
 /// all times).
-[[nodiscard]] std::int64_t strong_token_difference(
-    std::span<const four_state_agent> agents) noexcept;
+template <sim::view::population_of<four_state_agent> Pop>
+[[nodiscard]] std::int64_t strong_token_difference(const Pop& pop) {
+    return sim::view::weighted_sum(pop, [](const four_state_agent& a) {
+        if (a.state == four_state::strong_plus) return 1;
+        if (a.state == four_state::strong_minus) return -1;
+        return 0;
+    });
+}
 
 /// The initial census of `plus` supporters, `minus` opponents and `blank`
 /// agents without an opinion.  The protocol has no blank state, so the

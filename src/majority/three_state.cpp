@@ -4,24 +4,6 @@
 
 namespace plurality::majority {
 
-bool consensus_reached(std::span<const three_state_agent> agents) noexcept {
-    return consensus_value(agents) != binary_opinion::undecided;
-}
-
-binary_opinion consensus_value(std::span<const three_state_agent> agents) noexcept {
-    using enum binary_opinion;
-    binary_opinion seen = undecided;
-    for (const auto& a : agents) {
-        if (a.opinion == undecided) return undecided;
-        if (seen == undecided) {
-            seen = a.opinion;
-        } else if (seen != a.opinion) {
-            return undecided;
-        }
-    }
-    return seen;
-}
-
 std::vector<sim::census_entry<three_state_agent>> three_state_census(std::uint64_t alpha,
                                                                      std::uint64_t beta,
                                                                      std::uint64_t undecided) {

@@ -12,10 +12,10 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "sim/census_store.h"
+#include "sim/population_view.h"
 
 namespace plurality::majority {
 
@@ -40,12 +40,26 @@ struct three_state_protocol {
     }
 };
 
-/// True when every agent holds the same decided opinion.
-[[nodiscard]] bool consensus_reached(std::span<const three_state_agent> agents) noexcept;
-
 /// The common decided opinion, or `undecided` if there is none (mixed or
 /// all-undecided configuration).
-[[nodiscard]] binary_opinion consensus_value(std::span<const three_state_agent> agents) noexcept;
+template <sim::view::population_of<three_state_agent> Pop>
+[[nodiscard]] binary_opinion consensus_value(const Pop& pop) {
+    const auto opinion = [](const three_state_agent& a) { return a.opinion; };
+    return sim::view::unanimous(pop, opinion).value_or(binary_opinion::undecided);
+}
+
+/// True when every agent holds the same decided opinion.
+template <sim::view::population_of<three_state_agent> Pop>
+[[nodiscard]] bool consensus_reached(const Pop& pop) {
+    return consensus_value(pop) != binary_opinion::undecided;
+}
+
+/// Share of undecided agents.
+template <sim::view::population_of<three_state_agent> Pop>
+[[nodiscard]] double undecided_fraction(const Pop& pop) {
+    return sim::view::fraction(
+        pop, [](const three_state_agent& a) { return a.opinion == binary_opinion::undecided; });
+}
 
 /// The initial census with the given support counts: `alpha`, `beta` and
 /// `undecided` agents.

@@ -1,15 +1,14 @@
 // Scenario registration for the one-way epidemic broadcast (src/epidemic).
-// Predicates are templates over the simulation type (sim/population_view.h),
-// so the broadcast runs on both the agent and the census backend — its
-// census has at most three occupied states, which makes it the canonical
-// n = 10⁹ demonstration scenario.
+// The predicates and metrics call the family's readouts (epidemic/epidemic.h),
+// templates over any population view, so the broadcast runs on both the
+// agent and the census backend — its census has at most three occupied
+// states, which makes it the canonical n = 10⁹ demonstration scenario.
 #include <stdexcept>
 #include <string>
 
 #include "epidemic/epidemic.h"
 #include "scenario/builtin.h"
 #include "scenario/registry.h"
-#include "sim/population_view.h"
 #include "util/math.h"
 
 namespace plurality::scenario {
@@ -36,20 +35,19 @@ struct epidemic_spec {
     }
     template <class Sim>
     bool converged(const Sim& s) const {
-        return sim::view::all_of(s, [](const agent_t& a) { return a.informed; });
+        return epidemic::all_informed(s);
     }
     template <class Sim>
     bool correct(const Sim& s) const {
         // The payload must spread with the bit: every agent carries value 1.
-        return sim::view::all_of(s, [](const agent_t& a) { return a.payload == 1; });
+        return epidemic::all_carry_payload(s, 1);
     }
     double time_budget(const scenario_params& p) const {
         return 64.0 * static_cast<double>(util::ceil_log2(p.n < 2 ? 2 : p.n) + 1);
     }
     template <class Sim>
     std::vector<metric> metrics(const Sim& s) const {
-        return {{"informed_fraction",
-                 sim::view::fraction(s, [](const agent_t& a) { return a.informed; })}};
+        return {{"informed_fraction", epidemic::informed_fraction(s)}};
     }
 };
 

@@ -1,15 +1,13 @@
 // Scenario registration for coin-flip leader election (src/leader), the
 // Appendix B substrate with the [23] contract: unique leader w.h.p. in
-// O(log^2 n) parallel time.  Predicates are templates over the simulation
-// type (sim/population_view.h), so the election runs on both the agent and
-// the census backend — note that "exactly one leader" is a *weighted* count
-// in census space, not a forall.
+// O(log^2 n) parallel time.  The predicates and metrics call the family's
+// readouts (leader/leader_election.h), templates over any population view,
+// so the election runs on both the agent and the census backend.
 #include <cmath>
 
 #include "leader/leader_election.h"
 #include "scenario/builtin.h"
 #include "scenario/registry.h"
-#include "sim/population_view.h"
 
 namespace plurality::scenario {
 
@@ -30,13 +28,11 @@ struct leader_spec {
     }
     template <class Sim>
     bool converged(const Sim& s) const {
-        const std::uint16_t total = rounds;
-        return sim::view::all_of(
-            s, [total](const agent_t& a) { return a.rounds_done >= total; });
+        return leader::election_finished(s, rounds);
     }
     template <class Sim>
     bool correct(const Sim& s) const {
-        return sim::view::count_if(s, [](const agent_t& a) { return a.leader; }) == 1;
+        return leader::leader_count(s) == 1;
     }
     double time_budget(const scenario_params& p) const {
         const double log_n = std::log2(static_cast<double>(p.n < 2 ? 2 : p.n));
@@ -44,11 +40,8 @@ struct leader_spec {
     }
     template <class Sim>
     std::vector<metric> metrics(const Sim& s) const {
-        const auto leaders = sim::view::count_if(s, [](const agent_t& a) { return a.leader; });
-        const auto candidates =
-            sim::view::count_if(s, [](const agent_t& a) { return a.candidate; });
-        return {{"leaders", static_cast<double>(leaders)},
-                {"candidates", static_cast<double>(candidates)}};
+        return {{"leaders", static_cast<double>(leader::leader_count(s))},
+                {"candidates", static_cast<double>(leader::candidate_count(s))}};
     }
 };
 

@@ -1,13 +1,12 @@
 // Scenario registration for floor/ceil averaging load balancing
 // (src/loadbalance): one hot spot holding n load units spreads to
-// discrepancy <= 2 within O(log n) parallel time w.h.p.  Predicates are
-// templates over the simulation type (sim/population_view.h), so the
-// scenario runs on both the agent and the census backend; discrepancy is an
-// extrema query over occupied states, total load a weighted sum.
+// discrepancy <= 2 within O(log n) parallel time w.h.p.  The predicates and
+// metrics call the family's readouts (loadbalance/load_balancer.h),
+// templates over any population view, so the scenario runs on both the
+// agent and the census backend.
 #include "loadbalance/load_balancer.h"
 #include "scenario/builtin.h"
 #include "scenario/registry.h"
-#include "sim/population_view.h"
 
 namespace plurality::scenario {
 
@@ -22,26 +21,19 @@ struct loadbalance_spec {
         return {{{static_cast<std::int64_t>(p.n)}, 1}, {{0}, p.n - 1u}};
     }
     template <class Sim>
-    std::int64_t discrepancy(const Sim& s) const {
-        const auto range = sim::view::extrema(s, [](const agent_t& a) { return a.load; });
-        return range.has_value() ? range->second - range->first : 0;
-    }
-    template <class Sim>
     bool converged(const Sim& s) const {
-        return discrepancy(s) <= 2;
+        return loadbalance::discrepancy(s) <= 2;
     }
     template <class Sim>
     bool correct(const Sim& s) const {
         // The total load is invariant; anything else is an engine bug.
-        return sim::view::weighted_sum(s, [](const agent_t& a) { return a.load; }) ==
-               static_cast<std::int64_t>(s.population_size());
+        return loadbalance::total_load(s) == static_cast<std::int64_t>(s.population_size());
     }
     double time_budget(const scenario_params&) const { return 400.0; }
     template <class Sim>
     std::vector<metric> metrics(const Sim& s) const {
-        const auto total = sim::view::weighted_sum(s, [](const agent_t& a) { return a.load; });
-        return {{"discrepancy", static_cast<double>(discrepancy(s))},
-                {"total_load", static_cast<double>(total)}};
+        return {{"discrepancy", static_cast<double>(loadbalance::discrepancy(s))},
+                {"total_load", static_cast<double>(loadbalance::total_load(s))}};
     }
 };
 

@@ -5,9 +5,9 @@
 // leftover is one blank agent; each protocol's census builder says where
 // its blank agents start.
 //
-// Predicates and metrics are member templates over the simulation type and
-// use the weighted-state helpers of sim/population_view.h, so every
-// scenario here runs on both the agent and the census backend.
+// The predicates and metrics call each protocol's readouts (src/majority/),
+// templates over any population view, so every scenario here runs on both
+// the agent and the census backend.
 #include <stdexcept>
 #include <string>
 
@@ -17,8 +17,6 @@
 #include "majority/three_state.h"
 #include "scenario/builtin.h"
 #include "scenario/registry.h"
-#include "sim/population_view.h"
-#include "sim/simulation.h"
 
 namespace plurality::scenario {
 
@@ -52,28 +50,19 @@ struct three_state_spec {
         const auto s = split_population(p);
         return majority::three_state_census(s.plus, s.minus, s.blank);
     }
-    /// The common decided opinion, or `undecided` while mixed/undecided.
-    template <class Sim>
-    majority::binary_opinion consensus_value(const Sim& s) const {
-        const auto value = sim::view::unanimous(s, [](const agent_t& a) { return a.opinion; });
-        return value.value_or(majority::binary_opinion::undecided);
-    }
     template <class Sim>
     bool converged(const Sim& s) const {
-        return consensus_value(s) != majority::binary_opinion::undecided;
+        return majority::consensus_reached(s);
     }
     template <class Sim>
     bool correct(const Sim& s) const {
-        return consensus_value(s) == majority::binary_opinion::alpha;
+        return majority::consensus_value(s) == majority::binary_opinion::alpha;
     }
     double time_budget(const scenario_params&) const { return 600.0; }
     template <class Sim>
     std::vector<metric> metrics(const Sim& s) const {
-        const double undecided = sim::view::fraction(s, [](const agent_t& a) {
-            return a.opinion == majority::binary_opinion::undecided;
-        });
-        return {{"consensus_value", static_cast<double>(consensus_value(s))},
-                {"undecided_fraction", undecided}};
+        return {{"consensus_value", static_cast<double>(majority::consensus_value(s))},
+                {"undecided_fraction", majority::undecided_fraction(s)}};
     }
 };
 
@@ -86,20 +75,13 @@ struct four_state_spec {
         const auto s = split_population(p);
         return majority::four_state_census(s.plus, s.minus, s.blank);
     }
-    /// The sign all agents output, or 0 while they disagree.
-    template <class Sim>
-    int consensus_sign(const Sim& s) const {
-        const auto sign =
-            sim::view::unanimous(s, [](const agent_t& a) { return majority::output_sign(a); });
-        return sign.has_value() ? *sign : 0;
-    }
     template <class Sim>
     bool converged(const Sim& s) const {
-        return consensus_sign(s) != 0;
+        return majority::consensus_reached(s);
     }
     template <class Sim>
     bool correct(const Sim& s) const {
-        return consensus_sign(s) == 1;
+        return majority::consensus_sign(s) == 1;
     }
     double time_budget(const scenario_params& p) const {
         // Always correct but slow: the last cancellation costs Θ(n) expected
@@ -108,13 +90,9 @@ struct four_state_spec {
     }
     template <class Sim>
     std::vector<metric> metrics(const Sim& s) const {
-        const auto strong_difference = sim::view::weighted_sum(s, [](const agent_t& a) {
-            if (a.state == majority::four_state::strong_plus) return 1;
-            if (a.state == majority::four_state::strong_minus) return -1;
-            return 0;
-        });
-        return {{"consensus_sign", static_cast<double>(consensus_sign(s))},
-                {"strong_token_difference", static_cast<double>(strong_difference)}};
+        return {{"consensus_sign", static_cast<double>(majority::consensus_sign(s))},
+                {"strong_token_difference",
+                 static_cast<double>(majority::strong_token_difference(s))}};
     }
 };
 
@@ -128,25 +106,18 @@ struct averaging_spec {
         return majority::averaging_census(s.plus, s.minus, s.blank,
                                           majority::default_amplification(p.n));
     }
-    /// plus/minus/tie when all agents agree on that verdict, else undecided.
-    template <class Sim>
-    majority::majority_verdict verdict(const Sim& s) const {
-        const auto common =
-            sim::view::unanimous(s, [](const agent_t& a) { return majority::agent_verdict(a); });
-        return common.value_or(majority::majority_verdict::undecided);
-    }
     template <class Sim>
     bool converged(const Sim& s) const {
-        return verdict(s) != majority::majority_verdict::undecided;
+        return majority::population_verdict(s) != majority::majority_verdict::undecided;
     }
     template <class Sim>
     bool correct(const Sim& s) const {
-        return verdict(s) == majority::majority_verdict::plus;
+        return majority::population_verdict(s) == majority::majority_verdict::plus;
     }
     double time_budget(const scenario_params&) const { return 600.0; }
     template <class Sim>
     std::vector<metric> metrics(const Sim& s) const {
-        return {{"verdict", static_cast<double>(verdict(s))}};
+        return {{"verdict", static_cast<double>(majority::population_verdict(s))}};
     }
 };
 
@@ -161,30 +132,19 @@ struct cancel_double_spec {
         const auto s = split_population(p);
         return majority::cancel_double_census(s.plus, s.minus, s.blank);
     }
-    /// The surviving sign once the opposing tokens are extinct (0 while both
-    /// signs coexist or no signed agent is left).
-    template <class Sim>
-    int decided_sign(const Sim& s) const {
-        const bool plus = sim::view::any_of(s, [](const agent_t& a) { return a.sign > 0; });
-        const bool minus = sim::view::any_of(s, [](const agent_t& a) { return a.sign < 0; });
-        if (plus == minus) return 0;
-        return plus ? 1 : -1;
-    }
     template <class Sim>
     bool converged(const Sim& s) const {
-        return decided_sign(s) != 0;
+        return majority::decided_sign(s) != 0;
     }
     template <class Sim>
     bool correct(const Sim& s) const {
-        return decided_sign(s) == 1;
+        return majority::decided_sign(s) == 1;
     }
     double time_budget(const scenario_params&) const { return 3000.0; }
     template <class Sim>
     std::vector<metric> metrics(const Sim& s) const {
-        const double signed_fraction =
-            sim::view::fraction(s, [](const agent_t& a) { return a.sign != 0; });
-        return {{"decided_sign", static_cast<double>(decided_sign(s))},
-                {"signed_fraction", signed_fraction}};
+        return {{"decided_sign", static_cast<double>(majority::decided_sign(s))},
+                {"signed_fraction", majority::signed_fraction(s)}};
     }
 };
 

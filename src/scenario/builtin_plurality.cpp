@@ -1,16 +1,13 @@
 // Scenario registrations for the paper's three tournament protocols
 // (src/core): ordered, unordered, and improved (junta-clock pruning).
 //
-// Predicates and metrics are member templates over the simulation type
-// (sim/population_view.h helpers), so the tournament protocols run on both
-// the agent and the census backend.
-#include <set>
-
+// The predicates and metrics call the tournament's readouts (core/result.h),
+// templates over any population view, so the tournament protocols run on
+// both the agent and the census backend.
 #include "core/plurality_protocol.h"
 #include "core/result.h"
 #include "scenario/builtin.h"
 #include "scenario/registry.h"
-#include "sim/population_view.h"
 
 namespace plurality::scenario {
 
@@ -37,42 +34,23 @@ struct plurality_spec {
     }
     template <class Sim>
     bool converged(const Sim& s) const {
-        return sim::view::all_of(s, [](const agent_t& a) { return a.winner; });
-    }
-    /// The opinion every (winner) agent agrees on; 0 before convergence or
-    /// on disagreement — the view-based mirror of core::consensus_opinion.
-    template <class Sim>
-    std::uint32_t winner_opinion(const Sim& s) const {
-        const auto common = sim::view::unanimous(s, [](const agent_t& a) {
-            // Non-winners map to opinion 0, which can never be a consensus
-            // opinion, so any non-winner blocks unanimity just as in the
-            // span-based helper.
-            return a.winner ? a.opinion : 0u;
-        });
-        return common.value_or(0u);
+        return core::all_winners(s);
     }
     template <class Sim>
     bool correct(const Sim& s) const {
-        return winner_opinion(s) == dist.plurality_opinion();
+        return core::consensus_opinion(s) == dist.plurality_opinion();
     }
     double time_budget(const scenario_params&) const { return cfg.default_time_budget(); }
     template <class Sim>
     std::vector<metric> metrics(const Sim& s) const {
-        std::set<std::uint32_t> surviving;
-        s.visit_states([&surviving](const agent_t& a, std::uint64_t) {
-            if (a.role == core::agent_role::collector && a.tokens > 0 && a.opinion != 0) {
-                surviving.insert(a.opinion);
-            }
-            return true;
-        });
-        const auto collectors = sim::view::count_if(
-            s, [](const agent_t& a) { return a.role == core::agent_role::collector; });
-        const auto clocks = sim::view::count_if(
-            s, [](const agent_t& a) { return a.role == core::agent_role::clock; });
-        return {{"winner_opinion", static_cast<double>(winner_opinion(s))},
-                {"surviving_opinions", static_cast<double>(surviving.size())},
-                {"collectors", static_cast<double>(collectors)},
-                {"clocks", static_cast<double>(clocks)}};
+        const auto roles = core::role_counts(s);
+        const auto agents_in = [&roles](core::agent_role role) {
+            return static_cast<double>(roles[static_cast<std::size_t>(role)]);
+        };
+        return {{"winner_opinion", static_cast<double>(core::consensus_opinion(s))},
+                {"surviving_opinions", static_cast<double>(core::surviving_opinions(s).size())},
+                {"collectors", agents_in(core::agent_role::collector)},
+                {"clocks", agents_in(core::agent_role::clock)}};
     }
 };
 

@@ -64,7 +64,7 @@ struct scenario_run_result {
 ///
 /// `options` carries recording hooks only (progress heartbeat interval and
 /// label); it never alters outcomes.  Tracing is a single-run affair —
-/// `options.trace_csv` is ignored here (use any_scenario::run_traced).
+/// `options.trace_csv` is ignored here (pass it to any_scenario::run).
 ///
 /// The per-trial outcome slots are allocated before any trial runs; when
 /// they do not fit in memory the call throws a one-line std::runtime_error

@@ -26,10 +26,10 @@
 //   * backend_kind::leap   — the same simulator under its old name, kept
 //     until the frozen benchmark stops naming it.
 //
-// The predicates and metric extractors are *templates* written against the
-// shared weighted-state read API (sim/population_view.h) instead of a raw
-// agent span.  They see two types: the agent simulation and the census
-// simulator.
+// The predicates and metric extractors are *templates* that call the
+// family's readouts, which its header writes once against the shared
+// weighted-state read API (sim/population_view.h).  They see two types: the
+// agent simulation and the census simulator.
 //
 // The `scenario_spec` concept captures that shape for a concrete protocol
 // type; `any_scenario` type-erases it so registries, CLIs and tests can hold
@@ -201,7 +201,8 @@ struct run_options {
 ///
 /// `converged`, `correct` and `metrics` must accept both simulator types —
 /// the agent simulation and the census simulator — so in practice they are
-/// member templates written with the sim::view helpers.  `make_census` is
+/// member templates that call the family's readouts (population-view
+/// templates in the family's header).  `make_census` is
 /// the one initial configuration a spec writes: the census backend deposits
 /// it as it is (which keeps its runs O(S): no per-agent vector is ever
 /// materialized), and the agent backend expands it into shuffled agents
@@ -259,24 +260,13 @@ public:
         return model_->run(params, seed, backend, {});
     }
 
-    /// Runs one trial with explicit recording options (tracing, progress
-    /// heartbeat).  Options never change the trajectory: the outcome equals
+    /// Runs one trial with explicit recording options: tracing (every
+    /// metric sampled each `trace_cadence` parallel time units, first
+    /// sample at time 0, written as CSV to `trace_csv`) and the progress
+    /// heartbeat.  Options never change the trajectory: the outcome equals
     /// `run` with the same `(params, seed, backend)`.
     [[nodiscard]] scenario_outcome run(const scenario_params& params, std::uint64_t seed,
                                        backend_kind backend, const run_options& options) const {
-        return model_->run(params, seed, backend, options);
-    }
-
-    /// Runs one trial while sampling every metric each `cadence` parallel
-    /// time units (first sample at time 0) and writes the series as CSV.
-    /// The trajectory and outcome are identical to `run` with the same seed
-    /// and backend.
-    [[nodiscard]] scenario_outcome run_traced(const scenario_params& params, std::uint64_t seed,
-                                              double cadence, std::ostream& csv,
-                                              backend_kind backend = backend_kind::agent) const {
-        run_options options;
-        options.trace_cadence = cadence;
-        options.trace_csv = &csv;
         return model_->run(params, seed, backend, options);
     }
 

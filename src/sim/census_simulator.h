@@ -343,9 +343,11 @@ public:
     }
 
     /// Approximate heap footprint of the census bookkeeping — the O(S)
-    /// quantity bench_e15_census reports next to n.
+    /// quantity bench_e15_census reports next to n — and of the table
+    /// path's δ outcome cache, which on randomized-δ protocols can be the
+    /// largest term (up to 2²⁰ cached state pairs).
     [[nodiscard]] std::size_t memory_bytes() const noexcept {
-        std::size_t bytes = slots_.capacity() * sizeof(slot) +
+        std::size_t bytes = delta_table_.memory_bytes() + slots_.capacity() * sizeof(slot) +
                             (successor_.capacity() + occupied_.capacity() + live_.capacity()) *
                                 sizeof(std::uint32_t) +
                             classes_.capacity() * sizeof(class_tree) +

@@ -220,6 +220,22 @@ public:
     [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
     [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
 
+    /// Approximate heap footprint: one hash node per cached pair (its
+    /// two-state key, the entry and a link), each entry's outcome and
+    /// weight vectors, the bucket array and the scratch vectors.  Walks the
+    /// cache, so it is for reports, not for the interaction loop.
+    [[nodiscard]] std::size_t memory_bytes() const noexcept {
+        std::size_t bytes = cache_.bucket_count() * sizeof(void*) +
+                            scratch_.capacity() * sizeof(delta_outcome<agent_t>) +
+                            split_.capacity() * sizeof(std::uint64_t);
+        for (const auto& [key, e] : cache_) {
+            bytes += sizeof(key) + sizeof(e) + sizeof(void*) +
+                     e.outcomes.capacity() * sizeof(delta_outcome<agent_t>) +
+                     e.weights.capacity() * sizeof(double);
+        }
+        return bytes;
+    }
+
 private:
     /// The ordered state pair, itself a census_agent: two padding-free
     /// states of one type leave no gap between them.

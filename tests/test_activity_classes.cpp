@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "core/plurality_protocol.h"
+#include "core/result.h"
 #include "obs/catalogue.h"
 #include "obs/snapshot.h"
 #include "sim/census_simulator.h"
@@ -49,17 +50,6 @@
 #include "sim/simulation.h"
 #include "workload/opinion_distribution.h"
 #include "test_support.h"
-
-namespace plurality::core {
-
-// Readable parameter names in gtest and ctest output.
-void PrintTo(algorithm_mode mode, std::ostream* os) {
-    *os << (mode == algorithm_mode::ordered     ? "ordered"
-            : mode == algorithm_mode::unordered ? "unordered"
-                                                : "improved");
-}
-
-}  // namespace plurality::core
 
 namespace {
 
@@ -80,12 +70,6 @@ std::vector<core_agent> initial_agents(const core::protocol_config& cfg, std::ui
     sim::rng setup(seed);
     return core::plurality_protocol::make_population(
         cfg, workload::make_bias_one(cfg.n, cfg.k), setup);
-}
-
-bool all_winners(std::span<const core_agent> agents) {
-    for (const auto& a : agents)
-        if (!a.winner) return false;
-    return true;
 }
 
 /// Distinct declared-inactive pairs a census check enumerated.
@@ -172,7 +156,7 @@ std::uint64_t check_agent_run(algorithm_mode mode, std::uint64_t seed) {
                 return inactive;
             }
         }
-        if (step % population == 0 && all_winners(agents)) break;
+        if (step % population == 0 && core::all_winners(agents)) break;
     }
     return inactive;
 }
@@ -319,7 +303,7 @@ TEST_P(DeltaTrajectories, AgentRunsConvergeWhereRecorded) {
         using agent_sim = sim::simulation<core::plurality_protocol>;
         agent_sim sim{core::plurality_protocol{cfg}, initial_agents(cfg, pinned.seed), pinned.seed};
         const auto outcome = sim::converge(
-            sim, [](const agent_sim& s) { return all_winners(s.agents()); },
+            sim, [](const agent_sim& s) { return core::all_winners(s); },
             sim::interaction_budget(cfg.default_time_budget(), pinned_population),
             pinned_population);
         SCOPED_TRACE(::testing::Message() << "seed " << pinned.seed);

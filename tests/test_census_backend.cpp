@@ -29,12 +29,13 @@
 #include "majority/cancel_double.h"
 #include "majority/stable_four_state.h"
 #include "majority/three_state.h"
+#include "obs/catalogue.h"
+#include "obs/snapshot.h"
 #include "scenario/json_report.h"
 #include "scenario/registry.h"
 #include "scenario/runner.h"
 #include "sim/census_simulator.h"
 #include "sim/census_store.h"
-#include "sim/population_view.h"
 #include "sim/rng.h"
 #include "sim/trial_executor.h"
 #include "workload/opinion_distribution.h"
@@ -373,6 +374,25 @@ TEST(CensusSimulator, MemoryCountsTheMayActMemo) {
     EXPECT_GE(tournament.memory_bytes(), classes * classes);
 }
 
+TEST(CensusSimulator, MemoryCountsTheDeltaOutcomeTable) {
+    // Table runs enumerate each randomized pair of the tournament once into
+    // the δ outcome cache, whose every entry holds a two-state key.  At
+    // n = 10⁶ a few hundred such pairs outweigh the census itself.
+    constexpr std::uint32_t n = 1'000'000;
+    const auto cfg = core::protocol_config::make(core::algorithm_mode::ordered, n, 2);
+    sim::census_simulator<core::plurality_protocol> tournament{
+        core::plurality_protocol{cfg},
+        core::plurality_protocol::initial_census(cfg, workload::make_bias_one(n, 2)), 3};
+    tournament.run_for(2ull * n);
+#if PLURALITY_OBS
+    obs::snapshot observed;
+    tournament.collect_metrics(observed);
+    const std::uint64_t misses = test::counter_of(observed, obs::m_table_misses);
+    ASSERT_GT(misses, 0u);
+    EXPECT_GE(tournament.memory_bytes(), misses * 2 * sizeof(core::core_agent));
+#endif
+}
+
 // -- state identity: a census state is its bytes -----------------------------
 
 /// A padded agent (three bytes after the flag) is not a census state type:
@@ -589,7 +609,8 @@ TEST(CensusBackend, JsonReportIsByteIdenticalAcrossThreadCounts) {
 //
 // One calibrated agent / run_for / advance comparison per scenario (see
 // tests/test_support.h for how the tolerance is derived).  The stepped side
-// restates the scenario's census and convergence predicate.
+// restates the scenario's census and calls the family's convergence
+// predicate.
 
 TEST(CensusBackend, EpidemicBroadcastTimesAgreeAcrossBackends) {
     const auto* s = scenario::scenario_registry::instance().find("epidemic/broadcast");
@@ -598,9 +619,7 @@ TEST(CensusBackend, EpidemicBroadcastTimesAgreeAcrossBackends) {
     params.n = 512;
     const std::vector<sim::census_entry<epidemic::epidemic_agent>> census{{{true, 1}, 1},
                                                                           {{false, 0}, 511}};
-    const auto informed = [](const auto& sim) {
-        return sim::view::all_of(sim, [](const epidemic::epidemic_agent& a) { return a.informed; });
-    };
+    const auto informed = [](const auto& sim) { return epidemic::all_informed(sim); };
     const auto stepped =
         test::stepped_mean_time(epidemic::epidemic_protocol{}, census, informed, 640.0, 30, 1001);
     test::expect_backends_agree(*s, params, 30, 1001, stepped);
@@ -612,11 +631,7 @@ TEST(CensusBackend, ThreeStateMajorityTimesAgreeAcrossBackends) {
     scenario::scenario_params params;
     params.n = 600;
     params.bias = 60;
-    const auto decided = [](const auto& sim) {
-        const auto value = sim::view::unanimous(
-            sim, [](const majority::three_state_agent& a) { return a.opinion; });
-        return value.value_or(undecided_v) != undecided_v;
-    };
+    const auto decided = [](const auto& sim) { return majority::consensus_reached(sim); };
     const auto stepped = test::stepped_mean_time(majority::three_state_protocol{},
                                                  three_state_census(330, 270, 0), decided, 600.0,
                                                  30, 2002);

@@ -29,11 +29,11 @@ TEST(Convergence, InteractionBudgetScalesWithPopulation) {
 TEST(Convergence, StopsWhenPredicateHolds) {
     auto s = make_sim(128, 5);
     const auto done = [](const sim_t& sim) {
-        return informed_count(sim.agents()) == sim.population_size();
+        return informed_count(sim) == sim.population_size();
     };
     const auto out = plurality::sim::converge(s, done, 1u << 20);
     ASSERT_TRUE(out.converged);
-    EXPECT_EQ(informed_count(s.agents()), 128u);
+    EXPECT_EQ(informed_count(s), 128u);
     EXPECT_EQ(out.interactions, s.interactions());
     EXPECT_DOUBLE_EQ(out.parallel_time, s.parallel_time());
 }

@@ -57,13 +57,13 @@ TEST(ImprovedAlgorithm, PruningRemovesInsignificantOpinions) {
     auto population = plurality_protocol::make_population(cfg, dist, setup);
     plurality::sim::simulation<plurality_protocol> s{std::move(proto), std::move(population), 41};
 
-    const auto pruned = [](const auto& sim) { return init_finished(sim.agents()); };
+    const auto pruned = [](const auto& sim) { return init_finished(sim); };
     const auto finished =
         converge(s, pruned, static_cast<std::uint64_t>(cfg.default_time_budget()) * n);
     ASSERT_TRUE(finished.converged);
     s.run_for(20ull * n);  // let the stage broadcast settle everywhere
 
-    const auto survivors = surviving_opinions(s.agents());
+    const auto survivors = surviving_opinions(s);
     EXPECT_TRUE(std::find(survivors.begin(), survivors.end(), 1u) != survivors.end())
         << "the dominant opinion must survive pruning";
     EXPECT_LE(survivors.size(), 4u) << "dust opinions should be pruned";
@@ -78,11 +78,11 @@ TEST(ImprovedAlgorithm, PluralityKeepsAllTokensThroughPruning) {
     plurality_protocol proto{cfg};
     auto population = plurality_protocol::make_population(cfg, dist, setup);
     plurality::sim::simulation<plurality_protocol> s{std::move(proto), std::move(population), 43};
-    const auto pruned = [](const auto& sim) { return init_finished(sim.agents()); };
+    const auto pruned = [](const auto& sim) { return init_finished(sim); };
     ASSERT_TRUE(
         converge(s, pruned, static_cast<std::uint64_t>(cfg.default_time_budget()) * n).converged);
     s.run_for(20ull * n);
-    EXPECT_EQ(tokens_of_opinion(s.agents(), 1), dist.support_of(1));
+    EXPECT_EQ(tokens_of_opinion(s, 1), dist.support_of(1));
 }
 
 TEST(ImprovedAlgorithm, RoleBalanceAfterPruning) {
@@ -94,11 +94,11 @@ TEST(ImprovedAlgorithm, RoleBalanceAfterPruning) {
     plurality_protocol proto{cfg};
     auto population = plurality_protocol::make_population(cfg, dist, setup);
     plurality::sim::simulation<plurality_protocol> s{std::move(proto), std::move(population), 47};
-    const auto pruned = [](const auto& sim) { return init_finished(sim.agents()); };
+    const auto pruned = [](const auto& sim) { return init_finished(sim); };
     ASSERT_TRUE(
         converge(s, pruned, static_cast<std::uint64_t>(cfg.default_time_budget()) * n).converged);
     s.run_for(20ull * n);
-    const auto counts = role_counts(s.agents());
+    const auto counts = role_counts(s);
     EXPECT_GE(counts[static_cast<std::size_t>(agent_role::clock)], n / 10);
     EXPECT_GE(counts[static_cast<std::size_t>(agent_role::tracker)], n / 10);
     EXPECT_GE(counts[static_cast<std::size_t>(agent_role::player)], n / 10);

@@ -98,11 +98,11 @@ TEST(LargeK, RolePoolsFillDespiteSingletons) {
     plurality_protocol proto{cfg};
     auto population = plurality_protocol::make_population(cfg, dist, setup);
     plurality::sim::simulation<plurality_protocol> s{std::move(proto), std::move(population), 11};
-    const auto done = [](const auto& sim) { return init_finished(sim.agents()); };
+    const auto done = [](const auto& sim) { return init_finished(sim); };
     ASSERT_TRUE(
         converge(s, done, static_cast<std::uint64_t>(cfg.default_time_budget()) * n).converged);
     s.run_for(30ull * n);
-    const auto counts = role_counts(s.agents());
+    const auto counts = role_counts(s);
     // Appendix C's claim: every non-collector role ends with a constant
     // fraction of the agents even though most opinions are singletons.
     EXPECT_GE(counts[static_cast<std::size_t>(agent_role::clock)], n / 12);
@@ -121,11 +121,11 @@ TEST(LargeK, PluralityTokensSurviveModerateLargeK) {
     plurality_protocol proto{cfg};
     auto population = plurality_protocol::make_population(cfg, dist, setup);
     plurality::sim::simulation<plurality_protocol> s{std::move(proto), std::move(population), 13};
-    const auto done = [](const auto& sim) { return init_finished(sim.agents()); };
+    const auto done = [](const auto& sim) { return init_finished(sim); };
     ASSERT_TRUE(
         converge(s, done, static_cast<std::uint64_t>(cfg.default_time_budget()) * n).converged);
     s.run_for(30ull * n);
-    EXPECT_EQ(tokens_of_opinion(s.agents(), dist.plurality_opinion()),
+    EXPECT_EQ(tokens_of_opinion(s, dist.plurality_opinion()),
               dist.support_of(dist.plurality_opinion()));
 }
 

@@ -132,10 +132,10 @@ TEST(SimpleAlgorithm, InitializationSplitsRoles) {
     auto population = plurality_protocol::make_population(cfg, dist, setup);
     plurality::sim::simulation<plurality_protocol> s{std::move(proto), std::move(population), 17};
 
-    const auto done = [](const auto& sim) { return init_finished(sim.agents()); };
+    const auto done = [](const auto& sim) { return init_finished(sim); };
     const auto finished = converge(s, done, 2000ull * n);
     ASSERT_TRUE(finished.converged);
-    const auto counts = role_counts(s.agents());
+    const auto counts = role_counts(s);
     for (std::size_t role = 0; role < 4; ++role) {
         EXPECT_GE(counts[role], n / 10) << "role " << role;
     }
@@ -149,9 +149,9 @@ TEST(SimpleAlgorithm, InitializationConservesTokens) {
     plurality_protocol proto{cfg};
     auto population = plurality_protocol::make_population(cfg, dist, setup);
     plurality::sim::simulation<plurality_protocol> s{std::move(proto), std::move(population), 19};
-    (void)converge(s, [](const auto& sim) { return init_finished(sim.agents()); }, 2000ull * n);
+    (void)converge(s, [](const auto& sim) { return init_finished(sim); }, 2000ull * n);
     for (std::uint32_t op = 1; op <= 4; ++op) {
-        EXPECT_EQ(tokens_of_opinion(s.agents(), op), dist.support_of(op));
+        EXPECT_EQ(tokens_of_opinion(s, op), dist.support_of(op));
     }
 }
 
@@ -165,7 +165,7 @@ TEST(SimpleAlgorithm, DefenderBitsdMarkOpinionOne) {
     plurality_protocol proto{cfg};
     auto population = plurality_protocol::make_population(cfg, dist, setup);
     plurality::sim::simulation<plurality_protocol> s{std::move(proto), std::move(population), 23};
-    (void)converge(s, [](const auto& sim) { return init_finished(sim.agents()); }, 2000ull * n);
+    (void)converge(s, [](const auto& sim) { return init_finished(sim); }, 2000ull * n);
     for (const auto& a : s.agents()) {
         if (a.role == agent_role::collector && a.opinion == 1) {
             EXPECT_TRUE(a.defender);

@@ -83,7 +83,7 @@ TEST(UnorderedAlgorithm, ExactlyOneLeaderEmergesTypically) {
             converge(s, in_tournaments, static_cast<std::uint64_t>(cfg.default_time_budget()) * n);
         ASSERT_TRUE(reached.converged);
         s.run_for(50ull * n);  // let the stragglers transition
-        if (leader_count(s.agents()) == 1) ++good;
+        if (leader_count(s) == 1) ++good;
     }
     EXPECT_GE(good, 7u);
 }
@@ -96,12 +96,12 @@ TEST(UnorderedAlgorithm, DefeatedOpinionsAreMarkedParticipated) {
     plurality_protocol proto{cfg};
     auto population = plurality_protocol::make_population(cfg, dist, setup);
     plurality::sim::simulation<plurality_protocol> s{std::move(proto), std::move(population), 77};
-    const auto done = [](const auto& sim) { return all_winners(sim.agents()); };
+    const auto done = [](const auto& sim) { return all_winners(sim); };
     const auto finished =
         converge(s, done, static_cast<std::uint64_t>(cfg.default_time_budget()) * n);
     ASSERT_TRUE(finished.converged);
     // After convergence everyone is a winner-collector with one opinion.
-    EXPECT_NE(consensus_opinion(s.agents()), 0u);
+    EXPECT_NE(consensus_opinion(s), 0u);
 }
 
 TEST(UnorderedAlgorithm, SlowerThanOrderedButSameResult) {

@@ -33,14 +33,14 @@ std::pair<std::size_t, std::size_t> census_run(const protocol_config& cfg,
     plurality::census::state_census structural;
     plurality::census::state_census full;
     const auto budget = static_cast<std::uint64_t>(cfg.default_time_budget()) * cfg.n;
-    while (!all_winners(s.agents()) && s.interactions() < budget) {
+    while (!all_winners(s) && s.interactions() < budget) {
         s.run_for(cfg.n / 2);
         for (const auto& a : s.agents()) {
             structural.observe(canonical_code(a, cfg, census_mode::structural));
             full.observe(canonical_code(a, cfg, census_mode::full));
         }
     }
-    EXPECT_TRUE(all_winners(s.agents()));
+    EXPECT_TRUE(all_winners(s));
     return {structural.distinct(), full.distinct()};
 }
 
@@ -129,7 +129,7 @@ TEST(Integration, WinnerBroadcastReachesEveryAgent) {
     plurality_protocol proto{cfg};
     auto population = plurality_protocol::make_population(cfg, dist, setup);
     plurality::sim::simulation<plurality_protocol> s{std::move(proto), std::move(population), 61};
-    const auto done = [](const auto& sim) { return all_winners(sim.agents()); };
+    const auto done = [](const auto& sim) { return all_winners(sim); };
     ASSERT_TRUE(
         converge(s, done, static_cast<std::uint64_t>(cfg.default_time_budget()) * n).converged);
     for (const auto& a : s.agents()) {

@@ -26,19 +26,19 @@ TEST(LeaderElection, AtLeastOneCandidateAlways) {
     auto s = make_election(n, 1);
     for (int probe = 0; probe < 50; ++probe) {
         s.run_for(20ull * n);
-        EXPECT_GE(candidate_count(s.agents()) + leader_count(s.agents()), 1u);
+        EXPECT_GE(candidate_count(s) + leader_count(s), 1u);
     }
 }
 
 TEST(LeaderElection, CandidatesDecayQuickly) {
     const std::uint32_t n = 2048;
     auto s = make_election(n, 2);
-    const std::size_t start = candidate_count(s.agents());
+    const std::size_t start = candidate_count(s);
     EXPECT_EQ(start, n);
     // After a handful of rounds, candidates should be down by orders of
     // magnitude (halving per round plus direct elimination).
     s.run_for(static_cast<std::uint64_t>(20.0 * std::log2(n)) * n);
-    EXPECT_LT(candidate_count(s.agents()), n / 16);
+    EXPECT_LT(candidate_count(s), n / 16);
 }
 
 class LeaderSweep : public ::testing::TestWithParam<std::uint32_t> {};
@@ -49,12 +49,12 @@ TEST_P(LeaderSweep, UniqueLeaderWithHighProbability) {
     const auto summary = trial_executor{1}.run(20, 40 + n, [&](std::uint64_t seed) {
         auto s = make_election(n, seed);
         const auto done = [rounds](const auto& sim) {
-            return election_finished(sim.agents(), rounds);
+            return election_finished(sim, rounds);
         };
         const double budget = 200.0 * std::log2(n) * std::log2(n);
         const auto finished = converge(s, done, static_cast<std::uint64_t>(budget * n));
         plurality::sim::trial_outcome out;
-        out.success = finished.converged && leader_count(s.agents()) == 1;
+        out.success = finished.converged && leader_count(s) == 1;
         out.parallel_time = s.parallel_time();
         return out;
     });
@@ -69,7 +69,7 @@ TEST(LeaderElection, LeadersOnlyDeclaredAfterAllRounds) {
     const std::uint32_t n = 512;
     auto s = make_election(n, 7);
     s.run_for(5ull * n);  // far too early
-    EXPECT_EQ(leader_count(s.agents()), 0u);
+    EXPECT_EQ(leader_count(s), 0u);
 }
 
 TEST(LeaderElection, DirectEliminationKeepsInitiator) {

@@ -3,31 +3,23 @@
 // steps, as its cost model picks (sim/census_simulator.h): exact interaction
 // accounting under truncation, bookkeeping invariants, per-seed determinism,
 // grouped-δ vs per-pair-fallback equivalence (with choice-free pairs found
-// by replaying δ), the cost model itself, and the scenario layer under the
-// backend's old name `leap` (registry-wide convergence, JSON byte-identity
-// across thread counts).  Distributional agreement with the agent backend
-// and with stepping alone lives in tests/test_census_backend.cpp and
+// by replaying δ) and the cost model itself.  The scenario layer's census
+// runs (`CensusBackend.*`) and the distributional agreement with the agent
+// backend and with stepping alone live in tests/test_census_backend.cpp and
 // tests/test_randomized_delta.cpp.
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cmath>
 #include <cstdint>
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include "core/plurality_protocol.h"
 #include "majority/three_state.h"
 #include "obs/catalogue.h"
 #include "obs/snapshot.h"
-#include "scenario/json_report.h"
-#include "scenario/registry.h"
-#include "scenario/runner.h"
 #include "sim/census_simulator.h"
 #include "sim/convergence.h"
 #include "sim/delta_outcomes.h"
-#include "sim/trial_executor.h"
 #include "test_support.h"
 
 namespace {
@@ -303,69 +295,6 @@ TEST(LeapCensusSimulator, SingleQuiescentStateTakesTheAbsorbedPath) {
     EXPECT_EQ(test::counter_of(observed, obs::m_runs), 0u);
     EXPECT_EQ(test::counter_of(observed, obs::m_fenwick_descents), 0u);
 #endif
-}
-
-// -- scenario-layer integration ----------------------------------------------
-
-TEST(LeapBackend, EveryScenarioConvergesAtSmallN) {
-    for (const auto& s : scenario::scenario_registry::instance().all()) {
-        const auto params = test::small_params(s.family());
-        const auto outcome = s.run(params, 2027, scenario::backend_kind::leap);
-        EXPECT_TRUE(outcome.converged) << s.name();
-        EXPECT_GT(outcome.interactions, 0u) << s.name();
-        for (const auto& m : outcome.metrics) {
-            EXPECT_TRUE(std::isfinite(m.value)) << s.name() << "/" << m.name;
-        }
-    }
-}
-
-TEST(LeapBackend, RunIsDeterministicPerSeed) {
-    const auto* s = scenario::scenario_registry::instance().find("majority/three-state");
-    ASSERT_NE(s, nullptr);
-    scenario::scenario_params params;
-    params.n = 300;
-    params.bias = 10;
-    const auto a = s->run(params, 99, scenario::backend_kind::leap);
-    const auto b = s->run(params, 99, scenario::backend_kind::leap);
-    EXPECT_EQ(a.converged, b.converged);
-    EXPECT_EQ(a.interactions, b.interactions);
-    EXPECT_DOUBLE_EQ(a.parallel_time, b.parallel_time);
-}
-
-TEST(LeapBackend, JsonReportIsByteIdenticalAcrossThreadCounts) {
-    const auto* s = scenario::scenario_registry::instance().find("epidemic/broadcast");
-    ASSERT_NE(s, nullptr);
-    scenario::scenario_params params;
-    params.n = 400;
-
-    std::string previous;
-    for (const std::size_t threads : {1u, 4u}) {
-        const sim::trial_executor executor{threads};
-        const auto result = scenario::run_scenario_trials(*s, params, 6, 19, executor,
-                                                          scenario::backend_kind::leap);
-        std::ostringstream os;
-        scenario::write_json_report(os, *s, params, 19, result, scenario::backend_kind::leap);
-        if (!previous.empty()) {
-            EXPECT_EQ(previous, os.str());
-        }
-        previous = os.str();
-        EXPECT_NE(previous.find("\"backend\": \"leap\""), std::string::npos);
-    }
-}
-
-TEST(LeapBackend, LoadBalanceConservesTotalLoad) {
-    const auto* s = scenario::scenario_registry::instance().find("loadbalance/averaging");
-    ASSERT_NE(s, nullptr);
-    scenario::scenario_params params;
-    params.n = 1024;
-    const auto outcome = s->run(params, 5, scenario::backend_kind::leap);
-    ASSERT_TRUE(outcome.converged);
-    EXPECT_TRUE(outcome.correct);
-    for (const auto& m : outcome.metrics) {
-        if (m.name == "total_load") {
-            EXPECT_DOUBLE_EQ(m.value, 1024.0);
-        }
-    }
 }
 
 }  // namespace

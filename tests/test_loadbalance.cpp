@@ -56,7 +56,7 @@ TEST(LoadBalance, SumIsInvariant) {
     plurality::sim::simulation<load_balance_protocol> s{load_balance_protocol{},
                                                         std::move(agents), 3};
     s.run_for(10000);
-    EXPECT_EQ(total_load(s.agents()), before);
+    EXPECT_EQ(total_load(s), before);
 }
 
 TEST(LoadBalance, DiscrepancyHelper) {
@@ -81,8 +81,8 @@ TEST(LoadBalance, BiasOneLeavesSingleUnit) {
     plurality::sim::simulation<load_balance_protocol> s{load_balance_protocol{},
                                                         std::move(agents), 23};
     s.run_for(512 * 100);
-    EXPECT_EQ(total_load(s.agents()), 1);
-    EXPECT_LE(discrepancy(s.agents()), 1);
+    EXPECT_EQ(total_load(s), 1);
+    EXPECT_LE(discrepancy(s), 1);
 }
 
 TEST(LoadBalance, OpposingBlocksCancelToSmallResidue) {
@@ -95,8 +95,8 @@ TEST(LoadBalance, OpposingBlocksCancelToSmallResidue) {
     plurality::sim::simulation<load_balance_protocol> s{load_balance_protocol{},
                                                         std::move(agents), 31};
     s.run_for(400 * 200);
-    EXPECT_EQ(total_load(s.agents()), 1);
-    EXPECT_LE(discrepancy(s.agents()), 2);
+    EXPECT_EQ(total_load(s), 1);
+    EXPECT_LE(discrepancy(s), 2);
 }
 
 class BalancingSweep : public ::testing::TestWithParam<std::uint32_t> {};

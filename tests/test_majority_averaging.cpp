@@ -66,12 +66,12 @@ TEST_P(AveragingBiasSweep, ExactDecisionWithinLogTime) {
             simulation<averaging_majority_protocol> s{averaging_majority_protocol{},
                                                       std::move(agents), seed};
             const auto done = [](const auto& sim) {
-                return population_verdict(sim.agents()) != majority_verdict::undecided;
+                return population_verdict(sim) != majority_verdict::undecided;
             };
             const auto finished = converge(s, done, 600ull * n);
             plurality::sim::trial_outcome out;
             out.success =
-                finished.converged && population_verdict(s.agents()) == expected;
+                finished.converged && population_verdict(s) == expected;
             out.parallel_time = s.parallel_time();
             return out;
         });
@@ -104,11 +104,11 @@ TEST(AveragingMajority, SingleVoterAmongZeros) {
     auto agents = expanded(averaging_census(1, 0, n - 1, amp), 9);
     simulation<averaging_majority_protocol> s{averaging_majority_protocol{}, std::move(agents), 9};
     const auto done = [](const auto& sim) {
-        return population_verdict(sim.agents()) != majority_verdict::undecided;
+        return population_verdict(sim) != majority_verdict::undecided;
     };
     const auto finished = converge(s, done, 600ull * n);
     ASSERT_TRUE(finished.converged);
-    EXPECT_EQ(population_verdict(s.agents()), majority_verdict::plus);
+    EXPECT_EQ(population_verdict(s), majority_verdict::plus);
 }
 
 }  // namespace

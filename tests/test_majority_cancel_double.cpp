@@ -102,7 +102,7 @@ TEST(CancelDouble, ScaledTokenSumInvariant) {
     const std::int64_t before = scaled_token_sum(agents, cap);
     simulation<cancel_double_protocol> s{cancel_double_protocol{cap}, std::move(agents), 5};
     s.run_for(200ull * n);
-    EXPECT_EQ(scaled_token_sum(s.agents(), cap), before);
+    EXPECT_EQ(scaled_token_sum(s, cap), before);
     EXPECT_EQ(before, std::int64_t{2} << cap);  // bias 2, scaled
 }
 
@@ -122,14 +122,14 @@ TEST_P(CancelDoubleBiasSweep, DecidesExactMajority) {
             simulation<cancel_double_protocol> s{cancel_double_protocol{cap}, std::move(agents),
                                                  seed};
             const auto done = [](const auto& sim) {
-                return decided_sign(sim.agents()) != 0;
+                return decided_sign(sim) != 0;
             };
             const double budget = 60.0 * std::log2(n) * std::log2(n);
             const auto finished =
                 converge(s, done, static_cast<std::uint64_t>(budget * n));
             plurality::sim::trial_outcome out;
             const int want = extra > 0 ? 1 : -1;
-            out.success = finished.converged && decided_sign(s.agents()) == want;
+            out.success = finished.converged && decided_sign(s) == want;
             out.parallel_time = s.parallel_time();
             return out;
         });

@@ -53,9 +53,9 @@ TEST(StableFourState, WeakWeakIsNoOp) {
 TEST(StableFourState, TokenDifferenceIsInvariant) {
     auto agents = expanded(four_state_census(60, 40, 0), 4);
     simulation<stable_four_state_protocol> s{stable_four_state_protocol{}, std::move(agents), 4};
-    EXPECT_EQ(strong_token_difference(s.agents()), 20);
+    EXPECT_EQ(strong_token_difference(s), 20);
     s.run_for(50000);
-    EXPECT_EQ(strong_token_difference(s.agents()), 20);
+    EXPECT_EQ(strong_token_difference(s), 20);
 }
 
 TEST(StableFourState, AlwaysCorrectAtBiasOne) {
@@ -65,10 +65,10 @@ TEST(StableFourState, AlwaysCorrectAtBiasOne) {
         auto agents = expanded(four_state_census(n / 2 + 1, n / 2 - 1, 0), seed);
         simulation<stable_four_state_protocol> s{stable_four_state_protocol{}, std::move(agents),
                                                  seed};
-        const auto done = [](const auto& sim) { return consensus_reached(sim.agents()); };
+        const auto done = [](const auto& sim) { return consensus_reached(sim); };
         const auto finished = converge(s, done, 40000ull * n);
         plurality::sim::trial_outcome out;
-        out.success = finished.converged && consensus_sign(s.agents()) == 1;
+        out.success = finished.converged && consensus_sign(s) == 1;
         out.parallel_time = s.parallel_time();
         return out;
     });
@@ -81,9 +81,9 @@ TEST(StableFourState, MinoritySignNeverWins) {
         auto agents = expanded(four_state_census(n / 2 + 5, n / 2 - 5, 0), seed);
         simulation<stable_four_state_protocol> s{stable_four_state_protocol{}, std::move(agents),
                                                  seed};
-        (void)converge(s, [](const auto& sim) { return consensus_reached(sim.agents()); },
+        (void)converge(s, [](const auto& sim) { return consensus_reached(sim); },
                        40000ull * n);
-        EXPECT_NE(consensus_sign(s.agents()), -1);
+        EXPECT_NE(consensus_sign(s), -1);
     }
 }
 

@@ -51,11 +51,11 @@ TEST(ThreeState, LargeBiasConvergesCorrectlyAndFast) {
     const auto summary = trial_executor{1}.run(20, 55, [n](std::uint64_t seed) {
         auto agents = expanded(three_state_census(3 * n / 4, n / 4, 0), seed);
         simulation<three_state_protocol> s{three_state_protocol{}, std::move(agents), seed};
-        const auto done = [](const auto& sim) { return consensus_reached(sim.agents()); };
+        const auto done = [](const auto& sim) { return consensus_reached(sim); };
         const auto finished = converge(s, done, 400ull * n);
         plurality::sim::trial_outcome out;
         out.success =
-            finished.converged && consensus_value(s.agents()) == binary_opinion::alpha;
+            finished.converged && consensus_value(s) == binary_opinion::alpha;
         out.parallel_time = s.parallel_time();
         return out;
     });
@@ -70,10 +70,10 @@ TEST(ThreeState, BiasOneIsACoinFlip) {
     const auto summary = trial_executor{1}.run(60, 77, [n](std::uint64_t seed) {
         auto agents = expanded(three_state_census(n / 2 + 1, n / 2 - 1, 0), seed);
         simulation<three_state_protocol> s{three_state_protocol{}, std::move(agents), seed};
-        const auto done = [](const auto& sim) { return consensus_reached(sim.agents()); };
+        const auto done = [](const auto& sim) { return consensus_reached(sim); };
         (void)converge(s, done, 2000ull * n);
         plurality::sim::trial_outcome out;
-        out.success = consensus_value(s.agents()) == binary_opinion::alpha;
+        out.success = consensus_value(s) == binary_opinion::alpha;
         return out;
     });
     // Correctness rate statistically indistinguishable from 50%: between 25%
@@ -87,7 +87,7 @@ TEST(ThreeState, ConsensusIsStableOnceReached) {
     auto agents = expanded(three_state_census(n, 0, 0), 5);
     simulation<three_state_protocol> s{three_state_protocol{}, std::move(agents), 5};
     s.run_for(100ull * n);
-    EXPECT_EQ(consensus_value(s.agents()), binary_opinion::alpha);
+    EXPECT_EQ(consensus_value(s), binary_opinion::alpha);
 }
 
 }  // namespace

@@ -176,10 +176,10 @@ TEST_P(AveragingMonotonicity, VerdictMatchesSignOfDifference) {
     sim::simulation<majority::averaging_majority_protocol> s{
         majority::averaging_majority_protocol{}, std::move(agents), seed};
     const auto done = [](const auto& sim) {
-        return majority::population_verdict(sim.agents()) != majority::majority_verdict::undecided;
+        return majority::population_verdict(sim) != majority::majority_verdict::undecided;
     };
     ASSERT_TRUE(sim::converge(s, done, 2000ull * n).converged);
-    const auto verdict = majority::population_verdict(s.agents());
+    const auto verdict = majority::population_verdict(s);
     if (diff > 0) {
         EXPECT_EQ(verdict, majority::majority_verdict::plus);
     } else if (diff < 0) {

@@ -20,6 +20,7 @@
 
 #include "baselines/usd_plurality.h"
 #include "core/plurality_protocol.h"
+#include "core/result.h"
 #include "epidemic/epidemic.h"
 #include "leader/leader_election.h"
 #include "loadbalance/load_balancer.h"
@@ -33,7 +34,6 @@
 #include "sim/census_simulator.h"
 #include "sim/delta_outcomes.h"
 #include "sim/group_delta.h"
-#include "sim/population_view.h"
 #include "sim/rng.h"
 #include "workload/opinion_distribution.h"
 #include "test_support.h"
@@ -475,8 +475,8 @@ TEST(RandomizedDeltaBackend, GroupedLeaderMatchesPerPairFallbackDistributionally
 // -- cross-backend 5σ agreement for the paper's protocols ---------------------
 
 // Agent backend, `run_for` (the census backend) and `advance` (stepping
-// alone); the stepped side restates each scenario's census, budget and
-// convergence predicate.
+// alone); the stepped side restates each scenario's census and budget and
+// calls the family's convergence predicate.
 
 TEST(RandomizedDeltaCrossBackend, LeaderElectionTimesAgreeAcrossAgentCensusLeap) {
     const auto* s = scenario::scenario_registry::instance().find("leader/election");
@@ -485,8 +485,7 @@ TEST(RandomizedDeltaCrossBackend, LeaderElectionTimesAgreeAcrossAgentCensusLeap)
     params.n = 256;
     const std::uint16_t rounds = leader::default_rounds(params.n);
     const auto elected = [rounds](const auto& sim) {
-        return sim::view::all_of(
-            sim, [rounds](const leader::leader_agent& a) { return a.rounds_done >= rounds; });
+        return leader::election_finished(sim, rounds);
     };
     const double log_n = std::log2(static_cast<double>(params.n));
     const auto stepped = test::stepped_mean_time(
@@ -502,9 +501,7 @@ TEST(RandomizedDeltaCrossBackend, OrderedPluralityTimesAgreeAcrossAgentCensusLea
     params.n = 512;
     params.k = 2;
     const auto cfg = core::protocol_config::make(core::algorithm_mode::ordered, 512, 2);
-    const auto won = [](const auto& sim) {
-        return sim::view::all_of(sim, [](const core::core_agent& a) { return a.winner; });
-    };
+    const auto won = [](const auto& sim) { return core::all_winners(sim); };
     const auto stepped = test::stepped_mean_time(
         core::plurality_protocol{cfg},
         core::plurality_protocol::initial_census(cfg, workload::make_bias_one(512, 2)), won,

@@ -23,7 +23,7 @@ TEST(Recorder, SamplesAtCadence) {
     auto s = make_sim(64);
     plurality::trace::recorder<sim_t> rec(1.0);
     rec.add_series("informed", [](const sim_t& sim) {
-        return static_cast<double>(plurality::epidemic::informed_count(sim.agents()));
+        return static_cast<double>(plurality::epidemic::informed_count(sim));
     });
     for (int i = 0; i < 10; ++i) {
         s.run_for(64);  // exactly one parallel-time unit
@@ -52,7 +52,7 @@ TEST(Recorder, FirstSampleAlwaysTakenAtTimeZero) {
     auto s = make_sim(64);
     plurality::trace::recorder<sim_t> rec(1000.0);
     rec.add_series("informed", [](const sim_t& sim) {
-        return static_cast<double>(plurality::epidemic::informed_count(sim.agents()));
+        return static_cast<double>(plurality::epidemic::informed_count(sim));
     });
     EXPECT_TRUE(rec.maybe_sample(s));  // before any interaction
     for (int i = 0; i < 10; ++i) {
@@ -103,9 +103,9 @@ TEST(Recorder, SeriesValuesAreMonotoneForEpidemic) {
     auto s = make_sim(256);
     plurality::trace::recorder<sim_t> rec(1.0);
     rec.add_series("informed", [](const sim_t& sim) {
-        return static_cast<double>(plurality::epidemic::informed_count(sim.agents()));
+        return static_cast<double>(plurality::epidemic::informed_count(sim));
     });
-    while (plurality::epidemic::informed_count(s.agents()) < 256) {
+    while (plurality::epidemic::informed_count(s) < 256) {
         s.run_for(64);
         rec.maybe_sample(s);
     }

@@ -112,7 +112,10 @@ TEST(ScenarioRunner, TracedRunMatchesPlainRunAndAnchorsAtTimeZero) {
 
     const auto plain = s->run(params, 9);
     std::ostringstream csv;
-    const auto traced = s->run_traced(params, 9, 100.0, csv);
+    scenario::run_options options;
+    options.trace_cadence = 100.0;
+    options.trace_csv = &csv;
+    const auto traced = s->run(params, 9, scenario::backend_kind::agent, options);
     EXPECT_EQ(plain.converged, traced.converged);
     EXPECT_DOUBLE_EQ(plain.parallel_time, traced.parallel_time);
     EXPECT_EQ(plain.interactions, traced.interactions);

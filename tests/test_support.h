@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -33,6 +34,17 @@
 #include "sim/convergence.h"
 #include "sim/trial_executor.h"
 #include "workload/opinion_distribution.h"
+
+namespace plurality::core {
+
+// Readable parameter names in gtest and ctest output.
+inline void PrintTo(algorithm_mode mode, std::ostream* os) {
+    *os << (mode == algorithm_mode::ordered     ? "ordered"
+            : mode == algorithm_mode::unordered ? "unordered"
+                                                : "improved");
+}
+
+}  // namespace plurality::core
 
 namespace plurality::test {
 

@@ -1,51 +1,17 @@
-// State-space accounting: which states a protocol uses, and how many agents
-// occupy each.
-//
-// Two measurement views live here:
-//
-//  * `state_census` — the *distinct-states* view behind experiment E2.  The
-//    paper's central quantitative trade-off is state complexity: Ω(k²)
-//    states for always-correct plurality [29] versus O(k + log n) /
-//    O(k·log log n + log n) for the w.h.p. protocols (Theorems 1 and 2).
-//    Each agent's live variables are packed into a canonical 64-bit code
-//    (exactly the role-split accounting of §3.4 / Figure 1 — a role only
-//    contributes the variables it actually keeps track of), and this class
-//    counts the distinct codes seen over a whole run.
-//
-//  * `counted_census` — the *occupancy* view: a code -> count multiset with
-//    increment/decrement and an exact running total.  This is the census the
-//    census-space simulation backend (sim/census_simulator.h) reasons in;
-//    the standalone class exists so tests and measurements can replay and
-//    cross-check a backend's bookkeeping against an independent
-//    implementation, and so experiments can census-profile an agent-based
-//    run without one.
-//
-// Codes are built with `state_packer` (mixed-radix, collision-free by
-// construction) and can be taken apart again with `state_unpacker`.
+// An independent occupancy census: a code -> count multiset with
+// increment/decrement and an exact running total.  The census-space
+// simulation backend (sim/census_simulator.h) keeps its own counts; this
+// class exists so tests can replay and cross-check that bookkeeping against
+// an implementation that shares no code with it.
 #pragma once
 
 #include <cstdint>
 #include <stdexcept>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace plurality::census {
 
-/// Accumulates canonical state codes and reports the number of distinct
-/// ones.  Observation is idempotent, so callers can sample as densely as
-/// they like.
-class state_census {
-public:
-    void observe(std::uint64_t canonical_state) { seen_.insert(canonical_state); }
-
-    [[nodiscard]] std::size_t distinct() const noexcept { return seen_.size(); }
-    void clear() noexcept { seen_.clear(); }
-
-private:
-    std::unordered_set<std::uint64_t> seen_;
-};
-
-/// A counting census: how many agents currently hold each canonical state.
+/// A counting census: how many agents currently hold each state code.
 ///
 /// Increment/decrement maintain two invariants callers can rely on (and
 /// tests/test_state_census.cpp verifies):
@@ -90,46 +56,6 @@ public:
 private:
     std::unordered_map<std::uint64_t, std::uint64_t> counts_;
     std::uint64_t total_ = 0;
-};
-
-/// Helper for building canonical codes: appends `value` (< `cardinality`)
-/// into the running mixed-radix code.  Keeping every field's cardinality
-/// explicit makes the packing collision-free by construction.
-class state_packer {
-public:
-    state_packer& field(std::uint64_t value, std::uint64_t cardinality) {
-        code_ = code_ * cardinality + (value < cardinality ? value : cardinality - 1);
-        return *this;
-    }
-
-    state_packer& flag(bool value) { return field(value ? 1 : 0, 2); }
-
-    [[nodiscard]] std::uint64_t code() const noexcept { return code_; }
-
-private:
-    std::uint64_t code_ = 0;
-};
-
-/// Inverse of `state_packer`: peels fields off a code.  Mixed-radix packing
-/// is last-in-first-out, so fields come back in *reverse* packing order,
-/// each with the same cardinality it was packed with.
-class state_unpacker {
-public:
-    explicit state_unpacker(std::uint64_t code) noexcept : code_(code) {}
-
-    [[nodiscard]] std::uint64_t field(std::uint64_t cardinality) noexcept {
-        const std::uint64_t value = code_ % cardinality;
-        code_ /= cardinality;
-        return value;
-    }
-
-    [[nodiscard]] bool flag() noexcept { return field(2) != 0; }
-
-    /// Whatever has not been peeled off yet (0 once all fields are out).
-    [[nodiscard]] std::uint64_t remainder() const noexcept { return code_; }
-
-private:
-    std::uint64_t code_;
 };
 
 }  // namespace plurality::census

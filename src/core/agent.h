@@ -2,8 +2,10 @@
 // the paper's Figure 1 state space.
 //
 // The struct is the *superset* S of all role-specific variables; as §3.4
-// explains, each role only keeps track of its own slice, which is what the
-// census encoding (census_encoding.h) counts.  Simulation-side bookkeeping
+// explains, each role only keeps track of its own slice.
+// `plurality_protocol::live_slice` names each role's slice, and δ resets
+// every field outside it, so the agent's bytes — the census backend's
+// state identity — are the paper's state.  Simulation-side bookkeeping
 // that the paper models as "constantly many bits" (do-once flags, first-
 // interaction-in-phase detection) is explicit here.
 #pragma once
@@ -30,8 +32,8 @@ enum class announcement_kind : std::uint8_t { none = 0, defender = 1, challenger
 // struct carries no interior padding and the whole agent occupies exactly one
 // 64-byte cache line — the hot loop touches two random agents per
 // interaction, so each interaction costs exactly two cache lines.  The
-// logical role-grouping of §3.4 is kept in the comments; the census encoding
-// (census_encoding.h) remains the authority on which role owns which slice.
+// logical role-grouping of §3.4 is kept in the comments; `live_slice`
+// remains the authority on which role owns which slice.
 struct alignas(64) core_agent {
     // -- 8-byte -----------------------------------------------------------------
     std::int64_t maj_load = 0;  ///< player: averaging-majority state (S_maj)
@@ -46,7 +48,7 @@ struct alignas(64) core_agent {
     std::uint32_t junta_p = 0;       ///< pruning: junta-driven phase-clock counter
 
     // -- 2-byte -----------------------------------------------------------------
-    std::uint16_t le_rounds = 0;   ///< tracker: leader-election round counter
+    std::uint16_t le_rounds = 0;   ///< electing stage (every role): election round counter
     std::int16_t prune_phase = 0;  ///< pruning: starts at -c; 0 triggers the tournaments
 
     // -- 1-byte -----------------------------------------------------------------

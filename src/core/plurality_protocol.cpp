@@ -137,30 +137,94 @@ std::vector<core_agent> plurality_protocol::make_population(
 // Stage and phase bookkeeping
 // ---------------------------------------------------------------------------
 
+// Out of line on purpose: δ calls it only where a role, stage or winner bit
+// changes, and inlined into δ's body it slowed every census step.
+[[gnu::noinline]] core_agent plurality_protocol::live_slice(
+    const core_agent& agent) const noexcept {
+    core_agent slice;  // every field at its default
+    slice.role = agent.role;
+    slice.stage = agent.stage;
+    slice.phase = agent.phase;
+    slice.once_flags = agent.once_flags;
+    slice.ever_initiated = agent.ever_initiated;
+    slice.winner = agent.winner;
+    if (agent.winner) {  // it only converts others, and the readouts read these
+        slice.opinion = agent.opinion;
+        slice.tokens = agent.tokens;
+        slice.is_leader = agent.is_leader;
+        return slice;
+    }
+    // Every agent in the election counts its rounds.
+    if (agent.stage == lifecycle_stage::electing) slice.le_rounds = agent.le_rounds;
+    const bool init = agent.stage == lifecycle_stage::init;
+    switch (agent.role) {
+        case agent_role::collector:
+            if (agent.counting) {  // Appendix C: it only counts its initiations
+                slice.counting = true;
+                slice.count = agent.count;
+                break;
+            }
+            slice.opinion = agent.opinion;
+            slice.tokens = agent.tokens;
+            slice.defender = agent.defender;
+            slice.challenger = agent.challenger;
+            slice.load = agent.load;
+            // Only the unordered modes' challenger selection asks.
+            if (cfg_.mode != algorithm_mode::ordered) slice.participated = agent.participated;
+            if (init && cfg_.large_k) slice.met_same_opinion = agent.met_same_opinion;
+            if (init && cfg_.mode == algorithm_mode::improved) {
+                slice.junta_level = agent.junta_level;
+                slice.junta_active = agent.junta_active;
+                slice.junta_member = agent.junta_member;
+                slice.junta_p = agent.junta_p;
+                slice.prune_phase = agent.prune_phase;
+            }
+            break;
+        case agent_role::clock:
+            slice.count = agent.count;
+            break;
+        case agent_role::tracker:
+            if (cfg_.mode == algorithm_mode::ordered) {
+                slice.tcnt = agent.tcnt;
+            } else if (agent.stage == lifecycle_stage::tournaments) {
+                slice.is_leader = agent.is_leader;
+                slice.finished = agent.finished;
+                slice.visited_select = agent.visited_select;
+                slice.ann_kind = agent.ann_kind;
+                slice.cand_opinion = agent.cand_opinion;
+                slice.ann_opinion = agent.ann_opinion;
+                slice.leader_cycle = agent.leader_cycle;
+            } else {  // the election's variables, set when the role is taken
+                slice.candidate = agent.candidate;
+                slice.coin = agent.coin;
+                slice.saw_one = agent.saw_one;
+            }
+            break;
+        case agent_role::player:
+            slice.po = agent.po;
+            slice.maj_load = agent.maj_load;
+            break;
+    }
+    return slice;
+}
+
 template <class R>
 void plurality_protocol::assign_random_role(agent_t& agent, R& gen) const {
-    agent.opinion = 0;
-    agent.tokens = 0;
-    agent.defender = false;
-    agent.challenger = false;
-    agent.load = 0;
-    agent.counting = false;
     switch (gen.next_below(3)) {
         case 0:
             agent.role = agent_role::clock;
-            agent.count = 0;
+            agent.count = 0;  // a counting agent's count does not carry over
             break;
         case 1:
             agent.role = agent_role::tracker;
             agent.tcnt = 1;
             agent.candidate = true;
             break;
-        default:
+        default:  // undecided, with no load: its fields' defaults
             agent.role = agent_role::player;
-            agent.po = player_side::undecided;
-            agent.maj_load = 0;
             break;
     }
+    agent = live_slice(agent);  // the collector's variables go with its role
 }
 
 bool plurality_protocol::is_select_phase(std::uint8_t phase) const noexcept {
@@ -194,17 +258,10 @@ void plurality_protocol::enter_stage(agent_t& agent, lifecycle_stage target, R& 
                     (agent.tokens == 0 || never_ticked)) {
                     assign_random_role(agent, gen);
                 }
-                agent.prune_phase = 0;
             }
             agent.stage = cfg_.mode == algorithm_mode::ordered ? lifecycle_stage::tournaments
                                                                : lifecycle_stage::electing;
             if (agent.role == agent_role::clock) agent.count = 0;
-            if (agent.role == agent_role::tracker) {
-                agent.candidate = cfg_.mode != algorithm_mode::ordered;
-                agent.coin = false;
-                agent.saw_one = false;
-                agent.le_rounds = 0;
-            }
         } else if (agent.stage == lifecycle_stage::electing) {
             // Election over: surviving candidates that completed all rounds
             // become leaders (stragglers pulled across the boundary by the
@@ -213,16 +270,12 @@ void plurality_protocol::enter_stage(agent_t& agent, lifecycle_stage target, R& 
             if (agent.role == agent_role::tracker) {
                 if (agent.candidate && !agent.coin && agent.saw_one) agent.candidate = false;
                 agent.is_leader = agent.candidate && agent.le_rounds >= cfg_.leader_rounds;
-                agent.candidate = false;
-                agent.ann_opinion = 0;
-                agent.ann_kind = announcement_kind::none;
-                agent.cand_opinion = 0;
-                agent.leader_cycle = 0;
-                agent.finished = false;
-                agent.visited_select = false;
             }
             agent.stage = lifecycle_stage::tournaments;
         }
+        // The stage's own variables go: the pruning stage's junta state, the
+        // election's coins and rounds.
+        agent = live_slice(agent);
         agent.phase = 0;
         on_phase_entry(agent, gen);
         if (agent.stage >= target) break;
@@ -347,17 +400,17 @@ void plurality_protocol::init_interact(agent_t& u, agent_t& v, R& gen) const {
     const bool collector_pair = u.role == agent_role::collector && !u.counting &&
                                 v.role == agent_role::collector && !v.counting;
     if (collector_pair && u.opinion != 0 && u.opinion == v.opinion) {
-        u.met_same_opinion = true;
-        v.met_same_opinion = true;
+        if (cfg_.large_k) {  // only the Appendix C recycling rule reads it
+            u.met_same_opinion = true;
+            v.met_same_opinion = true;
+        }
 
         // Appendix C: two single-token collectors of the same opinion merge
         // into one two-token collector and one *counting agent*.
         if (cfg_.large_k && u.tokens == 1 && v.tokens == 1) {
             v.tokens = 2;
-            u.tokens = 0;
-            u.opinion = 0;
             u.counting = true;
-            u.count = 0;
+            u = live_slice(u);  // its token and opinion go; its count starts at 0
             return;
         }
 
@@ -515,7 +568,6 @@ void plurality_protocol::setup_pair(agent_t& a, agent_t& b) const {
         // challenger opinion.
         if (b.role == agent_role::tracker && a.opinion != 0 && a.opinion == b.tcnt) {
             a.challenger = true;
-            a.participated = true;
         }
     } else {
         // Appendix B: collectors learn the announced opinion from trackers.
@@ -613,6 +665,7 @@ void plurality_protocol::tournament_interact(agent_t& u, agent_t& v) const {
             if (tracker.role == agent_role::tracker && tracker.tcnt == cfg_.k + 1 &&
                 collector.role == agent_role::collector && collector.defender) {
                 collector.winner = true;
+                collector = live_slice(collector);
             }
         };
         crown(u, v);
@@ -623,10 +676,11 @@ void plurality_protocol::tournament_interact(agent_t& u, agent_t& v) const {
             u.finished = done;
             v.finished = done;
         }
-        const auto crown = [](const agent_t& tracker, agent_t& collector) {
+        const auto crown = [this](const agent_t& tracker, agent_t& collector) {
             if (tracker.role == agent_role::tracker && tracker.finished &&
                 collector.role == agent_role::collector && collector.defender) {
                 collector.winner = true;
+                collector = live_slice(collector);
             }
         };
         crown(u, v);
@@ -712,14 +766,12 @@ void plurality_protocol::interact(agent_t& u, agent_t& v, R& gen) const {
 
     // Final broadcast (§3.4): winners convert everyone and do nothing else.
     if (u.winner || v.winner) {
-        if (u.winner && !v.winner) {
-            v.role = agent_role::collector;
-            v.opinion = u.opinion;
-            v.winner = true;
-        } else if (v.winner && !u.winner) {
-            u.role = agent_role::collector;
-            u.opinion = v.opinion;
-            u.winner = true;
+        if (u.winner != v.winner) {
+            agent_t& convert = u.winner ? v : u;
+            convert.role = agent_role::collector;
+            convert.opinion = (u.winner ? u : v).opinion;
+            convert.winner = true;
+            convert = live_slice(convert);
         }
         return;
     }

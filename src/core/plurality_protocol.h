@@ -84,6 +84,19 @@ public:
 
     [[nodiscard]] const protocol_config& config() const noexcept { return cfg_; }
 
+    /// The agent's state as the paper counts it (§3.4 and Figure 1 of
+    /// arXiv:2402.06471): the shared variables (role, stage, phase, do-once
+    /// bits, `ever_initiated`, `winner`) plus what δ can still read of the
+    /// agent's role in its stage and mode — for a winner, which only
+    /// converts the agents it meets, what the readouts of core/result.h
+    /// read — with every other field at its default.  δ applies it where a
+    /// field's use ends (a role assigned, a stage entered, a counting agent
+    /// formed, a winner made), so every state δ produces is its own live
+    /// slice, and the census, whose state identity is the agent's bytes,
+    /// counts the paper's states.  It draws nothing and clears only fields
+    /// nothing reads again, so no agent trajectory depends on it.
+    [[nodiscard]] core_agent live_slice(const core_agent& agent) const noexcept;
+
     /// The initial configuration as a census: every agent is a collector
     /// holding one token of its opinion, so there is one entry per
     /// supported opinion, in opinion order.

@@ -385,7 +385,9 @@ public:
         return tree.slot_at[position];
     }
 
-    /// Test hooks: the state slot `index` < reachable_states() holds, the
+    /// Test and bench hooks: the state slot `index` < reachable_states()
+    /// holds (tests check every reached state against the protocol's
+    /// invariants, and bench_e2_state_census counts them), the
     /// number of agents in activity class `cls` (N_c), the may-act weight
     /// W, and the (initiator, responder) slots that the
     /// executed-pair draw selects for `rank` < W — the initiator class and
@@ -936,8 +938,11 @@ private:
     }
 
     /// Slot-level half of `add_to`: count, tree and occupied list, no class
-    /// bookkeeping.
-    void deposit_mass(std::size_t index, std::uint64_t count) {
+    /// bookkeeping.  It and `withdraw_mass` are always inlined: the stepped
+    /// path (`execute`) is compiled into each scenario's translation unit,
+    /// and left to the inliner's budget there, unrelated code in the same
+    /// unit decided whether they became calls (1% on the ordered census).
+    [[gnu::always_inline]] void deposit_mass(std::size_t index, std::uint64_t count) {
         slot& entry = slots_[index];
         class_tree& tree = classes_[entry.cls];
         if (entry.count == 0) {
@@ -952,7 +957,7 @@ private:
 
     /// Slot-level half of `remove_from`.  A slot that empties hands its
     /// place in the occupied list to the list's last slot.
-    void withdraw_mass(std::size_t index, std::uint64_t count) noexcept {
+    [[gnu::always_inline]] void withdraw_mass(std::size_t index, std::uint64_t count) noexcept {
         slot& entry = slots_[index];
         class_tree& tree = classes_[entry.cls];
         entry.count -= count;

@@ -5,6 +5,7 @@
 
 #include "core/plurality_protocol.h"
 #include "core/result.h"
+#include "sim/census_simulator.h"
 #include "sim/convergence.h"
 #include "sim/simulation.h"
 #include "sim/trial_executor.h"
@@ -108,6 +109,30 @@ TEST(LargeK, RolePoolsFillDespiteSingletons) {
     EXPECT_GE(counts[static_cast<std::size_t>(agent_role::clock)], n / 12);
     EXPECT_GE(counts[static_cast<std::size_t>(agent_role::tracker)], n / 12);
     EXPECT_GE(counts[static_cast<std::size_t>(agent_role::player)], n / 12);
+}
+
+TEST(LargeK, CountingAndRecyclingLeaveNoDeadField) {
+    // The 1+1 merge turns a collector into a counting agent, and the k > n/2
+    // rule recycles never-matched singletons: every state a census run
+    // reaches must still be its own live slice.
+    const std::uint32_t n = 256;
+    const std::uint32_t k = 150;
+    for (const auto mode : {algorithm_mode::ordered, algorithm_mode::unordered}) {
+        const auto cfg = protocol_config::make(mode, n, k);
+        const plurality_protocol protocol{cfg};
+        plurality::sim::census_simulator<plurality_protocol> census{
+            protocol, plurality_protocol::initial_census(cfg, make_bias_one(n, k)), 5};
+        (void)converge(census, [](const auto& sim) { return all_winners(sim); },
+                       static_cast<std::uint64_t>(cfg.default_time_budget()) * n);
+        std::size_t counting = 0;
+        for (std::size_t i = 0; i < census.reachable_states(); ++i) {
+            const core_agent& state = census.slot_state(i);
+            counting += state.counting;
+            EXPECT_TRUE(plurality::sim::same_state(protocol.live_slice(state), state))
+                << "mode " << static_cast<int>(mode) << ", reached state " << i;
+        }
+        EXPECT_GT(counting, 0u) << "mode " << static_cast<int>(mode);
+    }
 }
 
 TEST(LargeK, PluralityTokensSurviveModerateLargeK) {

@@ -3,10 +3,10 @@
 // style workloads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
-#include "census/state_census.h"
-#include "core/census_encoding.h"
+#include "../bench/e2_state_counts.h"
 #include "core/plurality_protocol.h"
 #include "core/result.h"
 #include "sim/convergence.h"
@@ -18,31 +18,8 @@ namespace {
 
 using namespace plurality::core;
 using namespace plurality::workload;
+using plurality::bench::count_states;
 using plurality::sim::converge;
-
-/// Runs one full execution while feeding every agent state into two
-/// censuses; returns {structural distinct, full distinct}.
-std::pair<std::size_t, std::size_t> census_run(const protocol_config& cfg,
-                                               const opinion_distribution& dist,
-                                               std::uint64_t seed) {
-    plurality::sim::rng setup(plurality::sim::derive_seed(seed, 1));
-    plurality_protocol proto{cfg};
-    auto population = plurality_protocol::make_population(cfg, dist, setup);
-    plurality::sim::simulation<plurality_protocol> s{std::move(proto), std::move(population),
-                                                     plurality::sim::derive_seed(seed, 2)};
-    plurality::census::state_census structural;
-    plurality::census::state_census full;
-    const auto budget = static_cast<std::uint64_t>(cfg.default_time_budget()) * cfg.n;
-    while (!all_winners(s) && s.interactions() < budget) {
-        s.run_for(cfg.n / 2);
-        for (const auto& a : s.agents()) {
-            structural.observe(canonical_code(a, cfg, census_mode::structural));
-            full.observe(canonical_code(a, cfg, census_mode::full));
-        }
-    }
-    EXPECT_TRUE(all_winners(s));
-    return {structural.distinct(), full.distinct()};
-}
 
 TEST(Integration, StructuralStateCountScalesLinearlyInK) {
     // Theorem 1 (1): O(k + log n) states.  With n fixed, growing k should
@@ -53,9 +30,10 @@ TEST(Integration, StructuralStateCountScalesLinearlyInK) {
     std::vector<double> states;
     for (std::uint32_t k : {2u, 4u, 8u, 16u}) {
         const auto cfg = protocol_config::make(algorithm_mode::ordered, n, k);
-        const auto [structural, full] = census_run(cfg, make_bias_one(n, k), 300 + k);
+        const auto counts = count_states(cfg, make_bias_one(n, k), 300 + k);
+        EXPECT_TRUE(counts.converged);
         ks.push_back(k);
-        states.push_back(static_cast<double>(structural));
+        states.push_back(static_cast<double>(counts.structural));
     }
     // Quadratic growth would multiply by ~64 from k=2 to k=16; linear growth
     // by at most ~8.  Leave generous slack.
@@ -67,13 +45,32 @@ TEST(Integration, StructuralStateCountScalesLinearlyInK) {
 TEST(Integration, FullCensusShowsTheMajoritySubstitutionCost) {
     // The averaging majority trades states for time: the full census (raw
     // loads) strictly exceeds the structural census (exponent buckets).
-    // Snapshot sampling only catches a fraction of the transient loads, so
-    // the measured gap is a lower bound on the true Θ(n) vs O(log n) gap —
-    // bench_e2_state_census reports the dense numbers.
     const std::uint32_t n = 512;
     const auto cfg = protocol_config::make(algorithm_mode::ordered, n, 4);
-    const auto [structural, full] = census_run(cfg, make_bias_one(n, 4), 17);
-    EXPECT_GT(full, structural);
+    const auto counts = count_states(cfg, make_bias_one(n, 4), 17);
+    EXPECT_TRUE(counts.converged);
+    EXPECT_GT(counts.full, counts.structural);
+}
+
+TEST(Integration, ImprovedCensusStaysTheSizeOfUnordered) {
+    // After init an improved agent is an unordered one: live_slice drops
+    // the pruning stage's junta state when it leaves init.  A field the
+    // slice wrongly keeps multiplies improved's reachable states: while the
+    // junta fields stayed, improved reached 53 909 here against 3 992.
+    constexpr std::uint32_t n = 512;
+    const auto largest_census = [](algorithm_mode mode) {
+        const auto cfg = protocol_config::make(mode, n, 2);
+        std::size_t largest = 0;
+        for (std::uint64_t trial = 0; trial < 3; ++trial) {
+            const auto counts =
+                count_states(cfg, make_bias_one(n, 2), plurality::sim::derive_seed(7, trial));
+            EXPECT_TRUE(counts.converged);
+            largest = std::max(largest, counts.full);
+        }
+        return largest;
+    };
+    EXPECT_LE(largest_census(algorithm_mode::improved),
+              2 * largest_census(algorithm_mode::unordered));
 }
 
 TEST(Integration, AllThreeModesAgreeOnTheWinner) {

@@ -11,8 +11,8 @@
 //   * a convergence predicate       (converged),
 //   * a correctness predicate       (correct),
 //   * a parallel-time budget        (time_budget),
-//   * named metric extractors       (metrics) — also reused as the time
-//     series of `--trace` recordings.
+//   * named metric extractors       (metrics) — also the rows of
+//     `--trace` recordings.
 //
 // Every scenario runs on any simulation backend (see docs/ARCHITECTURE.md):
 //
@@ -54,13 +54,13 @@
 
 #include "obs/heartbeat.h"
 #include "obs/snapshot.h"
+#include "scenario/trace_recorder.h"
 #include "sim/census_simulator.h"
 #include "sim/census_store.h"
 #include "sim/convergence.h"
 #include "sim/population_view.h"
 #include "sim/rng.h"
 #include "sim/simulation.h"
-#include "trace/recorder.h"
 #include "workload/opinion_distribution.h"
 
 namespace plurality::scenario {
@@ -181,9 +181,8 @@ struct scenario_outcome {
 /// alter what a run *records or reports*, never its trajectory.  The outcome
 /// is byte-identical for any combination of these options.
 struct run_options {
-    /// Metric-sampling cadence in parallel-time units when tracing (<= 0
-    /// selects the recorder default of 1.0).  Only read when `trace_csv` is
-    /// set.
+    /// Trace-row cadence in parallel-time units (<= 0 selects the
+    /// recorder default of 1.0).  Only read when `trace_csv` is set.
     double trace_cadence = 0.0;
     /// Destination for the traced metric series as CSV; nullptr = no trace.
     std::ostream* trace_csv = nullptr;
@@ -253,20 +252,14 @@ public:
     [[nodiscard]] const std::string& description() const noexcept { return description_; }
 
     /// Runs one trial on the chosen backend.  Fully deterministic in
-    /// `(seed, backend)`.  Throws std::invalid_argument on the retired
-    /// `backend_kind::batch`.
+    /// `(seed, backend)`: `options` — tracing (every metric sampled each
+    /// `trace_cadence` parallel-time units, first row at time 0, written as
+    /// CSV to `trace_csv`) and the progress heartbeat — never change the
+    /// trajectory or the outcome.  Throws std::invalid_argument on the
+    /// retired `backend_kind::batch`.
     [[nodiscard]] scenario_outcome run(const scenario_params& params, std::uint64_t seed,
-                                       backend_kind backend = backend_kind::agent) const {
-        return model_->run(params, seed, backend, {});
-    }
-
-    /// Runs one trial with explicit recording options: tracing (every
-    /// metric sampled each `trace_cadence` parallel time units, first
-    /// sample at time 0, written as CSV to `trace_csv`) and the progress
-    /// heartbeat.  Options never change the trajectory: the outcome equals
-    /// `run` with the same `(params, seed, backend)`.
-    [[nodiscard]] scenario_outcome run(const scenario_params& params, std::uint64_t seed,
-                                       backend_kind backend, const run_options& options) const {
+                                       backend_kind backend = backend_kind::agent,
+                                       const run_options& options = {}) const {
         return model_->run(params, seed, backend, options);
     }
 
@@ -317,8 +310,8 @@ private:
         }
 
         /// The backend-agnostic part of a trial: budget derivation, the
-        /// convergence loop, optional tracing and heartbeat, wall timing,
-        /// instrumentation readout, and outcome packaging.
+        /// convergence loop and its one observer (trace rows and heartbeat),
+        /// wall timing, instrumentation readout, and outcome packaging.
         template <class SimT>
         [[nodiscard]] static scenario_outcome drive(S& spec, const scenario_params& params,
                                                     SimT& sim, const run_options& options) {
@@ -326,53 +319,27 @@ private:
                                                            : spec.time_budget(params);
             const auto max_interactions =
                 sim::interaction_budget(budget, sim.population_size());
-            const auto done = [&spec](const SimT& s) { return spec.converged(s); };
 
-            // The heartbeat lives outside the trace branch so both plain and
-            // traced runs can stream progress; it writes to stderr only and
-            // never perturbs the trajectory or the recorded series.
+            // The observer records a trace row when one is due and ticks the
+            // heartbeat; neither touches the simulation, so options never
+            // perturb the trajectory.
+            std::optional<trace_recorder> trace;
+            if (options.trace_csv != nullptr) trace.emplace(options.trace_cadence);
             std::optional<obs::heartbeat> pulse;
             if (options.progress_interval > 0.0)
                 pulse.emplace(options.progress_label, max_interactions,
                               options.progress_interval);
-            const auto observe = [&pulse](const SimT& s) {
-                if (pulse) pulse->tick(s.interactions(), sim::occupied_states_or_zero(s));
-            };
 
             const auto wall_start = std::chrono::steady_clock::now();
-            sim::convergence_outcome conv;
-            if (options.trace_csv != nullptr) {
-                trace::recorder<SimT> rec(options.trace_cadence > 0.0 ? options.trace_cadence
-                                                                      : 1.0);
-                // All series share one metrics evaluation per sample point
-                // (keyed by the interaction count, which is unique per
-                // sample) instead of re-scanning the configuration per
-                // column.
-                struct metric_cache {
-                    std::uint64_t at = ~0ull;
-                    std::vector<metric> values;
-                };
-                auto cache = std::make_shared<metric_cache>();
-                const auto layout = spec.metrics(sim);
-                for (std::size_t i = 0; i < layout.size(); ++i) {
-                    rec.add_series(layout[i].name, [&spec, cache, i](const SimT& s) {
-                        if (cache->at != s.interactions()) {
-                            cache->values = spec.metrics(s);
-                            cache->at = s.interactions();
-                        }
-                        return cache->values.at(i).value;
-                    });
-                }
-                conv = sim::converge(sim, done, max_interactions, 0,
-                                     [&rec, &observe](const SimT& s) {
-                                         rec.maybe_sample(s);
-                                         observe(s);
-                                     });
-                rec.write_csv(*options.trace_csv);
-            } else {
-                conv = sim::converge(sim, done, max_interactions, 0, observe);
-            }
+            const auto conv = sim::converge(
+                sim, [&spec](const SimT& s) { return spec.converged(s); }, max_interactions, 0,
+                [&spec, &trace, &pulse](const SimT& s) {
+                    if (trace && trace->due(s.parallel_time()))
+                        trace->record(s.parallel_time(), spec.metrics(s));
+                    if (pulse) pulse->tick(s.interactions(), sim::occupied_states_or_zero(s));
+                });
             const auto wall_end = std::chrono::steady_clock::now();
+            if (trace) trace->write_csv(*options.trace_csv);
             if (pulse)
                 pulse->finish(sim.interactions(), sim::occupied_states_or_zero(sim));
 

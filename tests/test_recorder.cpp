@@ -1,16 +1,20 @@
-// Unit tests for the time-series recorder (trace/recorder.h).
+// Unit tests for the trace recorder (scenario/trace_recorder.h).
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 #include "epidemic/epidemic.h"
+#include "scenario/scenario.h"
+#include "scenario/trace_recorder.h"
 #include "sim/simulation.h"
-#include "trace/recorder.h"
 
 namespace {
 
 using plurality::epidemic::epidemic_agent;
 using plurality::epidemic::epidemic_protocol;
+using plurality::scenario::metric;
+using plurality::scenario::trace_recorder;
 using sim_t = plurality::sim::simulation<epidemic_protocol>;
 
 sim_t make_sim(std::uint32_t n) {
@@ -19,15 +23,24 @@ sim_t make_sim(std::uint32_t n) {
     return {epidemic_protocol{}, std::move(agents), 9};
 }
 
+std::vector<metric> informed_row(const sim_t& sim) {
+    return {{"informed", static_cast<double>(plurality::epidemic::informed_count(sim))}};
+}
+
+/// What the scenario driver's observer does at a check: record `row` if a
+/// row is due.  Returns true if one was recorded.
+bool check(trace_recorder& rec, const sim_t& sim, const std::vector<metric>& row) {
+    if (!rec.due(sim.parallel_time())) return false;
+    rec.record(sim.parallel_time(), row);
+    return true;
+}
+
 TEST(Recorder, SamplesAtCadence) {
     auto s = make_sim(64);
-    plurality::trace::recorder<sim_t> rec(1.0);
-    rec.add_series("informed", [](const sim_t& sim) {
-        return static_cast<double>(plurality::epidemic::informed_count(sim));
-    });
+    trace_recorder rec(1.0);
     for (int i = 0; i < 10; ++i) {
         s.run_for(64);  // exactly one parallel-time unit
-        rec.maybe_sample(s);
+        check(rec, s, informed_row(s));
     }
     EXPECT_GE(rec.samples(), 9u);
     EXPECT_LE(rec.samples(), 10u);
@@ -35,11 +48,10 @@ TEST(Recorder, SamplesAtCadence) {
 
 TEST(Recorder, RespectsCadenceGap) {
     auto s = make_sim(64);
-    plurality::trace::recorder<sim_t> rec(100.0);
-    rec.add_series("informed", [](const sim_t&) { return 0.0; });
+    trace_recorder rec(100.0);
     for (int i = 0; i < 20; ++i) {
         s.run_for(64);
-        rec.maybe_sample(s);
+        check(rec, s, {{"informed", 0.0}});
     }
     // 20 time units with cadence 100: only the first sample is taken.
     EXPECT_EQ(rec.samples(), 1u);
@@ -47,36 +59,32 @@ TEST(Recorder, RespectsCadenceGap) {
 
 TEST(Recorder, FirstSampleAlwaysTakenAtTimeZero) {
     // Cadence far above the check interval: the time-0 grid point is still
-    // due on the very first call, so a caller checking at t = 0 (the
-    // convergence layer's observer) records its first sample at exactly 0.
+    // due on the very first check, so a caller checking at t = 0 (the
+    // convergence layer's observer) records its first row at exactly 0.
     auto s = make_sim(64);
-    plurality::trace::recorder<sim_t> rec(1000.0);
-    rec.add_series("informed", [](const sim_t& sim) {
-        return static_cast<double>(plurality::epidemic::informed_count(sim));
-    });
-    EXPECT_TRUE(rec.maybe_sample(s));  // before any interaction
+    trace_recorder rec(1000.0);
+    EXPECT_TRUE(check(rec, s, informed_row(s)));  // before any interaction
     for (int i = 0; i < 10; ++i) {
         s.run_for(64);
-        rec.maybe_sample(s);
+        check(rec, s, informed_row(s));
     }
     ASSERT_EQ(rec.samples(), 1u);
     EXPECT_DOUBLE_EQ(rec.times().front(), 0.0);
-    EXPECT_DOUBLE_EQ(rec.column(0).front(), 1.0);
+    EXPECT_DOUBLE_EQ(rec.row(0).front(), 1.0);
 }
 
 TEST(Recorder, SamplesAlignToCadenceGridBoundary) {
-    // Checks every 0.5 time units with cadence 2: samples land on the grid
+    // Checks every 0.5 time units with cadence 2: rows land on the grid
     // points 0, 2, 4, ... — not on a drifting last-sample-plus-cadence
     // schedule.
     auto s = make_sim(64);
-    plurality::trace::recorder<sim_t> rec(2.0);
-    rec.add_series("zero", [](const sim_t&) { return 0.0; });
-    rec.maybe_sample(s);  // t = 0
+    trace_recorder rec(2.0);
+    check(rec, s, {{"zero", 0.0}});  // t = 0
     for (int i = 0; i < 16; ++i) {
         s.run_for(32);  // half a parallel-time unit
-        rec.maybe_sample(s);
+        check(rec, s, {{"zero", 0.0}});
     }
-    // 8 time units total: samples at 0, 2, 4, 6, 8.
+    // 8 time units total: rows at 0, 2, 4, 6, 8.
     ASSERT_EQ(rec.samples(), 5u);
     for (std::size_t i = 0; i < rec.samples(); ++i) {
         EXPECT_DOUBLE_EQ(rec.times()[i], 2.0 * static_cast<double>(i));
@@ -85,15 +93,14 @@ TEST(Recorder, SamplesAlignToCadenceGridBoundary) {
 
 TEST(Recorder, LateFirstCallSamplesImmediately) {
     // If the caller only starts checking after the cadence has elapsed, the
-    // overdue grid point fires on the first call and the schedule realigns
+    // overdue grid point fires on the first check and the schedule realigns
     // to the grid.
     auto s = make_sim(64);
-    plurality::trace::recorder<sim_t> rec(2.0);
-    rec.add_series("zero", [](const sim_t&) { return 0.0; });
+    trace_recorder rec(2.0);
     s.run_for(3 * 64);  // t = 3: grid points 0 and 2 already passed
-    EXPECT_TRUE(rec.maybe_sample(s));
+    EXPECT_TRUE(check(rec, s, {{"zero", 0.0}}));
     s.run_for(64);  // t = 4: next grid point
-    EXPECT_TRUE(rec.maybe_sample(s));
+    EXPECT_TRUE(check(rec, s, {{"zero", 0.0}}));
     ASSERT_EQ(rec.samples(), 2u);
     EXPECT_DOUBLE_EQ(rec.times()[0], 3.0);
     EXPECT_DOUBLE_EQ(rec.times()[1], 4.0);
@@ -101,38 +108,31 @@ TEST(Recorder, LateFirstCallSamplesImmediately) {
 
 TEST(Recorder, SeriesValuesAreMonotoneForEpidemic) {
     auto s = make_sim(256);
-    plurality::trace::recorder<sim_t> rec(1.0);
-    rec.add_series("informed", [](const sim_t& sim) {
-        return static_cast<double>(plurality::epidemic::informed_count(sim));
-    });
+    trace_recorder rec(1.0);
     while (plurality::epidemic::informed_count(s) < 256) {
         s.run_for(64);
-        rec.maybe_sample(s);
+        check(rec, s, informed_row(s));
     }
-    const auto& col = rec.column(0);
-    for (std::size_t i = 1; i < col.size(); ++i) EXPECT_GE(col[i], col[i - 1]);
-    EXPECT_GT(col.back(), col.front());
+    ASSERT_GE(rec.samples(), 2u);
+    for (std::size_t i = 1; i < rec.samples(); ++i) EXPECT_GE(rec.row(i)[0], rec.row(i - 1)[0]);
+    EXPECT_GT(rec.row(rec.samples() - 1)[0], rec.row(0)[0]);
 }
 
 TEST(Recorder, CsvOutput) {
     auto s = make_sim(64);
-    plurality::trace::recorder<sim_t> rec(1.0);
-    rec.add_series("a", [](const sim_t&) { return 1.5; });
-    rec.add_series("b", [](const sim_t&) { return 2.5; });
+    trace_recorder rec(1.0);
     s.run_for(64);
-    rec.maybe_sample(s);
+    check(rec, s, {{"a", 1.5}, {"b", 2.5}});
     std::ostringstream oss;
     rec.write_csv(oss);
     const std::string csv = oss.str();
-    EXPECT_NE(csv.find("parallel_time,a,b"), std::string::npos);
-    EXPECT_NE(csv.find(",1.5,2.5"), std::string::npos);
+    EXPECT_NE(csv.find("parallel_time,a,b\n1,1.5,2.5\n"), std::string::npos) << csv;
 }
 
 TEST(Recorder, CsvCommentHeaderDocumentsUnitsBeforeTheHeaderRow) {
     auto s = make_sim(64);
-    plurality::trace::recorder<sim_t> rec(1.0);
-    rec.add_series("a", [](const sim_t&) { return 1.0; });
-    rec.maybe_sample(s);
+    trace_recorder rec(1.0);
+    check(rec, s, {{"a", 1.0}});
     std::ostringstream oss;
     rec.write_csv(oss);
 
@@ -150,35 +150,37 @@ TEST(Recorder, CsvCommentHeaderDocumentsUnitsBeforeTheHeaderRow) {
 }
 
 TEST(Recorder, SampleExactlyOnTheGridBoundaryFiresAndAdvancesTheGrid) {
-    // maybe_sample at exactly t = cadence is "at the due point", not before
-    // it: the sample fires and the next due point moves strictly ahead, so
-    // an immediate re-check at the same time does not double-sample.
+    // A check at exactly t = cadence is "at the due point", not before it:
+    // the row is recorded and the next due point moves strictly ahead, so an
+    // immediate re-check at the same time does not record twice.
     auto s = make_sim(64);
-    plurality::trace::recorder<sim_t> rec(1.0);
-    rec.add_series("t", [](const sim_t& sim) { return sim.parallel_time(); });
-    EXPECT_TRUE(rec.maybe_sample(s));   // t = 0 anchor
-    s.run_for(64);                      // exactly one parallel-time unit
-    EXPECT_TRUE(rec.maybe_sample(s));   // t = 1.0, on the boundary
-    EXPECT_FALSE(rec.maybe_sample(s));  // same instant: already taken
+    trace_recorder rec(1.0);
+    EXPECT_TRUE(check(rec, s, {{"t", s.parallel_time()}}));   // t = 0 anchor
+    s.run_for(64);                                            // exactly one parallel-time unit
+    EXPECT_TRUE(check(rec, s, {{"t", s.parallel_time()}}));   // t = 1.0, on the boundary
+    EXPECT_FALSE(check(rec, s, {{"t", s.parallel_time()}}));  // same instant: already taken
     ASSERT_EQ(rec.samples(), 2u);
     EXPECT_DOUBLE_EQ(rec.times()[1], 1.0);
 }
 
 TEST(Recorder, MultipleSeriesStayAligned) {
+    // A sample is one row: its values keep the header's order, and a row
+    // that does not fit the header is refused rather than shifting columns.
     auto s = make_sim(64);
-    plurality::trace::recorder<sim_t> rec(0.5);
-    rec.add_series("time_copy", [](const sim_t& sim) { return sim.parallel_time(); });
-    rec.add_series("const", [](const sim_t&) { return 7.0; });
+    trace_recorder rec(0.5);
     for (int i = 0; i < 8; ++i) {
         s.run_for(40);
-        rec.maybe_sample(s);
+        check(rec, s, {{"time_copy", s.parallel_time()}, {"const", 7.0}});
     }
-    ASSERT_EQ(rec.column(0).size(), rec.times().size());
-    ASSERT_EQ(rec.column(1).size(), rec.times().size());
-    for (std::size_t i = 0; i < rec.times().size(); ++i) {
-        EXPECT_DOUBLE_EQ(rec.column(0)[i], rec.times()[i]);
-        EXPECT_DOUBLE_EQ(rec.column(1)[i], 7.0);
+    ASSERT_EQ(rec.names(), (std::vector<std::string>{"time_copy", "const"}));
+    ASSERT_GE(rec.samples(), 1u);
+    for (std::size_t i = 0; i < rec.samples(); ++i) {
+        ASSERT_EQ(rec.row(i).size(), 2u);
+        EXPECT_DOUBLE_EQ(rec.row(i)[0], rec.times()[i]);
+        EXPECT_DOUBLE_EQ(rec.row(i)[1], 7.0);
     }
+    EXPECT_THROW(rec.record(s.parallel_time() + 1.0, {{"time_copy", 0.0}}),
+                 std::invalid_argument);
 }
 
 }  // namespace

@@ -106,31 +106,46 @@ TEST(ScenarioRunner, JsonReportIsByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(ScenarioRunner, TracedRunMatchesPlainRunAndAnchorsAtTimeZero) {
+    // The driver's one observer records trace rows and ticks the heartbeat;
+    // on either backend, with or without a heartbeat beside the trace, the
+    // outcome equals the plain run's.
     const auto* s = scenario_registry::instance().find("loadbalance/averaging");
     ASSERT_NE(s, nullptr);
     const auto params = small_params("loadbalance");
 
-    const auto plain = s->run(params, 9);
-    std::ostringstream csv;
-    scenario::run_options options;
-    options.trace_cadence = 100.0;
-    options.trace_csv = &csv;
-    const auto traced = s->run(params, 9, scenario::backend_kind::agent, options);
-    EXPECT_EQ(plain.converged, traced.converged);
-    EXPECT_DOUBLE_EQ(plain.parallel_time, traced.parallel_time);
-    EXPECT_EQ(plain.interactions, traced.interactions);
+    for (const auto backend : {scenario::backend_kind::agent, scenario::backend_kind::census}) {
+        const auto plain = s->run(params, 9, backend);
+        for (const double heartbeat : {0.0, 60.0}) {
+            SCOPED_TRACE(::testing::Message() << scenario::backend_name(backend)
+                                              << ", progress_interval " << heartbeat);
+            std::ostringstream csv;
+            scenario::run_options options;
+            options.trace_cadence = 100.0;
+            options.trace_csv = &csv;
+            options.progress_interval = heartbeat;
+            options.progress_label = "traced";
+            const auto traced = s->run(params, 9, backend, options);
+            EXPECT_EQ(plain.converged, traced.converged);
+            EXPECT_DOUBLE_EQ(plain.parallel_time, traced.parallel_time);
+            EXPECT_EQ(plain.interactions, traced.interactions);
+            ASSERT_EQ(plain.metrics.size(), traced.metrics.size());
+            for (std::size_t i = 0; i < plain.metrics.size(); ++i)
+                EXPECT_DOUBLE_EQ(plain.metrics[i].value, traced.metrics[i].value);
 
-    // First CSV row is the t = 0 sample even though the cadence (100) far
-    // exceeds the check interval (1 parallel-time unit).  The header row
-    // follows the `#` comment block documenting the column units.
-    const std::string text = csv.str();
-    std::istringstream lines(text);
-    std::string line;
-    while (std::getline(lines, line) && line.starts_with("#")) {
+            // First CSV row is the t = 0 sample even though the cadence (100)
+            // far exceeds the check interval (1 parallel-time unit).  The
+            // header row follows the `#` comment block documenting the
+            // column units.
+            const std::string text = csv.str();
+            std::istringstream lines(text);
+            std::string line;
+            while (std::getline(lines, line) && line.starts_with("#")) {
+            }
+            EXPECT_EQ(line, "parallel_time,discrepancy,total_load");
+            ASSERT_TRUE(std::getline(lines, line));
+            EXPECT_EQ(line.substr(0, 2), "0,");
+        }
     }
-    EXPECT_EQ(line, "parallel_time,discrepancy,total_load");
-    ASSERT_TRUE(std::getline(lines, line));
-    EXPECT_EQ(line.substr(0, 2), "0,");
 }
 
 TEST(ScenarioBackends, ParseBackendAcceptsExactlyTheAdvertisedList) {

@@ -1,10 +1,11 @@
 // Configuration of the tournament protocols (SimpleAlgorithm, its unordered
 // variant, and ImprovedAlgorithm).
 //
-// The paper states all quantities as Θ(·); every hidden constant is a field
-// here with a default chosen so the w.h.p. guarantees hold for the
-// population sizes the experiments simulate (n >= 2^8).  Experiment E9
-// ablates the most safety-critical ones.
+// The paper states all quantities as Θ(·); every hidden constant is named
+// here, with a value chosen so the w.h.p. guarantees hold for the
+// population sizes the experiments simulate (n >= 2^8).  The ones
+// experiment E9 ablates (`token_cap`, `psi_factor`) and the derived
+// "0 = auto" ones are fields; the rest are named constants.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +26,8 @@ struct protocol_config {
 
     // -- initialization (Algorithm 3) --------------------------------------
     std::uint32_t token_cap = 10;      ///< max tokens per collector (paper: 10)
-    double init_count_factor = 5.0;    ///< clock counts to factor·log2(n) (paper: 5·log n)
+    /// Clock counts to factor·log2(n) (paper: 5·log n).
+    static constexpr double init_count_factor = 5.0;
 
     // -- leaderless phase clock (Algorithm 1, [1]) --------------------------
     std::uint32_t psi = 0;         ///< counter modulus Ψ; 0 = auto (psi_factor·⌈log2 n⌉)
@@ -33,15 +35,18 @@ struct protocol_config {
 
     // -- match phase majority (Appendix A, substitute for [20]) ------------
     std::int64_t majority_amplification = 0;  ///< 0 = auto (8·2^⌈log2 n⌉)
-    std::int64_t majority_threshold = 3;      ///< decision threshold on balanced loads
+    /// Decision threshold on balanced loads.
+    static constexpr std::int64_t majority_threshold = 3;
 
     // -- leader election (Appendix B, substitute for [23]) ------------------
     std::uint16_t leader_rounds = 0;  ///< 0 = auto; rounded up to a phase-cycle multiple
 
     // -- pruning (Algorithm 5, ImprovedAlgorithm only) ----------------------
-    std::uint32_t prune_hours = 4;        ///< the paper's constant c (phase starts at -c)
-    std::uint32_t junta_hour_length = 8;  ///< the paper's constant m (p-ticks per hour)
-    std::uint32_t junta_level_cap = 0;    ///< ℓmax; 0 = auto (⌊log2 log2 n⌋ - 2, min 1)
+    /// The paper's constant c (the pruning phase starts at -c).
+    static constexpr std::uint32_t prune_hours = 4;
+    /// The paper's constant m (p-ticks per hour).
+    static constexpr std::uint32_t junta_hour_length = 8;
+    std::uint32_t junta_level_cap = 0;  ///< ℓmax; 0 = auto (⌊log2 log2 n⌋ - 2, min 1)
 
     // -- Appendix C: support for k beyond n/40 ------------------------------
     // Auto-enabled by finalize() when k > n/40.  Adds (a) counting agents
@@ -56,7 +61,7 @@ struct protocol_config {
     /// Counting agents count initiations up to counting_factor·log2 n.  The
     /// paper's "large C": big enough that a forming clock triggers first in
     /// the regimes where clocks do form, small enough to stay O(log n).
-    double counting_factor = 24.0;
+    static constexpr double counting_factor = 24.0;
 
     /// Number of phases per tournament cycle: 10 for the ordered algorithm
     /// (5 working phases + separators, §3.3), 12 when a selection phase is

@@ -25,6 +25,7 @@ namespace {
 // An agent's kind is its role (agent_role's values), or the tracker's + 2
 // for a crowned tracker (kind_of).
 constexpr std::uint32_t kind_clock = static_cast<std::uint32_t>(agent_role::clock);
+constexpr std::uint32_t kind_crowned = static_cast<std::uint32_t>(agent_role::tracker) + 2;
 constexpr std::uint32_t kinds = 5;
 
 // Sets of kinds, bit `kind`: every rule but the aftermath's reads a crowned
@@ -32,7 +33,7 @@ constexpr std::uint32_t kinds = 5;
 constexpr std::uint32_t collectors = 1u << static_cast<std::uint32_t>(agent_role::collector);
 constexpr std::uint32_t clock_kinds = 1u << kind_clock;
 constexpr std::uint32_t uncrowned = 1u << static_cast<std::uint32_t>(agent_role::tracker);
-constexpr std::uint32_t crowned = uncrowned << 2;
+constexpr std::uint32_t crowned = 1u << kind_crowned;
 constexpr std::uint32_t trackers = uncrowned | crowned;
 constexpr std::uint32_t players = 1u << static_cast<std::uint32_t>(agent_role::player);
 constexpr std::uint32_t every_kind = (1u << kinds) - 1;
@@ -259,8 +260,7 @@ void plurality_protocol::enter_stage(agent_t& agent, lifecycle_stage target, R& 
                     assign_random_role(agent, gen);
                 }
             }
-            agent.stage = cfg_.mode == algorithm_mode::ordered ? lifecycle_stage::tournaments
-                                                               : lifecycle_stage::electing;
+            agent.stage = stage_after_init();
             if (agent.role == agent_role::clock) agent.count = 0;
         } else if (agent.stage == lifecycle_stage::electing) {
             // Election over: surviving candidates that completed all rounds
@@ -284,6 +284,16 @@ void plurality_protocol::enter_stage(agent_t& agent, lifecycle_stage target, R& 
 
 void plurality_protocol::advance_phase(agent_t& agent) const {
     agent.phase = static_cast<std::uint8_t>((agent.phase + 1) % cfg_.phase_modulus());
+}
+
+template <class R>
+void plurality_protocol::catch_up(agent_t& behind, std::uint8_t phase, R& gen) const {
+    const lifecycle_stage stage_before = behind.stage;
+    while (behind.phase != phase) {
+        advance_phase(behind);
+        on_phase_entry(behind, gen);
+        if (behind.stage != stage_before) break;  // entry action changed stage
+    }
 }
 
 /// Fires the actions an agent performs when it *enters* its current phase
@@ -383,12 +393,7 @@ void plurality_protocol::sync_stage_and_phase(agent_t& u, agent_t& v, R& gen) co
         ahead = &u;
     }
     if (behind->role == agent_role::clock) return;
-    const lifecycle_stage stage_before = behind->stage;
-    while (behind->phase != ahead->phase) {
-        advance_phase(*behind);
-        on_phase_entry(*behind, gen);
-        if (behind->stage != stage_before) break;  // entry action changed stage
-    }
+    catch_up(*behind, ahead->phase, gen);
 }
 
 // ---------------------------------------------------------------------------
@@ -433,12 +438,7 @@ void plurality_protocol::init_interact(agent_t& u, agent_t& v, R& gen) const {
         ++u.count;
         const auto target =
             static_cast<std::uint32_t>(std::lround(cfg_.counting_factor * log_n));
-        if (u.count >= target) {
-            enter_stage(u,
-                        cfg_.mode == algorithm_mode::ordered ? lifecycle_stage::tournaments
-                                                             : lifecycle_stage::electing,
-                        gen);
-        }
+        if (u.count >= target) enter_stage(u, stage_after_init(), gen);
         return;
     }
 
@@ -455,12 +455,7 @@ void plurality_protocol::init_interact(agent_t& u, agent_t& v, R& gen) const {
         }
         const auto threshold =
             static_cast<std::uint32_t>(std::lround(cfg_.init_count_factor * log_n));
-        if (u.count >= threshold) {
-            enter_stage(u,
-                        cfg_.mode == algorithm_mode::ordered ? lifecycle_stage::tournaments
-                                                             : lifecycle_stage::electing,
-                        gen);
-        }
+        if (u.count >= threshold) enter_stage(u, stage_after_init(), gen);
     }
 }
 
@@ -658,34 +653,23 @@ void plurality_protocol::tournament_interact(agent_t& u, agent_t& v) const {
         }
     }
 
-    // Aftermath (§3.4 / Appendix B): detect overall completion and crown the
-    // final defender.
-    if (cfg_.mode == algorithm_mode::ordered) {
-        const auto crown = [this](const agent_t& tracker, agent_t& collector) {
-            if (tracker.role == agent_role::tracker && tracker.tcnt == cfg_.k + 1 &&
-                collector.role == agent_role::collector && collector.defender) {
-                collector.winner = true;
-                collector = live_slice(collector);
-            }
-        };
-        crown(u, v);
-        crown(v, u);
-    } else {
-        if (u.role == agent_role::tracker && v.role == agent_role::tracker) {
-            const bool done = u.finished || v.finished;
-            u.finished = done;
-            v.finished = done;
-        }
-        const auto crown = [this](const agent_t& tracker, agent_t& collector) {
-            if (tracker.role == agent_role::tracker && tracker.finished &&
-                collector.role == agent_role::collector && collector.defender) {
-                collector.winner = true;
-                collector = live_slice(collector);
-            }
-        };
-        crown(u, v);
-        crown(v, u);
+    // Aftermath (§3.4 / Appendix B): in the unordered modes trackers spread
+    // the leader's `finished`; a crowned tracker crowns the final defender.
+    if (cfg_.mode != algorithm_mode::ordered && u.role == agent_role::tracker &&
+        v.role == agent_role::tracker) {
+        const bool done = u.finished || v.finished;
+        u.finished = done;
+        v.finished = done;
     }
+    const auto crown = [this](const agent_t& tracker, agent_t& collector) {
+        if (kind_of(tracker) == kind_crowned && collector.role == agent_role::collector &&
+            collector.defender) {
+            collector.winner = true;
+            collector = live_slice(collector);
+        }
+    };
+    crown(u, v);
+    crown(v, u);
 }
 
 // ---------------------------------------------------------------------------
@@ -814,12 +798,7 @@ void plurality_protocol::interact(agent_t& u, agent_t& v, R& gen) const {
             agent_t& behind = clocks::circular_behind(u.phase, v.phase, cfg_.phase_modulus()) ? u : v;
             agent_t& ahead = &behind == &u ? v : u;
             behind.count = ahead.count;
-            const lifecycle_stage stage_before = behind.stage;
-            while (behind.phase != ahead.phase) {
-                advance_phase(behind);
-                on_phase_entry(behind, gen);
-                if (behind.stage != stage_before) break;
-            }
+            catch_up(behind, ahead.phase, gen);
         }
         sync_stage_and_phase(u, v, gen);
         if (u.stage != v.stage) return;

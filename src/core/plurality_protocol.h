@@ -115,6 +115,17 @@ private:
     template <class R>
     void enter_stage(agent_t& agent, lifecycle_stage target, R& gen) const;
     void advance_phase(agent_t& agent) const;
+    /// The phase broadcast's catch-up: steps `behind` through each phase up
+    /// to `phase`, firing every entry action, and stops early if one moves
+    /// it to another stage.
+    template <class R>
+    void catch_up(agent_t& behind, std::uint8_t phase, R& gen) const;
+    /// The stage initialization hands over to: the tournaments in ordered
+    /// mode, the leader election in the others.
+    [[nodiscard]] lifecycle_stage stage_after_init() const noexcept {
+        return cfg_.mode == algorithm_mode::ordered ? lifecycle_stage::tournaments
+                                                    : lifecycle_stage::electing;
+    }
     template <class R>
     void sync_stage_and_phase(agent_t& u, agent_t& v, R& gen) const;
     template <class R>

@@ -12,8 +12,11 @@
 # sidecar (NAME.metrics.json; the sidecar's wall-clock `timing` object is
 # dropped) and the --trace CSV (NAME.trace.csv: trial 0's metric series on
 # the default cadence), so a diff covers the readouts in the middle of a run
-# as well as the final ones.  Extra flags (e.g. --threads 4) are passed to
-# every run.
+# as well as the final ones.  The script fails when a trace stops sampling:
+# its `#` comment block must be followed by the `parallel_time,<metric
+# names>` header (the metric names of the --out document's trial 0, in
+# order) and a first row at parallel time 0.  Extra flags (e.g. --threads 4)
+# are passed to every run.
 #
 # Usage: scripts/deterministic_docs.sh PLURALITY_RUN OUT_DIR [flags...]
 #   e.g. scripts/deterministic_docs.sh ./build/plurality_run docs-t1 --threads 1
@@ -35,13 +38,29 @@ run() {
     shift
     "$run_binary" "$@" "${extra[@]}" --out "$out_dir/$name.json" --metrics "$sidecar" \
         --trace "$out_dir/$name.trace.csv" >/dev/null
-    python3 - "$sidecar" "$out_dir/$name.metrics.json" <<'EOF'
+    python3 - "$sidecar" "$out_dir/$name.metrics.json" "$out_dir/$name.json" \
+        "$out_dir/$name.trace.csv" <<'EOF'
 import json, sys
-with open(sys.argv[1]) as f:
+sidecar, kept, document, trace = sys.argv[1:]
+with open(sidecar) as f:
     deterministic = json.load(f)["deterministic"]
-with open(sys.argv[2], "w") as f:
+with open(kept, "w") as f:
     json.dump(deterministic, f, indent=2)
     f.write("\n")
+
+# A trace that stops sampling fails the run: after its `#` block come the
+# header naming trial 0's metrics and a first row at parallel time 0.
+with open(document) as f:
+    names = list(json.load(f)["trials"][0]["metrics"])
+header = ",".join(["parallel_time", *names])
+with open(trace) as f:
+    rows = [line.rstrip("\n") for line in f]
+while rows and rows[0].startswith("#"):
+    rows.pop(0)
+if not rows or rows[0] != header:
+    sys.exit(f"deterministic_docs: {trace} has no '{header}' header after its # block")
+if len(rows) < 2 or rows[1].split(",")[0] != "0":
+    sys.exit(f"deterministic_docs: {trace} has no first row at parallel time 0")
 EOF
 }
 

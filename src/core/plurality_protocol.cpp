@@ -152,7 +152,6 @@ std::vector<core_agent> plurality_protocol::make_population(
     if (agent.winner) {  // it only converts others, and the readouts read these
         slice.opinion = agent.opinion;
         slice.tokens = agent.tokens;
-        slice.is_leader = agent.is_leader;
         return slice;
     }
     // Every agent in the election counts its rounds.

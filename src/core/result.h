@@ -96,10 +96,14 @@ template <sim::view::population_of<core_agent> Pop>
     return sim::view::unanimous(pop, output).value_or(0u);
 }
 
-/// Number of agents currently flagged as leader (unordered modes).
+/// Number of trackers currently flagged as leader (unordered modes).  The
+/// leader stays a tracker until the final broadcast converts it into a
+/// winner collector, so a converged configuration counts none.
 template <sim::view::population_of<core_agent> Pop>
 [[nodiscard]] std::size_t leader_count(const Pop& pop) {
-    return sim::view::count_if(pop, [](const core_agent& a) { return a.is_leader; });
+    return sim::view::count_if(pop, [](const core_agent& a) {
+        return a.role == agent_role::tracker && a.is_leader;
+    });
 }
 
 }  // namespace plurality::core

@@ -299,13 +299,13 @@ std::vector<pinned_run> pinned_runs(algorithm_mode mode) {
                     {2, 647'936, 1, 664'895, 0xa24bcf80df69d3fb},
                     {3, 672'512, 1, 688'463, 0x74bfc0e36ad79223}};
         case algorithm_mode::unordered:
-            return {{1, 2'556'160, 1, 2'611'297, 0xd9700dfa885c44e2},
-                    {2, 2'321'152, 1, 2'382'050, 0x02058c8b9faf74a9},
-                    {3, 2'436'096, 1, 2'494'389, 0x1ef51c17c4bddc01}};
+            return {{1, 2'556'160, 1, 2'611'297, 0xac5dfdd61dd82a40},
+                    {2, 2'321'152, 1, 2'382'050, 0xd4f37c67352b5a07},
+                    {3, 2'436'096, 1, 2'494'389, 0xf1e30bf35a39c15f}};
         case algorithm_mode::improved:
-            return {{1, 2'682'624, 1, 2'735'754, 0x0e0421a5aebf0bbe},
-                    {2, 2'868'992, 1, 2'918'399, 0xd6f6913c06ff02ff},
-                    {3, 2'345'216, 1, 2'405'173, 0xce8627bb48b53c0d}};
+            return {{1, 2'682'624, 1, 2'735'754, 0xe0f21181443af11c},
+                    {2, 2'868'992, 1, 2'918'399, 0xa9e481179c7ae85d},
+                    {3, 2'345'216, 1, 2'405'173, 0xa1741796de31216b}};
     }
     return {};
 }

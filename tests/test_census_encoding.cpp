@@ -140,7 +140,8 @@ TEST(CensusEncoding, ElectionVariablesEndWithTheElection) {
 
 TEST(CensusEncoding, WinnerKeepsWhatTheReadoutsRead) {
     // A winner converts the agents it meets and does nothing else; the
-    // readouts (core/result.h) read its opinion, tokens and leader bit.
+    // readouts (core/result.h) read its opinion and tokens.  A converted
+    // leader is a collector, so its leader bit goes.
     const auto protocol = protocol_of(algorithm_mode::unordered);
     core_agent winner;
     winner.role = agent_role::collector;
@@ -148,8 +149,8 @@ TEST(CensusEncoding, WinnerKeepsWhatTheReadoutsRead) {
     winner.winner = true;
     winner.opinion = 1;
     winner.tokens = 4;
-    winner.is_leader = true;
     core_agent stale = winner;
+    stale.is_leader = true;
     stale.defender = true;
     stale.load = 3;
     stale.participated = true;

@@ -6,6 +6,7 @@
 
 #include "core/plurality_protocol.h"
 #include "core/result.h"
+#include "sim/census_simulator.h"
 #include "sim/convergence.h"
 #include "sim/simulation.h"
 #include "sim/trial_executor.h"
@@ -86,6 +87,40 @@ TEST(UnorderedAlgorithm, ExactlyOneLeaderEmergesTypically) {
         if (leader_count(s) == 1) ++good;
     }
     EXPECT_GE(good, 7u);
+}
+
+/// Runs `sim` to all_winners and returns the most leaders the readout saw
+/// along the way; the test then reads it on the converged configuration.
+template <class Sim>
+std::size_t most_leaders_before_winning(Sim& sim, const protocol_config& cfg) {
+    std::size_t most = 0;
+    const auto finished = converge(
+        sim, [](const Sim& s) { return all_winners(s); },
+        plurality::sim::interaction_budget(cfg.default_time_budget(), cfg.n), 0,
+        [&most](const Sim& s) { most = std::max(most, leader_count(s)); });
+    EXPECT_TRUE(finished.converged);
+    return most;
+}
+
+TEST(UnorderedAlgorithm, NoLeaderCountedAfterConvergence) {
+    // The elected leader is a tracker; once the winner broadcast converts it
+    // into a winner collector it no longer counts, on either backend.
+    for (const auto mode : {algorithm_mode::unordered, algorithm_mode::improved}) {
+        SCOPED_TRACE(mode == algorithm_mode::unordered ? "unordered" : "improved");
+        const auto cfg = protocol_config::make(mode, 256, 3);
+        const auto dist = make_bias_one(256, 3);
+
+        plurality::sim::rng setup(5);
+        plurality::sim::simulation<plurality_protocol> agents{
+            plurality_protocol{cfg}, plurality_protocol::make_population(cfg, dist, setup), 11};
+        EXPECT_GE(most_leaders_before_winning(agents, cfg), 1u);
+        EXPECT_EQ(leader_count(agents), 0u);
+
+        plurality::sim::census_simulator<plurality_protocol> census{
+            plurality_protocol{cfg}, plurality_protocol::initial_census(cfg, dist), 11};
+        EXPECT_GE(most_leaders_before_winning(census, cfg), 1u);
+        EXPECT_EQ(leader_count(census), 0u);
+    }
 }
 
 TEST(UnorderedAlgorithm, DefeatedOpinionsAreMarkedParticipated) {

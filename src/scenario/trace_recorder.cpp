@@ -2,23 +2,16 @@
 
 #include <cmath>
 #include <ostream>
-#include <stdexcept>
 
 #include "scenario/scenario.h"
 
 namespace plurality::scenario {
 
 void trace_recorder::record(double now, const std::vector<metric>& row) {
-    if (rows_.empty()) {
+    if (rows_.empty())
         for (const metric& m : row) names_.push_back(m.name);
-    } else if (row.size() != names_.size()) {
-        throw std::invalid_argument("trace row has " + std::to_string(row.size()) +
-                                    " values; the header names " +
-                                    std::to_string(names_.size()));
-    }
     times_.push_back(now);
     auto& values = rows_.emplace_back();
-    values.reserve(row.size());
     for (const metric& m : row) values.push_back(m.value);
     next_due_ = (std::floor(now / cadence_) + 1.0) * cadence_;
 }

@@ -30,8 +30,8 @@ public:
 
     /// Records `row` as the sample at `now` and moves the grid to its first
     /// point strictly after `now`.  The first row's metric names become the
-    /// header; every later row must carry as many values (std::invalid_argument
-    /// otherwise).
+    /// header; a scenario's metric rows all name the same metrics in the
+    /// same order.
     void record(double now, const std::vector<metric>& row);
 
     [[nodiscard]] std::size_t samples() const noexcept { return times_.size(); }

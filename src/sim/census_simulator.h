@@ -179,8 +179,8 @@ struct leap_cost_model {
 ///
 /// API-compatible with `sim::simulation` where the two can be compatible:
 /// `step`/`run_for`/`interactions`/`parallel_time`/`population_size`/
-/// `visit_states` match, so `sim::converge`, `trace::recorder` and the
-/// weighted helpers of sim/population_view.h work unchanged; there is no
+/// `visit_states` match, so `sim::converge`, the scenario driver's observer
+/// and the weighted helpers of sim/population_view.h work unchanged; there is no
 /// `agents()` (no per-agent storage), and `count_of` and the occupancy
 /// counts stand in for it.
 /// `Obs` selects the observability policy (obs/metrics.h): the default

@@ -7,8 +7,8 @@
 // the same interaction for the same seed, budget and check interval.
 // Callers contribute only the predicate and, optionally, an observer that is
 // invoked at every check point — including once at parallel time 0, before
-// the first interaction, which is what lets trace recorders anchor their
-// first sample at t = 0.
+// the first interaction, which is what lets the trace recorder anchor its
+// first row at t = 0.
 //
 // `converge` is generic over the *backend*: anything satisfying
 // `steppable_simulation` — the agent-based `sim::simulation` and the

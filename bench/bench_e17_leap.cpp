@@ -37,9 +37,9 @@
 #include <string>
 #include <vector>
 
+#include "baselines/usd_plurality.h"
 #include "bench/bench_common.h"
 #include "epidemic/epidemic.h"
-#include "majority/three_state.h"
 #include "scenario/registry.h"
 #include "scenario/runner.h"
 #include "sim/census_simulator.h"
@@ -56,14 +56,15 @@ struct epidemic_rows {
     }
 };
 
+/// The 3-state majority: undecided-state dynamics at k = 2, opinion 1 α and
+/// 2 β.
 struct three_state_rows {
-    using protocol_t = majority::three_state_protocol;
+    using protocol_t = baselines::usd_plurality_protocol;
     static constexpr const char* label = "three-state";
-    static std::vector<sim::census_entry<majority::three_state_agent>> census(std::uint64_t n) {
+    static std::vector<sim::census_entry<baselines::usd_agent>> census(std::uint64_t n) {
         const std::uint64_t bias = n / 4;  // deep w.h.p. regime
         const std::uint64_t minus = (n - bias) / 2;
-        using enum majority::binary_opinion;
-        return {{{alpha}, n - minus}, {{beta}, minus}};
+        return {{{1}, n - minus}, {{2}, minus}};
     }
 };
 

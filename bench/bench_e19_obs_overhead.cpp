@@ -35,9 +35,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "baselines/usd_plurality.h"
 #include "bench/bench_common.h"
 #include "epidemic/epidemic.h"
-#include "majority/three_state.h"
 #include "obs/metrics.h"
 #include "sim/census_simulator.h"
 
@@ -46,17 +46,18 @@ namespace {
 using namespace plurality;
 
 using epidemic_entries = std::vector<sim::census_entry<epidemic::epidemic_agent>>;
-using three_entries = std::vector<sim::census_entry<majority::three_state_agent>>;
+using three_entries = std::vector<sim::census_entry<baselines::usd_agent>>;
 
 epidemic_entries epidemic_census(std::uint64_t n) {
     return {{{true, 1}, 1}, {{false, 0}, n - 1}};
 }
 
+/// The 3-state majority: undecided-state dynamics at k = 2, opinion 1 α and
+/// 2 β.
 three_entries three_state_census(std::uint64_t n) {
     const std::uint64_t bias = n / 4;  // deep w.h.p. regime
     const std::uint64_t minus = (n - bias) / 2;
-    using enum majority::binary_opinion;
-    return {{{alpha}, n - minus}, {{beta}, minus}};
+    return {{{1}, n - minus}, {{2}, minus}};
 }
 
 // Sized so each arm's wall time is well clear of timer noise (>= 0.5 s per
@@ -98,9 +99,9 @@ void BM_ObsOverhead(benchmark::State& state) {
         ++iteration;
         if constexpr (three_state_rows) {
             using enabled_sim =
-                sim::census_simulator<majority::three_state_protocol, void, obs::enabled>;
+                sim::census_simulator<baselines::usd_plurality_protocol, void, obs::enabled>;
             using disabled_sim =
-                sim::census_simulator<majority::three_state_protocol, void, obs::disabled>;
+                sim::census_simulator<baselines::usd_plurality_protocol, void, obs::disabled>;
             const auto entries = three_state_census(n);
             double e = 0.0;
             double d = 0.0;

@@ -2,14 +2,18 @@
 // [20] vs [4]): at bias 1 the 3-state dynamics is a coin flip while both
 // exact substrates (averaging, cancel–double) decide correctly; at large
 // bias everyone is correct and the 3-state protocol is fastest.  Also
-// measures the time/state trade between the two exact substrates.
+// measures the time/state trade between the two exact substrates.  The
+// 3-state dynamics is undecided-state dynamics at k = 2 and averaging is
+// load balancing's δ, so those two rows run baselines::usd_plurality_protocol
+// and loadbalance::load_balance_protocol.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 
+#include "baselines/usd_plurality.h"
+#include "loadbalance/load_balancer.h"
 #include "majority/averaging_majority.h"
 #include "majority/cancel_double.h"
-#include "majority/three_state.h"
 #include "bench/bench_common.h"
 #include "sim/census_store.h"
 #include "sim/convergence.h"
@@ -51,14 +55,14 @@ void BM_ThreeState(benchmark::State& state) {
     const std::uint32_t plus = population - minus;
     for (auto _ : state) {
         const auto summary = bench::shared_executor().run(20, 0xe8100 + bias, [&](std::uint64_t seed) {
-            auto agents = agents_of(three_state_census(plus, minus, 0), seed);
-            sim::simulation<three_state_protocol> s{three_state_protocol{}, std::move(agents),
-                                                    seed};
+            auto agents = agents_of(baselines::binary_census(plus, minus, 0), seed);
+            sim::simulation<baselines::usd_plurality_protocol> s{
+                baselines::usd_plurality_protocol{}, std::move(agents), seed};
             (void)sim::converge(
-                s, [](const auto& sim) { return consensus_reached(sim); },
+                s, [](const auto& sim) { return baselines::consensus_reached(sim); },
                 4000ull * population);
             sim::trial_outcome out;
-            out.success = consensus_value(s) == binary_opinion::alpha;
+            out.success = baselines::consensus_opinion(s) == 1;
             out.parallel_time = s.parallel_time();
             return out;
         });
@@ -77,8 +81,8 @@ void BM_Averaging(benchmark::State& state) {
     for (auto _ : state) {
         const auto summary = bench::shared_executor().run(20, 0xe8200 + bias, [&](std::uint64_t seed) {
             auto agents = agents_of(averaging_census(plus, minus, 0, amp), seed);
-            sim::simulation<averaging_majority_protocol> s{averaging_majority_protocol{},
-                                                           std::move(agents), seed};
+            sim::simulation<loadbalance::load_balance_protocol> s{
+                loadbalance::load_balance_protocol{}, std::move(agents), seed};
             (void)sim::converge(
                 s,
                 [](const auto& sim) {

@@ -14,6 +14,11 @@ std::vector<sim::census_entry<usd_agent>> initial_census(
     return entries;
 }
 
+std::vector<sim::census_entry<usd_agent>> binary_census(std::uint64_t alpha, std::uint64_t beta,
+                                                        std::uint64_t undecided) {
+    return {{{1}, alpha}, {{2}, beta}, {{0}, undecided}};
+}
+
 usd_result run_usd(const workload::opinion_distribution& dist, std::uint64_t seed,
                    double time_budget) {
     sim::rng setup_gen(sim::derive_seed(seed, 0x05d0ull));

@@ -10,6 +10,11 @@
 // Ω(sqrt(n log n)).  Experiment E10 shows it coin-flips at bias 1, the case
 // the paper's exact protocols are built for, while winning on raw speed at
 // large bias.
+//
+// At k = 2 this δ is the 3-state approximate majority of Angluin, Aspnes
+// and Eisenstat [4], with opinion 1 as α, 2 as β and 0 as undecided: the
+// `majority/three-state` scenario and experiment E8's approximate side run
+// it from `binary_census`.
 #pragma once
 
 #include <cstdint>
@@ -61,6 +66,12 @@ template <sim::view::population_of<usd_agent> Pop>
 /// in opinion order.
 [[nodiscard]] std::vector<sim::census_entry<usd_agent>> initial_census(
     const workload::opinion_distribution& dist);
+
+/// The two-opinion census of the 3-state majority: `alpha` agents on
+/// opinion 1, `beta` on opinion 2 and `undecided` on 0, in that order.
+[[nodiscard]] std::vector<sim::census_entry<usd_agent>> binary_census(std::uint64_t alpha,
+                                                                      std::uint64_t beta,
+                                                                      std::uint64_t undecided);
 
 /// Outcome of one USD run.
 struct usd_result {

@@ -23,6 +23,11 @@
 // (the price of not reproducing [20]'s machinery).  The census module maps
 // loads to sign/exponent buckets — exactly the states a [20]-style protocol
 // would hold — when verifying the paper's state bounds.
+//
+// The averaging step is load balancing's δ, so the protocol is
+// `loadbalance::load_balance_protocol` on `loadbalance::load_agent`; this
+// header holds what makes it a majority: the amplification, the starting
+// census and the verdict readouts.
 #pragma once
 
 #include <cstdint>
@@ -36,38 +41,27 @@ namespace plurality::majority {
 
 enum class majority_verdict : std::uint8_t { plus, minus, tie, undecided };
 
-struct averaging_agent {
-    std::int64_t load = 0;
-};
-
-struct averaging_majority_protocol {
-    using agent_t = averaging_agent;
-
-    template <class R>
-    void interact(agent_t& initiator, agent_t& responder, R&) const noexcept {
-        loadbalance::average_pair(initiator.load, responder.load);
-    }
-};
-
 /// The amplification used for a population bound of `n` participants:
 /// 8 · 2^⌈log2 n⌉ >= 8n.
 [[nodiscard]] std::int64_t default_amplification(std::uint32_t n) noexcept;
 
 /// Decision of a single agent under threshold `thr` (default 3).
-[[nodiscard]] majority_verdict agent_verdict(const averaging_agent& agent,
+[[nodiscard]] majority_verdict agent_verdict(const loadbalance::load_agent& agent,
                                              std::int64_t thr = 3) noexcept;
 
 /// Population verdict: `plus`/`minus`/`tie` if all agents agree on that
 /// verdict, `undecided` otherwise (loads not yet concentrated).
-template <sim::view::population_of<averaging_agent> Pop>
+template <sim::view::population_of<loadbalance::load_agent> Pop>
 [[nodiscard]] majority_verdict population_verdict(const Pop& pop, std::int64_t thr = 3) {
-    const auto verdict = [thr](const averaging_agent& a) { return agent_verdict(a, thr); };
+    const auto verdict = [thr](const loadbalance::load_agent& a) {
+        return agent_verdict(a, thr);
+    };
     return sim::view::unanimous(pop, verdict).value_or(majority_verdict::undecided);
 }
 
 /// The initial census: `plus` agents at +amplification, `minus` at
 /// -amplification and `zeros` at 0.
-[[nodiscard]] std::vector<sim::census_entry<averaging_agent>> averaging_census(
+[[nodiscard]] std::vector<sim::census_entry<loadbalance::load_agent>> averaging_census(
     std::uint64_t plus, std::uint64_t minus, std::uint64_t zeros, std::int64_t amplification);
 
 }  // namespace plurality::majority

@@ -1,20 +1,24 @@
-// Scenario registrations for the four binary-majority protocols
-// (src/majority).  All share the same initial-configuration convention:
-// `bias` decides the support gap, minus = (n - bias) / 2 agents start on the
-// minority side, plus = minus + bias on the majority side, and any parity
-// leftover is one blank agent; each protocol's census builder says where
-// its blank agents start.
+// Scenario registrations for the four binary-majority protocols.  All share
+// the same initial-configuration convention: `bias` decides the support gap,
+// minus = (n - bias) / 2 agents start on the minority side, plus = minus +
+// bias on the majority side, and any parity leftover is one blank agent;
+// each protocol's census builder says where its blank agents start.
 //
-// The predicates and metrics call each protocol's readouts (src/majority/),
-// templates over any population view, so every scenario here runs on both
-// the agent and the census backend.
+// Two of the four run another family's δ: the 3-state approximate majority
+// is undecided-state dynamics at k = 2 (src/baselines), and the averaging
+// exact majority is load balancing (src/loadbalance) from amplified ±1
+// inputs, read out by src/majority/averaging_majority.h.
+//
+// The predicates and metrics call each protocol's readouts, templates over
+// any population view, so every scenario here runs on both the agent and
+// the census backend.
 #include <stdexcept>
 #include <string>
 
+#include "baselines/usd_plurality.h"
 #include "majority/averaging_majority.h"
 #include "majority/cancel_double.h"
 #include "majority/stable_four_state.h"
-#include "majority/three_state.h"
 #include "scenario/builtin.h"
 #include "scenario/registry.h"
 
@@ -42,27 +46,27 @@ majority_split split_population(const scenario_params& p) {
 }
 
 struct three_state_spec {
-    using protocol_t = majority::three_state_protocol;
-    using agent_t = majority::three_state_agent;
+    using protocol_t = baselines::usd_plurality_protocol;
+    using agent_t = baselines::usd_agent;
 
     protocol_t make_protocol(const scenario_params&, sim::rng&) { return {}; }
     std::vector<sim::census_entry<agent_t>> make_census(const scenario_params& p, sim::rng&) {
         const auto s = split_population(p);
-        return majority::three_state_census(s.plus, s.minus, s.blank);
+        return baselines::binary_census(s.plus, s.minus, s.blank);
     }
     template <class Sim>
     bool converged(const Sim& s) const {
-        return majority::consensus_reached(s);
+        return baselines::consensus_reached(s);
     }
     template <class Sim>
     bool correct(const Sim& s) const {
-        return majority::consensus_value(s) == majority::binary_opinion::alpha;
+        return baselines::consensus_opinion(s) == 1;
     }
     double time_budget(const scenario_params&) const { return 600.0; }
     template <class Sim>
     std::vector<metric> metrics(const Sim& s) const {
-        return {{"consensus_value", static_cast<double>(majority::consensus_value(s))},
-                {"undecided_fraction", majority::undecided_fraction(s)}};
+        return {{"consensus_value", static_cast<double>(baselines::consensus_opinion(s))},
+                {"undecided_fraction", baselines::undecided_fraction(s)}};
     }
 };
 
@@ -97,8 +101,8 @@ struct four_state_spec {
 };
 
 struct averaging_spec {
-    using protocol_t = majority::averaging_majority_protocol;
-    using agent_t = majority::averaging_agent;
+    using protocol_t = loadbalance::load_balance_protocol;
+    using agent_t = loadbalance::load_agent;
 
     protocol_t make_protocol(const scenario_params&, sim::rng&) { return {}; }
     std::vector<sim::census_entry<agent_t>> make_census(const scenario_params& p, sim::rng&) {

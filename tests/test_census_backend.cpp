@@ -28,7 +28,6 @@
 #include "majority/averaging_majority.h"
 #include "majority/cancel_double.h"
 #include "majority/stable_four_state.h"
-#include "majority/three_state.h"
 #include "obs/catalogue.h"
 #include "obs/snapshot.h"
 #include "scenario/json_report.h"
@@ -44,21 +43,20 @@
 namespace {
 
 using namespace plurality;
-using three_sim = sim::census_simulator<majority::three_state_protocol>;
-
+using baselines::binary_census;
 using test::alpha_v;
 using test::beta_v;
-using majority::three_state_census;
+using test::three_sim;
 using test::undecided_v;
 
 TEST(CensusSimulator, ConservesPopulationAcrossInteractions) {
-    three_sim sim{{}, three_state_census(60, 40, 0), 7};
+    three_sim sim{{}, binary_census(60, 40, 0), 7};
     ASSERT_EQ(sim.population_size(), 100u);
 
     for (int batch = 0; batch < 20; ++batch) {
         sim.advance(50);
         std::uint64_t total = 0;
-        sim.visit_states([&total](const majority::three_state_agent&, std::uint64_t count) {
+        sim.visit_states([&total](const baselines::usd_agent&, std::uint64_t count) {
             total += count;
             return true;
         });
@@ -76,8 +74,8 @@ TEST(CensusSimulator, ConservesPopulationAcrossInteractions) {
 /// not act with itself; every other class pair may.  The classes give the
 /// locate tests several trees whose slots keep emptying and refilling.
 struct sign_classed_averaging {
-    using agent_t = majority::averaging_agent;
-    majority::averaging_majority_protocol inner;
+    using agent_t = loadbalance::load_agent;
+    loadbalance::load_balance_protocol inner;
     void interact(agent_t& u, agent_t& v, sim::rng& gen) const { inner.interact(u, v, gen); }
     [[nodiscard]] std::uint32_t activity_classes() const noexcept { return 3; }
     [[nodiscard]] std::uint32_t activity_class(const agent_t& a) const noexcept {
@@ -144,7 +142,7 @@ TEST(CensusSimulator, LocateReturnsEachSlotAsOneBlockAfterPositionsAreRecycled) 
     // agents as its block has ranks.
     ASSERT_EQ(blocks.size(), sim.occupied_states());
     for (const auto& [slot, b] : blocks) {
-        const majority::averaging_agent& state = sim.slot_state(slot);
+        const loadbalance::load_agent& state = sim.slot_state(slot);
         EXPECT_EQ(classes.activity_class(state), b.cls) << "slot " << slot;
         EXPECT_EQ(sim.count_of(state), b.hits) << "slot " << slot;
     }
@@ -278,17 +276,17 @@ TEST(CensusSimulator, MatchesIndependentCountedCensusReplay) {
     // Replay the same seed twice: once counting through the simulator's own
     // census, once through the independent census::counted_census, and
     // compare state-by-state.
-    three_sim sim{{}, three_state_census(30, 20, 10), 11};
+    three_sim sim{{}, binary_census(30, 20, 10), 11};
     sim.run_for(500);
 
     census::counted_census replay;
-    sim.visit_states([&replay](const majority::three_state_agent& a, std::uint64_t count) {
+    sim.visit_states([&replay](const baselines::usd_agent& a, std::uint64_t count) {
         replay.increment(static_cast<std::uint64_t>(a.opinion), count);
         return true;
     });
     EXPECT_EQ(replay.total(), 60u);
     for (const auto opinion : {alpha_v, beta_v, undecided_v}) {
-        const majority::three_state_agent probe{opinion};
+        const baselines::usd_agent probe{opinion};
         EXPECT_EQ(replay.count_of(static_cast<std::uint64_t>(opinion)), sim.count_of(probe));
     }
 }
@@ -297,7 +295,7 @@ TEST(CensusSimulator, DeterministicPerSeedAndSensitiveToSeed) {
     // Sample the census mid-run (well before the dynamics absorb) so that
     // seed sensitivity is visible in the counts.
     const auto midrun_counts = [](std::uint64_t seed) {
-        three_sim sim{{}, three_state_census(500, 450, 50), seed};
+        three_sim sim{{}, binary_census(500, 450, 50), seed};
         sim.advance(400);
         return std::array<std::uint64_t, 3>{
             sim.count_of({alpha_v}), sim.count_of({beta_v}), sim.count_of({undecided_v})};
@@ -309,7 +307,7 @@ TEST(CensusSimulator, DeterministicPerSeedAndSensitiveToSeed) {
 }
 
 TEST(CensusSimulator, AgentVectorConstructorCompressesToCensus) {
-    const std::vector<majority::three_state_agent> agents = {
+    const std::vector<baselines::usd_agent> agents = {
         {alpha_v}, {beta_v}, {alpha_v}, {undecided_v}, {alpha_v}};
     three_sim sim{{}, agents, 3};
     EXPECT_EQ(sim.population_size(), 5u);
@@ -325,7 +323,7 @@ TEST(CensusSimulator, OccupiedStatesMatchesVisitScan) {
     // exactly the occupied states.  Three-state drains and refills its
     // undecided slot; the tournament empties and refills many slots (more
     // states are reached than are ever occupied at once).
-    three_sim three{{}, three_state_census(500, 450, 50), 19};
+    three_sim three{{}, binary_census(500, 450, 50), 19};
     for (int batch = 0; batch < 10; ++batch) {
         three.advance(200);
         test::expect_occupied_states_consistent(three);
@@ -340,22 +338,22 @@ TEST(CensusSimulator, OccupiedStatesMatchesVisitScan) {
 }
 
 TEST(CensusSimulator, RejectsPopulationsBelowTwo) {
-    EXPECT_THROW((three_sim{{}, three_state_census(1, 0, 0), 1}), std::invalid_argument);
-    EXPECT_THROW((three_sim{{}, three_state_census(0, 0, 0), 1}), std::invalid_argument);
+    EXPECT_THROW((three_sim{{}, binary_census(1, 0, 0), 1}), std::invalid_argument);
+    EXPECT_THROW((three_sim{{}, binary_census(0, 0, 0), 1}), std::invalid_argument);
 }
 
 TEST(CensusSimulator, RejectsPopulationsBeyondThirtyTwoBits) {
     // The may-act weight counts ordered agent pairs, n(n−1), in 64 bits.
-    EXPECT_NO_THROW((three_sim{{}, three_state_census(0xffffffffull - 1, 1, 0), 1}));
-    EXPECT_THROW((three_sim{{}, three_state_census(0xffffffffull, 1, 0), 1}),
+    EXPECT_NO_THROW((three_sim{{}, binary_census(0xffffffffull - 1, 1, 0), 1}));
+    EXPECT_THROW((three_sim{{}, binary_census(0xffffffffull, 1, 0), 1}),
                  std::invalid_argument);
 }
 
 TEST(CensusSimulator, MemoryScalesWithStatesNotPopulation) {
     // Same protocol, 10^4x the population: the census footprint must not
     // grow with n (same three slots), which is the backend's entire point.
-    three_sim small{{}, three_state_census(50, 50, 0), 5};
-    three_sim large{{}, three_state_census(500000, 500000, 0), 5};
+    three_sim small{{}, binary_census(50, 50, 0), 5};
+    three_sim large{{}, binary_census(500000, 500000, 0), 5};
     small.run_for(100);
     large.run_for(100);
     EXPECT_EQ(small.memory_bytes(), large.memory_bytes());
@@ -407,9 +405,7 @@ static_assert(!sim::census_agent<padded_agent>);
 static_assert(sim::census_agent<core::core_agent>);
 static_assert(sim::census_agent<leader::leader_agent>);
 static_assert(sim::census_agent<epidemic::epidemic_agent>);
-static_assert(sim::census_agent<majority::three_state_agent>);
 static_assert(sim::census_agent<majority::four_state_agent>);
-static_assert(sim::census_agent<majority::averaging_agent>);
 static_assert(sim::census_agent<majority::cancel_double_agent>);
 static_assert(sim::census_agent<baselines::usd_agent>);
 static_assert(sim::census_agent<loadbalance::load_agent>);
@@ -484,15 +480,16 @@ TEST(CensusStore, KeepsLeaderFlagInTheLastPartialWordApart) {
 }
 
 TEST(CensusStore, KeepsOneByteStatesApart) {
-    expect_states_kept_apart(std::vector<majority::three_state_agent>{
-        {alpha_v}, {beta_v}, {undecided_v}});
+    using enum majority::four_state;
+    expect_states_kept_apart(std::vector<majority::four_state_agent>{
+        {strong_plus}, {strong_minus}, {weak_plus}, {weak_minus}});
 }
 
 TEST(CensusStore, ExpandCensusKeepsEveryCountAndAddsNoAgentForAZeroCount) {
     sim::rng gen(5);
-    const auto agents = sim::expand_census(three_state_census(40, 0, 7), gen);
+    const auto agents = sim::expand_census(binary_census(40, 0, 7), gen);
     ASSERT_EQ(agents.size(), 47u);
-    const auto count = [&agents](majority::binary_opinion opinion) {
+    const auto count = [&agents](std::uint32_t opinion) {
         return std::count_if(agents.begin(), agents.end(),
                              [opinion](const auto& a) { return a.opinion == opinion; });
     };
@@ -512,7 +509,7 @@ TEST(CensusStore, ExpandCensusDrawsExactlyNMinusOneBoundedUniforms) {
     // that made exactly those draws ends.
     sim::rng gen(11);
     sim::rng reference(11);
-    const auto agents = sim::expand_census(three_state_census(30, 20, 10), gen);
+    const auto agents = sim::expand_census(binary_census(30, 20, 10), gen);
     ASSERT_EQ(agents.size(), 60u);
     for (std::uint64_t bound = 60; bound > 1; --bound) (void)reference.next_below(bound);
     EXPECT_EQ(gen.words(), reference.words());
@@ -631,10 +628,10 @@ TEST(CensusBackend, ThreeStateMajorityTimesAgreeAcrossBackends) {
     scenario::scenario_params params;
     params.n = 600;
     params.bias = 60;
-    const auto decided = [](const auto& sim) { return majority::consensus_reached(sim); };
-    const auto stepped = test::stepped_mean_time(majority::three_state_protocol{},
-                                                 three_state_census(330, 270, 0), decided, 600.0,
-                                                 30, 2002);
+    const auto decided = [](const auto& sim) { return baselines::consensus_reached(sim); };
+    const auto stepped = test::stepped_mean_time(baselines::usd_plurality_protocol{},
+                                                 binary_census(330, 270, 0), decided, 600.0, 30,
+                                                 2002);
     test::expect_backends_agree(*s, params, 30, 2002, stepped);
 }
 

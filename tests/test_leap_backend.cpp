@@ -13,8 +13,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "baselines/usd_plurality.h"
 #include "core/plurality_protocol.h"
-#include "majority/three_state.h"
 #include "obs/catalogue.h"
 #include "obs/snapshot.h"
 #include "sim/census_simulator.h"
@@ -25,16 +25,15 @@
 namespace {
 
 using namespace plurality;
-using three_sim = sim::census_simulator<majority::three_state_protocol>;
-
+using baselines::binary_census;
 using test::alpha_v;
 using test::beta_v;
-using majority::three_state_census;
+using test::three_sim;
 using test::undecided_v;
 
 std::uint64_t census_total(const three_sim& sim) {
     std::uint64_t total = 0;
-    sim.visit_states([&total](const majority::three_state_agent&, std::uint64_t count) {
+    sim.visit_states([&total](const baselines::usd_agent&, std::uint64_t count) {
         total += count;
         return true;
     });
@@ -42,7 +41,7 @@ std::uint64_t census_total(const three_sim& sim) {
 }
 
 TEST(LeapCensusSimulator, ConservesPopulationAcrossBatches) {
-    three_sim sim{{}, three_state_census(60, 40, 0), 7};
+    three_sim sim{{}, binary_census(60, 40, 0), 7};
     ASSERT_EQ(sim.population_size(), 100u);
     for (int batch = 0; batch < 20; ++batch) {
         sim.run_for(50);
@@ -57,7 +56,7 @@ TEST(LeapCensusSimulator, ConservesPopulationAcrossBatches) {
 TEST(LeapCensusSimulator, RunForExecutesExactInteractionCounts) {
     // The convergence layer's budget accounting relies on run_for truncating
     // the final table run to land on the requested count exactly.
-    three_sim sim{{}, three_state_census(500, 450, 50), 13};
+    three_sim sim{{}, binary_census(500, 450, 50), 13};
     std::uint64_t expected = 0;
     for (const std::uint64_t chunk : {1ull, 7ull, 999ull, 2ull, 4096ull, 1ull}) {
         sim.run_for(chunk);
@@ -68,7 +67,7 @@ TEST(LeapCensusSimulator, RunForExecutesExactInteractionCounts) {
 }
 
 TEST(LeapCensusSimulator, StepExecutesOneInteraction) {
-    three_sim sim{{}, three_state_census(30, 20, 10), 3};
+    three_sim sim{{}, binary_census(30, 20, 10), 3};
     for (int i = 1; i <= 25; ++i) {
         sim.step();
         EXPECT_EQ(sim.interactions(), static_cast<std::uint64_t>(i));
@@ -82,7 +81,7 @@ TEST(LeapCensusSimulator, OccupiedStatesMatchesVisitScan) {
     // agents one at a time.  After every batch the list must hold exactly
     // the occupied states.  On the tournament at n = 350 `run_for` takes
     // both strategies, and slots empty and refill.
-    three_sim three{{}, three_state_census(500, 450, 50), 21};
+    three_sim three{{}, binary_census(500, 450, 50), 21};
     for (int batch = 0; batch < 10; ++batch) {
         three.run_for(200);
         test::expect_occupied_states_consistent(three);
@@ -104,7 +103,7 @@ TEST(LeapCensusSimulator, OccupiedStatesMatchesVisitScan) {
 
 TEST(LeapCensusSimulator, DeterministicPerSeedAndSensitiveToSeed) {
     const auto midrun_counts = [](std::uint64_t seed) {
-        three_sim sim{{}, three_state_census(500, 450, 50), seed};
+        three_sim sim{{}, binary_census(500, 450, 50), seed};
         sim.run_for(400);
         return std::array<std::uint64_t, 3>{
             sim.count_of({alpha_v}), sim.count_of({beta_v}), sim.count_of({undecided_v})};
@@ -122,20 +121,20 @@ TEST(LeapCensusSimulator, DeterministicPerSeedAndSensitiveToSeed) {
 // which pins the grouped cell application against the per-pair ground
 // truth.
 struct fallback_three_state {
-    using agent_t = majority::three_state_agent;
-    majority::three_state_protocol inner;
+    using agent_t = baselines::usd_agent;
+    baselines::usd_plurality_protocol inner;
     void interact(agent_t& u, agent_t& v, sim::rng& gen) const noexcept {
         inner.interact(u, v, gen);
     }
 };
 static_assert(!sim::delta_enumerable<fallback_three_state>);
-static_assert(sim::delta_enumerable<majority::three_state_protocol>);
+static_assert(sim::delta_enumerable<baselines::usd_plurality_protocol>);
 
 TEST(LeapCensusSimulator, GroupedDeltaMatchesPerPairFallbackBitwise) {
     using fallback_sim = sim::census_simulator<fallback_three_state>;
     for (const std::uint64_t seed : {1ull, 9ull, 77ull}) {
-        three_sim grouped{{}, three_state_census(500, 450, 50), seed};
-        fallback_sim per_pair{{}, three_state_census(500, 450, 50), seed};
+        three_sim grouped{{}, binary_census(500, 450, 50), seed};
+        fallback_sim per_pair{{}, binary_census(500, 450, 50), seed};
         for (int batch = 0; batch < 10; ++batch) {
             grouped.run_for(300);
             per_pair.run_for(300);
@@ -243,7 +242,7 @@ TEST(LeapCensusSimulator, ChunkedSteppingAgreesDistributionally) {
     constexpr std::size_t trials = 60;
     constexpr std::uint64_t horizon = 600;
     const auto undecided_after = [](std::uint64_t seed, bool chunked) {
-        three_sim sim{{}, three_state_census(600, 500, 0), seed};
+        three_sim sim{{}, binary_census(600, 500, 0), seed};
         if (chunked) {
             for (std::uint64_t done = 0; done < horizon; done += 40) sim.run_for(40);
         } else {
@@ -284,7 +283,7 @@ TEST(LeapCostModel, PicksTheCheaperStrategyAtMeasuredPoints) {
 }
 
 TEST(LeapCensusSimulator, SingleQuiescentStateTakesTheAbsorbedPath) {
-    three_sim sim{{}, three_state_census(0, 0, 200), 5};
+    three_sim sim{{}, binary_census(0, 0, 200), 5};
     sim.run_for(1'000'000);
     EXPECT_EQ(sim.interactions(), 1'000'000u);
     EXPECT_EQ(sim.count_of({undecided_v}), 200u);

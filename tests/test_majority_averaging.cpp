@@ -1,5 +1,6 @@
 // Unit tests for the averaging exact majority (majority/averaging_majority.h),
-// the substrate of the tournament's match phase (Appendix A).
+// the substrate of the tournament's match phase (Appendix A): load
+// balancing's δ (loadbalance/load_balancer.h) from amplified ±1 inputs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,6 +14,8 @@
 namespace {
 
 using namespace plurality::majority;
+using plurality::loadbalance::load_agent;
+using plurality::loadbalance::load_balance_protocol;
 using plurality::sim::simulation;
 using plurality::sim::converge;
 using plurality::sim::trial_executor;
@@ -33,7 +36,7 @@ TEST(AveragingMajority, AgentVerdictThresholds) {
 }
 
 TEST(AveragingMajority, PopulationVerdictRequiresUnanimity) {
-    std::vector<averaging_agent> agents{{10}, {10}, {-10}};
+    std::vector<load_agent> agents{{10}, {10}, {-10}};
     EXPECT_EQ(population_verdict(agents), majority_verdict::undecided);
     agents[2].load = 9;
     EXPECT_EQ(population_verdict(agents), majority_verdict::plus);
@@ -63,8 +66,8 @@ TEST_P(AveragingBiasSweep, ExactDecisionWithinLogTime) {
     const auto summary = trial_executor{1}.run(
         20, 31 + static_cast<std::uint64_t>(extra + 100), [&](std::uint64_t seed) {
             auto agents = expanded(averaging_census(plus, minus, zeros, amp), seed);
-            simulation<averaging_majority_protocol> s{averaging_majority_protocol{},
-                                                      std::move(agents), seed};
+            simulation<load_balance_protocol> s{load_balance_protocol{}, std::move(agents),
+                                                seed};
             const auto done = [](const auto& sim) {
                 return population_verdict(sim) != majority_verdict::undecided;
             };
@@ -90,7 +93,7 @@ INSTANTIATE_TEST_SUITE_P(Biases, AveragingBiasSweep,
 TEST(AveragingMajority, SumInvariant) {
     const std::int64_t amp = default_amplification(512);
     auto agents = expanded(averaging_census(100, 99, 313, amp), 3);
-    simulation<averaging_majority_protocol> s{averaging_majority_protocol{}, std::move(agents), 3};
+    simulation<load_balance_protocol> s{load_balance_protocol{}, std::move(agents), 3};
     s.run_for(100000);
     std::int64_t sum = 0;
     for (const auto& a : s.agents()) sum += a.load;
@@ -102,7 +105,7 @@ TEST(AveragingMajority, SingleVoterAmongZeros) {
     const std::uint32_t n = 1024;
     const std::int64_t amp = default_amplification(n);
     auto agents = expanded(averaging_census(1, 0, n - 1, amp), 9);
-    simulation<averaging_majority_protocol> s{averaging_majority_protocol{}, std::move(agents), 9};
+    simulation<load_balance_protocol> s{load_balance_protocol{}, std::move(agents), 9};
     const auto done = [](const auto& sim) {
         return population_verdict(sim) != majority_verdict::undecided;
     };

@@ -173,8 +173,8 @@ TEST_P(AveragingMonotonicity, VerdictMatchesSignOfDifference) {
     const auto seed = static_cast<std::uint64_t>(diff + 1000);
     auto agents =
         test::expanded(majority::averaging_census(plus, minus, n - plus - minus, amp), seed);
-    sim::simulation<majority::averaging_majority_protocol> s{
-        majority::averaging_majority_protocol{}, std::move(agents), seed};
+    sim::simulation<loadbalance::load_balance_protocol> s{loadbalance::load_balance_protocol{},
+                                                          std::move(agents), seed};
     const auto done = [](const auto& sim) {
         return majority::population_verdict(sim) != majority::majority_verdict::undecided;
     };

@@ -24,10 +24,8 @@
 #include "epidemic/epidemic.h"
 #include "leader/leader_election.h"
 #include "loadbalance/load_balancer.h"
-#include "majority/averaging_majority.h"
 #include "majority/cancel_double.h"
 #include "majority/stable_four_state.h"
-#include "majority/three_state.h"
 #include "obs/catalogue.h"
 #include "obs/snapshot.h"
 #include "scenario/registry.h"
@@ -180,9 +178,7 @@ static_assert(sim::delta_enumerable<leader::leader_election_protocol>);
 static_assert(sim::delta_enumerable<baselines::usd_plurality_protocol>);
 static_assert(sim::delta_enumerable<epidemic::epidemic_protocol>);
 static_assert(sim::delta_enumerable<loadbalance::load_balance_protocol>);
-static_assert(sim::delta_enumerable<majority::three_state_protocol>);
 static_assert(sim::delta_enumerable<majority::stable_four_state_protocol>);
-static_assert(sim::delta_enumerable<majority::averaging_majority_protocol>);
 static_assert(sim::delta_enumerable<majority::cancel_double_protocol>);
 
 TEST(DeltaEnumerator, ChoiceFreeReplayFindsExactlyThePairsWithoutAChoice) {
@@ -203,11 +199,11 @@ TEST(DeltaEnumerator, ChoiceFreeReplayFindsExactlyThePairsWithoutAChoice) {
     EXPECT_EQ(fv.x, 5u);
     // A deterministic protocol: every pair is choice-free, and the replay
     // leaves δ's outcome in place.
-    majority::three_state_agent a{majority::binary_opinion::alpha};
-    majority::three_state_agent b{majority::binary_opinion::beta};
-    ASSERT_TRUE(sim::choice_free_delta(majority::three_state_protocol{}, a, b));
-    EXPECT_EQ(a.opinion, majority::binary_opinion::alpha);
-    EXPECT_EQ(b.opinion, majority::binary_opinion::undecided);
+    baselines::usd_agent a{test::alpha_v};
+    baselines::usd_agent b{test::beta_v};
+    ASSERT_TRUE(sim::choice_free_delta(baselines::usd_plurality_protocol{}, a, b));
+    EXPECT_EQ(a.opinion, test::alpha_v);
+    EXPECT_EQ(b.opinion, test::undecided_v);
 }
 
 // -- outcome table: memoized lookup + multinomial group application -----------

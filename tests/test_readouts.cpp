@@ -23,7 +23,6 @@
 #include "majority/averaging_majority.h"
 #include "majority/cancel_double.h"
 #include "majority/stable_four_state.h"
-#include "majority/three_state.h"
 #include "sim/census_simulator.h"
 #include "sim/simulation.h"
 #include "workload/opinion_distribution.h"
@@ -130,15 +129,15 @@ TEST(FamilyReadouts, UndecidedStateDynamicsReadTheSameOnEveryView) {
 
 TEST(FamilyReadouts, ThreeStateMajorityReadsTheSameOnEveryView) {
     check_until_converged(
-        majority::three_state_protocol{}, majority::three_state_census(155, 145, 0),
-        [](const auto& s) { return majority::consensus_reached(s); }, 600.0,
+        baselines::usd_plurality_protocol{}, baselines::binary_census(155, 145, 0),
+        [](const auto& s) { return baselines::consensus_reached(s); }, 600.0,
         [](const auto& v) {
-            v.expect_same("consensus_value",
-                          [](const auto& s) { return majority::consensus_value(s); });
+            v.expect_same("consensus_opinion",
+                          [](const auto& s) { return baselines::consensus_opinion(s); });
             v.expect_same("consensus_reached",
-                          [](const auto& s) { return majority::consensus_reached(s); });
+                          [](const auto& s) { return baselines::consensus_reached(s); });
             v.expect_same("undecided_fraction",
-                          [](const auto& s) { return majority::undecided_fraction(s); });
+                          [](const auto& s) { return baselines::undecided_fraction(s); });
         });
 }
 
@@ -158,7 +157,7 @@ TEST(FamilyReadouts, FourStateMajorityReadsTheSameOnEveryView) {
 
 TEST(FamilyReadouts, AveragingMajorityReadsTheSameOnEveryView) {
     check_until_converged(
-        majority::averaging_majority_protocol{},
+        loadbalance::load_balance_protocol{},
         majority::averaging_census(155, 145, 0, majority::default_amplification(300)),
         [](const auto& s) {
             return majority::population_verdict(s) != majority::majority_verdict::undecided;

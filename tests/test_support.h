@@ -1,7 +1,7 @@
-// Helpers shared by the test suites: agents laid out from a census, the
-// tournament fixture the census simulator tests step, the occupied-list
-// invariant check, the per-family small parameter table, and the calibrated
-// distributional-agreement checks.
+// Helpers shared by the test suites: the census tests' toy protocol, agents
+// laid out from a census, the tournament fixture the census simulator tests
+// step, the occupied-list invariant check, the per-family small parameter
+// table, and the calibrated distributional-agreement checks.
 //
 // Both backends, and both of the census simulator's strategies, sample the
 // interacting pair uniformly over ordered pairs of distinct agents, so for a
@@ -24,8 +24,8 @@
 #include <vector>
 
 #include "analysis/stats.h"
+#include "baselines/usd_plurality.h"
 #include "core/plurality_protocol.h"
-#include "majority/three_state.h"
 #include "obs/snapshot.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
@@ -48,9 +48,13 @@ inline void PrintTo(algorithm_mode mode, std::ostream* os) {
 
 namespace plurality::test {
 
-inline constexpr majority::binary_opinion alpha_v = majority::binary_opinion::alpha;
-inline constexpr majority::binary_opinion beta_v = majority::binary_opinion::beta;
-inline constexpr majority::binary_opinion undecided_v = majority::binary_opinion::undecided;
+/// The census tests' toy protocol: the 3-state approximate majority, which
+/// is undecided-state dynamics at k = 2 (baselines::binary_census), on the
+/// census simulator, and its three opinions.
+using three_sim = sim::census_simulator<baselines::usd_plurality_protocol>;
+inline constexpr std::uint32_t alpha_v = 1;
+inline constexpr std::uint32_t beta_v = 2;
+inline constexpr std::uint32_t undecided_v = 0;
 
 /// `census` laid out as shuffled agents (sim::expand_census) for an agent
 /// simulation seeded with `seed`.  The shuffle draws from the setup stream

@@ -125,17 +125,27 @@ private:
 /// cached keyed by the pair's two states: a protocol's hot pairs are
 /// enumerated once per simulation, not once per run.  Outcomes that collapse
 /// to the same pair of states are merged at insertion, so the stored weight
-/// vectors are as short as possible for the multinomial.
+/// vectors are as short as possible for the multinomial, and an entry keeps
+/// each outcome's post-states apart from its probability, which `weights`
+/// alone records.
 template <class P>
     requires census_agent<typename P::agent_t>
 class delta_outcome_table {
 public:
     using agent_t = typename P::agent_t;
 
+    /// An ordered state pair: a cached pair's key, and the post-states of
+    /// one of its outcomes.  Itself a census_agent: two padding-free states
+    /// of one type leave no gap between them.
+    struct state_pair {
+        agent_t initiator;
+        agent_t responder;
+    };
+
     struct entry {
-        std::vector<delta_outcome<agent_t>> outcomes;  ///< merged by state pair
-        std::vector<double> weights;                   ///< their probabilities
-        bool groupable = false;  ///< false: pair needs the per-pair fallback
+        std::vector<state_pair> outcomes;  ///< post-states, merged by state pair
+        std::vector<double> weights;       ///< their probabilities
+        bool groupable = false;            ///< false: pair needs the per-pair fallback
     };
 
     /// Cached-pair cap: protocols cycle through a bounded hot set of pairs,
@@ -148,7 +158,7 @@ public:
     /// inserting it on first sight.  The reference is valid until the next
     /// `lookup` call.
     [[nodiscard]] const entry& lookup(const P& proto, const agent_t& u, const agent_t& v) {
-        const pair_key key{u, v};
+        const state_pair key{u, v};
         if (const auto it = cache_.find(key); it != cache_.end()) {
             ++hits_;
             return it->second;
@@ -159,15 +169,13 @@ public:
         if (enumerate_delta_outcomes(proto, u, v, scratch_)) {
             e.groupable = true;
             for (const auto& outcome : scratch_) {
+                const state_pair post{outcome.initiator, outcome.responder};
                 std::size_t i = 0;
-                while (i < e.outcomes.size() &&
-                       !(same_state(e.outcomes[i].initiator, outcome.initiator) &&
-                         same_state(e.outcomes[i].responder, outcome.responder)))
-                    ++i;
+                while (i < e.outcomes.size() && !same_state(e.outcomes[i], post)) ++i;
                 if (i < e.outcomes.size()) {
                     e.weights[i] += outcome.probability;
                 } else {
-                    e.outcomes.push_back(outcome);
+                    e.outcomes.push_back(post);
                     e.weights.push_back(outcome.probability);
                 }
             }
@@ -221,7 +229,7 @@ public:
     [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
 
     /// Approximate heap footprint: one hash node per cached pair (its
-    /// two-state key, the entry and a link), each entry's outcome and
+    /// two-state key, the entry and a link), each entry's post-state and
     /// weight vectors, the bucket array and the scratch vectors.  Walks the
     /// cache, so it is for reports, not for the interaction loop.
     [[nodiscard]] std::size_t memory_bytes() const noexcept {
@@ -230,30 +238,23 @@ public:
                             split_.capacity() * sizeof(std::uint64_t);
         for (const auto& [key, e] : cache_) {
             bytes += sizeof(key) + sizeof(e) + sizeof(void*) +
-                     e.outcomes.capacity() * sizeof(delta_outcome<agent_t>) +
+                     e.outcomes.capacity() * sizeof(state_pair) +
                      e.weights.capacity() * sizeof(double);
         }
         return bytes;
     }
 
 private:
-    /// The ordered state pair, itself a census_agent: two padding-free
-    /// states of one type leave no gap between them.
-    struct pair_key {
-        agent_t initiator;
-        agent_t responder;
-    };
-
-    struct pair_key_ops {
-        [[nodiscard]] std::size_t operator()(const pair_key& key) const noexcept {
+    struct pair_ops {
+        [[nodiscard]] std::size_t operator()(const state_pair& key) const noexcept {
             return state_hash(key);
         }
-        [[nodiscard]] bool operator()(const pair_key& a, const pair_key& b) const noexcept {
+        [[nodiscard]] bool operator()(const state_pair& a, const state_pair& b) const noexcept {
             return same_state(a, b);
         }
     };
 
-    std::unordered_map<pair_key, entry, pair_key_ops, pair_key_ops> cache_;
+    std::unordered_map<state_pair, entry, pair_ops, pair_ops> cache_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::vector<delta_outcome<agent_t>> scratch_;  ///< raw enumeration output

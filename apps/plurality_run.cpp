@@ -235,22 +235,20 @@ int main(int argc, char** argv) {
             run_opts.progress_interval = progress_interval_seconds;
             run_opts.progress_label = opt.scenario;
         }
-        const auto result = scenario::run_scenario_trials(*s, opt.params, opt.trials, opt.seed,
-                                                          executor, opt.backend, run_opts);
-
+        // Trial 0 of the batch writes the trace: every metric sampled on the
+        // cadence grid.
+        std::ofstream trace;
         if (!opt.trace_path.empty()) {
-            // Trace is a re-run of trial 0's exact stream (same seed, same
-            // trajectory), with every metric sampled on the cadence grid.
-            std::ofstream trace(opt.trace_path);
+            trace.open(opt.trace_path);
             if (!trace) {
                 std::fprintf(stderr, "cannot open trace file '%s'\n", opt.trace_path.c_str());
                 return 1;
             }
-            scenario::run_options traced;
-            traced.trace_cadence = opt.trace_cadence;
-            traced.trace_csv = &trace;
-            (void)s->run(opt.params, sim::derive_seed(opt.seed, 0), opt.backend, traced);
+            run_opts.trace_cadence = opt.trace_cadence;
+            run_opts.trace_csv = &trace;
         }
+        const auto result = scenario::run_scenario_trials(*s, opt.params, opt.trials, opt.seed,
+                                                          executor, opt.backend, run_opts);
 
         std::ostringstream doc;
         scenario::write_json_report(doc, *s, opt.params, opt.seed, result, opt.backend);

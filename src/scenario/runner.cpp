@@ -64,8 +64,8 @@ scenario_run_result run_scenario_trials(const any_scenario& s, const scenario_pa
                                         std::size_t trials, std::uint64_t base_seed,
                                         const sim::trial_executor& executor,
                                         backend_kind backend, const run_options& options) {
-    run_options per_trial = options;
-    per_trial.trace_csv = nullptr;  // tracing is single-run only (see runner.h)
+    run_options untraced = options;
+    untraced.trace_csv = nullptr;  // only trial 0 is traced (see runner.h)
 
     scenario_run_result result;
     try {
@@ -77,8 +77,9 @@ scenario_run_result run_scenario_trials(const any_scenario& s, const scenario_pa
     }
     const auto wall_start = std::chrono::steady_clock::now();
     executor.map(std::span{result.outcomes}, base_seed,
-                 [&s, &params, backend, &per_trial](std::uint64_t seed) {
-                     return s.run(params, seed, backend, per_trial);
+                 [&s, &params, backend, &options, &untraced](std::size_t trial,
+                                                             std::uint64_t seed) {
+                     return s.run(params, seed, backend, trial == 0 ? options : untraced);
                  });
     const auto wall_end = std::chrono::steady_clock::now();
     result.summary = summarize_outcomes(result.outcomes);

@@ -62,9 +62,10 @@ struct scenario_run_result {
 /// the summary is a pure function of (scenario, params, trials, base_seed,
 /// backend).
 ///
-/// `options` carries recording hooks only (progress heartbeat interval and
-/// label); it never alters outcomes.  Tracing is a single-run affair —
-/// `options.trace_csv` is ignored here (pass it to any_scenario::run).
+/// `options` carries recording hooks only; it never alters outcomes.  The
+/// progress heartbeat applies to every trial, and `options.trace_csv`
+/// receives trial 0's trace (the series a single any_scenario::run of seed
+/// derive_seed(base_seed, 0) writes).
 ///
 /// The per-trial outcome slots are allocated before any trial runs; when
 /// they do not fit in memory the call throws a one-line std::runtime_error

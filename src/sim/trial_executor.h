@@ -88,15 +88,17 @@ public:
     [[nodiscard]] trial_summary run(std::size_t trials, std::uint64_t base_seed,
                                     Trial&& trial) const {
         std::vector<trial_outcome> outcomes(trials);
-        map(std::span{outcomes}, base_seed, trial);
+        map(std::span{outcomes}, base_seed,
+            [&trial](std::size_t, std::uint64_t seed) { return trial(seed); });
         return aggregate_trials(outcomes);
     }
 
-    /// Generic seed-indexed fan-out: assigns `fn(derive_seed(base_seed, i))`
-    /// to `results[i]` for every slot.  The same determinism contract as
-    /// `run` holds — slot i's value never depends on the thread count.  The
-    /// caller allocates the slots, so an allocation failure surfaces before
-    /// any worker starts.  `fn` must be safe to invoke concurrently when
+    /// Generic seed-indexed fan-out: assigns `fn(i, derive_seed(base_seed,
+    /// i))` to `results[i]` for every slot i, so a caller can treat one trial
+    /// apart by its index.  The same determinism contract as `run` holds —
+    /// slot i's value never depends on the thread count.  The caller
+    /// allocates the slots, so an allocation failure surfaces before any
+    /// worker starts.  `fn` must be safe to invoke concurrently when
     /// `threads() > 1`.
     ///
     /// Workers claim indices from a shared counter (dynamic load balancing
@@ -104,12 +106,12 @@ public:
     /// first exception a trial throws, or a failure to start a worker, stops
     /// the rest from claiming more and is rethrown once all have joined.
     template <class Result, class Fn>
-        requires std::invocable<Fn&, std::uint64_t>
+        requires std::invocable<Fn&, std::size_t, std::uint64_t>
     void map(std::span<Result> results, std::uint64_t base_seed, Fn&& fn) const {
         const std::size_t workers = std::min(threads_, results.size());
         if (workers <= 1) {
             for (std::size_t i = 0; i < results.size(); ++i) {
-                results[i] = fn(derive_seed(base_seed, i));
+                results[i] = fn(i, derive_seed(base_seed, i));
             }
             return;
         }
@@ -127,7 +129,7 @@ public:
                 const std::size_t i = next_index.fetch_add(1, std::memory_order_relaxed);
                 if (i >= results.size() || failed.load(std::memory_order_relaxed)) return;
                 try {
-                    results[i] = fn(derive_seed(base_seed, i));
+                    results[i] = fn(i, derive_seed(base_seed, i));
                 } catch (...) {
                     fail(std::current_exception());
                     return;

@@ -148,6 +148,48 @@ TEST(ScenarioRunner, TracedRunMatchesPlainRunAndAnchorsAtTimeZero) {
     }
 }
 
+TEST(ScenarioRunner, TracedBatchTracesTrialZero) {
+    // A traced batch writes trial 0's trace, the CSV a traced single run of
+    // its seed writes, on every thread count, and its outcomes equal an
+    // untraced batch's.
+    const auto* s = scenario_registry::instance().find("majority/three-state");
+    ASSERT_NE(s, nullptr);
+    const auto params = small_params("majority");
+    constexpr std::size_t trials = 3;
+    constexpr std::uint64_t seed = 21;
+
+    for (const auto backend : {scenario::backend_kind::agent, scenario::backend_kind::census}) {
+        std::ostringstream single;
+        scenario::run_options single_options;
+        single_options.trace_cadence = 2.0;
+        single_options.trace_csv = &single;
+        (void)s->run(params, sim::derive_seed(seed, 0), backend, single_options);
+        ASSERT_FALSE(single.str().empty());
+
+        const auto plain = scenario::run_scenario_trials(*s, params, trials, seed,
+                                                         sim::trial_executor{1}, backend);
+        for (const std::size_t threads : {std::size_t{1}, trials}) {
+            SCOPED_TRACE(::testing::Message() << scenario::backend_name(backend) << ", "
+                                              << threads << " threads");
+            std::ostringstream csv;
+            scenario::run_options options;
+            options.trace_cadence = 2.0;
+            options.trace_csv = &csv;
+            const auto traced = scenario::run_scenario_trials(
+                *s, params, trials, seed, sim::trial_executor{threads}, backend, options);
+            EXPECT_EQ(csv.str(), single.str());
+            ASSERT_EQ(traced.outcomes.size(), plain.outcomes.size());
+            for (std::size_t i = 0; i < trials; ++i) {
+                EXPECT_EQ(traced.outcomes[i].converged, plain.outcomes[i].converged);
+                EXPECT_EQ(traced.outcomes[i].correct, plain.outcomes[i].correct);
+                EXPECT_EQ(traced.outcomes[i].interactions, plain.outcomes[i].interactions);
+                EXPECT_DOUBLE_EQ(traced.outcomes[i].parallel_time,
+                                 plain.outcomes[i].parallel_time);
+            }
+        }
+    }
+}
+
 TEST(ScenarioBackends, ParseBackendAcceptsExactlyTheAdvertisedList) {
     // backend_list() is the single source of truth for CLI error messages:
     // every pipe-separated name it advertises must parse, round-trip through

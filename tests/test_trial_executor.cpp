@@ -132,10 +132,12 @@ TEST(TrialExecutor, PropagatesTrialExceptions) {
 
 /// The thread each trial of a `trials`-slot batch ran on, by slot.  Each
 /// trial holds its thread for a millisecond, so every worker a batch starts
-/// gets to claim trials.
+/// gets to claim trials, and checks that it was handed its slot's index
+/// beside that index's seed.
 std::vector<std::thread::id> trial_threads(const trial_executor& executor, std::size_t trials) {
     std::vector<std::thread::id> ids(trials);
-    executor.map(std::span{ids}, 17, [](std::uint64_t) {
+    executor.map(std::span{ids}, 17, [](std::size_t index, std::uint64_t seed) {
+        EXPECT_EQ(seed, plurality::sim::derive_seed(17, index));
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
         return std::this_thread::get_id();
     });
@@ -154,7 +156,8 @@ TEST(TrialExecutor, StartsAtMostOneWorkerPerTrial) {
     EXPECT_EQ(trial_threads(trial_executor{8}, 1), std::vector{std::this_thread::get_id()});
     std::vector<int> none;
     int calls = 0;
-    trial_executor{8}.map(std::span{none}, 17, [&calls](std::uint64_t) { return ++calls; });
+    trial_executor{8}.map(std::span{none}, 17,
+                          [&calls](std::size_t, std::uint64_t) { return ++calls; });
     EXPECT_EQ(calls, 0);
 }
 

@@ -26,7 +26,6 @@
 
 #include "core/plurality_protocol.h"
 #include "core/result.h"
-#include "obs/metrics.h"
 #include "sim/trial_executor.h"
 #include "workload/opinion_distribution.h"
 
@@ -76,10 +75,6 @@ namespace plurality::bench {
 /// when the invocation must be refused.
 [[nodiscard]] inline bool guard_json_recording(bool recording) noexcept {
     benchmark::AddCustomContext("plurality_build_type", plurality_build_type());
-    // Whether the library's default obs policy compiles instrumentation in
-    // (PLURALITY_OBS) — recorded throughput numbers carry their own
-    // instrumentation provenance.  E19's explicit-policy arms are unaffected.
-    benchmark::AddCustomContext("plurality_obs", obs::default_policy::active ? "on" : "off");
     if (std::strcmp(plurality_build_type(), "release") == 0) return true;
     if (!recording) return true;
     if (std::getenv("PLURALITY_BENCH_ALLOW_DEBUG_RECORDING") != nullptr) {

@@ -6,8 +6,7 @@
 # absorbed_fast_path_interactions_total / interactions_total, and the
 # census's state space: the sidecar's reachable_states and
 # occupied_states_hwm gauges (a dash where the run reports no such sample:
-# the agent backend skips nothing and keeps no census, and a
-# -DPLURALITY_OBS=OFF build reports neither counters nor gauges).
+# the agent backend skips nothing and keeps no census).
 #
 # Usage: scripts/backend_table.sh PLURALITY_RUN [N]      (N defaults to 10000)
 #   e.g. scripts/backend_table.sh ./build/plurality_run

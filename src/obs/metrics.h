@@ -29,11 +29,8 @@
 //     happens once, lazily, at snapshot time (obs/ticks.cpp), never on the
 //     hot path.
 //
-// The macro PLURALITY_OBS (a PUBLIC compile definition of the plurality
-// CMake target, default ON) selects `obs::default_policy`; backends default
-// their policy parameter to it, so a single configure flag flips the whole
-// tree while individual instantiations (the overhead bench) can still pick
-// either policy explicitly.
+// Backends default their policy parameter to `obs::enabled`; only the
+// overhead bench instantiates `obs::disabled`, beside it in one binary.
 #pragma once
 
 #include <array>
@@ -41,9 +38,9 @@
 #include <chrono>
 #include <cstdint>
 
-#ifndef PLURALITY_OBS
+// Always 1: the frozen time-to-consensus benchmark (consensus_bench/) prints
+// and checks this macro.  It goes with the next change to that benchmark.
 #define PLURALITY_OBS 1
-#endif
 
 namespace plurality::obs {
 
@@ -126,7 +123,7 @@ private:
 // -- No-op twins (the disabled policy) --------------------------------------
 // Empty types with inline empty methods: with [[no_unique_address]] members
 // they occupy no space and every call site folds to nothing, which is what
-// makes PLURALITY_OBS=OFF a true compile-out rather than a runtime branch.
+// makes `obs::disabled` a true compile-out rather than a runtime branch.
 
 struct noop_counter {
     void add(std::uint64_t = 1) const noexcept {}
@@ -158,13 +155,5 @@ struct disabled {
     using histogram_t = noop_histogram;
     using timer_t = noop_timer;
 };
-
-/// The build-wide default, selected by the PLURALITY_OBS compile definition
-/// (CMake option of the same name; ON unless configured away).
-#if PLURALITY_OBS
-using default_policy = enabled;
-#else
-using default_policy = disabled;
-#endif
 
 }  // namespace plurality::obs

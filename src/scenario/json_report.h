@@ -21,7 +21,7 @@
 //   },
 //   "metrics": {               // backend instrumentation (src/obs/), merged
 //     "counters": { ... },     // over all trials; count-valued samples only.
-//     "gauges": { ... },       // Absent when built with PLURALITY_OBS=0.
+//     "gauges": { ... },
 //     "histograms": { ... }
 //   }
 // }

@@ -171,8 +171,7 @@ struct scenario_outcome {
     /// Backend instrumentation read out at the end of the trial (src/obs/).
     /// Count-valued samples are deterministic per (seed, backend); timer
     /// samples are wall-clock measurements and must never enter the
-    /// deterministic report (see scenario/json_report.cpp).  Empty when the
-    /// library is built with PLURALITY_OBS=0.
+    /// deterministic report (see scenario/json_report.cpp).
     obs::snapshot observed;
     double wall_seconds = 0.0;  ///< wall-clock duration of the trial
 };

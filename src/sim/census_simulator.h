@@ -183,14 +183,13 @@ struct leap_cost_model {
 /// and the weighted helpers of sim/population_view.h work unchanged; there is no
 /// `agents()` (no per-agent storage), and `count_of` and the occupancy
 /// counts stand in for it.
-/// `Obs` selects the observability policy (obs/metrics.h): the default
-/// follows the PLURALITY_OBS build option; `obs::disabled` compiles every
-/// instrument out (the ≤2% overhead gate, bench_e19_obs_overhead,
-/// instantiates both).  A table run at n = 10⁹ is ~10 µs of work, so its
+/// `Obs` selects the observability policy (obs/metrics.h): `obs::disabled`
+/// compiles every instrument out (the ≤2% overhead gate,
+/// bench_e19_obs_overhead, instantiates both).  A table run at n = 10⁹ is ~10 µs of work, so its
 /// timers are run-granular — a handful of clock reads per run.  `Retired`
 /// is ignored: only the frozen benchmark (consensus_bench/) still passes
 /// one.
-template <protocol P, class Retired = void, class Obs = obs::default_policy>
+template <protocol P, class Retired = void, class Obs = obs::enabled>
     requires census_agent<typename P::agent_t>
 class census_simulator {
 public:

@@ -224,7 +224,7 @@ public:
     /// group application, so the increments are cold relative to the draws
     /// they guard; they stay plain members rather than policy-gated
     /// instruments, and the backends export them as `outcome_table_*`
-    /// metrics when observability is compiled in).
+    /// metrics).
     [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
     [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
 

@@ -11,7 +11,7 @@
 
 namespace plurality::sim {
 
-template <protocol P, class Retired = void, class Obs = obs::default_policy>
+template <protocol P, class Retired = void, class Obs = obs::enabled>
 using leap_census_simulator = census_simulator<P, Retired, Obs>;
 
 }  // namespace plurality::sim

@@ -59,7 +59,7 @@ public:
     /// run's randomness consumption (rejection retries included), exported
     /// as the `rng_words_total` metric.  The increment is one add next to
     /// xoshiro's nine ALU ops; it is always on because the count must not
-    /// depend on whether observability was compiled in.
+    /// depend on the observability policy.
     [[nodiscard]] std::uint64_t words() const noexcept { return words_; }
 
     /// Uniform integer in [0, bound).  Unbiased (Lemire's method with

@@ -95,10 +95,8 @@ public:
     /// protocol δ itself — so it reports the two universal deterministic
     /// counts every backend shares.
     void collect_metrics(obs::snapshot& out) const {
-        if constexpr (obs::default_policy::active) {
-            out.add_counter(obs::m_interactions, interactions_);
-            out.add_counter(obs::m_rng_words, gen_.words());
-        }
+        out.add_counter(obs::m_interactions, interactions_);
+        out.add_counter(obs::m_rng_words, gen_.words());
     }
 
 private:

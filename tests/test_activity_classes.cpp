@@ -327,13 +327,11 @@ TEST_P(DeltaTrajectories, AgentRunsConvergeWhereRecorded) {
         EXPECT_EQ(outcome.interactions, pinned.interactions);
         EXPECT_EQ(sim.agents().front().opinion, pinned.winner);
         EXPECT_EQ(configuration_digest(sim.agents()), pinned.configuration);
-#if PLURALITY_OBS
         obs::snapshot metrics;
         sim.collect_metrics(metrics);
         const obs::sample* words = metrics.find(obs::m_rng_words);
         ASSERT_NE(words, nullptr);
         EXPECT_EQ(words->value, pinned.rng_words);
-#endif
     }
 }
 

@@ -382,13 +382,11 @@ TEST(CensusSimulator, MemoryCountsTheDeltaOutcomeTable) {
         core::plurality_protocol{cfg},
         core::plurality_protocol::initial_census(cfg, workload::make_bias_one(n, 2)), 3};
     tournament.run_for(2ull * n);
-#if PLURALITY_OBS
     obs::snapshot observed;
     tournament.collect_metrics(observed);
     const std::uint64_t misses = test::counter_of(observed, obs::m_table_misses);
     ASSERT_GT(misses, 0u);
     EXPECT_GE(tournament.memory_bytes(), misses * 2 * sizeof(core::core_agent));
-#endif
 }
 
 // -- state identity: a census state is its bytes -----------------------------

@@ -93,12 +93,10 @@ TEST(LeapCensusSimulator, OccupiedStatesMatchesVisitScan) {
         test::expect_occupied_states_consistent(tournament);
     }
     EXPECT_GT(tournament.reachable_states(), tournament.occupied_states_hwm());
-#if PLURALITY_OBS
     obs::snapshot observed;
     tournament.collect_metrics(observed);
     EXPECT_GT(test::counter_of(observed, obs::m_runs), 0u);
     EXPECT_GT(test::counter_of(observed, obs::m_fenwick_descents), 0u);
-#endif
 }
 
 TEST(LeapCensusSimulator, DeterministicPerSeedAndSensitiveToSeed) {
@@ -191,7 +189,6 @@ TEST(LeapCensusSimulator, ChoiceFreePairsSkipTheOutcomeTable) {
     sim.run_for(2'000'000);
     EXPECT_EQ(sim.count_of({1}) + sim.count_of({0}), 1'000'010u);
     EXPECT_GT(sim.count_of({1}), 10u);
-#if PLURALITY_OBS
     obs::snapshot observed;
     sim.collect_metrics(observed);
     const auto counter = [&observed](const char* name) {
@@ -208,7 +205,6 @@ TEST(LeapCensusSimulator, ChoiceFreePairsSkipTheOutcomeTable) {
                   counter(obs::m_delta_fallback) + counter(obs::m_collisions) +
                   counter(obs::m_absorbed_fastpath),
               counter(obs::m_interactions));
-#endif
 }
 
 /// Parallel time until all 3000 agents are informed, starting from one,
@@ -287,13 +283,11 @@ TEST(LeapCensusSimulator, SingleQuiescentStateTakesTheAbsorbedPath) {
     sim.run_for(1'000'000);
     EXPECT_EQ(sim.interactions(), 1'000'000u);
     EXPECT_EQ(sim.count_of({undecided_v}), 200u);
-#if PLURALITY_OBS
     obs::snapshot observed;
     sim.collect_metrics(observed);
     EXPECT_EQ(test::counter_of(observed, obs::m_absorbed_fastpath), 1'000'000u);
     EXPECT_EQ(test::counter_of(observed, obs::m_runs), 0u);
     EXPECT_EQ(test::counter_of(observed, obs::m_fenwick_descents), 0u);
-#endif
 }
 
 }  // namespace

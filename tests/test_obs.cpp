@@ -133,8 +133,6 @@ TEST(ObsCatalogue, EveryEmittedNameIsRegistered) {
     }
 }
 
-#if PLURALITY_OBS
-
 /// Renders the count-valued (deterministic) sections of a merged snapshot as
 /// the exact bytes the report and sidecar would embed.
 std::string count_sections_bytes(const obs::snapshot& snap) {
@@ -295,8 +293,6 @@ TEST(ObsSidecar, PrometheusExpositionCarriesTypedLabelledSeries) {
     EXPECT_NE(text.find("le=\"+Inf\""), std::string::npos);
     EXPECT_NE(text.find("plurality_run_length_log2_count"), std::string::npos);
 }
-
-#endif  // PLURALITY_OBS
 
 TEST(ObsHeartbeat, EmitsProgressAndCompletionLines) {
     std::FILE* out = std::tmpfile();

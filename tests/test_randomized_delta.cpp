@@ -445,12 +445,10 @@ TEST(RandomizedDeltaBackend, GroupedLeaderMatchesPerPairFallbackDistributionally
                 leader::leader_election_protocol{psi, rounds}, init, seed};
             s.run_for(horizon);
             tally(s);
-#if PLURALITY_OBS
             obs::snapshot observed;
             s.collect_metrics(observed);
             EXPECT_GT(test::counter_of(observed, obs::m_runs), 0u) << "seed " << seed;
             EXPECT_EQ(test::counter_of(observed, obs::m_fenwick_descents), 0u) << "seed " << seed;
-#endif
         } else {
             sim::census_simulator<per_pair_leader> s{
                 per_pair_leader{leader::leader_election_protocol{psi, rounds}}, init, seed};
@@ -503,7 +501,6 @@ TEST(RandomizedDeltaCrossBackend, OrderedPluralityTimesAgreeAcrossAgentCensusLea
         core::plurality_protocol::initial_census(cfg, workload::make_bias_one(512, 2)), won,
         cfg.default_time_budget(), 16, 7007);
     test::expect_backends_agree(*s, params, 16, 7007, stepped);
-#if PLURALITY_OBS
     // `run_for` switches strategy within a trial — contingency-table runs
     // while few states are occupied, stepping once the tournament spreads
     // over many — so the agreement above covers the switching.  Replays
@@ -512,7 +509,6 @@ TEST(RandomizedDeltaCrossBackend, OrderedPluralityTimesAgreeAcrossAgentCensusLea
         s->run(params, sim::derive_seed(7007, 0), scenario::backend_kind::census);
     EXPECT_GT(test::counter_of(census.observed, obs::m_runs), 0u);
     EXPECT_GT(test::counter_of(census.observed, obs::m_fenwick_descents), 0u);
-#endif
 }
 
 }  // namespace

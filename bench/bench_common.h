@@ -1,21 +1,22 @@
 // Shared helpers for the experiment benchmarks (bench/ = one binary per
-// experiment, E1–E15).  Each benchmark runs a *fixed, small* number
+// experiment, E1–E19).  Each benchmark runs a *fixed, small* number
 // of full protocol executions per iteration and reports the measured
 // quantities (parallel time, success rate, state counts, ...) as benchmark
 // counters; docs/EXPERIMENTS.md maps each experiment to the paper claim or
 // engineering question it addresses.
 //
-// Throughput accounting: every repeated-run helper also records how many
-// scheduler interactions were executed and how long the batch took on the
-// wall clock, and `report` publishes the ratio as the `interactions_per_sec`
-// counter.  That counter is the engine's primary performance metric — the
-// BENCH_*.json files track it across PRs.
+// Every repeated-trial row is one batch of the scenario runner
+// (scenario/runner.h): a registered scenario through `run_scenario`, the
+// same trial `plurality_run` runs for that seed, or a body of the
+// experiment's own through `scenario::run_trials`.  `report` publishes the
+// batch's standard counters, among them `interactions_per_sec`: scheduler
+// interactions over the batch's wall clock, the engine's primary
+// performance metric — the BENCH_*.json files track it across PRs.
 #pragma once
 
 #include <benchmark/benchmark.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -24,10 +25,9 @@
 #include <optional>
 #include <string_view>
 
-#include "core/plurality_protocol.h"
-#include "core/result.h"
+#include "scenario/registry.h"
+#include "scenario/runner.h"
 #include "sim/trial_executor.h"
-#include "workload/opinion_distribution.h"
 
 namespace plurality::bench {
 
@@ -135,58 +135,36 @@ inline std::size_t bench_trials(std::size_t fallback) {
     return trials ? static_cast<std::size_t>(*trials) : fallback;
 }
 
-/// Aggregate of repeated protocol executions on one instance.
-struct repeated_runs {
-    double mean_parallel_time = 0.0;
-    double success_rate = 0.0;
-    std::size_t trials = 0;
-    std::uint64_t total_interactions = 0;  ///< across all trials
-    double wall_seconds = 0.0;             ///< wall clock for the whole batch
-    std::size_t threads = 1;               ///< executor fan-out used
-
-    [[nodiscard]] double interactions_per_second() const noexcept {
-        return wall_seconds > 0.0 ? static_cast<double>(total_interactions) / wall_seconds : 0.0;
+/// Runs `bench_trials(trials)` trials of the registered scenario `name` on
+/// the agent backend: trial i is the trial `plurality_run --scenario name
+/// --seed base_seed` runs as its trial i.  An unregistered name prints one
+/// line and exits 1.  Sweeps that exercise trial-level scaling pass their
+/// own executor; everything else shares the process-wide one.
+inline scenario::scenario_run_result run_scenario(
+    const char* name, const scenario::scenario_params& params, std::size_t trials,
+    std::uint64_t base_seed, const sim::trial_executor& executor = shared_executor()) {
+    const auto* s = scenario::scenario_registry::instance().find(name);
+    if (s == nullptr) {
+        std::fprintf(stderr, "bench: scenario '%s' is not registered\n", name);
+        std::exit(1);
     }
-};
-
-/// Runs `trials` executions of the configured protocol on `dist` through
-/// `executor` and aggregates correctness, (successful-run) parallel time,
-/// and throughput.  Sweeps that exercise trial-level scaling pass their own
-/// executor; everything else shares the process-wide one.
-inline repeated_runs run_repeated(const core::protocol_config& cfg,
-                                  const workload::opinion_distribution& dist, std::size_t trials,
-                                  std::uint64_t base_seed,
-                                  const sim::trial_executor& executor = shared_executor()) {
-    trials = bench_trials(trials);
-    const auto started = std::chrono::steady_clock::now();
-    const auto summary = executor.run(trials, base_seed, [&](std::uint64_t seed) {
-        const auto r = core::run_to_consensus(cfg, dist, seed);
-        sim::trial_outcome out;
-        out.success = r.correct;
-        out.parallel_time = r.parallel_time;
-        out.interactions = r.interactions;
-        return out;
-    });
-    const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - started;
-    repeated_runs agg;
-    agg.mean_parallel_time = summary.time_stats.mean;
-    agg.success_rate = summary.success_rate();
-    agg.trials = trials;
-    agg.total_interactions = summary.total_interactions;
-    agg.wall_seconds = elapsed.count();
-    agg.threads = executor.threads();
-    return agg;
+    return scenario::run_scenario_trials(*s, params, bench_trials(trials), base_seed, executor);
 }
 
-/// Standard counters every experiment row reports.
-inline void report(benchmark::State& state, const repeated_runs& runs) {
-    state.counters["parallel_time"] = runs.mean_parallel_time;
-    state.counters["success_rate"] = runs.success_rate;
-    state.counters["trials"] = static_cast<double>(runs.trials);
-    state.counters["interactions"] = static_cast<double>(runs.total_interactions);
-    state.counters["wall_seconds"] = runs.wall_seconds;
-    state.counters["interactions_per_sec"] = runs.interactions_per_second();
-    state.counters["threads"] = static_cast<double>(runs.threads);
+/// Standard counters every experiment row reports: `parallel_time` is the
+/// mean over converged trials, `success_rate` the share of correct ones.
+inline void report(benchmark::State& state, const scenario::scenario_run_result& result) {
+    const auto& summary = result.summary;
+    state.counters["parallel_time"] = summary.time_stats.mean;
+    state.counters["success_rate"] = summary.success_rate();
+    state.counters["trials"] = static_cast<double>(summary.trials);
+    state.counters["interactions"] = static_cast<double>(summary.total_interactions);
+    state.counters["wall_seconds"] = result.wall_seconds;
+    state.counters["interactions_per_sec"] =
+        result.wall_seconds > 0.0
+            ? static_cast<double>(summary.total_interactions) / result.wall_seconds
+            : 0.0;
+    state.counters["threads"] = static_cast<double>(result.threads);
 }
 
 }  // namespace plurality::bench

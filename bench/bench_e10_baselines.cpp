@@ -3,17 +3,9 @@
 // the always-correct 4-state majority is exact too but pays Θ(n)-ish time at
 // bias 1 (k = 2), which is the cost the paper's w.h.p. protocols avoid.
 //
-// The baseline rows run through the scenario registry — the same entry
-// points as plurality_run — so this benchmark adds no private setup or
-// convergence code.
-#include <benchmark/benchmark.h>
-
-#include <cstdio>
-#include <cstdlib>
-
+// Every row runs a registered scenario — the same trials as plurality_run —
+// so this benchmark adds no private setup or convergence code.
 #include "bench_common.h"
-#include "scenario/registry.h"
-#include "scenario/runner.h"
 
 namespace {
 
@@ -22,29 +14,12 @@ using namespace plurality::bench;
 
 constexpr std::uint32_t population = 2049;  // odd: bias 1 feasible at k = 2
 
-const scenario::any_scenario& baseline(const char* name) {
-    const auto* s = scenario::scenario_registry::instance().find(name);
-    if (s == nullptr) {
-        std::fprintf(stderr, "E10: scenario '%s' is not registered\n", name);
-        std::abort();
-    }
-    return *s;
-}
-
-void report_scenario(benchmark::State& state, const scenario::scenario_run_summary& summary) {
-    state.counters["success_rate"] = summary.success_rate();
-    state.counters["parallel_time"] = summary.time_stats.mean;
-    state.counters["trials"] = static_cast<double>(summary.trials);
-}
-
 void BM_ExactTournaments_BiasOne(benchmark::State& state) {
     const auto k = static_cast<std::uint32_t>(state.range(0));
-    const auto dist = workload::make_bias_one(population, k);
-    const auto cfg = core::protocol_config::make(core::algorithm_mode::ordered, dist.n(), k);
-    for (auto _ : state) {
-        const auto runs = run_repeated(cfg, dist, 10, 0xea000 + k);
-        report(state, runs);
-    }
+    scenario::scenario_params params;
+    params.n = population;
+    params.k = k;
+    for (auto _ : state) report(state, run_scenario("plurality/ordered", params, 10, 0xea000 + k));
 }
 BENCHMARK(BM_ExactTournaments_BiasOne)
     ->Arg(2)
@@ -57,11 +32,7 @@ void BM_Usd_BiasOne(benchmark::State& state) {
     scenario::scenario_params params;
     params.n = population;
     params.k = k;
-    for (auto _ : state) {
-        const auto result = scenario::run_scenario_trials(
-            baseline("baselines/usd"), params, bench_trials(30), 0xea100 + k, shared_executor());
-        report_scenario(state, result.summary);
-    }
+    for (auto _ : state) report(state, run_scenario("baselines/usd", params, 30, 0xea100 + k));
 }
 BENCHMARK(BM_Usd_BiasOne)->Arg(2)->Arg(5)->Iterations(1)->Unit(benchmark::kMillisecond);
 
@@ -71,11 +42,7 @@ void BM_Usd_LargeBias(benchmark::State& state) {
     params.n = population;
     params.k = k;
     params.bias = population / 4;
-    for (auto _ : state) {
-        const auto result = scenario::run_scenario_trials(
-            baseline("baselines/usd"), params, bench_trials(10), 0xea200 + k, shared_executor());
-        report_scenario(state, result.summary);
-    }
+    for (auto _ : state) report(state, run_scenario("baselines/usd", params, 10, 0xea200 + k));
 }
 BENCHMARK(BM_Usd_LargeBias)->Arg(2)->Arg(5)->Iterations(1)->Unit(benchmark::kMillisecond);
 
@@ -87,10 +54,8 @@ void BM_StableFourState_BiasOne(benchmark::State& state) {
     params.n = n;
     params.bias = 2;  // n/2 + 1 vs n/2 - 1, as the even-n bias-1 analogue
     for (auto _ : state) {
-        const auto result = scenario::run_scenario_trials(
-            baseline("majority/four-state"), params, bench_trials(5), 0xea300 + n,
-            shared_executor());
-        report_scenario(state, result.summary);
+        const auto result = run_scenario("majority/four-state", params, 5, 0xea300 + n);
+        report(state, result);
         state.counters["pt_per_n"] = result.summary.time_stats.mean / n;
     }
 }

@@ -8,9 +8,8 @@
 #include <vector>
 
 #include "core/plurality_protocol.h"
-#include "epidemic/epidemic.h"
 #include "bench/bench_common.h"
-#include "sim/trial_executor.h"
+#include "epidemic/epidemic.h"
 #include "sim/rng.h"
 #include "sim/scheduler.h"
 #include "sim/simulation.h"
@@ -73,16 +72,14 @@ BENCHMARK(BM_EngineThroughput_Tournament);
 
 void BM_BroadcastTime(benchmark::State& state) {
     const auto n = static_cast<std::uint32_t>(state.range(0));
+    scenario::scenario_params params;
+    params.n = n;
     for (auto _ : state) {
-        const auto summary = bench::shared_executor().run(10, 0xec000 + n, [n](std::uint64_t seed) {
-            sim::trial_outcome out;
-            out.success = true;
-            out.parallel_time = epidemic::measure_broadcast_time(n, 1, seed);
-            return out;
-        });
-        state.counters["broadcast_pt"] = summary.time_stats.mean;
+        const auto result = bench::run_scenario("epidemic/broadcast", params, 10, 0xec000 + n);
+        bench::report(state, result);
+        state.counters["broadcast_pt"] = result.summary.time_stats.mean;
         state.counters["pt_per_log2n"] =
-            summary.time_stats.mean / std::log2(static_cast<double>(n));
+            result.summary.time_stats.mean / std::log2(static_cast<double>(n));
     }
 }
 BENCHMARK(BM_BroadcastTime)

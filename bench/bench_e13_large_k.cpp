@@ -2,8 +2,11 @@
 // Checks correctness at bias 1 for k up to well past n/2 and that the
 // initialization time keeps tracking O(n·(k + log n)).
 #include "bench_common.h"
+#include "core/plurality_protocol.h"
+#include "core/result.h"
 #include "sim/convergence.h"
 #include "sim/simulation.h"
+#include "workload/opinion_distribution.h"
 
 namespace {
 
@@ -13,14 +16,17 @@ using namespace plurality::bench;
 void BM_LargeK_Correctness(benchmark::State& state) {
     const std::uint32_t n = 512;
     const auto k = static_cast<std::uint32_t>(state.range(0));
-    const auto mode =
-        k > n / 2 ? core::algorithm_mode::unordered : core::algorithm_mode::ordered;
-    const auto cfg = core::protocol_config::make(mode, n, k);
-    const auto dist = workload::make_bias_one(n, k);
+    const bool unordered = k > n / 2;
+    const auto cfg = core::protocol_config::make(
+        unordered ? core::algorithm_mode::unordered : core::algorithm_mode::ordered, n, k);
+    scenario::scenario_params params;
+    params.n = n;
+    params.k = k;
     for (auto _ : state) {
-        const auto runs = run_repeated(cfg, dist, 3, 0xed000 + k);
+        const auto runs = run_scenario(unordered ? "plurality/unordered" : "plurality/ordered",
+                                       params, 3, 0xed000 + k);
         report(state, runs);
-        state.counters["pt_per_k"] = runs.mean_parallel_time / static_cast<double>(k);
+        state.counters["pt_per_k"] = runs.summary.time_stats.mean / static_cast<double>(k);
         state.counters["large_k"] = cfg.large_k ? 1.0 : 0.0;
     }
 }

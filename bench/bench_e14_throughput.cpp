@@ -10,24 +10,23 @@
 //    The single-thread rows are the per-core throughput trajectory tracked
 //    across PRs; the multi-thread rows measure trial-level scaling.
 //
-//  * EndToEnd — full `run_to_consensus` batches through `run_repeated`,
-//    i.e. exactly what the E1–E13 experiments execute, reporting the
-//    standard counters including `interactions_per_sec`.
+//  * EndToEnd — full `plurality/<mode>` scenario batches through
+//    `bench::run_scenario`, i.e. exactly what the E1–E13 experiments
+//    execute, reporting the standard counters including
+//    `interactions_per_sec`.
 //
 // Rows whose populations would not fit comfortably in memory at the
 // requested concurrency are skipped with an explanatory message rather than
 // silently dropped.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "core/plurality_protocol.h"
-#include "core/result.h"
 #include "sim/simulation.h"
-#include "sim/trial_executor.h"
 #include "workload/opinion_distribution.h"
 
 namespace {
@@ -81,24 +80,21 @@ void BM_RawEngineThroughput(benchmark::State& state) {
     std::uint64_t total_interactions = 0;
     double total_seconds = 0.0;
     for (auto _ : state) {
-        const auto started = std::chrono::steady_clock::now();
-        const auto summary =
-            executor.run(trials_per_batch, 0xe14000 + n + state.range(2), [&](std::uint64_t seed) {
-                sim::rng setup(sim::derive_seed(seed, 0x5e70ull));
+        const auto batch = scenario::run_trials(
+            trials_per_batch, 0xe14000 + n + state.range(2), executor,
+            [&](std::size_t, std::uint64_t seed) {
+                sim::rng setup(sim::derive_seed(seed, sim::setup_stream));
                 auto population = core::plurality_protocol::make_population(cfg, dist, setup);
                 sim::simulation<core::plurality_protocol> s{
                     core::plurality_protocol{cfg}, std::move(population),
-                    sim::derive_seed(seed, 0x10ull)};
+                    sim::derive_seed(seed, sim::run_stream)};
                 s.run_for(budget);
-                sim::trial_outcome out;
-                out.success = true;
-                out.parallel_time = s.parallel_time();
+                scenario::scenario_outcome out;
                 out.interactions = s.interactions();
                 return out;
             });
-        const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - started;
-        total_interactions += summary.total_interactions;
-        total_seconds += elapsed.count();
+        total_interactions += batch.summary.total_interactions;
+        total_seconds += batch.wall_seconds;
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(total_interactions));
     state.counters["interactions_per_sec"] =
@@ -117,17 +113,19 @@ void BM_EndToEndThroughput(benchmark::State& state) {
     const auto n = static_cast<std::uint32_t>(state.range(0));
     const auto threads = static_cast<std::size_t>(state.range(1));
     const auto mode = mode_from_arg(state.range(2));
-    const auto cfg = core::protocol_config::make(mode, n, opinion_count);
-    const auto dist = workload::make_bias_one(n, opinion_count);
+    scenario::scenario_params params;
+    params.n = n;
+    params.k = opinion_count;
+    const std::string name = std::string{"plurality/"} + mode_name(mode);
 
     const sim::trial_executor executor{threads};
-    bench::repeated_runs runs;
+    scenario::scenario_run_result runs;
     std::uint64_t total_interactions = 0;
     double total_seconds = 0.0;
     for (auto _ : state) {
-        runs = bench::run_repeated(cfg, dist, trials_per_batch, 0xe14900 + n + state.range(2),
-                                   executor);
-        total_interactions += runs.total_interactions;
+        runs = bench::run_scenario(name.c_str(), params, trials_per_batch,
+                                   0xe14900 + n + state.range(2), executor);
+        total_interactions += runs.summary.total_interactions;
         total_seconds += runs.wall_seconds;
     }
     // The deterministic counters are identical every iteration.  The timing
@@ -135,7 +133,7 @@ void BM_EndToEndThroughput(benchmark::State& state) {
     // don't scale with Google Benchmark's auto-chosen iteration count, while
     // still using every iteration's data (the ratio is unaffected).
     if (state.iterations() > 0) {
-        runs.total_interactions = total_interactions / state.iterations();
+        runs.summary.total_interactions = total_interactions / state.iterations();
         runs.wall_seconds = total_seconds / static_cast<double>(state.iterations());
     }
     bench::report(state, runs);

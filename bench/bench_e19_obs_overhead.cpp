@@ -29,12 +29,12 @@
 // counter; docs/OBSERVABILITY.md documents the methodology.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "analysis/stats.h"
 #include "baselines/usd_plurality.h"
 #include "bench/bench_common.h"
 #include "epidemic/epidemic.h"
@@ -146,15 +146,12 @@ void BM_ObsOverhead(benchmark::State& state) {
     // median over iterations (see the function comment).  >= 0.98 means the
     // instrumentation costs at most 2% of the hot loop.  Its quartiles and
     // the totals ratio are reported alongside.
-    std::sort(iteration_ratios.begin(), iteration_ratios.end());
-    const auto ratio_quantile = [&](std::size_t numerator, std::size_t denominator) {
-        return iteration_ratios.empty()
-                   ? 0.0
-                   : iteration_ratios[iteration_ratios.size() * numerator / denominator];
+    const auto ratio_quantile = [&iteration_ratios](double p) {
+        return iteration_ratios.empty() ? 0.0 : analysis::percentile(iteration_ratios, p);
     };
-    state.counters["throughput_ratio"] = ratio_quantile(1, 2);
-    state.counters["throughput_ratio_q1"] = ratio_quantile(1, 4);
-    state.counters["throughput_ratio_q3"] = ratio_quantile(3, 4);
+    state.counters["throughput_ratio"] = ratio_quantile(0.5);
+    state.counters["throughput_ratio_q1"] = ratio_quantile(0.25);
+    state.counters["throughput_ratio_q3"] = ratio_quantile(0.75);
     state.counters["totals_throughput_ratio"] =
         enabled_seconds > 0.0 ? disabled_seconds / enabled_seconds : 0.0;
     state.counters["enabled_seconds"] = enabled_seconds;

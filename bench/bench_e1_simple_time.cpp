@@ -10,14 +10,14 @@ using namespace plurality::bench;
 
 void BM_SimpleTime_N(benchmark::State& state) {
     const auto n = static_cast<std::uint32_t>(state.range(0));
-    const std::uint32_t k = 4;
-    const auto cfg = core::protocol_config::make(core::algorithm_mode::ordered, n, k);
-    const auto dist = workload::make_bias_one(n, k);
+    scenario::scenario_params params;
+    params.n = n;
+    params.k = 4;
     for (auto _ : state) {
-        const auto runs = run_repeated(cfg, dist, 5, 0xe1000 + n);
+        const auto runs = run_scenario("plurality/ordered", params, 5, 0xe1000 + n);
         report(state, runs);
         state.counters["pt_per_log2n"] =
-            runs.mean_parallel_time / std::log2(static_cast<double>(n));
+            runs.summary.time_stats.mean / std::log2(static_cast<double>(n));
     }
 }
 BENCHMARK(BM_SimpleTime_N)
@@ -29,14 +29,14 @@ BENCHMARK(BM_SimpleTime_N)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SimpleTime_K(benchmark::State& state) {
-    const std::uint32_t n = 1024;
     const auto k = static_cast<std::uint32_t>(state.range(0));
-    const auto cfg = core::protocol_config::make(core::algorithm_mode::ordered, n, k);
-    const auto dist = workload::make_bias_one(n, k);
+    scenario::scenario_params params;
+    params.n = 1024;
+    params.k = k;
     for (auto _ : state) {
-        const auto runs = run_repeated(cfg, dist, 5, 0xe1500 + k);
+        const auto runs = run_scenario("plurality/ordered", params, 5, 0xe1500 + k);
         report(state, runs);
-        state.counters["pt_per_k"] = runs.mean_parallel_time / static_cast<double>(k);
+        state.counters["pt_per_k"] = runs.summary.time_stats.mean / static_cast<double>(k);
     }
 }
 BENCHMARK(BM_SimpleTime_K)

@@ -10,14 +10,14 @@ using namespace plurality::bench;
 
 void BM_UnorderedTime_N(benchmark::State& state) {
     const auto n = static_cast<std::uint32_t>(state.range(0));
-    const std::uint32_t k = 4;
-    const auto cfg = core::protocol_config::make(core::algorithm_mode::unordered, n, k);
-    const auto dist = workload::make_bias_one(n, k);
+    scenario::scenario_params params;
+    params.n = n;
+    params.k = 4;
     for (auto _ : state) {
-        const auto runs = run_repeated(cfg, dist, 3, 0xe3000 + n);
+        const auto runs = run_scenario("plurality/unordered", params, 3, 0xe3000 + n);
         report(state, runs);
         const double log2n = std::log2(static_cast<double>(n));
-        state.counters["pt_per_log2sq"] = runs.mean_parallel_time / (log2n * log2n);
+        state.counters["pt_per_log2sq"] = runs.summary.time_stats.mean / (log2n * log2n);
     }
 }
 BENCHMARK(BM_UnorderedTime_N)
@@ -29,14 +29,14 @@ BENCHMARK(BM_UnorderedTime_N)
     ->Unit(benchmark::kMillisecond);
 
 void BM_UnorderedTime_K(benchmark::State& state) {
-    const std::uint32_t n = 1024;
     const auto k = static_cast<std::uint32_t>(state.range(0));
-    const auto cfg = core::protocol_config::make(core::algorithm_mode::unordered, n, k);
-    const auto dist = workload::make_bias_one(n, k);
+    scenario::scenario_params params;
+    params.n = 1024;
+    params.k = k;
     for (auto _ : state) {
-        const auto runs = run_repeated(cfg, dist, 3, 0xe3500 + k);
+        const auto runs = run_scenario("plurality/unordered", params, 3, 0xe3500 + k);
         report(state, runs);
-        state.counters["pt_per_k"] = runs.mean_parallel_time / static_cast<double>(k);
+        state.counters["pt_per_k"] = runs.summary.time_stats.mean / static_cast<double>(k);
     }
 }
 BENCHMARK(BM_UnorderedTime_K)
@@ -51,11 +51,11 @@ BENCHMARK(BM_UnorderedTime_K)
 // the additive overhead.
 void BM_OrderedReference(benchmark::State& state) {
     const auto n = static_cast<std::uint32_t>(state.range(0));
-    const std::uint32_t k = 4;
-    const auto cfg = core::protocol_config::make(core::algorithm_mode::ordered, n, k);
-    const auto dist = workload::make_bias_one(n, k);
+    scenario::scenario_params params;
+    params.n = n;
+    params.k = 4;
     for (auto _ : state) {
-        const auto runs = run_repeated(cfg, dist, 3, 0xe3900 + n);
+        const auto runs = run_scenario("plurality/ordered", params, 3, 0xe3900 + n);
         report(state, runs);
     }
 }

@@ -4,8 +4,11 @@
 #include <algorithm>
 
 #include "bench_common.h"
+#include "core/plurality_protocol.h"
+#include "core/result.h"
 #include "sim/convergence.h"
 #include "sim/simulation.h"
+#include "workload/opinion_distribution.h"
 
 namespace {
 

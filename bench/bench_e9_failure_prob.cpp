@@ -4,21 +4,43 @@
 // needed: too-short phases break the synchronization assumptions and the
 // failure rate jumps.
 #include "bench_common.h"
+#include "core/config.h"
+#include "core/result.h"
+#include "workload/opinion_distribution.h"
 
 namespace {
 
 using namespace plurality;
 using namespace plurality::bench;
 
+/// `bench_trials(trials)` runs of the ordered protocol under an ablated
+/// `cfg` from the bias-1 instance at cfg's n and k.  No scenario builds such
+/// a configuration, so the trial body is `core::run_to_consensus`, which
+/// seeds and checks a run as the scenario driver does.
+scenario::scenario_run_result run_ablation(const core::protocol_config& cfg, std::size_t trials,
+                                           std::uint64_t base_seed) {
+    const auto dist = workload::make_bias_one(cfg.n, cfg.k);
+    return scenario::run_trials(
+        bench_trials(trials), base_seed, shared_executor(), [&](std::size_t, std::uint64_t seed) {
+            const auto r = core::run_to_consensus(cfg, dist, seed);
+            scenario::scenario_outcome out;
+            out.converged = r.converged;
+            out.correct = r.correct;
+            out.parallel_time = r.parallel_time;
+            out.interactions = r.interactions;
+            return out;
+        });
+}
+
 void BM_FailureRate_N(benchmark::State& state) {
     const auto n = static_cast<std::uint32_t>(state.range(0));
-    const std::uint32_t k = 3;
-    const auto cfg = core::protocol_config::make(core::algorithm_mode::ordered, n, k);
-    const auto dist = workload::make_bias_one(n, k);
+    scenario::scenario_params params;
+    params.n = n;
+    params.k = 3;
     for (auto _ : state) {
-        const auto runs = run_repeated(cfg, dist, 20, 0xe9000 + n);
+        const auto runs = run_scenario("plurality/ordered", params, 20, 0xe9000 + n);
         report(state, runs);
-        state.counters["failure_rate"] = 1.0 - runs.success_rate;
+        state.counters["failure_rate"] = 1.0 - runs.summary.success_rate();
     }
 }
 BENCHMARK(BM_FailureRate_N)
@@ -42,12 +64,11 @@ void BM_PsiAblation(benchmark::State& state) {
     cfg.k = k;
     cfg.psi_factor = psi_factor;
     cfg.finalize();
-    const auto dist = workload::make_bias_one(n, k);
     for (auto _ : state) {
-        const auto runs = run_repeated(cfg, dist, 12, 0xe9500 + psi_factor);
+        const auto runs = run_ablation(cfg, 12, 0xe9500 + psi_factor);
         report(state, runs);
         state.counters["psi"] = static_cast<double>(cfg.psi);
-        state.counters["failure_rate"] = 1.0 - runs.success_rate;
+        state.counters["failure_rate"] = 1.0 - runs.summary.success_rate();
     }
 }
 BENCHMARK(BM_PsiAblation)
@@ -70,9 +91,8 @@ void BM_TokenCapAblation(benchmark::State& state) {
     cfg.k = k;
     cfg.token_cap = cap;
     cfg.finalize();
-    const auto dist = workload::make_bias_one(n, k);
     for (auto _ : state) {
-        const auto runs = run_repeated(cfg, dist, 8, 0xe9900 + cap);
+        const auto runs = run_ablation(cfg, 8, 0xe9900 + cap);
         report(state, runs);
         state.counters["token_cap"] = static_cast<double>(cap);
     }

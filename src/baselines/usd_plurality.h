@@ -73,16 +73,4 @@ template <sim::view::population_of<usd_agent> Pop>
                                                                       std::uint64_t beta,
                                                                       std::uint64_t undecided);
 
-/// Outcome of one USD run.
-struct usd_result {
-    bool converged = false;
-    bool correct = false;
-    std::uint32_t winner_opinion = 0;
-    double parallel_time = 0.0;
-};
-
-/// Runs USD until consensus or until `time_budget` parallel time.
-[[nodiscard]] usd_result run_usd(const workload::opinion_distribution& dist, std::uint64_t seed,
-                                 double time_budget);
-
 }  // namespace plurality::baselines

@@ -6,18 +6,16 @@
 namespace plurality::core {
 
 consensus_result run_to_consensus(const protocol_config& cfg,
-                                  const workload::opinion_distribution& dist, std::uint64_t seed,
-                                  double time_budget) {
-    sim::rng setup_gen(sim::derive_seed(seed, 0x5e70ull));
+                                  const workload::opinion_distribution& dist, std::uint64_t seed) {
+    sim::rng setup_gen(sim::derive_seed(seed, sim::setup_stream));
     plurality_protocol protocol{cfg};
     auto population = plurality_protocol::make_population(cfg, dist, setup_gen);
     sim::simulation<plurality_protocol> simulation{std::move(protocol), std::move(population),
-                                                   sim::derive_seed(seed, 0x10ull)};
+                                                   sim::derive_seed(seed, sim::run_stream)};
 
-    if (time_budget <= 0.0) time_budget = cfg.default_time_budget();
     const auto done = [](const auto& s) { return all_winners(s); };
-    const auto run = sim::converge(simulation, done, sim::interaction_budget(time_budget, cfg.n),
-                                   4ull * cfg.n);
+    const auto run = sim::converge(simulation, done,
+                                   sim::interaction_budget(cfg.default_time_budget(), dist.n()));
 
     consensus_result result;
     result.parallel_time = run.parallel_time;

@@ -25,12 +25,16 @@ struct consensus_result {
     std::uint64_t interactions = 0;
 };
 
-/// Runs the configured protocol on the given initial distribution until all
-/// agents output a winner (or `time_budget` parallel time elapses;
-/// 0 = config's default budget).  Fully deterministic in `seed`.
+/// Runs the configured protocol on the agent backend from the given initial
+/// distribution until all agents output a winner, or until the config's
+/// default parallel-time budget elapses.  It seeds, lays out and checks the
+/// run as the scenario driver does (sim::setup_stream and sim::run_stream,
+/// a check every n interactions), so on a `plurality/<mode>` scenario's own
+/// (cfg, dist) it runs exactly that scenario's trial of `seed`; it exists
+/// for configurations no scenario builds, such as E9's ablations.
 [[nodiscard]] consensus_result run_to_consensus(const protocol_config& cfg,
                                                 const workload::opinion_distribution& dist,
-                                                std::uint64_t seed, double time_budget = 0.0);
+                                                std::uint64_t seed);
 
 // -- readouts ----------------------------------------------------------------
 //

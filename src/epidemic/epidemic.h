@@ -59,9 +59,4 @@ template <sim::view::population_of<epidemic_agent> Pop>
                              [payload](const epidemic_agent& a) { return a.payload == payload; });
 }
 
-/// Runs a broadcast from `sources` informed agents out of `n` and returns the
-/// parallel time until everyone is informed.
-[[nodiscard]] double measure_broadcast_time(std::uint32_t n, std::uint32_t sources,
-                                            std::uint64_t seed);
-
 }  // namespace plurality::epidemic

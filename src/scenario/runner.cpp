@@ -1,11 +1,10 @@
 #include "scenario/runner.h"
 
 #include <algorithm>
-#include <chrono>
 #include <new>
-#include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace plurality::scenario {
 
@@ -14,7 +13,7 @@ namespace {
 /// The one-line error for a trial count whose per-trial outcome slots do not
 /// fit in memory: it names the flag, the count and the bytes the slots need
 /// (trials × sizeof(scenario_outcome), which can exceed 64 bits).
-std::runtime_error trial_outcomes_too_large(std::size_t trials) {
+std::runtime_error outcome_slots_too_large(std::size_t trials) {
     constexpr std::size_t slot_bytes = sizeof(scenario_outcome);
     std::string bytes;
     for (auto b = static_cast<__uint128_t>(trials) * slot_bytes; bytes.empty() || b != 0;
@@ -60,36 +59,45 @@ scenario_run_summary summarize_outcomes(const std::vector<scenario_outcome>& out
     return summary;
 }
 
+namespace detail {
+
+std::vector<scenario_outcome> outcome_slots(std::size_t trials) {
+    try {
+        return std::vector<scenario_outcome>(trials);
+    } catch (const std::length_error&) {
+        throw outcome_slots_too_large(trials);
+    } catch (const std::bad_alloc&) {
+        throw outcome_slots_too_large(trials);
+    }
+}
+
+scenario_run_result batch_result(std::vector<scenario_outcome> outcomes, double wall_seconds,
+                                 std::size_t executor_threads) {
+    scenario_run_result result;
+    result.summary = summarize_outcomes(outcomes);
+    result.outcomes = std::move(outcomes);
+    result.wall_seconds = wall_seconds;
+    result.threads = std::max<std::size_t>(1, std::min(executor_threads, result.summary.trials));
+    if (result.wall_seconds > 0.0) {
+        result.thread_utilization = result.summary.trial_wall_seconds_total /
+                                    (result.wall_seconds * static_cast<double>(result.threads));
+    }
+    return result;
+}
+
+}  // namespace detail
+
 scenario_run_result run_scenario_trials(const any_scenario& s, const scenario_params& params,
                                         std::size_t trials, std::uint64_t base_seed,
                                         const sim::trial_executor& executor,
                                         backend_kind backend, const run_options& options) {
     run_options untraced = options;
     untraced.trace_csv = nullptr;  // only trial 0 is traced (see runner.h)
-
-    scenario_run_result result;
-    try {
-        result.outcomes.resize(trials);
-    } catch (const std::length_error&) {
-        throw trial_outcomes_too_large(trials);
-    } catch (const std::bad_alloc&) {
-        throw trial_outcomes_too_large(trials);
-    }
-    const auto wall_start = std::chrono::steady_clock::now();
-    executor.map(std::span{result.outcomes}, base_seed,
-                 [&s, &params, backend, &options, &untraced](std::size_t trial,
-                                                             std::uint64_t seed) {
-                     return s.run(params, seed, backend, trial == 0 ? options : untraced);
-                 });
-    const auto wall_end = std::chrono::steady_clock::now();
-    result.summary = summarize_outcomes(result.outcomes);
-    result.wall_seconds = std::chrono::duration<double>(wall_end - wall_start).count();
-    result.threads = std::max<std::size_t>(1, std::min(executor.threads(), trials));
-    if (result.wall_seconds > 0.0) {
-        result.thread_utilization = result.summary.trial_wall_seconds_total /
-                                    (result.wall_seconds * static_cast<double>(result.threads));
-    }
-    return result;
+    return run_trials(trials, base_seed, executor,
+                      [&s, &params, backend, &options, &untraced](std::size_t trial,
+                                                                  std::uint64_t seed) {
+                          return s.run(params, seed, backend, trial == 0 ? options : untraced);
+                      });
 }
 
 }  // namespace plurality::scenario

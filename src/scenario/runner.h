@@ -1,14 +1,20 @@
-// Multi-trial execution of registered scenarios: the glue between the
-// type-erased scenario layer and the seed-indexed trial executor.
+// Multi-trial execution: the one batch runner, over the seed-indexed trial
+// executor.  `run_trials` fans any (index, seed) → scenario_outcome trial
+// body out and summarizes it; `run_scenario_trials` is that runner with a
+// registered scenario's trial as the body, which the experiment CLI, the
+// benchmarks and the tests all call.
 //
-// The summary is a pure function of (scenario, params, trials, base_seed) —
-// trial i always runs the stream derive_seed(base_seed, i) and aggregation
-// walks the outcomes in index order, so two runs with equal seeds agree
-// bitwise at any thread count (the experiment CLI's JSON documents rely on
-// this).
+// The summary is a pure function of (body, trials, base_seed) — trial i
+// always runs the stream derive_seed(base_seed, i) and aggregation walks the
+// outcomes in index order, so two runs with equal seeds agree bitwise at any
+// thread count (the experiment CLI's JSON documents rely on this).
 #pragma once
 
+#include <chrono>
+#include <concepts>
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "analysis/stats.h"
@@ -56,20 +62,46 @@ struct scenario_run_result {
 [[nodiscard]] scenario_run_summary summarize_outcomes(
     const std::vector<scenario_outcome>& outcomes);
 
-/// Runs `trials` independent executions of `s` under `params`, fanned out
-/// over `executor`, on the chosen simulation backend (agent by default; see
-/// scenario.h's backend_kind).  The determinism contract extends naturally:
-/// the summary is a pure function of (scenario, params, trials, base_seed,
-/// backend).
+namespace detail {
+/// `trials` default outcome slots, or the one-line std::runtime_error naming
+/// `--trials`, the count and the bytes the slots need when they do not fit
+/// in memory.
+[[nodiscard]] std::vector<scenario_outcome> outcome_slots(std::size_t trials);
+/// The result of a batch whose outcomes are in place: their summary and the
+/// batch's execution-level measurements.
+[[nodiscard]] scenario_run_result batch_result(std::vector<scenario_outcome> outcomes,
+                                               double wall_seconds, std::size_t executor_threads);
+}  // namespace detail
+
+/// Runs `trials` independent trials, `trial(i, derive_seed(base_seed, i))`
+/// for trial i, fanned out over `executor`, and summarizes them: converged
+/// trials enter `time_stats`, correct ones the success rate.  `trial` must
+/// be safe to call concurrently when the executor has more than one thread.
+///
+/// The per-trial outcome slots are allocated before any trial runs; when
+/// they do not fit in memory the call throws a one-line std::runtime_error
+/// naming `--trials`, the count and the bytes the slots need.
+template <class Trial>
+    requires std::invocable<Trial&, std::size_t, std::uint64_t>
+[[nodiscard]] scenario_run_result run_trials(std::size_t trials, std::uint64_t base_seed,
+                                             const sim::trial_executor& executor,
+                                             Trial&& trial) {
+    auto outcomes = detail::outcome_slots(trials);
+    const auto wall_start = std::chrono::steady_clock::now();
+    executor.map(std::span{outcomes}, base_seed, trial);
+    const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - wall_start;
+    return detail::batch_result(std::move(outcomes), wall.count(), executor.threads());
+}
+
+/// `run_trials` with the scenario's trial as the body: `trials` independent
+/// executions of `s` under `params` on the chosen simulation backend (agent
+/// by default; see scenario.h's backend_kind).  The summary is a pure
+/// function of (scenario, params, trials, base_seed, backend).
 ///
 /// `options` carries recording hooks only; it never alters outcomes.  The
 /// progress heartbeat applies to every trial, and `options.trace_csv`
 /// receives trial 0's trace (the series a single any_scenario::run of seed
 /// derive_seed(base_seed, 0) writes).
-///
-/// The per-trial outcome slots are allocated before any trial runs; when
-/// they do not fit in memory the call throws a one-line std::runtime_error
-/// naming `--trials`, the count and the bytes the slots need.
 [[nodiscard]] scenario_run_result run_scenario_trials(
     const any_scenario& s, const scenario_params& params, std::size_t trials,
     std::uint64_t base_seed, const sim::trial_executor& executor,

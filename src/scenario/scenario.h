@@ -227,13 +227,12 @@ concept scenario_spec =
         { s.time_budget(p) } -> std::convertible_to<double>;
     };
 
-/// Seed streams the scenario driver derives from a trial seed: one for setup
-/// randomness (workload sampling, the agent backend's shuffle), one for the
-/// interaction schedule.  Every backend uses the same setup stream — a trial
-/// seed fixes one initial configuration regardless of backend — and each
-/// consumes the run stream its own way.
-inline constexpr std::uint64_t scenario_setup_stream = 0x5ce7a0ull;
-inline constexpr std::uint64_t scenario_run_stream = 0x5ce7a1ull;
+/// The seed streams of sim/rng.h under the names the benchmark program
+/// reads.  Every backend uses the same setup stream — a trial seed fixes one
+/// initial configuration regardless of backend — and each consumes the run
+/// stream its own way.
+inline constexpr std::uint64_t scenario_setup_stream = sim::setup_stream;
+inline constexpr std::uint64_t scenario_run_stream = sim::run_stream;
 
 /// Type-erased scenario: owns a name, family and description plus the erased
 /// spec.  Copy is cheap (shared immutable model).
@@ -281,9 +280,9 @@ private:
                 throw std::invalid_argument("scenario requires a population of n >= 2");
             using protocol_t = typename S::protocol_t;
             S spec = spec_;  // fresh per-run state
-            sim::rng setup(sim::derive_seed(seed, scenario_setup_stream));
+            sim::rng setup(sim::derive_seed(seed, sim::setup_stream));
             auto protocol = spec.make_protocol(params, setup);
-            const std::uint64_t run_seed = sim::derive_seed(seed, scenario_run_stream);
+            const std::uint64_t run_seed = sim::derive_seed(seed, sim::run_stream);
             switch (backend) {
                 case backend_kind::agent: {
                     std::vector<typename protocol_t::agent_t> agents;

@@ -106,4 +106,11 @@ private:
 /// Used by the multi-trial driver to give each trial its own stream.
 [[nodiscard]] std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t stream) noexcept;
 
+/// The two streams every trial derives from its seed: one for setup
+/// randomness (workload sampling, the agent backend's shuffle), one for the
+/// interaction schedule.  The scenario driver and `core::run_to_consensus`
+/// both use them, so a trial seed names one trajectory everywhere.
+inline constexpr std::uint64_t setup_stream = 0x5ce7a0ull;
+inline constexpr std::uint64_t run_stream = 0x5ce7a1ull;
+
 }  // namespace plurality::sim

@@ -10,16 +10,10 @@
 // starting the workers per batch does not show in the throughput, and no
 // thread outlives the call that needed it.
 //
-// Determinism contract: for a fixed `(trials, base_seed, trial)` the summary
-// is bitwise identical at every thread count.  Two ingredients make this
-// hold: per-trial seed derivation is index-based (not order-of-execution
-// based), and outcomes are collected into a slot-per-trial vector that is
-// aggregated sequentially in index order after all workers finish.
-//
-// Two entry points share that contract: `run` (trial_outcome batches, the
-// benchmark path) and the generic `map` (any result type, written into
-// slots the caller allocated — the primitive the scenario runner fans
-// trials out through, on every simulation backend).
+// Determinism contract: slot i of a batch holds `fn(i, derive_seed(base_seed,
+// i))` at every thread count.  The one batch runner built on `map`,
+// scenario::run_trials (scenario/runner.h), folds those slots in index
+// order, so its summary is bitwise identical at every thread count.
 #pragma once
 
 #include <algorithm>
@@ -33,49 +27,19 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/stats.h"
 #include "sim/rng.h"
 
 namespace plurality::sim {
 
-/// Outcome of one randomized trial.
-struct trial_outcome {
-    bool success = false;            ///< did the protocol reach the correct output?
-    double parallel_time = 0.0;      ///< parallel time at convergence (or budget)
-    std::uint64_t interactions = 0;  ///< interactions executed (throughput accounting)
-};
-
-/// Aggregated view over many trials.
-struct trial_summary {
-    std::size_t trials = 0;
-    std::size_t successes = 0;
-    analysis::summary_stats time_stats;    ///< over successful trials
-    std::uint64_t total_interactions = 0;  ///< over all trials
-
-    [[nodiscard]] double success_rate() const noexcept {
-        return trials == 0 ? 0.0 : static_cast<double>(successes) / static_cast<double>(trials);
-    }
-};
-
-/// Folds per-trial outcomes (in index order) into a summary; the out-of-line
-/// step of `trial_executor::run`.
-[[nodiscard]] trial_summary aggregate_trials(std::span<const trial_outcome> outcomes);
-
-/// A callable usable as a trial body: maps a seed to its outcome.
-template <class T>
-concept trial_fn = requires(T& t, std::uint64_t seed) {
-    { t(seed) } -> std::convertible_to<trial_outcome>;
-};
-
 /// Runs batches of independent trials, on the calling thread or on at most
 /// `threads()` workers (never more than one per trial).
 ///
-/// Thread safety: `run` may be called repeatedly from one thread; the
+/// Thread safety: `map` may be called repeatedly from one thread; the
 /// executor is not itself thread-safe.  The trial callable must be safe to
 /// invoke concurrently from multiple threads when `threads() > 1` — pure
-/// functions of the seed (the normal case: `run_to_consensus` and friends)
-/// always are; callables that capture and mutate shared state are not and
-/// belong on a sequential `trial_executor{1}` instead.
+/// functions of the seed (the normal case: a scenario trial or
+/// `run_to_consensus`) always are; callables that capture and mutate shared
+/// state are not and belong on a sequential `trial_executor{1}` instead.
 class trial_executor {
 public:
     /// `threads == 0` resolves to the hardware concurrency (at least 1).
@@ -84,19 +48,9 @@ public:
 
     [[nodiscard]] std::size_t threads() const noexcept { return threads_; }
 
-    template <trial_fn Trial>
-    [[nodiscard]] trial_summary run(std::size_t trials, std::uint64_t base_seed,
-                                    Trial&& trial) const {
-        std::vector<trial_outcome> outcomes(trials);
-        map(std::span{outcomes}, base_seed,
-            [&trial](std::size_t, std::uint64_t seed) { return trial(seed); });
-        return aggregate_trials(outcomes);
-    }
-
-    /// Generic seed-indexed fan-out: assigns `fn(i, derive_seed(base_seed,
-    /// i))` to `results[i]` for every slot i, so a caller can treat one trial
-    /// apart by its index.  The same determinism contract as `run` holds —
-    /// slot i's value never depends on the thread count.  The caller
+    /// Seed-indexed fan-out: assigns `fn(i, derive_seed(base_seed, i))` to
+    /// `results[i]` for every slot i, so a caller can treat one trial apart
+    /// by its index.  Slot i's value never depends on the thread count.  The caller
     /// allocates the slots, so an allocation failure surfaces before any
     /// worker starts.  `fn` must be safe to invoke concurrently when
     /// `threads() > 1`.

@@ -1,10 +1,13 @@
 // Tests of the USD approximate-plurality baseline and its positioning
-// against the exact protocols (§1, experiment E10).
+// against the exact protocols (§1, experiment E10).  Whole runs go through
+// the registered `baselines/usd` scenario.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "baselines/usd_plurality.h"
+#include "scenario/registry.h"
+#include "scenario/runner.h"
 #include "sim/census_store.h"
 #include "sim/simulation.h"
 #include "sim/trial_executor.h"
@@ -14,7 +17,24 @@ namespace {
 
 using namespace plurality::baselines;
 using namespace plurality::workload;
+using plurality::scenario::scenario_params;
 using plurality::sim::trial_executor;
+
+const plurality::scenario::any_scenario& usd() {
+    return *plurality::scenario::scenario_registry::instance().find("baselines/usd");
+}
+
+/// USD at n agents and k opinions on the bias-1 workload with support gap
+/// `bias`, cut off after `time_budget` parallel time.
+scenario_params usd_params(std::uint32_t n, std::uint32_t k, std::uint32_t bias,
+                           double time_budget) {
+    scenario_params params;
+    params.n = n;
+    params.k = k;
+    params.bias = bias;
+    params.time_budget = time_budget;
+    return params;
+}
 
 TEST(UsdPlurality, TransitionRules) {
     usd_plurality_protocol proto;
@@ -46,16 +66,13 @@ TEST(UsdPlurality, ConsensusHelpers) {
 
 TEST(UsdPlurality, LargeBiasConvergesFastAndCorrectly) {
     const std::uint32_t n = 4096;
-    // Bias of n/4: far above the sqrt(n log n) threshold.
-    opinion_distribution dist{{n / 2 + n / 4, n / 4}};
-    const auto summary = trial_executor{1}.run(10, 17, [&](std::uint64_t seed) {
-        const auto r = run_usd(dist, seed, 500.0);
-        plurality::sim::trial_outcome out;
-        out.success = r.correct;
-        out.parallel_time = r.parallel_time;
-        return out;
-    });
-    EXPECT_EQ(summary.successes, summary.trials);
+    // Bias of n/2 (n/2 + n/4 against n/4): far above the sqrt(n log n)
+    // threshold.
+    const auto params = usd_params(n, 2, n / 2, 500.0);
+    ASSERT_EQ(make_bias_one(n, 2, n / 2).support_of(2), n / 4);
+    const auto summary =
+        plurality::scenario::run_scenario_trials(usd(), params, 10, 17, trial_executor{1}).summary;
+    EXPECT_EQ(summary.correct, summary.trials);
     EXPECT_LT(summary.time_stats.mean, 12.0 * std::log2(n));
 }
 
@@ -63,24 +80,22 @@ TEST(UsdPlurality, BiasOneIsEssentiallyACoinFlip) {
     // The gap the paper closes: USD converges fast but picks the wrong
     // opinion about half the time at bias 1.
     const std::uint32_t n = 1024;
-    const auto dist = make_bias_one(n + 1, 2);  // odd total => bias exactly 1
-    ASSERT_EQ(dist.bias(), 1u);
-    const auto summary = trial_executor{1}.run(60, 29, [&](std::uint64_t seed) {
-        const auto r = run_usd(dist, seed, 4000.0);
-        plurality::sim::trial_outcome out;
-        out.success = r.correct;
-        return out;
-    });
-    EXPECT_GT(summary.successes, summary.trials / 4);
-    EXPECT_LT(summary.successes, 3 * summary.trials / 4);
+    ASSERT_EQ(make_bias_one(n + 1, 2).bias(), 1u);  // odd total => bias exactly 1
+    const auto params = usd_params(n + 1, 2, 1, 4000.0);
+    const auto summary =
+        plurality::scenario::run_scenario_trials(usd(), params, 60, 29, trial_executor{1}).summary;
+    EXPECT_GT(summary.correct, summary.trials / 4);
+    EXPECT_LT(summary.correct, 3 * summary.trials / 4);
 }
 
 TEST(UsdPlurality, ManyOpinionsStillConverge) {
-    plurality::sim::rng gen(3);
-    const auto dist = make_zipf(2048, 8, 1.5, gen);
-    const auto r = run_usd(dist, 7, 2000.0);
-    EXPECT_TRUE(r.converged);
-    EXPECT_NE(r.winner_opinion, 0u);
+    auto params = usd_params(2048, 8, 1, 2000.0);
+    params.workload = "zipf";
+    params.zipf_s = 1.5;
+    const auto out = usd().run(params, 7);
+    EXPECT_TRUE(out.converged);
+    ASSERT_EQ(out.metrics.front().name, "winner_opinion");
+    EXPECT_NE(out.metrics.front().value, 0.0);
 }
 
 TEST(UsdPlurality, PopulationConstructionMatchesDistribution) {

@@ -8,14 +8,14 @@
 #include "core/result.h"
 #include "sim/convergence.h"
 #include "sim/simulation.h"
-#include "sim/trial_executor.h"
+#include "test_support.h"
 
 namespace {
 
 using namespace plurality::core;
 using namespace plurality::workload;
 using plurality::sim::converge;
-using plurality::sim::trial_executor;
+using plurality::test::consensus_trials;
 
 TEST(ImprovedAlgorithm, ConvergesAtBiasOne) {
     const auto cfg = protocol_config::make(algorithm_mode::improved, 1024, 4);
@@ -31,15 +31,8 @@ TEST_P(ImprovedSweep, PluralityWinsAtBiasOne) {
     const auto [n, k] = GetParam();
     const auto dist = make_bias_one(n, k);
     const auto cfg = protocol_config::make(algorithm_mode::improved, n, k);
-    const auto summary =
-        trial_executor{1}.run(5, 7000 + n + k, [&](std::uint64_t seed) {
-            const auto r = run_to_consensus(cfg, dist, seed);
-            plurality::sim::trial_outcome out;
-            out.success = r.correct;
-            out.parallel_time = r.parallel_time;
-            return out;
-        });
-    EXPECT_GE(summary.successes + 1, summary.trials) << "n=" << n << " k=" << k;
+    const auto summary = consensus_trials(cfg, dist, 5, 7000 + n + k);
+    EXPECT_GE(summary.correct + 1, summary.trials) << "n=" << n << " k=" << k;
 }
 
 INSTANTIATE_TEST_SUITE_P(BiasOne, ImprovedSweep,
@@ -108,14 +101,8 @@ TEST(ImprovedAlgorithm, DominantPlusDustEndsCorrectly) {
     const std::uint32_t n = 2048;
     const auto dist = make_dominant_plus_dust(n, 0.55, 12);
     const auto cfg = protocol_config::make(algorithm_mode::improved, n, dist.k());
-    const auto summary = trial_executor{1}.run(4, 90, [&](std::uint64_t seed) {
-        const auto r = run_to_consensus(cfg, dist, seed);
-        plurality::sim::trial_outcome out;
-        out.success = r.correct;
-        out.parallel_time = r.parallel_time;
-        return out;
-    });
-    EXPECT_EQ(summary.successes, summary.trials);
+    const auto summary = consensus_trials(cfg, dist, 4, 90);
+    EXPECT_EQ(summary.correct, summary.trials);
 }
 
 TEST(ImprovedAlgorithm, TwoHeavyPlusDustBiasOne) {
@@ -124,13 +111,8 @@ TEST(ImprovedAlgorithm, TwoHeavyPlusDustBiasOne) {
     const std::uint32_t n = 2048;
     const auto dist = make_two_heavy_plus_dust(n, 1, 8);
     const auto cfg = protocol_config::make(algorithm_mode::improved, n, dist.k());
-    const auto summary = trial_executor{1}.run(5, 91, [&](std::uint64_t seed) {
-        const auto r = run_to_consensus(cfg, dist, seed);
-        plurality::sim::trial_outcome out;
-        out.success = r.correct;
-        return out;
-    });
-    EXPECT_GE(summary.successes + 1, summary.trials);
+    const auto summary = consensus_trials(cfg, dist, 5, 91);
+    EXPECT_GE(summary.correct + 1, summary.trials);
 }
 
 TEST(ImprovedAlgorithm, FasterThanUnorderedWithManyDustOpinions) {

@@ -8,7 +8,7 @@
 #include "sim/census_simulator.h"
 #include "sim/convergence.h"
 #include "sim/simulation.h"
-#include "sim/trial_executor.h"
+#include "test_support.h"
 #include "workload/opinion_distribution.h"
 
 namespace {
@@ -16,7 +16,7 @@ namespace {
 using namespace plurality::core;
 using namespace plurality::workload;
 using plurality::sim::converge;
-using plurality::sim::trial_executor;
+using plurality::test::consensus_trials;
 
 TEST(LargeK, AutoEnabledAboveTheoremLimit) {
     EXPECT_FALSE(protocol_config::make(algorithm_mode::ordered, 2048, 16).large_k);
@@ -37,14 +37,8 @@ TEST(LargeK, OrderedKOverEight) {
     const std::uint32_t k = 64;
     const auto cfg = protocol_config::make(algorithm_mode::ordered, n, k);
     const auto dist = make_bias_one(n, k);
-    const auto summary = trial_executor{1}.run(4, 0x1c0, [&](std::uint64_t seed) {
-        const auto r = run_to_consensus(cfg, dist, seed);
-        plurality::sim::trial_outcome out;
-        out.success = r.correct;
-        out.parallel_time = r.parallel_time;
-        return out;
-    });
-    EXPECT_GE(summary.successes + 1, summary.trials);
+    const auto summary = consensus_trials(cfg, dist, 4, 0x1c0);
+    EXPECT_GE(summary.correct + 1, summary.trials);
 }
 
 TEST(LargeK, UnorderedKOverEight) {
@@ -52,13 +46,8 @@ TEST(LargeK, UnorderedKOverEight) {
     const std::uint32_t k = 64;
     const auto cfg = protocol_config::make(algorithm_mode::unordered, n, k);
     const auto dist = make_bias_one(n, k);
-    const auto summary = trial_executor{1}.run(3, 0x1c1, [&](std::uint64_t seed) {
-        const auto r = run_to_consensus(cfg, dist, seed);
-        plurality::sim::trial_outcome out;
-        out.success = r.correct;
-        return out;
-    });
-    EXPECT_GE(summary.successes + 1, summary.trials);
+    const auto summary = consensus_trials(cfg, dist, 3, 0x1c1);
+    EXPECT_GE(summary.correct + 1, summary.trials);
 }
 
 TEST(LargeK, SingletonHeavyRegime) {
@@ -81,13 +70,8 @@ TEST(LargeK, SingletonHeavyRegime) {
     // Pure-function-of-seed trial body, so it rides the parallel executor:
     // the summary is bitwise identical to a sequential run, and the 30
     // trials stop dominating the suite's critical path on multi-core hosts.
-    const auto summary = plurality::sim::trial_executor{4}.run(30, 0x1c2, [&](std::uint64_t seed) {
-        const auto r = run_to_consensus(cfg, dist, seed);
-        plurality::sim::trial_outcome out;
-        out.success = r.correct;
-        return out;
-    });
-    EXPECT_GE(summary.successes, 15u);
+    const auto summary = consensus_trials(cfg, dist, 30, 0x1c2, 4);
+    EXPECT_GE(summary.correct, 15u);
 }
 
 TEST(LargeK, RolePoolsFillDespiteSingletons) {

@@ -10,14 +10,14 @@
 #include "core/result.h"
 #include "sim/convergence.h"
 #include "sim/simulation.h"
-#include "sim/trial_executor.h"
+#include "test_support.h"
 
 namespace {
 
 using namespace plurality::core;
 using namespace plurality::workload;
 using plurality::sim::converge;
-using plurality::sim::trial_executor;
+using plurality::test::consensus_trials;
 
 /// Bias-1 distribution with the plurality moved to `position` (1-based).
 opinion_distribution bias_one_at(std::uint32_t n, std::uint32_t k, std::uint32_t position) {
@@ -85,16 +85,9 @@ TEST_P(SimpleSweep, PluralityWinsAtBiasOne) {
     ASSERT_EQ(dist.plurality_opinion(), position);
     const auto cfg = protocol_config::make(algorithm_mode::ordered, n, k);
 
-    const auto summary =
-        trial_executor{1}.run(6, 1000 + n + 10 * k + position, [&](std::uint64_t seed) {
-            const auto r = run_to_consensus(cfg, dist, seed);
-            plurality::sim::trial_outcome out;
-            out.success = r.correct;
-            out.parallel_time = r.parallel_time;
-            return out;
-        });
+    const auto summary = consensus_trials(cfg, dist, 6, 1000 + n + 10 * k + position);
     // w.h.p. at these sizes: allow at most one slip in six trials.
-    EXPECT_GE(summary.successes + 1, summary.trials)
+    EXPECT_GE(summary.correct + 1, summary.trials)
         << "n=" << n << " k=" << k << " position=" << position;
 }
 

@@ -9,14 +9,14 @@
 #include "sim/census_simulator.h"
 #include "sim/convergence.h"
 #include "sim/simulation.h"
-#include "sim/trial_executor.h"
+#include "test_support.h"
 
 namespace {
 
 using namespace plurality::core;
 using namespace plurality::workload;
 using plurality::sim::converge;
-using plurality::sim::trial_executor;
+using plurality::test::consensus_trials;
 
 opinion_distribution bias_one_at(std::uint32_t n, std::uint32_t k, std::uint32_t position) {
     auto support = make_bias_one(n, k).support();
@@ -45,15 +45,8 @@ TEST_P(UnorderedSweep, PluralityWinsAtBiasOne) {
     ASSERT_EQ(dist.plurality_opinion(), position);
     const auto cfg = protocol_config::make(algorithm_mode::unordered, n, k);
 
-    const auto summary =
-        trial_executor{1}.run(6, 4000 + n + 10 * k + position, [&](std::uint64_t seed) {
-            const auto r = run_to_consensus(cfg, dist, seed);
-            plurality::sim::trial_outcome out;
-            out.success = r.correct;
-            out.parallel_time = r.parallel_time;
-            return out;
-        });
-    EXPECT_GE(summary.successes + 1, summary.trials)
+    const auto summary = consensus_trials(cfg, dist, 6, 4000 + n + 10 * k + position);
+    EXPECT_GE(summary.correct + 1, summary.trials)
         << "n=" << n << " k=" << k << " position=" << position;
 }
 
@@ -68,11 +61,12 @@ TEST(UnorderedAlgorithm, ExactlyOneLeaderEmergesTypically) {
     const auto dist = make_bias_one(n, 4);
     std::size_t good = 0;
     for (std::uint64_t seed = 0; seed < 8; ++seed) {
-        plurality::sim::rng setup(plurality::sim::derive_seed(seed, 0x5e70ull));
+        plurality::sim::rng setup(plurality::sim::derive_seed(seed, plurality::sim::setup_stream));
         plurality_protocol proto{cfg};
         auto population = plurality_protocol::make_population(cfg, dist, setup);
         plurality::sim::simulation<plurality_protocol> s{
-            std::move(proto), std::move(population), plurality::sim::derive_seed(seed, 0x10ull)};
+            std::move(proto), std::move(population),
+            plurality::sim::derive_seed(seed, plurality::sim::run_stream)};
         // Run until the tournament stage is active, then count leaders.
         const auto in_tournaments = [](const auto& sim) {
             std::size_t count = 0;

@@ -1,17 +1,40 @@
-// Unit tests for the one-way epidemic broadcast (epidemic/).
+// Unit tests for the one-way epidemic broadcast (epidemic/).  Whole
+// broadcasts go through the registered `epidemic/broadcast` scenario.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "analysis/scaling_fit.h"
 #include "epidemic/epidemic.h"
-#include "sim/simulation.h"
+#include "scenario/registry.h"
+#include "scenario/runner.h"
 #include "sim/trial_executor.h"
 
 namespace {
 
 using namespace plurality::epidemic;
+using plurality::scenario::backend_kind;
+using plurality::scenario::scenario_params;
 using plurality::sim::trial_executor;
+
+const plurality::scenario::any_scenario& broadcast() {
+    return *plurality::scenario::scenario_registry::instance().find("epidemic/broadcast");
+}
+
+scenario_params broadcast_params(std::uint32_t n, std::uint32_t sources) {
+    scenario_params params;
+    params.n = n;
+    params.sources = sources;
+    return params;
+}
+
+/// Parallel time of one broadcast from `sources` of `n` agents, which must
+/// complete within the scenario's budget.
+double broadcast_time(std::uint32_t n, std::uint32_t sources, std::uint64_t seed) {
+    const auto out = broadcast().run(broadcast_params(n, sources), seed);
+    EXPECT_TRUE(out.converged) << "n=" << n << " sources=" << sources << " seed=" << seed;
+    return out.parallel_time;
+}
 
 TEST(Epidemic, InformationOnlyFlowsFromInitiator) {
     epidemic_protocol proto;
@@ -40,7 +63,7 @@ TEST(Epidemic, PayloadIsPreserved) {
 }
 
 TEST(Epidemic, BroadcastCompletes) {
-    const double t = measure_broadcast_time(1024, 1, 99);
+    const double t = broadcast_time(1024, 1, 99);
     EXPECT_GT(t, 0.0);
     EXPECT_LT(t, 200.0);
 }
@@ -49,16 +72,21 @@ TEST(Epidemic, MoreSourcesAreFaster) {
     double single = 0.0;
     double many = 0.0;
     for (std::uint64_t s = 0; s < 10; ++s) {
-        single += measure_broadcast_time(2048, 1, 100 + s);
-        many += measure_broadcast_time(2048, 256, 200 + s);
+        single += broadcast_time(2048, 1, 100 + s);
+        many += broadcast_time(2048, 256, 200 + s);
     }
     EXPECT_LT(many, single);
 }
 
 TEST(Epidemic, RejectsBadArguments) {
-    EXPECT_THROW((void)measure_broadcast_time(1, 1, 0), std::invalid_argument);
-    EXPECT_THROW((void)measure_broadcast_time(10, 0, 0), std::invalid_argument);
-    EXPECT_THROW((void)measure_broadcast_time(10, 11, 0), std::invalid_argument);
+    for (const auto backend : {backend_kind::agent, backend_kind::census}) {
+        EXPECT_THROW((void)broadcast().run(broadcast_params(1, 1), 0, backend),
+                     std::invalid_argument);
+        EXPECT_THROW((void)broadcast().run(broadcast_params(10, 0), 0, backend),
+                     std::invalid_argument);
+        EXPECT_THROW((void)broadcast().run(broadcast_params(10, 11), 0, backend),
+                     std::invalid_argument);
+    }
 }
 
 // Lemma-level property: broadcast time grows logarithmically in n, i.e. the
@@ -67,13 +95,11 @@ TEST(Epidemic, BroadcastTimeIsLogarithmic) {
     std::vector<double> ns;
     std::vector<double> times;
     for (std::uint32_t n = 256; n <= 16384; n *= 4) {
-        const auto summary = trial_executor{1}.run(
-            10, 1000 + n, [n](std::uint64_t seed) {
-                plurality::sim::trial_outcome out;
-                out.success = true;
-                out.parallel_time = measure_broadcast_time(n, 1, seed);
-                return out;
-            });
+        const auto summary = plurality::scenario::run_scenario_trials(
+                                 broadcast(), broadcast_params(n, 1), 10, 1000 + n,
+                                 trial_executor{1})
+                                 .summary;
+        EXPECT_EQ(summary.converged, summary.trials) << "n=" << n;
         ns.push_back(n);
         times.push_back(summary.time_stats.mean);
     }

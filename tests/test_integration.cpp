@@ -11,7 +11,7 @@
 #include "core/result.h"
 #include "sim/convergence.h"
 #include "sim/simulation.h"
-#include "sim/trial_executor.h"
+#include "test_support.h"
 #include "workload/opinion_distribution.h"
 
 namespace {
@@ -108,14 +108,9 @@ TEST(Integration, AdversarialTieHeavyWorkload) {
     const auto cfg = protocol_config::make(algorithm_mode::ordered, n, 5);
     // Full-protocol trials fan out across the executor; run_to_consensus is
     // a pure function of (cfg, dist, seed), and the summary is bitwise
-    // identical to a sequential run by the executor's determinism contract.
-    const auto summary =
-        plurality::sim::trial_executor{4}.run(5, 900, [&](std::uint64_t seed) {
-            plurality::sim::trial_outcome out;
-            out.success = run_to_consensus(cfg, dist, seed).correct;
-            return out;
-        });
-    EXPECT_GE(summary.successes, 4u);
+    // identical to a sequential run by the runner's determinism contract.
+    const auto summary = plurality::test::consensus_trials(cfg, dist, 5, 900, 4);
+    EXPECT_GE(summary.correct, 4u);
 }
 
 TEST(Integration, WinnerBroadcastReachesEveryAgent) {

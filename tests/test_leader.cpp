@@ -8,6 +8,7 @@
 #include "sim/convergence.h"
 #include "sim/simulation.h"
 #include "sim/trial_executor.h"
+#include "test_support.h"
 
 namespace {
 
@@ -15,6 +16,7 @@ using namespace plurality::leader;
 using plurality::sim::simulation;
 using plurality::sim::converge;
 using plurality::sim::trial_executor;
+using plurality::test::outcome;
 
 simulation<leader_election_protocol> make_election(std::uint32_t n, std::uint64_t seed) {
     return {leader_election_protocol{default_psi(n), default_rounds(n)},
@@ -46,20 +48,19 @@ class LeaderSweep : public ::testing::TestWithParam<std::uint32_t> {};
 TEST_P(LeaderSweep, UniqueLeaderWithHighProbability) {
     const std::uint32_t n = GetParam();
     const std::uint16_t rounds = default_rounds(n);
-    const auto summary = trial_executor{1}.run(20, 40 + n, [&](std::uint64_t seed) {
+    const auto body = [&](std::size_t, std::uint64_t seed) {
         auto s = make_election(n, seed);
         const auto done = [rounds](const auto& sim) {
             return election_finished(sim, rounds);
         };
         const double budget = 200.0 * std::log2(n) * std::log2(n);
         const auto finished = converge(s, done, static_cast<std::uint64_t>(budget * n));
-        plurality::sim::trial_outcome out;
-        out.success = finished.converged && leader_count(s) == 1;
-        out.parallel_time = s.parallel_time();
-        return out;
-    });
+        return outcome(finished.converged && leader_count(s) == 1, s.parallel_time());
+    };
+    const auto summary =
+        plurality::scenario::run_trials(20, 40 + n, trial_executor{1}, body).summary;
     // w.h.p. contract: allow at most one slip across the 20 trials.
-    EXPECT_GE(summary.successes + 1, summary.trials) << "n=" << n;
+    EXPECT_GE(summary.correct + 1, summary.trials) << "n=" << n;
     EXPECT_LT(summary.time_stats.mean, 60.0 * std::log2(n) * std::log2(n));
 }
 

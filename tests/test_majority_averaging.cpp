@@ -20,6 +20,7 @@ using plurality::sim::simulation;
 using plurality::sim::converge;
 using plurality::sim::trial_executor;
 using plurality::test::expanded;
+using plurality::test::outcome;
 
 TEST(AveragingMajority, DefaultAmplificationIsLargeEnough) {
     for (std::uint32_t n : {16u, 100u, 1024u, 100000u}) {
@@ -63,22 +64,21 @@ TEST_P(AveragingBiasSweep, ExactDecisionWithinLogTime) {
     const std::uint32_t zeros = n - plus - minus;
     const std::int64_t amp = default_amplification(n);
 
-    const auto summary = trial_executor{1}.run(
-        20, 31 + static_cast<std::uint64_t>(extra + 100), [&](std::uint64_t seed) {
-            auto agents = expanded(averaging_census(plus, minus, zeros, amp), seed);
-            simulation<load_balance_protocol> s{load_balance_protocol{}, std::move(agents),
-                                                seed};
-            const auto done = [](const auto& sim) {
-                return population_verdict(sim) != majority_verdict::undecided;
-            };
-            const auto finished = converge(s, done, 600ull * n);
-            plurality::sim::trial_outcome out;
-            out.success =
-                finished.converged && population_verdict(s) == expected;
-            out.parallel_time = s.parallel_time();
-            return out;
-        });
-    EXPECT_EQ(summary.successes, summary.trials)
+    const auto body = [&](std::size_t, std::uint64_t seed) {
+        auto agents = expanded(averaging_census(plus, minus, zeros, amp), seed);
+        simulation<load_balance_protocol> s{load_balance_protocol{}, std::move(agents), seed};
+        const auto done = [](const auto& sim) {
+            return population_verdict(sim) != majority_verdict::undecided;
+        };
+        const auto finished = converge(s, done, 600ull * n);
+        return outcome(finished.converged && population_verdict(s) == expected,
+                       s.parallel_time());
+    };
+    const auto summary = plurality::scenario::run_trials(
+                             20, 31 + static_cast<std::uint64_t>(extra + 100), trial_executor{1},
+                             body)
+                             .summary;
+    EXPECT_EQ(summary.correct, summary.trials)
         << "extra=" << extra << " expected verdict not reached in every trial";
     EXPECT_LT(summary.time_stats.mean, 25.0 * std::log2(n));
 }

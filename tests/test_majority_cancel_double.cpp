@@ -16,6 +16,7 @@ using plurality::sim::simulation;
 using plurality::sim::converge;
 using plurality::sim::trial_executor;
 using plurality::test::expanded;
+using plurality::test::outcome;
 
 TEST(CancelDouble, CancelRule) {
     cancel_double_protocol proto{10};
@@ -116,24 +117,21 @@ TEST_P(CancelDoubleBiasSweep, DecidesExactMajority) {
     const std::uint32_t minus = base + (extra < 0 ? -extra : 0);
     const std::uint8_t cap = default_level_cap(n);
 
-    const auto summary = trial_executor{1}.run(
-        15, 900 + static_cast<std::uint64_t>(extra + 50), [&](std::uint64_t seed) {
-            auto agents = expanded(cancel_double_census(plus, minus, n - plus - minus), seed);
-            simulation<cancel_double_protocol> s{cancel_double_protocol{cap}, std::move(agents),
-                                                 seed};
-            const auto done = [](const auto& sim) {
-                return decided_sign(sim) != 0;
-            };
-            const double budget = 60.0 * std::log2(n) * std::log2(n);
-            const auto finished =
-                converge(s, done, static_cast<std::uint64_t>(budget * n));
-            plurality::sim::trial_outcome out;
-            const int want = extra > 0 ? 1 : -1;
-            out.success = finished.converged && decided_sign(s) == want;
-            out.parallel_time = s.parallel_time();
-            return out;
-        });
-    EXPECT_EQ(summary.successes, summary.trials) << "bias " << extra;
+    const auto body = [&](std::size_t, std::uint64_t seed) {
+        auto agents = expanded(cancel_double_census(plus, minus, n - plus - minus), seed);
+        simulation<cancel_double_protocol> s{cancel_double_protocol{cap}, std::move(agents),
+                                             seed};
+        const auto done = [](const auto& sim) { return decided_sign(sim) != 0; };
+        const double budget = 60.0 * std::log2(n) * std::log2(n);
+        const auto finished = converge(s, done, static_cast<std::uint64_t>(budget * n));
+        const int want = extra > 0 ? 1 : -1;
+        return outcome(finished.converged && decided_sign(s) == want, s.parallel_time());
+    };
+    const auto summary = plurality::scenario::run_trials(
+                             15, 900 + static_cast<std::uint64_t>(extra + 50), trial_executor{1},
+                             body)
+                             .summary;
+    EXPECT_EQ(summary.correct, summary.trials) << "bias " << extra;
 }
 
 INSTANTIATE_TEST_SUITE_P(Biases, CancelDoubleBiasSweep, ::testing::Values(1, -1, 5, -5, 100));

@@ -14,6 +14,7 @@ using plurality::sim::simulation;
 using plurality::sim::converge;
 using plurality::sim::trial_executor;
 using plurality::test::expanded;
+using plurality::test::outcome;
 
 TEST(StableFourState, CancellationRule) {
     stable_four_state_protocol proto;
@@ -61,18 +62,17 @@ TEST(StableFourState, TokenDifferenceIsInvariant) {
 TEST(StableFourState, AlwaysCorrectAtBiasOne) {
     // The defining property: exact majority at bias 1, every single trial.
     const std::uint32_t n = 256;  // deliberately small: expected time is Θ(n·polylog)
-    const auto summary = trial_executor{1}.run(30, 11, [n](std::uint64_t seed) {
+    const auto body = [n](std::size_t, std::uint64_t seed) {
         auto agents = expanded(four_state_census(n / 2 + 1, n / 2 - 1, 0), seed);
         simulation<stable_four_state_protocol> s{stable_four_state_protocol{}, std::move(agents),
                                                  seed};
         const auto done = [](const auto& sim) { return consensus_reached(sim); };
         const auto finished = converge(s, done, 40000ull * n);
-        plurality::sim::trial_outcome out;
-        out.success = finished.converged && consensus_sign(s) == 1;
-        out.parallel_time = s.parallel_time();
-        return out;
-    });
-    EXPECT_EQ(summary.successes, summary.trials);
+        return outcome(finished.converged && consensus_sign(s) == 1, s.parallel_time());
+    };
+    const auto summary =
+        plurality::scenario::run_trials(30, 11, trial_executor{1}, body).summary;
+    EXPECT_EQ(summary.correct, summary.trials);
 }
 
 TEST(StableFourState, MinoritySignNeverWins) {

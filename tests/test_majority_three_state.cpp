@@ -20,20 +20,20 @@ using plurality::sim::converge;
 using plurality::sim::trial_executor;
 using plurality::test::alpha_v;
 using plurality::test::expanded;
+using plurality::test::outcome;
 
 TEST(ThreeState, LargeBiasConvergesCorrectlyAndFast) {
     const std::uint32_t n = 4096;
-    const auto summary = trial_executor{1}.run(20, 55, [n](std::uint64_t seed) {
+    const auto body = [n](std::size_t, std::uint64_t seed) {
         auto agents = expanded(binary_census(3 * n / 4, n / 4, 0), seed);
         simulation<usd_plurality_protocol> s{usd_plurality_protocol{}, std::move(agents), seed};
         const auto done = [](const auto& sim) { return consensus_reached(sim); };
         const auto finished = converge(s, done, 400ull * n);
-        plurality::sim::trial_outcome out;
-        out.success = finished.converged && consensus_opinion(s) == alpha_v;
-        out.parallel_time = s.parallel_time();
-        return out;
-    });
-    EXPECT_EQ(summary.successes, summary.trials);
+        return outcome(finished.converged && consensus_opinion(s) == alpha_v, s.parallel_time());
+    };
+    const auto summary =
+        plurality::scenario::run_trials(20, 55, trial_executor{1}, body).summary;
+    EXPECT_EQ(summary.correct, summary.trials);
     EXPECT_LT(summary.time_stats.mean, 10.0 * std::log2(n));
 }
 
@@ -41,19 +41,19 @@ TEST(ThreeState, BiasOneIsACoinFlip) {
     // The headline limitation the paper's protocols overcome: at bias 1 the
     // 3-state dynamics picks the *wrong* opinion about half the time.
     const std::uint32_t n = 1024;
-    const auto summary = trial_executor{1}.run(60, 77, [n](std::uint64_t seed) {
+    const auto body = [n](std::size_t, std::uint64_t seed) {
         auto agents = expanded(binary_census(n / 2 + 1, n / 2 - 1, 0), seed);
         simulation<usd_plurality_protocol> s{usd_plurality_protocol{}, std::move(agents), seed};
         const auto done = [](const auto& sim) { return consensus_reached(sim); };
         (void)converge(s, done, 2000ull * n);
-        plurality::sim::trial_outcome out;
-        out.success = consensus_opinion(s) == alpha_v;
-        return out;
-    });
+        return outcome(consensus_opinion(s) == alpha_v);
+    };
+    const auto summary =
+        plurality::scenario::run_trials(60, 77, trial_executor{1}, body).summary;
     // Correctness rate statistically indistinguishable from 50%: between 25%
     // and 75% with 60 trials is a safe corridor.
-    EXPECT_GT(summary.successes, summary.trials / 4);
-    EXPECT_LT(summary.successes, 3 * summary.trials / 4);
+    EXPECT_GT(summary.correct, summary.trials / 4);
+    EXPECT_LT(summary.correct, 3 * summary.trials / 4);
 }
 
 TEST(ThreeState, ConsensusIsStableOnceReached) {

@@ -126,7 +126,7 @@ TEST(Properties, BiasTwoOnEvenBinaryInstances) {
 }
 
 TEST(Properties, ImprovedModeBinaryCase) {
-    const auto cfg = core::protocol_config::make(core::algorithm_mode::improved, 1024, 2);
+    const auto cfg = core::protocol_config::make(core::algorithm_mode::improved, 1025, 2);
     const auto r = core::run_to_consensus(cfg, workload::make_bias_one(1025, 2), 9);
     EXPECT_TRUE(r.converged);
     EXPECT_TRUE(r.correct);

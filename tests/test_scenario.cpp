@@ -1,8 +1,9 @@
 // Tests for the unified scenario layer: registry completeness (every
 // registered scenario runs to convergence at small n and reports sane
 // metrics), determinism of the multi-trial runner across thread counts,
-// registry bookkeeping, and the shared CLI surface (backend names and the
-// numeric flag parsers).
+// the seed convention core::run_to_consensus shares with the plurality
+// scenarios, registry bookkeeping, and the shared CLI surface (backend
+// names and the numeric flag parsers).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,12 +13,15 @@
 #include <string>
 #include <utility>
 
+#include "core/config.h"
+#include "core/result.h"
 #include "scenario/builtin.h"
 #include "scenario/json_report.h"
 #include "scenario/registry.h"
 #include "scenario/runner.h"
 #include "sim/trial_executor.h"
 #include "test_support.h"
+#include "workload/opinion_distribution.h"
 
 namespace {
 
@@ -189,6 +193,37 @@ TEST(ScenarioRunner, TracedBatchTracesTrialZero) {
         }
     }
 }
+
+// A trial seed names one trajectory everywhere: `core::run_to_consensus` on
+// a plurality scenario's own (cfg, dist) seeds, lays out and checks its run
+// as the scenario driver does, so it runs exactly that scenario's trial.
+class SeedConvention : public ::testing::TestWithParam<core::algorithm_mode> {};
+
+TEST_P(SeedConvention, RunToConsensusIsThePluralityScenarioTrial) {
+    const auto mode = GetParam();
+    const std::string name = "plurality/" + ::testing::PrintToString(mode);
+    const auto* s = scenario_registry::instance().find(name);
+    ASSERT_NE(s, nullptr) << name;
+    scenario_params params;
+    params.n = 512;
+    params.k = 3;
+    const auto cfg = core::protocol_config::make(mode, params.n, params.k);
+    const auto dist = workload::make_bias_one(params.n, params.k);
+    for (const std::uint64_t seed : {1u, 7u, 12345u}) {
+        const auto helper = core::run_to_consensus(cfg, dist, seed);
+        const auto trial = s->run(params, seed);
+        EXPECT_EQ(helper.interactions, trial.interactions) << name << " seed " << seed;
+        EXPECT_EQ(helper.parallel_time, trial.parallel_time) << name << " seed " << seed;
+        EXPECT_EQ(helper.converged, trial.converged) << name << " seed " << seed;
+        EXPECT_EQ(helper.correct, trial.correct) << name << " seed " << seed;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModes, SeedConvention,
+                         ::testing::Values(core::algorithm_mode::ordered,
+                                           core::algorithm_mode::unordered,
+                                           core::algorithm_mode::improved),
+                         ::testing::PrintToStringParamName());
 
 TEST(ScenarioBackends, ParseBackendAcceptsExactlyTheAdvertisedList) {
     // backend_list() is the single source of truth for CLI error messages:

@@ -1,6 +1,7 @@
 // Helpers shared by the test suites: the census tests' toy protocol, agents
 // laid out from a census, the tournament fixture the census simulator tests
-// step, the occupied-list invariant check, the per-family small parameter
+// step, the outcome of a pass/fail trial body and batches of tournament
+// runs, the occupied-list invariant check, the per-family small parameter
 // table, and the calibrated distributional-agreement checks.
 //
 // Both backends, and both of the census simulator's strategies, sample the
@@ -26,6 +27,7 @@
 #include "analysis/stats.h"
 #include "baselines/usd_plurality.h"
 #include "core/plurality_protocol.h"
+#include "core/result.h"
 #include "obs/snapshot.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
@@ -78,6 +80,32 @@ inline tournament_start ordered_tournament(std::uint32_t n, std::uint32_t k,
     sim::rng setup(seed);
     return {core::plurality_protocol{cfg},
             core::plurality_protocol::make_population(cfg, workload::make_bias_one(n, k), setup)};
+}
+
+/// The outcome of a trial body that only passes or fails: converged and
+/// correct both read `success`, so the batch's `time_stats` covers exactly
+/// the trials that passed.
+inline scenario::scenario_outcome outcome(bool success, double parallel_time = 0.0) {
+    scenario::scenario_outcome out;
+    out.converged = success;
+    out.correct = success;
+    out.parallel_time = parallel_time;
+    return out;
+}
+
+/// Summary of `trials` runs of `core::run_to_consensus(cfg, dist, seed)` on
+/// `threads` workers; a trial passes when it finds the plurality.
+inline scenario::scenario_run_summary consensus_trials(const core::protocol_config& cfg,
+                                                       const workload::opinion_distribution& dist,
+                                                       std::size_t trials,
+                                                       std::uint64_t base_seed,
+                                                       std::size_t threads = 1) {
+    return scenario::run_trials(trials, base_seed, sim::trial_executor{threads},
+                                [&](std::size_t, std::uint64_t seed) {
+                                    const auto r = core::run_to_consensus(cfg, dist, seed);
+                                    return outcome(r.correct, r.parallel_time);
+                                })
+        .summary;
 }
 
 /// The bytes of a census state — its identity (sim::same_state) — as an

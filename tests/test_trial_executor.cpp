@@ -1,4 +1,5 @@
-// Unit tests for the parallel trial executor (sim/trial_executor.h).
+// Unit tests for the parallel trial executor (sim/trial_executor.h) and the
+// batch runner built on it (scenario::run_trials, scenario/runner.h).
 //
 // The central property is the determinism contract: for a fixed
 // (trials, base_seed, trial) the aggregated summary must be bitwise
@@ -16,33 +17,43 @@
 
 #include "core/config.h"
 #include "core/result.h"
+#include "scenario/runner.h"
 #include "sim/rng.h"
 #include "sim/trial_executor.h"
 #include "workload/opinion_distribution.h"
 
 namespace {
 
+using plurality::scenario::run_trials;
+using plurality::scenario::scenario_outcome;
+using plurality::scenario::scenario_run_summary;
 using plurality::sim::trial_executor;
-using plurality::sim::trial_outcome;
-using plurality::sim::trial_summary;
 
 /// A trial body that is a pure function of its seed, with enough per-seed
 /// variation that any aggregation-order difference would show up in the
 /// floating-point statistics.
-trial_outcome synthetic_trial(std::uint64_t seed) {
+scenario_outcome synthetic_trial(std::size_t, std::uint64_t seed) {
     plurality::sim::rng gen(seed);
-    trial_outcome out;
-    out.success = gen.next_below(10) < 7;
+    scenario_outcome out;
+    out.converged = out.correct = gen.next_below(10) < 7;
     out.parallel_time = 100.0 * gen.next_unit() + 1.0;
     out.interactions = 1000 + gen.next_below(1000);
     return out;
 }
 
+/// The summary of a `trials`-trial batch of `synthetic_trial` on `threads`
+/// workers.
+scenario_run_summary synthetic_batch(std::size_t threads, std::size_t trials,
+                                     std::uint64_t base_seed) {
+    return run_trials(trials, base_seed, trial_executor{threads}, synthetic_trial).summary;
+}
+
 /// Bitwise summary equality (EXPECT_EQ on doubles is exact comparison, which
 /// is the point: the contract is bit-for-bit, not approximate).
-void expect_identical(const trial_summary& a, const trial_summary& b) {
+void expect_identical(const scenario_run_summary& a, const scenario_run_summary& b) {
     EXPECT_EQ(a.trials, b.trials);
-    EXPECT_EQ(a.successes, b.successes);
+    EXPECT_EQ(a.converged, b.converged);
+    EXPECT_EQ(a.correct, b.correct);
     EXPECT_EQ(a.total_interactions, b.total_interactions);
     EXPECT_EQ(a.time_stats.count, b.time_stats.count);
     EXPECT_EQ(a.time_stats.mean, b.time_stats.mean);
@@ -55,10 +66,9 @@ void expect_identical(const trial_summary& a, const trial_summary& b) {
 TEST(TrialExecutor, ParallelSummaryMatchesSequentialBitForBit) {
     constexpr std::size_t trials = 64;
     constexpr std::uint64_t base_seed = 0xabcdef;
-    const auto sequential = trial_executor{1}.run(trials, base_seed, synthetic_trial);
+    const auto sequential = synthetic_batch(1, trials, base_seed);
     for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-        const auto parallel = trial_executor{threads}.run(trials, base_seed, synthetic_trial);
-        expect_identical(sequential, parallel);
+        expect_identical(sequential, synthetic_batch(threads, trials, base_seed));
     }
 }
 
@@ -68,34 +78,35 @@ TEST(TrialExecutor, ParallelProtocolRunMatchesSequentialBitForBit) {
     const auto cfg = plurality::core::protocol_config::make(
         plurality::core::algorithm_mode::ordered, 256, 3);
     const auto dist = plurality::workload::make_bias_one(256, 3);
-    const auto body = [&](std::uint64_t seed) {
+    const auto body = [&](std::size_t, std::uint64_t seed) {
         const auto r = plurality::core::run_to_consensus(cfg, dist, seed);
-        trial_outcome out;
-        out.success = r.correct;
+        scenario_outcome out;
+        out.converged = out.correct = r.correct;
         out.parallel_time = r.parallel_time;
         out.interactions = r.interactions;
         return out;
     };
-    const auto sequential = trial_executor{1}.run(8, 0x9e14, body);
-    const auto parallel = trial_executor{8}.run(8, 0x9e14, body);
+    const auto sequential = run_trials(8, 0x9e14, trial_executor{1}, body).summary;
+    const auto parallel = run_trials(8, 0x9e14, trial_executor{8}, body).summary;
     expect_identical(sequential, parallel);
 }
 
 TEST(TrialExecutor, FewerTrialsThanThreads) {
-    const auto summary = trial_executor{8}.run(3, 77, synthetic_trial);
-    EXPECT_EQ(summary.trials, 3u);
-    expect_identical(summary, trial_executor{1}.run(3, 77, synthetic_trial));
+    const auto result = run_trials(3, 77, trial_executor{8}, synthetic_trial);
+    EXPECT_EQ(result.summary.trials, 3u);
+    EXPECT_EQ(result.threads, 3u);
+    expect_identical(result.summary, synthetic_batch(1, 3, 77));
 }
 
 TEST(TrialExecutor, ZeroAndOneTrials) {
-    const auto empty = trial_executor{4}.run(0, 5, synthetic_trial);
+    const auto empty = synthetic_batch(4, 0, 5);
     EXPECT_EQ(empty.trials, 0u);
-    EXPECT_EQ(empty.successes, 0u);
+    EXPECT_EQ(empty.correct, 0u);
     EXPECT_DOUBLE_EQ(empty.success_rate(), 0.0);
 
-    const auto single = trial_executor{4}.run(1, 5, synthetic_trial);
+    const auto single = synthetic_batch(4, 1, 5);
     EXPECT_EQ(single.trials, 1u);
-    expect_identical(single, trial_executor{1}.run(1, 5, synthetic_trial));
+    expect_identical(single, synthetic_batch(1, 1, 5));
 }
 
 TEST(TrialExecutor, ZeroThreadsResolvesToHardware) {
@@ -106,28 +117,24 @@ TEST(TrialExecutor, ZeroThreadsResolvesToHardware) {
 TEST(TrialExecutor, EveryTrialIndexRunsExactlyOnce) {
     constexpr std::size_t trials = 100;
     std::vector<std::atomic<int>> hits(trials);
-    const auto summary = trial_executor{4}.run(trials, 13, [&](std::uint64_t seed) {
-        // Recover the index from the seed: derive_seed is injective over the
-        // small index range, so match against precomputed values.
-        for (std::size_t i = 0; i < trials; ++i) {
-            if (plurality::sim::derive_seed(13, i) == seed) {
-                hits[i].fetch_add(1);
-                break;
-            }
-        }
-        return trial_outcome{};
-    });
-    EXPECT_EQ(summary.trials, trials);
+    const auto result =
+        run_trials(trials, 13, trial_executor{4}, [&](std::size_t index, std::uint64_t seed) {
+            // Each index comes with its own seed, and runs once.
+            EXPECT_EQ(seed, plurality::sim::derive_seed(13, index));
+            hits[index].fetch_add(1);
+            return scenario_outcome{};
+        });
+    EXPECT_EQ(result.summary.trials, trials);
     for (std::size_t i = 0; i < trials; ++i) EXPECT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
 TEST(TrialExecutor, PropagatesTrialExceptions) {
-    const auto boom = [](std::uint64_t seed) -> trial_outcome {
-        if (seed == plurality::sim::derive_seed(21, 5)) throw std::runtime_error("trial 5 died");
+    const auto boom = [](std::size_t index, std::uint64_t) -> scenario_outcome {
+        if (index == 5) throw std::runtime_error("trial 5 died");
         return {};
     };
-    EXPECT_THROW((void)trial_executor{4}.run(32, 21, boom), std::runtime_error);
-    EXPECT_THROW((void)trial_executor{1}.run(32, 21, boom), std::runtime_error);
+    EXPECT_THROW((void)run_trials(32, 21, trial_executor{4}, boom), std::runtime_error);
+    EXPECT_THROW((void)run_trials(32, 21, trial_executor{1}, boom), std::runtime_error);
 }
 
 /// The thread each trial of a `trials`-slot batch ran on, by slot.  Each
@@ -163,8 +170,8 @@ TEST(TrialExecutor, StartsAtMostOneWorkerPerTrial) {
 
 TEST(TrialExecutor, ExecutorIsReusableAcrossRuns) {
     const trial_executor executor{4};
-    const auto first = executor.run(16, 3, synthetic_trial);
-    const auto second = executor.run(16, 3, synthetic_trial);
+    const auto first = run_trials(16, 3, executor, synthetic_trial).summary;
+    const auto second = run_trials(16, 3, executor, synthetic_trial).summary;
     expect_identical(first, second);
 }
 
